@@ -14,13 +14,17 @@
 //! A `parallel-scaling` summary (speedup of each shard count over the
 //! serial engine) is appended to `target/criterion/summary.txt`, the
 //! artifact CI archives. Scaling tracks the host's core count: on a
-//! single-core container every shard count measures ~1x — run on a
-//! multi-core host to see the delivery phase spread out.
+//! single-core container every shard count measures ~1x.
+//!
+//! A third, **skewed** shape (the hub closes a fresh chain and says
+//! the reachable set to 31 one-rule spokes) compares the serial engine
+//! with the pool at a worker per core and asserts the pool wins
+//! whenever the host has a second core.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lbtrust::datalog::Symbol;
 use lbtrust::obs::Report;
-use lbtrust::{AuthScheme, PartitionStrategy, Principal, SyncPolicy, System};
+use lbtrust::{AuthScheme, Principal, SyncPolicy, System};
 use lbtrust_bench::persist_line;
 use std::cell::Cell;
 use std::time::{Duration, Instant};
@@ -138,26 +142,29 @@ const SKEW_SPOKES: usize = 31;
 const SKEW_CHAIN: usize = 16;
 /// Iterations per skewed pass.
 const SKEW_ROUNDS: usize = 8;
-/// Worker count for the skew comparison.
-const SKEW_SHARDS: usize = 8;
+/// Alternating serial/pooled passes; the fastest of each side counts.
+const SKEW_PASSES: usize = 3;
+/// Most workers the skew comparison uses (fewer on smaller hosts).
+const SKEW_MAX_SHARDS: usize = 8;
+/// Least serial/pooled speedup accepted on a host with a second core:
+/// four runs on the 2-core host this was sized on read 1.35x – 1.47x.
+const SKEW_SPEEDUP_BAR: f64 = 1.15;
+/// Most max/mean worker busy time accepted, per worker. The hub's half
+/// of the work alone forces `workers / 2`; a pool that left every task
+/// to one worker reads `workers`. The same four runs read 1.01 – 1.02
+/// at 2 workers, against a bar of 1.5 there.
+const SKEW_IMBALANCE_BAR_PER_WORKER: f64 = 0.75;
 
 /// A deliberately skewed deployment: the hub runs a transitive closure
 /// over each iteration's fresh chain and exports the reachable set to
 /// all 31 spokes; each spoke holds one import rule. Roughly half the
-/// per-step evaluation cost lands on one principal — the shape where a
-/// contiguous slice pins the whole step on the hub's worker while the
-/// other seven idle, and cost-aware LPT plus stealing spreads the
-/// remainder.
-fn skewed_hub_system(
-    shards: usize,
-    partition: PartitionStrategy,
-    stealing: bool,
-) -> (System, Principal) {
+/// per-step evaluation cost lands on one principal — the shape where
+/// one worker is busy with the hub while the others work through the
+/// spokes.
+fn skewed_hub_system(shards: usize) -> (System, Principal) {
     let mut sys = System::new()
         .with_rsa_bits(512)
         .with_shards(shards)
-        .with_partition(partition)
-        .with_stealing(stealing)
         .with_sync_policy(SyncPolicy::Batched);
     let hub = sys.add_principal("hub", "n0").unwrap();
     sys.set_auth_scheme(hub, AuthScheme::Plaintext).unwrap();
@@ -311,50 +318,58 @@ fn sharded_quiescence(c: &mut Criterion) {
         timing_off.as_secs_f64() * 1e3,
     ));
 
-    // Skewed hub-and-spoke: the contiguous-slice no-stealing engine
-    // (the old sharding discipline) against the pooled engine with
-    // cost-aware LPT partitioning and work stealing, both at 8
-    // workers. The speedup and imbalance bars only mean anything when
-    // the host actually has a core per worker, so on smaller hosts the
-    // assertions are skipped — loudly, in the summary artifact.
+    // Skewed hub-and-spoke: the serial engine against the pool with a
+    // worker per core (at most 8). The two sides alternate and the
+    // fastest pass of each counts, so a slow stretch of the host does
+    // not land on one side only. A single-core host has nothing to
+    // compare, so there the assertions are skipped — loudly, in the
+    // summary artifact.
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let skew_pass = |partition: PartitionStrategy, stealing: bool, base: usize| {
-        let (mut sys, hub) = skewed_hub_system(SKEW_SHARDS, partition, stealing);
+    let skew_shards = cores.clamp(2, SKEW_MAX_SHARDS);
+    let skew_pass = |shards: usize, base: usize| {
+        let (mut sys, hub) = skewed_hub_system(shards);
         let started = Instant::now();
         for r in 0..SKEW_ROUNDS {
             skew_iteration(&mut sys, hub, base + r);
         }
         (started.elapsed(), sys)
     };
-    let (contiguous_time, _) = skew_pass(PartitionStrategy::Contiguous, false, 30_000);
-    let (pooled_time, pooled_sys) = skew_pass(PartitionStrategy::CostAware, true, 40_000);
-    let skew_speedup = contiguous_time.as_secs_f64() / pooled_time.as_secs_f64().max(1e-12);
+    let mut serial_time = Duration::MAX;
+    let mut pooled = None;
+    for pass in 0..SKEW_PASSES {
+        serial_time = serial_time.min(skew_pass(1, 30_000 + pass * 100).0);
+        let (time, sys) = skew_pass(skew_shards, 40_000 + pass * 100);
+        if pooled.as_ref().is_none_or(|(best, _)| time < *best) {
+            pooled = Some((time, sys));
+        }
+    }
+    let (pooled_time, pooled_sys) = pooled.expect("SKEW_PASSES > 0");
+    let skew_speedup = serial_time.as_secs_f64() / pooled_time.as_secs_f64().max(1e-12);
     let snap = pooled_sys.obs_registry().snapshot();
     let imbalance_ratio = snap.gauge("quiesce.imbalance_ratio").unwrap_or(0) as f64 / 1000.0;
-    let steals = snap.counter("pool.steals").unwrap_or(0);
-    let assertions = if cores >= SKEW_SHARDS {
+    let assertions = if cores >= 2 {
         assert!(
-            skew_speedup >= 1.5,
-            "pooled+stealing must beat the contiguous-slice baseline by >=1.5x \
-             on a skewed workload with a core per worker (got {skew_speedup:.2}x)"
+            skew_speedup >= SKEW_SPEEDUP_BAR,
+            "the pool at {skew_shards} workers on {cores} cores must beat the serial engine \
+             by >={SKEW_SPEEDUP_BAR}x on the skewed workload (got {skew_speedup:.2}x)"
         );
+        let imbalance_bar = SKEW_IMBALANCE_BAR_PER_WORKER * skew_shards as f64;
         assert!(
-            imbalance_ratio < 1.5,
-            "cost-aware LPT + stealing must keep max/mean worker busy time \
-             under 1.5 (got {imbalance_ratio:.2})"
+            imbalance_ratio < imbalance_bar,
+            "the pool must keep max/mean worker busy time under {imbalance_bar} \
+             at {skew_shards} workers (got {imbalance_ratio:.2})"
         );
         "enforced".to_string()
     } else {
-        format!("SKIPPED (cores={cores} < shards={SKEW_SHARDS})")
+        format!("SKIPPED (cores={cores}: no second core to run a second worker on)")
     };
     persist_line(&format!(
-        "parallel-skewed hub+{SKEW_SPOKES} spokes shards={SKEW_SHARDS}: contiguous \
+        "parallel-skewed hub+{SKEW_SPOKES} spokes shards={skew_shards} cores={cores}: serial \
          {:.3} ms/iter vs pooled {:.3} ms/iter ({skew_speedup:.2}x), \
-         imbalance_ratio {imbalance_ratio:.2}, steals {steals}; \
-         speedup/imbalance assertions {assertions}",
-        contiguous_time.as_secs_f64() * 1e3 / SKEW_ROUNDS as f64,
+         imbalance_ratio {imbalance_ratio:.2}; speedup/imbalance assertions {assertions}",
+        serial_time.as_secs_f64() * 1e3 / SKEW_ROUNDS as f64,
         pooled_time.as_secs_f64() * 1e3 / SKEW_ROUNDS as f64,
     ));
 
@@ -372,9 +387,8 @@ fn sharded_quiescence(c: &mut Criterion) {
         )
         .headline("obs_overhead_pct", overhead_pct)
         .headline("obs_noise_pct", noise_pct)
-        .headline("skew_speedup_pooled_vs_contiguous", skew_speedup)
+        .headline("skew_speedup_pooled_vs_serial", skew_speedup)
         .headline("imbalance_ratio", imbalance_ratio)
-        .headline("steals", steals as f64)
         .phases_from(timed.obs_registry())
         .note(
             "workload",

@@ -46,17 +46,17 @@
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use lbtrust_certstore::{CertDigest, EvictionPolicy, LruMap};
 use lbtrust_datalog::ast::Rule;
-use lbtrust_datalog::provenance::{explain, Proof};
-use lbtrust_datalog::{Builtins, Database, ParseError, Symbol, Tuple, Value};
+use lbtrust_datalog::provenance::Proof;
+use lbtrust_datalog::{Builtins, Database, Symbol, Tuple, Value};
 use lbtrust_obs::{Counter, Histogram, Registry};
 
 use crate::principal::Principal;
 use crate::system::{AuthzDecision, SysError};
-use crate::workspace::WsError;
+use crate::workspace::explain_goal;
 
 /// Decision-cache shard count: enough to keep reader threads off each
 /// other's locks at typical core counts, few enough that invalidation
@@ -91,60 +91,38 @@ pub(crate) struct PrincipalSnapshot {
     pub(crate) store_version: u64,
 }
 
-impl PrincipalSnapshot {
-    /// Proves `goal` against the snapshot — the snapshot-side twin of
-    /// `Workspace::explain_proof`, over captured rules/db/builtins.
-    fn proof(&self, goal: &str) -> Result<Option<Proof>, WsError> {
-        let atom = lbtrust_datalog::parse_atom(goal)?;
-        let atom = atom.substitute_sym(Symbol::intern("me"), self.me);
-        let pred = atom.pred.name().ok_or(WsError::Parse(ParseError {
-            message: "authorize takes a concrete fact".into(),
-            line: 0,
-            col: 0,
-        }))?;
-        let tuple: Option<Tuple> = atom.all_args().map(|t| t.as_val().cloned()).collect();
-        let Some(tuple) = tuple else {
-            return Err(WsError::Parse(ParseError {
-                message: "authorize takes a ground fact".into(),
-                line: 0,
-                col: 0,
-            }));
-        };
-        Ok(explain(&self.rules, &self.db, &self.builtins, pred, &tuple))
-    }
-
-    /// Decides `goal`: grant/deny, supporting digests, rendered proof.
-    fn decide(&self, goal: &str) -> Result<CachedDecision, SysError> {
-        let proof = self.proof(goal)?;
-        let granted = proof.is_some();
-        let (supporting, rendered) = match &proof {
-            Some(proof) => (
-                collect_supporting(proof, &self.ground_heads, |rule_src, out| {
-                    if let Some(ds) = self.introducers.get(rule_src) {
-                        out.extend(ds.iter().copied());
-                    }
-                }),
-                Some(proof.render()),
-            ),
-            None => (Vec::new(), None),
-        };
-        Ok(CachedDecision {
-            granted,
-            supporting,
-            proof: rendered,
-        })
+/// Turns a proof (or its absence) into a decision: grant/deny, the
+/// supporting digests, the rendered proof. The one `decide` behind the
+/// serial [`crate::System::authorize`] (live store indexes) and the
+/// snapshot readers (captured copies of the same indexes), so both
+/// cite identically.
+pub(crate) fn decide<F>(
+    proof: Option<Proof>,
+    ground_heads: &HashMap<Symbol, HashMap<Tuple, Vec<CertDigest>>>,
+    cite_introducers: F,
+) -> CachedDecision
+where
+    F: FnMut(&str, &mut Vec<CertDigest>),
+{
+    CachedDecision {
+        granted: proof.is_some(),
+        supporting: proof
+            .as_ref()
+            .map(|p| collect_supporting(p, ground_heads, cite_introducers))
+            .unwrap_or_default(),
+        proof: proof.map(|p| p.render()),
     }
 }
 
 /// Walks a proof tree collecting the digests of every certificate the
 /// derivation rests on: ground-head index hits for cert-materialized
-/// facts, introducer citations for `says` premises. Shared by the
-/// serial [`crate::System::authorize`] and the snapshot readers, so
-/// both cite identically. The result is sorted on raw digest bytes
+/// facts, introducer citations for `says` premises. The store
+/// maintains both indexes incrementally, so citation is hash probes —
+/// no rescan of the active set. The result is sorted on raw digest bytes
 /// (identical order to the old hex-string sort — lowercase hex is
 /// monotone in the bytes — without a `String` per comparison) and
 /// deduplicated.
-pub(crate) fn collect_supporting<F>(
+fn collect_supporting<F>(
     proof: &Proof,
     ground_heads: &HashMap<Symbol, HashMap<Tuple, Vec<CertDigest>>>,
     mut cite_introducers: F,
@@ -251,14 +229,14 @@ impl SnapshotCell {
 /// byte-for-byte, plus the supporting digests the invalidation sweep
 /// matches poisoned certificates against.
 #[derive(Clone)]
-struct CachedDecision {
-    granted: bool,
-    supporting: Vec<CertDigest>,
+pub(crate) struct CachedDecision {
+    pub(crate) granted: bool,
+    pub(crate) supporting: Vec<CertDigest>,
     proof: Option<String>,
 }
 
 impl CachedDecision {
-    fn into_decision(self, who: Principal, goal: String) -> AuthzDecision {
+    pub(crate) fn into_decision(self, who: Principal, goal: String) -> AuthzDecision {
         AuthzDecision {
             principal: who,
             goal,
@@ -305,12 +283,22 @@ impl DecisionCache {
         shard.get(key).cloned()
     }
 
-    fn insert(&self, key: CacheKey, value: CachedDecision) {
+    /// Caches `value` unless `still_current` — asked under the shard
+    /// lock [`DecisionCache::invalidate_poisoned`] also takes — says
+    /// the snapshot it was proved against has been superseded.
+    fn insert_if(
+        &self,
+        key: CacheKey,
+        value: CachedDecision,
+        still_current: impl FnOnce() -> bool,
+    ) {
         let mut shard = self
             .shard_of(&key)
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        shard.insert(key, value);
+        if still_current() {
+            shard.insert(key, value);
+        }
     }
 
     /// Removes every cached decision of `who` at `version` that rests
@@ -370,7 +358,12 @@ impl AuthzShared {
 
     /// Drops every cached decision of `who` at `version` resting on a
     /// poisoned certificate (see [`DecisionCache::invalidate_poisoned`]),
-    /// counting the casualties in `authz.cache_invalidations`.
+    /// counting the casualties in `authz.cache_invalidations`. Call it
+    /// *after* publishing the snapshot the poison took effect in: a
+    /// reader's miss only caches while the generation it proved against
+    /// is still current, checked under the shard lock this sweep takes,
+    /// so a grant proved on the superseded snapshot is either already
+    /// cached (and swept here) or never cached at all.
     pub(crate) fn invalidate_poisoned(
         &self,
         who: Principal,
@@ -441,12 +434,9 @@ impl AuthzReader {
     /// snapshot, citing supporting certificate digests exactly like
     /// [`crate::System::authorize`] does at the same store version.
     pub fn authorize(&self, who: Principal, goal: &str) -> Result<AuthzDecision, SysError> {
-        let mut local = self.local.lock().unwrap_or_else(|e| e.into_inner());
-        if self.shared.cell.current_generation() != local.0 {
-            *local = self.shared.cell.load();
-        }
-        let snapshot = &local.1;
-        let ps = snapshot
+        let local = self.revalidated();
+        let ps = local
+            .1
             .principals
             .get(&who)
             .ok_or(SysError::UnknownPrincipal(who))?;
@@ -456,8 +446,16 @@ impl AuthzReader {
             return Ok(hit.into_decision(who, key.2));
         }
         self.shared.misses.inc();
-        let decided = ps.decide(goal)?;
-        self.shared.cache.insert(key, decided.clone());
+        let proof = explain_goal(ps.me, &ps.rules, &ps.db, &ps.builtins, goal)?;
+        let decided = decide(proof, &ps.ground_heads, |rule_src, out| {
+            if let Some(ds) = ps.introducers.get(rule_src) {
+                out.extend(ds.iter().copied());
+            }
+        });
+        let proved_at = local.0;
+        self.shared.cache.insert_if(key, decided.clone(), || {
+            self.shared.cell.current_generation() == proved_at
+        });
         Ok(decided.into_decision(who, goal.to_string()))
     }
 
@@ -469,11 +467,17 @@ impl AuthzReader {
 
     /// The store version the current snapshot captured for `who`.
     pub fn store_version(&self, who: Principal) -> Option<u64> {
+        self.revalidated().1.store_version(who)
+    }
+
+    /// This handle's `(generation, snapshot)` pair, refreshed from the
+    /// cell first if a newer generation was published.
+    fn revalidated(&self) -> MutexGuard<'_, (u64, Arc<AuthzSnapshot>)> {
         let mut local = self.local.lock().unwrap_or_else(|e| e.into_inner());
         if self.shared.cell.current_generation() != local.0 {
             *local = self.shared.cell.load();
         }
-        local.1.store_version(who)
+        local
     }
 }
 

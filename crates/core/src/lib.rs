@@ -66,7 +66,6 @@ pub mod workspace;
 pub use auth::{AuthScheme, KeyVerifier};
 pub use authz_read::{AuthzReader, AuthzSnapshot};
 pub use obs::QuiescePhase;
-pub use pool::{CostModel, PartitionStrategy};
 pub use principal::{KeyDirectory, Principal, SharedKeys};
 pub use system::{
     AuthzDecision, DegradedError, LintError, RetryPolicy, StoreHealth, SyncPolicy, SysError,

@@ -62,14 +62,10 @@ pub(crate) struct SystemObs {
     shard_fixpoints: Vec<Histogram>,
     pub(crate) authz_granted: Counter,
     pub(crate) authz_denied: Counter,
-    /// Pool tasks run by a worker other than the one they were queued
-    /// on. Volatile: scheduling-dependent, excluded from deterministic
-    /// snapshots.
-    pool_steals: Counter,
-    /// Total tasks dispatched through the worker pool. Volatile: the
-    /// serial engine dispatches none, so the count differs by shard
-    /// configuration.
-    pool_tasks: Counter,
+    /// Total tasks dispatched through the worker pool. Volatile:
+    /// inline batches are not pool dispatches, so the count differs by
+    /// shard configuration.
+    pub(crate) pool_tasks: Counter,
     /// max/mean per-worker fixpoint busy time, in thousandths (a gauge
     /// holds a `u64`; `1000` = perfectly balanced). Volatile.
     imbalance: Gauge,
@@ -87,7 +83,6 @@ impl SystemObs {
     pub(crate) fn new(registry: Registry) -> SystemObs {
         let authz_granted = registry.counter("authz.granted");
         let authz_denied = registry.counter("authz.denied");
-        let pool_steals = registry.volatile_counter("pool.steals");
         let pool_tasks = registry.volatile_counter("pool.tasks");
         let imbalance = registry.volatile_gauge("quiesce.imbalance_ratio");
         let store_retries = registry.volatile_counter("store.retries");
@@ -105,7 +100,6 @@ impl SystemObs {
             shard_fixpoints: Vec::new(),
             authz_granted,
             authz_denied,
-            pool_steals,
             pool_tasks,
             imbalance,
             store_retries,
@@ -176,17 +170,6 @@ impl SystemObs {
             );
         }
         self.shard_fixpoints[shard].record_duration(elapsed);
-    }
-
-    /// Folds one pool batch's steal/task counts into the volatile
-    /// `pool.*` counters. A no-op for empty batches so pool-free runs
-    /// register nothing.
-    pub(crate) fn record_pool_batch(&self, steals: u64, tasks: usize) {
-        if tasks == 0 {
-            return;
-        }
-        self.pool_steals.add(steals);
-        self.pool_tasks.add(tasks as u64);
     }
 
     /// Publishes `quiesce.imbalance_ratio`: max over mean of the

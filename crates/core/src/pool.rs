@@ -2,187 +2,76 @@
 //!
 //! The paper's execution model is *distributed*: each principal runs
 //! its local fixpoint independently and exchanges signed tuples. The
-//! runtime exploits exactly that independence, but unlike the original
-//! spawn-per-phase engine (a fresh `std::thread::scope` per phase per
-//! step, ~60µs of spawn cost each, with contiguous registration-order
-//! slices that let one hot hub principal load a single worker), the
-//! pool here is created **once** at [`crate::System::with_shards`] and
-//! lives as long as the `System`:
+//! runtime exploits exactly that independence: a pool of long-lived
+//! threads is created **once** at [`crate::System::with_shards`] and
+//! lives as long as the `System`.
 //!
 //! * **Ownership, not borrowing.** Tasks are *owned* values (a
 //!   `Workspace`, a `CertStore`, a delivery job) moved out of the
 //!   `System`'s maps for the duration of one batch and moved back at
-//!   the sequential merge. Moving the structs is a shallow memcpy —
-//!   the same cost as building the per-shard `&mut` reference maps the
-//!   scoped engine needed — and it keeps the whole pool inside
-//!   `#![forbid(unsafe_code)]`: no lifetime erasure, no scoped-thread
-//!   tricks.
-//! * **Per-principal granularity + stealing.** Each batch is split
-//!   into per-worker queues of `(registration index, task)` pairs. A
-//!   worker drains its own queue front-to-back; an idle worker steals
-//!   from the *back* of the most-loaded queue, so a skewed topology's
-//!   backlog spreads instead of serializing on one worker.
+//!   the sequential merge. Moving the structs is a shallow memcpy, and
+//!   it keeps the whole pool inside `#![forbid(unsafe_code)]`: no
+//!   lifetime erasure, no scoped-thread tricks.
+//! * **One shared task array, one starting slot per worker.** A batch
+//!   is one array of per-principal tasks in submission order. Worker
+//!   `w` of `W` claims from slot `w·n/W` onwards and wraps around, so
+//!   a heavy task occupies one worker while the others work through
+//!   everything else — and while the tasks are alike, each worker sees
+//!   the same principals step after step, whose data is then still in
+//!   its core's cache (handing tasks out first-come-first-served
+//!   instead lost 9 rounds of 10 on 32 alike principals at 2 workers;
+//!   README, "Parallel execution"). Tasks are coarse (a whole
+//!   workspace fixpoint, a whole destination's delivery batch), so the
+//!   single lock is taken once per claim and once per completion and
+//!   never contends with task execution itself.
 //! * **Determinism by construction.** Results are keyed by the
 //!   submission index and handed back in index order; every merge
 //!   point in the `System` is sequential in registration order. Which
-//!   worker ran a task — and whether it was stolen — is therefore
-//!   unobservable in the quiescent state (the serial ≡ sharded
-//!   equivalence proptests pin this down). Steal counts and per-worker
-//!   busy times *are* scheduling-dependent, which is why they feed
-//!   volatile metrics only.
+//!   worker ran a task is therefore unobservable in the quiescent
+//!   state. Per-worker busy times *are* scheduling-dependent, which is
+//!   why they feed volatile metrics only.
 //! * **Panic propagation.** A panicking task poisons the batch: the
-//!   remaining queued tasks are dropped, the first payload is captured,
+//!   remaining unclaimed tasks are dropped, the first payload is captured,
 //!   and [`WorkerPool::run_batch`] re-raises it on the submitting
 //!   thread once in-flight tasks drain. The worker threads themselves
 //!   survive and the pool stays usable.
 //!
-//! `shards = 1` never constructs a pool at all — the `System` keeps
-//! its inline serial paths, byte-for-byte the serial engine.
+//! `shards = 1` never constructs a pool at all — the `System` runs the
+//! same tasks inline on the caller's thread.
 
 use std::any::Any;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// How [`crate::System::run_to_quiescence`] assigns per-principal
-/// tasks to pool workers (see [`crate::System::with_partition`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PartitionStrategy {
-    /// Contiguous registration-order slices, sized within one task of
-    /// each other — the original sharded engine's layout. With
-    /// stealing disabled this reproduces the pre-pool behaviour and
-    /// serves as the ablation baseline.
-    Contiguous,
-    /// Greedy LPT (longest-processing-time-first) assignment over
-    /// per-principal cost estimates recomputed between steps, so a hub
-    /// whose fixpoint dominated the last step no longer shares a
-    /// worker with its busiest neighbours (see [`CostModel`]).
-    #[default]
-    CostAware,
-}
-
-/// Where the per-principal cost estimates driving
-/// [`PartitionStrategy::CostAware`] come from (see
-/// [`crate::System::with_cost_model`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CostModel {
-    /// Deterministic counters from the last evaluation: rules fired
-    /// plus facts derived. Identical across runs and shard counts, so
-    /// the partition itself is reproducible.
-    #[default]
-    Deterministic,
-    /// Wall-clock nanoseconds of the last evaluation. Often a sharper
-    /// signal, but it varies run to run — opt-in only, and the
-    /// partition it produces is *not* reproducible (the quiescent
-    /// state still is).
-    WallTime,
-}
-
-/// Caps a requested worker count to the number of work items (queueing
-/// to more workers than tasks buys nothing) and to at least one.
-pub(crate) fn clamp_shards(requested: usize, items: usize) -> usize {
-    requested.max(1).min(items.max(1))
-}
-
-/// Splits `len` items into `parts` contiguous chunk sizes differing by
-/// at most one: the first `len % parts` chunks take the extra item.
-/// (The old `chunk_len` ceiling-division sizing skewed the remainder
-/// onto the final chunk — `chunk_len(10, 4)` gave 3/3/3/1.)
-pub(crate) fn chunk_sizes(len: usize, parts: usize) -> Vec<usize> {
-    let parts = parts.max(1);
-    let base = len / parts;
-    let extra = len % parts;
-    (0..parts).map(|i| base + usize::from(i < extra)).collect()
-}
-
-/// Splits `items` into `parts` contiguous per-worker queues of
-/// `(index, item)` pairs, balanced to within one item.
-pub(crate) fn split_contiguous<T>(items: Vec<T>, parts: usize) -> Vec<VecDeque<(usize, T)>> {
-    let sizes = chunk_sizes(items.len(), parts);
-    let mut iter = items.into_iter().enumerate();
-    sizes
-        .into_iter()
-        .map(|n| iter.by_ref().take(n).collect())
-        .collect()
-}
-
-/// Greedy LPT assignment: items sorted by descending cost (ties by
-/// ascending index) each go to the least-loaded worker (ties to the
-/// lowest worker index). Returns per-worker index lists, each sorted
-/// ascending so a worker processes its share in registration order.
-/// Fully deterministic for deterministic costs.
-pub(crate) fn lpt_assign(costs: &[u64], parts: usize) -> Vec<Vec<usize>> {
-    let parts = parts.max(1);
-    let mut by_cost: Vec<usize> = (0..costs.len()).collect();
-    by_cost.sort_by_key(|&i| (std::cmp::Reverse(costs[i].max(1)), i));
-    let mut loads = vec![0u64; parts];
-    let mut out: Vec<Vec<usize>> = vec![Vec::new(); parts];
-    for i in by_cost {
-        let w = (0..parts)
-            .min_by_key(|&w| (loads[w], w))
-            .expect("parts >= 1");
-        loads[w] += costs[i].max(1);
-        out[w].push(i);
-    }
-    for assigned in &mut out {
-        assigned.sort_unstable();
-    }
-    out
-}
-
-/// Splits `items` into `parts` per-worker queues by LPT over `costs`
-/// (`costs[i]` estimates `items[i]`; missing/zero costs count as 1).
-pub(crate) fn split_lpt<T>(
-    items: Vec<T>,
-    costs: &[u64],
-    parts: usize,
-) -> Vec<VecDeque<(usize, T)>> {
-    debug_assert_eq!(items.len(), costs.len());
-    let assignment = lpt_assign(costs, parts);
-    let mut slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
-    assignment
-        .into_iter()
-        .map(|indices| {
-            indices
-                .into_iter()
-                .map(|i| (i, slots[i].take().expect("each index assigned once")))
-                .collect()
-        })
-        .collect()
-}
-
-/// What one [`WorkerPool::run_batch`] hands back.
+/// What one batch hands back, whether it ran on the pool
+/// ([`WorkerPool::run_batch`]) or inline on the caller's thread.
 #[derive(Debug)]
 pub(crate) struct BatchReport<R> {
     /// Task results in submission-index order — worker identity erased.
     pub results: Vec<R>,
-    /// Per-worker busy time (nanoseconds executing tasks) this batch.
-    pub busy: Vec<u64>,
-    /// Tasks executed by a worker other than the one they were queued
-    /// on. Scheduling-dependent: volatile-metric material only.
-    pub steals: u64,
-    /// Total tasks executed.
-    pub tasks: usize,
+    /// Per-worker busy time (executing tasks) this batch.
+    /// Scheduling-dependent: volatile-metric material only.
+    pub busy: Vec<Duration>,
 }
 
-/// Shared pool state: one mutex over the queues and batch bookkeeping,
-/// one condvar each for "work arrived" and "batch finished". Tasks are
-/// coarse (a whole workspace fixpoint, a whole destination's delivery
-/// batch), so the single lock is taken once per task claim/completion
-/// and never contends with task execution itself.
+/// Shared pool state: one mutex over the task array and batch
+/// bookkeeping, one condvar each for "work arrived" and "batch
+/// finished".
 struct PoolState<T, R> {
-    queues: Vec<VecDeque<(usize, T)>>,
-    stealing: bool,
-    batch_active: bool,
-    /// Queued tasks not yet claimed.
-    remaining: usize,
+    /// The current batch's tasks by submission index, `None` once
+    /// claimed.
+    slots: Vec<Option<T>>,
+    /// Tasks not yet claimed.
+    unclaimed: usize,
+    /// How many slots each worker has walked past this batch, counted
+    /// from its own starting slot — a worker never rescans.
+    walked: Vec<usize>,
     /// Claimed tasks still executing.
     running: usize,
     results: Vec<Option<R>>,
-    busy: Vec<u64>,
-    steals: u64,
+    busy: Vec<Duration>,
     panic: Option<Box<dyn Any + Send>>,
     shutdown: bool,
 }
@@ -216,14 +105,12 @@ impl<T: Send + 'static, R: Send + 'static> WorkerPool<T, R> {
         let workers = workers.max(1);
         let core = Arc::new(PoolCore {
             state: Mutex::new(PoolState {
-                queues: (0..workers).map(|_| VecDeque::new()).collect(),
-                stealing: false,
-                batch_active: false,
-                remaining: 0,
+                slots: Vec::new(),
+                unclaimed: 0,
+                walked: vec![0; workers],
                 running: 0,
                 results: Vec::new(),
-                busy: vec![0; workers],
-                steals: 0,
+                busy: vec![Duration::ZERO; workers],
                 panic: None,
                 shutdown: false,
             }),
@@ -264,56 +151,27 @@ impl<T: Send + 'static, R: Send + 'static> WorkerPool<T, R> {
         Arc::clone(&self.liveness)
     }
 
-    /// Runs one batch to completion: queues are per-worker lists of
-    /// `(index, task)` pairs with indices `0..total` each appearing
-    /// once. Blocks until every task finished, then returns results in
-    /// index order. Re-raises the first task panic on this thread
-    /// (dropping the rest of the batch); the pool survives and the
-    /// next batch runs normally.
-    pub(crate) fn run_batch(
-        &self,
-        mut queues: Vec<VecDeque<(usize, T)>>,
-        stealing: bool,
-    ) -> BatchReport<R> {
+    /// Runs one batch to completion: blocks until every task finished,
+    /// then returns results in submission order. Re-raises the first
+    /// task panic on this thread (dropping the rest of the batch); the
+    /// pool survives and the next batch runs normally.
+    pub(crate) fn run_batch(&self, tasks: Vec<T>) -> BatchReport<R> {
         let workers = self.workers();
-        let total: usize = queues.iter().map(VecDeque::len).sum();
-        if total == 0 {
-            return BatchReport {
-                results: Vec::new(),
-                busy: vec![0; workers],
-                steals: 0,
-                tasks: 0,
-            };
-        }
-        // More queues than workers would strand tasks no worker scans;
-        // fold the excess into the last worker's queue.
-        while queues.len() > workers {
-            let extra = queues.pop().expect("len > workers >= 1");
-            queues[workers - 1].extend(extra);
-        }
-        if queues.len() < workers {
-            queues.resize_with(workers, VecDeque::new);
-        }
+        let total = tasks.len();
         let mut st = lock(&self.core.state);
-        debug_assert!(!st.batch_active, "run_batch while a batch is active");
-        st.queues = queues;
-        st.stealing = stealing;
-        st.batch_active = true;
-        st.remaining = total;
-        st.running = 0;
+        st.slots = tasks.into_iter().map(Some).collect();
+        st.unclaimed = total;
+        st.walked = vec![0; workers];
         st.results = (0..total).map(|_| None).collect();
-        st.busy = vec![0; workers];
-        st.steals = 0;
+        st.busy = vec![Duration::ZERO; workers];
         self.core.work_ready.notify_all();
-        while st.remaining != 0 || st.running != 0 {
+        while st.unclaimed != 0 || st.running != 0 {
             st = self
                 .core
                 .batch_done
                 .wait(st)
                 .unwrap_or_else(|e| e.into_inner());
         }
-        st.batch_active = false;
-        let steals = st.steals;
         let busy = std::mem::take(&mut st.busy);
         let results = std::mem::take(&mut st.results);
         let panic = st.panic.take();
@@ -328,18 +186,13 @@ impl<T: Send + 'static, R: Send + 'static> WorkerPool<T, R> {
                 .map(|(i, r)| r.unwrap_or_else(|| panic!("task {i} finished without a result")))
                 .collect(),
             busy,
-            steals,
-            tasks: total,
         }
     }
 }
 
 impl<T, R> Drop for WorkerPool<T, R> {
     fn drop(&mut self) {
-        {
-            let mut st = lock(&self.core.state);
-            st.shutdown = true;
-        }
+        lock(&self.core.state).shutdown = true;
         self.core.work_ready.notify_all();
         for handle in self.threads.drain(..) {
             // A worker that panicked outside a task (impossible today:
@@ -349,37 +202,20 @@ impl<T, R> Drop for WorkerPool<T, R> {
     }
 }
 
-/// Claims the next task for worker `me`: own queue front first, then —
-/// with stealing on — the back of the most-loaded other queue (lowest
-/// index on ties).
-fn claim<T, R>(st: &mut PoolState<T, R>, me: usize) -> Option<(usize, T, bool)> {
-    if !st.batch_active || st.remaining == 0 {
-        return None;
-    }
-    if let Some((index, task)) = st.queues[me].pop_front() {
-        st.remaining -= 1;
-        return Some((index, task, false));
-    }
-    if !st.stealing {
-        return None;
-    }
-    let mut victim: Option<usize> = None;
-    for (w, q) in st.queues.iter().enumerate() {
-        if w == me || q.is_empty() {
-            continue;
-        }
-        let better = match victim {
-            None => true,
-            Some(v) => q.len() > st.queues[v].len(),
-        };
-        if better {
-            victim = Some(w);
+/// Claims the next task for worker `me`: the first unclaimed slot at
+/// or after its own starting slot, wrapping around once.
+fn claim<T, R>(st: &mut PoolState<T, R>, me: usize) -> Option<(usize, T)> {
+    let n = st.slots.len();
+    let start = me * n / st.walked.len();
+    while st.unclaimed != 0 && st.walked[me] < n {
+        let index = (start + st.walked[me]) % n;
+        st.walked[me] += 1;
+        if let Some(task) = st.slots[index].take() {
+            st.unclaimed -= 1;
+            return Some((index, task));
         }
     }
-    let v = victim?;
-    let (index, task) = st.queues[v].pop_back().expect("victim queue non-empty");
-    st.remaining -= 1;
-    Some((index, task, true))
+    None
 }
 
 fn worker_loop<T, R>(core: &PoolCore<T, R>, me: usize, run: &dyn Fn(T) -> R) {
@@ -388,20 +224,17 @@ fn worker_loop<T, R>(core: &PoolCore<T, R>, me: usize, run: &dyn Fn(T) -> R) {
         if st.shutdown {
             return;
         }
-        let Some((index, task, stolen)) = claim(&mut st, me) else {
+        let Some((index, task)) = claim(&mut st, me) else {
             st = core.work_ready.wait(st).unwrap_or_else(|e| e.into_inner());
             continue;
         };
         st.running += 1;
-        if stolen {
-            st.steals += 1;
-        }
         drop(st);
         let started = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| run(task)));
-        let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let elapsed = started.elapsed();
         st = lock(&core.state);
-        st.busy[me] += nanos;
+        st.busy[me] += elapsed;
         st.running -= 1;
         match outcome {
             Ok(result) => st.results[index] = Some(result),
@@ -409,17 +242,12 @@ fn worker_loop<T, R>(core: &PoolCore<T, R>, me: usize, run: &dyn Fn(T) -> R) {
                 // First panic wins; the unclaimed remainder of the
                 // batch is dropped so the submitter unblocks as soon
                 // as in-flight tasks drain.
-                if st.panic.is_none() {
-                    st.panic = Some(payload);
-                }
-                let dropped: usize = st.queues.iter().map(VecDeque::len).sum();
-                st.remaining -= dropped;
-                for q in &mut st.queues {
-                    q.clear();
-                }
+                st.panic.get_or_insert(payload);
+                st.slots.clear();
+                st.unclaimed = 0;
             }
         }
-        if st.remaining == 0 && st.running == 0 {
+        if st.unclaimed == 0 && st.running == 0 {
             core.batch_done.notify_all();
         }
     }
@@ -431,90 +259,32 @@ mod tests {
     use std::sync::mpsc;
 
     #[test]
-    fn clamping() {
-        assert_eq!(clamp_shards(0, 5), 1);
-        assert_eq!(clamp_shards(4, 5), 4);
-        assert_eq!(clamp_shards(8, 5), 5);
-        assert_eq!(clamp_shards(4, 0), 1);
-    }
-
-    #[test]
-    fn chunk_sizes_differ_by_at_most_one() {
-        // The old `chunk_len(10, 4) = 3` sizing produced 3/3/3/1.
-        assert_eq!(chunk_sizes(10, 4), vec![3, 3, 2, 2]);
-        assert_eq!(chunk_sizes(8, 4), vec![2, 2, 2, 2]);
-        assert_eq!(chunk_sizes(0, 4), vec![0, 0, 0, 0]);
-        assert_eq!(chunk_sizes(5, 1), vec![5]);
-        assert_eq!(chunk_sizes(3, 8), vec![1, 1, 1, 0, 0, 0, 0, 0]);
-        for (len, parts) in [(10, 4), (17, 5), (1, 3), (100, 7)] {
-            let sizes = chunk_sizes(len, parts);
-            assert_eq!(sizes.iter().sum::<usize>(), len);
-            let max = *sizes.iter().max().unwrap();
-            let min = *sizes.iter().min().unwrap();
-            assert!(
-                max - min <= 1,
-                "chunk_sizes({len},{parts}) skewed: {sizes:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn contiguous_split_keeps_order_and_balance() {
-        let queues = split_contiguous((0..10).collect::<Vec<_>>(), 4);
-        assert_eq!(queues.len(), 4);
-        assert_eq!(queues[0], VecDeque::from(vec![(0, 0), (1, 1), (2, 2)]));
-        assert_eq!(queues[3], VecDeque::from(vec![(8, 8), (9, 9)]));
-    }
-
-    #[test]
-    fn lpt_spreads_a_hub_heavy_cost_vector() {
-        // One hub at 50x the cost of anything else: LPT isolates it.
-        let costs = vec![50, 1, 1, 1, 1, 1, 1, 1];
-        let assignment = lpt_assign(&costs, 4);
-        assert_eq!(assignment.iter().map(Vec::len).sum::<usize>(), 8);
-        let hub_worker = assignment
-            .iter()
-            .position(|a| a.contains(&0))
-            .expect("hub assigned");
-        assert_eq!(
-            assignment[hub_worker],
-            vec![0],
-            "the dominant task must get a worker to itself"
-        );
-        // Deterministic: same inputs, same assignment.
-        assert_eq!(assignment, lpt_assign(&costs, 4));
-        // Each worker's share is registration-ordered.
-        for a in &assignment {
-            assert!(a.windows(2).all(|w| w[0] < w[1]));
-        }
-    }
-
-    #[test]
     fn pool_returns_results_in_index_order() {
         let pool: WorkerPool<u64, u64> = WorkerPool::new(3, Arc::new(|x| x * 2));
-        let queues = split_contiguous((0..10u64).collect::<Vec<_>>(), 3);
-        let report = pool.run_batch(queues, true);
-        assert_eq!(report.tasks, 10);
+        let report = pool.run_batch((0..10u64).collect());
         assert_eq!(
             report.results,
             (0..10u64).map(|x| x * 2).collect::<Vec<_>>()
         );
+        assert_eq!(report.busy.len(), 3);
         // An empty batch is a no-op.
-        let report = pool.run_batch(Vec::new(), true);
-        assert_eq!(report.tasks, 0);
+        let report = pool.run_batch(Vec::new());
         assert!(report.results.is_empty());
     }
 
-    /// Deterministic steal witness: worker 0's first task blocks until
-    /// the *other* task — queued behind it on worker 0's own queue —
-    /// completes. Only a steal by worker 1 can run it, so the batch
-    /// finishing at all proves stealing works (a broken pool fails the
+    /// Carry-on witness: task 0 blocks until task 1 — in the *same*
+    /// worker's half of the array — completes. Whichever worker is
+    /// stuck in the blocker, only the other one, having finished its
+    /// own half and carried on into this one, can run the signal; so
+    /// the blocker's recv succeeding proves no task waits behind a busy
+    /// worker (a pool that pinned each half to its worker fails the
     /// recv timeout rather than deadlocking).
     #[test]
-    fn idle_worker_steals_backlog() {
+    fn idle_worker_carries_on_into_a_blocked_workers_tasks() {
         enum Task {
             Block,
             Signal,
+            Idle,
         }
         let (tx, rx) = mpsc::channel::<()>();
         let tx = Mutex::new(tx);
@@ -531,30 +301,11 @@ mod tests {
                     let _ = tx.lock().unwrap().send(());
                     true
                 }
+                Task::Idle => true,
             }),
         );
-        let queues = vec![
-            VecDeque::from(vec![(0, Task::Block), (1, Task::Signal)]),
-            VecDeque::new(),
-        ];
-        let report = pool.run_batch(queues, true);
-        assert_eq!(report.results, vec![true, true]);
-        // Worker 1 must have stolen the signal task (and, if it woke
-        // before worker 0, possibly the blocker too).
-        assert!(
-            (1..=2).contains(&report.steals),
-            "the signal task must have been stolen (steals = {})",
-            report.steals
-        );
-    }
-
-    #[test]
-    fn no_steals_without_stealing() {
-        let pool: WorkerPool<u64, u64> = WorkerPool::new(4, Arc::new(|x| x + 1));
-        let queues = split_contiguous((0..32u64).collect::<Vec<_>>(), 4);
-        let report = pool.run_batch(queues, false);
-        assert_eq!(report.steals, 0);
-        assert_eq!(report.results, (1..=32u64).collect::<Vec<_>>());
+        let report = pool.run_batch(vec![Task::Block, Task::Signal, Task::Idle, Task::Idle]);
+        assert_eq!(report.results, vec![true; 4]);
     }
 
     #[test]
@@ -566,8 +317,7 @@ mod tests {
                 x
             }),
         );
-        let queues = split_contiguous((0..6u64).collect::<Vec<_>>(), 2);
-        let caught = catch_unwind(AssertUnwindSafe(|| pool.run_batch(queues, true)));
+        let caught = catch_unwind(AssertUnwindSafe(|| pool.run_batch((0..6u64).collect())));
         let payload = caught.expect_err("the task panic must reach the submitter");
         let msg = payload
             .downcast_ref::<&str>()
@@ -576,15 +326,14 @@ mod tests {
             .unwrap_or_default();
         assert!(msg.contains("poisoned task"), "unexpected payload: {msg}");
         // Same pool, next batch: business as usual.
-        let queues = split_contiguous((10..16u64).collect::<Vec<_>>(), 2);
-        let report = pool.run_batch(queues, true);
+        let report = pool.run_batch((10..16u64).collect());
         assert_eq!(report.results, (10..16u64).collect::<Vec<_>>());
     }
 
     #[test]
     fn drop_joins_all_workers() {
         let pool: WorkerPool<u64, u64> = WorkerPool::new(4, Arc::new(|x| x));
-        let report = pool.run_batch(split_contiguous(vec![1, 2, 3], 4), true);
+        let report = pool.run_batch(vec![1, 2, 3]);
         assert_eq!(report.results, vec![1, 2, 3]);
         let alive = pool.liveness();
         assert_eq!(Arc::strong_count(&alive), 1 + 1 + 4); // ours + pool's + workers

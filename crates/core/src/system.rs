@@ -9,17 +9,13 @@
 //! distributed fixpoint of the declarative-networking execution model.
 
 use crate::auth::{register_crypto_builtins_cached, AuthScheme, KeyVerifier};
-use crate::authz_read::{
-    collect_supporting, AuthzPublishState, AuthzReader, AuthzShared, PrincipalSnapshot,
-};
+use crate::authz_read::{decide, AuthzPublishState, AuthzReader, AuthzShared, PrincipalSnapshot};
 use crate::gossip::{
     advert_fact, fingerprint_hex, parse_gossip_send, revfp_fact, GossipSend, GOSSIP_SAYS,
     ZERO_FP_HEX,
 };
 use crate::obs::{QuiescePhase, SystemObs};
-use crate::pool::{
-    clamp_shards, split_contiguous, split_lpt, CostModel, PartitionStrategy, WorkerPool,
-};
+use crate::pool::{BatchReport, WorkerPool};
 use crate::principal::{
     rsa_priv_handle, rsa_pub_handle, shared_keys, shared_secret_handle, Principal, SharedKeys,
 };
@@ -31,7 +27,7 @@ use lbtrust_certstore::{
     FaultHandle, ImportOutcome, LinkedCert, Revocation, SharedVerifyCache, SignatureVerifier,
     StorageError,
 };
-use lbtrust_datalog::{parse_program, EvalStats, Symbol, Tuple, Value};
+use lbtrust_datalog::{parse_program, Symbol, Tuple, Value};
 use lbtrust_net::{
     NetworkConfig, NodeId, RevPullMessage, RevSummaryMessage, RevokeMessage, SimNetwork,
     WireMessage, WirePacket,
@@ -41,7 +37,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// System-level errors.
 #[derive(Debug)]
@@ -376,26 +372,14 @@ pub struct System {
     /// store holding at least this many dead (compactable) bytes is
     /// compacted on its shard worker. `None` disables the trigger.
     auto_compact_dead_bytes: Option<u64>,
-    /// Worker count for [`System::run_to_quiescence`]: per-principal
-    /// tasks are dispatched to the persistent [`WorkerPool`] below.
-    /// `1` (the default) is the inline serial engine — no pool exists.
-    shards: usize,
-    /// The persistent worker pool, created at [`System::set_shards`]
-    /// when `shards > 1` (resized by recreating) and joined when the
-    /// system drops. Tasks are *owned* values moved out of the maps
-    /// above for one batch and merged back in registration order.
+    /// The persistent worker pool [`System::run_to_quiescence`]
+    /// dispatches per-principal tasks to, created at
+    /// [`System::set_shards`] when `shards > 1` (resized by recreating)
+    /// and joined when the system drops. `None` (the default,
+    /// `shards = 1`) runs the same tasks inline. Tasks are *owned*
+    /// values moved out of the maps above for one batch and merged back
+    /// in registration order.
     pool: Option<WorkerPool<PoolTask, PoolDone>>,
-    /// How per-principal tasks map onto pool workers.
-    partition: PartitionStrategy,
-    /// Whether idle pool workers steal queued tasks from loaded ones.
-    stealing: bool,
-    /// Where the cost estimates driving `CostAware` partitioning come
-    /// from.
-    cost_model: CostModel,
-    /// Per-principal cost estimate from the last local fixpoint
-    /// (deterministic counters or opt-in wall time; see [`CostModel`]),
-    /// feeding the greedy LPT repartition recomputed between steps.
-    costs: HashMap<Principal, u64>,
     /// The anti-entropy revocation gossip layer, when enabled (see
     /// [`System::enable_gossip`]). `None` keeps the pre-gossip
     /// behaviour: revocations propagate only through the eager
@@ -482,12 +466,7 @@ impl System {
             sync_policy: SyncPolicy::default(),
             rotate_bytes: None,
             auto_compact_dead_bytes: None,
-            shards: 1,
             pool: None,
-            partition: PartitionStrategy::default(),
-            stealing: true,
-            cost_model: CostModel::default(),
-            costs: HashMap::new(),
             gossip: None,
             obs: SystemObs::new(registry),
             retry_policy: RetryPolicy::default(),
@@ -751,94 +730,29 @@ impl System {
 
     /// Sets how many pool workers [`System::run_to_quiescence`] uses.
     /// `shards > 1` creates (or resizes, by recreating) the persistent
-    /// [`WorkerPool`]: long-lived threads that run the local-fixpoint,
-    /// delivery-import and store-maintenance phases at per-principal
-    /// task granularity, with work stealing
-    /// ([`System::set_stealing`]) and cost-aware repartitioning
-    /// ([`System::set_partition`]). `1` (the default) drops the pool
-    /// and runs everything inline — byte-for-byte the serial engine.
-    /// Any worker count reaches the same quiescent state: results
-    /// merge sequentially in registration order, so which worker ran a
-    /// task is unobservable.
+    /// [`WorkerPool`]: long-lived threads that claim the local-fixpoint,
+    /// delivery-import and store-maintenance phases' per-principal
+    /// tasks from one shared batch. `1` (the default) drops the pool
+    /// and runs the same tasks inline on the caller's thread. Any
+    /// worker count reaches the same quiescent state: results merge
+    /// sequentially in registration order, so which worker ran a task
+    /// is unobservable.
     pub fn set_shards(&mut self, shards: usize) {
-        self.shards = shards.max(1);
-        let wanted = if self.shards > 1 { self.shards } else { 0 };
-        let current = self.pool.as_ref().map_or(0, WorkerPool::workers);
-        if wanted != current {
-            self.pool = (wanted > 0).then(|| WorkerPool::new(wanted, Arc::new(run_pool_task)));
+        let shards = shards.max(1);
+        if shards != self.shards() {
+            self.pool = (shards > 1).then(|| WorkerPool::new(shards, Arc::new(run_pool_task)));
         }
     }
 
     /// The configured shard (pool worker) count.
     pub fn shards(&self) -> usize {
-        self.shards
+        self.pool.as_ref().map_or(1, WorkerPool::workers)
     }
 
     /// The pool's thread-liveness witness, for shutdown tests.
     #[cfg(test)]
     pub(crate) fn pool_liveness(&self) -> Option<std::sync::Arc<()>> {
         self.pool.as_ref().map(WorkerPool::liveness)
-    }
-
-    /// Builder form of [`System::set_partition`].
-    pub fn with_partition(mut self, strategy: PartitionStrategy) -> Self {
-        self.set_partition(strategy);
-        self
-    }
-
-    /// Chooses how per-principal tasks are assigned to pool workers:
-    /// [`PartitionStrategy::CostAware`] (the default) re-runs a greedy
-    /// LPT assignment between steps over the last step's per-principal
-    /// cost estimates; [`PartitionStrategy::Contiguous`] keeps the
-    /// original balanced registration-order slices. Either strategy
-    /// reaches the identical quiescent state.
-    pub fn set_partition(&mut self, strategy: PartitionStrategy) {
-        self.partition = strategy;
-    }
-
-    /// The configured partition strategy.
-    pub fn partition(&self) -> PartitionStrategy {
-        self.partition
-    }
-
-    /// Builder form of [`System::set_stealing`].
-    pub fn with_stealing(mut self, on: bool) -> Self {
-        self.set_stealing(on);
-        self
-    }
-
-    /// Turns pool work stealing on or off (on by default): with
-    /// stealing, an idle worker drains the back of the most-loaded
-    /// queue instead of sleeping, so a mis-partitioned hub's backlog
-    /// spreads. Stealing never changes the quiescent state — only
-    /// wall-clock and the volatile `pool.steals` counter.
-    pub fn set_stealing(&mut self, on: bool) {
-        self.stealing = on;
-    }
-
-    /// Whether pool work stealing is on.
-    pub fn stealing(&self) -> bool {
-        self.stealing
-    }
-
-    /// Builder form of [`System::set_cost_model`].
-    pub fn with_cost_model(mut self, model: CostModel) -> Self {
-        self.set_cost_model(model);
-        self
-    }
-
-    /// Chooses the per-principal cost estimate feeding the cost-aware
-    /// partition: [`CostModel::Deterministic`] (the default) uses the
-    /// last evaluation's rules-fired + facts-derived counters, so the
-    /// partition is identical across runs; [`CostModel::WallTime`]
-    /// opts into last-step wall-clock nanoseconds.
-    pub fn set_cost_model(&mut self, model: CostModel) {
-        self.cost_model = model;
-    }
-
-    /// The configured cost model.
-    pub fn cost_model(&self) -> CostModel {
-        self.cost_model
     }
 
     /// Enables the anti-entropy revocation gossip layer. `program` is
@@ -891,8 +805,7 @@ impl System {
     /// every step on its own). Clean stores are skipped; a no-op under
     /// [`SyncPolicy::Eager`] where nothing is ever left dirty.
     pub fn flush(&mut self) -> Result<(), SysError> {
-        let order = self.order.clone();
-        self.sync_stores(&order)
+        self.sync_stores()
     }
 
     /// Total backend syncs performed across every principal's store —
@@ -910,90 +823,84 @@ impl System {
     /// drops to checkpoint + suffix, and audit citations survive via
     /// the folded audit segment.
     pub fn compact(&mut self) -> Result<usize, SysError> {
-        let order = self.order.clone();
-        self.maintain_stores(&order, true)
+        self.maintain_stores(true)
     }
 
     /// Checkpoints every principal's store without pruning: future
     /// reopens replay checkpoint + suffix, while superseded segments
     /// stay on disk. Runs on the shard workers like [`System::compact`].
     pub fn checkpoint(&mut self) -> Result<usize, SysError> {
-        let order = self.order.clone();
-        self.maintain_stores(&order, false)
+        self.maintain_stores(false)
     }
 
-    /// Runs per-store checkpoint/compaction across the pool workers
-    /// (inline when the system is serial).
-    fn maintain_stores(&mut self, order: &[Principal], prune: bool) -> Result<usize, SysError> {
-        if order.is_empty() {
-            return Ok(0);
-        }
+    /// Runs per-store checkpoint/compaction, one task per store.
+    fn maintain_stores(&mut self, prune: bool) -> Result<usize, SysError> {
         // Quarantined stores are skipped outright — maintenance is a
         // write (checkpoint append / segment rewrite) and the store is
         // read-only until its fault heals.
-        let present: Vec<Principal> = order
+        let present: Vec<Principal> = self
+            .order
             .iter()
             .copied()
             .filter(|p| {
                 self.stores.contains_key(p) && self.store_health(*p) != StoreHealth::Quarantined
             })
             .collect();
-        let workers = clamp_shards(self.shards, present.len());
-        if workers <= 1 || self.pool.is_none() {
-            let mut performed = 0usize;
-            for p in &present {
-                // Invariant: `present` is filtered against `stores`
-                // membership above and nothing removes entries.
-                let store = self.stores.get_mut(p).expect("filtered above");
-                match if prune {
-                    store.compact()
-                } else {
-                    store.checkpoint()
-                } {
-                    Ok(report) => {
-                        performed += usize::from(report.performed);
-                        self.note_store_ok(*p);
-                    }
-                    // Transient I/O degrades the store (retried by the
-                    // next group commit / maintenance pass) instead of
-                    // failing the whole sweep.
-                    Err(e) => self.note_store_failure(*p, e)?,
-                }
-            }
-            return Ok(performed);
-        }
-        let pool = self.pool.as_ref().expect("pool exists when shards > 1");
-        let tasks: Vec<PoolTask> = present
+        self.run_store_op(&present, StoreOp::Maintain { prune })
+    }
+
+    /// Runs `op` on every store in `targets` (each registered) as one
+    /// batch and folds the results into the health state in
+    /// registration order: transient I/O degrades the store (retried by
+    /// the next group commit / maintenance pass) instead of failing the
+    /// whole sweep. Returns how many maintenance passes installed.
+    fn run_store_op(&mut self, targets: &[Principal], op: StoreOp) -> Result<usize, SysError> {
+        let tasks: Vec<PoolTask> = targets
             .iter()
             .map(|p| PoolTask::Store {
-                store: self.stores.remove(p).expect("filtered above"),
-                op: StoreOp::Maintain { prune },
+                store: self.stores.remove(p).expect("registered"),
+                op,
             })
             .collect();
-        // fsync-bound work with no per-store cost signal: a balanced
-        // contiguous split plus stealing is as good as LPT here.
-        let queues = split_contiguous(tasks, pool.workers());
-        let report = pool.run_batch(queues, self.stealing);
-        self.obs.record_pool_batch(report.steals, report.tasks);
+        let report = self.run_tasks(tasks);
         let mut performed = 0usize;
-        let mut failures: Vec<(Principal, CertStoreError)> = Vec::new();
-        for (i, done) in report.results.into_iter().enumerate() {
+        let mut first_error: Option<SysError> = None;
+        for (&p, done) in targets.iter().zip(report.results) {
             let PoolDone::Store { store, result } = done else {
                 unreachable!("store batches return store results");
             };
-            self.stores.insert(present[i], store);
+            self.stores.insert(p, store);
             match result {
                 Ok(did) => {
                     performed += usize::from(did);
-                    self.note_store_ok(present[i]);
+                    self.note_store_ok(p);
                 }
-                Err(e) => failures.push((present[i], e)),
+                Err(e) => {
+                    if let Err(e) = self.note_store_failure(p, e) {
+                        first_error.get_or_insert(e);
+                    }
+                }
             }
         }
-        for (p, e) in failures {
-            self.note_store_failure(p, e)?;
+        first_error.map_or(Ok(performed), Err)
+    }
+
+    /// Runs one batch of per-principal tasks to completion and returns
+    /// the results in submission order: on the pool when one exists and
+    /// the batch has more than one task, otherwise the very same
+    /// [`run_pool_task`] inline on this thread — so every phase has one
+    /// task-building and one merge path whatever the shard count.
+    /// Inline, the caller counts as worker 0, timed only while phase
+    /// timing is on.
+    fn run_tasks(&self, tasks: Vec<PoolTask>) -> BatchReport<PoolDone> {
+        if let Some(pool) = self.pool.as_ref().filter(|_| tasks.len() > 1) {
+            self.obs.pool_tasks.add(tasks.len() as u64);
+            return pool.run_batch(tasks);
         }
-        Ok(performed)
+        let started = self.obs.phase_timer();
+        let results = tasks.into_iter().map(run_pool_task).collect();
+        let busy = started.map(|s| s.elapsed()).into_iter().collect();
+        BatchReport { results, busy }
     }
 
     /// Shared key directory (for inspection).
@@ -1867,27 +1774,12 @@ impl System {
     /// ([`System::enable_decision_journal`]), is recorded as an
     /// `authorize` event carrying the supporting digests.
     pub fn authorize(&self, who: Principal, goal: &str) -> Result<AuthzDecision, SysError> {
-        let ws = self.workspace(who)?;
-        let proof = ws.explain_proof(goal)?;
-        let granted = proof.is_some();
-        let supporting: Vec<CertDigest> = match &proof {
-            Some(proof) => {
-                // The store maintains the ground-head index (bodyless
-                // certificates' head facts → content address) and the
-                // audit trail maintains the introducer index
-                // incrementally, so citation is hash probes — no
-                // per-call rescan of the active set, no tuple clones,
-                // and the digest sort runs on raw bytes.
-                let store = self.cert_store(who)?;
-                collect_supporting(proof, store.ground_heads(), |rule_src, out| {
-                    for entry in store.audit().introducers(rule_src) {
-                        out.push(entry.digest);
-                    }
-                })
-            }
-            None => Vec::new(),
-        };
-        if granted {
+        let store = self.cert_store(who)?;
+        let proof = self.workspace(who)?.explain_proof(goal)?;
+        let decided = decide(proof, store.ground_heads(), |rule_src, out| {
+            out.extend(store.audit().introducers(rule_src).iter().map(|e| e.digest));
+        });
+        if decided.granted {
             self.obs.authz_granted.inc();
         } else {
             self.obs.authz_denied.inc();
@@ -1897,20 +1789,14 @@ impl System {
                 &Event::new("authorize")
                     .str_field("principal", who.as_str())
                     .str_field("goal", goal)
-                    .bool_field("granted", granted)
+                    .bool_field("granted", decided.granted)
                     .list_field(
                         "supporting",
-                        supporting.iter().map(|d| d.to_hex()).collect(),
+                        decided.supporting.iter().map(|d| d.to_hex()).collect(),
                     ),
             );
         }
-        Ok(AuthzDecision {
-            principal: who,
-            goal: goal.to_string(),
-            granted,
-            supporting,
-            proof: proof.map(|p| p.render()),
-        })
+        Ok(decided.into_decision(who, goal.to_string()))
     }
 
     /// Publishes a fresh [`crate::AuthzSnapshot`] of every principal's
@@ -1934,6 +1820,9 @@ impl System {
     pub fn publish_authz_snapshot(&mut self) {
         let started = Instant::now();
         let mut principals = HashMap::with_capacity(self.order.len());
+        // Poisoned-decision sweeps, run only once the new snapshot is
+        // in the cell (see [`AuthzShared::invalidate_poisoned`]).
+        let mut sweeps: Vec<(Principal, u64, HashSet<CertDigest>)> = Vec::new();
         for &p in &self.order {
             let ws = self.workspaces.get(&p).expect("registered");
             // Quarantined stores stay registered and keep serving
@@ -1963,9 +1852,8 @@ impl System {
                 // Drop precisely those; the version (and every other
                 // cached decision) survives.
                 if !pub_state.poisoned.is_empty() {
-                    let poisoned: HashSet<CertDigest> = pub_state.poisoned.drain(..).collect();
-                    self.authz_shared
-                        .invalidate_poisoned(p, pub_state.authz_version, &poisoned);
+                    let poisoned = pub_state.poisoned.drain(..).collect();
+                    sweeps.push((p, pub_state.authz_version, poisoned));
                 }
             } else {
                 // Arbitrary change (fresh imports, rule loads, a
@@ -2000,6 +1888,9 @@ impl System {
             generation: 0, // stamped by the cell
             principals,
         });
+        for (p, version, poisoned) in sweeps {
+            self.authz_shared.invalidate_poisoned(p, version, &poisoned);
+        }
         if self.obs.timing_enabled() {
             self.authz_shared
                 .publish_ns
@@ -2058,16 +1949,22 @@ impl System {
     /// delivers messages (triggering imports), and repeats until no
     /// workspace derives anything new and the network is empty.
     ///
-    /// With [`System::set_shards`] above 1, the local-fixpoint,
-    /// export-drain and delivery-import phases run in parallel across
-    /// worker shards, each owning a disjoint contiguous slice of the
-    /// registration order; placement updates, network traffic and
-    /// statistics are merged sequentially in that same order, so every
-    /// shard count reaches the identical quiescent state.
+    /// The local-fixpoint, delivery-import and group-commit phases each
+    /// run as one batch of per-principal tasks — on the pool workers
+    /// with [`System::set_shards`] above 1, inline otherwise; placement
+    /// updates, network traffic and statistics are merged sequentially
+    /// in registration order, so every shard count reaches the
+    /// identical quiescent state.
     ///
     /// Messages whose import violates the receiver's verification
     /// constraint are rejected (the receiving workspace rolls back) and
-    /// counted in [`SystemStats::messages_rejected`].
+    /// counted in [`SystemStats::messages_rejected`]. Any other
+    /// evaluation error aborts the run, but never mid-batch: every
+    /// principal's task in the failing phase still runs and merges (so
+    /// packets already drained from the network are applied, not
+    /// lost), and the first such error in registration order is
+    /// returned — the same state and the same error at every shard
+    /// count.
     pub fn run_to_quiescence(&mut self, max_steps: usize) -> Result<SystemStats, SysError> {
         let export = Symbol::intern("export");
         let loc = Symbol::intern("loc");
@@ -2090,7 +1987,7 @@ impl System {
             let t = self.obs.phase_timer();
             let divergent = self.prepare_gossip(&order);
             self.obs.record_phase(QuiescePhase::GossipPrepare, t);
-            // 1. Local fixpoints, one worker per shard. A constraint
+            // 1. Local fixpoints, one task per principal. A constraint
             // violation rolls the offending workspace back to its last
             // good state (the paper's fail-with-error semantics) and
             // the system carries on.
@@ -2105,9 +2002,8 @@ impl System {
             let t = self.obs.phase_timer();
             self.update_placement(&order, loc);
             self.obs.record_phase(QuiescePhase::Placement, t);
-            // 2. Drain fresh export tuples into the network: shards
-            // scan their workspaces in parallel, the send itself is a
-            // sequential merge so delivery order stays deterministic.
+            // 2. Drain fresh export tuples into the network,
+            // sequentially so delivery order stays deterministic.
             let t = self.obs.phase_timer();
             let shipped = self.drain_exports(&order, export);
             self.obs.record_phase(QuiescePhase::ExportDrain, t);
@@ -2123,7 +2019,7 @@ impl System {
                 0
             };
             self.obs.record_phase(QuiescePhase::GossipSend, t);
-            // 3. Deliver and import, routed per destination shard
+            // 3. Deliver and import, one task per destination
             // (answering gossip pulls with `revgossip` frames).
             let t = self.obs.phase_timer();
             let delivered = self.deliver_and_import(&order, export)?;
@@ -2132,7 +2028,7 @@ impl System {
             // appended during this step syncs exactly once, here.
             if self.sync_policy == SyncPolicy::Batched {
                 let t = self.obs.phase_timer();
-                self.sync_stores(&order)?;
+                self.sync_stores()?;
                 self.obs.record_phase(QuiescePhase::GroupCommit, t);
             }
             // 5. Fault-plane recovery: probe quarantined stores whose
@@ -2305,96 +2201,39 @@ impl System {
         total
     }
 
-    /// Phase 1: every workspace to its local fixpoint, partitioned
-    /// across shards. Constraint violations are rollbacks (counted);
-    /// any other evaluation error aborts the run.
+    /// Phase 1: every workspace to its local fixpoint, one task per
+    /// principal. Constraint violations are rollbacks (counted); the
+    /// first other evaluation error in registration order aborts the
+    /// run once every workspace is back in place.
     fn local_fixpoints(&mut self, order: &[Principal]) -> Result<(), SysError> {
-        let workers = clamp_shards(self.shards, order.len());
-        if workers <= 1 || self.pool.is_none() {
-            // Serial fast path: iterate directly — no pool, no task
-            // moves. Costs still refresh so a later `set_shards` call
-            // starts from a real estimate.
-            let started = self.obs.phase_timer();
-            for &p in order {
-                let ws = self.workspaces.get_mut(&p).expect("registered");
-                let eval_started = (self.cost_model == CostModel::WallTime).then(Instant::now);
-                match ws.evaluate() {
-                    Ok(stats) => {
-                        let cost = match eval_started {
-                            Some(t) => wall_cost(t),
-                            None => deterministic_cost(&stats),
-                        };
-                        self.costs.insert(p, cost);
-                    }
-                    Err(WsError::Constraint(_)) => {
-                        self.stats.local_rollbacks += 1;
-                        self.costs.insert(p, 1);
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            }
-            if let Some(s) = started {
-                self.obs.record_shard_fixpoint(0, s.elapsed());
-            }
-            return Ok(());
-        }
-        let pool = self.pool.as_ref().expect("pool exists when shards > 1");
         // Move each workspace out for the duration of the batch; the
         // merge below reinserts in registration order.
         let tasks: Vec<PoolTask> = order
             .iter()
-            .map(|p| PoolTask::Fixpoint {
-                ws: self.workspaces.remove(p).expect("registered"),
-                time: self.cost_model == CostModel::WallTime,
-            })
+            .map(|p| PoolTask::Fixpoint(self.workspaces.remove(p).expect("registered")))
             .collect();
-        let costs: Vec<u64> = order
-            .iter()
-            .map(|p| self.costs.get(p).copied().unwrap_or(1))
-            .collect();
-        let queues = match self.partition {
-            PartitionStrategy::Contiguous => split_contiguous(tasks, pool.workers()),
-            PartitionStrategy::CostAware => split_lpt(tasks, &costs, pool.workers()),
-        };
-        let report = pool.run_batch(queues, self.stealing);
-        self.obs.record_pool_batch(report.steals, report.tasks);
+        let report = self.run_tasks(tasks);
         // Per-worker busy time feeds the shard histograms (and through
-        // them the imbalance gauge): with stealing on, this is the
-        // *actual* load each worker carried, not the planned partition.
-        for (w, nanos) in report.busy.iter().enumerate() {
-            self.obs
-                .record_shard_fixpoint(w, Duration::from_nanos(*nanos));
+        // them the imbalance gauge): the load each worker actually
+        // carried.
+        for (w, busy) in report.busy.into_iter().enumerate() {
+            self.obs.record_shard_fixpoint(w, busy);
         }
         let mut first_error: Option<WsError> = None;
-        for (i, done) in report.results.into_iter().enumerate() {
-            let p = order[i];
-            let PoolDone::Fixpoint { ws, result, nanos } = done else {
+        for (&p, done) in order.iter().zip(report.results) {
+            let PoolDone::Fixpoint { ws, error } = done else {
                 unreachable!("fixpoint batches return fixpoint results");
             };
             self.workspaces.insert(p, ws);
-            match result {
-                Ok(stats) => {
-                    let cost = match self.cost_model {
-                        CostModel::Deterministic => deterministic_cost(&stats),
-                        CostModel::WallTime => nanos.max(1),
-                    };
-                    self.costs.insert(p, cost);
-                }
-                Err(WsError::Constraint(_)) => {
-                    self.stats.local_rollbacks += 1;
-                    self.costs.insert(p, 1);
-                }
-                Err(e) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
+            match error {
+                None => {}
+                Some(WsError::Constraint(_)) => self.stats.local_rollbacks += 1,
+                Some(e) => {
+                    first_error.get_or_insert(e);
                 }
             }
         }
-        match first_error {
-            Some(e) => Err(e.into()),
-            None => Ok(()),
-        }
+        first_error.map_or(Ok(()), |e| Err(e.into()))
     }
 
     /// Phase 1b: fold derived `loc(P, N)` facts into the placement map.
@@ -2464,16 +2303,9 @@ impl System {
         export: Symbol,
     ) -> Result<usize, SysError> {
         let mut delivered = 0usize;
-        let mut inbox: HashMap<Principal, Vec<Tuple>> = HashMap::new();
-        // A wire revocation plus how to apply it: `false` for the eager
-        // broadcast (issuer-mismatch objects are rejected), `true` for
-        // gossip-relayed objects (absorbed tolerantly so anti-entropy
-        // converges).
-        let mut revocations: HashMap<Principal, Vec<(Revocation, bool)>> = HashMap::new();
-        // Gossip advertisements per destination, in delivery order.
-        let mut summaries: HashMap<Principal, Vec<(Symbol, Symbol, String)>> = HashMap::new();
+        let mut routed: HashMap<Principal, Routed> = HashMap::new();
         // Gossip pulls `(responder, requester, issuer)`, in delivery
-        // order — answered sequentially after the destination shards
+        // order — answered sequentially after the destination tasks
         // ran, from each responder's then-current store.
         let mut pulls: Vec<(Principal, Symbol, Symbol)> = Vec::new();
         let gossip_on = self.gossip.is_some();
@@ -2483,188 +2315,93 @@ impl System {
                 self.stats.messages_rejected += 1;
                 continue;
             };
+            // Unknown receivers (for gossip's two-party frames, unknown
+            // senders too) count as rejections immediately, as do
+            // gossip frames while gossip is off.
+            let known = |p: &Principal| self.workspaces.contains_key(p);
+            let admitted = match &packet {
+                WirePacket::Export(msg) => known(&msg.to),
+                WirePacket::Revoke(rev) => known(&rev.to),
+                WirePacket::RevGossip(rev) => gossip_on && known(&rev.to),
+                WirePacket::RevSummary(msg) => gossip_on && known(&msg.to) && known(&msg.from),
+                WirePacket::RevPull(msg) => gossip_on && known(&msg.to) && known(&msg.from),
+            };
+            if !admitted {
+                self.stats.messages_rejected += 1;
+                continue;
+            }
+            let absorb = matches!(packet, WirePacket::RevGossip(_));
             match packet {
-                WirePacket::Export(msg) => {
-                    if !self.workspaces.contains_key(&msg.to) {
-                        self.stats.messages_rejected += 1;
-                        continue;
-                    }
-                    inbox.entry(msg.to).or_default().push(vec![
-                        Value::Sym(msg.to),
-                        Value::Sym(msg.from),
-                        Value::Quote(msg.rule.clone()),
-                        Value::bytes(&msg.auth),
-                    ]);
-                }
-                // A revocation notice: applied to the receiver's store
-                // by its destination shard below. Unknown receivers
-                // count as rejections immediately, as do gossip frames
-                // while gossip is off.
-                WirePacket::Revoke(rev) => {
-                    if !self.workspaces.contains_key(&rev.to) {
-                        self.stats.messages_rejected += 1;
-                        continue;
-                    }
-                    revocations.entry(rev.to).or_default().push((
-                        Revocation {
-                            issuer: rev.from,
-                            target: CertDigest(rev.digest),
-                            signature: rev.auth,
-                        },
-                        false,
-                    ));
-                }
-                WirePacket::RevGossip(rev) => {
-                    if !gossip_on || !self.workspaces.contains_key(&rev.to) {
-                        self.stats.messages_rejected += 1;
-                        continue;
-                    }
-                    revocations.entry(rev.to).or_default().push((
-                        Revocation {
-                            issuer: rev.from,
-                            target: CertDigest(rev.digest),
-                            signature: rev.auth,
-                        },
-                        true,
-                    ));
+                WirePacket::Export(msg) => routed.entry(msg.to).or_default().tuples.push(vec![
+                    Value::Sym(msg.to),
+                    Value::Sym(msg.from),
+                    Value::Quote(msg.rule.clone()),
+                    Value::bytes(&msg.auth),
+                ]),
+                WirePacket::Revoke(rev) | WirePacket::RevGossip(rev) => {
+                    let revocation = Revocation {
+                        issuer: rev.from,
+                        target: CertDigest(rev.digest),
+                        signature: rev.auth,
+                    };
+                    let to = routed.entry(rev.to).or_default();
+                    to.revocations.push((revocation, absorb));
                 }
                 WirePacket::RevSummary(msg) => {
-                    if !gossip_on
-                        || !self.workspaces.contains_key(&msg.to)
-                        || !self.workspaces.contains_key(&msg.from)
-                    {
-                        self.stats.messages_rejected += 1;
-                        continue;
-                    }
-                    summaries.entry(msg.to).or_default().push((
-                        msg.from,
-                        msg.issuer,
-                        msg.fingerprint,
-                    ));
+                    let to = routed.entry(msg.to).or_default();
+                    to.summaries.push((msg.from, msg.issuer, msg.fingerprint));
                 }
-                WirePacket::RevPull(msg) => {
-                    if !gossip_on
-                        || !self.workspaces.contains_key(&msg.to)
-                        || !self.workspaces.contains_key(&msg.from)
-                    {
-                        self.stats.messages_rejected += 1;
-                        continue;
-                    }
-                    pulls.push((msg.to, msg.from, msg.issuer));
-                }
+                WirePacket::RevPull(msg) => pulls.push((msg.to, msg.from, msg.issuer)),
             }
-        }
-        if inbox.is_empty() && revocations.is_empty() && summaries.is_empty() {
-            self.serve_pulls(&pulls);
-            return Ok(delivered);
         }
         let destinations: Vec<Principal> = order
             .iter()
             .copied()
-            .filter(|p| {
-                inbox.contains_key(p) || revocations.contains_key(p) || summaries.contains_key(p)
-            })
+            .filter(|p| routed.contains_key(p))
             .collect();
-        for &p in &destinations {
-            self.cert_facts.entry(p).or_default();
-            if let Some(gossip) = self.gossip.as_mut() {
-                gossip.inbox.entry(p).or_default();
-            }
-        }
-        let workers = clamp_shards(self.shards, destinations.len());
+        // Each destination's state moves out as one owned job and
+        // merges back in registration order, so delivery statistics and
+        // workspace states are identical for every shard count.
         let verifier = self.key_verifier();
         let eager = self.sync_policy == SyncPolicy::Eager;
-        if workers <= 1 || self.pool.is_none() {
-            // Serial fast path: process destinations in registration
-            // order without the per-shard reference maps. Outcomes are
-            // merged before an error propagates, so the statistics
-            // always reflect the mutations actually applied.
-            for p in destinations {
-                let task = DeliveryTask {
-                    ws: self.workspaces.get_mut(&p).expect("registered"),
-                    store: self.stores.get_mut(&p).expect("registered"),
-                    facts: self.cert_facts.get_mut(&p).expect("entry ensured above"),
-                    gossip_inbox: self
-                        .gossip
-                        .as_mut()
-                        .map(|g| g.inbox.get_mut(&p).expect("entry ensured above")),
-                    revocations: revocations.remove(&p).unwrap_or_default(),
-                    summaries: summaries.remove(&p).unwrap_or_default(),
-                    tuples: inbox.remove(&p).unwrap_or_default(),
-                };
-                let (outcome, error) = process_destination(task, &verifier, eager, export);
-                self.merge_delivery(p, outcome);
-                if let Some(e) = error {
-                    return Err(e.into());
-                }
-            }
-            self.serve_pulls(&pulls);
-            return Ok(delivered);
-        }
-        // Pooled path: each destination's state moves out as one owned
-        // job, runs on whichever worker claims (or steals) it, and
-        // merges back in registration order — so delivery statistics
-        // and workspace states are identical to the serial engine's.
-        let gossip_on = self.gossip.is_some();
         let jobs: Vec<PoolTask> = destinations
             .iter()
             .map(|p| {
                 PoolTask::Delivery(Box::new(DeliveryJob {
                     ws: self.workspaces.remove(p).expect("registered"),
                     store: self.stores.remove(p).expect("registered"),
-                    facts: self.cert_facts.remove(p).expect("entry ensured above"),
-                    gossip_inbox: if gossip_on {
-                        Some(
-                            self.gossip
-                                .as_mut()
-                                .expect("gossip on")
-                                .inbox
-                                .remove(p)
-                                .expect("entry ensured above"),
-                        )
-                    } else {
-                        None
-                    },
-                    revocations: revocations.remove(p).unwrap_or_default(),
-                    summaries: summaries.remove(p).unwrap_or_default(),
-                    tuples: inbox.remove(p).unwrap_or_default(),
+                    facts: self.cert_facts.remove(p).unwrap_or_default(),
+                    gossip_inbox: self
+                        .gossip
+                        .as_mut()
+                        .map(|g| g.inbox.remove(p).unwrap_or_default()),
+                    routed: routed.remove(p).expect("filtered above"),
                     verifier: verifier.clone(),
                     eager,
                     export,
                 }))
             })
             .collect();
-        let costs: Vec<u64> = destinations
-            .iter()
-            .map(|p| self.costs.get(p).copied().unwrap_or(1))
-            .collect();
-        let pool = self.pool.as_ref().expect("pool exists when shards > 1");
-        let queues = match self.partition {
-            PartitionStrategy::Contiguous => split_contiguous(jobs, pool.workers()),
-            PartitionStrategy::CostAware => split_lpt(jobs, &costs, pool.workers()),
-        };
-        let report = pool.run_batch(queues, self.stealing);
-        self.obs.record_pool_batch(report.steals, report.tasks);
+        let report = self.run_tasks(jobs);
         let mut first_error: Option<WsError> = None;
-        for (i, done) in report.results.into_iter().enumerate() {
-            let p = destinations[i];
+        for (&p, done) in destinations.iter().zip(report.results) {
             let PoolDone::Delivery {
-                ws,
-                store,
-                facts,
-                gossip_inbox,
+                job,
                 outcome,
                 error,
             } = done
             else {
                 unreachable!("delivery batches return delivery results");
             };
-            self.workspaces.insert(p, ws);
-            self.stores.insert(p, store);
-            self.cert_facts.insert(p, facts);
-            if let (Some(g), Some(ib)) = (self.gossip.as_mut(), gossip_inbox) {
+            let job = *job;
+            self.workspaces.insert(p, job.ws);
+            self.stores.insert(p, job.store);
+            self.cert_facts.insert(p, job.facts);
+            if let (Some(g), Some(ib)) = (self.gossip.as_mut(), job.gossip_inbox) {
                 g.inbox.insert(p, ib);
             }
+            // Outcomes merge even when a hard error follows, so the
+            // statistics always reflect the mutations actually applied.
             self.merge_delivery(p, outcome);
             if first_error.is_none() {
                 first_error = error;
@@ -2736,14 +2473,15 @@ impl System {
     /// whose dead-record bytes reached the threshold, still on its
     /// shard worker — maintenance piggybacks on the commit point
     /// instead of adding a stop-the-world phase.
-    fn sync_stores(&mut self, order: &[Principal]) -> Result<(), SysError> {
+    fn sync_stores(&mut self) -> Result<(), SysError> {
         let threshold = self.auto_compact_dead_bytes;
         let step = self.stats.steps;
         // Skip quarantined stores (read-only until their fault heals)
         // and degraded stores whose step-based backoff has not elapsed
         // — extending the opportunistic-skip pattern group commit
         // already applies to oversized checkpoints.
-        let dirty: Vec<Principal> = order
+        let dirty: Vec<Principal> = self
+            .order
             .iter()
             .copied()
             .filter(|p| {
@@ -2755,55 +2493,13 @@ impl System {
                     }
             })
             .collect();
-        if dirty.is_empty() {
-            return Ok(());
-        }
-        let workers = clamp_shards(self.shards, dirty.len());
-        if workers <= 1 || self.pool.is_none() {
-            for p in &dirty {
-                // Invariant: `dirty` is filtered against `stores`
-                // membership above and nothing removes entries.
-                let store = self.stores.get_mut(p).expect("registered");
-                match group_commit_store(store, threshold) {
-                    Ok(()) => self.note_store_ok(*p),
-                    // Transient I/O degrades the store with deferred
-                    // retry instead of failing the whole sweep.
-                    Err(e) => self.note_store_failure(*p, e)?,
-                }
-            }
-            return Ok(());
-        }
-        let pool = self.pool.as_ref().expect("pool exists when shards > 1");
-        let tasks: Vec<PoolTask> = dirty
-            .iter()
-            .map(|p| PoolTask::Store {
-                store: self.stores.remove(p).expect("registered"),
-                op: StoreOp::GroupCommit {
-                    auto_compact: threshold,
-                },
-            })
-            .collect();
-        let queues = split_contiguous(tasks, pool.workers());
-        let report = pool.run_batch(queues, self.stealing);
-        self.obs.record_pool_batch(report.steals, report.tasks);
-        let mut failures: Vec<(Principal, CertStoreError)> = Vec::new();
-        for (i, done) in report.results.into_iter().enumerate() {
-            let PoolDone::Store { store, result } = done else {
-                unreachable!("store batches return store results");
-            };
-            self.stores.insert(dirty[i], store);
-            match result {
-                Ok(_) => self.note_store_ok(dirty[i]),
-                Err(e) => failures.push((dirty[i], e)),
-            }
-        }
-        // Health folds happen after every store is back in the map, in
-        // registration order, so serial and sharded runs record the
-        // identical degradation sequence.
-        for (p, e) in failures {
-            self.note_store_failure(p, e)?;
-        }
-        Ok(())
+        self.run_store_op(
+            &dirty,
+            StoreOp::GroupCommit {
+                auto_compact: threshold,
+            },
+        )
+        .map(|_| ())
     }
 
     /// Phase 5 of [`System::run_to_quiescence`]: probe each
@@ -2892,24 +2588,36 @@ impl System {
     }
 }
 
-/// One destination's work for a delivery shard: exclusive references
-/// to everything the destination owns (workspace, certificate store,
-/// the fact index for its imported certificates) plus the routed
-/// packets.
-struct DeliveryTask<'a> {
-    ws: &'a mut Workspace,
-    store: &'a mut CertStore,
-    facts: &'a mut CertFactIndex,
+/// One destination's delivery work: everything the destination owns
+/// (workspace, certificate store, the fact index for its imported
+/// certificates), moved out of the `System` for one batch, plus the
+/// routed packets, a clone of the (cheap, `Arc`-backed) verifier and
+/// the per-batch flags — so the task is `'static` and self-contained.
+struct DeliveryJob {
+    ws: Workspace,
+    store: CertStore,
+    facts: CertFactIndex,
     /// This destination's slice of the gossip advertisement inbox
     /// (`None` when gossip is off; summaries are only routed when it
     /// is on).
-    gossip_inbox: Option<&'a mut HashMap<(Symbol, Symbol), String>>,
-    /// Wire revocations routed here, each with its application mode
-    /// (`true` = tolerant gossip absorption).
+    gossip_inbox: Option<HashMap<(Symbol, Symbol), String>>,
+    routed: Routed,
+    verifier: KeyVerifier,
+    eager: bool,
+    export: Symbol,
+}
+
+/// The packets routed to one destination this step, in delivery order.
+#[derive(Default)]
+struct Routed {
+    /// Wire revocations, each with how to apply it: `false` for the
+    /// eager broadcast (issuer-mismatch objects are rejected), `true`
+    /// for gossip-relayed objects (absorbed tolerantly so anti-entropy
+    /// converges).
     revocations: Vec<(Revocation, bool)>,
-    /// Gossip advertisements routed here: `(advertiser, signer,
-    /// fingerprint)` in delivery order.
+    /// Gossip advertisements: `(advertiser, signer, fingerprint)`.
     summaries: Vec<(Symbol, Symbol, String)>,
+    /// `export` tuples to import.
     tuples: Vec<Tuple>,
 }
 
@@ -2929,29 +2637,21 @@ struct DeliveryOutcome {
     poisoned: Vec<CertDigest>,
 }
 
-/// Applies one destination's routed packets: revocations first (store
-/// transition + DRed retraction of the dead certificates' facts), then
-/// the export batch (assert + one evaluation, with per-message retry
-/// after a constraint rollback). Runs on a shard worker; everything it
-/// touches is owned exclusively by the task except the shared
-/// verification cache and key directory behind `verifier`. The outcome
-/// counters are returned even when a hard error cuts the work short,
-/// so statistics stay faithful to the mutations actually applied.
-fn process_destination(
-    task: DeliveryTask<'_>,
-    verifier: &KeyVerifier,
-    eager: bool,
-    export: Symbol,
-) -> (DeliveryOutcome, Option<WsError>) {
-    let DeliveryTask {
-        ws,
-        store,
-        facts,
-        gossip_inbox,
+/// Applies one destination's routed packets (consuming them from the
+/// job): revocations first (store transition + DRed retraction of the
+/// dead certificates' facts), then the export batch (assert + one
+/// evaluation, with per-message retry after a constraint rollback).
+/// Everything it touches is owned exclusively by the job except the
+/// shared verification cache and key directory behind `verifier`. The
+/// outcome counters are returned even when a hard error cuts the work
+/// short, so statistics stay faithful to the mutations actually
+/// applied.
+fn process_destination(job: &mut DeliveryJob) -> (DeliveryOutcome, Option<WsError>) {
+    let Routed {
         revocations,
         summaries,
         tuples,
-    } = task;
+    } = std::mem::take(&mut job.routed);
     let mut out = DeliveryOutcome::default();
     for (revocation, absorb) in revocations {
         // Bad signatures (and, under Eager, a failed commit) count as
@@ -2960,13 +2660,13 @@ fn process_destination(
         // remembered as inert instead of rejected, so anti-entropy
         // converges on the object set.
         let applied = if absorb {
-            store.absorb_revocation(&revocation, verifier)
+            job.store.absorb_revocation(&revocation, &job.verifier)
         } else {
-            store.revoke_with_outcome(&revocation, verifier)
+            job.store.revoke_with_outcome(&revocation, &job.verifier)
         }
         .and_then(|outcome| {
-            if eager {
-                store.sync().map(|()| outcome)
+            if job.eager {
+                job.store.sync().map(|()| outcome)
             } else {
                 Ok(outcome)
             }
@@ -2985,13 +2685,13 @@ fn process_destination(
                 let mut batch: Vec<(Symbol, Tuple)> = Vec::new();
                 for event in &outcome.events {
                     out.poisoned.push(event.digest);
-                    if let Some(fs) = facts.remove(&event.digest) {
+                    if let Some(fs) = job.facts.remove(&event.digest) {
                         batch.extend(fs);
                     }
                 }
                 if !batch.is_empty() {
                     out.retractions += batch.len();
-                    match ws.retract_facts(&batch) {
+                    match job.ws.retract_facts(&batch) {
                         RetractOutcome::Incremental(_) => out.dred_repairs += 1,
                         RetractOutcome::Deferred => out.retraction_rebuilds += 1,
                         RetractOutcome::Noop => {}
@@ -3002,8 +2702,11 @@ fn process_destination(
         }
     }
     if !summaries.is_empty() {
-        let me = ws.me();
-        let inbox = gossip_inbox.expect("summaries are only routed while gossip is on");
+        let me = job.ws.me();
+        let inbox = job
+            .gossip_inbox
+            .as_mut()
+            .expect("summaries are only routed while gossip is on");
         for (from, issuer, fingerprint) in summaries {
             let key = (from, issuer);
             let prev = inbox.get(&key).cloned();
@@ -3016,25 +2719,25 @@ fn process_destination(
             // through DRed) before the fresh one lands.
             if let Some(prev) = prev {
                 let stale = vec![advert_fact(from, me, issuer, &prev)];
-                ws.retract_facts(&stale);
+                job.ws.retract_facts(&stale);
             }
             let fresh = vec![advert_fact(from, me, issuer, &fingerprint)];
-            ws.assert_facts(&fresh);
+            job.ws.assert_facts(&fresh);
             inbox.insert(key, fingerprint);
         }
     }
     if !tuples.is_empty() {
         let n = tuples.len();
         for tuple in &tuples {
-            ws.assert_fact(export, tuple.clone());
+            job.ws.assert_fact(job.export, tuple.clone());
         }
-        match ws.evaluate() {
+        match job.ws.evaluate() {
             Ok(_) => out.accepted += n,
             Err(WsError::Constraint(_)) => {
                 // Batch rolled back; isolate the poisoned message(s).
                 for tuple in tuples {
-                    ws.assert_fact(export, tuple);
-                    match ws.evaluate() {
+                    job.ws.assert_fact(job.export, tuple);
+                    match job.ws.evaluate() {
                         Ok(_) => out.accepted += 1,
                         Err(WsError::Constraint(_)) => out.rejected += 1,
                         Err(e) => return (out, Some(e)),
@@ -3049,26 +2752,8 @@ fn process_destination(
 
 // ---- worker-pool task plumbing ------------------------------------------
 
-/// The deterministic per-principal cost estimate: rules fired plus
-/// facts derived in the last evaluation, floored at 1 so an idle
-/// principal still weighs something. Identical across runs, so the
-/// LPT partition built from it is reproducible.
-fn deterministic_cost(stats: &EvalStats) -> u64 {
-    (stats.rule_evals as u64)
-        .saturating_add(stats.derived as u64)
-        .max(1)
-}
-
-/// The opt-in wall-time cost: elapsed nanoseconds, floored at 1.
-fn wall_cost(started: Instant) -> u64 {
-    u64::try_from(started.elapsed().as_nanos())
-        .unwrap_or(u64::MAX)
-        .max(1)
-}
-
 /// One store's group-commit work: sync, then — with auto-compaction
-/// armed — compact if the dead-byte threshold is reached. Shared by
-/// the serial sweep and the pool workers.
+/// armed — compact if the dead-byte threshold is reached.
 fn group_commit_store(
     store: &mut CertStore,
     auto_compact: Option<u64>,
@@ -3094,6 +2779,7 @@ fn group_commit_store(
 }
 
 /// Which maintenance a [`PoolTask::Store`] performs.
+#[derive(Clone, Copy)]
 enum StoreOp {
     /// The group-commit sweep: sync, plus opportunistic compaction.
     GroupCommit { auto_compact: Option<u64> },
@@ -3101,20 +2787,16 @@ enum StoreOp {
     Maintain { prune: bool },
 }
 
-/// One unit of pool work: owned state moved out of the `System`'s maps
-/// for the duration of a batch. Ownership (instead of the old scoped
-/// `&mut` slices) is what lets the pool threads outlive any one phase
-/// without unsafe lifetime erasure.
-// A task moves exactly twice (into its queue, out at claim); a shallow
+/// One unit of per-principal work: owned state moved out of the
+/// `System`'s maps for the duration of a batch. Ownership is what lets
+/// the pool threads outlive any one phase without unsafe lifetime
+/// erasure.
+// A task moves exactly twice (into the batch, out at claim); a shallow
 // struct copy is cheaper than boxing each Workspace/CertStore per step.
 #[allow(clippy::large_enum_variant)]
 enum PoolTask {
     /// Evaluate one workspace to its local fixpoint.
-    Fixpoint {
-        ws: Workspace,
-        /// Measure wall time for [`CostModel::WallTime`].
-        time: bool,
-    },
+    Fixpoint(Workspace),
     /// Apply one destination's routed packets (boxed: the job is the
     /// fattest variant by far).
     Delivery(Box<DeliveryJob>),
@@ -3129,15 +2811,10 @@ enum PoolTask {
 enum PoolDone {
     Fixpoint {
         ws: Workspace,
-        result: Result<EvalStats, WsError>,
-        /// Wall nanoseconds of the evaluation (0 unless requested).
-        nanos: u64,
+        error: Option<WsError>,
     },
     Delivery {
-        ws: Workspace,
-        store: CertStore,
-        facts: CertFactIndex,
-        gossip_inbox: Option<HashMap<(Symbol, Symbol), String>>,
+        job: Box<DeliveryJob>,
         outcome: DeliveryOutcome,
         error: Option<WsError>,
     },
@@ -3149,62 +2826,19 @@ enum PoolDone {
     },
 }
 
-/// The owned form of [`DeliveryTask`]: everything one destination
-/// needs, including a clone of the (cheap, `Arc`-backed) verifier and
-/// the per-batch flags, so the task is `'static` and self-contained.
-struct DeliveryJob {
-    ws: Workspace,
-    store: CertStore,
-    facts: CertFactIndex,
-    gossip_inbox: Option<HashMap<(Symbol, Symbol), String>>,
-    revocations: Vec<(Revocation, bool)>,
-    summaries: Vec<(Symbol, Symbol, String)>,
-    tuples: Vec<Tuple>,
-    verifier: KeyVerifier,
-    eager: bool,
-    export: Symbol,
-}
-
-impl DeliveryJob {
-    fn run(&mut self) -> (DeliveryOutcome, Option<WsError>) {
-        let verifier = self.verifier.clone();
-        let task = DeliveryTask {
-            ws: &mut self.ws,
-            store: &mut self.store,
-            facts: &mut self.facts,
-            gossip_inbox: self.gossip_inbox.as_mut(),
-            revocations: std::mem::take(&mut self.revocations),
-            summaries: std::mem::take(&mut self.summaries),
-            tuples: std::mem::take(&mut self.tuples),
-        };
-        process_destination(task, &verifier, self.eager, self.export)
-    }
-}
-
-/// The pool workers' dispatch function — the single `fn` every
-/// [`WorkerPool`] thread runs on each task it claims.
+/// Executes one task — the single `fn` every [`WorkerPool`] thread
+/// runs on each task it claims, and the one [`System::run_tasks`] maps
+/// over an inline batch.
 fn run_pool_task(task: PoolTask) -> PoolDone {
     match task {
-        PoolTask::Fixpoint { mut ws, time } => {
-            let started = time.then(Instant::now);
-            let result = ws.evaluate();
-            let nanos = started.map_or(0, wall_cost);
-            PoolDone::Fixpoint { ws, result, nanos }
+        PoolTask::Fixpoint(mut ws) => {
+            let error = ws.evaluate().err();
+            PoolDone::Fixpoint { ws, error }
         }
         PoolTask::Delivery(mut job) => {
-            let (outcome, error) = job.run();
-            let DeliveryJob {
-                ws,
-                store,
-                facts,
-                gossip_inbox,
-                ..
-            } = *job;
+            let (outcome, error) = process_destination(&mut job);
             PoolDone::Delivery {
-                ws,
-                store,
-                facts,
-                gossip_inbox,
+                job,
                 outcome,
                 error,
             }

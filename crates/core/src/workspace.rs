@@ -596,34 +596,13 @@ impl Workspace {
         &self,
         fact_src: &str,
     ) -> Result<Option<lbtrust_datalog::provenance::Proof>, WsError> {
-        let atom = lbtrust_datalog::parse_atom(fact_src)?;
-        let atom = atom.substitute_sym(Symbol::intern("me"), self.me);
-        let pred = atom.pred.name().ok_or(WsError::Parse(ParseError {
-            message: "explain takes a concrete fact".into(),
-            line: 0,
-            col: 0,
-        }))?;
-        let tuple: Option<Tuple> = atom.all_args().map(|t| t.as_val().cloned()).collect();
-        let Some(tuple) = tuple else {
-            return Err(WsError::Parse(ParseError {
-                message: "explain takes a ground fact".into(),
-                line: 0,
-                col: 0,
-            }));
-        };
         let rules: Vec<Rule> = self
             .rules
             .iter()
             .map(|(_, r)| r.as_ref().clone())
             .chain(self.generated.iter().map(|r| r.as_ref().clone()))
             .collect();
-        Ok(lbtrust_datalog::provenance::explain(
-            &rules,
-            &self.db,
-            &self.builtins,
-            pred,
-            &tuple,
-        ))
+        explain_goal(self.me, &rules, &self.db, &self.builtins, fact_src)
     }
 
     // ---- evaluation ---------------------------------------------------------
@@ -855,11 +834,41 @@ impl Workspace {
     }
 }
 
-// The parallel quiescence engine moves exclusive workspace references
-// onto `std::thread::scope` workers. This assertion turns an
-// accidentally non-`Send` field added later (an `Rc`, a raw pointer)
-// into a compile error here, instead of a borrow-check maze inside the
-// shard plumbing.
+/// Proves the ground fact written as `fact_src` (with `me` resolved to
+/// `me`) over `rules`, `db` and `builtins`. The one goal parser behind
+/// [`Workspace::explain_proof`] on the live workspace and the
+/// [`crate::AuthzReader`]s on a published snapshot of the same three.
+pub(crate) fn explain_goal(
+    me: Principal,
+    rules: &[Rule],
+    db: &Database,
+    builtins: &Builtins,
+    fact_src: &str,
+) -> Result<Option<lbtrust_datalog::provenance::Proof>, WsError> {
+    let atom = lbtrust_datalog::parse_atom(fact_src)?;
+    let atom = atom.substitute_sym(Symbol::intern("me"), me);
+    let pred = atom.pred.name().ok_or(WsError::Parse(ParseError {
+        message: "explain takes a concrete fact".into(),
+        line: 0,
+        col: 0,
+    }))?;
+    let tuple: Option<Tuple> = atom.all_args().map(|t| t.as_val().cloned()).collect();
+    let Some(tuple) = tuple else {
+        return Err(WsError::Parse(ParseError {
+            message: "explain takes a ground fact".into(),
+            line: 0,
+            col: 0,
+        }));
+    };
+    Ok(lbtrust_datalog::provenance::explain(
+        rules, db, builtins, pred, &tuple,
+    ))
+}
+
+// The quiescence engine moves whole workspaces onto the pool's worker
+// threads. This assertion turns an accidentally non-`Send` field added
+// later (an `Rc`, a raw pointer) into a compile error here, instead of
+// one inside the task plumbing.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<Workspace>();

@@ -215,7 +215,7 @@ pub enum MetricValue {
 
 /// The registry-internal handle union. The `bool` on counters and
 /// gauges marks *volatile* metrics — values that legitimately differ
-/// between runs of the same deterministic workload (work-steal counts,
+/// between runs of the same deterministic workload (pool dispatch counts,
 /// imbalance ratios) and are therefore excluded from
 /// [`Registry::deterministic_snapshot`], exactly like wall-clock
 /// timing histograms.
@@ -359,7 +359,7 @@ impl Registry {
     /// counters/gauges — the flavour the serial ≡ sharded equivalence
     /// tests compare, since counts, gauges and size histograms are
     /// deterministic while nanosecond timings and scheduling-dependent
-    /// values (steal counts, imbalance ratios) never are.
+    /// values (pool dispatch counts, imbalance ratios) never are.
     pub fn deterministic_snapshot(&self) -> Snapshot {
         self.snapshot_filtered(|m| match m {
             Metric::Histogram(h) => !h.is_timing(),
@@ -529,24 +529,24 @@ mod tests {
     #[test]
     fn deterministic_snapshot_excludes_volatile_metrics() {
         let reg = Registry::new();
-        reg.volatile_counter("pool.steals").add(3);
+        reg.volatile_counter("pool.tasks").add(3);
         reg.volatile_gauge("quiesce.imbalance_ratio").set(1200);
         reg.counter("net.sent").add(1);
 
         let full = reg.snapshot();
-        assert_eq!(full.counter("pool.steals"), Some(3));
+        assert_eq!(full.counter("pool.tasks"), Some(3));
         assert_eq!(full.gauge("quiesce.imbalance_ratio"), Some(1200));
 
         let det = reg.deterministic_snapshot();
-        assert_eq!(det.counter("pool.steals"), None);
+        assert_eq!(det.counter("pool.tasks"), None);
         assert_eq!(det.gauge("quiesce.imbalance_ratio"), None);
         assert_eq!(det.counter("net.sent"), Some(1));
 
         // The volatile flag sticks: a later plain ask shares the atomic
         // and the metric stays excluded.
-        reg.counter("pool.steals").inc();
-        assert_eq!(reg.snapshot().counter("pool.steals"), Some(4));
-        assert_eq!(reg.deterministic_snapshot().counter("pool.steals"), None);
+        reg.counter("pool.tasks").inc();
+        assert_eq!(reg.snapshot().counter("pool.tasks"), Some(4));
+        assert_eq!(reg.deterministic_snapshot().counter("pool.tasks"), None);
     }
 
     #[test]

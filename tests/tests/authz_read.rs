@@ -327,6 +327,61 @@ fn concurrent_readers_survive_a_live_revocation_stream() {
     });
 }
 
+/// Regression (the stale grant the repository benchmark counted): a
+/// reader sweeps the very keys the writer revokes, one per wave. Once
+/// `run_to_quiescence` has returned, the revocation is published, and
+/// no later `authorize` may grant it — in particular not from a cache
+/// entry a concurrent miss re-proved on the superseded snapshot and
+/// re-inserted under the unchanged cache version.
+#[test]
+fn swept_grant_does_not_outlive_the_publish_of_its_revocation() {
+    const SUBJECTS: usize = 24;
+    let (mut sys, alice, recs, digests) = cert_fanout(1, SUBJECTS);
+    let reader = sys.authz_reader();
+    let at = recs[0];
+    let goals: Vec<(String, AtomicBool)> = (0..SUBJECTS)
+        .map(|i| (format!("access(s{i},file1,read)"), AtomicBool::new(false)))
+        .collect();
+    let stop = AtomicBool::new(false);
+
+    let stale = std::thread::scope(|scope| {
+        let sweeper = {
+            let (reader, goals, stop) = (reader.clone(), &goals, &stop);
+            scope.spawn(move || {
+                let mut stale = Vec::new();
+                while !stop.load(Ordering::Relaxed) {
+                    for (goal, enforced) in goals {
+                        // Loaded before asking: `true` means the
+                        // revocation's publish has already returned.
+                        let published = enforced.load(Ordering::Acquire);
+                        let granted = reader.authorize(at, goal).unwrap().granted;
+                        if published && granted && !stale.contains(goal) {
+                            stale.push(goal.clone());
+                        }
+                    }
+                }
+                stale
+            })
+        };
+        for (digest, (_, enforced)) in digests.iter().zip(&goals) {
+            sys.revoke_certificate(alice, *digest).unwrap();
+            sys.run_to_quiescence(64).unwrap();
+            enforced.store(true, Ordering::Release);
+        }
+        stop.store(true, Ordering::Relaxed);
+        sweeper.join().expect("reader thread")
+    });
+    assert!(
+        stale.is_empty(),
+        "granted after the revocation was published: {stale:?}"
+    );
+    // Precise invalidation did the work: no version bump was needed.
+    assert!(volatile_counter(&sys, "authz.cache_invalidations") > 0);
+    for (goal, _) in &goals {
+        assert!(!reader.authorize(at, goal).unwrap().granted, "{goal}");
+    }
+}
+
 /// Republishing without intervening changes reuses the per-principal
 /// snapshots (same store version, cache still warm) and a fresh reader
 /// handle sees the current generation immediately.

@@ -4,7 +4,7 @@
 //! statistics — because shards only ever own disjoint principals and
 //! every cross-shard effect merges sequentially in registration order.
 
-use lbtrust::{CostModel, PartitionStrategy, Principal, SyncPolicy, System};
+use lbtrust::{Principal, SyncPolicy, System};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -158,22 +158,10 @@ proptest! {
 /// carries roughly half of all rules (one `says` rule per spoke plus a
 /// transitive closure over the generated edges) and issues every
 /// certificate, while each spoke holds a single access rule. This is
-/// the shape where contiguous slices leave workers idle and work
-/// stealing matters.
-fn run_skewed(
-    shards: usize,
-    spokes: usize,
-    edges: &[(u8, u8)],
-    partition: PartitionStrategy,
-    stealing: bool,
-    cost_model: CostModel,
-) -> System {
-    let mut sys = System::new()
-        .with_rsa_bits(512)
-        .with_shards(shards)
-        .with_partition(partition)
-        .with_stealing(stealing)
-        .with_cost_model(cost_model);
+/// the shape where one task dominates a batch and the other workers
+/// work through the rest around it.
+fn run_skewed(shards: usize, spokes: usize, edges: &[(u8, u8)]) -> System {
+    let mut sys = System::new().with_rsa_bits(512).with_shards(shards);
     let hub = sys.add_principal("hub", "n0").unwrap();
     let mut recs: Vec<Principal> = Vec::new();
     for i in 0..spokes {
@@ -250,30 +238,23 @@ fn assert_same_state(a: &System, b: &System, what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Serial vs. stolen-pool equivalence on the skewed topology: the
-    /// default engine (cost-aware LPT partition + work stealing) must
-    /// reach byte-for-byte the serial state even when one principal
-    /// dominates the step cost.
+    /// Serial vs. pooled equivalence on the skewed topology: the pool
+    /// must reach byte-for-byte the serial state even when one
+    /// principal dominates the step cost.
     #[test]
     fn stolen_pool_equals_serial_on_skewed_hub(
         spokes in 2usize..6,
         edges in prop::collection::vec((0u8..8, 0u8..8), 0..12),
     ) {
-        let serial = run_skewed(
-            1, spokes, &edges,
-            PartitionStrategy::CostAware, true, CostModel::Deterministic,
-        );
-        let pooled = run_skewed(
-            8, spokes, &edges,
-            PartitionStrategy::CostAware, true, CostModel::Deterministic,
-        );
+        let serial = run_skewed(1, spokes, &edges);
+        let pooled = run_skewed(8, spokes, &edges);
         let all: Vec<Principal> = serial.principals().to_vec();
         prop_assert_eq!(pooled.principals(), all.as_slice());
         for &p in &all {
             prop_assert_eq!(
                 workspace_snapshot(&serial, p),
                 workspace_snapshot(&pooled, p),
-                "workspace {} diverged under the stolen pool", p
+                "workspace {} diverged under the pool", p
             );
             prop_assert_eq!(
                 serial.cert_store(p).unwrap().active(),
@@ -284,36 +265,20 @@ proptest! {
     }
 }
 
-/// Every engine configuration — contiguous or cost-aware partition,
-/// stealing on or off, deterministic or wall-time costs — reaches the
-/// identical quiescent state: scheduling is unobservable.
+/// One fixed skewed case (five principals) below and above the
+/// principal count: scheduling is unobservable in the quiescent state.
 #[test]
-fn partition_and_stealing_modes_are_equivalent() {
+fn skewed_hub_is_equivalent_at_2_4_and_8_workers() {
     let edges = [(1, 2), (2, 3), (3, 4), (1, 5)];
-    let serial = run_skewed(
-        1,
-        4,
-        &edges,
-        PartitionStrategy::CostAware,
-        true,
-        CostModel::Deterministic,
-    );
-    for partition in [PartitionStrategy::Contiguous, PartitionStrategy::CostAware] {
-        for stealing in [false, true] {
-            for cost_model in [CostModel::Deterministic, CostModel::WallTime] {
-                let pooled = run_skewed(4, 4, &edges, partition, stealing, cost_model);
-                assert_same_state(
-                    &serial,
-                    &pooled,
-                    &format!("{partition:?}/stealing={stealing}/{cost_model:?}"),
-                );
-            }
-        }
+    let serial = run_skewed(1, 4, &edges);
+    for shards in [2, 4, 8] {
+        let pooled = run_skewed(shards, 4, &edges);
+        assert_same_state(&serial, &pooled, &format!("shards={shards}"));
     }
 }
 
 /// Shard counts beyond the principal count (and absurd ones) still
-/// converge to the serial state — clamping keeps the partition total.
+/// converge to the serial state — surplus workers simply stay idle.
 #[test]
 fn oversharded_system_still_quiesces() {
     let a = run_workload(1, 3, &[1, 2, 3], &[(0, 1), (1, 2)], true);
@@ -327,5 +292,87 @@ fn oversharded_system_still_quiesces() {
             );
         }
         assert_eq!(stat_fingerprint(&a), stat_fingerprint(&b));
+    }
+}
+
+/// A hub saying `n(foo)` to two receivers; `r0` turns what it hears
+/// into arithmetic, which is a type error on a symbol — a hard
+/// (non-constraint) evaluation error — while `late`, registered after
+/// everyone, holds one pending local fact. With `early_error` the same
+/// bad arithmetic also sits in the hub's own workspace, so the error
+/// surfaces in the very first local-fixpoint batch instead of in a
+/// delivery batch.
+fn run_into_hard_error(shards: usize, early_error: bool) -> (String, System) {
+    let mut sys = System::new().with_rsa_bits(512).with_shards(shards);
+    let hub = sys.add_principal("hub", "n0").unwrap();
+    let r0 = sys.add_principal("r0", "m0").unwrap();
+    let r1 = sys.add_principal("r1", "m1").unwrap();
+    let late = sys.add_principal("late", "m2").unwrap();
+    for name in ["r0", "r1"] {
+        sys.workspace_mut(hub)
+            .unwrap()
+            .load("policy", &format!("says(me,{name},[| n(X). |]) <- num(X)."))
+            .unwrap();
+    }
+    if early_error {
+        sys.workspace_mut(hub)
+            .unwrap()
+            .load("policy", "bad(Y) <- num(X), Y = X + 1.")
+            .unwrap();
+    }
+    sys.workspace_mut(hub)
+        .unwrap()
+        .assert_src("num(foo).")
+        .unwrap();
+    sys.workspace_mut(r0)
+        .unwrap()
+        .load("policy", "bad(Y) <- says(hub,me,[| n(X) |]), Y = X + 1.")
+        .unwrap();
+    sys.workspace_mut(r1)
+        .unwrap()
+        .load("policy", "heard(X) <- says(hub,me,[| n(X) |]).")
+        .unwrap();
+    sys.workspace_mut(late)
+        .unwrap()
+        .load("policy", "q(X) <- p(X).")
+        .unwrap();
+    sys.workspace_mut(late)
+        .unwrap()
+        .assert_src("p(x).")
+        .unwrap();
+    let err = sys.run_to_quiescence(8).unwrap_err();
+    assert!(matches!(err, lbtrust::SysError::Workspace(_)), "{err}");
+    (err.to_string(), sys)
+}
+
+/// A hard evaluation error never cuts a batch short: every other
+/// principal's task still runs and merges, so the serial and the
+/// pooled engine return the same error *and* leave every workspace in
+/// the same state — whether the error strikes in the local-fixpoint
+/// batch or in the delivery batch (where stopping early would also
+/// discard packets already drained from the network).
+#[test]
+fn hard_evaluation_error_leaves_the_same_state_at_every_shard_count() {
+    for early_error in [true, false] {
+        let (serial_err, serial) = run_into_hard_error(1, early_error);
+        assert!(serial_err.contains("type error"), "{serial_err}");
+        let late = Principal::from("late");
+        assert!(
+            serial.workspace(late).unwrap().holds_src("q(x)").unwrap(),
+            "early_error={early_error}: a principal after the failing one must still evaluate"
+        );
+        if !early_error {
+            assert!(
+                serial
+                    .workspace(Principal::from("r1"))
+                    .unwrap()
+                    .holds_src("heard(foo)")
+                    .unwrap(),
+                "a destination after the failing one must still import its packets"
+            );
+        }
+        let (pooled_err, pooled) = run_into_hard_error(4, early_error);
+        assert_eq!(serial_err, pooled_err);
+        assert_same_state(&serial, &pooled, &format!("early_error={early_error}"));
     }
 }
