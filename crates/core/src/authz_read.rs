@@ -71,8 +71,9 @@ const CACHE_SHARD_CAPACITY: usize = 1024;
 /// workspace or store.
 pub(crate) struct PrincipalSnapshot {
     pub(crate) me: Principal,
-    /// Installed user + generated rules at the quiescent point.
-    pub(crate) rules: Vec<Rule>,
+    /// Installed user + generated rules at the quiescent point (the
+    /// workspace's compiled slice, shared).
+    pub(crate) rules: Arc<[Rule]>,
     /// The materialized database at the quiescent point.
     pub(crate) db: Database,
     pub(crate) builtins: Builtins,

@@ -339,10 +339,8 @@ pub struct System {
     /// Placement: principal -> physical node (the `loc` relation).
     placement: HashMap<Principal, NodeId>,
     net: SimNetwork,
-    /// Structural fingerprints of export tuples already shipped, per
-    /// principal — 16 bytes per tuple instead of a deep clone of each
-    /// exported tuple (symbols, quoted rules, signature bytes).
-    drained: HashMap<Principal, HashSet<TupleFingerprint>>,
+    /// How far each principal's `export` relation has been shipped.
+    drained: HashMap<Principal, ExportCursor>,
     rsa_bits: usize,
     auth: HashMap<Principal, AuthScheme>,
     stats: SystemStats,
@@ -1063,7 +1061,7 @@ impl System {
         self.placement.insert(me, NodeId::new(node));
         self.workspaces.insert(me, ws);
         self.order.push(me);
-        self.drained.insert(me, HashSet::new());
+        self.drained.insert(me, ExportCursor::default());
         self.stores.insert(me, store);
         self.health.insert(me, HealthState::default());
         if let Some(handle) = faults {
@@ -1869,11 +1867,7 @@ impl System {
             pub_state.published_store_version = store_version;
             let snap = Arc::new(PrincipalSnapshot {
                 me: p,
-                rules: ws
-                    .active_rules()
-                    .iter()
-                    .map(|r| r.as_ref().clone())
-                    .collect(),
+                rules: ws.program().rules().clone(),
                 db: ws.db().clone(),
                 builtins: ws.builtins().clone(),
                 ground_heads: store.ground_heads().clone(),
@@ -2251,20 +2245,34 @@ impl System {
     /// Phase 2: collect fresh export tuples and send them, sequentially
     /// and in registration order so the network delivers in the same
     /// order every run. This phase stays serial on purpose — the scan
-    /// is a dedup over each workspace's export partition, far cheaper
-    /// than the evaluation phases the shards split, and cheaper than a
-    /// round of worker spawns.
+    /// is a dedup over what each workspace's export partition gained
+    /// since the last step, far cheaper than the evaluation phases the
+    /// shards split, and cheaper than a round of worker spawns.
     fn drain_exports(&mut self, order: &[Principal], export: Symbol) -> usize {
         let mut shipped = 0usize;
         for &me in order {
-            let tuples: Vec<Tuple> = self.workspaces.get(&me).expect("registered").tuples(export);
-            let seen = self.drained.get_mut(&me).expect("registered");
+            let ws = self.workspaces.get(&me).expect("registered");
+            let cursor = self.drained.get_mut(&me).expect("registered");
+            // Relations only append between compactions, so everything
+            // below the watermark was fingerprinted on an earlier step.
+            // A compaction may have moved tuples (k removals followed by
+            // k appends leave the length unchanged, hence a counter and
+            // not a length comparison): rescan, and `seen` still dedups.
+            if cursor.compactions != ws.compactions() {
+                cursor.compactions = ws.compactions();
+                cursor.mark = 0;
+            }
+            let fresh = ws
+                .db()
+                .relation(export)
+                .map_or(&[][..], |rel| rel.since(cursor.mark));
+            cursor.mark += fresh.len();
             let mut outgoing: Vec<WireMessage> = Vec::new();
-            for tuple in tuples {
-                if !seen.insert(tuple_fingerprint(&tuple)) {
+            for tuple in fresh {
+                if !cursor.seen.insert(tuple_fingerprint(tuple)) {
                     continue;
                 }
-                let Some(msg) = export_tuple_to_message(&tuple) else {
+                let Some(msg) = export_tuple_to_message(tuple) else {
                     continue;
                 };
                 // Tuples addressed *to* this principal are received
@@ -2876,6 +2884,19 @@ fn gossip_send_key(send: &GossipSend) -> (&'static str, u8, &'static str, &str) 
     }
 }
 
+/// One principal's progress through its `export` relation.
+#[derive(Default)]
+struct ExportCursor {
+    /// Structural fingerprints of the export tuples already shipped —
+    /// 16 bytes per tuple instead of a deep clone of each exported tuple
+    /// (symbols, quoted rules, signature bytes).
+    seen: HashSet<TupleFingerprint>,
+    /// Length of the relation when it was last scanned.
+    mark: usize,
+    /// [`Workspace::compactions`] at that scan.
+    compactions: u64,
+}
+
 /// The shipped-dedup key: two independently seeded structural hashes
 /// of an export tuple. 16 bytes per remembered tuple instead of a deep
 /// clone of its symbols, quoted rule and signature bytes, and computed
@@ -2990,6 +3011,37 @@ mod tests {
         assert_eq!(sys.stats().messages_sent, 1);
         assert_eq!(sys.stats().messages_accepted, 1);
         assert_eq!(sys.stats().messages_rejected, 0);
+    }
+
+    /// The export drain scans only what the relation gained — and one
+    /// removal followed by one append leaves the length where the
+    /// watermark stood, so the watermark must follow compactions, not
+    /// lengths, or the new export is never shipped.
+    #[test]
+    fn export_drain_ships_what_replaces_a_retracted_export() {
+        let mut sys = System::new().with_rsa_bits(512);
+        let alice = sys.add_principal("alice", "n1").unwrap();
+        let bob = sys.add_principal("bob", "n2").unwrap();
+        let ws = sys.workspace_mut(alice).unwrap();
+        ws.load("policy", "says(me,bob,[| good(X). |]) <- vouched(X).")
+            .unwrap();
+        ws.assert_src("vouched(carol). vouched(dave).").unwrap();
+        sys.run_to_quiescence(16).unwrap();
+        assert_eq!(sys.stats().messages_sent, 2);
+
+        let export = sym("export");
+        let ws = sys.workspace_mut(alice).unwrap();
+        let before = ws.db().count(export);
+        let outcome = ws.retract_facts(&[(sym("vouched"), vec![Value::sym("carol")])]);
+        assert!(matches!(outcome, RetractOutcome::Incremental(_)));
+        ws.assert_src("vouched(erin).").unwrap();
+        sys.run_to_quiescence(16).unwrap();
+        assert_eq!(sys.workspace(alice).unwrap().db().count(export), before);
+        assert_eq!(sys.stats().messages_sent, 3);
+        let bob_ws = sys.workspace(bob).unwrap();
+        assert!(bob_ws
+            .holds_src("says(alice,bob,[| good(erin). |])")
+            .unwrap());
     }
 
     /// The static-analysis preflight refuses a deny-level program

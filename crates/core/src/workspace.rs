@@ -11,20 +11,22 @@
 //! checks, reflection), and repeat until no new rules appear; then check
 //! constraints, rolling the workspace back if any is violated ("the
 //! evaluation of the Datalog program fails by terminating with an
-//! error", §3.2).
+//! error", §3.2). What an evaluation costs follows what changed since
+//! the last one — see [`Workspace::evaluate`].
 
 use crate::principal::Principal;
 use lbtrust_datalog::ast::{BodyItem, Constraint, Rule};
-use lbtrust_datalog::eval::{Engine, EvalError, EvalStats};
+use lbtrust_datalog::dred::{self, Removed};
+use lbtrust_datalog::eval::{CompiledRules, Engine, EvalError, EvalStats};
 use lbtrust_datalog::safety::{check_rule, check_rule_at, SafetyError};
 use lbtrust_datalog::strata::{stratify_spanned, StratifyError};
 use lbtrust_datalog::{parse_program, Builtins, Database, ParseError, Span, Symbol, Tuple, Value};
-use lbtrust_metamodel::constraintcheck::{check_constraints, check_fail, CheckError};
+use lbtrust_metamodel::constraintcheck::{check_fail, CheckError, ConstraintSet, Scope};
 use lbtrust_metamodel::reflect::reflect_into;
 use lbtrust_metamodel::{generated_rules, MetaPreds};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Errors from workspace operations.
 #[derive(Debug)]
@@ -118,9 +120,29 @@ pub enum RetractOutcome {
     /// The database was repaired in place by DRed; the statistics count
     /// over-deleted and re-derived tuples.
     Incremental(lbtrust_datalog::dred::DredStats),
-    /// Repair was deferred to the next evaluation (non-monotonic
-    /// program or pending rule changes force a rebuild from base).
+    /// Repair was deferred to the next evaluation (a non-monotonic
+    /// program, pending rule changes or pending assertions force a
+    /// rebuild from base).
     Deferred,
+}
+
+/// What the next [`Workspace::evaluate`] owes, cheapest first. Events
+/// between evaluations only ever raise the debt (`max`); a successful
+/// evaluation clears it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Owed {
+    /// Settled: the last evaluation succeeded and nothing has changed.
+    Nothing,
+    /// Propagate `seeds`, then check constraints against that growth and
+    /// against what `removed` lists — the database held every constraint
+    /// before those two deltas.
+    Delta,
+    /// Propagate `seeds`, then check every constraint in full: a restore
+    /// replaced the state the deltas were relative to.
+    Recheck,
+    /// Re-derive everything from the base facts: rules, constraints or
+    /// builtins changed, or a retraction could not be repaired in place.
+    Rebuild,
 }
 
 /// One principal's context.
@@ -136,13 +158,20 @@ pub struct Workspace {
     generated: Vec<Arc<Rule>>,
     /// Content ids of every installed rule.
     installed: HashSet<u64>,
+    /// `rules` then `generated`, compiled on first use after either (or
+    /// the builtin registry) changed.
+    program: OnceLock<Arc<CompiledRules>>,
+    /// `constraints`, compiled on first use after they changed.
+    checks: Option<ConstraintSet>,
     /// Facts asserted from outside (the EDB).
     base_facts: Vec<(Symbol, Tuple)>,
     db: Database,
-    /// Whether rules/constraints changed since the last evaluate.
-    dirty: bool,
+    /// What the next evaluation has to do.
+    owed: Owed,
     /// Incremental seeds: relation growth since the last evaluate.
     seeds: HashMap<Symbol, usize>,
+    /// Tuples DRed repairs removed since the last evaluate.
+    removed: Removed,
     /// Accumulated evaluation statistics.
     stats: EvalStats,
     /// State as of the last successful evaluation; failed evaluations
@@ -154,25 +183,28 @@ pub struct Workspace {
     /// materialized database (or the base it will be rebuilt from) may
     /// differ from what a reader last saw — fact assertion, incremental
     /// retraction repair, rollback restore, and any evaluation that
-    /// rebuilt, reflected, or derived. Never decremented, so snapshot
-    /// publishers can compare epochs across time.
+    /// rebuilt or derived. Never decremented, so snapshot publishers can
+    /// compare epochs across time.
     epoch: u64,
+    /// Counts the events after which a tuple's position in its relation
+    /// may have changed: repairs, rebuilds, restores.
+    compactions: u64,
 }
 
-/// A snapshot for rollback. Rules and constraints only ever grow
-/// between snapshots, so their lengths suffice; base facts can also be
-/// *removed* from the middle (certificate retraction), so the full
-/// vector is captured.
+/// A snapshot for rollback. Base facts can be *removed* from the middle
+/// (certificate retraction) and rules swapped by tag, so the vectors are
+/// captured whole (rules are shared `Arc`s).
 #[derive(Clone)]
 pub struct Snapshot {
     db: Database,
-    rules_len: usize,
-    constraints_len: usize,
+    rules: Vec<(String, Arc<Rule>)>,
+    constraints: Vec<(String, Constraint)>,
     generated: Vec<Arc<Rule>>,
     installed: HashSet<u64>,
     base_facts: Vec<(Symbol, Tuple)>,
-    dirty: bool,
-    seeds: HashMap<Symbol, usize>,
+    /// Whether `db` is not the fixpoint of the captured rules and base
+    /// facts, so a restore must rebuild it.
+    rebuild: bool,
 }
 
 impl Workspace {
@@ -191,13 +223,17 @@ impl Workspace {
             constraints: Vec::new(),
             generated: Vec::new(),
             installed: HashSet::new(),
+            program: OnceLock::new(),
+            checks: None,
             base_facts: Vec::new(),
             db: Database::new(),
-            dirty: false,
+            owed: Owed::Rebuild,
             seeds: HashMap::new(),
+            removed: Removed::new(),
             stats: EvalStats::default(),
             committed: None,
             epoch: 0,
+            compactions: 0,
         }
     }
 
@@ -207,8 +243,14 @@ impl Workspace {
     }
 
     /// Mutable access to the builtin registry (register crypto builtins
-    /// etc. before loading rules).
+    /// etc. before loading rules). Which predicates are builtins, and
+    /// what they answer, decides the strata and every derivation, so the
+    /// next evaluation — and any rollback before it — rebuilds.
     pub fn builtins_mut(&mut self) -> &mut Builtins {
+        self.definitions_changed();
+        if let Some(snap) = &mut self.committed {
+            snap.rebuild = true;
+        }
         &mut self.builtins
     }
 
@@ -233,6 +275,39 @@ impl Workspace {
     /// still exact at the second.
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// Counts the events that may have moved tuples within their
+    /// relations (DRed repairs, rebuilds, restores). While it stands
+    /// still relations have only been appended to, so a caller that
+    /// remembers a relation's length has seen everything before it.
+    pub fn compactions(&self) -> u64 {
+        self.compactions
+    }
+
+    /// The installed user + generated rules, compiled: one shared slice
+    /// with its stratification, rebuilt only after the rule set changed.
+    /// Evaluation, DRed repair, proof search and published snapshots all
+    /// take this.
+    pub fn program(&self) -> &Arc<CompiledRules> {
+        self.program.get_or_init(|| {
+            let rules: Vec<Rule> = self
+                .rules
+                .iter()
+                .map(|(_, r)| r)
+                .chain(&self.generated)
+                .map(|r| r.as_ref().clone())
+                .collect();
+            Arc::new(CompiledRules::compile(rules, &self.builtins))
+        })
+    }
+
+    /// The rule set, the constraints or the builtins changed: drop what
+    /// was compiled from them and re-derive from base.
+    fn definitions_changed(&mut self) {
+        self.program = OnceLock::new();
+        self.checks = None;
+        self.owed = Owed::Rebuild;
     }
 
     /// Currently installed user + generated rules (for inspection).
@@ -288,7 +363,7 @@ impl Workspace {
             let constraint = substitute_constraint(&constraint, me_sym, self.me);
             self.constraints.push((tag.to_string(), constraint));
         }
-        self.dirty = true;
+        self.definitions_changed();
         Ok(())
     }
 
@@ -324,7 +399,7 @@ impl Workspace {
             }
         });
         self.constraints.retain(|(t, _)| t != tag);
-        self.dirty = true;
+        self.definitions_changed();
         self.load(tag, src)
     }
 
@@ -332,6 +407,10 @@ impl Workspace {
 
     /// Asserts a base fact.
     pub fn assert_fact(&mut self, pred: Symbol, tuple: Tuple) {
+        // Even a second copy of a present tuple is a change: the next
+        // evaluation must carry the extra support into the rollback
+        // baseline.
+        self.owed = self.owed.max(Owed::Delta);
         if self.db.contains(pred, &tuple) {
             // Already present (possibly derived); still record as base so
             // it survives a rebuild.
@@ -394,14 +473,9 @@ impl Workspace {
     /// (§3.1 "active rules are incrementally recomputed") — otherwise
     /// the next evaluation re-derives everything from the remaining base.
     pub fn retract_fact(&mut self, pred: Symbol, tuple: &[Value]) -> bool {
-        let before = self.base_facts.len();
-        self.base_facts.retain(|(p, t)| !(*p == pred && t == tuple));
-        let removed = self.base_facts.len() != before;
-        if !removed {
-            return false;
-        }
-        self.repair_after_retraction(vec![(pred, tuple.to_vec())]);
-        true
+        let copies = base_copies(&self.base_facts, pred, tuple);
+        self.retract_facts(&vec![(pred, tuple.to_vec()); copies]);
+        copies > 0
     }
 
     /// Retracts **one supporting copy** of each listed base fact, then
@@ -413,16 +487,21 @@ impl Workspace {
     pub fn retract_facts(&mut self, facts: &[(Symbol, Tuple)]) -> RetractOutcome {
         let mut gone: Vec<(Symbol, Tuple)> = Vec::new();
         for (pred, tuple) in facts {
-            let Some(pos) = self
-                .base_facts
-                .iter()
-                .position(|(p, t)| p == pred && t == tuple)
-            else {
+            let same = |(p, t): &(Symbol, Tuple)| p == pred && t == tuple;
+            let Some(pos) = self.base_facts.iter().position(same) else {
                 continue;
             };
             self.base_facts.remove(pos);
-            let still_supported = self.base_facts.iter().any(|(p, t)| p == pred && t == tuple);
-            if !still_supported {
+            let left = base_copies(&self.base_facts, *pred, tuple);
+            // A retraction is never undone: the rollback baseline may not
+            // hold more copies than the live EDB does.
+            if let Some(snap) = &mut self.committed {
+                if base_copies(&snap.base_facts, *pred, tuple) > left {
+                    let pos = snap.base_facts.iter().position(same);
+                    snap.base_facts.remove(pos.expect("counted above"));
+                }
+            }
+            if left == 0 {
                 gone.push((*pred, tuple.clone()));
             }
         }
@@ -436,47 +515,49 @@ impl Workspace {
     /// incremental path when the program admits it, otherwise marking
     /// the workspace for a full rebuild on the next evaluation.
     fn repair_after_retraction(&mut self, retracted: Vec<(Symbol, Tuple)>) -> RetractOutcome {
-        if self.dirty || self.non_monotonic() {
-            self.dirty = true;
-            self.sync_committed_after_deferred_retraction();
-            return RetractOutcome::Deferred;
+        // DRed needs a positive program over a database at its fixpoint.
+        // With assertions still pending it has neither: the repair would
+        // compact the relations under their growth marks, and the
+        // repaired state — unevaluated assertions included — could not
+        // become the rollback baseline. Those assertions stay alive in
+        // `base_facts`, and the rebuild derives from them.
+        if self.owed == Owed::Rebuild || !self.seeds.is_empty() || !self.program().is_monotone() {
+            return self.defer_retraction();
         }
-        // Incremental path. Failure (e.g. a generated pattern construct
-        // the DRed fragment rejects) falls back to full recomputation.
-        let rules: Vec<Rule> = self
-            .rules
-            .iter()
-            .map(|(_, r)| r.as_ref().clone())
-            .chain(self.generated.iter().map(|r| r.as_ref().clone()))
-            .collect();
-        let outcome =
-            lbtrust_datalog::dred::retract(&rules, &mut self.db, &self.builtins, &retracted);
-        match outcome {
-            Ok(stats) => {
-                self.seeds.clear();
-                self.epoch += 1;
-                // The repaired state is the new committed baseline.
-                self.committed = Some(self.snapshot());
-                RetractOutcome::Incremental(stats)
-            }
-            Err(_) => {
-                self.dirty = true;
-                self.sync_committed_after_deferred_retraction();
-                RetractOutcome::Deferred
-            }
+        let program = self.program().clone();
+        let engine = Engine::for_compiled(&program, &self.builtins);
+        // Whatever comes of the repair, it removes tuples as it goes.
+        self.epoch += 1;
+        self.compactions += 1;
+        // Failure (e.g. a generated pattern construct the DRed fragment
+        // rejects) falls back to full recomputation.
+        let Ok((stats, removed)) = dred::retract_with(&engine, &mut self.db, &retracted) else {
+            return self.defer_retraction();
+        };
+        // A repair that takes a rule out of `active`/`rule` has withdrawn
+        // the reason a generated rule was installed; only a rebuild
+        // uninstalls it (and what it concluded).
+        if removed.contains_key(&self.meta.active) || removed.contains_key(&self.meta.rule) {
+            return self.defer_retraction();
         }
+        for (pred, tuples) in removed {
+            self.removed.entry(pred).or_default().extend(tuples);
+        }
+        self.owed = self.owed.max(Owed::Delta);
+        // The repaired state is the new committed baseline.
+        self.committed = Some(self.snapshot());
+        RetractOutcome::Incremental(stats)
     }
 
-    /// Keeps the committed rollback baseline honest when a retraction's
-    /// repair is deferred: the snapshot's base facts must not resurrect
-    /// the retracted copies if a later failed evaluation restores it,
-    /// and the restored state must rebuild from base (its materialized
-    /// db still contains the stale derivations).
-    fn sync_committed_after_deferred_retraction(&mut self) {
+    /// Leaves the repair to the next evaluation's rebuild. A rollback in
+    /// between must rebuild as well: the baseline's materialized db still
+    /// contains the stale derivations.
+    fn defer_retraction(&mut self) -> RetractOutcome {
+        self.owed = Owed::Rebuild;
         if let Some(snap) = &mut self.committed {
-            snap.base_facts = self.base_facts.clone();
-            snap.dirty = true;
+            snap.rebuild = true;
         }
+        RetractOutcome::Deferred
     }
 
     // ---- queries -----------------------------------------------------------
@@ -571,11 +652,11 @@ impl Workspace {
         let atom = lbtrust_datalog::parse_atom(goal_src)?;
         let atom = atom.substitute_sym(Symbol::intern("me"), self.me);
         let rules: Vec<Rule> = self
-            .rules
+            .program()
+            .rules()
             .iter()
-            .map(|(_, r)| r.as_ref().clone())
-            .chain(self.generated.iter().map(|r| r.as_ref().clone()))
             .filter(|r| !r.is_pattern())
+            .cloned()
             .collect();
         let (answers, _) =
             lbtrust_datalog::magic::query_magic(&rules, &self.db, &atom, &self.builtins)?;
@@ -596,13 +677,8 @@ impl Workspace {
         &self,
         fact_src: &str,
     ) -> Result<Option<lbtrust_datalog::provenance::Proof>, WsError> {
-        let rules: Vec<Rule> = self
-            .rules
-            .iter()
-            .map(|(_, r)| r.as_ref().clone())
-            .chain(self.generated.iter().map(|r| r.as_ref().clone()))
-            .collect();
-        explain_goal(self.me, &rules, &self.db, &self.builtins, fact_src)
+        let rules = self.program().rules();
+        explain_goal(self.me, rules, &self.db, &self.builtins, fact_src)
     }
 
     // ---- evaluation ---------------------------------------------------------
@@ -611,29 +687,37 @@ impl Workspace {
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
             db: self.db.clone(),
-            rules_len: self.rules.len(),
-            constraints_len: self.constraints.len(),
+            rules: self.rules.clone(),
+            constraints: self.constraints.clone(),
             generated: self.generated.clone(),
             installed: self.installed.clone(),
             base_facts: self.base_facts.clone(),
-            dirty: self.dirty,
-            seeds: self.seeds.clone(),
+            rebuild: self.owed == Owed::Rebuild || !self.seeds.is_empty(),
         }
     }
 
-    /// Restores a snapshot taken earlier.
+    /// Restores a snapshot taken earlier. A restored state is never
+    /// taken on trust: the next evaluation re-checks every constraint,
+    /// and rebuilds if the snapshot — or the state it replaces, whose
+    /// builtins stay — was owed a rebuild.
     pub fn restore(&mut self, snap: Snapshot) {
+        let rebuild = snap.rebuild || self.owed == Owed::Rebuild;
         self.db = snap.db;
-        self.rules.truncate(snap.rules_len);
-        self.constraints.truncate(snap.constraints_len);
+        self.rules = snap.rules;
+        self.constraints = snap.constraints;
         self.generated = snap.generated;
         self.installed = snap.installed;
         self.base_facts = snap.base_facts;
-        self.dirty = snap.dirty;
-        self.seeds = snap.seeds;
+        self.seeds.clear();
+        self.removed.clear();
+        self.definitions_changed();
+        if !rebuild {
+            self.owed = Owed::Recheck;
+        }
         // A rollback changes the database; the epoch stays monotone (it
         // counts changes, it does not identify states).
         self.epoch += 1;
+        self.compactions += 1;
     }
 
     /// Runs `f` transactionally: on error the workspace is rolled back to
@@ -652,68 +736,70 @@ impl Workspace {
         }
     }
 
-    /// Whether any installed rule uses negation or aggregation (in which
-    /// case incremental addition is unsound and evaluation rebuilds from
-    /// base facts).
-    fn non_monotonic(&self) -> bool {
-        self.rules
-            .iter()
-            .map(|(_, r)| r.as_ref())
-            .chain(self.generated.iter().map(|r| r.as_ref()))
-            .any(|r| {
-                r.agg.is_some()
-                    || r.body
-                        .iter()
-                        .any(|i| matches!(i, BodyItem::Lit { negated: true, .. }))
-            })
-    }
-
     /// Resets the database to base facts plus reflections of the current
     /// rule set (user and generated). Generated rules are kept — callers
     /// that invalidated them clear `generated` first.
     fn reset_db(&mut self) {
         self.db = Database::new();
+        self.compactions += 1;
         for (pred, tuple) in &self.base_facts {
             self.db.insert(*pred, tuple.clone());
         }
-        let rules: Vec<Arc<Rule>> = self
-            .rules
-            .iter()
-            .map(|(_, r)| r.clone())
-            .chain(self.generated.iter().cloned())
-            .collect();
-        for rule in rules {
-            self.reflect_rule(&rule);
+        for rule in self.rules.iter().map(|(_, r)| r).chain(&self.generated) {
+            reflect_installed(rule, &self.meta, &mut self.db);
         }
-        self.seeds.clear();
     }
 
-    fn reflect_rule(&mut self, rule: &Rule) {
-        reflect_into(rule, &self.meta, &mut self.db);
-        // Installed rules appear in the `active` table (§3.3), which both
-        // enables reflection-style rules like `pull0` and makes code
-        // generation idempotent.
-        self.db
-            .insert(self.meta.active, vec![Value::Quote(Arc::new(rule.clone()))]);
-    }
-
-    /// Evaluates to a (staged) fixpoint and checks constraints. On
-    /// failure (constraint violation, unsafe generated rule, …) the
+    /// Brings the workspace to its (staged) fixpoint and checks its
+    /// constraints, at a cost that follows what changed since the last
+    /// successful evaluation rather than what is stored. One decision,
+    /// cheapest first:
+    ///
+    /// 1. **Settled** — nothing was asserted, retracted, loaded, swapped
+    ///    or restored, and the builtin registry was not handed out:
+    ///    returns `EvalStats::default()` without touching the engine,
+    ///    the constraints, the rollback baseline or the [`epoch`].
+    /// 2. **Incremental** — only facts were asserted and/or DRed repaired
+    ///    retractions in place, over a program without negation or
+    ///    aggregation: the new facts are propagated semi-naively (a
+    ///    repair left nothing to propagate), and each constraint without
+    ///    negation is checked only for premise bindings that use a new
+    ///    tuple or whose requirement could have used a removed one. A
+    ///    stage that installs a generated rule, and any constraint with
+    ///    negation, falls back to a full run and a full check.
+    /// 3. **Rebuild** — rules, constraints or builtins changed, a
+    ///    retraction could not be repaired in place, or the program has
+    ///    negation/aggregation and anything changed: the database is
+    ///    re-derived from the base facts and every constraint checked.
+    ///
+    /// Steps 1 and 2 rely on the **purity contract**: a builtin's answer
+    /// is a function of its arguments alone. Key material reaches rules
+    /// as facts (`rsapubkey`, `sharedsecret`), so a new key arrives as a
+    /// seed like any other assertion and an old answer never goes stale.
+    ///
+    /// On failure (constraint violation, unsafe generated rule, …) the
     /// workspace rolls back to the state after its last *successful*
     /// evaluation, undoing the offending assertions.
+    ///
+    /// [`epoch`]: Workspace::epoch
     pub fn evaluate(&mut self) -> Result<EvalStats, WsError> {
-        // Captured before `evaluate_inner` clears `dirty`: a rebuild
-        // replaces the database wholesale, and the first evaluation's
-        // reflection fast path inserts `active` facts — both change the
-        // database even when zero tuples are "derived".
-        let was_rebuild = self.dirty || self.non_monotonic();
-        let maybe_reflect =
-            !was_rebuild && self.db.count(self.meta.active) == 0 && !self.rules.is_empty();
-        match self.evaluate_inner() {
+        let owed = match self.owed {
+            Owed::Nothing => return Ok(EvalStats::default()),
+            // Negation or aggregation can observe any change; such a
+            // program re-derives from base (keeping its generated rules —
+            // monotone extraction re-finds them anyway).
+            Owed::Delta | Owed::Recheck if !self.program().is_monotone() => Owed::Rebuild,
+            owed => owed,
+        };
+        match self.evaluate_inner(owed) {
             Ok(stats) => {
-                if was_rebuild || maybe_reflect || stats.derived > 0 {
+                // A rebuild replaces the database wholesale, which changes
+                // it even when zero tuples are "derived".
+                if owed == Owed::Rebuild || stats.derived > 0 {
                     self.epoch += 1;
                 }
+                self.owed = Owed::Nothing;
+                self.removed.clear();
                 self.committed = Some(self.snapshot());
                 Ok(stats)
             }
@@ -724,11 +810,12 @@ impl Workspace {
                         // Nothing ever succeeded: reset to an empty,
                         // facts-free state with the loaded rules intact.
                         self.base_facts.clear();
-                        self.generated.clear();
                         self.db = Database::new();
                         self.seeds.clear();
-                        self.dirty = true;
+                        self.removed.clear();
+                        self.owed = Owed::Rebuild;
                         self.epoch += 1;
+                        self.compactions += 1;
                     }
                 }
                 Err(e)
@@ -736,28 +823,21 @@ impl Workspace {
         }
     }
 
-    fn evaluate_inner(&mut self) -> Result<EvalStats, WsError> {
-        // `dirty` (rules changed / retraction) invalidates generated
-        // rules and the whole database; non-monotonic programs must also
-        // re-derive from base every time, but keep their generated rules
-        // (monotone extraction re-finds them anyway).
-        if self.dirty {
+    fn evaluate_inner(&mut self, owed: Owed) -> Result<EvalStats, WsError> {
+        // An owed rebuild (rules changed / deferred retraction)
+        // invalidates the generated rules along with the database; the
+        // from-scratch run of a non-monotonic program keeps them.
+        if self.owed == Owed::Rebuild {
             self.generated.clear();
             self.installed = self.rules.iter().map(|(_, r)| r.content_id()).collect();
+            self.program = OnceLock::new();
         }
-        let mut fresh = self.dirty || self.non_monotonic();
-        self.dirty = false;
-
-        if !fresh && self.db.count(self.meta.active) == 0 && !self.rules.is_empty() {
-            // Fast path, first evaluation: materialize reflections.
-            let rules: Vec<Arc<Rule>> = self.rules.iter().map(|(_, r)| r.clone()).collect();
-            for rule in rules {
-                self.reflect_rule(&rule);
-            }
-        }
-
+        let mut fresh = owed == Owed::Rebuild;
+        // The delta-scoped constraint check holds only while this
+        // evaluation is one insert-only incremental run.
+        let mut scoped = owed == Owed::Delta;
+        let mut grown = std::mem::take(&mut self.seeds);
         let mut total = EvalStats::default();
-        let mut use_seeds = !fresh && !self.seeds.is_empty();
         for stage in 0.. {
             if stage >= MAX_META_STAGES {
                 return Err(WsError::MetaDivergence { stages: stage });
@@ -765,29 +845,32 @@ impl Workspace {
             if fresh {
                 self.reset_db();
             }
-            let rules: Vec<Rule> = self
-                .rules
-                .iter()
-                .map(|(_, r)| r.as_ref().clone())
-                .chain(self.generated.iter().map(|r| r.as_ref().clone()))
-                .collect();
-            let engine = Engine::new(&rules, &self.builtins);
-            let stats = if use_seeds {
-                let seeds: Vec<(Symbol, usize)> =
-                    self.seeds.iter().map(|(&p, &m)| (p, m)).collect();
-                engine.run_incremental(&mut self.db, &seeds)?
-            } else {
+            let program = self.program().clone();
+            let engine = Engine::for_compiled(&program, &self.builtins);
+            let incremental = stage == 0 && !fresh;
+            let stats = if !incremental {
                 engine.run(&mut self.db)?
+            } else if grown.is_empty() {
+                // Repaired in place, or only a duplicate base copy:
+                // nothing to propagate.
+                EvalStats::default()
+            } else {
+                engine.run_delta(&mut self.db, &mut grown)?
             };
-            self.seeds.clear();
-            use_seeds = false;
             total.rounds += stats.rounds;
             total.derived += stats.derived;
             total.rule_evals += stats.rule_evals;
 
             // Code generation: install new rules derived into
             // active/rule, then run another stage (§3.3: "those new facts
-            // turn into a new rule which must itself be evaluated").
+            // turn into a new rule which must itself be evaluated"). An
+            // incremental run that grew neither table generated nothing.
+            if incremental
+                && !grown.contains_key(&self.meta.active)
+                && !grown.contains_key(&self.meta.rule)
+            {
+                break;
+            }
             let me_sym = Symbol::intern("me");
             let mut new_rules = Vec::new();
             for quote in generated_rules(&self.db, &self.meta) {
@@ -800,23 +883,18 @@ impl Workspace {
             if new_rules.is_empty() {
                 break;
             }
+            scoped = false;
+            self.program = OnceLock::new();
             for rule in new_rules {
                 check_rule(&rule, &self.builtins)?;
                 self.installed.insert(rule.content_id());
                 if !fresh {
-                    self.reflect_rule(&rule);
+                    reflect_installed(&rule, &self.meta, &mut self.db);
                 }
                 // A generated rule with negation/aggregation switches the
                 // remaining stages to from-scratch mode so its
                 // non-monotonic conclusions are sound.
-                if rule.agg.is_some()
-                    || rule
-                        .body
-                        .iter()
-                        .any(|i| matches!(i, BodyItem::Lit { negated: true, .. }))
-                {
-                    fresh = true;
-                }
+                fresh |= rule.is_non_monotonic();
                 self.generated.push(rule);
             }
         }
@@ -824,14 +902,39 @@ impl Workspace {
         // Constraint checking (schema constraints, meta-constraints, and
         // the fail() predicate).
         check_fail(&self.db)?;
-        let constraints: Vec<Constraint> =
-            self.constraints.iter().map(|(_, c)| c.clone()).collect();
-        check_constraints(&constraints, &self.db, &self.builtins)?;
+        let constraints = &self.constraints;
+        let checks = self.checks.get_or_insert_with(|| {
+            ConstraintSet::compile(constraints.iter().map(|(_, c)| c.clone()))
+        });
+        let scope = if scoped {
+            Scope::Delta {
+                grown: &grown,
+                removed: &self.removed,
+            }
+        } else {
+            Scope::Full
+        };
+        checks.check(&self.db, &self.builtins, scope)?;
         self.stats.rounds += total.rounds;
         self.stats.derived += total.derived;
         self.stats.rule_evals += total.rule_evals;
         Ok(total)
     }
+}
+
+/// Number of supporting copies of `pred(tuple)` in `base`.
+fn base_copies(base: &[(Symbol, Tuple)], pred: Symbol, tuple: &[Value]) -> usize {
+    base.iter()
+        .filter(|(p, t)| *p == pred && t == tuple)
+        .count()
+}
+
+/// Reflects an installed rule into the meta-model and the `active` table
+/// (§3.3), which both enables reflection-style rules like `pull0` and
+/// makes code generation idempotent.
+fn reflect_installed(rule: &Arc<Rule>, meta: &MetaPreds, db: &mut Database) {
+    reflect_into(rule, meta, db);
+    db.insert(meta.active, vec![Value::Quote(rule.clone())]);
 }
 
 /// Proves the ground fact written as `fact_src` (with `me` resolved to
@@ -1179,6 +1282,173 @@ mod tests {
         ws.retract_facts(&[(sym("p"), vals(&["a"]))]);
         ws.evaluate().unwrap();
         assert!(!ws.holds(sym("q"), &vals(&["a"])));
+    }
+
+    #[test]
+    fn duplicate_support_survives_a_failed_evaluation() {
+        // The second copy arrives while the workspace is settled and
+        // changes no tuple; the rollback baseline must learn of it all
+        // the same, or a later rollback drops it and retracting the
+        // other copy wrongly deletes the conclusion.
+        let mut ws = Workspace::new("w");
+        ws.load("p", "q(X) <- p(X).").unwrap();
+        ws.load("schema", "poison(X) -> never(X).").unwrap();
+        ws.assert_fact(sym("p"), vals(&["a"]));
+        ws.evaluate().unwrap();
+        ws.assert_fact(sym("p"), vals(&["a"]));
+        ws.evaluate().unwrap();
+        ws.assert_fact(sym("poison"), vals(&["x"]));
+        assert!(ws.evaluate().is_err());
+        ws.retract_facts(&[(sym("p"), vals(&["a"]))]);
+        ws.evaluate().unwrap();
+        assert!(ws.holds(sym("q"), &vals(&["a"])));
+        ws.retract_facts(&[(sym("p"), vals(&["a"]))]);
+        ws.evaluate().unwrap();
+        assert!(!ws.holds(sym("q"), &vals(&["a"])));
+    }
+
+    #[test]
+    fn retracted_copy_stays_retracted_across_a_rollback() {
+        // The mirror image: one of two copies is retracted while the
+        // workspace is settled (no tuple changes, nothing to repair); a
+        // later rollback must not bring the copy back.
+        let mut ws = Workspace::new("w");
+        ws.load("p", "q(X) <- p(X).").unwrap();
+        ws.load("schema", "poison(X) -> never(X).").unwrap();
+        ws.assert_fact(sym("p"), vals(&["a"]));
+        ws.assert_fact(sym("p"), vals(&["a"]));
+        ws.evaluate().unwrap();
+        let outcome = ws.retract_facts(&[(sym("p"), vals(&["a"]))]);
+        assert!(matches!(outcome, RetractOutcome::Noop));
+        ws.assert_fact(sym("poison"), vals(&["x"]));
+        assert!(ws.evaluate().is_err());
+        ws.retract_facts(&[(sym("p"), vals(&["a"]))]);
+        ws.evaluate().unwrap();
+        assert!(!ws.holds(sym("q"), &vals(&["a"])));
+    }
+
+    #[test]
+    fn assertion_pending_at_a_retraction_is_not_lost() {
+        // assert a, retract b, (assert c,) evaluate: a's consequences
+        // must hold, and the whole state must equal a workspace built
+        // from scratch. With the later assertion the old code evaluated
+        // incrementally from c's seed alone and never propagated a.
+        const TC: &str = "reach(X,Y) <- edge(X,Y). reach(X,Z) <- reach(X,Y), edge(Y,Z).";
+        let mut ws = Workspace::new("w");
+        ws.load("tc", TC).unwrap();
+        ws.assert_src("edge(a,b). edge(b,c).").unwrap();
+        ws.evaluate().unwrap();
+        ws.assert_src("edge(c,d).").unwrap();
+        ws.retract_facts(&[(sym("edge"), vals(&["a", "b"]))]);
+        ws.evaluate().unwrap();
+        assert!(ws.holds(sym("reach"), &vals(&["b", "d"])));
+        assert!(!ws.holds(sym("reach"), &vals(&["a", "b"])));
+        ws.assert_src("edge(d,e).").unwrap();
+        ws.retract_facts(&[(sym("edge"), vals(&["b", "c"]))]);
+        ws.assert_src("edge(e,f).").unwrap();
+        ws.evaluate().unwrap();
+        assert!(ws.holds(sym("reach"), &vals(&["c", "f"])));
+
+        let mut scratch = Workspace::new("w");
+        scratch.load("tc", TC).unwrap();
+        scratch
+            .assert_src("edge(c,d). edge(d,e). edge(e,f).")
+            .unwrap();
+        scratch.evaluate().unwrap();
+        let sorted = |w: &Workspace| {
+            let mut tuples = w.tuples(sym("reach"));
+            tuples.sort_by_key(|t| format!("{t:?}"));
+            tuples
+        };
+        assert_eq!(sorted(&ws), sorted(&scratch));
+    }
+
+    #[test]
+    fn settled_evaluate_runs_nothing_and_keeps_the_epoch() {
+        // Negation: before, every evaluate of such a program rebuilt and
+        // bumped the epoch, settled or not.
+        let mut ws = Workspace::new("w");
+        ws.load("p", "ok(X) <- candidate(X), !banned(X).").unwrap();
+        ws.assert_src("candidate(a).").unwrap();
+        assert!(ws.evaluate().unwrap().rule_evals > 0);
+        let epoch = ws.epoch();
+        let compactions = ws.compactions();
+        assert_eq!(ws.evaluate().unwrap(), EvalStats::default());
+        assert_eq!(ws.epoch(), epoch);
+        assert_eq!(ws.compactions(), compactions);
+        // A change un-settles it again.
+        ws.assert_src("banned(a).").unwrap();
+        assert!(ws.evaluate().unwrap().rule_evals > 0);
+        assert!(!ws.holds(sym("ok"), &vals(&["a"])));
+    }
+
+    #[test]
+    fn builtins_restore_and_transaction_rollback_unsettle() {
+        fn settle(ws: &mut Workspace) {
+            ws.evaluate().unwrap();
+            assert_eq!(ws.evaluate().unwrap(), EvalStats::default());
+        }
+        let mut ws = Workspace::new("w");
+        ws.load("p", "q(X) <- p(X), int(X).").unwrap();
+        ws.load("schema", "q(X) -> p(X).").unwrap();
+        ws.assert_fact(sym("p"), vec![Value::Int(1)]);
+        settle(&mut ws);
+
+        // Handing out the registry may change what `int` answers.
+        ws.builtins_mut();
+        assert!(ws.evaluate().unwrap().rule_evals > 0);
+        settle(&mut ws);
+
+        let snap = ws.snapshot();
+        ws.restore(snap);
+        // Nothing to propagate, but every constraint is checked again:
+        // tamper with the database behind the workspace's back and the
+        // restored state is caught.
+        ws.db.insert(sym("q"), vec![Value::Int(7)]);
+        assert!(matches!(ws.evaluate(), Err(WsError::Constraint(_))));
+        settle(&mut ws);
+
+        let failed: Result<(), WsError> =
+            ws.transaction(|_| Err(WsError::MetaDivergence { stages: 0 }));
+        assert!(failed.is_err());
+        ws.db.insert(sym("q"), vec![Value::Int(7)]);
+        assert!(matches!(ws.evaluate(), Err(WsError::Constraint(_))));
+    }
+
+    #[test]
+    fn delta_check_catches_what_a_repair_or_an_assertion_breaks() {
+        let mut ws = Workspace::new("w");
+        ws.load("p", "q(X) <- p(X).").unwrap();
+        ws.load("schema", "needs(X) -> q(X).").unwrap();
+        ws.assert_src("p(a). p(b). needs(a).").unwrap();
+        ws.evaluate().unwrap();
+        // Growth: a premise binding over a new tuple with no witness.
+        ws.assert_src("needs(c).").unwrap();
+        assert!(matches!(ws.evaluate(), Err(WsError::Constraint(_))));
+        // Shrinkage: a repair removes q(b), which nothing needs...
+        let outcome = ws.retract_facts(&[(sym("p"), vals(&["b"]))]);
+        assert!(matches!(outcome, RetractOutcome::Incremental(_)));
+        ws.evaluate().unwrap();
+        // ...then q(a), which needs(a) rested on.
+        let outcome = ws.retract_facts(&[(sym("p"), vals(&["a"]))]);
+        assert!(matches!(outcome, RetractOutcome::Incremental(_)));
+        assert!(matches!(ws.evaluate(), Err(WsError::Constraint(_))));
+    }
+
+    #[test]
+    fn rollback_undoes_a_tag_swap() {
+        let mut ws = Workspace::new("w");
+        ws.load("auth", "mode(rsa) <- on().").unwrap();
+        ws.load("schema", "poison(X) -> never(X).").unwrap();
+        ws.assert_src("on().").unwrap();
+        ws.evaluate().unwrap();
+        ws.replace_tag("auth", "mode(hmac) <- on().").unwrap();
+        ws.assert_src("poison(x).").unwrap();
+        assert!(ws.evaluate().is_err());
+        ws.evaluate().unwrap();
+        assert!(ws.holds(sym("mode"), &vals(&["rsa"])));
+        assert!(!ws.holds(sym("mode"), &vals(&["hmac"])));
+        assert_eq!(ws.active_rules().len(), 1);
     }
 
     #[test]

@@ -476,6 +476,17 @@ impl Rule {
             })
     }
 
+    /// Whether the rule aggregates or negates a body literal, so that
+    /// adding facts can retract its conclusions (incremental addition
+    /// and DRed are unsound over it).
+    pub fn is_non_monotonic(&self) -> bool {
+        self.agg.is_some()
+            || self
+                .body
+                .iter()
+                .any(|i| matches!(i, BodyItem::Lit { negated: true, .. }))
+    }
+
     /// Content-addressed identifier: a stable 64-bit FNV-1a hash of the
     /// canonical printed form. Used to deduplicate generated rules and as
     /// the `rule(R)` entity in the meta-model.

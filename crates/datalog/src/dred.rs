@@ -35,6 +35,9 @@ pub struct DredStats {
     pub eval: EvalStats,
 }
 
+/// The tuples a repair took out of each relation and did not put back.
+pub type Removed = HashMap<Symbol, Vec<Tuple>>;
+
 /// Retracts `retracted` base tuples from `db` and incrementally repairs
 /// every derived conclusion. `rules` must be free of negation and
 /// aggregation (callers check and fall back to full recomputation).
@@ -44,21 +47,25 @@ pub fn retract(
     builtins: &Builtins,
     retracted: &[(Symbol, Tuple)],
 ) -> Result<DredStats, EvalError> {
-    for rule in rules {
-        let nonmono = rule.agg.is_some()
-            || rule
-                .body
-                .iter()
-                .any(|i| matches!(i, BodyItem::Lit { negated: true, .. }));
-        if nonmono {
-            return Err(EvalError::TypeError {
-                message: format!(
-                    "DRed requires a positive program; rule uses negation/aggregation: {rule}"
-                ),
-            });
-        }
+    retract_with(&Engine::new(rules, builtins), db, retracted).map(|(stats, _)| stats)
+}
+
+/// [`retract`] over a prepared engine (a compiled rule set keeps its
+/// strata across repairs), also reporting what the repair removed so the
+/// caller can re-check only what could depend on it.
+pub fn retract_with(
+    engine: &Engine<'_>,
+    db: &mut Database,
+    retracted: &[(Symbol, Tuple)],
+) -> Result<(DredStats, Removed), EvalError> {
+    let rules = engine.rules();
+    if let Some(rule) = rules.iter().find(|r| r.is_non_monotonic()) {
+        return Err(EvalError::TypeError {
+            message: format!(
+                "DRed requires a positive program; rule uses negation/aggregation: {rule}"
+            ),
+        });
     }
-    let engine = Engine::new(rules, builtins);
 
     // Phase 1: over-delete.
     let mut doomed: HashMap<Symbol, HashSet<Tuple>> = HashMap::new();
@@ -84,7 +91,7 @@ pub fn retract(
                 // Consequences of this rule with body literal `idx`
                 // pinned to the doomed tuple (other literals evaluated
                 // against the pre-deletion database, per DRed).
-                for (head_pred, head_tuple) in eval_rule_pinned(&engine, rule, db, idx, &tuple)? {
+                for (head_pred, head_tuple) in eval_rule_pinned(engine, rule, db, idx, &tuple)? {
                     if db.contains(head_pred, &head_tuple)
                         && doomed
                             .entry(head_pred)
@@ -109,7 +116,7 @@ pub fn retract(
     let mut seeds: HashMap<Symbol, usize> = HashMap::new();
     for (pred, tuples) in &doomed {
         for tuple in tuples {
-            if rederivable(&engine, rules, db, *pred, tuple)? {
+            if rederivable(engine, rules, db, *pred, tuple)? {
                 let mark = db.count(*pred);
                 if db.insert(*pred, tuple.clone()) {
                     stats.rederived += 1;
@@ -123,7 +130,17 @@ pub fn retract(
         stats.eval = engine.run_incremental(db, &seed_vec)?;
         stats.rederived += stats.eval.derived;
     }
-    Ok(stats)
+    let mut removed = Removed::new();
+    for (pred, tuples) in doomed {
+        let gone: Vec<Tuple> = tuples
+            .into_iter()
+            .filter(|t| !db.contains(pred, t))
+            .collect();
+        if !gone.is_empty() {
+            removed.insert(pred, gone);
+        }
+    }
+    Ok((stats, removed))
 }
 
 /// Evaluates `rule` with body literal `idx` restricted to exactly
@@ -187,17 +204,9 @@ fn rederivable(
                 }
                 continue;
             }
-            for env in Bindings::new().match_tuple(head, tuple) {
-                let mut envs = vec![env];
-                for item in &rule.body {
-                    if envs.is_empty() {
-                        break;
-                    }
-                    envs = engine.eval_single_item(rule, item, envs, db)?;
-                }
-                if !envs.is_empty() {
-                    return Ok(true);
-                }
+            let heads = Bindings::new().match_tuple(head, tuple);
+            if !heads.is_empty() && !engine.eval_body(rule, db, heads, None)?.is_empty() {
+                return Ok(true);
             }
         }
     }

@@ -22,8 +22,10 @@ use crate::intern::Symbol;
 use crate::strata::{stratify, Strata, StratifyError};
 use crate::unify::Bindings;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Evaluation failure.
 #[derive(Clone, Debug)]
@@ -135,20 +137,87 @@ impl Default for EvalLimits {
     }
 }
 
+/// A rule set compiled once for repeated evaluation: the rules in one
+/// shared slice plus their stratification. The owner (a workspace)
+/// recompiles only when the rule set — or the builtin registry that
+/// decides which predicates have no extension — changes, and hands the
+/// same value to every engine, DRed repair, proof search and published
+/// snapshot in between.
+#[derive(Debug)]
+pub struct CompiledRules {
+    rules: Arc<[Rule]>,
+    /// Kept as a `Result` so an unstratifiable generated rule set still
+    /// compiles; the error surfaces from the first run that needs
+    /// strata, as it did when every run stratified for itself.
+    strata: Result<Strata, StratifyError>,
+    monotone: bool,
+}
+
+impl CompiledRules {
+    /// Compiles `rules` against `builtins`.
+    pub fn compile(rules: impl Into<Arc<[Rule]>>, builtins: &Builtins) -> CompiledRules {
+        let rules: Arc<[Rule]> = rules.into();
+        CompiledRules {
+            strata: stratify(&rules, &|p| builtins.contains(p)),
+            monotone: !rules.iter().any(Rule::is_non_monotonic),
+            rules,
+        }
+    }
+
+    /// The compiled rules; cloning the `Arc` shares them.
+    pub fn rules(&self) -> &Arc<[Rule]> {
+        &self.rules
+    }
+
+    /// Whether no rule negates or aggregates, so that adding facts can
+    /// only add conclusions (incremental addition and DRed are sound).
+    pub fn is_monotone(&self) -> bool {
+        self.monotone
+    }
+}
+
 /// The evaluation engine: rules + builtins, applied to a [`Database`].
 pub struct Engine<'a> {
     rules: &'a [Rule],
+    /// `None` for an ad-hoc rule slice, stratified by each run.
+    strata: Option<&'a Result<Strata, StratifyError>>,
     builtins: &'a Builtins,
     limits: EvalLimits,
 }
 
 impl<'a> Engine<'a> {
-    /// Creates an engine over `rules` with the given builtin registry.
+    /// Creates an engine over an ad-hoc rule slice; each run stratifies
+    /// it. Callers that evaluate one rule set repeatedly compile it once
+    /// and use [`Engine::for_compiled`].
     pub fn new(rules: &'a [Rule], builtins: &'a Builtins) -> Engine<'a> {
         Engine {
             rules,
+            strata: None,
             builtins,
             limits: EvalLimits::default(),
+        }
+    }
+
+    /// Creates an engine over a compiled rule set, reusing its strata.
+    pub fn for_compiled(compiled: &'a CompiledRules, builtins: &'a Builtins) -> Engine<'a> {
+        Engine {
+            rules: &compiled.rules,
+            strata: Some(&compiled.strata),
+            builtins,
+            limits: EvalLimits::default(),
+        }
+    }
+
+    /// The rules this engine evaluates.
+    pub fn rules(&self) -> &'a [Rule] {
+        self.rules
+    }
+
+    fn strata(&self) -> Result<Cow<'a, Strata>, EvalError> {
+        match self.strata {
+            Some(Ok(strata)) => Ok(Cow::Borrowed(strata)),
+            Some(Err(e)) => Err(e.clone().into()),
+            None => Ok(Cow::Owned(stratify(self.rules, &|p| self.is_builtin(p))?)),
         }
     }
 
@@ -164,7 +233,7 @@ impl<'a> Engine<'a> {
 
     /// Full evaluation to fixpoint with stratified semi-naive rounds.
     pub fn run(&self, db: &mut Database) -> Result<EvalStats, EvalError> {
-        let strata = stratify(self.rules, &|p| self.is_builtin(p))?;
+        let strata = self.strata()?;
         let mut stats = EvalStats::default();
         for stratum_rules in &strata.rules_by_stratum {
             self.run_stratum(db, &strata, stratum_rules, &mut stats, None)?;
@@ -182,16 +251,27 @@ impl<'a> Engine<'a> {
         db: &mut Database,
         seeds: &[(Symbol, usize)],
     ) -> Result<EvalStats, EvalError> {
-        let strata = stratify(self.rules, &|p| self.is_builtin(p))?;
+        self.run_delta(db, &mut seeds.iter().copied().collect())
+    }
+
+    /// [`Engine::run_incremental`] with the growth windows handed back:
+    /// `grown` maps a predicate to the position of its first new tuple —
+    /// on entry the caller's assertions, on return also every relation
+    /// the run derived into — so a caller can revisit exactly the
+    /// bindings that use a new tuple (see [`Engine::eval_body`]).
+    pub fn run_delta(
+        &self,
+        db: &mut Database,
+        grown: &mut HashMap<Symbol, usize>,
+    ) -> Result<EvalStats, EvalError> {
+        let strata = self.strata()?;
         let mut stats = EvalStats::default();
-        // Growth windows accumulated across strata: predicates asserted by
-        // the caller plus everything derived so far in this run, so later
-        // strata see earlier strata's growth as delta.
-        let mut global: HashMap<Symbol, usize> = seeds.iter().copied().collect();
+        // `grown` accumulates across strata, so later strata see earlier
+        // strata's growth as delta.
         for stratum_rules in &strata.rules_by_stratum {
-            let grown = self.run_stratum(db, &strata, stratum_rules, &mut stats, Some(&global))?;
-            for (pred, first_new) in grown {
-                let entry = global.entry(pred).or_insert(first_new);
+            let derived = self.run_stratum(db, &strata, stratum_rules, &mut stats, Some(grown))?;
+            for (pred, first_new) in derived {
+                let entry = grown.entry(pred).or_insert(first_new);
                 *entry = (*entry).min(first_new);
             }
         }
@@ -363,7 +443,7 @@ impl<'a> Engine<'a> {
                 rule: rule.to_string(),
             });
         }
-        let envs = self.eval_body(rule, db, window)?;
+        let envs = self.eval_body(rule, db, vec![Bindings::new()], window)?;
         let mut out = Vec::new();
         for env in &envs {
             self.instantiate_heads(rule, env, &mut out)?;
@@ -371,14 +451,18 @@ impl<'a> Engine<'a> {
         Ok(out)
     }
 
-    /// Evaluates the rule body, returning all satisfying environments.
-    fn eval_body(
+    /// Evaluates the body of `rule` left to right, returning every
+    /// extension of `envs` that satisfies it. With `window = (i, from)`,
+    /// body literal `i` only matches tuples at positions `>= from` — the
+    /// semi-naive delta window, which the constraint checker also uses to
+    /// visit just the premise bindings that rest on a new tuple.
+    pub fn eval_body(
         &self,
         rule: &Rule,
         db: &Database,
+        mut envs: Vec<Bindings>,
         window: Option<(usize, usize)>,
     ) -> Result<Vec<Bindings>, EvalError> {
-        let mut envs = vec![Bindings::new()];
         for (idx, item) in rule.body.iter().enumerate() {
             if envs.is_empty() {
                 return Ok(envs);
@@ -768,7 +852,7 @@ impl<'a> Engine<'a> {
         let pred = head.pred.name().ok_or_else(|| EvalError::PatternRule {
             rule: rule.to_string(),
         })?;
-        let envs = self.eval_body(rule, db, None)?;
+        let envs = self.eval_body(rule, db, vec![Bindings::new()], None)?;
 
         // Dedup on the full variable projection (bag semantics over
         // distinct derivations), then group.

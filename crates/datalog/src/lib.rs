@@ -52,7 +52,7 @@ pub mod value;
 pub use ast::{Atom, BodyItem, Constraint, Formula, Program, Rule, Term};
 pub use builtins::Builtins;
 pub use db::{Database, Relation, Tuple};
-pub use eval::{Engine, EvalError, EvalStats};
+pub use eval::{CompiledRules, Engine, EvalError, EvalStats};
 pub use intern::Symbol;
 pub use lexer::Span;
 pub use parser::{parse_atom, parse_program, parse_rule, ParseError};

@@ -19,6 +19,8 @@ pub mod reflect;
 pub mod schema;
 
 pub use codegen::generated_rules;
-pub use constraintcheck::{check_constraint, check_constraints, check_fail, CheckError, Violation};
+pub use constraintcheck::{
+    check_constraint, check_constraints, check_fail, CheckError, ConstraintSet, Scope, Violation,
+};
 pub use reflect::{reflect_into, reflect_rule};
 pub use schema::{meta_model_schema, MetaPreds, META_MODEL_SCHEMA};
