@@ -17,7 +17,7 @@
 
 use crate::ast::{AggFunc, Atom, BodyItem, CmpOp, Expr, PredRef, Rule, Term};
 use crate::builtins::{BuiltinError, Builtins};
-use crate::db::{Database, Tuple};
+use crate::db::{Database, ProbeKey, Relation, Tuple};
 use crate::intern::Symbol;
 use crate::strata::{stratify, Strata, StratifyError};
 use crate::unify::Bindings;
@@ -25,6 +25,7 @@ use crate::value::Value;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Evaluation failure.
@@ -511,8 +512,10 @@ impl<'a> Engine<'a> {
                     Ok(out)
                 } else {
                     let mut out = Vec::new();
-                    for env in &envs {
-                        self.probe(atom, pred, env, db, delta_from, &mut out);
+                    if let Some(rel) = db.relation(pred) {
+                        for env in &envs {
+                            probe(rel, atom, env, delta_from.unwrap_or(0), &mut out);
+                        }
                     }
                     Ok(out)
                 }
@@ -543,47 +546,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Index-assisted scan of `pred` for tuples matching `atom` under
-    /// `env`.
-    fn probe(
-        &self,
-        atom: &Atom,
-        pred: Symbol,
-        env: &Bindings,
-        db: &Database,
-        delta_from: Option<usize>,
-        out: &mut Vec<Bindings>,
-    ) {
-        let Some(rel) = db.relation(pred) else {
-            return;
-        };
-        // Determine which argument positions resolve to ground values now
-        // — those become the index key.
-        let mut cols = Vec::new();
-        let mut key = Vec::new();
-        for (i, term) in atom.all_args().enumerate() {
-            // Quote terms are excluded from the key: even when they
-            // resolve, they typically act as patterns whose match binds
-            // meta-variables, and pattern-resolution (`resolve`) would
-            // commit to one instantiation prematurely.
-            if matches!(term, Term::Quote(_)) {
-                continue;
-            }
-            if let Some(v) = env.resolve(term) {
-                cols.push(i);
-                key.push(v);
-            }
-        }
-        let positions = rel.select(&cols, &key);
-        let min = delta_from.unwrap_or(0);
-        for pos in positions {
-            if pos < min {
-                continue;
-            }
-            out.extend(env.match_tuple(atom, rel.get(pos)));
-        }
-    }
-
     fn negation_holds(
         &self,
         rule: &Rule,
@@ -603,17 +565,11 @@ impl<'a> Engine<'a> {
                 });
             }
         }
-        let Some(rel) = db.relation(pred) else {
-            return Ok(true);
-        };
-        // Fast path: fully ground.
-        let ground: Option<Vec<Value>> = atom.all_args().map(|t| env.resolve(t)).collect();
-        if let Some(tuple) = ground {
-            return Ok(!rel.contains(&tuple));
-        }
-        // General path (quote patterns in the negated atom): no tuple may
-        // match.
-        Ok(!rel.iter().any(|t| !env.match_tuple(atom, t).is_empty()))
+        // The literal holds when the positive literal would find nothing:
+        // same probe, same matcher.
+        Ok(!db
+            .relation(pred)
+            .is_some_and(|rel| matches_any(rel, atom, env)))
     }
 
     fn eval_builtin(
@@ -954,6 +910,47 @@ enum GroupSlot {
     Val(Value),
 }
 
+/// The index key of `atom` under `env`: every argument that is closed
+/// ([`Bindings::hash_closed`]) — a value, a variable bound to one, or a
+/// quote pattern with nothing left open.
+fn probe_key(atom: &Atom, env: &Bindings) -> ProbeKey {
+    let mut key = ProbeKey::new(atom.arity());
+    for (col, term) in atom.all_args().enumerate() {
+        key.bind_if(col, |state| env.hash_closed(term, state));
+    }
+    key
+}
+
+/// Appends to `out`, in insertion order, every extension of `env` under
+/// which `atom` matches a tuple of `rel` at position `from` or later.
+/// With [`matches_any`], the one way a literal — positive or negated,
+/// bottom-up or top-down — meets a relation: the index narrows the
+/// candidates, `match_tuple` decides.
+pub(crate) fn probe(
+    rel: &Relation,
+    atom: &Atom,
+    env: &Bindings,
+    from: usize,
+    out: &mut Vec<Bindings>,
+) {
+    let _ = rel.probe(&probe_key(atom, env), from, |tuple| {
+        out.extend(env.match_tuple(atom, tuple));
+        ControlFlow::Continue(())
+    });
+}
+
+/// Whether [`probe`] would find anything: what a negated literal asks.
+pub(crate) fn matches_any(rel: &Relation, atom: &Atom, env: &Bindings) -> bool {
+    rel.probe(&probe_key(atom, env), 0, |tuple| {
+        if env.match_tuple(atom, tuple).is_empty() {
+            ControlFlow::Continue(())
+        } else {
+            ControlFlow::Break(())
+        }
+    })
+    .is_break()
+}
+
 /// Naive evaluation: every rule re-evaluated in full each round until no
 /// new tuples appear. Kept as the baseline for the semi-naive ablation
 /// (experiment A1 in DESIGN.md).
@@ -1275,5 +1272,116 @@ mod tests {
         assert!(stats.derived >= 5); // 2 edges + 3 reach
         assert!(stats.rounds >= 2);
         assert!(stats.rule_evals > 0);
+    }
+
+    #[test]
+    fn a_literal_and_its_negation_never_both_hold() {
+        // The matcher compares key and ordinary arguments as one flat
+        // list, so the stored quote matches the pattern although the two
+        // rules are not `==`. Negation once asked `==` instead and derived
+        // `no()` beside `yes()`.
+        let db = eval(
+            "q([| p[a](b). |]). t().
+             yes() <- t(), q([| p(a,b). |]).
+             no() <- t(), !q([| p(a,b). |]).",
+        );
+        assert_eq!(db.count(Symbol::intern("yes")), 1);
+        assert_eq!(db.count(Symbol::intern("no")), 0);
+        // And with the pattern closed only by the environment.
+        let db = eval(
+            "q([| p[a](b). |]). arg(a,b). arg(b,a).
+             yes(X,Y) <- arg(X,Y), q([| p(X,Y). |]).
+             no(X,Y) <- arg(X,Y), !q([| p(X,Y). |]).",
+        );
+        assert_eq!(tuples(&db, "yes"), vec!["a,b"]);
+        assert_eq!(tuples(&db, "no"), vec!["b,a"]);
+    }
+
+    /// `says(hub,me,[| good(s_i). |])` for `i < n`, in `rel`.
+    fn says_good(rel: &mut Relation, n: usize) {
+        for i in 0..n {
+            let fact = parse_program(&format!("says(hub,me,[| good(s{i}). |])."))
+                .unwrap()
+                .rules
+                .remove(0);
+            let tuple = fact.heads[0]
+                .all_args()
+                .map(|t| Bindings::new().resolve(t).expect("ground"))
+                .collect();
+            assert!(rel.insert(tuple));
+        }
+    }
+
+    /// How many tuples of `rel` a probe for `atom` under `env` is shown.
+    fn shown(rel: &Relation, atom: &Atom, env: &Bindings, from: usize) -> usize {
+        let mut n = 0;
+        let _ = rel.probe(&probe_key(atom, env), from, |_| {
+            n += 1;
+            ControlFlow::Continue(())
+        });
+        n
+    }
+
+    #[test]
+    fn a_probe_costs_what_it_matches() {
+        let body = |src: &str| {
+            let rule = parse_program(&format!("h() <- {src}."))
+                .unwrap()
+                .rules
+                .remove(0);
+            rule.body[0].atom().unwrap().clone()
+        };
+        let closed = body("says(hub,me,[| good(P). |])");
+        let by_sender = body("says(hub,me,R)");
+        let open = body("says(hub,me,[| G(P). |])");
+        let mut p5 = Bindings::new();
+        p5.bind_value(Symbol::intern("P"), Value::sym("s5"));
+        for n in [16, 4096] {
+            let mut rel = Relation::new();
+            says_good(&mut rel, n);
+            // A closed quote pattern is a key: one tuple, whatever n is.
+            assert_eq!(shown(&rel, &closed, &p5, 0), 1);
+            assert_eq!(
+                shown(&rel, &body("says(hub,me,[| good(s5). |])"), &p5, 0),
+                1
+            );
+            // An open one is not: the bucket of says(hub,me,_) is all n...
+            assert_eq!(shown(&rel, &closed, &Bindings::new(), 0), n);
+            assert_eq!(shown(&rel, &open, &p5, 0), n);
+            assert_eq!(shown(&rel, &by_sender, &p5, 0), n);
+            // ...of which a one-tuple delta window is one.
+            assert_eq!(shown(&rel, &by_sender, &p5, n - 1), 1);
+            assert_eq!(shown(&rel, &closed, &p5, 6), 0);
+            let mut found = Vec::new();
+            probe(&rel, &closed, &p5, 0, &mut found);
+            assert_eq!(found, [p5.clone()]);
+            assert!(matches_any(&rel, &closed, &p5));
+        }
+    }
+
+    #[test]
+    fn probe_answers_survive_colliding_hashes() {
+        let mut colliding = Relation::with_colliding_hashes();
+        let mut plain = Relation::new();
+        says_good(&mut colliding, 64);
+        says_good(&mut plain, 64);
+        let rule = parse_program("h(P) <- says(hub,me,[| good(P). |]).")
+            .unwrap()
+            .rules
+            .remove(0);
+        let atom = rule.body[0].atom().unwrap();
+        let matches = |rel: &Relation, env: &Bindings, from: usize| {
+            let mut out = Vec::new();
+            probe(rel, atom, env, from, &mut out);
+            out
+        };
+        let mut p9 = Bindings::new();
+        p9.bind_value(Symbol::intern("P"), Value::sym("s9"));
+        assert!(shown(&colliding, atom, &p9, 0) > 1, "the hashes do collide");
+        for env in [Bindings::new(), p9] {
+            for from in [0, 9, 10, 64] {
+                assert_eq!(matches(&colliding, &env, from), matches(&plain, &env, from));
+            }
+        }
     }
 }

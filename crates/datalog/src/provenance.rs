@@ -118,6 +118,7 @@ pub fn explain(
         rules,
         db,
         builtins,
+        engine: Engine::new(rules, builtins),
         memo: HashMap::new(),
         in_progress: HashSet::new(),
     };
@@ -128,6 +129,8 @@ struct Explainer<'a> {
     rules: &'a [Rule],
     db: &'a Database,
     builtins: &'a Builtins,
+    /// Evaluates body items; one per `explain` call, not per proof node.
+    engine: Engine<'a>,
     memo: HashMap<(Symbol, Tuple), Proof>,
     in_progress: HashSet<(Symbol, Tuple)>,
 }
@@ -160,7 +163,6 @@ impl<'a> Explainer<'a> {
     /// Finds some rule instance concluding `pred(tuple)` whose premises
     /// hold in the database.
     fn find_rule_instance(&mut self, pred: Symbol, tuple: &[Value]) -> Option<Proof> {
-        let engine = Engine::new(self.rules, self.builtins);
         for rule in self.rules {
             if rule.is_pattern() || rule.agg.is_some() {
                 continue;
@@ -184,7 +186,8 @@ impl<'a> Explainer<'a> {
                         if envs.is_empty() {
                             break;
                         }
-                        envs = engine
+                        envs = self
+                            .engine
                             .eval_single_item(rule, item, envs, self.db)
                             .unwrap_or_default();
                     }

@@ -15,13 +15,14 @@
 
 use crate::ast::{Atom, BodyItem, PredRef, Rule};
 use crate::builtins::Builtins;
-use crate::db::{Database, Tuple};
-use crate::eval::{Engine, EvalError};
+use crate::db::{Database, ProbeKey, Tuple};
+use crate::eval::{matches_any, probe, Engine, EvalError};
 use crate::intern::Symbol;
 use crate::unify::Bindings;
 use crate::value::Value;
 
 use std::collections::{HashMap, HashSet};
+use std::ops::ControlFlow;
 
 /// A memo-table key: the predicate plus its bound-argument pattern.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -117,11 +118,18 @@ impl<'a> Solver<'a> {
         // EDB answers.
         let mut found: Vec<Tuple> = Vec::new();
         if let Some(rel) = self.db.relation(key.pred) {
-            for tuple in rel.iter() {
+            let mut bound = ProbeKey::new(key.pattern.len());
+            for (col, slot) in key.pattern.iter().enumerate() {
+                if let Some(value) = slot {
+                    bound.bind(col, value);
+                }
+            }
+            let _ = rel.probe(&bound, 0, |tuple| {
                 if pattern_matches(&key.pattern, tuple) {
                     found.push(tuple.clone());
                 }
-            }
+                ControlFlow::Continue(())
+            });
         }
         // Rule answers.
         let matching: Vec<&Rule> = self
@@ -230,13 +238,11 @@ impl<'a> Solver<'a> {
                         }
                         envs = next;
                     } else {
-                        // Pure EDB scan.
+                        // Pure EDB.
                         let mut next = Vec::new();
                         if let Some(rel) = self.db.relation(pred) {
                             for env in &envs {
-                                for tuple in rel.iter() {
-                                    next.extend(env.match_tuple(atom, tuple));
-                                }
+                                probe(rel, atom, env, 0, &mut next);
                             }
                         }
                         envs = next;
@@ -256,13 +262,10 @@ impl<'a> Solver<'a> {
                             ),
                         });
                     }
+                    let rel = self.db.relation(pred);
                     envs.retain(|env| {
-                        let ground: Option<Tuple> =
-                            atom.all_args().map(|t| env.resolve(t)).collect();
-                        match ground {
-                            Some(t) => !self.db.contains(pred, &t),
-                            None => false,
-                        }
+                        atom.all_args().all(|t| env.resolve(t).is_some())
+                            && !rel.is_some_and(|rel| matches_any(rel, atom, env))
                     });
                 }
                 BodyItem::Cmp { .. } => {

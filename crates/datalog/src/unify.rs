@@ -25,6 +25,7 @@ use crate::ast::{Atom, BodyItem, Expr, PredRef, Rule, Term};
 use crate::intern::Symbol;
 use crate::value::Value;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// What a variable can be bound to.
@@ -145,6 +146,34 @@ impl Bindings {
                 }
             }
         }
+    }
+
+    // ---- probe keys --------------------------------------------------------
+
+    /// Whether `term` is *closed* under these bindings — stands for
+    /// exactly one ground value as far as matching is concerned — and, if
+    /// so, feeds that value's hash to `state`, so the argument can join
+    /// an index key ([`crate::db::ProbeKey`]). On `false`, `state` holds
+    /// garbage.
+    ///
+    /// Closed are: a value; a variable bound to a value (not to code); and
+    /// a quote pattern all of whose variables are bound to values and that
+    /// has no `T*` sequence, `A*` rest, functor variable or aggregate,
+    /// nested quotes included. Everything else — an unbound variable, a
+    /// variable bound to code, any open quote pattern — can match many
+    /// stored values and must be found by scanning.
+    ///
+    /// The hash is taken in the matcher's view, not `derive(Hash)`'s:
+    /// [`Bindings::match_rule`] compares an atom's `all_args()` flat, so
+    /// `[| p(a,b) |]` matches a stored `[| p[a](b) |]` although the two
+    /// `Rule`s are not `==`; and it treats the code terms `Term::Quote(r)`
+    /// and `Term::Val(Value::Quote(r))` alike. Argument lists are
+    /// therefore hashed as one flat list and both quote forms the same
+    /// way, which makes the hash of a closed term equal the
+    /// [`hash_value`] of every value it matches (and of some it does not:
+    /// a key may over-approximate, so candidates are always re-matched).
+    pub(crate) fn hash_closed<H: Hasher>(&self, term: &Term, state: &mut H) -> bool {
+        hash_term(term, Some(self), state)
     }
 
     // ---- object-level matching -------------------------------------------
@@ -514,6 +543,101 @@ impl Bindings {
     }
 }
 
+/// Feeds the hash of a stored value to `state`, in the matcher's view
+/// (see [`Bindings::hash_closed`]): values the matcher can tell apart only
+/// by key/ordinary argument split or by quote form hash alike.
+pub(crate) fn hash_value<H: Hasher>(value: &Value, state: &mut H) {
+    match value {
+        Value::Quote(rule) => {
+            hash_quote(rule, None, state);
+        }
+        other => other.hash(state),
+    }
+}
+
+// One traversal serves both sides of a probe. With `env`, the term is a
+// pattern: variables hash as the values they are bound to and anything
+// not closed returns `false`. Without, it is stored code: every construct
+// hashes as itself and the result is always `true`.
+
+fn hash_term<H: Hasher>(term: &Term, env: Option<&Bindings>, state: &mut H) -> bool {
+    match (term, env) {
+        (Term::Val(value), _) => {
+            hash_value(value, state);
+            true
+        }
+        (Term::Quote(rule), _) => hash_quote(rule, env, state),
+        (Term::Var(var), Some(env)) => match env.value(*var) {
+            Some(value) => {
+                hash_value(value, state);
+                true
+            }
+            None => false,
+        },
+        (Term::SeqVar(_), Some(_)) => false,
+        (Term::Var(var), None) => {
+            state.write_u8(0xfd);
+            var.hash(state);
+            true
+        }
+        (Term::SeqVar(var), None) => {
+            state.write_u8(0xfc);
+            var.hash(state);
+            true
+        }
+    }
+}
+
+fn hash_quote<H: Hasher>(rule: &Rule, env: Option<&Bindings>, state: &mut H) -> bool {
+    if env.is_some() && rule.agg.is_some() {
+        return false;
+    }
+    state.write_u8(0xfe);
+    rule.agg.hash(state);
+    state.write_usize(rule.heads.len());
+    state.write_usize(rule.body.len());
+    rule.heads.iter().all(|head| hash_atom(head, env, state))
+        && rule.body.iter().all(|item| match item {
+            BodyItem::Lit { negated, atom } => {
+                state.write_u8(u8::from(*negated));
+                hash_atom(atom, env, state)
+            }
+            BodyItem::Cmp { op, lhs, rhs } => {
+                state.write_u8(2);
+                op.hash(state);
+                hash_expr(lhs, env, state) && hash_expr(rhs, env, state)
+            }
+            BodyItem::Rest(var) => {
+                state.write_u8(3);
+                var.hash(state);
+                env.is_none()
+            }
+        })
+}
+
+fn hash_atom<H: Hasher>(atom: &Atom, env: Option<&Bindings>, state: &mut H) -> bool {
+    if env.is_some() && matches!(atom.pred, PredRef::Var(_)) {
+        return false;
+    }
+    atom.pred.hash(state);
+    state.write_usize(atom.arity());
+    atom.all_args().all(|term| hash_term(term, env, state))
+}
+
+fn hash_expr<H: Hasher>(expr: &Expr, env: Option<&Bindings>, state: &mut H) -> bool {
+    match expr {
+        Expr::Term(term) => {
+            state.write_u8(0);
+            hash_term(term, env, state)
+        }
+        Expr::BinOp(op, lhs, rhs) => {
+            state.write_u8(1);
+            op.hash(state);
+            hash_expr(lhs, env, state) && hash_expr(rhs, env, state)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -700,5 +824,122 @@ mod tests {
             .map(|e| e.instantiate_atom(&pattern.heads[0]).to_string())
             .collect();
         assert!(rebuilt.iter().all(|s| s == "p(a)"), "{rebuilt:?}");
+    }
+
+    fn closed_hash(env: &Bindings, term: &Term) -> Option<u64> {
+        let mut state = std::collections::hash_map::DefaultHasher::new();
+        env.hash_closed(term, &mut state).then(|| state.finish())
+    }
+
+    fn value_hash(value: &Value) -> u64 {
+        let mut state = std::collections::hash_map::DefaultHasher::new();
+        hash_value(value, &mut state);
+        state.finish()
+    }
+
+    fn env(pairs: &[(&str, Value)]) -> Bindings {
+        let mut b = Bindings::new();
+        for (var, value) in pairs {
+            assert!(b.bind_value(Symbol::intern(var), value.clone()));
+        }
+        b
+    }
+
+    #[test]
+    fn closed_terms_hash_like_every_value_they_match() {
+        let none = Bindings::new();
+        let keyed = Value::Quote(quote_of("p[a](b)."));
+        let flat = Value::Quote(quote_of("p(a,b)."));
+        // Not `==`, yet each matches the other as a pattern: one hash.
+        assert_ne!(keyed, flat);
+        assert_eq!(value_hash(&keyed), value_hash(&flat));
+        let ab = env(&[("X", Value::sym("a")), ("Y", Value::sym("b"))]);
+        for (bindings, pattern) in [
+            (&none, "p(a,b)."),
+            (&none, "p[a](b)."),
+            (&ab, "p(X,Y)."),
+            (&ab, "p[X](Y)."),
+            (&ab, "p(X,b)."),
+        ] {
+            let term = Term::Quote(quote_of(pattern));
+            assert!(!bindings.match_value(&term, &keyed).is_empty(), "{pattern}");
+            assert_eq!(
+                closed_hash(bindings, &term),
+                Some(value_hash(&keyed)),
+                "{pattern}"
+            );
+        }
+        assert_ne!(
+            value_hash(&flat),
+            value_hash(&Value::Quote(quote_of("p(b,a).")))
+        );
+        // Values, and variables bound to them — quotes included.
+        let r = env(&[("R", keyed.clone())]);
+        assert_eq!(
+            closed_hash(&none, &Term::sym("a")),
+            Some(value_hash(&Value::sym("a")))
+        );
+        assert_eq!(closed_hash(&r, &Term::var("R")), Some(value_hash(&keyed)));
+        assert_eq!(
+            closed_hash(&none, &Term::Val(flat)),
+            Some(value_hash(&keyed))
+        );
+        // Bodies, comparisons, negation.
+        for rule in ["p(a) <- q(a), r(b).", "p(a) <- !q(a), a != b."] {
+            let value = Value::Quote(quote_of(rule));
+            let pattern = Term::Quote(quote_of(&rule.replace('a', "X")));
+            let xa = env(&[("X", Value::sym("a"))]);
+            assert!(!xa.match_value(&pattern, &value).is_empty(), "{rule}");
+            assert_eq!(closed_hash(&xa, &pattern), Some(value_hash(&value)));
+        }
+    }
+
+    #[test]
+    fn nested_quotes_hash_alike_in_both_code_forms() {
+        // Parsed code nests a quote as `Term::Quote`; instantiated code as
+        // `Term::Val(Value::Quote(..))`. A pattern matches both.
+        let pattern = quote_of("p(a,[| q(X,R). |]).");
+        let bound = env(&[
+            ("X", Value::sym("b")),
+            ("R", Value::Quote(quote_of("r(c)."))),
+        ]);
+        let parsed = Value::Quote(quote_of("p(a,[| q[b]([| r(c). |]). |])."));
+        let instantiated = bound.resolve(&Term::Quote(pattern.clone())).unwrap();
+        let term = Term::Quote(pattern);
+        for value in [&parsed, &instantiated] {
+            assert!(!bound.match_value(&term, value).is_empty(), "{value}");
+            assert_eq!(closed_hash(&bound, &term), Some(value_hash(value)));
+        }
+    }
+
+    #[test]
+    fn open_terms_are_not_keys() {
+        let x = env(&[("X", Value::sym("a"))]);
+        for open in [
+            "p(X,Y).",               // Y unbound
+            "p(X,T*).",              // argument sequence
+            "p(X) <- A*.",           // body rest
+            "P(X).",                 // functor variable
+            "A <- q(X).",            // whole-atom variable
+            "p(X) <- q(X), X != Y.", // unbound in a comparison
+            "p(X,[| q(Y). |]).",     // unbound in a nested quote
+        ] {
+            let term = Term::Quote(quote_of(open));
+            assert_eq!(closed_hash(&x, &term), None, "{open}");
+        }
+        // An aggregate only parses outside a quote.
+        let agg = parse_rule("c(a,N) <- agg<<N = count(U)>> q(U).").unwrap();
+        let nu = env(&[("N", Value::Int(1)), ("U", Value::sym("a"))]);
+        assert_eq!(closed_hash(&nu, &Term::Quote(Arc::new(agg))), None);
+        assert_eq!(closed_hash(&x, &Term::var("Y")), None);
+        assert_eq!(closed_hash(&x, &Term::SeqVar(Symbol::intern("T"))), None);
+        // Bound, but to code: it matches a code variable, not a value.
+        let mut code = Bindings::new();
+        code.insert(Symbol::intern("X"), Binding::CodeTerm(Term::var("V")));
+        let pattern = Term::Quote(quote_of("p(X)."));
+        let stored = Value::Quote(quote_of("p(V)."));
+        assert!(!code.match_value(&pattern, &stored).is_empty());
+        assert_eq!(closed_hash(&code, &pattern), None);
+        assert_eq!(closed_hash(&code, &Term::var("X")), None);
     }
 }
