@@ -10,9 +10,14 @@
 //! each reader count (and their 4-vs-1 ratio, a number with no bar: the
 //! hosts this runs on have never had a core per reader), the serial
 //! `System::authorize` baseline, the decision-cache hit rate under the
-//! revocation stream, and what an uncached decision costs at 256 and at
+//! revocation stream, what an uncached decision costs at 256 and at
 //! 2 048 certificates — asserted flat, because a proof probes an index
-//! with the goal's closed quote pattern instead of scanning the store.
+//! with the goal's closed quote pattern instead of scanning the store —
+//! and what the publish after one revocation costs at the same two sizes
+//! — asserted flat too, because a snapshot shares the writer's storage
+//! instead of cloning it (the publish after one *import* is recorded
+//! beside it without a bar: it still re-extracts the audit trail's
+//! introducer map, which is linear in the imports).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lbtrust::certstore::CertDigest;
@@ -210,6 +215,38 @@ fn miss_us(certs: usize) -> f64 {
     (0..48).map(|_| chunk()).fold(f64::INFINITY, f64::min)
 }
 
+/// Microseconds the publish at the end of a quiescence takes after one
+/// certificate changed at a receiver holding `certs` of them: one
+/// revocation per round, or one fresh import. Read from the system's own
+/// `snapshot.publish_ns`; the fastest of the rounds, as for [`miss_us`].
+/// A reader handle is open and asks once per round, as in every
+/// deployment with a read path: it, not the publishing writer, is then
+/// the last holder of the superseded generation and frees what that
+/// alone held.
+fn publish_us(certs: usize, import: bool) -> f64 {
+    let (mut sys, hub, recs, digests) = deployment(1, certs);
+    let reader = sys.authz_reader();
+    let published_ns = |sys: &System| {
+        let snap = sys.obs_registry().snapshot();
+        snap.histogram("snapshot.publish_ns").map_or(0, |h| h.sum)
+    };
+    let mut round = |i: usize| {
+        if import {
+            let fact = format!("good(z{i}).");
+            let cert = sys.issue_certificate(hub, &fact, &[], None).unwrap();
+            sys.import_certificates(recs[0], vec![cert]).unwrap();
+        } else {
+            sys.revoke_certificate(hub, digests[i]).unwrap();
+        }
+        let before = published_ns(&sys);
+        sys.run_to_quiescence(16).unwrap();
+        let spent = published_ns(&sys) - before;
+        reader.authorize(recs[0], "access(p0,f,read)").unwrap();
+        spent as f64 / 1e3
+    };
+    (0..48).map(&mut round).fold(f64::INFINITY, f64::min)
+}
+
 fn authz_read_path(_c: &mut Criterion) {
     // The sweep is self-timed (threads + a duration window don't fit
     // the shim's iteration loop); `--test` shrinks the window so CI's
@@ -257,6 +294,23 @@ fn authz_read_path(_c: &mut Criterion) {
          certificates, {miss_2048:.1} us at 2048 ({miss_ratio:.2}x)"
     );
 
+    // Publish cost vs store size: what one revoked certificate makes the
+    // next publish cost must not follow the store either (it cloned the
+    // receiver's database, ground-head index and introducer map).
+    let [publish_256, publish_2048] = MISS_STORES.map(|certs| publish_us(certs, false));
+    let publish_ratio = publish_2048 / publish_256.max(1e-9);
+    let [import_256, import_2048] = MISS_STORES.map(|certs| publish_us(certs, true));
+    persist_line(&format!(
+        "authz-read publish after one revocation {publish_256:.1} us at 256 certs, \
+         {publish_2048:.1} us at 2048 ({publish_ratio:.2}x); after one import \
+         {import_256:.1} / {import_2048:.1} us"
+    ));
+    assert!(
+        publish_ratio < 3.0,
+        "a publish after one revocation must not grow with the store: {publish_256:.1} us \
+         at 256 certificates, {publish_2048:.1} us at 2048 ({publish_ratio:.2}x)"
+    );
+
     let mut report = Report::new("authz")
         .headline("qps_serial", qps_serial)
         .headline("scaling_4v1", scaling_4)
@@ -264,6 +318,11 @@ fn authz_read_path(_c: &mut Criterion) {
         .headline("miss_us_256", miss_256)
         .headline("miss_us_2048", miss_2048)
         .headline("miss_ratio_2048v256", miss_ratio)
+        .headline("publish_us_256", publish_256)
+        .headline("publish_us_2048", publish_2048)
+        .headline("publish_ratio_2048v256", publish_ratio)
+        .headline("publish_import_us_256", import_256)
+        .headline("publish_import_us_2048", import_2048)
         .note(
             "workload",
             &format!(

@@ -104,6 +104,8 @@ pub struct AuditLog {
     /// which sits on the authorization hot path — O(matches) instead
     /// of a full-trail scan.
     intro: HashMap<String, Vec<usize>>,
+    /// Entries filed in `intro`.
+    indexed: usize,
 }
 
 impl AuditLog {
@@ -119,6 +121,7 @@ impl AuditLog {
         let mut log = AuditLog {
             entries,
             intro: HashMap::new(),
+            indexed: 0,
         };
         for i in 0..log.entries.len() {
             log.index_entry(i);
@@ -133,6 +136,7 @@ impl AuditLog {
         if e.action == AuditAction::Imported {
             if let Some(rule) = &e.rule {
                 self.intro.entry(rule.to_string()).or_default().push(i);
+                self.indexed += 1;
             }
         }
     }
@@ -196,6 +200,8 @@ impl AuditLog {
     /// is the snapshot-extraction form of [`AuditLog::introducers`]:
     /// one pass here captures every says-premise citation a concurrent
     /// reader may need, without borrowing the trail.
+    /// Costs the whole map; [`AuditLog::introducers_len`] says whether an
+    /// earlier extraction is still current.
     pub fn introducer_digests(&self) -> HashMap<String, Vec<CertDigest>> {
         self.intro
             .iter()
@@ -206,6 +212,12 @@ impl AuditLog {
                 )
             })
             .collect()
+    }
+
+    /// How many entries the introducer map indexes. The trail is
+    /// append-only, so two reads that agree on this saw the same map.
+    pub fn introducers_len(&self) -> usize {
+        self.indexed
     }
 
     /// The latest action recorded for a digest (e.g. `Revoked` after a

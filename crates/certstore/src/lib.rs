@@ -69,8 +69,8 @@ pub use digest::CertDigest;
 pub use lru::{EvictionPolicy, LruMap};
 pub use revocation::Revocation;
 pub use store::{
-    CertStatus, CertStore, CertStoreError, ImportOutcome, MaintenanceReport, ReplayReport,
-    RetractReason, RetractionEvent, RevokeOutcome, StoreStats,
+    CertStatus, CertStore, CertStoreError, GroundHeads, ImportOutcome, MaintenanceReport,
+    ReplayReport, RetractReason, RetractionEvent, RevokeOutcome, StoreStats,
 };
 pub use verify::{
     shared_verify_cache, shared_verify_cache_with_capacity, SharedVerifyCache, SignatureVerifier,

@@ -29,6 +29,10 @@ use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
 
+/// The ground-head index ([`CertStore::ground_heads`]): predicate → ground
+/// head tuple → digests of the live bodyless certificates asserting it.
+pub type GroundHeads = HashMap<Symbol, HashMap<Tuple, Vec<CertDigest>>>;
+
 /// Lifecycle state of a stored certificate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CertStatus {
@@ -351,8 +355,10 @@ pub struct CertStore {
     /// predicate → ground head tuple → digests of the live bodyless
     /// certificates asserting that fact. Kept incrementally at
     /// import/revoke/expiry/link-break so authorization citation never
-    /// rebuilds it per query.
-    ground_heads: HashMap<Symbol, HashMap<Tuple, Vec<CertDigest>>>,
+    /// rebuilds it per query, and behind an `Arc` so a published
+    /// snapshot shares it: the map is copied when a certificate is filed
+    /// or unfiled while a snapshot still holds it, not per publish.
+    ground_heads: Arc<GroundHeads>,
     /// Monotone active-set version: bumped on every mutation of the
     /// live certificate set (import, revocation death, expiry, link
     /// break, checkpoint restore) and *not* on inert bookkeeping
@@ -518,7 +524,7 @@ impl CertStore {
             expiry: BinaryHeap::new(),
             active_cache: Vec::new(),
             active_dirty: false,
-            ground_heads: HashMap::new(),
+            ground_heads: Arc::default(),
             version: 0,
             entry_capacity: None,
             dead_lru: LruMap::new(None),
@@ -890,8 +896,10 @@ impl CertStore {
     /// → digests of the *live* bodyless certificates asserting that
     /// fact. Maintained incrementally at every lifecycle transition, so
     /// citation lookups ("which credential asserted this fact?") are a
-    /// hash probe, never a store rescan.
-    pub fn ground_heads(&self) -> &HashMap<Symbol, HashMap<Tuple, Vec<CertDigest>>> {
+    /// hash probe, never a store rescan. Cloning the `Arc` shares the
+    /// index as of now; the store's next change to it leaves that clone
+    /// as it was.
+    pub fn ground_heads(&self) -> &Arc<GroundHeads> {
         &self.ground_heads
     }
 
@@ -917,7 +925,7 @@ impl CertStore {
                 })
                 .collect();
             if let Some(tuple) = ground {
-                self.ground_heads
+                Arc::make_mut(&mut self.ground_heads)
                     .entry(pred)
                     .or_default()
                     .entry(tuple)
@@ -947,17 +955,19 @@ impl CertStore {
                 })
                 .collect();
             let Some(tuple) = ground else { continue };
-            let Some(by_tuple) = self.ground_heads.get_mut(&pred) else {
+            let filed = self.ground_heads.get(&pred);
+            if !filed.is_some_and(|by_tuple| by_tuple.contains_key(&tuple)) {
                 continue;
-            };
-            if let Some(digests) = by_tuple.get_mut(&tuple) {
-                digests.retain(|d| *d != digest);
-                if digests.is_empty() {
-                    by_tuple.remove(&tuple);
-                }
+            }
+            let ground_heads = Arc::make_mut(&mut self.ground_heads);
+            let by_tuple = ground_heads.get_mut(&pred).expect("checked above");
+            let digests = by_tuple.get_mut(&tuple).expect("checked above");
+            digests.retain(|d| *d != digest);
+            if digests.is_empty() {
+                by_tuple.remove(&tuple);
             }
             if by_tuple.is_empty() {
-                self.ground_heads.remove(&pred);
+                ground_heads.remove(&pred);
             }
         }
     }
@@ -1630,7 +1640,7 @@ impl CertStore {
         self.expiry.clear();
         self.active_cache.clear();
         self.active_dirty = false;
-        self.ground_heads.clear();
+        self.ground_heads = Arc::default();
         // One bump for the whole swap: the restored live set replaces
         // whatever was held, so any decision keyed on an older version
         // is stale (the counter stays monotone — it never resets).

@@ -48,10 +48,10 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use lbtrust_certstore::{CertDigest, EvictionPolicy, LruMap};
+use lbtrust_certstore::{CertDigest, EvictionPolicy, GroundHeads, LruMap};
 use lbtrust_datalog::ast::Rule;
 use lbtrust_datalog::provenance::Proof;
-use lbtrust_datalog::{Builtins, Database, Symbol, Tuple, Value};
+use lbtrust_datalog::{Builtins, Database, Symbol, Value};
 use lbtrust_obs::{Counter, Histogram, Registry};
 
 use crate::principal::Principal;
@@ -74,22 +74,45 @@ pub(crate) struct PrincipalSnapshot {
     /// Installed user + generated rules at the quiescent point (the
     /// workspace's compiled slice, shared).
     pub(crate) rules: Arc<[Rule]>,
-    /// The materialized database at the quiescent point.
+    /// The materialized database at the quiescent point: the writer's own
+    /// relations, shared. A relation the writer has not touched since is
+    /// one allocation for both; one it has appended to shares every full
+    /// chunk of tuples (`lbtrust_datalog::Relation`). The writer never
+    /// writes into a chunk this holds, so readers take no lock on tuples.
     pub(crate) db: Database,
-    pub(crate) builtins: Builtins,
+    /// The workspace's registry, shared until it is next handed out
+    /// mutably.
+    pub(crate) builtins: Arc<Builtins>,
     /// The store's incrementally-maintained ground-head index:
     /// predicate → ground head tuple → digests of live bodyless
-    /// certificates asserting that fact.
-    pub(crate) ground_heads: HashMap<Symbol, HashMap<Tuple, Vec<CertDigest>>>,
+    /// certificates asserting that fact. Shared with the store until a
+    /// certificate is next filed or unfiled.
+    pub(crate) ground_heads: Arc<GroundHeads>,
     /// Audit introducer map: canonical rule text → digests of the
-    /// certificates that imported that rule.
-    pub(crate) introducers: HashMap<String, Vec<CertDigest>>,
+    /// certificates that imported that rule. Shared with the previous
+    /// snapshot while no import was recorded.
+    pub(crate) introducers: Arc<HashMap<String, Vec<CertDigest>>>,
+    /// `AuditLog::introducers_len` when `introducers` was extracted.
+    pub(crate) introducers_len: usize,
     /// The cache-key version: decisions cached under it stay servable
     /// until it bumps (or a poisoned-digest invalidation removes them).
     pub(crate) authz_version: u64,
     /// The store's active-set version at publication, for diagnostics
     /// and the equivalence tests.
     pub(crate) store_version: u64,
+}
+
+impl PrincipalSnapshot {
+    /// Proves `goal` over this snapshot and cites what the proof rests
+    /// on — a reader's cache miss.
+    pub(crate) fn decide(&self, goal: &str) -> Result<CachedDecision, SysError> {
+        let proof = explain_goal(self.me, &self.rules, &self.db, &self.builtins, goal)?;
+        Ok(decide(proof, &self.ground_heads, |rule_src, out| {
+            if let Some(ds) = self.introducers.get(rule_src) {
+                out.extend(ds.iter().copied());
+            }
+        }))
+    }
 }
 
 /// Turns a proof (or its absence) into a decision: grant/deny, the
@@ -99,7 +122,7 @@ pub(crate) struct PrincipalSnapshot {
 /// cite identically.
 pub(crate) fn decide<F>(
     proof: Option<Proof>,
-    ground_heads: &HashMap<Symbol, HashMap<Tuple, Vec<CertDigest>>>,
+    ground_heads: &GroundHeads,
     cite_introducers: F,
 ) -> CachedDecision
 where
@@ -125,7 +148,7 @@ where
 /// deduplicated.
 fn collect_supporting<F>(
     proof: &Proof,
-    ground_heads: &HashMap<Symbol, HashMap<Tuple, Vec<CertDigest>>>,
+    ground_heads: &GroundHeads,
     mut cite_introducers: F,
 ) -> Vec<CertDigest>
 where
@@ -447,12 +470,7 @@ impl AuthzReader {
             return Ok(hit.into_decision(who, key.2));
         }
         self.shared.misses.inc();
-        let proof = explain_goal(ps.me, &ps.rules, &ps.db, &ps.builtins, goal)?;
-        let decided = decide(proof, &ps.ground_heads, |rule_src, out| {
-            if let Some(ds) = ps.introducers.get(rule_src) {
-                out.extend(ds.iter().copied());
-            }
-        });
+        let decided = ps.decide(goal)?;
         let proved_at = local.0;
         self.shared.cache.insert_if(key, decided.clone(), || {
             self.shared.cell.current_generation() == proved_at

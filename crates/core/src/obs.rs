@@ -44,6 +44,49 @@ pub enum QuiescePhase {
     Step,
 }
 
+/// What the delivery phase spends its time on, each with a histogram
+/// `quiesce.delivery.<part>_ns` sampled once per step. On one shard the
+/// parts run one after another inside the phase, so they sum to no more
+/// than `quiesce.delivery_ns`; on a pool `Verify`, `Assert` and `Evaluate`
+/// add up the workers' time and can exceed the phase's wall clock.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DeliveryPart {
+    /// Draining the network: frame decode, admission, routing.
+    Decode,
+    /// Certificate-store work on routed revocations: signature check,
+    /// store transition, eager commit.
+    Verify,
+    /// Putting facts into and taking them out of workspaces, DRed repair
+    /// included.
+    Assert,
+    /// `Workspace::evaluate` over the asserted batch (which is where
+    /// `says` signatures are checked, declaratively).
+    Evaluate,
+    /// Moving every destination's state back in, in registration order,
+    /// folding the counters and answering gossip pulls.
+    Merge,
+}
+
+impl DeliveryPart {
+    const ALL: [DeliveryPart; 5] = [
+        DeliveryPart::Decode,
+        DeliveryPart::Verify,
+        DeliveryPart::Assert,
+        DeliveryPart::Evaluate,
+        DeliveryPart::Merge,
+    ];
+
+    fn histogram(self) -> &'static str {
+        match self {
+            DeliveryPart::Decode => "quiesce.delivery.decode_ns",
+            DeliveryPart::Verify => "quiesce.delivery.verify_ns",
+            DeliveryPart::Assert => "quiesce.delivery.assert_ns",
+            DeliveryPart::Evaluate => "quiesce.delivery.evaluate_ns",
+            DeliveryPart::Merge => "quiesce.delivery.merge_ns",
+        }
+    }
+}
+
 /// Per-[`crate::System`] observability state.
 pub(crate) struct SystemObs {
     registry: Registry,
@@ -55,6 +98,8 @@ pub(crate) struct SystemObs {
     export_drain: Histogram,
     gossip_send: Histogram,
     delivery: Histogram,
+    /// In the order of [`DeliveryPart::ALL`].
+    delivery_parts: [Histogram; 5],
     group_commit: Histogram,
     fault_recovery: Histogram,
     step: Histogram,
@@ -94,6 +139,7 @@ impl SystemObs {
             export_drain: registry.timing("quiesce.export_drain_ns"),
             gossip_send: registry.timing("quiesce.gossip_send_ns"),
             delivery: registry.timing("quiesce.delivery_ns"),
+            delivery_parts: DeliveryPart::ALL.map(|part| registry.timing(part.histogram())),
             group_commit: registry.timing("quiesce.group_commit_ns"),
             fault_recovery: registry.timing("quiesce.fault_recovery_ns"),
             step: registry.timing("quiesce.step_ns"),
@@ -145,6 +191,14 @@ impl SystemObs {
             QuiescePhase::Step => &self.step,
         };
         hist.record_duration(started.elapsed());
+    }
+
+    /// Records what one step's delivery phase spent on `part`; a no-op
+    /// while timing is off.
+    pub(crate) fn record_delivery_part(&self, part: DeliveryPart, spent: Duration) {
+        if self.timing {
+            self.delivery_parts[part as usize].record_duration(spent);
+        }
     }
 
     /// Counts one storage operation entering the retry path.

@@ -14,7 +14,7 @@ use crate::gossip::{
     advert_fact, fingerprint_hex, parse_gossip_send, revfp_fact, GossipSend, GOSSIP_SAYS,
     ZERO_FP_HEX,
 };
-use crate::obs::{QuiescePhase, SystemObs};
+use crate::obs::{DeliveryPart, QuiescePhase, SystemObs};
 use crate::pool::{BatchReport, WorkerPool};
 use crate::principal::{
     rsa_priv_handle, rsa_pub_handle, shared_keys, shared_secret_handle, Principal, SharedKeys,
@@ -37,7 +37,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// System-level errors.
 #[derive(Debug)]
@@ -721,6 +721,17 @@ impl System {
     }
 
     /// Builder form of [`System::set_shards`].
+    ///
+    /// What the pool is worth today, for ROADMAP item D (5): with state
+    /// shared instead of copied a per-principal task is several times
+    /// cheaper, so there is less for workers to overlap. `ablation_parallel`
+    /// on 2 cores, 32 principals, pooled over inline, two runs
+    /// (`BENCH_parallel.json` holds the second): `fanout_revocation`
+    /// 0.88x – 1.06x at 2 workers and 1.10x – 1.27x at 4 and 8 (it was
+    /// 1.45x – 1.58x while every repair copied its database twice),
+    /// `fanout_chain` 1.02x – 1.22x at 2 and 1.38x – 1.49x at 4 and 8, the
+    /// skewed hub-and-spokes shape 0.87x – 0.98x. Every benchmark workload
+    /// runs at one shard.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.set_shards(shards);
         self
@@ -1865,13 +1876,24 @@ impl System {
             pub_state.retraction_bumps = 0;
             pub_state.published_epoch = epoch;
             pub_state.published_store_version = store_version;
+            // Everything below is shared, not copied: the database with
+            // the workspace (a pointer per relation), the registry and the
+            // ground-head index with their owners, and the introducer map
+            // with the previous snapshot unless an import was recorded.
+            let audit = store.audit();
+            let introducers_len = audit.introducers_len();
+            let introducers = match &pub_state.snap {
+                Some(prev) if prev.introducers_len == introducers_len => prev.introducers.clone(),
+                _ => Arc::new(audit.introducer_digests()),
+            };
             let snap = Arc::new(PrincipalSnapshot {
                 me: p,
                 rules: ws.program().rules().clone(),
                 db: ws.db().clone(),
                 builtins: ws.builtins().clone(),
                 ground_heads: store.ground_heads().clone(),
-                introducers: store.audit().introducer_digests(),
+                introducers,
+                introducers_len,
                 authz_version: pub_state.authz_version,
                 store_version,
             });
@@ -2262,11 +2284,8 @@ impl System {
                 cursor.compactions = ws.compactions();
                 cursor.mark = 0;
             }
-            let fresh = ws
-                .db()
-                .relation(export)
-                .map_or(&[][..], |rel| rel.since(cursor.mark));
-            cursor.mark += fresh.len();
+            let exported = ws.db().relation(export);
+            let fresh = exported.into_iter().flat_map(|rel| rel.since(cursor.mark));
             let mut outgoing: Vec<WireMessage> = Vec::new();
             for tuple in fresh {
                 if !cursor.seen.insert(tuple_fingerprint(tuple)) {
@@ -2283,6 +2302,7 @@ impl System {
                 }
                 outgoing.push(msg);
             }
+            cursor.mark = cursor.mark.max(ws.db().count(export));
             for msg in outgoing {
                 let from_node = self.node_of(me);
                 let to_node = self.node_of(msg.to);
@@ -2310,6 +2330,7 @@ impl System {
         order: &[Principal],
         export: Symbol,
     ) -> Result<usize, SysError> {
+        let decoding = self.obs.phase_timer();
         let mut delivered = 0usize;
         let mut routed: HashMap<Principal, Routed> = HashMap::new();
         // Gossip pulls `(responder, requester, issuer)`, in delivery
@@ -2372,6 +2393,11 @@ impl System {
         // workspace states are identical for every shard count.
         let verifier = self.key_verifier();
         let eager = self.sync_policy == SyncPolicy::Eager;
+        let timing = self.obs.timing_enabled();
+        if let Some(started) = decoding {
+            self.obs
+                .record_delivery_part(DeliveryPart::Decode, started.elapsed());
+        }
         let jobs: Vec<PoolTask> = destinations
             .iter()
             .map(|p| {
@@ -2386,11 +2412,14 @@ impl System {
                     routed: routed.remove(p).expect("filtered above"),
                     verifier: verifier.clone(),
                     eager,
+                    timing,
                     export,
                 }))
             })
             .collect();
         let report = self.run_tasks(jobs);
+        let merging = self.obs.phase_timer();
+        let mut spent = DeliverySpent::default();
         let mut first_error: Option<WsError> = None;
         for (&p, done) in destinations.iter().zip(report.results) {
             let PoolDone::Delivery {
@@ -2410,18 +2439,29 @@ impl System {
             }
             // Outcomes merge even when a hard error follows, so the
             // statistics always reflect the mutations actually applied.
+            spent.verify += outcome.spent.verify;
+            spent.assert += outcome.spent.assert;
+            spent.evaluate += outcome.spent.evaluate;
             self.merge_delivery(p, outcome);
             if first_error.is_none() {
                 first_error = error;
             }
         }
-        match first_error {
-            Some(e) => Err(e.into()),
-            None => {
-                self.serve_pulls(&pulls);
-                Ok(delivered)
-            }
+        if first_error.is_none() {
+            self.serve_pulls(&pulls);
         }
+        for (part, spent) in [
+            (DeliveryPart::Verify, spent.verify),
+            (DeliveryPart::Assert, spent.assert),
+            (DeliveryPart::Evaluate, spent.evaluate),
+        ] {
+            self.obs.record_delivery_part(part, spent);
+        }
+        if let Some(started) = merging {
+            self.obs
+                .record_delivery_part(DeliveryPart::Merge, started.elapsed());
+        }
+        first_error.map_or(Ok(delivered), |e| Err(e.into()))
     }
 
     /// Answers gossip pull requests, sequentially in delivery order
@@ -2612,6 +2652,8 @@ struct DeliveryJob {
     routed: Routed,
     verifier: KeyVerifier,
     eager: bool,
+    /// Whether to fill [`DeliveryOutcome::spent`].
+    timing: bool,
     export: Symbol,
 }
 
@@ -2643,6 +2685,27 @@ struct DeliveryOutcome {
     /// the delivery — fed to the decision cache's poisoned-entry
     /// invalidation at the next snapshot publish.
     poisoned: Vec<CertDigest>,
+    spent: DeliverySpent,
+}
+
+/// Where one destination's delivery time went (see
+/// [`DeliveryPart`]); all zero while phase timing is off.
+#[derive(Default)]
+struct DeliverySpent {
+    verify: Duration,
+    assert: Duration,
+    evaluate: Duration,
+}
+
+/// Runs `work`, adding what it took to `spent` when `timing` is on.
+fn timed<T>(timing: bool, spent: &mut Duration, work: impl FnOnce() -> T) -> T {
+    if !timing {
+        return work();
+    }
+    let started = Instant::now();
+    let done = work();
+    *spent += started.elapsed();
+    done
 }
 
 /// Applies one destination's routed packets (consuming them from the
@@ -2661,23 +2724,26 @@ fn process_destination(job: &mut DeliveryJob) -> (DeliveryOutcome, Option<WsErro
         tuples,
     } = std::mem::take(&mut job.routed);
     let mut out = DeliveryOutcome::default();
+    let timing = job.timing;
     for (revocation, absorb) in revocations {
         // Bad signatures (and, under Eager, a failed commit) count as
         // rejections, exactly like tampered exports. Gossip-relayed
         // objects absorb tolerantly — an issuer-mismatch object is
         // remembered as inert instead of rejected, so anti-entropy
         // converges on the object set.
-        let applied = if absorb {
-            job.store.absorb_revocation(&revocation, &job.verifier)
-        } else {
-            job.store.revoke_with_outcome(&revocation, &job.verifier)
-        }
-        .and_then(|outcome| {
-            if job.eager {
-                job.store.sync().map(|()| outcome)
+        let applied = timed(timing, &mut out.spent.verify, || {
+            if absorb {
+                job.store.absorb_revocation(&revocation, &job.verifier)
             } else {
-                Ok(outcome)
+                job.store.revoke_with_outcome(&revocation, &job.verifier)
             }
+            .and_then(|outcome| {
+                if job.eager {
+                    job.store.sync().map(|()| outcome)
+                } else {
+                    Ok(outcome)
+                }
+            })
         });
         match applied {
             Ok(outcome) => {
@@ -2699,7 +2765,10 @@ fn process_destination(job: &mut DeliveryJob) -> (DeliveryOutcome, Option<WsErro
                 }
                 if !batch.is_empty() {
                     out.retractions += batch.len();
-                    match job.ws.retract_facts(&batch) {
+                    let repaired = timed(timing, &mut out.spent.assert, || {
+                        job.ws.retract_facts(&batch)
+                    });
+                    match repaired {
                         RetractOutcome::Incremental(_) => out.dred_repairs += 1,
                         RetractOutcome::Deferred => out.retraction_rebuilds += 1,
                         RetractOutcome::Noop => {}
@@ -2725,27 +2794,33 @@ fn process_destination(job: &mut DeliveryJob) -> (DeliveryOutcome, Option<WsErro
             // A newer advertisement supersedes the remembered one: the
             // stale `gsays` fact is retracted (its derived pulls repair
             // through DRed) before the fresh one lands.
-            if let Some(prev) = prev {
-                let stale = vec![advert_fact(from, me, issuer, &prev)];
-                job.ws.retract_facts(&stale);
-            }
-            let fresh = vec![advert_fact(from, me, issuer, &fingerprint)];
-            job.ws.assert_facts(&fresh);
+            timed(timing, &mut out.spent.assert, || {
+                if let Some(prev) = prev {
+                    let stale = vec![advert_fact(from, me, issuer, &prev)];
+                    job.ws.retract_facts(&stale);
+                }
+                let fresh = vec![advert_fact(from, me, issuer, &fingerprint)];
+                job.ws.assert_facts(&fresh);
+            });
             inbox.insert(key, fingerprint);
         }
     }
     if !tuples.is_empty() {
         let n = tuples.len();
-        for tuple in &tuples {
-            job.ws.assert_fact(job.export, tuple.clone());
-        }
-        match job.ws.evaluate() {
+        timed(timing, &mut out.spent.assert, || {
+            for tuple in &tuples {
+                job.ws.assert_fact(job.export, tuple.clone());
+            }
+        });
+        match timed(timing, &mut out.spent.evaluate, || job.ws.evaluate()) {
             Ok(_) => out.accepted += n,
             Err(WsError::Constraint(_)) => {
                 // Batch rolled back; isolate the poisoned message(s).
                 for tuple in tuples {
-                    job.ws.assert_fact(job.export, tuple);
-                    match job.ws.evaluate() {
+                    timed(timing, &mut out.spent.assert, || {
+                        job.ws.assert_fact(job.export, tuple)
+                    });
+                    match timed(timing, &mut out.spent.evaluate, || job.ws.evaluate()) {
                         Ok(_) => out.accepted += 1,
                         Err(WsError::Constraint(_)) => out.rejected += 1,
                         Err(e) => return (out, Some(e)),
@@ -3011,6 +3086,176 @@ mod tests {
         assert_eq!(sys.stats().messages_sent, 1);
         assert_eq!(sys.stats().messages_accepted, 1);
         assert_eq!(sys.stats().messages_rejected, 0);
+    }
+
+    /// The no-timing cost witness for shared storage: what one asserted
+    /// fact makes assert → evaluate → publish copy does not grow with the
+    /// store. At 256 and at 4 096 certificates the new snapshot shares,
+    /// with the previous one, every relation the fact did not reach (the
+    /// same allocation) and every tuple of the relations it grew except
+    /// at most the open chunk of each.
+    #[test]
+    fn a_publish_after_one_fact_copies_a_chunk_per_grown_relation() {
+        use lbtrust_datalog::shared::CHUNK;
+        for certs in [256usize, 4096] {
+            let mut sys = System::new().with_rsa_bits(512);
+            let alice = sys.add_principal("alice", "n1").unwrap();
+            let bob = sys.add_principal("bob", "n2").unwrap();
+            sys.workspace_mut(bob)
+                .unwrap()
+                .load(
+                    "policy",
+                    "access(P,file1,read) <- says(alice,me,[| good(P) |]).\n\
+                     noted(P) <- seen(P).",
+                )
+                .unwrap();
+            let facts: String = (0..certs).map(|i| format!("good(s{i}). ")).collect();
+            let issued = sys.issue_certificates(alice, &facts, &[], None).unwrap();
+            sys.import_certificates(bob, issued).unwrap();
+            sys.run_to_quiescence(16).unwrap();
+            let before = sys.authz_pub[&bob].snap.clone().expect("published");
+            assert!(before.db.count(sym("access")) >= certs);
+
+            let ws = sys.workspace_mut(bob).unwrap();
+            ws.assert_fact(sym("seen"), vec![Value::sym("carol")]);
+            ws.evaluate().unwrap();
+            sys.publish_authz_snapshot();
+            let after = sys.authz_pub[&bob].snap.clone().expect("published");
+            assert!(!Arc::ptr_eq(&before, &after));
+
+            let (mut grown, mut copied) = (Vec::new(), 0);
+            for (pred, rel) in after.db.iter() {
+                let Some(old) = before.db.relation(pred) else {
+                    grown.push(pred);
+                    copied += rel.len();
+                    continue;
+                };
+                if std::ptr::eq(old, rel) {
+                    continue;
+                }
+                assert!(rel.len() > old.len(), "{pred} was copied without growing");
+                grown.push(pred);
+                let unshared = rel.len() - rel.tuples_shared_with(old);
+                assert!(unshared <= CHUNK, "{pred}: {unshared} tuples copied");
+                copied += unshared;
+            }
+            grown.sort_by_key(|p| p.as_str());
+            assert_eq!(grown, [sym("noted"), sym("seen")], "at {certs}");
+            assert_eq!(copied, 2, "at {certs}");
+            // The big relations are the writer's own, by pointer.
+            let live = sys.workspace(bob).unwrap().db();
+            for pred in ["access", "says", "export"] {
+                let rel = after.db.relation(sym(pred)).expect("populated");
+                assert!(std::ptr::eq(rel, before.db.relation(sym(pred)).unwrap()));
+                assert!(std::ptr::eq(rel, live.relation(sym(pred)).unwrap()));
+            }
+            assert!(Arc::ptr_eq(&before.ground_heads, &after.ground_heads));
+            assert!(Arc::ptr_eq(&before.introducers, &after.introducers));
+            assert!(Arc::ptr_eq(&before.builtins, &after.builtins));
+        }
+    }
+
+    /// Reader isolation under threads: a reader that holds generation g
+    /// — the `Arc` of one principal's snapshot, whose tuples the writer's
+    /// relations share — re-proves 256 goals over and over while the
+    /// writer revokes and replaces certificates underneath it. Every
+    /// answer, grant bit, digests and proof, is the serial answer at g:
+    /// the writer copies a chunk before it changes one, so nothing the
+    /// reader can reach is ever written.
+    #[test]
+    fn a_held_snapshot_answers_as_at_its_generation_while_the_writer_moves_on() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        const SUBJECTS: usize = 256;
+        let mut sys = System::new().with_rsa_bits(512);
+        let alice = sys.add_principal("alice", "n1").unwrap();
+        let bob = sys.add_principal("bob", "n2").unwrap();
+        let policy = "access(P,file1,read) <- says(alice,me,[| good(P) |]).";
+        sys.workspace_mut(bob)
+            .unwrap()
+            .load("policy", policy)
+            .unwrap();
+        // Every other subject is certified at g; the rest are denied.
+        let facts: String = (0..SUBJECTS)
+            .step_by(2)
+            .map(|i| format!("good(s{i}). "))
+            .collect();
+        let issued = sys.issue_certificates(alice, &facts, &[], None).unwrap();
+        let digests: Vec<CertDigest> = issued.iter().map(LinkedCert::digest).collect();
+        sys.import_certificates(bob, issued).unwrap();
+        sys.run_to_quiescence(16).unwrap();
+
+        let held = sys.authz_pub[&bob].snap.clone().expect("published");
+        let goals: Vec<String> = (0..SUBJECTS)
+            .map(|i| format!("access(s{i},file1,read)"))
+            .collect();
+        let answer = |goal: &String| {
+            let at_g = held.decide(goal).unwrap();
+            at_g.into_decision(bob, goal.clone())
+        };
+        let serial: Vec<AuthzDecision> = goals.iter().map(answer).collect();
+        for (goal, decision) in goals.iter().zip(&serial) {
+            let live = sys.authorize(bob, goal).unwrap();
+            assert_eq!(
+                (live.granted, &live.supporting, &live.proof),
+                (decision.granted, &decision.supporting, &decision.proof)
+            );
+        }
+        assert_eq!(serial.iter().filter(|d| d.granted).count(), SUBJECTS / 2);
+
+        // Raised when the writer is through — or has panicked, so that the
+        // reader cannot spin for ever beside a failed test.
+        struct Raise<'a>(&'a AtomicBool);
+        impl Drop for Raise<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Release);
+            }
+        }
+        let done = AtomicBool::new(false);
+        let (swept_once, first_sweep) = std::sync::mpsc::channel();
+        let passes = std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let sweep = || {
+                    for (goal, want) in goals.iter().zip(&serial) {
+                        let got = answer(goal);
+                        assert_eq!(got.granted, want.granted, "{goal}");
+                        assert_eq!(got.supporting, want.supporting, "{goal}");
+                        assert_eq!(got.proof, want.proof, "{goal}");
+                    }
+                };
+                // One sweep before the writer's first change, at least
+                // one after its last, and as many as fit in between.
+                sweep();
+                swept_once.send(()).expect("the writer is waiting");
+                let mut passes = 1;
+                while !done.load(Ordering::Acquire) {
+                    sweep();
+                    passes += 1;
+                }
+                sweep();
+                passes + 1
+            });
+            let done = Raise(&done);
+            first_sweep.recv().expect("the reader swept once");
+            for (i, digest) in digests.iter().enumerate().take(48) {
+                sys.revoke_certificate(alice, *digest).unwrap();
+                sys.run_to_quiescence(16).unwrap();
+                // (Re-issuing the revoked fact would re-create the revoked
+                // certificate: same content, same address.)
+                let src = format!("good(n{i}).");
+                let replacement = sys.issue_certificates(alice, &src, &[], None).unwrap();
+                sys.import_certificates(bob, replacement).unwrap();
+                sys.run_to_quiescence(16).unwrap();
+            }
+            drop(done);
+            reader.join().expect("reader thread")
+        });
+        assert!(passes >= 3);
+        // The writer did move on: g is no longer what is published, and
+        // the live state knows subjects g never heard of.
+        let now = sys.authz_pub[&bob].snap.clone().expect("published");
+        assert!(!Arc::ptr_eq(&held, &now));
+        assert!(now.decide("access(n0,file1,read)").unwrap().granted);
+        assert!(!held.decide("access(n0,file1,read)").unwrap().granted);
     }
 
     /// The export drain scans only what the relation gained — and one

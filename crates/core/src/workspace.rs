@@ -20,7 +20,9 @@ use lbtrust_datalog::dred::{self, Removed};
 use lbtrust_datalog::eval::{CompiledRules, Engine, EvalError, EvalStats};
 use lbtrust_datalog::safety::{check_rule, check_rule_at, SafetyError};
 use lbtrust_datalog::strata::{stratify_spanned, StratifyError};
-use lbtrust_datalog::{parse_program, Builtins, Database, ParseError, Span, Symbol, Tuple, Value};
+use lbtrust_datalog::{
+    parse_program, Builtins, Database, ParseError, SharedVec, Span, Symbol, Tuple, Value,
+};
 use lbtrust_metamodel::constraintcheck::{check_fail, CheckError, ConstraintSet, Scope};
 use lbtrust_metamodel::reflect::reflect_into;
 use lbtrust_metamodel::{generated_rules, MetaPreds};
@@ -149,11 +151,14 @@ enum Owed {
 pub struct Workspace {
     me: Principal,
     meta: MetaPreds,
-    builtins: Builtins,
-    /// User rules grouped by tag (preludes are swappable by tag).
-    rules: Vec<(String, Arc<Rule>)>,
-    /// Constraints grouped by tag.
-    constraints: Vec<(String, Constraint)>,
+    /// Shared with every published snapshot until somebody asks for
+    /// [`Workspace::builtins_mut`].
+    builtins: Arc<Builtins>,
+    /// User rules grouped by tag (preludes are swappable by tag). Shared
+    /// with the rollback baseline until a load or swap changes them.
+    rules: Arc<Vec<(String, Arc<Rule>)>>,
+    /// Constraints grouped by tag, shared like `rules`.
+    constraints: Arc<Vec<(String, Constraint)>>,
     /// Rules installed by code generation (cleared on rebuild).
     generated: Vec<Arc<Rule>>,
     /// Content ids of every installed rule.
@@ -163,8 +168,8 @@ pub struct Workspace {
     program: OnceLock<Arc<CompiledRules>>,
     /// `constraints`, compiled on first use after they changed.
     checks: Option<ConstraintSet>,
-    /// Facts asserted from outside (the EDB).
-    base_facts: Vec<(Symbol, Tuple)>,
+    /// Facts asserted from outside (the EDB), in assertion order.
+    base_facts: SharedVec<(Symbol, Tuple)>,
     db: Database,
     /// What the next evaluation has to do.
     owed: Owed,
@@ -174,11 +179,11 @@ pub struct Workspace {
     removed: Removed,
     /// Accumulated evaluation statistics.
     stats: EvalStats,
-    /// State as of the last successful evaluation; failed evaluations
-    /// (constraint violations) roll back to it, which also undoes the
-    /// offending assertions — the paper's "terminates with an error"
-    /// transaction semantics.
-    committed: Option<Snapshot>,
+    /// Where the last successful evaluation left the workspace; failed
+    /// evaluations (constraint violations) roll back to it, which also
+    /// undoes the offending assertions — the paper's "terminates with an
+    /// error" transaction semantics.
+    committed: Option<Committed>,
     /// Monotone database-change counter: bumped whenever the
     /// materialized database (or the base it will be rebuilt from) may
     /// differ from what a reader last saw — fact assertion, incremental
@@ -191,20 +196,55 @@ pub struct Workspace {
     compactions: u64,
 }
 
-/// A snapshot for rollback. Base facts can be *removed* from the middle
-/// (certificate retraction) and rules swapped by tag, so the vectors are
-/// captured whole (rules are shared `Arc`s).
+/// The rollback baseline: the state after the last successful
+/// evaluation, recorded as **watermarks** into the live state rather than
+/// as a copy of it. Between two evaluations relations, base facts and
+/// generated rules only grow at the end, so their lengths say what to cut
+/// off; what can change anywhere — the rule and constraint lists — is
+/// held by `Arc`, shared with the live lists until a load or swap copies
+/// them. The two events that move tuples keep the marks true: a retraction
+/// moves the base-fact mark with the fact it removes and a DRed repair
+/// re-takes the relation marks (a retraction is never undone), and a
+/// rebuild sets the old database aside until the new one is accepted.
+#[derive(Clone)]
+struct Committed {
+    /// The length of every relation.
+    relations: HashMap<Symbol, usize>,
+    base_facts: usize,
+    generated: usize,
+    rules: Arc<Vec<(String, Arc<Rule>)>>,
+    constraints: Arc<Vec<(String, Constraint)>>,
+    /// [`Workspace::epoch`] when the marks were taken.
+    epoch: u64,
+    /// Whether the marked database is not the fixpoint of the marked rules
+    /// and base facts, so a rollback must rebuild it.
+    rebuild: bool,
+}
+
+impl Committed {
+    fn mark_relations(&mut self, db: &Database) {
+        self.relations.clear();
+        self.relations.extend(db.lengths());
+    }
+}
+
+/// A copy of a workspace's state for [`Workspace::restore`]. Relations
+/// and base facts are shared with the workspace, not copied (see
+/// `lbtrust_datalog::Relation`): taking one costs a pointer per relation
+/// and per chunk of base facts, and each side copies a chunk only when it
+/// next writes into it.
 #[derive(Clone)]
 pub struct Snapshot {
     db: Database,
-    rules: Vec<(String, Arc<Rule>)>,
-    constraints: Vec<(String, Constraint)>,
+    rules: Arc<Vec<(String, Arc<Rule>)>>,
+    constraints: Arc<Vec<(String, Constraint)>>,
     generated: Vec<Arc<Rule>>,
-    installed: HashSet<u64>,
-    base_facts: Vec<(Symbol, Tuple)>,
+    base_facts: SharedVec<(Symbol, Tuple)>,
     /// Whether `db` is not the fixpoint of the captured rules and base
     /// facts, so a restore must rebuild it.
     rebuild: bool,
+    /// The rollback baseline of the captured state, as marks into it.
+    committed: Option<Committed>,
 }
 
 impl Workspace {
@@ -218,14 +258,14 @@ impl Workspace {
         Workspace {
             me: Symbol::intern(me),
             meta: MetaPreds::new(),
-            builtins,
-            rules: Vec::new(),
-            constraints: Vec::new(),
+            builtins: Arc::new(builtins),
+            rules: Arc::default(),
+            constraints: Arc::default(),
             generated: Vec::new(),
             installed: HashSet::new(),
             program: OnceLock::new(),
             checks: None,
-            base_facts: Vec::new(),
+            base_facts: SharedVec::new(),
             db: Database::new(),
             owed: Owed::Rebuild,
             seeds: HashMap::new(),
@@ -248,14 +288,16 @@ impl Workspace {
     /// next evaluation — and any rollback before it — rebuilds.
     pub fn builtins_mut(&mut self) -> &mut Builtins {
         self.definitions_changed();
-        if let Some(snap) = &mut self.committed {
-            snap.rebuild = true;
+        if let Some(base) = &mut self.committed {
+            base.rebuild = true;
         }
-        &mut self.builtins
+        Arc::make_mut(&mut self.builtins)
     }
 
-    /// The builtin registry.
-    pub fn builtins(&self) -> &Builtins {
+    /// The builtin registry — one allocation for as long as
+    /// [`Workspace::builtins_mut`] is not called, so a published snapshot
+    /// shares it.
+    pub fn builtins(&self) -> &Arc<Builtins> {
         &self.builtins
     }
 
@@ -291,13 +333,7 @@ impl Workspace {
     /// take this.
     pub fn program(&self) -> &Arc<CompiledRules> {
         self.program.get_or_init(|| {
-            let rules: Vec<Rule> = self
-                .rules
-                .iter()
-                .map(|(_, r)| r)
-                .chain(&self.generated)
-                .map(|r| r.as_ref().clone())
-                .collect();
+            let rules: Vec<Rule> = self.installed_rules().map(|r| r.as_ref().clone()).collect();
             Arc::new(CompiledRules::compile(rules, &self.builtins))
         })
     }
@@ -310,13 +346,14 @@ impl Workspace {
         self.owed = Owed::Rebuild;
     }
 
+    /// User rules, then generated ones.
+    fn installed_rules(&self) -> impl Iterator<Item = &Arc<Rule>> {
+        self.rules.iter().map(|(_, r)| r).chain(&self.generated)
+    }
+
     /// Currently installed user + generated rules (for inspection).
     pub fn active_rules(&self) -> Vec<Arc<Rule>> {
-        self.rules
-            .iter()
-            .map(|(_, r)| r.clone())
-            .chain(self.generated.iter().cloned())
-            .collect()
+        self.installed_rules().cloned().collect()
     }
 
     // ---- loading ----------------------------------------------------------
@@ -344,7 +381,7 @@ impl Workspace {
         // no source position; new rules cite theirs).
         let mut combined: Vec<Rule> = Vec::with_capacity(self.rules.len() + pending.len());
         let mut spans: Vec<Span> = Vec::with_capacity(combined.capacity());
-        for (_, rule) in &self.rules {
+        for (_, rule) in self.rules.iter() {
             combined.push((**rule).clone());
             spans.push(Span::UNKNOWN);
         }
@@ -355,13 +392,15 @@ impl Workspace {
         let builtins = &self.builtins;
         stratify_spanned(&combined, &spans, &|p| builtins.contains(p))?;
 
+        let rules = Arc::make_mut(&mut self.rules);
         for (rule, _) in pending {
             self.installed.insert(rule.content_id());
-            self.rules.push((tag.to_string(), rule));
+            rules.push((tag.to_string(), rule));
         }
+        let constraints = Arc::make_mut(&mut self.constraints);
         for constraint in program.constraints {
             let constraint = substitute_constraint(&constraint, me_sym, self.me);
-            self.constraints.push((tag.to_string(), constraint));
+            constraints.push((tag.to_string(), constraint));
         }
         self.definitions_changed();
         Ok(())
@@ -390,7 +429,7 @@ impl Workspace {
     /// then installs `src` in its place. This is the paper's two-rule
     /// authentication swap (§4.1.2).
     pub fn replace_tag(&mut self, tag: &str, src: &str) -> Result<(), WsError> {
-        self.rules.retain(|(t, r)| {
+        Arc::make_mut(&mut self.rules).retain(|(t, r)| {
             if t == tag {
                 self.installed.remove(&r.content_id());
                 false
@@ -398,7 +437,7 @@ impl Workspace {
                 true
             }
         });
-        self.constraints.retain(|(t, _)| t != tag);
+        Arc::make_mut(&mut self.constraints).retain(|(t, _)| t != tag);
         self.definitions_changed();
         self.load(tag, src)
     }
@@ -486,22 +525,36 @@ impl Workspace {
     /// relies on this).
     pub fn retract_facts(&mut self, facts: &[(Symbol, Tuple)]) -> RetractOutcome {
         let mut gone: Vec<(Symbol, Tuple)> = Vec::new();
+        let mut no_mark = 0;
+        let mark = match &mut self.committed {
+            Some(base) => &mut base.base_facts,
+            None => &mut no_mark,
+        };
         for (pred, tuple) in facts {
-            let same = |(p, t): &(Symbol, Tuple)| p == pred && t == tuple;
-            let Some(pos) = self.base_facts.iter().position(same) else {
-                continue;
-            };
-            self.base_facts.remove(pos);
-            let left = base_copies(&self.base_facts, *pred, tuple);
-            // A retraction is never undone: the rollback baseline may not
-            // hold more copies than the live EDB does.
-            if let Some(snap) = &mut self.committed {
-                if base_copies(&snap.base_facts, *pred, tuple) > left {
-                    let pos = snap.base_facts.iter().position(same);
-                    snap.base_facts.remove(pos.expect("counted above"));
+            // One pass: the first copy, the first one asserted since the
+            // baseline, and how many there are.
+            let (mut first, mut unmarked, mut copies) = (None, None, 0);
+            for (pos, (p, t)) in self.base_facts.iter().enumerate() {
+                if p == pred && t == tuple {
+                    copies += 1;
+                    first.get_or_insert(pos);
+                    if pos >= *mark {
+                        unmarked.get_or_insert(pos);
+                    }
                 }
             }
-            if left == 0 {
+            // A copy the baseline does not hold goes first: the baseline
+            // gives one up only when the live EDB has no other left, so a
+            // rollback neither brings a retracted copy back (a retraction
+            // is never undone) nor drops a copy that is still supported.
+            let Some(victim) = unmarked.or(first) else {
+                continue;
+            };
+            self.base_facts.remove_positions(&[victim]);
+            if victim < *mark {
+                *mark -= 1;
+            }
+            if copies == 1 {
                 gone.push((*pred, tuple.clone()));
             }
         }
@@ -529,24 +582,34 @@ impl Workspace {
         // Whatever comes of the repair, it removes tuples as it goes.
         self.epoch += 1;
         self.compactions += 1;
-        // Failure (e.g. a generated pattern construct the DRed fragment
-        // rejects) falls back to full recomputation.
-        let Ok((stats, removed)) = dred::retract_with(&engine, &mut self.db, &retracted) else {
-            return self.defer_retraction();
-        };
-        // A repair that takes a rule out of `active`/`rule` has withdrawn
-        // the reason a generated rule was installed; only a rebuild
-        // uninstalls it (and what it concluded).
-        if removed.contains_key(&self.meta.active) || removed.contains_key(&self.meta.rule) {
-            return self.defer_retraction();
+        match dred::retract_with(&engine, &mut self.db, &retracted) {
+            // A repair that takes a rule out of `active`/`rule` has
+            // withdrawn the reason a generated rule was installed; only a
+            // rebuild uninstalls it (and what it concluded).
+            Ok((stats, removed))
+                if !removed.contains_key(&self.meta.active)
+                    && !removed.contains_key(&self.meta.rule) =>
+            {
+                for (pred, tuples) in removed {
+                    self.removed.entry(pred).or_default().extend(tuples);
+                }
+                self.owed = self.owed.max(Owed::Delta);
+                // The repaired state is the new baseline: the marks are
+                // re-taken over the re-packed relations.
+                self.commit();
+                RetractOutcome::Incremental(stats)
+            }
+            // That, or a failure (e.g. a generated pattern construct the
+            // DRed fragment rejects), falls back to full recomputation.
+            // The attempt moved tuples, so lengths taken before it no
+            // longer say which are new.
+            _ => {
+                if let Some(base) = &mut self.committed {
+                    base.mark_relations(&self.db);
+                }
+                self.defer_retraction()
+            }
         }
-        for (pred, tuples) in removed {
-            self.removed.entry(pred).or_default().extend(tuples);
-        }
-        self.owed = self.owed.max(Owed::Delta);
-        // The repaired state is the new committed baseline.
-        self.committed = Some(self.snapshot());
-        RetractOutcome::Incremental(stats)
     }
 
     /// Leaves the repair to the next evaluation's rebuild. A rollback in
@@ -554,8 +617,8 @@ impl Workspace {
     /// contains the stale derivations.
     fn defer_retraction(&mut self) -> RetractOutcome {
         self.owed = Owed::Rebuild;
-        if let Some(snap) = &mut self.committed {
-            snap.rebuild = true;
+        if let Some(base) = &mut self.committed {
+            base.rebuild = true;
         }
         RetractOutcome::Deferred
     }
@@ -607,15 +670,15 @@ impl Workspace {
     pub fn export_program(&self) -> String {
         let mut out = String::new();
         out.push_str("// constraints\n");
-        for (tag, c) in &self.constraints {
+        for (tag, c) in self.constraints.iter() {
             out.push_str(&format!("// tag: {tag}\n{c}\n"));
         }
         out.push_str("// rules\n");
-        for (tag, r) in &self.rules {
+        for (tag, r) in self.rules.iter() {
             out.push_str(&format!("// tag: {tag}\n{r}\n"));
         }
         out.push_str("// base facts\n");
-        for (pred, tuple) in &self.base_facts {
+        for (pred, tuple) in self.base_facts.iter() {
             let args: Vec<String> = tuple.iter().map(ToString::to_string).collect();
             out.push_str(&format!("{pred}({}).\n", args.join(",")));
         }
@@ -683,31 +746,44 @@ impl Workspace {
 
     // ---- evaluation ---------------------------------------------------------
 
-    /// Takes a rollback snapshot.
+    /// Takes a snapshot to [`Workspace::restore`] later, sharing the
+    /// database and the base facts with the workspace instead of copying
+    /// them.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
             db: self.db.clone(),
             rules: self.rules.clone(),
             constraints: self.constraints.clone(),
             generated: self.generated.clone(),
-            installed: self.installed.clone(),
             base_facts: self.base_facts.clone(),
             rebuild: self.owed == Owed::Rebuild || !self.seeds.is_empty(),
+            committed: self.committed.clone(),
         }
     }
 
-    /// Restores a snapshot taken earlier. A restored state is never
-    /// taken on trust: the next evaluation re-checks every constraint,
-    /// and rebuilds if the snapshot — or the state it replaces, whose
-    /// builtins stay — was owed a rebuild.
+    /// Restores a snapshot taken earlier, rollback baseline included. A
+    /// restored state is never taken on trust: the next evaluation
+    /// re-checks every constraint, and rebuilds if the snapshot — or the
+    /// state it replaces, whose builtins stay — was owed a rebuild.
     pub fn restore(&mut self, snap: Snapshot) {
-        let rebuild = snap.rebuild || self.owed == Owed::Rebuild;
+        let stale = self.owed == Owed::Rebuild;
         self.db = snap.db;
         self.rules = snap.rules;
         self.constraints = snap.constraints;
         self.generated = snap.generated;
-        self.installed = snap.installed;
         self.base_facts = snap.base_facts;
+        self.committed = snap.committed;
+        if let Some(base) = &mut self.committed {
+            base.rebuild |= stale;
+        }
+        self.state_replaced(snap.rebuild || stale);
+    }
+
+    /// After a restore or a rollback put an earlier state in place:
+    /// nothing is pending against it, everything derived from the rule
+    /// lists is stale, and no tuple position can be relied on.
+    fn state_replaced(&mut self, rebuild: bool) {
+        self.installed = self.installed_rules().map(|r| r.content_id()).collect();
         self.seeds.clear();
         self.removed.clear();
         self.definitions_changed();
@@ -718,6 +794,44 @@ impl Workspace {
         // counts changes, it does not identify states).
         self.epoch += 1;
         self.compactions += 1;
+    }
+
+    /// Makes the current state the rollback baseline by taking its marks.
+    fn commit(&mut self) {
+        let last = self.committed.take();
+        let mut base = Committed {
+            // The last baseline's map, for its allocation.
+            relations: last.map(|base| base.relations).unwrap_or_default(),
+            base_facts: self.base_facts.len(),
+            generated: self.generated.len(),
+            rules: self.rules.clone(),
+            constraints: self.constraints.clone(),
+            epoch: self.epoch,
+            rebuild: false,
+        };
+        base.mark_relations(&self.db);
+        self.committed = Some(base);
+    }
+
+    /// Undoes a failed evaluation: puts back what a rebuild `displaced`,
+    /// then cuts everything that only grew back to the baseline's marks.
+    fn roll_back(&mut self, base: &Committed, displaced: Displaced) {
+        if let Some(db) = displaced.db {
+            self.db = db;
+        }
+        if let Some(generated) = displaced.generated {
+            self.generated = generated;
+        }
+        self.db.truncate(&base.relations);
+        self.base_facts.truncate(base.base_facts);
+        self.generated.truncate(base.generated);
+        self.rules = base.rules.clone();
+        self.constraints = base.constraints.clone();
+        // Rules and constraints are the baseline's again, so unless
+        // something they do not cover changed under it (the builtins, a
+        // retraction left to a rebuild) its database still is their
+        // fixpoint.
+        self.state_replaced(base.rebuild);
     }
 
     /// Runs `f` transactionally: on error the workspace is rolled back to
@@ -737,17 +851,19 @@ impl Workspace {
     }
 
     /// Resets the database to base facts plus reflections of the current
-    /// rule set (user and generated). Generated rules are kept — callers
-    /// that invalidated them clear `generated` first.
-    fn reset_db(&mut self) {
-        self.db = Database::new();
+    /// rule set (user and generated), returning the one it replaces.
+    /// Generated rules are kept — callers that invalidated them clear
+    /// `generated` first.
+    fn reset_db(&mut self) -> Database {
+        let old = std::mem::take(&mut self.db);
         self.compactions += 1;
-        for (pred, tuple) in &self.base_facts {
+        for (pred, tuple) in self.base_facts.iter() {
             self.db.insert(*pred, tuple.clone());
         }
         for rule in self.rules.iter().map(|(_, r)| r).chain(&self.generated) {
             reflect_installed(rule, &self.meta, &mut self.db);
         }
+        old
     }
 
     /// Brings the workspace to its (staged) fixpoint and checks its
@@ -781,6 +897,20 @@ impl Workspace {
     /// workspace rolls back to the state after its last *successful*
     /// evaluation, undoing the offending assertions.
     ///
+    /// **Rollback is truncation.** No outcome copies the store to be able
+    /// to undo itself. A successful evaluation records the *lengths* of
+    /// every relation, of the base facts and of the generated rules, and
+    /// keeps the rule and constraint lists by `Arc`. What each outcome
+    /// then needs for undo: (1) nothing — it changed nothing; (2) those
+    /// lengths — an insert-only run appended to relations, and a failure
+    /// cuts them (and the asserted base facts, and any rule generated on
+    /// the way) back off; (3) the database and the generated rules it
+    /// replaces, set aside by move until the rebuilt ones pass their
+    /// checks, and put back — then cut to the same lengths — if they do
+    /// not. A DRed repair between evaluations is not undone by a later
+    /// failure (a retraction never is): it re-takes the lengths over the
+    /// relations it re-packed.
+    ///
     /// [`epoch`]: Workspace::epoch
     pub fn evaluate(&mut self) -> Result<EvalStats, WsError> {
         let owed = match self.owed {
@@ -791,7 +921,8 @@ impl Workspace {
             Owed::Delta | Owed::Recheck if !self.program().is_monotone() => Owed::Rebuild,
             owed => owed,
         };
-        match self.evaluate_inner(owed) {
+        let mut displaced = Displaced::default();
+        match self.evaluate_inner(owed, &mut displaced) {
             Ok(stats) => {
                 // A rebuild replaces the database wholesale, which changes
                 // it even when zero tuples are "derived".
@@ -800,12 +931,22 @@ impl Workspace {
                 }
                 self.owed = Owed::Nothing;
                 self.removed.clear();
-                self.committed = Some(self.snapshot());
+                // After a DRed repair with nothing asserted since, the
+                // marks the repair took still stand.
+                let marked = self.committed.as_ref().is_some_and(|base| {
+                    base.epoch == self.epoch && base.base_facts == self.base_facts.len()
+                });
+                if !marked {
+                    self.commit();
+                }
                 Ok(stats)
             }
             Err(e) => {
-                match self.committed.clone() {
-                    Some(snap) => self.restore(snap),
+                match self.committed.take() {
+                    Some(base) => {
+                        self.roll_back(&base, displaced);
+                        self.committed = Some(base);
+                    }
                     None => {
                         // Nothing ever succeeded: reset to an empty,
                         // facts-free state with the loaded rules intact.
@@ -823,12 +964,16 @@ impl Workspace {
         }
     }
 
-    fn evaluate_inner(&mut self, owed: Owed) -> Result<EvalStats, WsError> {
+    fn evaluate_inner(
+        &mut self,
+        owed: Owed,
+        displaced: &mut Displaced,
+    ) -> Result<EvalStats, WsError> {
         // An owed rebuild (rules changed / deferred retraction)
         // invalidates the generated rules along with the database; the
         // from-scratch run of a non-monotonic program keeps them.
         if self.owed == Owed::Rebuild {
-            self.generated.clear();
+            displaced.generated = Some(std::mem::take(&mut self.generated));
             self.installed = self.rules.iter().map(|(_, r)| r.content_id()).collect();
             self.program = OnceLock::new();
         }
@@ -843,7 +988,9 @@ impl Workspace {
                 return Err(WsError::MetaDivergence { stages: stage });
             }
             if fresh {
-                self.reset_db();
+                // The first database set aside is the one to go back to.
+                let old = self.reset_db();
+                displaced.db.get_or_insert(old);
             }
             let program = self.program().clone();
             let engine = Engine::for_compiled(&program, &self.builtins);
@@ -922,8 +1069,16 @@ impl Workspace {
     }
 }
 
+/// What a rebuild replaced, kept until the rebuilt state is accepted so a
+/// failed evaluation can put it back.
+#[derive(Default)]
+struct Displaced {
+    db: Option<Database>,
+    generated: Option<Vec<Arc<Rule>>>,
+}
+
 /// Number of supporting copies of `pred(tuple)` in `base`.
-fn base_copies(base: &[(Symbol, Tuple)], pred: Symbol, tuple: &[Value]) -> usize {
+fn base_copies(base: &SharedVec<(Symbol, Tuple)>, pred: Symbol, tuple: &[Value]) -> usize {
     base.iter()
         .filter(|(p, t)| *p == pred && t == tuple)
         .count()
@@ -1282,6 +1437,91 @@ mod tests {
         ws.retract_facts(&[(sym("p"), vals(&["a"]))]);
         ws.evaluate().unwrap();
         assert!(!ws.holds(sym("q"), &vals(&["a"])));
+    }
+
+    #[test]
+    fn triple_support_goes_one_copy_at_a_time() {
+        let copies = |ws: &Workspace| ws.export_program().matches("p(a).").count();
+        let mut ws = Workspace::new("w");
+        ws.load("p", "q(X) <- p(X).").unwrap();
+        for _ in 0..3 {
+            ws.assert_fact(sym("p"), vals(&["a"]));
+        }
+        ws.evaluate().unwrap();
+        for left in [2, 1] {
+            let outcome = ws.retract_facts(&[(sym("p"), vals(&["a"]))]);
+            assert!(matches!(outcome, RetractOutcome::Noop));
+            assert_eq!(copies(&ws), left);
+            assert!(ws.holds(sym("q"), &vals(&["a"])));
+        }
+        let outcome = ws.retract_facts(&[(sym("p"), vals(&["a"]))]);
+        assert!(matches!(outcome, RetractOutcome::Incremental(_)));
+        assert_eq!(copies(&ws), 0);
+        assert!(!ws.holds(sym("q"), &vals(&["a"])));
+        // `retract_fact` takes every copy in one repair.
+        for _ in 0..3 {
+            ws.assert_fact(sym("p"), vals(&["a"]));
+        }
+        ws.evaluate().unwrap();
+        assert!(ws.retract_fact(sym("p"), &vals(&["a"])));
+        assert_eq!(copies(&ws), 0);
+        assert!(!ws.holds(sym("q"), &vals(&["a"])));
+        assert!(!ws.retract_fact(sym("p"), &vals(&["a"])));
+    }
+
+    #[test]
+    fn a_copy_asserted_since_the_baseline_is_retracted_first() {
+        // One committed copy, one pending; one is retracted, then the
+        // evaluation fails. The rollback drops what was pending — so the
+        // retraction must have taken the pending copy, or the fact would
+        // be left with a tuple and no support.
+        let mut ws = Workspace::new("w");
+        ws.load("p", "q(X) <- p(X).").unwrap();
+        ws.load("schema", "poison(X) -> never(X).").unwrap();
+        ws.assert_fact(sym("p"), vals(&["a"]));
+        ws.evaluate().unwrap();
+        ws.assert_fact(sym("p"), vals(&["a"]));
+        ws.retract_facts(&[(sym("p"), vals(&["a"]))]);
+        ws.assert_fact(sym("poison"), vals(&["x"]));
+        assert!(ws.evaluate().is_err());
+        assert_eq!(ws.export_program().matches("p(a).").count(), 1);
+        ws.evaluate().unwrap();
+        assert!(ws.holds(sym("q"), &vals(&["a"])));
+        ws.retract_facts(&[(sym("p"), vals(&["a"]))]);
+        assert!(!ws.holds(sym("q"), &vals(&["a"])));
+    }
+
+    #[test]
+    fn a_repair_is_committed_once_and_a_rollback_copies_nothing() {
+        let mut ws = Workspace::new("w");
+        ws.load("p", "q(X) <- p(X).").unwrap();
+        ws.load("schema", "poison(X) -> never(X).").unwrap();
+        for i in 0..200 {
+            ws.assert_fact(sym("p"), vec![Value::Int(i)]);
+        }
+        ws.evaluate().unwrap();
+        let watch = ws.snapshot();
+        let shared = |ws: &Workspace, pred: &str| {
+            let (live, then) = (ws.db.relation(sym(pred)), watch.db.relation(sym(pred)));
+            live.unwrap().tuples_shared_with(then.unwrap())
+        };
+        // The repair re-takes the marks; the evaluation after it, with
+        // nothing grown, leaves them alone.
+        ws.retract_facts(&[(sym("p"), vec![Value::Int(199)])]);
+        let marked = ws.committed.as_ref().unwrap().epoch;
+        assert_eq!(marked, ws.epoch());
+        ws.evaluate().unwrap();
+        assert_eq!(ws.committed.as_ref().unwrap().epoch, marked);
+        // A failed evaluation cuts back to the marks: the tuples before
+        // them are still the very ones the earlier snapshot shares.
+        ws.assert_fact(sym("p"), vec![Value::Int(1000)]);
+        ws.assert_fact(sym("poison"), vals(&["x"]));
+        assert!(ws.evaluate().is_err());
+        assert_eq!(ws.db.count(sym("p")), 199);
+        assert_eq!(ws.db.count(sym("poison")), 0);
+        assert_eq!(shared(&ws, "q"), 192);
+        assert_eq!(shared(&ws, "p"), 192);
+        assert_eq!(ws.base_facts.shared_with(&watch.base_facts), 192);
     }
 
     #[test]

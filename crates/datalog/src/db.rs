@@ -1,5 +1,6 @@
-//! Tuple storage: relations that keep each tuple once, find it again by
-//! hash, and build per-column-set hash indices on demand.
+//! Tuple storage: relations that keep each tuple once — in chunks their
+//! clones share — find it again by hash, and build per-column-set hash
+//! indices on demand.
 //!
 //! A [`Database`] is the fact store of one LogicBlox-style workspace
 //! (§3.1 of the paper). Indices are built lazily for the column sets a
@@ -9,13 +10,14 @@
 //! ([`crate::unify::Bindings`]), so does proving `says(hub,me,[| good(s5) |])`.
 
 use crate::intern::Symbol;
+use crate::shared::SharedVec;
 use crate::unify::hash_value;
 use crate::value::Value;
 use std::collections::hash_map::{DefaultHasher, Entry, RandomState};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::ops::ControlFlow;
-use std::sync::{OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// A stored tuple.
 pub type Tuple = Vec<Value>;
@@ -75,6 +77,42 @@ fn add_position(buckets: &mut Buckets, hash: u64, pos: u32) {
             Bucket::Many(positions) => positions.push(pos),
         },
     }
+}
+
+/// Takes `pos` — the largest position filed under `hash` — back out.
+fn pop_position(buckets: &mut Buckets, hash: u64, pos: u32) {
+    let Entry::Occupied(mut slot) = buckets.entry(hash) else {
+        unreachable!("position {pos} was filed under its hash");
+    };
+    if let Bucket::Many(positions) = slot.get_mut() {
+        debug_assert_eq!(positions.last(), Some(&pos));
+        positions.pop();
+        if !positions.is_empty() {
+            return;
+        }
+    }
+    slot.remove();
+}
+
+/// Drops the positions in `gone` (ascending) from every bucket and moves
+/// each surviving position down by the number of removed ones below it —
+/// what closing the gaps does to the tuples. Order within a bucket is
+/// kept, and nothing is hashed.
+fn close_gaps(buckets: &mut Buckets, gone: &[usize]) {
+    let moved = |pos: &mut u32| match gone.binary_search(&(*pos as usize)) {
+        Ok(_) => false,
+        Err(below) => {
+            *pos -= below as u32;
+            true
+        }
+    };
+    buckets.retain(|_, bucket| match bucket {
+        Bucket::One(pos) => moved(pos),
+        Bucket::Many(positions) => {
+            positions.retain_mut(moved);
+            !positions.is_empty()
+        }
+    });
 }
 
 /// Which columns of an atom a probe has values for, and the hash of those
@@ -156,13 +194,30 @@ fn hash_cols(cols: u64, tuple: &[Value], ignored_bits: u64) -> Option<u64> {
 /// ascending positions of the tuples whose columns hash to it. No index
 /// holds a [`Value`].
 ///
+/// **What is shared.** `tuples` is a [`SharedVec`]: chunks of
+/// [`crate::shared::CHUNK`] tuples, the full ones each frozen behind an
+/// `Arc`. A clone of the relation — a published snapshot, a
+/// transaction's undo copy — copies the chunk pointers, the tuples of the
+/// open last chunk (fewer than `CHUNK`, whatever the relation holds) and
+/// the position maps (warm indices included), and from then on the two
+/// share every full chunk neither has changed. Inserting copies nothing
+/// more. A [`Relation::truncate`] copies the kept part of the chunk the
+/// cut falls in, a [`Relation::remove_tuples`] the tuples that stay from
+/// the first removed position on. A full chunk is never written again —
+/// there is no operation that does — which is what lets a reader thread
+/// probe an old snapshot with no lock on the tuples while the writer
+/// carries on. One level up, a [`Database`] holds each relation behind
+/// an `Arc` too, so a relation nobody wrote to since a clone is the same
+/// allocation in both — one pointer copied, its indices warm for both
+/// sides.
+///
 /// **Why candidates are re-matched.** A bucket is found by a 64-bit hash
 /// taken in the matcher's view (`Bindings::hash_closed` in [`crate::unify`]),
 /// which deliberately identifies values `==` tells apart, and distinct
 /// keys can collide besides. A bucket is therefore a superset of the
 /// tuples wanted, never a subset: whoever probes must check every tuple
 /// it is shown (`match_tuple`), and `contains`/`insert` compare against
-/// `tuples[pos]`.
+/// the tuple at each position.
 ///
 /// **Order.** A bucket lists positions in insertion order, so a probe
 /// visits tuples in the order a full scan would, and a semi-naive delta
@@ -177,7 +232,7 @@ fn hash_cols(cols: u64, tuple: &[Value], ignored_bits: u64) -> Option<u64> {
 /// wait for the write lock behind the read lock its own caller holds.
 #[derive(Debug, Default)]
 pub struct Relation {
-    tuples: Vec<Tuple>,
+    tuples: SharedVec<Tuple>,
     all: Buckets,
     /// Column set (as in [`ProbeKey`]) -> its index.
     indices: RwLock<HashMap<u64, Buckets>>,
@@ -187,11 +242,15 @@ pub struct Relation {
 
 impl Clone for Relation {
     fn clone(&self) -> Self {
-        // Indices are rebuilt on demand; no need to copy them.
+        // Tuples are shared and positions are the same on both sides, so
+        // the indices built so far are as good for the clone as for the
+        // original: copying them is a walk over `u32`s, rebuilding them
+        // hashes every tuple.
+        let indices = self.indices.read().expect("index lock poisoned");
         Relation {
             tuples: self.tuples.clone(),
             all: self.all.clone(),
-            indices: RwLock::new(HashMap::new()),
+            indices: RwLock::new(indices.clone()),
             ignored_hash_bits: self.ignored_hash_bits,
         }
     }
@@ -233,27 +292,32 @@ impl Relation {
         index
     }
 
-    /// Whether `tuple`, which hashes to `hash`, is present.
-    fn holds(&self, hash: u64, tuple: &[Value]) -> bool {
-        self.all.get(&hash).is_some_and(|bucket| {
-            let mut positions = bucket.positions().iter();
-            positions.any(|&pos| self.tuples[pos as usize] == tuple)
-        })
+    /// Where `tuple`, which hashes to `hash`, is.
+    fn position(&self, hash: u64, tuple: &[Value]) -> Option<u32> {
+        let mut positions = self.all.get(&hash)?.positions().iter().copied();
+        positions.find(|&pos| self.tuples.get(pos as usize) == tuple)
     }
 
     /// Whether `tuple` is present.
     pub fn contains(&self, tuple: &[Value]) -> bool {
-        self.holds(hash_all(tuple, self.ignored_hash_bits), tuple)
+        let hash = hash_all(tuple, self.ignored_hash_bits);
+        self.position(hash, tuple).is_some()
     }
 
     /// Inserts a tuple; returns `true` when it is new. Existing indices
     /// are maintained incrementally.
     pub fn insert(&mut self, tuple: Tuple) -> bool {
-        let ignored_bits = self.ignored_hash_bits;
-        let hash = hash_all(&tuple, ignored_bits);
-        if self.holds(hash, &tuple) {
+        let hash = hash_all(&tuple, self.ignored_hash_bits);
+        if self.position(hash, &tuple).is_some() {
             return false;
         }
+        self.file(hash, tuple);
+        true
+    }
+
+    /// Appends `tuple`, which hashes to `hash` and is not present.
+    fn file(&mut self, hash: u64, tuple: Tuple) {
+        let ignored_bits = self.ignored_hash_bits;
         let pos = u32::try_from(self.tuples.len()).expect("a relation holds under 2^32 tuples");
         let indices = self.indices.get_mut().expect("index lock poisoned");
         for (&cols, index) in indices.iter_mut() {
@@ -263,7 +327,6 @@ impl Relation {
         }
         add_position(&mut self.all, hash, pos);
         self.tuples.push(tuple);
-        true
     }
 
     /// Iterates over all tuples in insertion order.
@@ -271,15 +334,16 @@ impl Relation {
         self.tuples.iter()
     }
 
-    /// The tuple at `pos` (positions are stable; relations only grow).
+    /// The tuple at `pos` (positions are stable while the relation only
+    /// grows).
     pub fn get(&self, pos: usize) -> &Tuple {
-        &self.tuples[pos]
+        self.tuples.get(pos)
     }
 
     /// Tuples inserted at or after position `from` — the semi-naive delta
-    /// window.
-    pub fn since(&self, from: usize) -> &[Tuple] {
-        &self.tuples[from.min(self.tuples.len())..]
+    /// window — in insertion order.
+    pub fn since(&self, from: usize) -> impl Iterator<Item = &Tuple> {
+        self.tuples.iter_from(from)
     }
 
     /// Shows `visit`, in insertion order, every tuple at position `from`
@@ -295,7 +359,7 @@ impl Relation {
         mut visit: impl FnMut(&Tuple) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         if key.cols == 0 {
-            return self.since(from).iter().try_for_each(visit);
+            return self.since(from).try_for_each(visit);
         }
         let hash = key.hasher.finish() & !self.ignored_hash_bits;
         let mut walk = |buckets: &Buckets| {
@@ -303,7 +367,7 @@ impl Relation {
             let first = positions.partition_point(|&pos| (pos as usize) < from);
             positions[first..]
                 .iter()
-                .try_for_each(|&pos| visit(&self.tuples[pos as usize]))
+                .try_for_each(|&pos| visit(self.tuples.get(pos as usize)))
         };
         if key.cols.count_ones() as usize == key.arity {
             return walk(&self.all);
@@ -332,34 +396,64 @@ impl Relation {
         self.indices.get_mut().expect("index lock poisoned").clear();
     }
 
-    /// Removes every tuple in `doomed`, returning how many were removed.
-    /// Positions are re-packed and indices dropped (rebuilt on demand) —
-    /// callers must not hold delta windows across a removal.
-    pub fn remove_tuples(&mut self, doomed: &HashSet<Tuple>) -> usize {
-        let before = self.tuples.len();
+    /// Drops the tuples at position `len` and after — undoing every insert
+    /// since the relation was `len` long — and takes their positions back
+    /// out of the dedup map and every index built so far.
+    pub fn truncate(&mut self, len: usize) {
         let ignored_bits = self.ignored_hash_bits;
-        self.all.clear();
-        let mut kept = 0u32;
-        self.tuples.retain(|tuple| {
-            let keep = !doomed.contains(tuple);
-            if keep {
-                add_position(&mut self.all, hash_all(tuple, ignored_bits), kept);
-                kept += 1;
+        let indices = self.indices.get_mut().expect("index lock poisoned");
+        // Highest first: each is then the last position of its buckets.
+        for pos in (len..self.tuples.len()).rev() {
+            let tuple = self.tuples.get(pos);
+            pop_position(&mut self.all, hash_all(tuple, ignored_bits), pos as u32);
+            for (&cols, index) in indices.iter_mut() {
+                if let Some(hash) = hash_cols(cols, tuple, ignored_bits) {
+                    pop_position(index, hash, pos as u32);
+                }
             }
-            keep
-        });
-        let removed = before - self.tuples.len();
-        if removed > 0 {
-            self.indices.get_mut().expect("index lock poisoned").clear();
         }
-        removed
+        self.tuples.truncate(len);
+    }
+
+    /// Removes every tuple in `doomed`, returning how many were removed.
+    /// The tuples after a removed one move down a position, and the dedup
+    /// map and every index built so far follow them in place: a doomed
+    /// tuple is hashed to find it, a kept one is not touched. Callers must
+    /// not hold delta windows across a removal.
+    pub fn remove_tuples(&mut self, doomed: &HashSet<Tuple>) -> usize {
+        let ignored_bits = self.ignored_hash_bits;
+        let mut gone: Vec<usize> = doomed
+            .iter()
+            .filter_map(|tuple| self.position(hash_all(tuple, ignored_bits), tuple))
+            .map(|pos| pos as usize)
+            .collect();
+        if gone.is_empty() {
+            return 0;
+        }
+        gone.sort_unstable();
+        close_gaps(&mut self.all, &gone);
+        let indices = self.indices.get_mut().expect("index lock poisoned");
+        for index in indices.values_mut() {
+            close_gaps(index, &gone);
+        }
+        self.tuples.remove_positions(&gone);
+        gone.len()
+    }
+
+    /// How many of this relation's tuples are stored in a chunk `other`
+    /// holds too: the tuples neither has copied since one was cloned from
+    /// the other ([`SharedVec::shared_with`]).
+    pub fn tuples_shared_with(&self, other: &Relation) -> usize {
+        self.tuples.shared_with(&other.tuples)
     }
 }
 
-/// A set of named relations.
+/// A set of named relations. Each sits behind an `Arc`, so a clone costs
+/// a pointer per relation and a relation is copied (see [`Relation`] for
+/// what that copies) only when one side first writes to it.
 #[derive(Debug, Default, Clone)]
 pub struct Database {
-    relations: HashMap<Symbol, Relation>,
+    relations: HashMap<Symbol, Arc<Relation>>,
 }
 
 impl Database {
@@ -371,17 +465,25 @@ impl Database {
     /// The relation for `pred`, if any tuples or an explicit relation
     /// exist.
     pub fn relation(&self, pred: Symbol) -> Option<&Relation> {
-        self.relations.get(&pred)
+        self.relations.get(&pred).map(|rel| &**rel)
     }
 
-    /// The relation for `pred`, created on demand.
+    /// The relation for `pred`, created on demand — and made this
+    /// database's own if a clone still shares it.
     pub fn relation_mut(&mut self, pred: Symbol) -> &mut Relation {
-        self.relations.entry(pred).or_default()
+        Arc::make_mut(self.relations.entry(pred).or_default())
     }
 
-    /// Inserts a fact; returns `true` when new.
+    /// Inserts a fact; returns `true` when new. A fact already present
+    /// leaves a shared relation shared.
     pub fn insert(&mut self, pred: Symbol, tuple: Tuple) -> bool {
-        self.relation_mut(pred).insert(tuple)
+        let rel = self.relations.entry(pred).or_default();
+        let hash = hash_all(&tuple, rel.ignored_hash_bits);
+        if rel.position(hash, &tuple).is_some() {
+            return false;
+        }
+        Arc::make_mut(rel).file(hash, tuple);
+        true
     }
 
     /// Whether the fact is present.
@@ -391,24 +493,45 @@ impl Database {
 
     /// Number of tuples in `pred`'s relation.
     pub fn count(&self, pred: Symbol) -> usize {
-        self.relations.get(&pred).map_or(0, Relation::len)
+        self.relations.get(&pred).map_or(0, |r| r.len())
     }
 
     /// Total number of tuples across all relations.
     pub fn total_tuples(&self) -> usize {
-        self.relations.values().map(Relation::len).sum()
+        self.relations.values().map(|r| r.len()).sum()
     }
 
     /// Iterates over `(predicate, relation)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &Relation)> {
-        self.relations.iter().map(|(k, v)| (*k, v))
+        self.relations.iter().map(|(k, v)| (*k, &**v))
     }
 
     /// Removes the relations named by `preds` (full-recompute support).
     pub fn clear_predicates(&mut self, preds: impl IntoIterator<Item = Symbol>) {
         for p in preds {
             if let Some(rel) = self.relations.get_mut(&p) {
-                rel.clear();
+                match Arc::get_mut(rel) {
+                    Some(owned) => owned.clear(),
+                    None => *rel = Arc::default(),
+                }
+            }
+        }
+    }
+
+    /// The length of every relation: a watermark [`Database::truncate`]
+    /// can return to for as long as relations were only inserted into.
+    pub fn lengths(&self) -> impl Iterator<Item = (Symbol, usize)> + '_ {
+        self.relations.iter().map(|(pred, rel)| (*pred, rel.len()))
+    }
+
+    /// Cuts every relation back to its length in `lengths` (to nothing
+    /// when it has none), undoing the inserts since [`Database::lengths`]
+    /// gave them. A relation that did not grow is not touched.
+    pub fn truncate(&mut self, lengths: &HashMap<Symbol, usize>) {
+        for (pred, rel) in &mut self.relations {
+            let len = lengths.get(pred).copied().unwrap_or(0);
+            if rel.len() > len {
+                Arc::make_mut(rel).truncate(len);
             }
         }
     }
@@ -420,6 +543,10 @@ mod tests {
 
     fn t(vals: &[&str]) -> Tuple {
         vals.iter().map(|v| Value::sym(v)).collect()
+    }
+
+    fn since(rel: &Relation, from: usize) -> Vec<Tuple> {
+        rel.since(from).cloned().collect()
     }
 
     /// The tuples a probe of `arity` columns, `bound` as given, is shown
@@ -468,7 +595,7 @@ mod tests {
         // Missing key.
         assert!(shown(&rel, 2, &[(0, "q")], 0).is_empty());
         // No column bound: everything, in insertion order.
-        assert_eq!(shown(&rel, 2, &[], 0), rel.since(0));
+        assert_eq!(shown(&rel, 2, &[], 0), since(&rel, 0));
     }
 
     #[test]
@@ -572,9 +699,9 @@ mod tests {
         rel.insert(t(&["b"]));
         let mark = rel.len();
         rel.insert(t(&["c"]));
-        assert_eq!(rel.since(mark), &[t(&["c"])]);
-        assert!(rel.since(rel.len()).is_empty());
-        assert!(rel.since(100).is_empty());
+        assert_eq!(since(&rel, mark), [t(&["c"])]);
+        assert!(since(&rel, rel.len()).is_empty());
+        assert!(since(&rel, 100).is_empty());
     }
 
     #[test]
@@ -594,16 +721,21 @@ mod tests {
     }
 
     #[test]
-    fn clone_drops_indices_but_keeps_tuples() {
+    fn clone_keeps_tuples_and_warm_indices() {
         let mut rel = Relation::new();
         rel.insert(t(&["a", "b"]));
         shown(&rel, 2, &[(0, "a")], 0);
-        let cloned = rel.clone();
+        let mut cloned = rel.clone();
         assert_eq!(cloned.len(), 1);
-        assert!(cloned.indices.read().unwrap().is_empty());
+        assert_eq!(cloned.indices.read().unwrap().len(), 1);
         assert!(cloned.contains(&t(&["a", "b"])));
         assert!(!cloned.clone().insert(t(&["a", "b"])));
         assert_eq!(shown(&cloned, 2, &[(0, "a")], 0), [t(&["a", "b"])]);
+        // The carried index is the clone's own: it follows the clone's
+        // inserts and the original's does not.
+        cloned.insert(t(&["a", "c"]));
+        assert_eq!(shown(&cloned, 2, &[(0, "a")], 0).len(), 2);
+        assert_eq!(shown(&rel, 2, &[(0, "a")], 0), [t(&["a", "b"])]);
     }
 
     #[test]
@@ -612,7 +744,9 @@ mod tests {
         for i in 0..512 {
             rel.insert(t(&["hub", &format!("s{i}")]));
         }
-        shown(&rel, 2, &[(0, "hub")], 0);
+        // Warm on another column set: the clone carries that index and
+        // must build the one the threads ask for.
+        shown(&rel, 2, &[(1, "s0")], 0);
         let cloned = rel.clone();
         let start = std::sync::Barrier::new(2);
         let (first, second) = std::thread::scope(|scope| {
@@ -624,8 +758,256 @@ mod tests {
             let second = scope.spawn(probe);
             (first.join().unwrap(), second.join().unwrap())
         });
-        assert_eq!(first, rel.since(500));
+        assert_eq!(first, since(&rel, 500));
         assert_eq!(second, first);
-        assert_eq!(cloned.indices.read().unwrap().len(), 1);
+        assert_eq!(cloned.indices.read().unwrap().len(), 2);
+        assert_eq!(rel.indices.read().unwrap().len(), 1);
+    }
+    #[test]
+    fn truncate_undoes_inserts_in_every_map() {
+        for mut rel in [Relation::new(), Relation::with_colliding_hashes()] {
+            for v in ["b", "c", "d", "e"] {
+                rel.insert(t(&["a", v]));
+            }
+            shown(&rel, 2, &[(0, "a")], 0);
+            shown(&rel, 2, &[(1, "d")], 0);
+            rel.truncate(2);
+            assert_eq!(since(&rel, 0), [t(&["a", "b"]), t(&["a", "c"])]);
+            assert!(!rel.contains(&t(&["a", "d"])));
+            assert_eq!(shown(&rel, 2, &[(0, "a")], 0).len(), 2);
+            assert!(!shown(&rel, 2, &[(1, "d")], 0).contains(&t(&["a", "d"])));
+            // What was cut off can come back, and is filed again.
+            assert!(rel.insert(t(&["a", "d"])));
+            assert_eq!(shown(&rel, 2, &[(0, "a")], 2), [t(&["a", "d"])]);
+            assert!(shown(&rel, 2, &[(1, "d")], 0).contains(&t(&["a", "d"])));
+            rel.truncate(7);
+            assert_eq!(rel.len(), 3);
+            rel.truncate(0);
+            assert!(rel.is_empty() && rel.all.is_empty());
+        }
+    }
+
+    #[test]
+    fn remove_tuples_keeps_indices_warm() {
+        let mut rel = Relation::new();
+        for i in 0..100 {
+            rel.insert(t(&["hub", &format!("s{i}")]));
+        }
+        shown(&rel, 2, &[(0, "hub")], 0);
+        shown(&rel, 2, &[(1, "s40")], 0);
+        let doomed = HashSet::from([t(&["hub", "s7"]), t(&["hub", "s70"]), t(&["x", "y"])]);
+        assert_eq!(rel.remove_tuples(&doomed), 2);
+        assert_eq!(rel.indices.read().unwrap().len(), 2, "nothing was dropped");
+        let all = shown(&rel, 2, &[(0, "hub")], 0);
+        assert_eq!(all, since(&rel, 0));
+        assert_eq!(all.len(), 98);
+        assert_eq!(shown(&rel, 2, &[(1, "s40")], 0), [t(&["hub", "s40"])]);
+        // s40 moved down one position, s80 two.
+        assert_eq!(rel.get(39), &t(&["hub", "s40"]));
+        assert_eq!(shown(&rel, 2, &[(0, "hub")], 78)[0], t(&["hub", "s80"]));
+    }
+
+    #[test]
+    fn database_clone_shares_until_written() {
+        let (p, q) = (Symbol::intern("p"), Symbol::intern("q"));
+        let mut db = Database::new();
+        for i in 0..100 {
+            db.insert(p, t(&[&format!("s{i}")]));
+        }
+        db.insert(q, t(&["a"]));
+        let snapshot = db.clone();
+        fn same(a: &Database, b: &Database, pred: Symbol) -> bool {
+            std::ptr::eq(a.relation(pred).unwrap(), b.relation(pred).unwrap())
+        }
+        assert!(same(&db, &snapshot, p) && same(&db, &snapshot, q));
+        // A fact already present changes nothing, not even ownership.
+        assert!(!db.insert(p, t(&["s3"])));
+        assert!(same(&db, &snapshot, p));
+        assert!(db.insert(p, t(&["fresh"])));
+        let (mine, theirs) = (db.relation(p).unwrap(), snapshot.relation(p).unwrap());
+        assert!(!std::ptr::eq(mine, theirs));
+        assert_eq!((mine.len(), theirs.len()), (101, 100));
+        assert!(!snapshot.contains(p, &t(&["fresh"])));
+        // Only the open chunk was copied.
+        assert_eq!(mine.tuples_shared_with(theirs), 96);
+        assert!(same(&db, &snapshot, q));
+        // Cutting back to the snapshot's lengths leaves equal contents.
+        let lengths: HashMap<Symbol, usize> = snapshot.lengths().collect();
+        db.insert(Symbol::intern("r"), t(&["new"]));
+        db.truncate(&lengths);
+        assert_eq!(db.count(p), 100);
+        assert_eq!(db.count(Symbol::intern("r")), 0);
+        assert!(!db.contains(p, &t(&["fresh"])));
+    }
+
+    /// One step of the model-equivalence property below.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Insert(u8, u8),
+        Remove(Vec<(u8, u8)>),
+        Truncate(usize),
+        Clone,
+        /// Probe on column set `.0` (bit c = column c), so that the index
+        /// exists from here on.
+        Warm(u8, u8, u8),
+    }
+
+    fn arb_ops() -> impl proptest::strategy::Strategy<Value = Vec<(usize, Op)>> {
+        use proptest::prelude::*;
+        let cell = || (0u8..12, 0u8..13);
+        let op = (
+            0u8..16,
+            cell(),
+            prop::collection::vec(cell(), 1..6),
+            0usize..200,
+        )
+            .prop_map(|(kind, (a, b), some, n)| match kind {
+                0..=8 => Op::Insert(a, b),
+                9..=10 => Op::Remove(some),
+                11 => Op::Truncate(n),
+                12..=13 => Op::Clone,
+                _ => Op::Warm(1 + (n % 3) as u8, a, b),
+            });
+        prop::collection::vec((0usize..8, op), 1..80)
+    }
+
+    /// `(a, b)` as a tuple; `b == 12` makes it unary (mixed arity).
+    fn cell(a: u8, b: u8) -> Tuple {
+        let mut tuple = vec![Value::sym(&format!("a{a}"))];
+        if b < 12 {
+            tuple.push(Value::sym(&format!("b{b}")));
+        }
+        tuple
+    }
+
+    /// What `rel` shows a probe for `(a, b)` on `cols` from `from`,
+    /// checked to be in insertion order and inside the window, then cut
+    /// down to the tuples that really match.
+    fn matches(rel: &Relation, cols: u8, a: u8, b: u8, from: usize) -> Vec<Tuple> {
+        let wanted = cell(a, b.min(11));
+        let mut key = ProbeKey::new(2);
+        for (col, value) in wanted.iter().enumerate() {
+            if cols & (1 << col) != 0 {
+                key.bind(col, value);
+            }
+        }
+        let mut seen = Vec::new();
+        let _ = rel.probe(&key, from, |tuple| {
+            seen.push(tuple.clone());
+            ControlFlow::Continue(())
+        });
+        let positions: Vec<usize> = seen
+            .iter()
+            .map(|tuple| rel.iter().position(|other| other == tuple).unwrap())
+            .collect();
+        assert!(positions.windows(2).all(|w| w[0] < w[1]), "{positions:?}");
+        assert!(positions.first().is_none_or(|&first| first >= from));
+        let is_match = |tuple: &Tuple| {
+            tuple.len() == 2 && (0..2).all(|c| cols & (1 << c) == 0 || tuple[c] == wanted[c])
+        };
+        seen.retain(is_match);
+        seen
+    }
+
+    /// Runs `ops` over a family of relations — an original and every clone
+    /// taken along the way, each beside a plain `Vec` model — and checks
+    /// after every step that every member still agrees with its own
+    /// model: no member ever sees a write made to another. The original
+    /// starts out `preload` tuples long, so that there are full chunks
+    /// for the clones to share and for cuts and removals to fall in.
+    fn agrees_with_the_model(mut first: Relation, preload: usize, ops: &[(usize, Op)]) {
+        let model: Vec<Tuple> = (0..preload)
+            .map(|i| cell((i % 12) as u8, (i / 12) as u8))
+            .collect();
+        for tuple in &model {
+            assert!(first.insert(tuple.clone()));
+        }
+        let mut family: Vec<(Relation, Vec<Tuple>)> = vec![(first, model)];
+        for (which, op) in ops {
+            let target = which % family.len();
+            let (rel, model) = &mut family[target];
+            match op {
+                Op::Insert(a, b) => {
+                    let tuple = cell(*a, *b);
+                    let fresh = !model.contains(&tuple);
+                    assert_eq!(rel.insert(tuple.clone()), fresh);
+                    if fresh {
+                        model.push(tuple);
+                    }
+                }
+                Op::Remove(some) => {
+                    let doomed: HashSet<Tuple> = some.iter().map(|(a, b)| cell(*a, *b)).collect();
+                    let before = model.len();
+                    model.retain(|tuple| !doomed.contains(tuple));
+                    assert_eq!(rel.remove_tuples(&doomed), before - model.len());
+                }
+                Op::Truncate(n) => {
+                    let len = n % (model.len() + 1);
+                    rel.truncate(len);
+                    model.truncate(len);
+                }
+                Op::Clone => {
+                    let copy = (rel.clone(), model.clone());
+                    family.push(copy);
+                }
+                Op::Warm(cols, a, b) => {
+                    matches(rel, *cols, *a, *b, 0);
+                }
+            }
+            for (rel, model) in &family {
+                assert_eq!(rel.len(), model.len());
+                assert!(rel.iter().eq(model.iter()), "iteration order");
+                assert!((0..model.len()).all(|pos| rel.get(pos) == &model[pos]));
+                let windows = [
+                    0,
+                    model.len() / 2,
+                    model.len().saturating_sub(1),
+                    model.len(),
+                ];
+                for from in windows {
+                    assert!(rel.since(from).eq(&model[from..]), "since({from})");
+                }
+                let probe = cell((target % 12) as u8, (model.len() % 13) as u8);
+                assert_eq!(rel.contains(&probe), model.contains(&probe));
+                if let Some(tuple) = model.get(model.len() / 3) {
+                    assert!(rel.contains(tuple));
+                }
+                for cols in 1..4u8 {
+                    let (a, b) = ((model.len() % 12) as u8, (target % 12) as u8);
+                    for from in windows {
+                        let wanted = cell(a, b);
+                        let expected: Vec<Tuple> = model[from..]
+                            .iter()
+                            .filter(|tuple| {
+                                tuple.len() == 2
+                                    && (0..2).all(|c| cols & (1 << c) == 0 || tuple[c] == wanted[c])
+                            })
+                            .cloned()
+                            .collect();
+                        assert_eq!(matches(rel, cols, a, b, from), expected);
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn model_equivalence_of_a_relation_and_its_clones(
+            preload in 0usize..140,
+            ops in arb_ops(),
+        ) {
+            agrees_with_the_model(Relation::new(), preload, &ops);
+        }
+
+        #[test]
+        fn model_equivalence_when_every_hash_collides(
+            preload in 0usize..140,
+            ops in arb_ops(),
+        ) {
+            agrees_with_the_model(Relation::with_colliding_hashes(), preload, &ops);
+        }
     }
 }

@@ -12,7 +12,7 @@
 //!   range-restriction/safety checking ([`safety`]);
 //! * **evaluation** — stratified semi-naive bottom-up fixpoint with
 //!   incremental recomputation, plus a naive baseline ([`eval`],
-//!   [`strata`], [`db`]);
+//!   [`strata`], [`db`], [`shared`]);
 //! * **goal-directed evaluation** — a magic-sets rewrite and a tabled
 //!   top-down resolver ([`magic`], [`topdown`]) for the paper's
 //!   "top-down to bottom-up" discussion (§5.1, §7);
@@ -44,6 +44,7 @@ pub mod magic;
 pub mod parser;
 pub mod provenance;
 pub mod safety;
+pub mod shared;
 pub mod strata;
 pub mod topdown;
 pub mod unify;
@@ -56,5 +57,6 @@ pub use eval::{CompiledRules, Engine, EvalError, EvalStats};
 pub use intern::Symbol;
 pub use lexer::Span;
 pub use parser::{parse_atom, parse_program, parse_rule, ParseError};
+pub use shared::SharedVec;
 pub use unify::{Binding, Bindings};
 pub use value::Value;

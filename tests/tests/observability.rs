@@ -178,6 +178,70 @@ fn phase_timing_records_per_phase_and_per_shard() {
     }
 }
 
+/// The delivery phase says where its time went: five parts, one sample
+/// each per step, that on one shard add up to no more than the phase —
+/// and that are wall-clock like the phase, so the deterministic snapshot
+/// (and with it serial = sharded) never sees them.
+#[test]
+fn delivery_time_is_attributed_to_its_parts() {
+    const PARTS: [&str; 5] = ["decode", "verify", "assert", "evaluate", "merge"];
+    let part_name = |part: &str| format!("quiesce.delivery.{part}_ns");
+    let run = |shards: usize| {
+        let mut sys = fanout_system(shards, 3);
+        // A certificate imported everywhere and then revoked gives the
+        // `verify` and `assert` parts (store transition, DRed repair)
+        // something to do; the `says` chains above fed the other three.
+        let hub = Principal::from("hub");
+        let cert = sys
+            .issue_certificate(hub, "good(carol).", &[], None)
+            .unwrap();
+        for i in 0..3 {
+            let r = Principal::from(format!("r{i}").as_str());
+            sys.import_certificates(r, vec![cert.clone()]).unwrap();
+        }
+        sys.run_to_quiescence(16).unwrap();
+        sys.revoke_certificate(hub, cert.digest()).unwrap();
+        sys.run_to_quiescence(16).unwrap();
+        sys
+    };
+    let serial = run(1);
+    let full = serial.obs_registry().snapshot();
+    let phase = full.histogram("quiesce.delivery_ns").unwrap();
+    let mut parts_sum = 0;
+    for part in PARTS {
+        let hist = full
+            .histogram(&part_name(part))
+            .unwrap_or_else(|| panic!("{part} is not recorded"));
+        assert_eq!(hist.count, phase.count, "{part}: one sample per step");
+        assert!(hist.sum > 0, "{part} never took any time");
+        parts_sum += hist.sum;
+    }
+    assert!(
+        parts_sum <= phase.sum,
+        "parts {parts_sum} ns exceed the phase's {} ns",
+        phase.sum
+    );
+
+    let sharded = run(2);
+    let det = serial.obs_registry().deterministic_snapshot();
+    assert_eq!(det, sharded.obs_registry().deterministic_snapshot());
+    for part in PARTS {
+        assert!(det.histogram(&part_name(part)).is_none());
+    }
+
+    let mut quiet = run(1);
+    quiet.set_phase_timing(false);
+    let before = quiet.obs_registry().snapshot();
+    let hub = quiet.workspace_mut(Principal::from("hub")).unwrap();
+    hub.assert_src("vedge(d,e).").unwrap();
+    quiet.run_to_quiescence(16).unwrap();
+    let after = quiet.obs_registry().snapshot();
+    for part in PARTS {
+        let name = part_name(part);
+        assert_eq!(before.histogram(&name), after.histogram(&name), "{name}");
+    }
+}
+
 /// The worker pool's own telemetry: a sharded run counts dispatched
 /// tasks, publishes the per-worker fixpoint imbalance ratio, and keeps
 /// both out of the deterministic snapshot — they are scheduling
