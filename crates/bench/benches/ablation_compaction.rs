@@ -14,11 +14,12 @@
 //! / `dead_bytes` / `compactions` / `replayed_from_checkpoint`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use lbtrust::certstore::backend::log::LogBackend;
 use lbtrust::certstore::{shared_verify_cache, CertStore, LinkedCert};
 use lbtrust::obs::{Registry, Report};
 use lbtrust::System;
 use lbtrust_bench::persist_line;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Certificates churned per history round.
 const ROUND_CERTS: usize = 16;
@@ -31,6 +32,17 @@ fn tmp_dir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("bench tmpdir");
     dir
+}
+
+/// Opens the store at `path` with the log's `storelog.*` metrics wired
+/// before the opening replay (so the replay is measured) and the
+/// store's `store.*` counters right after.
+fn open_observed(path: &Path, registry: &Registry) -> CertStore {
+    let mut log = LogBackend::open(path).unwrap();
+    log.attach_metrics(registry);
+    let mut store = CertStore::open_backend(Box::new(log), shared_verify_cache()).unwrap();
+    store.attach_obs(registry);
+    store
 }
 
 /// Issues `mult * ROUND_CERTS` distinct certificates (RSA-512 keys for
@@ -154,12 +166,8 @@ fn compaction_lifecycle(c: &mut Criterion) {
             })
         });
 
-        let replayed_u = CertStore::open_with_obs(&path_u, shared_verify_cache(), None, &registry)
-            .unwrap()
-            .replay_report()
-            .records;
-        let reopened_c =
-            CertStore::open_with_obs(&path_c, shared_verify_cache(), None, &registry).unwrap();
+        let replayed_u = open_observed(&path_u, &registry).replay_report().records;
+        let reopened_c = open_observed(&path_c, &registry);
         let replayed_c = reopened_c.replay_report().records;
         assert!(reopened_c.replay_report().from_checkpoint);
         report = report

@@ -1,13 +1,12 @@
-//! Experiment A2: full bottom-up evaluation vs the magic-sets rewrite vs
-//! tabled top-down resolution for a *selective* access-control query —
-//! the paper's §7 "bridge" between access-control-style goal evaluation
-//! and network-style bottom-up evaluation.
+//! Experiment A2: full bottom-up evaluation vs the magic-sets rewrite
+//! for a *selective* access-control query — the paper's §7 "bridge"
+//! between access-control-style goal evaluation and network-style
+//! bottom-up evaluation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lbtrust_bench::workloads::access_workload;
 use lbtrust_datalog::ast::{Atom, Term};
 use lbtrust_datalog::magic::query_magic;
-use lbtrust_datalog::topdown::query_topdown;
 use lbtrust_datalog::{parse_program, Builtins, Engine, Value};
 
 fn goal_strategies(c: &mut Criterion) {
@@ -36,14 +35,6 @@ fn goal_strategies(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("magic_sets", users), &users, |b, _| {
             b.iter(|| {
                 query_magic(&program.rules, &w.db, &query, &builtins)
-                    .unwrap()
-                    .0
-                    .len()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("top_down", users), &users, |b, _| {
-            b.iter(|| {
-                query_topdown(&program.rules, &w.db, &query, &builtins)
                     .unwrap()
                     .0
                     .len()

@@ -1,23 +1,18 @@
-//! # lbtrust-bench — workloads for regenerating the paper's evaluation
+//! # lbtrust-bench — the ablations `benchmark/` does not cover
 //!
-//! One entry per experiment in DESIGN.md §4:
-//!
-//! * [`fig2`] — the paper's only measured figure: execution time over
-//!   number of messages for RSA / HMAC / Plaintext authentication (§6).
-//! * [`workloads`] — graph and access-control generators behind the
-//!   ablation benches (A1–A7).
-//!
-//! The `fig2` *binary* (`cargo run -p lbtrust-bench --release --bin
-//! fig2`) prints the same series Figure 2 plots; the criterion benches
-//! measure the same code paths with statistical rigor at smaller sizes.
+//! The repository's benchmark is the standalone `benchmark/` package:
+//! Figure 2, `authorize()`, revocation and durable-store workloads end
+//! to end, and every layer under them (`crypto.*`, `datalog.*`,
+//! `certstore.*`, …) timed by its `micro` module. What stays here are
+//! the criterion benches that sweep an axis it does not — gossip loss
+//! and partitions, compaction history, shard count, store-size ratio —
+//! each writing a `BENCH_*.json`, plus the magic-sets ablation
+//! ([`workloads`]) and the `lbtrust-lint` binary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fig2;
 pub mod workloads;
-
-pub use fig2::{fig2_point, Fig2Point};
 
 /// Appends a line to the same `target/criterion/summary.txt` the
 /// criterion shim writes, so per-bench summaries (parallel scaling,

@@ -1,54 +1,6 @@
-//! Workload generators for the ablation experiments (A1–A7 in
-//! DESIGN.md).
+//! The workload generator behind the magic-sets ablation.
 
 use lbtrust_datalog::{Database, Symbol, Value};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// A chain graph `0 -> 1 -> … -> n-1` as `edge` facts.
-pub fn chain_edges(n: usize) -> Vec<(Value, Value)> {
-    (0..n.saturating_sub(1))
-        .map(|i| (node_name(i), node_name(i + 1)))
-        .collect()
-}
-
-/// A random directed graph with `n` nodes and average out-degree
-/// `degree`, deterministic per seed.
-pub fn random_edges(n: usize, degree: usize, seed: u64) -> Vec<(Value, Value)> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut edges = Vec::with_capacity(n * degree);
-    for i in 0..n {
-        for _ in 0..degree {
-            let j = rng.gen_range(0..n);
-            if i != j {
-                edges.push((node_name(i), node_name(j)));
-            }
-        }
-    }
-    edges.sort_by_key(|(a, b)| (a.to_string(), b.to_string()));
-    edges.dedup();
-    edges
-}
-
-/// Interned node name `n<i>`.
-pub fn node_name(i: usize) -> Value {
-    Value::sym(&format!("n{i}"))
-}
-
-/// Loads edges into a database under `edge/2`.
-pub fn edge_db(edges: &[(Value, Value)]) -> Database {
-    let mut db = Database::new();
-    let edge = Symbol::intern("edge");
-    for (a, b) in edges {
-        db.insert(edge, vec![a.clone(), b.clone()]);
-    }
-    db
-}
-
-/// The transitive-closure program (A1/A2 substrate).
-pub const TC_PROGRAM: &str = "\
-    reach(X,Y) <- edge(X,Y).\n\
-    reach(X,Z) <- reach(X,Y), edge(Y,Z).\n";
 
 /// An access-control EDB for the magic-sets ablation (A2): `users`
 /// principals, each owning `files_per_user` files, a delegation chain of
@@ -108,24 +60,6 @@ pub fn access_workload(users: usize, files_per_user: usize, chain: usize) -> Acc
 mod tests {
     use super::*;
     use lbtrust_datalog::{parse_program, Builtins, Engine};
-
-    #[test]
-    fn chain_has_expected_closure() {
-        let db0 = edge_db(&chain_edges(10));
-        let program = parse_program(TC_PROGRAM).unwrap();
-        let mut db = db0.clone();
-        Engine::new(&program.rules, &Builtins::new())
-            .run(&mut db)
-            .unwrap();
-        // n*(n-1)/2 pairs for a 10-node chain: 45.
-        assert_eq!(db.count(Symbol::intern("reach")), 45);
-    }
-
-    #[test]
-    fn random_graph_deterministic() {
-        assert_eq!(random_edges(16, 3, 7), random_edges(16, 3, 7));
-        assert_ne!(random_edges(16, 3, 7), random_edges(16, 3, 8));
-    }
 
     #[test]
     fn access_workload_shape() {

@@ -19,7 +19,9 @@
 //!   construct preludes of §4 and §5.1, as LBTrust source.
 //! * [`system`] — the multi-principal runtime (§3.5): placement (`loc`),
 //!   export/import over a deterministic simulated network, and the
-//!   distributed fixpoint.
+//!   distributed fixpoint — a sequencer over its principals, each of
+//!   which is one self-contained value (workspace, certificate store,
+//!   placement, counters).
 //!
 //! ## Quickstart
 //!
@@ -55,6 +57,7 @@ pub mod authz;
 pub mod authz_read;
 pub mod delegation;
 pub mod gossip;
+mod node;
 pub mod obs;
 mod pool;
 pub mod principal;

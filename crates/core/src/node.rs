@@ -1,0 +1,679 @@
+//! One principal, as one value.
+//!
+//! The paper's unit of everything is the principal (§3.5): one
+//! workspace (its *context*), one set of credentials, placed on a node
+//! by the `loc` table. [`PrincipalState`] is that unit — everything the
+//! runtime keeps for one principal, and the operations that touch only
+//! that — so the [`crate::System`] is a sequencer over a vector of them
+//! and a pool task is "this principal, plus what to do".
+
+use crate::auth::{AuthScheme, KeyVerifier};
+use crate::authz_read::{AuthzPublishState, PrincipalSnapshot};
+use crate::gossip::{advert_fact, revfp_fact, ZERO_FP_HEX};
+use crate::obs::DeliveryPart;
+use crate::principal::Principal;
+use crate::system::{DegradedError, StoreHealth};
+use crate::workspace::{RetractOutcome, Workspace, WsError};
+use lbtrust_certstore::{
+    CertDigest, CertStore, CertStoreError, FaultHandle, LinkedCert, RetractionEvent, Revocation,
+    StorageError,
+};
+use lbtrust_datalog::{Symbol, Tuple, Value};
+use lbtrust_net::{NodeId, WireMessage};
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// Everything the runtime holds for one principal.
+///
+/// **What it owns.** The workspace, the certificate store, the index
+/// from each imported certificate to the workspace facts it introduced
+/// (so expiry and revocation retract exactly those), how far the
+/// `export` relation has been shipped, the authentication scheme, the
+/// node the principal is placed on, the store's fault-handling state and
+/// fault schedule, the snapshot-publication bookkeeping, the gossip
+/// facts currently asserted on its behalf, and its own share of the
+/// [`crate::SystemStats`] counters. Nothing here points at another
+/// principal; what principals share (key directory, verification cache,
+/// metrics registry) they share by `Arc`.
+///
+/// **Who may touch it when.** Between batches only the sequencer — the
+/// thread that owns the `System`. During a batch the value is moved (one
+/// `Box` pointer) into a [`PoolTask`] and exactly one pool worker, or
+/// the sequencer itself at one shard, runs [`PrincipalState::run`] on
+/// it; the task hands it back when done. It is never shared, so nothing
+/// in it is locked.
+///
+/// **Why merge order is registration order.** Whatever a batch did to a
+/// principal is inside the value when it returns, counters included, so
+/// there is nothing to fold but health transitions, rollback counts and
+/// the first hard error. Those, the network sends of every serial phase
+/// and [`crate::System::stats`] all walk the vector in registration
+/// order — the one order that does not depend on which worker finished
+/// first — which is what makes every shard count reach the same state,
+/// the same traffic and the same error.
+pub(crate) struct PrincipalState {
+    pub(crate) me: Principal,
+    pub(crate) ws: Workspace,
+    pub(crate) store: CertStore,
+    /// Which workspace base facts each imported certificate introduced,
+    /// by content address.
+    facts: HashMap<CertDigest, Vec<(Symbol, Tuple)>>,
+    cursor: ExportCursor,
+    pub(crate) auth: AuthScheme,
+    /// Placement: the physical node hosting this principal (the `loc`
+    /// relation).
+    pub(crate) node: NodeId,
+    pub(crate) health: HealthState,
+    /// The store's fault schedule, when fault injection was armed at
+    /// registration — for tests and the quarantine probe (a
+    /// persistently-failed handle cannot pass).
+    pub(crate) faults: Option<FaultHandle>,
+    /// What the last published [`crate::AuthzSnapshot`] captured, and
+    /// which retractions and certificate deaths happened since.
+    pub(crate) authz: AuthzPublishState,
+    /// Last asserted `revfp` hex per signer, so a changed fingerprint
+    /// retracts exactly the stale fact it replaces.
+    revfp: HashMap<Symbol, String>,
+    /// Last asserted incoming advertisement, by `(advertiser, signer)`.
+    adverts: HashMap<(Symbol, Symbol), String>,
+    pub(crate) tally: Tally,
+    /// Whether the delivery running now fills `spent`.
+    timing: bool,
+    /// Where this step's delivery time went, indexed by
+    /// [`DeliveryPart`]; taken by the sequencer's merge.
+    pub(crate) spent: [Duration; DeliveryPart::ALL.len()],
+}
+
+/// A cache version and the certificates that died under it: the cached
+/// decisions of that version citing one of them are to be dropped.
+pub(crate) type Sweep = (u64, HashSet<CertDigest>);
+
+/// One principal's share of [`crate::SystemStats`]: counted where the
+/// work happens, summed in registration order by
+/// [`crate::System::stats`].
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Tally {
+    pub(crate) accepted: usize,
+    pub(crate) rejected: usize,
+    pub(crate) revocations: usize,
+    pub(crate) retractions: usize,
+    pub(crate) dred_repairs: usize,
+    pub(crate) retraction_rebuilds: usize,
+}
+
+/// Per-store fault bookkeeping (internal; surfaced as
+/// [`StoreHealth`] / [`DegradedError`]).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct HealthState {
+    pub(crate) health: StoreHealth,
+    /// Consecutive failed storage attempts.
+    pub(crate) attempts: u32,
+    /// Step at which the next deferred retry / quarantine probe runs.
+    pub(crate) retry_at_step: usize,
+    /// Step at which the store left `Healthy`.
+    pub(crate) since_step: usize,
+    /// Last storage error observed, rendered.
+    pub(crate) last_error: String,
+    /// Clock ticks from [`crate::System::advance_time`] deferred while
+    /// quarantined, applied on re-admission.
+    pub(crate) pending_ticks: u64,
+}
+
+/// Whether a store error is a storage I/O failure — the class the
+/// step-based retry/quarantine policy covers. Semantic rejections (bad
+/// signatures, broken links, …) and structural storage errors
+/// (unsupported records, oversized checkpoints) are never retried.
+pub(crate) fn is_storage_io(e: &CertStoreError) -> bool {
+    matches!(e, CertStoreError::Storage(StorageError::Io { .. }))
+}
+
+impl PrincipalState {
+    /// A freshly registered principal around its workspace and store.
+    pub(crate) fn new(
+        ws: Workspace,
+        store: CertStore,
+        node: NodeId,
+        faults: Option<FaultHandle>,
+    ) -> PrincipalState {
+        PrincipalState {
+            me: ws.me(),
+            ws,
+            store,
+            facts: HashMap::new(),
+            cursor: ExportCursor::default(),
+            auth: AuthScheme::Rsa,
+            node,
+            health: HealthState::default(),
+            faults,
+            authz: AuthzPublishState::default(),
+            revfp: HashMap::new(),
+            adverts: HashMap::new(),
+            tally: Tally::default(),
+            timing: false,
+            spent: Default::default(),
+        }
+    }
+
+    /// Whether the store is read-only until its fault heals.
+    pub(crate) fn quarantined(&self) -> bool {
+        self.health.health == StoreHealth::Quarantined
+    }
+
+    /// Whether the store's fault schedule still reports a persistent
+    /// failure, which no quarantine probe can pass.
+    pub(crate) fn fault_armed(&self) -> bool {
+        self.faults.as_ref().is_some_and(FaultHandle::is_persistent)
+    }
+
+    /// A [`DegradedError`] snapshot of the current health state.
+    pub(crate) fn degraded(&self) -> DegradedError {
+        DegradedError {
+            principal: self.me,
+            since_step: self.health.since_step,
+            attempts: self.health.attempts,
+            last_error: self.health.last_error.clone(),
+        }
+    }
+
+    /// Runs `work`, adding what it took to `part` of this step's
+    /// delivery time while a timed delivery is running.
+    fn timed<T>(&mut self, part: DeliveryPart, work: impl FnOnce(&mut Self) -> T) -> T {
+        if !self.timing {
+            return work(self);
+        }
+        let started = Instant::now();
+        let done = work(self);
+        self.spent[part as usize] += started.elapsed();
+        done
+    }
+
+    /// Asserts the workspace facts of every listed stored certificate
+    /// whose facts are not in the workspace yet, returning how many
+    /// that was. Shared by live import and log-replay reconciliation so
+    /// both assert byte-identical facts: `export[me](issuer, R, S)` —
+    /// re-verified by the declarative `exp2`/`exp3` pipeline — plus
+    /// `says(issuer, me, R)` directly for workspaces without the auth
+    /// prelude.
+    pub(crate) fn file_cert_facts(
+        &mut self,
+        digests: impl IntoIterator<Item = CertDigest>,
+    ) -> usize {
+        let mut filed = 0;
+        for digest in digests {
+            if self.facts.contains_key(&digest) {
+                continue;
+            }
+            let entry = self.store.get(&digest).expect("a stored certificate");
+            let facts = cert_workspace_facts(self.me, &entry.cert);
+            self.ws.assert_facts(&facts);
+            self.facts.insert(digest, facts);
+            filed += 1;
+        }
+        filed
+    }
+
+    /// Applies a signed revocation here: the store transition, then the
+    /// retraction of every workspace fact a dying certificate
+    /// introduced. `absorb` is the gossip-relayed form — an
+    /// issuer-mismatch object is remembered as inert instead of
+    /// rejected, so anti-entropy converges on the object set. A
+    /// duplicate (or an inert foreign absorption) applies nothing: no
+    /// counter moves and no retraction re-fires. A store error leaves
+    /// the principal untouched (the store appends before it mutates), so
+    /// the caller may retry the whole call.
+    pub(crate) fn apply_revocation(
+        &mut self,
+        revocation: &Revocation,
+        verifier: &KeyVerifier,
+        absorb: bool,
+    ) -> Result<(), CertStoreError> {
+        let outcome = self.timed(DeliveryPart::Verify, |n| {
+            if absorb {
+                n.store.absorb_revocation(revocation, verifier)
+            } else {
+                n.store.revoke_with_outcome(revocation, verifier)
+            }
+        })?;
+        if outcome.applied && outcome.authoritative {
+            self.tally.revocations += 1;
+            self.retract_cert_facts(&outcome.events);
+        }
+        Ok(())
+    }
+
+    /// Advances the store's logical clock, retracting the facts of the
+    /// certificates that expired. Returns how many died.
+    pub(crate) fn advance_clock(&mut self, ticks: u64) -> Result<usize, CertStoreError> {
+        let events = self.store.advance_clock(ticks)?;
+        self.retract_cert_facts(&events);
+        Ok(events.len())
+    }
+
+    /// Retracts the workspace facts behind each retraction event in one
+    /// batched DRed pass.
+    fn retract_cert_facts(&mut self, events: &[RetractionEvent]) {
+        // Every dying certificate poisons the cached decisions citing
+        // it, whether or not its facts were still asserted here.
+        self.authz.poisoned.extend(events.iter().map(|e| e.digest));
+        let batch: Vec<(Symbol, Tuple)> = events
+            .iter()
+            .filter_map(|event| self.facts.remove(&event.digest))
+            .flatten()
+            .collect();
+        if batch.is_empty() {
+            return;
+        }
+        self.tally.retractions += batch.len();
+        match self.timed(DeliveryPart::Assert, |n| n.ws.retract_facts(&batch)) {
+            RetractOutcome::Incremental(_) => {
+                self.tally.dred_repairs += 1;
+                // One incremental repair = exactly one workspace epoch
+                // bump; the publish path matches these totals to tell
+                // "retraction-only" windows (precise cache
+                // invalidation) from arbitrary change (version bump).
+                self.authz.retraction_bumps += 1;
+            }
+            RetractOutcome::Deferred => self.tally.retraction_rebuilds += 1,
+            RetractOutcome::Noop => {}
+        }
+    }
+
+    /// This principal's share of a fresh [`crate::AuthzSnapshot`], plus
+    /// — for a window in which it changed *only* by incremental DRed
+    /// retractions — the `(cache version, dead certificates)` sweep to
+    /// run once the snapshot is in the cell. Any other change (imports,
+    /// rule changes, non-monotonic rebuilds — detected by comparing
+    /// workspace-epoch movement against the counted retraction repairs)
+    /// bumps the version and orphans the principal's older cached
+    /// decisions wholesale.
+    pub(crate) fn publish(&mut self) -> (Arc<PrincipalSnapshot>, Option<Sweep>) {
+        // A quarantined store stays registered and keeps serving reads
+        // (the degradation contract), so it publishes like a healthy
+        // one.
+        let (ws, store, st) = (&self.ws, &self.store, &mut self.authz);
+        let epoch = ws.epoch();
+        let store_version = store.version();
+        let changed = epoch != st.published_epoch || store_version != st.published_store_version;
+        if let Some(snap) = st.snap.as_ref().filter(|_| !changed) {
+            // Unchanged since the last publish: share the Arc.
+            st.poisoned.clear();
+            st.retraction_bumps = 0;
+            return (snap.clone(), None);
+        }
+        let epoch_delta = epoch.wrapping_sub(st.published_epoch);
+        let mut sweep = None;
+        if st.snap.is_some() && epoch_delta == st.retraction_bumps {
+            // Retraction-only window: every workspace change was an
+            // incremental DRed repair (facts only disappeared), so a
+            // cached deny cannot have flipped and a cached grant is
+            // stale exactly when it cites a dead certificate. Drop
+            // precisely those; the version (and every other cached
+            // decision) survives.
+            if !st.poisoned.is_empty() {
+                sweep = Some((st.authz_version, st.poisoned.drain(..).collect()));
+            }
+        } else {
+            // Arbitrary change (fresh imports, rule loads, a
+            // non-monotonic rebuild, a rollback): no per-entry
+            // attribution is possible, so the version bump orphans the
+            // principal's cached decisions wholesale and the 2Q
+            // eviction reclaims them.
+            st.authz_version += 1;
+        }
+        st.poisoned.clear();
+        st.retraction_bumps = 0;
+        st.published_epoch = epoch;
+        st.published_store_version = store_version;
+        // Everything below is shared, not copied: the database with the
+        // workspace (a pointer per relation), the registry and the
+        // ground-head index with their owners, and the introducer map
+        // with the previous snapshot unless an import was recorded.
+        let audit = store.audit();
+        let introducers_len = audit.introducers_len();
+        let introducers = match &st.snap {
+            Some(prev) if prev.introducers_len == introducers_len => prev.introducers.clone(),
+            _ => Arc::new(audit.introducer_digests()),
+        };
+        let snap = Arc::new(PrincipalSnapshot {
+            me: self.me,
+            rules: ws.program().rules().clone(),
+            db: ws.db().clone(),
+            builtins: ws.builtins().clone(),
+            ground_heads: store.ground_heads().clone(),
+            introducers,
+            introducers_len,
+            authz_version: st.authz_version,
+            store_version,
+        });
+        st.snap = Some(snap.clone());
+        (snap, sweep)
+    }
+
+    /// The `export` tuples this workspace gained since the last call,
+    /// as wire messages in relation order, each shipped at most once.
+    pub(crate) fn fresh_exports(&mut self, export: Symbol) -> Vec<WireMessage> {
+        let (ws, cursor) = (&self.ws, &mut self.cursor);
+        // Relations only append between compactions, so everything
+        // below the watermark was fingerprinted on an earlier step. A
+        // compaction may have moved tuples (k removals followed by k
+        // appends leave the length unchanged, hence a counter and not a
+        // length comparison): rescan, and `seen` still dedups.
+        if cursor.compactions != ws.compactions() {
+            cursor.compactions = ws.compactions();
+            cursor.mark = 0;
+        }
+        let exported = ws.db().relation(export);
+        let fresh = exported.into_iter().flat_map(|rel| rel.since(cursor.mark));
+        let mut outgoing: Vec<WireMessage> = Vec::new();
+        for tuple in fresh {
+            if !cursor.seen.insert(tuple_fingerprint(tuple)) {
+                continue;
+            }
+            let Some(msg) = export_tuple_to_message(tuple) else {
+                continue;
+            };
+            // Tuples addressed *to* this principal are received imports
+            // sitting in its own export[me] partition, not outgoing
+            // traffic.
+            if msg.to != self.me {
+                outgoing.push(msg);
+            }
+        }
+        cursor.mark = cursor.mark.max(ws.db().count(export));
+        outgoing
+    }
+
+    /// Reconciles the workspace's `revfp` facts with the store's
+    /// revocation `summary`: one fact per signer in `signers`
+    /// ([`ZERO_FP_HEX`] where the local store holds nothing, so the
+    /// gossip program's diff rule can fire for signers this store has
+    /// never heard of), the stale fact retracted where a fingerprint
+    /// changed so the program's derivations repair through DRed.
+    /// Unchanged fingerprints assert nothing.
+    pub(crate) fn refresh_revfp(&mut self, signers: &[Symbol], summary: &[(Symbol, String)]) {
+        let local: HashMap<Symbol, &str> = summary
+            .iter()
+            .map(|(signer, hex)| (*signer, hex.as_str()))
+            .collect();
+        let mut stale: Vec<(Symbol, Tuple)> = Vec::new();
+        let mut fresh: Vec<(Symbol, Tuple)> = Vec::new();
+        for &signer in signers {
+            let desired = local.get(&signer).copied().unwrap_or(ZERO_FP_HEX);
+            match self.revfp.get(&signer) {
+                Some(prev) if prev == desired => continue,
+                Some(prev) => stale.push(revfp_fact(self.me, signer, prev)),
+                None => {}
+            }
+            fresh.push(revfp_fact(self.me, signer, desired));
+            self.revfp.insert(signer, desired.to_string());
+        }
+        if !stale.is_empty() {
+            self.ws.retract_facts(&stale);
+        }
+        self.ws.assert_facts(&fresh);
+    }
+
+    /// Applies one step's routed packets: revocations first (store
+    /// transition + DRed retraction of the dead certificates' facts),
+    /// then gossip advertisements, then the export batch (assert + one
+    /// evaluation, with per-message retry after a constraint rollback
+    /// so only the offending messages are rejected). The tallies move
+    /// as the work is done, so they stay faithful to the mutations
+    /// actually applied even when a hard error cuts the work short.
+    fn deliver(&mut self, delivery: Delivery) -> Option<WsError> {
+        for (revocation, absorb) in delivery.routed.revocations {
+            // Bad signatures (and, under Eager, a failed commit) count
+            // as rejections, exactly like tampered exports.
+            let mut applied = self.apply_revocation(&revocation, &delivery.verifier, absorb);
+            if delivery.eager && applied.is_ok() {
+                applied = self.timed(DeliveryPart::Verify, |n| n.store.sync());
+            }
+            match applied {
+                Ok(()) => self.tally.accepted += 1,
+                Err(_) => self.tally.rejected += 1,
+            }
+        }
+        for (from, issuer, fingerprint) in delivery.routed.summaries {
+            let key = (from, issuer);
+            self.tally.accepted += 1;
+            let prev = self.adverts.get(&key);
+            if prev == Some(&fingerprint) {
+                continue; // duplicate or unchanged advertisement
+            }
+            // A newer advertisement supersedes the remembered one: the
+            // stale `gsays` fact is retracted (its derived pulls repair
+            // through DRed) before the fresh one lands.
+            let stale = prev.map(|prev| advert_fact(from, self.me, issuer, prev));
+            let fresh = advert_fact(from, self.me, issuer, &fingerprint);
+            self.timed(DeliveryPart::Assert, |n| {
+                if let Some(stale) = stale {
+                    n.ws.retract_facts(&[stale]);
+                }
+                n.ws.assert_facts(&[fresh]);
+            });
+            self.adverts.insert(key, fingerprint);
+        }
+        let (tuples, export) = (delivery.routed.tuples, delivery.export);
+        if tuples.is_empty() {
+            return None;
+        }
+        self.timed(DeliveryPart::Assert, |n| {
+            for tuple in &tuples {
+                n.ws.assert_fact(export, tuple.clone());
+            }
+        });
+        match self.timed(DeliveryPart::Evaluate, |n| n.ws.evaluate()) {
+            Ok(_) => self.tally.accepted += tuples.len(),
+            Err(WsError::Constraint(_)) => {
+                // Batch rolled back; isolate the poisoned message(s).
+                for tuple in tuples {
+                    self.timed(DeliveryPart::Assert, |n| n.ws.assert_fact(export, tuple));
+                    match self.timed(DeliveryPart::Evaluate, |n| n.ws.evaluate()) {
+                        Ok(_) => self.tally.accepted += 1,
+                        Err(WsError::Constraint(_)) => self.tally.rejected += 1,
+                        Err(e) => return Some(e),
+                    }
+                }
+            }
+            Err(e) => return Some(e),
+        }
+        None
+    }
+
+    /// One store's group-commit work: sync, then — with auto-compaction
+    /// armed — compact if the dead-byte threshold is reached.
+    fn group_commit(&mut self, auto_compact: Option<u64>) -> Result<(), CertStoreError> {
+        self.store.sync()?;
+        if auto_compact.is_some_and(|dead| self.store.dead_bytes() >= dead) {
+            match self.store.compact() {
+                Ok(_) => {}
+                // A store whose live state outgrew the checkpoint frame
+                // budget cannot be compacted — but it is healthy, and
+                // the opportunistic trigger must not wedge every future
+                // group commit over it. An explicit `System::compact()`
+                // still surfaces the condition.
+                Err(CertStoreError::Storage(StorageError::CheckpointTooLarge { .. })) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Executes one batch operation on this principal.
+    fn run(&mut self, op: Op) -> OpResult {
+        match op {
+            Op::Fixpoint => OpResult::Eval(self.ws.evaluate().err()),
+            Op::Deliver(delivery) => {
+                self.timing = delivery.timing;
+                let error = self.deliver(delivery);
+                self.timing = false;
+                OpResult::Eval(error)
+            }
+            Op::GroupCommit { auto_compact } => {
+                OpResult::Store(self.group_commit(auto_compact).map(|()| false))
+            }
+            Op::Maintain { prune } => {
+                let report = if prune {
+                    self.store.compact()
+                } else {
+                    self.store.checkpoint()
+                };
+                OpResult::Store(report.map(|report| report.performed))
+            }
+        }
+    }
+}
+
+// ---- batch tasks ---------------------------------------------------------
+
+/// What a batch does to each principal it picks.
+pub(crate) enum Op {
+    /// Evaluate the workspace to its local fixpoint.
+    Fixpoint,
+    /// Apply this step's routed packets.
+    Deliver(Delivery),
+    /// The group-commit sweep: sync, plus opportunistic compaction.
+    GroupCommit { auto_compact: Option<u64> },
+    /// Explicit `compact()` (`prune`) / `checkpoint()`.
+    Maintain { prune: bool },
+}
+
+/// What came of an [`Op`].
+pub(crate) enum OpResult {
+    /// A fixpoint or delivery: the evaluation error that cut it short.
+    Eval(Option<WsError>),
+    /// Store maintenance: whether a compaction/checkpoint actually
+    /// installed (always `false` for group commits).
+    Store(Result<bool, CertStoreError>),
+}
+
+/// One step's delivery for one destination: the routed packets, a
+/// clone of the (cheap, `Arc`-backed) verifier and the per-batch flags
+/// — so the task is `'static` and self-contained.
+pub(crate) struct Delivery {
+    pub(crate) routed: Routed,
+    pub(crate) verifier: KeyVerifier,
+    /// Whether each applied revocation pays its own sync.
+    pub(crate) eager: bool,
+    /// Whether to fill [`PrincipalState::spent`].
+    pub(crate) timing: bool,
+    pub(crate) export: Symbol,
+}
+
+/// The packets routed to one destination this step, in delivery order.
+#[derive(Default)]
+pub(crate) struct Routed {
+    /// Wire revocations, each with how to apply it: `false` for the
+    /// eager broadcast (issuer-mismatch objects are rejected), `true`
+    /// for gossip-relayed objects (absorbed tolerantly).
+    pub(crate) revocations: Vec<(Revocation, bool)>,
+    /// Gossip advertisements: `(advertiser, signer, fingerprint)`.
+    pub(crate) summaries: Vec<(Symbol, Symbol, String)>,
+    /// `export` tuples to import.
+    pub(crate) tuples: Vec<Tuple>,
+}
+
+impl Routed {
+    /// Whether nothing was routed here this step.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.revocations.is_empty() && self.summaries.is_empty() && self.tuples.is_empty()
+    }
+}
+
+/// One unit of batch work: a principal moved out of the `System` (one
+/// pointer) for the duration of a batch, and what to do with it.
+/// Ownership is what lets the pool threads outlive any one phase
+/// without unsafe lifetime erasure.
+pub(crate) struct PoolTask {
+    pub(crate) principal: Box<PrincipalState>,
+    pub(crate) op: Op,
+}
+
+/// The principal handed back for the registration-order merge, with
+/// what the operation reported.
+pub(crate) struct PoolDone {
+    pub(crate) principal: Box<PrincipalState>,
+    pub(crate) result: OpResult,
+}
+
+/// Executes one task — the single `fn` every pool thread runs on each
+/// task it claims, and the one the sequencer maps over an inline batch.
+pub(crate) fn run_pool_task(task: PoolTask) -> PoolDone {
+    let PoolTask { mut principal, op } = task;
+    let result = principal.run(op);
+    PoolDone { principal, result }
+}
+
+// ---- export cursor -------------------------------------------------------
+
+/// One principal's progress through its `export` relation.
+#[derive(Default)]
+struct ExportCursor {
+    /// Structural fingerprints of the export tuples already shipped —
+    /// 16 bytes per tuple instead of a deep clone of each exported tuple
+    /// (symbols, quoted rules, signature bytes).
+    seen: HashSet<TupleFingerprint>,
+    /// Length of the relation when it was last scanned.
+    mark: usize,
+    /// [`Workspace::compactions`] at that scan.
+    compactions: u64,
+}
+
+/// The shipped-dedup key: two independently seeded structural hashes
+/// of an export tuple, computed by the same allocation-free structural
+/// walk `HashSet<Tuple>` used — no rendering, no cryptographic digest
+/// on the drain hot loop. 128 bits of combined fingerprint makes an
+/// accidental collision (which would silently drop one export message)
+/// about as likely as a SHA collision in practice.
+type TupleFingerprint = (u64, u64);
+
+/// Fingerprints an export tuple for the shipped-dedup sets. The
+/// structural `Hash` impls distinguish value variants, so `Sym("42")`
+/// and `Int(42)` — which render identically — cannot collide the way
+/// text-keyed schemes would.
+fn tuple_fingerprint(tuple: &[Value]) -> TupleFingerprint {
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+    let mut a = DefaultHasher::new();
+    tuple.hash(&mut a);
+    let mut b = DefaultHasher::new();
+    0x9e37_79b9_7f4a_7c15u64.hash(&mut b);
+    tuple.hash(&mut b);
+    (a.finish(), b.finish())
+}
+
+/// The workspace base facts one imported certificate introduces at
+/// principal `to` (see [`PrincipalState::file_cert_facts`]).
+fn cert_workspace_facts(to: Principal, cert: &LinkedCert) -> Vec<(Symbol, Tuple)> {
+    let export_tuple = vec![
+        Value::Sym(to),
+        Value::Sym(cert.issuer),
+        Value::Quote(cert.rule.clone()),
+        Value::bytes(&cert.rule_sig),
+    ];
+    let says_tuple = vec![
+        Value::Sym(cert.issuer),
+        Value::Sym(to),
+        Value::Quote(cert.rule.clone()),
+    ];
+    vec![
+        (Symbol::intern("export"), export_tuple),
+        (Symbol::intern("says"), says_tuple),
+    ]
+}
+
+/// Decodes an `export[to](from, R, S)` tuple into a wire message.
+fn export_tuple_to_message(tuple: &[Value]) -> Option<WireMessage> {
+    match tuple {
+        [Value::Sym(to), Value::Sym(from), Value::Quote(rule), Value::Bytes(auth)] => {
+            Some(WireMessage {
+                from: *from,
+                to: *to,
+                rule: rule.clone(),
+                auth: auth.to_vec(),
+            })
+        }
+        _ => None,
+    }
+}

@@ -2,7 +2,7 @@
 //! the quiescence phase spans, and the authorization decision journal
 //! plug into the runtime.
 //!
-//! Every [`crate::System`] owns a [`SystemObs`]: a metrics
+//! Every [`crate::System`] owns one observability state: a metrics
 //! [`Registry`] (shared with each principal's certificate store, the
 //! log backends, and the simulated network), wall-clock histograms for
 //! each phase of `run_to_quiescence` — including one histogram *per
@@ -68,7 +68,7 @@ pub enum DeliveryPart {
 }
 
 impl DeliveryPart {
-    const ALL: [DeliveryPart; 5] = [
+    pub(crate) const ALL: [DeliveryPart; 5] = [
         DeliveryPart::Decode,
         DeliveryPart::Verify,
         DeliveryPart::Assert,

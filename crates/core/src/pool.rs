@@ -6,12 +6,12 @@
 //! threads is created **once** at [`crate::System::with_shards`] and
 //! lives as long as the `System`.
 //!
-//! * **Ownership, not borrowing.** Tasks are *owned* values (a
-//!   `Workspace`, a `CertStore`, a delivery job) moved out of the
-//!   `System`'s maps for the duration of one batch and moved back at
-//!   the sequential merge. Moving the structs is a shallow memcpy, and
-//!   it keeps the whole pool inside `#![forbid(unsafe_code)]`: no
-//!   lifetime erasure, no scoped-thread tricks.
+//! * **Ownership, not borrowing.** A task is an *owned* value — one
+//!   boxed principal and what to do with it — moved out of the `System`
+//!   for the duration of one batch and moved back when it is done.
+//!   Moving it is a pointer copy, and it keeps the whole pool inside
+//!   `#![forbid(unsafe_code)]`: no lifetime erasure, no scoped-thread
+//!   tricks.
 //! * **One shared task array, one starting slot per worker.** A batch
 //!   is one array of per-principal tasks in submission order. Worker
 //!   `w` of `W` claims from slot `w·n/W` onwards and wraps around, so

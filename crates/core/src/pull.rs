@@ -31,8 +31,7 @@ pub const PULL_REWRITE: &str =
 /// Ground requests only: open (variable-carrying) requests bind the
 /// pattern's positions to the *requester's code variables*, which cannot
 /// join against local tuples; goal-directed open queries use
-/// `lbtrust_datalog::magic`/`topdown` locally instead (§7's magic-sets
-/// bridge).
+/// `lbtrust_datalog::magic` locally instead (§7's magic-sets bridge).
 pub fn respond_rule(pred: &str, arity: usize) -> String {
     let vars: Vec<String> = (0..arity).map(|i| format!("V{i}")).collect();
     let args = vars.join(",");

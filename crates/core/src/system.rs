@@ -9,10 +9,11 @@
 //! distributed fixpoint of the declarative-networking execution model.
 
 use crate::auth::{register_crypto_builtins_cached, AuthScheme, KeyVerifier};
-use crate::authz_read::{decide, AuthzPublishState, AuthzReader, AuthzShared, PrincipalSnapshot};
-use crate::gossip::{
-    advert_fact, fingerprint_hex, parse_gossip_send, revfp_fact, GossipSend, GOSSIP_SAYS,
-    ZERO_FP_HEX,
+use crate::authz_read::{decide, AuthzReader, AuthzShared};
+use crate::gossip::{fingerprint_hex, parse_gossip_send, GossipSend, GOSSIP_SAYS};
+use crate::node::{
+    is_storage_io, run_pool_task, Delivery, Op, OpResult, PoolDone, PoolTask, PrincipalState,
+    Routed,
 };
 use crate::obs::{DeliveryPart, QuiescePhase, SystemObs};
 use crate::pool::{BatchReport, WorkerPool};
@@ -20,24 +21,24 @@ use crate::principal::{
     rsa_priv_handle, rsa_pub_handle, shared_keys, shared_secret_handle, Principal, SharedKeys,
 };
 use crate::says::SAYS_DECLS;
-use crate::workspace::{RetractOutcome, Workspace, WsError};
+use crate::workspace::{Workspace, WsError};
 use lbtrust_analysis::{analyze, Analysis, AnalyzerConfig, Diagnostic, LintLevel};
+use lbtrust_certstore::backend::{log::LogBackend, memory::MemoryBackend};
 use lbtrust_certstore::{
     cert, shared_verify_cache, AuditEntry, CertDigest, CertStore, CertStoreError, FaultConfig,
-    FaultHandle, ImportOutcome, LinkedCert, Revocation, SharedVerifyCache, SignatureVerifier,
-    StorageError,
+    FaultHandle, FaultingBackend, ImportOutcome, LinkedCert, Revocation, SharedVerifyCache,
+    SignatureVerifier, StorageBackend,
 };
-use lbtrust_datalog::{parse_program, Symbol, Tuple, Value};
+use lbtrust_datalog::{parse_program, Symbol, Value};
 use lbtrust_net::{
-    NetworkConfig, NodeId, RevPullMessage, RevSummaryMessage, RevokeMessage, SimNetwork,
-    WireMessage, WirePacket,
+    NetworkConfig, NodeId, RevPullMessage, RevSummaryMessage, RevokeMessage, SimNetwork, WirePacket,
 };
 use lbtrust_obs::{Event, EventSink, Journal, Registry};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// System-level errors.
 #[derive(Debug)]
@@ -64,7 +65,7 @@ pub enum SysError {
     Degraded(DegradedError),
     /// Static analysis refused the program: one or more findings at
     /// [`LintLevel::Deny`] under the system's lint configuration (see
-    /// [`System::load_program`] and [`System::set_lint_level`]).
+    /// [`System::load_program`] and [`System::with_lint_level`]).
     Lint(LintError),
 }
 
@@ -200,7 +201,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// Steps to wait after `attempts` consecutive failures:
     /// `min(cap, base << (attempts - 1))`, at least one step.
-    fn backoff_steps(&self, attempts: u32) -> usize {
+    pub(crate) fn backoff_steps(&self, attempts: u32) -> usize {
         let shift = attempts.saturating_sub(1).min(usize::BITS - 1);
         self.backoff_base_steps
             .max(1)
@@ -208,24 +209,6 @@ impl RetryPolicy {
             .unwrap_or(usize::MAX)
             .min(self.backoff_cap_steps.max(1))
     }
-}
-
-/// Per-store fault bookkeeping (internal; surfaced as
-/// [`StoreHealth`] / [`DegradedError`]).
-#[derive(Clone, Debug, Default)]
-struct HealthState {
-    health: StoreHealth,
-    /// Consecutive failed storage attempts.
-    attempts: u32,
-    /// Step at which the next deferred retry / quarantine probe runs.
-    retry_at_step: usize,
-    /// Step at which the store left `Healthy`.
-    since_step: usize,
-    /// Last storage error observed, rendered.
-    last_error: String,
-    /// Clock ticks from [`System::advance_time`] deferred while
-    /// quarantined, applied on re-admission.
-    pending_ticks: u64,
 }
 
 impl From<WsError> for SysError {
@@ -326,37 +309,36 @@ pub struct AuthzDecision {
     pub proof: Option<String>,
 }
 
-/// One principal's imported-certificate fact index: which workspace
-/// base facts each certificate introduced, by content address.
-type CertFactIndex = HashMap<CertDigest, Vec<(Symbol, Tuple)>>;
-
-/// The multi-principal LBTrust runtime.
+/// The multi-principal LBTrust runtime: a sequencer over its
+/// principals. Each principal is one self-contained value (workspace,
+/// certificate store, placement, health, counters); the system owns
+/// what they share — the key directory, the simulated network, the
+/// verification cache, the worker pool, the metrics registry and the
+/// configuration — and runs the phases of the distributed fixpoint over
+/// them in registration order.
 pub struct System {
     keys: SharedKeys,
-    workspaces: HashMap<Principal, Workspace>,
-    /// Registration order, for deterministic iteration.
+    /// Every registered principal, in registration order — the order
+    /// every serial phase, every merge and [`System::stats`] walk.
+    /// Boxed because a batch moves each picked principal into a task
+    /// and back: a pointer, not two kilobytes of struct, per move.
+    #[allow(clippy::vec_box)]
+    nodes: Vec<Box<PrincipalState>>,
+    /// Name → position in `nodes`; every public method taking a
+    /// [`Principal`] resolves it here, once.
+    index: HashMap<Principal, usize>,
+    /// The registered names, in registration order.
     order: Vec<Principal>,
-    /// Placement: principal -> physical node (the `loc` relation).
-    placement: HashMap<Principal, NodeId>,
     net: SimNetwork,
-    /// How far each principal's `export` relation has been shipped.
-    drained: HashMap<Principal, ExportCursor>,
     rsa_bits: usize,
-    auth: HashMap<Principal, AuthScheme>,
+    /// The sequencer's own counters; each principal keeps the rest (see
+    /// [`System::stats`]).
     stats: SystemStats,
     seed: u64,
-    /// Per-principal certificate stores, all sharing `vcache`.
-    stores: HashMap<Principal, CertStore>,
     /// Process-wide verification cache: a signature over identical
     /// canonical bytes is checked once, by whichever principal sees it
     /// first, and every later check anywhere is a memo lookup.
     vcache: SharedVerifyCache,
-    /// Which workspace base facts each imported certificate introduced
-    /// at each principal, so expiry/revocation can retract exactly
-    /// those (and DRed repairs their consequences). Keyed per principal
-    /// first so a delivery shard can own one principal's slice
-    /// exclusively.
-    cert_facts: HashMap<Principal, CertFactIndex>,
     /// When set, each principal's certificate store is a durable
     /// segment log at `<dir>/<principal>.certlog`, replayed (and the
     /// workspace reconciled) at registration.
@@ -371,60 +353,32 @@ pub struct System {
     /// compacted on its shard worker. `None` disables the trigger.
     auto_compact_dead_bytes: Option<u64>,
     /// The persistent worker pool [`System::run_to_quiescence`]
-    /// dispatches per-principal tasks to, created at
-    /// [`System::set_shards`] when `shards > 1` (resized by recreating)
-    /// and joined when the system drops. `None` (the default,
-    /// `shards = 1`) runs the same tasks inline. Tasks are *owned*
-    /// values moved out of the maps above for one batch and merged back
-    /// in registration order.
+    /// dispatches per-principal tasks to, created by
+    /// [`System::with_shards`] above one shard and joined when the
+    /// system drops. `None` (the default) runs the same tasks inline.
     pool: Option<WorkerPool<PoolTask, PoolDone>>,
-    /// The anti-entropy revocation gossip layer, when enabled (see
-    /// [`System::enable_gossip`]). `None` keeps the pre-gossip
-    /// behaviour: revocations propagate only through the eager
-    /// broadcast.
-    gossip: Option<GossipRuntime>,
+    /// The anti-entropy revocation gossip program, when enabled (see
+    /// [`System::enable_gossip`]): the propagation logic as translated
+    /// LBTrust source, loaded into every workspace under the `gossip`
+    /// tag. `None` keeps the pre-gossip behaviour: revocations
+    /// propagate only through the eager broadcast.
+    gossip: Option<String>,
     /// The unified observability surface: metrics registry, quiescence
     /// phase spans, decision journal (see [`System::obs_registry`]).
     obs: SystemObs,
     /// Step-based retry/quarantine policy for storage faults.
     retry_policy: RetryPolicy,
-    /// Per-principal fault-handling state (always has an entry per
-    /// registered principal).
-    health: HashMap<Principal, HealthState>,
     /// When set (see [`System::with_storage_faults`]), every store
     /// registered afterwards is wrapped in a seeded
     /// [`lbtrust_certstore::FaultingBackend`], with a per-store
     /// schedule derived from this spec and the principal's name.
     fault_spec: Option<FaultConfig>,
-    /// Handles to the per-store fault schedules, for tests and the
-    /// quarantine probe (a persistently-failed handle cannot pass).
-    fault_handles: HashMap<Principal, FaultHandle>,
-    /// Per-principal snapshot-publication bookkeeping: what the last
-    /// published [`crate::AuthzSnapshot`] captured, and which
-    /// retractions/certificate deaths happened since.
-    authz_pub: HashMap<Principal, AuthzPublishState>,
     /// State shared with [`crate::AuthzReader`] handles: the snapshot
     /// cell, the decision cache, and the volatile cache counters.
     authz_shared: Arc<AuthzShared>,
     /// Lint levels and predicate vocabulary for the static-analysis
     /// preflight ([`System::load_program`], [`System::enable_gossip`]).
     lint: AnalyzerConfig,
-}
-
-/// Runtime bookkeeping of the gossip layer: the loaded program and, per
-/// principal, the workspace facts currently asserted on its behalf —
-/// so a changed fingerprint or a superseding advertisement retracts
-/// exactly the stale fact it replaces.
-struct GossipRuntime {
-    /// The propagation logic, as translated LBTrust source (authored in
-    /// SeNDlog; see `lbtrust-sendlog::gossip::REV_GOSSIP`). Loaded into
-    /// every workspace under the `gossip` tag.
-    program: String,
-    /// Last asserted `revfp` hex per principal per signer.
-    fps: HashMap<Principal, HashMap<Symbol, String>>,
-    /// Last asserted incoming advertisement per principal, keyed by
-    /// `(advertiser, signer)`.
-    inbox: HashMap<Principal, HashMap<(Symbol, Symbol), String>>,
 }
 
 /// Bundles at or above this size fan their signature checks across
@@ -448,18 +402,14 @@ impl System {
         let authz_shared = Arc::new(AuthzShared::new(&registry));
         System {
             keys: shared_keys(),
-            workspaces: HashMap::new(),
+            nodes: Vec::new(),
+            index: HashMap::new(),
             order: Vec::new(),
-            placement: HashMap::new(),
             net,
-            drained: HashMap::new(),
             rsa_bits: DEFAULT_RSA_BITS,
-            auth: HashMap::new(),
             stats: SystemStats::default(),
             seed,
-            stores: HashMap::new(),
             vcache: shared_verify_cache(),
-            cert_facts: HashMap::new(),
             persist_dir: None,
             sync_policy: SyncPolicy::default(),
             rotate_bytes: None,
@@ -468,10 +418,7 @@ impl System {
             gossip: None,
             obs: SystemObs::new(registry),
             retry_policy: RetryPolicy::default(),
-            health: HashMap::new(),
             fault_spec: None,
-            fault_handles: HashMap::new(),
-            authz_pub: HashMap::new(),
             authz_shared,
             lint: AnalyzerConfig::default(),
         }
@@ -488,41 +435,41 @@ impl System {
         self
     }
 
-    /// Overrides the step-based retry/quarantine policy (builder form).
+    /// Overrides the step-based retry/quarantine policy.
     pub fn with_retry_policy(mut self, policy: RetryPolicy) -> System {
         self.retry_policy = policy;
         self
     }
 
-    /// Overrides the step-based retry/quarantine policy in place.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry_policy = policy;
+    /// Position of `who` in registration order.
+    fn index_of(&self, who: Principal) -> Result<usize, SysError> {
+        self.index
+            .get(&who)
+            .copied()
+            .ok_or(SysError::UnknownPrincipal(who))
     }
 
-    /// The active retry/quarantine policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry_policy
+    /// Borrows everything held for `who`.
+    pub(crate) fn node(&self, who: Principal) -> Result<&PrincipalState, SysError> {
+        Ok(&self.nodes[self.index_of(who)?])
     }
 
     /// The fault-schedule handle for `p`'s store, when fault injection
     /// is armed (see [`System::with_storage_faults`]).
     pub fn fault_handle(&self, p: Principal) -> Option<FaultHandle> {
-        self.fault_handles.get(&p).cloned()
+        self.node(p).ok()?.faults.clone()
     }
 
     /// Where `p`'s store sits in the fault-handling lifecycle.
     /// Unregistered principals read as healthy.
     pub fn store_health(&self, p: Principal) -> StoreHealth {
-        self.health.get(&p).map(|h| h.health).unwrap_or_default()
+        self.node(p).map(|n| n.health.health).unwrap_or_default()
     }
 
     /// The currently quarantined principals, in registration order.
     pub fn quarantined(&self) -> Vec<Principal> {
-        self.order
-            .iter()
-            .copied()
-            .filter(|p| self.store_health(*p) == StoreHealth::Quarantined)
-            .collect()
+        let quarantined = self.nodes.iter().filter(|n| n.quarantined());
+        quarantined.map(|n| n.me).collect()
     }
 
     // ---- observability -------------------------------------------------------
@@ -545,8 +492,8 @@ impl System {
         // comment) would keep the old shared state, so the cell and
         // cache are recreated alongside.
         self.authz_shared = Arc::new(AuthzShared::new(self.obs.registry()));
-        for st in self.authz_pub.values_mut() {
-            st.snap = None;
+        for node in &mut self.nodes {
+            node.authz.snap = None;
         }
         self
     }
@@ -581,12 +528,6 @@ impl System {
         self.obs.journal = Journal::to_sink(sink);
     }
 
-    /// Builder form of [`System::enable_decision_journal`].
-    pub fn with_decision_journal(mut self, sink: Arc<dyn EventSink>) -> Self {
-        self.enable_decision_journal(sink);
-        self
-    }
-
     /// Flushes the decision journal's sink — a JSONL sink buffers, so
     /// call this before reading the file while the system is alive
     /// (dropping the system flushes too).
@@ -601,7 +542,7 @@ impl System {
     /// reaches quiescence; call directly for a mid-run snapshot.
     pub fn publish_obs(&self) {
         let r = self.obs.registry();
-        let s = &self.stats;
+        let s = self.stats();
         for (name, value) in [
             ("system.messages_sent", s.messages_sent),
             ("system.messages_accepted", s.messages_accepted),
@@ -625,8 +566,8 @@ impl System {
         let mut live = 0u64;
         let mut dead = 0u64;
         let mut segments = 0u64;
-        for store in self.stores.values() {
-            let st = store.stats();
+        for node in &self.nodes {
+            let st = node.store.stats();
             live += st.live_bytes;
             dead += st.dead_bytes;
             segments += st.segments;
@@ -660,11 +601,6 @@ impl System {
         Ok(self)
     }
 
-    /// Where durable stores live, if persistence is on.
-    pub fn persist_dir(&self) -> Option<&Path> {
-        self.persist_dir.as_deref()
-    }
-
     /// Overrides the RSA modulus size (tests use 512 for speed; the
     /// Figure 2 harness keeps the paper's 1024).
     pub fn with_rsa_bits(mut self, bits: usize) -> Self {
@@ -672,23 +608,10 @@ impl System {
         self
     }
 
-    /// Builder form of [`System::set_sync_policy`].
+    /// Sets when persistent stores fsync (see [`SyncPolicy`]).
     pub fn with_sync_policy(mut self, policy: SyncPolicy) -> Self {
         self.sync_policy = policy;
         self
-    }
-
-    /// Sets when persistent stores fsync (see [`SyncPolicy`]). Safe to
-    /// change at any point: switching from `Batched` to `Eager` does
-    /// not itself sync — call [`System::flush`] first if the dirty
-    /// stores must land before the policy change takes effect.
-    pub fn set_sync_policy(&mut self, policy: SyncPolicy) {
-        self.sync_policy = policy;
-    }
-
-    /// The current durability policy.
-    pub fn sync_policy(&self) -> SyncPolicy {
-        self.sync_policy
     }
 
     /// Builder form: sets the segment-rotation budget (bytes) for
@@ -700,27 +623,25 @@ impl System {
         self
     }
 
-    /// Builder form of [`System::set_auto_compaction`].
+    /// Arms the auto-compaction trigger: every batched group commit
+    /// additionally compacts, on its shard worker, any store whose
+    /// dead-record bytes reached `dead_bytes`. Dead bytes are what a
+    /// compaction reclaims — records superseded by revocation, expiry,
+    /// or newer clock ticks.
     pub fn with_auto_compaction(mut self, dead_bytes: u64) -> Self {
-        self.set_auto_compaction(Some(dead_bytes));
+        self.auto_compact_dead_bytes = Some(dead_bytes);
         self
     }
 
-    /// Arms (or with `None` disarms) the auto-compaction trigger: every
-    /// batched group commit additionally compacts, on its shard worker,
-    /// any store whose dead-record bytes reached `dead_bytes`. Dead
-    /// bytes are what a compaction reclaims — records superseded by
-    /// revocation, expiry, or newer clock ticks.
-    pub fn set_auto_compaction(&mut self, dead_bytes: Option<u64>) {
-        self.auto_compact_dead_bytes = dead_bytes;
-    }
-
-    /// The auto-compaction threshold, if armed.
-    pub fn auto_compaction(&self) -> Option<u64> {
-        self.auto_compact_dead_bytes
-    }
-
-    /// Builder form of [`System::set_shards`].
+    /// Sets how many pool workers [`System::run_to_quiescence`] uses.
+    /// `shards > 1` creates (or resizes, by recreating) the persistent
+    /// worker pool: long-lived threads that claim the local-fixpoint,
+    /// delivery-import and store-maintenance phases' per-principal
+    /// tasks from one shared batch. `1` (the default) drops the pool
+    /// and runs the same tasks inline on the caller's thread. Any
+    /// worker count reaches the same quiescent state: results merge
+    /// sequentially in registration order, so which worker ran a task
+    /// is unobservable.
     ///
     /// What the pool is worth today, for ROADMAP item D (5): with state
     /// shared instead of copied a per-principal task is several times
@@ -733,29 +654,11 @@ impl System {
     /// skewed hub-and-spokes shape 0.87x – 0.98x. Every benchmark workload
     /// runs at one shard.
     pub fn with_shards(mut self, shards: usize) -> Self {
-        self.set_shards(shards);
-        self
-    }
-
-    /// Sets how many pool workers [`System::run_to_quiescence`] uses.
-    /// `shards > 1` creates (or resizes, by recreating) the persistent
-    /// [`WorkerPool`]: long-lived threads that claim the local-fixpoint,
-    /// delivery-import and store-maintenance phases' per-principal
-    /// tasks from one shared batch. `1` (the default) drops the pool
-    /// and runs the same tasks inline on the caller's thread. Any
-    /// worker count reaches the same quiescent state: results merge
-    /// sequentially in registration order, so which worker ran a task
-    /// is unobservable.
-    pub fn set_shards(&mut self, shards: usize) {
         let shards = shards.max(1);
-        if shards != self.shards() {
+        if shards != self.pool.as_ref().map_or(1, WorkerPool::workers) {
             self.pool = (shards > 1).then(|| WorkerPool::new(shards, Arc::new(run_pool_task)));
         }
-    }
-
-    /// The configured shard (pool worker) count.
-    pub fn shards(&self) -> usize {
-        self.pool.as_ref().map_or(1, WorkerPool::workers)
+        self
     }
 
     /// The pool's thread-liveness witness, for shutdown tests.
@@ -785,15 +688,10 @@ impl System {
         // workspace, so a deny-level finding refuses it for all of them
         // before any workspace is touched.
         self.preflight("gossip", program)?;
-        for &p in &self.order {
-            let ws = self.workspaces.get_mut(&p).expect("registered");
-            ws.replace_tag("gossip", program)?;
+        for node in &mut self.nodes {
+            node.ws.replace_tag("gossip", program)?;
         }
-        self.gossip = Some(GossipRuntime {
-            program: program.to_string(),
-            fps: HashMap::new(),
-            inbox: HashMap::new(),
-        });
+        self.gossip = Some(program.to_string());
         Ok(())
     }
 
@@ -808,20 +706,11 @@ impl System {
         self.gossip.is_some()
     }
 
-    /// Forces every store's buffered appends to durable storage — the
-    /// explicit group-commit point for [`SyncPolicy::Batched`] callers
-    /// outside [`System::run_to_quiescence`] (which group-commits at
-    /// every step on its own). Clean stores are skipped; a no-op under
-    /// [`SyncPolicy::Eager`] where nothing is ever left dirty.
-    pub fn flush(&mut self) -> Result<(), SysError> {
-        self.sync_stores()
-    }
-
     /// Total backend syncs performed across every principal's store —
     /// for log-backed stores, the number of fsyncs the deployment has
     /// paid. The counter [`SyncPolicy::Batched`] exists to shrink.
     pub fn fsyncs(&self) -> u64 {
-        self.stores.values().map(|s| s.stats().syncs).sum()
+        self.nodes.iter().map(|n| n.store.stats().syncs).sum()
     }
 
     /// Compacts every principal's store — checkpoint + prune of
@@ -843,49 +732,37 @@ impl System {
     }
 
     /// Runs per-store checkpoint/compaction, one task per store.
+    /// Quarantined stores are skipped outright — maintenance is a write
+    /// (checkpoint append / segment rewrite) and the store is read-only
+    /// until its fault heals.
     fn maintain_stores(&mut self, prune: bool) -> Result<usize, SysError> {
-        // Quarantined stores are skipped outright — maintenance is a
-        // write (checkpoint append / segment rewrite) and the store is
-        // read-only until its fault heals.
-        let present: Vec<Principal> = self
-            .order
-            .iter()
-            .copied()
-            .filter(|p| {
-                self.stores.contains_key(p) && self.store_health(*p) != StoreHealth::Quarantined
-            })
-            .collect();
-        self.run_store_op(&present, StoreOp::Maintain { prune })
+        self.run_store_op(|n| (!n.quarantined()).then_some(Op::Maintain { prune }))
     }
 
-    /// Runs `op` on every store in `targets` (each registered) as one
-    /// batch and folds the results into the health state in
-    /// registration order: transient I/O degrades the store (retried by
-    /// the next group commit / maintenance pass) instead of failing the
-    /// whole sweep. Returns how many maintenance passes installed.
-    fn run_store_op(&mut self, targets: &[Principal], op: StoreOp) -> Result<usize, SysError> {
-        let tasks: Vec<PoolTask> = targets
-            .iter()
-            .map(|p| PoolTask::Store {
-                store: self.stores.remove(p).expect("registered"),
-                op,
-            })
-            .collect();
-        let report = self.run_tasks(tasks);
+    /// Runs the store operation `pick` names on every principal it
+    /// names one for, as one batch, and folds the results into the
+    /// health state in registration order: transient I/O degrades the
+    /// store (retried by the next group commit / maintenance pass)
+    /// instead of failing the whole sweep. Returns how many maintenance
+    /// passes installed.
+    fn run_store_op(
+        &mut self,
+        mut pick: impl FnMut(&PrincipalState) -> Option<Op>,
+    ) -> Result<usize, SysError> {
+        let report = self.run_batch(|_, node| pick(node));
         let mut performed = 0usize;
         let mut first_error: Option<SysError> = None;
-        for (&p, done) in targets.iter().zip(report.results) {
-            let PoolDone::Store { store, result } = done else {
+        for (i, result) in report.results {
+            let OpResult::Store(result) = result else {
                 unreachable!("store batches return store results");
             };
-            self.stores.insert(p, store);
             match result {
                 Ok(did) => {
                     performed += usize::from(did);
-                    self.note_store_ok(p);
+                    self.note_store_ok(i);
                 }
                 Err(e) => {
-                    if let Err(e) = self.note_store_failure(p, e) {
+                    if let Err(e) = self.note_store_failure(i, e) {
                         first_error.get_or_insert(e);
                     }
                 }
@@ -894,22 +771,58 @@ impl System {
         first_error.map_or(Ok(performed), Err)
     }
 
-    /// Runs one batch of per-principal tasks to completion and returns
-    /// the results in submission order: on the pool when one exists and
-    /// the batch has more than one task, otherwise the very same
-    /// [`run_pool_task`] inline on this thread — so every phase has one
-    /// task-building and one merge path whatever the shard count.
-    /// Inline, the caller counts as worker 0, timed only while phase
-    /// timing is on.
-    fn run_tasks(&self, tasks: Vec<PoolTask>) -> BatchReport<PoolDone> {
-        if let Some(pool) = self.pool.as_ref().filter(|_| tasks.len() > 1) {
-            self.obs.pool_tasks.add(tasks.len() as u64);
-            return pool.run_batch(tasks);
+    /// Runs one batch to completion: every principal `pick` names an
+    /// operation for moves into a task (one pointer), the tasks run —
+    /// on the pool when one exists and the batch has more than one
+    /// task, otherwise the very same [`run_pool_task`] inline on this
+    /// thread, the caller counting as worker 0 and timed only while
+    /// phase timing is on — and every principal is back in its place
+    /// when this returns. Results come back as `(position, result)` in
+    /// registration order, so every phase has one task-building and one
+    /// merge path whatever the shard count.
+    fn run_batch(
+        &mut self,
+        mut pick: impl FnMut(usize, &PrincipalState) -> Option<Op>,
+    ) -> BatchReport<(usize, OpResult)> {
+        // `None` marks the place of a principal that is out on a task.
+        let mut places: Vec<Option<Box<PrincipalState>>> = Vec::with_capacity(self.nodes.len());
+        let mut tasks: Vec<PoolTask> = Vec::new();
+        for (i, principal) in std::mem::take(&mut self.nodes).into_iter().enumerate() {
+            match pick(i, &principal) {
+                Some(op) => {
+                    tasks.push(PoolTask { principal, op });
+                    places.push(None);
+                }
+                None => places.push(Some(principal)),
+            }
         }
-        let started = self.obs.phase_timer();
-        let results = tasks.into_iter().map(run_pool_task).collect();
-        let busy = started.map(|s| s.elapsed()).into_iter().collect();
-        BatchReport { results, busy }
+        let report = match self.pool.as_ref().filter(|_| tasks.len() > 1) {
+            Some(pool) => {
+                self.obs.pool_tasks.add(tasks.len() as u64);
+                pool.run_batch(tasks)
+            }
+            None => {
+                let started = self.obs.phase_timer();
+                let results = tasks.into_iter().map(run_pool_task).collect();
+                let busy = started.map(|s| s.elapsed()).into_iter().collect();
+                BatchReport { results, busy }
+            }
+        };
+        // Tasks come back in submission order, which is place order.
+        let mut done = report.results.into_iter();
+        let mut results = Vec::with_capacity(done.len());
+        self.nodes.reserve(places.len());
+        for (i, place) in places.into_iter().enumerate() {
+            self.nodes.push(place.unwrap_or_else(|| {
+                let done = done.next().expect("every task hands its principal back");
+                results.push((i, done.result));
+                done.principal
+            }));
+        }
+        BatchReport {
+            results,
+            busy: report.busy,
+        }
     }
 
     /// Shared key directory (for inspection).
@@ -930,9 +843,20 @@ impl System {
         &mut self.net
     }
 
-    /// System statistics.
+    /// System statistics: the sequencer's own counters plus every
+    /// principal's, summed in registration order.
     pub fn stats(&self) -> SystemStats {
-        self.stats
+        let mut s = self.stats;
+        for node in &self.nodes {
+            let t = &node.tally;
+            s.messages_accepted += t.accepted;
+            s.messages_rejected += t.rejected;
+            s.revocations += t.revocations;
+            s.retractions += t.retractions;
+            s.dred_repairs += t.dred_repairs;
+            s.retraction_rebuilds += t.retraction_rebuilds;
+        }
+        s
     }
 
     /// Registered principals in registration order.
@@ -948,7 +872,7 @@ impl System {
     /// public key handle) to every existing principal.
     pub fn add_principal(&mut self, name: &str, node: &str) -> Result<Principal, SysError> {
         let me = Symbol::intern(name);
-        if self.workspaces.contains_key(&me) {
+        if self.index.contains_key(&me) {
             return Ok(me);
         }
         let key_seed = self
@@ -968,10 +892,9 @@ impl System {
         ws.load("auth", &AuthScheme::Rsa.prelude())?;
         // Late joiners run the gossip program from their first step, so
         // revocations issued before they existed still reach them.
-        if let Some(gossip) = &self.gossip {
-            ws.load("gossip", &gossip.program)?;
+        if let Some(program) = &self.gossip {
+            ws.load("gossip", program)?;
         }
-        self.auth.insert(me, AuthScheme::Rsa);
 
         // Introduce everyone to everyone (prin facts + key handles).
         ws.assert_fact(Symbol::intern("prin"), vec![Value::Sym(me)]);
@@ -983,101 +906,74 @@ impl System {
             Symbol::intern("rsapubkey"),
             vec![Value::Sym(me), rsa_pub_handle(me)],
         );
-        for &other in &self.order {
-            ws.assert_fact(Symbol::intern("prin"), vec![Value::Sym(other)]);
+        for other in &mut self.nodes {
+            ws.assert_fact(Symbol::intern("prin"), vec![Value::Sym(other.me)]);
             ws.assert_fact(
                 Symbol::intern("rsapubkey"),
-                vec![Value::Sym(other), rsa_pub_handle(other)],
+                vec![Value::Sym(other.me), rsa_pub_handle(other.me)],
             );
-            let other_ws = self.workspaces.get_mut(&other).expect("registered");
-            other_ws.assert_fact(Symbol::intern("prin"), vec![Value::Sym(me)]);
-            other_ws.assert_fact(
+            other
+                .ws
+                .assert_fact(Symbol::intern("prin"), vec![Value::Sym(me)]);
+            other.ws.assert_fact(
                 Symbol::intern("rsapubkey"),
                 vec![Value::Sym(me), rsa_pub_handle(me)],
             );
         }
 
-        // The certificate store: ephemeral by default, a replayed
-        // segment log under persistence. With fault injection armed,
-        // either backend is wrapped in a FaultingBackend whose schedule
-        // depends only on the spec seed and the principal's name.
+        // The certificate store, composed one way: an ephemeral backend
+        // by default, a segment log under persistence (its `storelog.*`
+        // metrics wired before the opening replay, so the replay is
+        // measured); with fault injection armed, either is wrapped in a
+        // FaultingBackend whose schedule depends only on the spec seed
+        // and the principal's name; then opened (replaying whatever the
+        // backend holds) and bound to the `store.*` counters.
+        let registry = self.obs.registry();
+        let mut backend: Box<dyn StorageBackend> = match &self.persist_dir {
+            None => Box::new(MemoryBackend::new()),
+            Some(dir) => {
+                let path = dir.join(format!("{name}.certlog"));
+                let mut log = match self.rotate_bytes {
+                    Some(bytes) => LogBackend::open_with_budget(path, bytes),
+                    None => LogBackend::open(path),
+                }
+                .map_err(CertStoreError::from)?;
+                log.attach_metrics(registry);
+                Box::new(log)
+            }
+        };
         let faults = self
             .fault_spec
             .as_ref()
             .map(|spec| FaultHandle::seeded(spec.for_store(name)));
-        let mut store = match (&self.persist_dir, &faults) {
-            (Some(dir), Some(handle)) => {
-                let path = dir.join(format!("{name}.certlog"));
-                CertStore::open_with_obs_faults(
-                    path,
-                    self.vcache.clone(),
-                    self.rotate_bytes,
-                    self.obs.registry(),
-                    handle.clone(),
-                )
-                .map_err(SysError::Cert)?
-            }
-            (Some(dir), None) => {
-                let path = dir.join(format!("{name}.certlog"));
-                CertStore::open_with_obs(
-                    path,
-                    self.vcache.clone(),
-                    self.rotate_bytes,
-                    self.obs.registry(),
-                )
-                .map_err(SysError::Cert)?
-            }
-            (None, Some(handle)) => {
-                let mut store = CertStore::with_cache_faults(self.vcache.clone(), handle.clone());
-                handle.attach_metrics(self.obs.registry());
-                store.attach_obs(self.obs.registry());
-                store
-            }
-            (None, None) => {
-                let mut store = CertStore::with_cache(self.vcache.clone());
-                store.attach_obs(self.obs.registry());
-                store
-            }
-        };
+        if let Some(handle) = &faults {
+            handle.attach_metrics(registry);
+            backend = Box::new(FaultingBackend::new(backend, handle.clone()));
+        }
+        let mut store = CertStore::open_backend(backend, self.vcache.clone())?;
+        store.attach_obs(registry);
         // Replay reconciliation: every certificate the log shows as
         // still active re-introduces exactly the facts a live import
-        // would have asserted (`export[me](issuer, R, S)` + `says`), so
-        // the workspace's derived state matches the pre-restart system
-        // once policies are reloaded. Certificates the log shows as
-        // revoked/expired produced retraction events during replay, but
-        // a freshly registered workspace holds no facts for them — the
-        // events are drained so they cannot fire twice.
+        // would have asserted, so the workspace's derived state matches
+        // the pre-restart system once policies are reloaded.
+        // Certificates the log shows as revoked/expired produced
+        // retraction events during replay, but a freshly registered
+        // workspace holds no facts for them — the events are drained so
+        // they cannot fire twice.
         let _ = store.take_replay_events();
-        let mut replayed: Vec<(Symbol, Tuple)> = Vec::new();
-        let my_facts = self.cert_facts.entry(me).or_default();
-        for digest in store.active() {
-            let entry = store.get(&digest).expect("active digest is stored");
-            let facts = cert_workspace_facts(me, &entry.cert);
-            replayed.extend(facts.iter().cloned());
-            my_facts.insert(digest, facts);
-            self.stats.certs_replayed += 1;
-        }
-        ws.assert_facts(&replayed);
+        let active = store.active();
+        let mut principal = Box::new(PrincipalState::new(ws, store, NodeId::new(node), faults));
+        self.stats.certs_replayed += principal.file_cert_facts(active);
 
         // Commit a baseline so any later constraint violation rolls back
         // to a fully introduced workspace, not an empty one.
-        ws.evaluate().map_err(SysError::Workspace)?;
-        for &other in &self.order {
-            self.workspaces
-                .get_mut(&other)
-                .expect("registered")
-                .evaluate()
-                .map_err(SysError::Workspace)?;
+        principal.ws.evaluate()?;
+        for other in &mut self.nodes {
+            other.ws.evaluate()?;
         }
-        self.placement.insert(me, NodeId::new(node));
-        self.workspaces.insert(me, ws);
+        self.index.insert(me, self.nodes.len());
+        self.nodes.push(principal);
         self.order.push(me);
-        self.drained.insert(me, ExportCursor::default());
-        self.stores.insert(me, store);
-        self.health.insert(me, HealthState::default());
-        if let Some(handle) = faults {
-            self.fault_handles.insert(me, handle);
-        }
         Ok(me)
     }
 
@@ -1092,15 +988,12 @@ impl System {
         self.keys.write().generate_shared_secret(a, b, seed);
         let handle = shared_secret_handle(a, b);
         for (me, other) in [(a, b), (b, a)] {
-            let ws = self
-                .workspaces
-                .get_mut(&me)
-                .ok_or(SysError::UnknownPrincipal(me))?;
+            let ws = self.workspace_mut(me)?;
             ws.assert_fact(
                 Symbol::intern("sharedsecret"),
                 vec![Value::Sym(me), Value::Sym(other), handle.clone()],
             );
-            ws.evaluate().map_err(SysError::Workspace)?;
+            ws.evaluate()?;
         }
         Ok(())
     }
@@ -1108,70 +1001,52 @@ impl System {
     /// Swaps `who`'s authentication scheme — the paper's two-rule
     /// reconfiguration (§4.1.2). Policies using `says` are untouched.
     pub fn set_auth_scheme(&mut self, who: Principal, scheme: AuthScheme) -> Result<(), SysError> {
-        let ws = self
-            .workspaces
-            .get_mut(&who)
-            .ok_or(SysError::UnknownPrincipal(who))?;
-        ws.replace_tag("auth", &scheme.prelude())?;
-        self.auth.insert(who, scheme);
+        let i = self.index_of(who)?;
+        self.nodes[i].ws.replace_tag("auth", &scheme.prelude())?;
+        self.nodes[i].auth = scheme;
         Ok(())
     }
 
     /// The current scheme of `who`.
     pub fn auth_scheme(&self, who: Principal) -> Option<AuthScheme> {
-        self.auth.get(&who).copied()
+        Some(self.node(who).ok()?.auth)
     }
 
     /// Re-places a principal onto a different node (the `loc` relation
     /// is data: "users can easily enforce various distribution plans by
-    /// modifying the loc table", §5.2).
+    /// modifying the loc table", §5.2). Placing a principal that is not
+    /// registered places nothing.
     pub fn place(&mut self, who: Principal, node: &str) {
-        self.placement.insert(who, NodeId::new(node));
+        if let Ok(i) = self.index_of(who) {
+            self.nodes[i].node = NodeId::new(node);
+        }
     }
 
     /// The node hosting `who`.
     pub fn location(&self, who: Principal) -> Option<NodeId> {
-        self.placement.get(&who).copied()
+        Some(self.node(who).ok()?.node)
     }
 
     // ---- workspace access ----------------------------------------------------
 
     /// Borrows a principal's workspace.
     pub fn workspace(&self, who: Principal) -> Result<&Workspace, SysError> {
-        self.workspaces
-            .get(&who)
-            .ok_or(SysError::UnknownPrincipal(who))
+        Ok(&self.node(who)?.ws)
     }
 
     /// Mutably borrows a principal's workspace.
     pub fn workspace_mut(&mut self, who: Principal) -> Result<&mut Workspace, SysError> {
-        self.workspaces
-            .get_mut(&who)
-            .ok_or(SysError::UnknownPrincipal(who))
+        let i = self.index_of(who)?;
+        Ok(&mut self.nodes[i].ws)
     }
 
     // ---- static-analysis preflight -------------------------------------------
 
-    /// The lint configuration the preflight analyses run under.
-    pub fn lint_config(&self) -> &AnalyzerConfig {
-        &self.lint
-    }
-
-    /// Replaces the lint configuration.
-    pub fn set_lint_config(&mut self, config: AnalyzerConfig) {
-        self.lint = config;
-    }
-
-    /// Sets one lint's level (builder form).
+    /// Sets one lint's level, e.g. demoting a deny-level lint to `Warn`
+    /// for a program that is trusted by construction.
     pub fn with_lint_level(mut self, kind: lbtrust_analysis::DiagKind, level: LintLevel) -> Self {
         self.lint.set_level(kind, level);
         self
-    }
-
-    /// Sets one lint's level, e.g. demoting a deny-level lint to `Warn`
-    /// for a program that is trusted by construction.
-    pub fn set_lint_level(&mut self, kind: lbtrust_analysis::DiagKind, level: LintLevel) {
-        self.lint.set_level(kind, level);
     }
 
     /// Parses and analyzes `src` under the system's lint configuration,
@@ -1221,7 +1096,7 @@ impl System {
 
     /// Borrows a principal's certificate store.
     pub fn cert_store(&self, who: Principal) -> Result<&CertStore, SysError> {
-        self.stores.get(&who).ok_or(SysError::UnknownPrincipal(who))
+        Ok(&self.node(who)?.store)
     }
 
     /// Hit/miss counters of the process-wide verification cache.
@@ -1299,96 +1174,70 @@ impl System {
 
     // ---- fault plane ---------------------------------------------------------
 
-    /// Whether a store error is a storage I/O failure — the class the
-    /// step-based retry/quarantine policy covers. Semantic rejections
-    /// (bad signatures, broken links, …) and structural storage errors
-    /// (unsupported records, oversized checkpoints) are never retried.
-    fn is_storage_io(e: &CertStoreError) -> bool {
-        matches!(e, CertStoreError::Storage(StorageError::Io { .. }))
-    }
-
-    /// A [`DegradedError`] snapshot of `p`'s current health state.
-    fn degraded_info(&self, p: Principal) -> DegradedError {
-        let h = self.health.get(&p);
-        DegradedError {
-            principal: p,
-            since_step: h.map(|h| h.since_step).unwrap_or_default(),
-            attempts: h.map(|h| h.attempts).unwrap_or_default(),
-            last_error: h.map(|h| h.last_error.clone()).unwrap_or_default(),
-        }
-    }
-
     /// Journals one degradation transition (`store.degraded`,
-    /// `store.quarantined`, `store.healed`) when a sink is attached.
-    fn journal_health(&self, kind: &str, p: Principal, attempts: u32, detail: &str) {
+    /// `store.quarantined`, `store.healed`) of the principal at `i`
+    /// when a sink is attached.
+    fn journal_health(&self, kind: &str, i: usize, attempts: u32, detail: &str) {
         if !self.obs.journal.enabled() {
             return;
         }
         let event = Event::new(kind)
-            .str_field("principal", &p.to_string())
+            .str_field("principal", &self.nodes[i].me.to_string())
             .u64_field("step", self.stats.steps as u64)
             .u64_field("attempts", u64::from(attempts))
             .str_field("error", detail);
         self.obs.journal.record(&event);
     }
 
-    /// Moves `p` into quarantine: the store keeps serving reads,
+    /// Moves the store at `i` into quarantine: it keeps serving reads,
     /// refuses writes with [`DegradedError`], is skipped by group
     /// commit and auto-compaction, and is probed for re-admission each
     /// step once its backoff elapses.
-    fn quarantine_store(&mut self, p: Principal, last_error: String) {
+    fn quarantine_store(&mut self, i: usize, last_error: String) {
         let step = self.stats.steps;
         let policy = self.retry_policy;
-        let h = self.health.entry(p).or_default();
+        let h = &mut self.nodes[i].health;
         if h.health != StoreHealth::Quarantined {
             h.since_step = step;
         }
         h.health = StoreHealth::Quarantined;
-        h.last_error = last_error;
         h.retry_at_step = step + policy.backoff_steps(h.attempts.max(1));
         let attempts = h.attempts;
-        let detail = h.last_error.clone();
         self.obs.count_quarantine();
-        self.journal_health("store.quarantined", p, attempts, &detail);
+        self.journal_health("store.quarantined", i, attempts, &last_error);
+        self.nodes[i].health.last_error = last_error;
     }
 
-    /// Runs one storage operation against `p`'s store, retrying
-    /// transient I/O failures immediately up to the policy's
+    /// Runs one storage operation against the principal at `i`,
+    /// retrying transient I/O failures immediately up to the policy's
     /// `max_attempts` (safe because the store's durability contract
     /// leaves memory untouched when an append fails). Returns
     /// `Ok(None)` when retries were exhausted and the store was
     /// quarantined; non-storage errors pass through as `Err`.
     fn retry_store_op<T>(
         &mut self,
-        p: Principal,
-        mut op: impl FnMut(&mut CertStore) -> Result<T, CertStoreError>,
+        i: usize,
+        mut op: impl FnMut(&mut PrincipalState) -> Result<T, CertStoreError>,
     ) -> Result<Option<T>, SysError> {
         let max = self.retry_policy.max_attempts.max(1);
         let mut failures = 0u32;
         loop {
-            let store = self
-                .stores
-                .get_mut(&p)
-                .ok_or(SysError::UnknownPrincipal(p))?;
-            match op(store) {
+            let node = &mut self.nodes[i];
+            match op(node) {
                 Ok(v) => {
                     if failures > 0 {
-                        let h = self.health.entry(p).or_default();
-                        h.attempts = 0;
-                        h.health = StoreHealth::Healthy;
+                        node.health.attempts = 0;
+                        node.health.health = StoreHealth::Healthy;
                     }
                     return Ok(Some(v));
                 }
-                Err(e) if Self::is_storage_io(&e) => {
+                Err(e) if is_storage_io(&e) => {
                     failures += 1;
+                    node.health.attempts = node.health.attempts.saturating_add(1);
+                    node.health.last_error = e.to_string();
                     self.obs.count_retry();
-                    {
-                        let h = self.health.entry(p).or_default();
-                        h.attempts = h.attempts.saturating_add(1);
-                        h.last_error = e.to_string();
-                    }
                     if failures >= max {
-                        self.quarantine_store(p, e.to_string());
+                        self.quarantine_store(i, e.to_string());
                         return Ok(None);
                     }
                 }
@@ -1401,63 +1250,54 @@ impl System {
     /// [`SysError::Degraded`], then runs `op` under immediate retry.
     fn with_store_retry<T>(
         &mut self,
-        p: Principal,
-        op: impl FnMut(&mut CertStore) -> Result<T, CertStoreError>,
+        i: usize,
+        op: impl FnMut(&mut PrincipalState) -> Result<T, CertStoreError>,
     ) -> Result<T, SysError> {
-        if self.store_health(p) == StoreHealth::Quarantined {
-            return Err(SysError::Degraded(self.degraded_info(p)));
+        if !self.nodes[i].quarantined() {
+            if let Some(v) = self.retry_store_op(i, op)? {
+                return Ok(v);
+            }
         }
-        match self.retry_store_op(p, op)? {
-            Some(v) => Ok(v),
-            None => Err(SysError::Degraded(self.degraded_info(p))),
-        }
+        Err(SysError::Degraded(self.nodes[i].degraded()))
     }
 
     /// Folds one deferred (group-commit / maintenance) storage failure
-    /// into `p`'s health state: transient I/O degrades the store with
-    /// step-based backoff and quarantines it once the policy's
+    /// into the health state at `i`: transient I/O degrades the store
+    /// with step-based backoff and quarantines it once the policy's
     /// `max_attempts` consecutive failures accumulate; any other error
     /// propagates unchanged.
-    fn note_store_failure(&mut self, p: Principal, e: CertStoreError) -> Result<(), SysError> {
-        if !Self::is_storage_io(&e) {
+    fn note_store_failure(&mut self, i: usize, e: CertStoreError) -> Result<(), SysError> {
+        if !is_storage_io(&e) {
             return Err(SysError::Cert(e));
         }
         let step = self.stats.steps;
         let policy = self.retry_policy;
         self.obs.count_retry();
-        let (attempts, quarantine) = {
-            let h = self.health.entry(p).or_default();
-            h.attempts = h.attempts.saturating_add(1);
-            h.last_error = e.to_string();
-            if h.health == StoreHealth::Healthy {
-                h.since_step = step;
-            }
-            let quarantine = h.attempts >= policy.max_attempts.max(1);
-            if !quarantine {
-                h.health = StoreHealth::Degraded;
-                h.retry_at_step = step + policy.backoff_steps(h.attempts);
-            }
-            (h.attempts, quarantine)
-        };
-        if quarantine {
-            self.quarantine_store(p, e.to_string());
+        let h = &mut self.nodes[i].health;
+        h.attempts = h.attempts.saturating_add(1);
+        h.last_error = e.to_string();
+        if h.health == StoreHealth::Healthy {
+            h.since_step = step;
+        }
+        let attempts = h.attempts;
+        if attempts >= policy.max_attempts.max(1) {
+            self.quarantine_store(i, e.to_string());
         } else {
-            self.journal_health("store.degraded", p, attempts, &e.to_string());
+            h.health = StoreHealth::Degraded;
+            h.retry_at_step = step + policy.backoff_steps(attempts);
+            self.journal_health("store.degraded", i, attempts, &e.to_string());
         }
         Ok(())
     }
 
-    /// Clears `p`'s degraded state after a successful deferred commit.
-    fn note_store_ok(&mut self, p: Principal) {
-        let recovered = {
-            let h = self.health.entry(p).or_default();
-            let was = h.health;
-            h.health = StoreHealth::Healthy;
-            h.attempts = 0;
-            was == StoreHealth::Degraded
-        };
-        if recovered {
-            self.journal_health("store.healed", p, 0, "deferred commit succeeded");
+    /// Clears the degraded state at `i` after a successful deferred
+    /// commit.
+    fn note_store_ok(&mut self, i: usize) {
+        let h = &mut self.nodes[i].health;
+        let was = std::mem::replace(&mut h.health, StoreHealth::Healthy);
+        h.attempts = 0;
+        if was == StoreHealth::Degraded {
+            self.journal_health("store.healed", i, 0, "deferred commit succeeded");
         }
     }
 
@@ -1466,9 +1306,8 @@ impl System {
     /// (`Quarantined` stores do *not* hold up quiescence: the system
     /// runs degraded around them.)
     fn retries_pending(&self) -> bool {
-        self.health
-            .values()
-            .any(|h| h.health == StoreHealth::Degraded)
+        let mut health = self.nodes.iter().map(|n| n.health.health);
+        health.any(|h| h == StoreHealth::Degraded)
     }
 
     /// Whether any quarantined store is *probe-eligible*: its fault
@@ -1478,13 +1317,8 @@ impl System {
     /// fault is still armed lets the system settle into degraded
     /// service instead.
     fn heal_pending(&self) -> bool {
-        self.health.iter().any(|(p, h)| {
-            h.health == StoreHealth::Quarantined
-                && !self
-                    .fault_handles
-                    .get(p)
-                    .is_some_and(FaultHandle::is_persistent)
-        })
+        let mut nodes = self.nodes.iter();
+        nodes.any(|n| n.quarantined() && !n.fault_armed())
     }
 
     /// Imports certificates into `to`'s store (links resolved within
@@ -1499,9 +1333,7 @@ impl System {
         to: Principal,
         certs: Vec<LinkedCert>,
     ) -> Result<Vec<ImportOutcome>, SysError> {
-        if !self.workspaces.contains_key(&to) {
-            return Err(SysError::UnknownPrincipal(to));
-        }
+        let to = self.index_of(to)?;
         // Bulk loads fan the expensive signature checks across worker
         // threads first; the store's serial walk then answers every
         // check from the shared cache.
@@ -1512,46 +1344,21 @@ impl System {
         // already-Active members re-import through the no-append fast
         // path, so a retry is idempotent.
         let outcomes =
-            self.with_store_retry(to, |store| store.import_bundle(certs.clone(), &verifier))?;
+            self.with_store_retry(to, |n| n.store.import_bundle(certs.clone(), &verifier))?;
         // One commit point per bundle under either policy: an
         // acknowledged import is durable, and the fsync amortizes over
         // the whole bundle rather than per certificate. Retried
         // separately from the import so a commit failure after a
         // successful bundle walk cannot re-append anything.
-        self.with_store_retry(to, |store| store.sync())?;
-        for outcome in &outcomes {
-            // Assert facts for fresh imports *and* for live certificates
-            // whose facts never landed (a bundle that failed part-way
-            // leaves its successful members Active in the store; a retry
-            // arrives here with newly_added=false and must still finish
-            // the workspace half of the import).
-            if self
-                .cert_facts
-                .get(&to)
-                .is_some_and(|m| m.contains_key(&outcome.digest))
-            {
-                continue;
-            }
-            let entry = self
-                .stores
-                .get(&to)
-                .expect("store per principal")
-                .get(&outcome.digest)
-                .expect("just imported")
-                .clone();
-            let facts = cert_workspace_facts(to, &entry.cert);
-            let ws = self.workspaces.get_mut(&to).expect("checked above");
-            ws.assert_facts(&facts);
-            self.cert_facts
-                .entry(to)
-                .or_default()
-                .insert(outcome.digest, facts);
-            self.stats.certs_imported += 1;
-        }
-        self.workspaces
-            .get_mut(&to)
-            .expect("checked above")
-            .evaluate()?;
+        self.with_store_retry(to, |n| n.store.sync())?;
+        // Facts land for fresh imports *and* for live certificates
+        // whose facts never did (a bundle that failed part-way leaves
+        // its successful members Active in the store; a retry arrives
+        // here with newly_added=false and must still finish the
+        // workspace half of the import).
+        let node = &mut self.nodes[to];
+        self.stats.certs_imported += node.file_cert_facts(outcomes.iter().map(|o| o.digest));
+        node.ws.evaluate()?;
         Ok(outcomes)
     }
 
@@ -1614,27 +1421,27 @@ impl System {
 
     /// Re-imports certificates already held by `to`: answered from the
     /// store and the verification cache without fresh signature checks
-    /// or workspace work. (The cached fast path the `ablation_certstore`
-    /// bench measures.)
+    /// or workspace work.
     pub fn reimport_certificates(
         &mut self,
         to: Principal,
         certs: &[LinkedCert],
     ) -> Result<Vec<ImportOutcome>, SysError> {
+        let to = self.index_of(to)?;
         let verifier = self.key_verifier();
-        let outcomes = self.with_store_retry(to, |store| {
+        let outcomes = self.with_store_retry(to, |n| {
             let mut outcomes = Vec::with_capacity(certs.len());
             for cert in certs {
-                outcomes.push(store.insert(cert.clone(), &verifier)?);
+                outcomes.push(n.store.insert(cert.clone(), &verifier)?);
             }
             Ok(outcomes)
         })?;
-        self.with_store_retry(to, |store| store.sync())?;
+        self.with_store_retry(to, |n| n.store.sync())?;
         Ok(outcomes)
     }
 
     /// Revokes a certificate `issuer` issued: applies the signed
-    /// revocation to every local store immediately (retracting the
+    /// revocation at the issuer immediately (retracting the
     /// certificate's facts through DRed) and broadcasts a `revoke`
     /// packet to every other principal's node, so stores across the
     /// (simulated) deployment converge during the next
@@ -1644,6 +1451,7 @@ impl System {
         issuer: Principal,
         digest: CertDigest,
     ) -> Result<(), SysError> {
+        let at = self.index_of(issuer)?;
         let signing = lbtrust_net::revoke_signing_bytes(issuer, digest.as_bytes());
         let signature = {
             let guard = self.keys.read();
@@ -1659,21 +1467,31 @@ impl System {
             target: digest,
             signature: signature.clone(),
         };
-        // Local application at the issuer's node is immediate …
-        self.apply_revocation(issuer, &revocation)?;
+        // Local application at the issuer's node is immediate. The
+        // mutation and its fsync retry separately: once the revoke has
+        // appended and applied, a retried call would hit the
+        // idempotence gate and find nothing left to retract.
+        let verifier = self.key_verifier();
+        self.with_store_retry(at, |n| n.apply_revocation(&revocation, &verifier, false))?;
+        if self.sync_policy == SyncPolicy::Eager {
+            // A persistent commit failure quarantines the store, but
+            // the revocation is applied in memory and the workspace
+            // already retracted — the heal-time flush makes it durable.
+            self.with_store_retry(at, |n| n.store.sync())?;
+        }
         // … and everybody else learns over the wire.
-        let from_node = self.node_of(issuer);
-        for &other in &self.order.clone() {
-            if other == issuer {
+        let from_node = self.nodes[at].node;
+        for other in 0..self.nodes.len() {
+            if other == at {
                 continue;
             }
-            let to_node = self.node_of(other);
             let packet = WirePacket::Revoke(RevokeMessage {
                 from: issuer,
-                to: other,
+                to: self.nodes[other].me,
                 digest: *digest.as_bytes(),
                 auth: signature.clone(),
             });
+            let to_node = self.nodes[other].node;
             self.send_packet(from_node, to_node, lbtrust_net::encode_packet(&packet));
         }
         Ok(())
@@ -1693,60 +1511,33 @@ impl System {
         enqueued
     }
 
-    /// Applies a verified revocation at one principal: marks the store,
-    /// then retracts every workspace fact a dying certificate
-    /// introduced — incrementally via DRed where the program admits it.
-    /// Re-applying an already-known revocation is a no-op that counts
-    /// nothing.
-    fn apply_revocation(&mut self, at: Principal, revocation: &Revocation) -> Result<(), SysError> {
-        let verifier = self.key_verifier();
-        let eager = self.sync_policy == SyncPolicy::Eager;
-        // The mutation and its fsync retry separately: once the revoke
-        // has appended and applied, a retried call would hit the
-        // idempotence gate and lose the retraction events.
-        let outcome =
-            self.with_store_retry(at, |store| store.revoke_with_outcome(revocation, &verifier))?;
-        if outcome.applied && outcome.authoritative {
-            self.stats.revocations += 1;
-            self.retract_cert_facts(at, &outcome.events);
-        }
-        if eager {
-            // A persistent commit failure quarantines the store, but
-            // the revocation is applied in memory and the workspace
-            // already retracted — the heal-time flush makes it durable.
-            self.with_store_retry(at, |store| store.sync())?;
-        }
-        Ok(())
-    }
-
     /// Advances every store's logical clock by `ticks`, expiring
     /// overdue certificates and retracting their facts (TTL freshness).
     /// Returns the number of certificates that died.
     pub fn advance_time(&mut self, ticks: u64) -> Result<usize, SysError> {
         let mut died = 0;
         let eager = self.sync_policy == SyncPolicy::Eager;
-        for &p in &self.order.clone() {
+        for i in 0..self.nodes.len() {
             // Quarantined stores must not lose time: the ticks
             // accumulate and apply at re-admission — graceful
             // degradation, not an error, since the caller is advancing
-            // the whole deployment.
-            if self.store_health(p) == StoreHealth::Quarantined {
-                self.health.entry(p).or_default().pending_ticks += ticks;
-                continue;
-            }
-            let Some(events) = self.retry_store_op(p, |store| store.advance_clock(ticks))? else {
-                // Quarantined just now: the tick record never appended
-                // (append-before-mutate), so it joins the deferred
-                // balance like any other.
-                self.health.entry(p).or_default().pending_ticks += ticks;
+            // the whole deployment. A store quarantined just now joins
+            // them: the tick record never appended
+            // (append-before-mutate).
+            let advanced = if self.nodes[i].quarantined() {
+                None
+            } else {
+                self.retry_store_op(i, |n| n.advance_clock(ticks))?
+            };
+            let Some(expired) = advanced else {
+                self.nodes[i].health.pending_ticks += ticks;
                 continue;
             };
-            died += events.len();
-            self.retract_cert_facts(p, &events);
+            died += expired;
             if eager {
                 // Commit failure only defers durability: the expiry is
                 // applied in memory and the heal-time flush catches up.
-                let _ = self.retry_store_op(p, |store| store.sync())?;
+                let _ = self.retry_store_op(i, |n| n.store.sync())?;
             }
         }
         Ok(died)
@@ -1783,8 +1574,9 @@ impl System {
     /// ([`System::enable_decision_journal`]), is recorded as an
     /// `authorize` event carrying the supporting digests.
     pub fn authorize(&self, who: Principal, goal: &str) -> Result<AuthzDecision, SysError> {
-        let store = self.cert_store(who)?;
-        let proof = self.workspace(who)?.explain_proof(goal)?;
+        let node = self.node(who)?;
+        let store = &node.store;
+        let proof = node.ws.explain_proof(goal)?;
         let decided = decide(proof, store.ground_heads(), |rule_src, out| {
             out.extend(store.audit().introducers(rule_src).iter().map(|e| e.digest));
         });
@@ -1813,92 +1605,26 @@ impl System {
     /// handles answer against it lock-free while this system keeps
     /// mutating. Called automatically at every quiescent point of
     /// [`System::run_to_quiescence`]; callers streaming imports or
-    /// revocations outside the fixpoint (e.g. [`System::apply_revocation`]
-    /// via [`System::revoke_certificate`]) publish explicitly to make
-    /// those changes visible to readers.
+    /// revocations outside the fixpoint (e.g.
+    /// [`System::revoke_certificate`]) publish explicitly to make those
+    /// changes visible to readers.
     ///
     /// Publication also settles the decision cache: a window in which a
     /// principal changed *only* by incremental DRed retractions keeps
     /// its cache version and drops exactly the decisions citing a dead
-    /// certificate, while any other change (imports, rule changes,
-    /// non-monotonic rebuilds — detected by comparing workspace-epoch
-    /// movement against the counted retraction repairs) bumps the
-    /// version and orphans the principal's older entries wholesale.
-    /// Either way a cached grant never outlives a revocation of its
-    /// support.
+    /// certificate, while any other change bumps the version and
+    /// orphans the principal's older entries wholesale. Either way a
+    /// cached grant never outlives a revocation of its support.
     pub fn publish_authz_snapshot(&mut self) {
         let started = Instant::now();
-        let mut principals = HashMap::with_capacity(self.order.len());
+        let mut principals = HashMap::with_capacity(self.nodes.len());
         // Poisoned-decision sweeps, run only once the new snapshot is
         // in the cell (see [`AuthzShared::invalidate_poisoned`]).
         let mut sweeps: Vec<(Principal, u64, HashSet<CertDigest>)> = Vec::new();
-        for &p in &self.order {
-            let ws = self.workspaces.get(&p).expect("registered");
-            // Quarantined stores stay registered and keep serving
-            // reads (the PR 8 degradation contract), so they publish
-            // like healthy ones.
-            let store = self.stores.get(&p).expect("registered");
-            let pub_state = self.authz_pub.entry(p).or_default();
-            let epoch = ws.epoch();
-            let store_version = store.version();
-            if pub_state.snap.is_some()
-                && epoch == pub_state.published_epoch
-                && store_version == pub_state.published_store_version
-            {
-                // Unchanged since the last publish: share the Arc.
-                pub_state.poisoned.clear();
-                pub_state.retraction_bumps = 0;
-                let snap = pub_state.snap.clone().expect("checked above");
-                principals.insert(p, snap);
-                continue;
-            }
-            let epoch_delta = epoch.wrapping_sub(pub_state.published_epoch);
-            if pub_state.snap.is_some() && epoch_delta == pub_state.retraction_bumps {
-                // Retraction-only window: every workspace change was an
-                // incremental DRed repair (facts only disappeared), so
-                // a cached deny cannot have flipped and a cached grant
-                // is stale exactly when it cites a dead certificate.
-                // Drop precisely those; the version (and every other
-                // cached decision) survives.
-                if !pub_state.poisoned.is_empty() {
-                    let poisoned = pub_state.poisoned.drain(..).collect();
-                    sweeps.push((p, pub_state.authz_version, poisoned));
-                }
-            } else {
-                // Arbitrary change (fresh imports, rule loads, a
-                // non-monotonic rebuild, a rollback): no per-entry
-                // attribution is possible, so the version bump orphans
-                // the principal's cached decisions wholesale and the
-                // 2Q eviction reclaims them.
-                pub_state.authz_version += 1;
-            }
-            pub_state.poisoned.clear();
-            pub_state.retraction_bumps = 0;
-            pub_state.published_epoch = epoch;
-            pub_state.published_store_version = store_version;
-            // Everything below is shared, not copied: the database with
-            // the workspace (a pointer per relation), the registry and the
-            // ground-head index with their owners, and the introducer map
-            // with the previous snapshot unless an import was recorded.
-            let audit = store.audit();
-            let introducers_len = audit.introducers_len();
-            let introducers = match &pub_state.snap {
-                Some(prev) if prev.introducers_len == introducers_len => prev.introducers.clone(),
-                _ => Arc::new(audit.introducer_digests()),
-            };
-            let snap = Arc::new(PrincipalSnapshot {
-                me: p,
-                rules: ws.program().rules().clone(),
-                db: ws.db().clone(),
-                builtins: ws.builtins().clone(),
-                ground_heads: store.ground_heads().clone(),
-                introducers,
-                introducers_len,
-                authz_version: pub_state.authz_version,
-                store_version,
-            });
-            pub_state.snap = Some(snap.clone());
-            principals.insert(p, snap);
+        for node in &mut self.nodes {
+            let (snap, sweep) = node.publish();
+            principals.insert(node.me, snap);
+            sweeps.extend(sweep.map(|(version, poisoned)| (node.me, version, poisoned)));
         }
         self.authz_shared.cell.publish(crate::AuthzSnapshot {
             generation: 0, // stamped by the cell
@@ -1925,40 +1651,6 @@ impl System {
         AuthzReader::new(self.authz_shared.clone())
     }
 
-    /// Retracts the workspace facts behind each retraction event in one
-    /// batched DRed pass per principal.
-    fn retract_cert_facts(&mut self, at: Principal, events: &[lbtrust_certstore::RetractionEvent]) {
-        // Every dying certificate poisons the cached decisions citing
-        // it, whether or not its facts were still asserted here.
-        let pub_state = self.authz_pub.entry(at).or_default();
-        pub_state.poisoned.extend(events.iter().map(|e| e.digest));
-        let mut batch: Vec<(Symbol, Tuple)> = Vec::new();
-        if let Some(my_facts) = self.cert_facts.get_mut(&at) {
-            for event in events {
-                if let Some(facts) = my_facts.remove(&event.digest) {
-                    batch.extend(facts);
-                }
-            }
-        }
-        if batch.is_empty() {
-            return;
-        }
-        let ws = self.workspaces.get_mut(&at).expect("registered");
-        self.stats.retractions += batch.len();
-        match ws.retract_facts(&batch) {
-            RetractOutcome::Incremental(_) => {
-                self.stats.dred_repairs += 1;
-                // One incremental repair = exactly one workspace epoch
-                // bump; the publish path matches these totals to tell
-                // "retraction-only" windows (precise cache
-                // invalidation) from arbitrary change (version bump).
-                self.authz_pub.entry(at).or_default().retraction_bumps += 1;
-            }
-            RetractOutcome::Deferred => self.stats.retraction_rebuilds += 1,
-            RetractOutcome::Noop => {}
-        }
-    }
-
     // ---- the distributed fixpoint ---------------------------------------------
 
     /// Runs every workspace to its local fixpoint, ships export tuples,
@@ -1967,10 +1659,10 @@ impl System {
     ///
     /// The local-fixpoint, delivery-import and group-commit phases each
     /// run as one batch of per-principal tasks — on the pool workers
-    /// with [`System::set_shards`] above 1, inline otherwise; placement
-    /// updates, network traffic and statistics are merged sequentially
-    /// in registration order, so every shard count reaches the
-    /// identical quiescent state.
+    /// with [`System::with_shards`] above 1, inline otherwise;
+    /// placement updates, network traffic and statistics are merged
+    /// sequentially in registration order, so every shard count reaches
+    /// the identical quiescent state.
     ///
     /// Messages whose import violates the receiver's verification
     /// constraint are rejected (the receiving workspace rolls back) and
@@ -1982,183 +1674,134 @@ impl System {
     /// returned — the same state and the same error at every shard
     /// count.
     pub fn run_to_quiescence(&mut self, max_steps: usize) -> Result<SystemStats, SysError> {
-        let export = Symbol::intern("export");
-        let loc = Symbol::intern("loc");
-        // One snapshot of the registration order per call (it cannot
-        // change mid-run); the phases below each borrow the system
-        // mutably, so re-cloning inside the step loop would cost five
-        // allocations per step.
-        let order = self.order.clone();
         for _ in 0..max_steps {
             self.stats.steps += 1;
             // Advance the network's fault clock: heal partitions whose
             // deadline arrived and release messages the delay model
             // held for this step.
             self.net.begin_step();
-            let step_started = self.obs.phase_timer();
-            // 0. Gossip inputs: refresh each workspace's `revfp` facts
-            // from its store and learn whether any two stores' summaries
-            // still disagree. Sequential in registration order (cheap:
-            // fingerprints are maintained per store).
-            let t = self.obs.phase_timer();
-            let divergent = self.prepare_gossip(&order);
-            self.obs.record_phase(QuiescePhase::GossipPrepare, t);
-            // 1. Local fixpoints, one task per principal. A constraint
-            // violation rolls the offending workspace back to its last
-            // good state (the paper's fail-with-error semantics) and
-            // the system carries on.
-            let t = self.obs.phase_timer();
-            self.local_fixpoints(&order)?;
-            self.obs.record_phase(QuiescePhase::Fixpoint, t);
-            // 1b. Data-driven placement (§5.2 ld1/ld2): `loc(P, N)`
-            // facts derived in any workspace update the placement map —
-            // "users can easily enforce various distribution plans by
-            // modifying the loc table". Sequential, in registration
-            // order, so conflicting placements resolve deterministically.
-            let t = self.obs.phase_timer();
-            self.update_placement(&order, loc);
-            self.obs.record_phase(QuiescePhase::Placement, t);
-            // 2. Drain fresh export tuples into the network,
-            // sequentially so delivery order stays deterministic.
-            let t = self.obs.phase_timer();
-            let shipped = self.drain_exports(&order, export);
-            self.obs.record_phase(QuiescePhase::ExportDrain, t);
-            // 2b. Gossip round: while stores disagree, ship the
-            // `revsummary`/`revpull` messages the gossip program
-            // derived. Dormant once every store holds the same
-            // revocation objects — the anti-entropy traffic stops, so
-            // the system can quiesce. Sequential merge, like phase 2.
-            let t = self.obs.phase_timer();
-            let gossip_sent = if divergent {
-                self.gossip_sends(&order)
-            } else {
-                0
-            };
-            self.obs.record_phase(QuiescePhase::GossipSend, t);
-            // 3. Deliver and import, one task per destination
-            // (answering gossip pulls with `revgossip` frames).
-            let t = self.obs.phase_timer();
-            let delivered = self.deliver_and_import(&order, export)?;
-            self.obs.record_phase(QuiescePhase::Delivery, t);
-            // 4. Group commit: under `Batched`, every store that
-            // appended during this step syncs exactly once, here.
-            if self.sync_policy == SyncPolicy::Batched {
-                let t = self.obs.phase_timer();
-                self.sync_stores()?;
-                self.obs.record_phase(QuiescePhase::GroupCommit, t);
-            }
-            // 5. Fault-plane recovery: probe quarantined stores whose
-            // backoff elapsed and re-admit the ones whose fault healed
-            // (deferred group-commit retries already ran in phase 4).
-            let t = self.obs.phase_timer();
-            let healed = self.probe_quarantined(&order)?;
-            self.obs.record_phase(QuiescePhase::FaultRecovery, t);
-            self.obs.record_phase(QuiescePhase::Step, step_started);
-            // Quiescent when nothing was shipped or delivered this step
-            // (local fixpoints already ran), gossip is dormant, no
-            // message sits delayed inside the network, no deferred
-            // commit retry is pending, and no store was just re-admitted
-            // (a fresh re-admission needs at least one more round so
-            // anti-entropy can repair what the store missed).
-            // Quarantined stores whose fault is still armed do NOT
-            // hold up quiescence — the system settles into degraded
-            // service around them; ones whose fault healed keep the
-            // loop alive until a probe re-admits them.
-            if shipped == 0
-                && delivered == 0
-                && gossip_sent == 0
-                && healed == 0
-                && !self.net.has_pending()
-                && !self.retries_pending()
-                && !self.heal_pending()
-            {
+            if self.phase(QuiescePhase::Step, System::step)? {
                 self.publish_obs();
                 self.publish_authz_snapshot();
-                return Ok(self.stats);
+                return Ok(self.stats());
             }
         }
         Err(SysError::NoQuiescence { steps: max_steps })
     }
 
+    /// Runs `work` as one span of `phase`'s histogram.
+    fn phase<T>(&mut self, phase: QuiescePhase, work: impl FnOnce(&mut System) -> T) -> T {
+        let started = self.obs.phase_timer();
+        let done = work(self);
+        self.obs.record_phase(phase, started);
+        done
+    }
+
+    /// One step of the distributed fixpoint; `true` when it found the
+    /// system quiescent.
+    fn step(&mut self) -> Result<bool, SysError> {
+        let export = Symbol::intern("export");
+        // 0. Gossip inputs: refresh each workspace's `revfp` facts from
+        // its store and learn whether any two stores' summaries still
+        // disagree. Sequential in registration order (cheap:
+        // fingerprints are maintained per store).
+        let divergent = self.phase(QuiescePhase::GossipPrepare, System::prepare_gossip);
+        // 1. Local fixpoints, one task per principal. A constraint
+        // violation rolls the offending workspace back to its last good
+        // state (the paper's fail-with-error semantics) and the system
+        // carries on.
+        self.phase(QuiescePhase::Fixpoint, System::local_fixpoints)?;
+        // 1b. Data-driven placement (§5.2 ld1/ld2): `loc(P, N)` facts
+        // derived in any workspace update the placement — "users can
+        // easily enforce various distribution plans by modifying the
+        // loc table". Sequential, in registration order, so conflicting
+        // placements resolve deterministically.
+        self.phase(QuiescePhase::Placement, System::update_placement);
+        // 2. Drain fresh export tuples into the network, sequentially
+        // so delivery order stays deterministic.
+        let shipped = self.phase(QuiescePhase::ExportDrain, |s| s.drain_exports(export));
+        // 2b. Gossip round: while stores disagree, ship the
+        // `revsummary`/`revpull` messages the gossip program derived.
+        // Dormant once every store holds the same revocation objects —
+        // the anti-entropy traffic stops, so the system can quiesce.
+        // Sequential merge, like phase 2.
+        let gossip_sent = self.phase(QuiescePhase::GossipSend, |s| {
+            if divergent {
+                s.gossip_sends()
+            } else {
+                0
+            }
+        });
+        // 3. Deliver and import, one task per destination (answering
+        // gossip pulls with `revgossip` frames).
+        let delivered = self.phase(QuiescePhase::Delivery, |s| s.deliver_and_import(export))?;
+        // 4. Group commit: under `Batched`, every store that appended
+        // during this step syncs exactly once, here.
+        if self.sync_policy == SyncPolicy::Batched {
+            self.phase(QuiescePhase::GroupCommit, System::flush)?;
+        }
+        // 5. Fault-plane recovery: probe quarantined stores whose
+        // backoff elapsed and re-admit the ones whose fault healed
+        // (deferred group-commit retries already ran in phase 4).
+        let healed = self.phase(QuiescePhase::FaultRecovery, System::probe_quarantined)?;
+        // Quiescent when nothing was shipped or delivered this step
+        // (local fixpoints already ran), gossip is dormant, no message
+        // sits delayed inside the network, no deferred commit retry is
+        // pending, and no store was just re-admitted (a fresh
+        // re-admission needs at least one more round so anti-entropy
+        // can repair what the store missed). Quarantined stores whose
+        // fault is still armed do NOT hold up quiescence — the system
+        // settles into degraded service around them; ones whose fault
+        // healed keep the loop alive until a probe re-admits them.
+        Ok(shipped == 0
+            && delivered == 0
+            && gossip_sent == 0
+            && healed == 0
+            && !self.net.has_pending()
+            && !self.retries_pending()
+            && !self.heal_pending())
+    }
+
     /// Gossip phase 0: recompute every store's revocation summary,
-    /// reconcile each workspace's `revfp` facts with it (retracting the
-    /// stale fingerprint fact a changed one replaces, so the program's
-    /// derivations repair through DRed), and report whether any two
-    /// stores disagree. A no-op returning `false` when gossip is off —
-    /// and cheap when it is on but converged: unchanged fingerprints
-    /// assert nothing.
-    fn prepare_gossip(&mut self, order: &[Principal]) -> bool {
-        let Some(gossip) = self.gossip.as_mut() else {
+    /// reconcile each workspace's `revfp` facts with it, and report
+    /// whether any two stores disagree. A no-op returning `false` when
+    /// gossip is off — and cheap when it is on but converged.
+    fn prepare_gossip(&mut self) -> bool {
+        if self.gossip.is_none() {
             return false;
-        };
+        }
         // Per-store summaries, registration order. Each is sorted by
         // signer name, so plain equality compares the summaries.
-        let mut summaries: Vec<Vec<(Symbol, String)>> = Vec::with_capacity(order.len());
-        for p in order {
-            summaries.push(
-                self.stores
-                    .get(p)
-                    .expect("registered")
-                    .revocation_fingerprints()
-                    .into_iter()
-                    .map(|(signer, fp)| (signer, fingerprint_hex(&fp)))
-                    .collect(),
-            );
-        }
+        let summarize = |n: &PrincipalState| -> Vec<(Symbol, String)> {
+            let fps = n.store.revocation_fingerprints().into_iter();
+            fps.map(|(signer, fp)| (signer, fingerprint_hex(&fp)))
+                .collect()
+        };
+        let summaries: Vec<Vec<(Symbol, String)>> =
+            self.nodes.iter().map(|n| summarize(n)).collect();
         // The divergence oracle compares *writable* stores only: a
         // quarantined store cannot absorb gossip (its appends fail), so
         // letting it hold the oracle open would generate repair traffic
         // forever and the system could never settle into degraded
         // service. The moment the store heals it re-enters the
         // comparison, the oracle trips, and anti-entropy repairs it.
-        let writable: Vec<&Vec<(Symbol, String)>> = order
+        let writable: Vec<&Vec<(Symbol, String)>> = self
+            .nodes
             .iter()
             .zip(&summaries)
-            .filter(|(p, _)| {
-                self.health
-                    .get(*p)
-                    .is_none_or(|h| h.health != StoreHealth::Quarantined)
-            })
+            .filter(|(n, _)| !n.quarantined())
             .map(|(_, s)| s)
             .collect();
         let divergent = writable.windows(2).any(|w| w[0] != w[1]);
-        // Every signer any store has something for: each workspace
-        // carries a `revfp` fact per such signer ([`ZERO_FP_HEX`] where
-        // the local store holds nothing), so the program's diff rule
-        // can fire for signers the local store has never heard of.
-        let mut signers: BTreeSet<&str> = BTreeSet::new();
-        for summary in &summaries {
-            for (signer, _) in summary {
-                signers.insert(signer.as_str());
-            }
-        }
+        // Every signer any store has something for, by name.
+        let signers: BTreeSet<&str> = summaries
+            .iter()
+            .flatten()
+            .map(|(signer, _)| signer.as_str())
+            .collect();
         let signers: Vec<Symbol> = signers.into_iter().map(Symbol::intern).collect();
-        for (p, summary) in order.iter().zip(&summaries) {
-            let local: HashMap<Symbol, &str> = summary
-                .iter()
-                .map(|(signer, hex)| (*signer, hex.as_str()))
-                .collect();
-            let cache = gossip.fps.entry(*p).or_default();
-            let mut stale: Vec<(Symbol, Tuple)> = Vec::new();
-            let mut fresh: Vec<(Symbol, Tuple)> = Vec::new();
-            for &signer in &signers {
-                let desired = local.get(&signer).copied().unwrap_or(ZERO_FP_HEX);
-                match cache.get(&signer) {
-                    Some(prev) if prev == desired => continue,
-                    Some(prev) => stale.push(revfp_fact(*p, signer, prev)),
-                    None => {}
-                }
-                fresh.push(revfp_fact(*p, signer, desired));
-                cache.insert(signer, desired.to_string());
-            }
-            if stale.is_empty() && fresh.is_empty() {
-                continue;
-            }
-            let ws = self.workspaces.get_mut(p).expect("registered");
-            if !stale.is_empty() {
-                ws.retract_facts(&stale);
-            }
-            ws.assert_facts(&fresh);
+        for (node, summary) in self.nodes.iter_mut().zip(&summaries) {
+            node.refresh_revfp(&signers, summary);
         }
         divergent
     }
@@ -2170,18 +1813,19 @@ impl System {
     /// for every shard count. Returns the number of messages handed to
     /// the network (dropped or not: an attempt is a round's work, and
     /// quiescence must wait for the retry).
-    fn gossip_sends(&mut self, order: &[Principal]) -> usize {
+    fn gossip_sends(&mut self) -> usize {
         let gsays = Symbol::intern(GOSSIP_SAYS);
         let mut total = 0usize;
-        for &p in order {
-            let tuples = self.workspaces.get(&p).expect("registered").tuples(gsays);
+        for i in 0..self.nodes.len() {
+            let p = self.nodes[i].me;
+            let tuples = self.nodes[i].ws.tuples(gsays);
             let mut sends: Vec<GossipSend> = tuples
                 .iter()
                 .filter_map(|t| parse_gossip_send(p, t))
                 .collect();
             sends.sort_by(|a, b| gossip_send_key(a).cmp(&gossip_send_key(b)));
             sends.dedup();
-            let from_node = self.node_of(p);
+            let from_node = self.nodes[i].node;
             for send in sends {
                 let to_node = self.node_of(send.to());
                 let payload = match &send {
@@ -2220,15 +1864,9 @@ impl System {
     /// Phase 1: every workspace to its local fixpoint, one task per
     /// principal. Constraint violations are rollbacks (counted); the
     /// first other evaluation error in registration order aborts the
-    /// run once every workspace is back in place.
-    fn local_fixpoints(&mut self, order: &[Principal]) -> Result<(), SysError> {
-        // Move each workspace out for the duration of the batch; the
-        // merge below reinserts in registration order.
-        let tasks: Vec<PoolTask> = order
-            .iter()
-            .map(|p| PoolTask::Fixpoint(self.workspaces.remove(p).expect("registered")))
-            .collect();
-        let report = self.run_tasks(tasks);
+    /// run once every principal is back in place.
+    fn local_fixpoints(&mut self) -> Result<(), SysError> {
+        let report = self.run_batch(|_, _| Some(Op::Fixpoint));
         // Per-worker busy time feeds the shard histograms (and through
         // them the imbalance gauge): the load each worker actually
         // carried.
@@ -2236,29 +1874,29 @@ impl System {
             self.obs.record_shard_fixpoint(w, busy);
         }
         let mut first_error: Option<WsError> = None;
-        for (&p, done) in order.iter().zip(report.results) {
-            let PoolDone::Fixpoint { ws, error } = done else {
-                unreachable!("fixpoint batches return fixpoint results");
-            };
-            self.workspaces.insert(p, ws);
-            match error {
-                None => {}
-                Some(WsError::Constraint(_)) => self.stats.local_rollbacks += 1,
-                Some(e) => {
+        for (_, result) in report.results {
+            match result {
+                OpResult::Eval(None) => {}
+                OpResult::Eval(Some(WsError::Constraint(_))) => self.stats.local_rollbacks += 1,
+                OpResult::Eval(Some(e)) => {
                     first_error.get_or_insert(e);
                 }
+                OpResult::Store(_) => unreachable!("fixpoint batches return fixpoint results"),
             }
         }
         first_error.map_or(Ok(()), |e| Err(e.into()))
     }
 
-    /// Phase 1b: fold derived `loc(P, N)` facts into the placement map.
-    fn update_placement(&mut self, order: &[Principal], loc: Symbol) {
-        for &p in order {
-            let tuples = self.workspaces.get(&p).expect("registered").tuples(loc);
-            for t in tuples {
+    /// Phase 1b: fold derived `loc(P, N)` facts into the placement of
+    /// the registered principals they name.
+    fn update_placement(&mut self) {
+        let loc = Symbol::intern("loc");
+        for i in 0..self.nodes.len() {
+            for t in self.nodes[i].ws.tuples(loc) {
                 if let [Value::Sym(who), Value::Sym(node)] = t.as_slice() {
-                    self.placement.insert(*who, NodeId::from(*node));
+                    if let Some(&placed) = self.index.get(who) {
+                        self.nodes[placed].node = NodeId::from(*node);
+                    }
                 }
             }
         }
@@ -2270,47 +1908,16 @@ impl System {
     /// is a dedup over what each workspace's export partition gained
     /// since the last step, far cheaper than the evaluation phases the
     /// shards split, and cheaper than a round of worker spawns.
-    fn drain_exports(&mut self, order: &[Principal], export: Symbol) -> usize {
+    fn drain_exports(&mut self, export: Symbol) -> usize {
         let mut shipped = 0usize;
-        for &me in order {
-            let ws = self.workspaces.get(&me).expect("registered");
-            let cursor = self.drained.get_mut(&me).expect("registered");
-            // Relations only append between compactions, so everything
-            // below the watermark was fingerprinted on an earlier step.
-            // A compaction may have moved tuples (k removals followed by
-            // k appends leave the length unchanged, hence a counter and
-            // not a length comparison): rescan, and `seen` still dedups.
-            if cursor.compactions != ws.compactions() {
-                cursor.compactions = ws.compactions();
-                cursor.mark = 0;
-            }
-            let exported = ws.db().relation(export);
-            let fresh = exported.into_iter().flat_map(|rel| rel.since(cursor.mark));
-            let mut outgoing: Vec<WireMessage> = Vec::new();
-            for tuple in fresh {
-                if !cursor.seen.insert(tuple_fingerprint(tuple)) {
-                    continue;
-                }
-                let Some(msg) = export_tuple_to_message(tuple) else {
-                    continue;
-                };
-                // Tuples addressed *to* this principal are received
-                // imports sitting in its own export[me] partition, not
-                // outgoing traffic.
-                if msg.to == me {
-                    continue;
-                }
-                outgoing.push(msg);
-            }
-            cursor.mark = cursor.mark.max(ws.db().count(export));
-            for msg in outgoing {
-                let from_node = self.node_of(me);
-                let to_node = self.node_of(msg.to);
+        for i in 0..self.nodes.len() {
+            let from_node = self.nodes[i].node;
+            for msg in self.nodes[i].fresh_exports(export) {
                 // A drop still counts as shipped for quiescence
                 // purposes (the workspace export moved into the
                 // network's hands this step), but not as a sent
                 // message — see `send_packet`.
-                self.send_packet(from_node, to_node, lbtrust_net::encode(&msg));
+                self.send_packet(from_node, self.node_of(msg.to), lbtrust_net::encode(&msg));
                 shipped += 1;
             }
         }
@@ -2319,49 +1926,41 @@ impl System {
 
     /// Phase 3: drain the network sequentially (envelope order is part
     /// of the deterministic semantics), routing each packet to its
-    /// destination principal; then let each destination shard verify,
-    /// import, evaluate and retract in parallel. Deliveries are batched
-    /// per destination (one evaluation per workspace per step); when a
-    /// batch trips the verification constraint, the batch rolls back
-    /// and messages are retried one at a time so only the offending
-    /// ones are rejected.
-    fn deliver_and_import(
-        &mut self,
-        order: &[Principal],
-        export: Symbol,
-    ) -> Result<usize, SysError> {
+    /// destination principal; then let each destination verify, import,
+    /// evaluate and retract as one task. Deliveries are batched per
+    /// destination (one evaluation per workspace per step).
+    fn deliver_and_import(&mut self, export: Symbol) -> Result<usize, SysError> {
         let decoding = self.obs.phase_timer();
         let mut delivered = 0usize;
-        let mut routed: HashMap<Principal, Routed> = HashMap::new();
+        let mut routed: Vec<Routed> = self.nodes.iter().map(|_| Routed::default()).collect();
         // Gossip pulls `(responder, requester, issuer)`, in delivery
         // order — answered sequentially after the destination tasks
         // ran, from each responder's then-current store.
-        let mut pulls: Vec<(Principal, Symbol, Symbol)> = Vec::new();
+        let mut pulls: Vec<(usize, Symbol, Symbol)> = Vec::new();
         let gossip_on = self.gossip.is_some();
         while let Some(envelope) = self.net.deliver_next() {
             delivered += 1;
-            let Ok(packet) = lbtrust_net::decode_packet(&envelope.payload) else {
-                self.stats.messages_rejected += 1;
-                continue;
-            };
-            // Unknown receivers (for gossip's two-party frames, unknown
-            // senders too) count as rejections immediately, as do
-            // gossip frames while gossip is off.
-            let known = |p: &Principal| self.workspaces.contains_key(p);
-            let admitted = match &packet {
+            // Undecodable frames, unknown receivers (for gossip's
+            // two-party frames, unknown senders too) and gossip frames
+            // while gossip is off count as rejections immediately.
+            let known = |p: &Principal| self.index.get(p).copied();
+            let packet = lbtrust_net::decode_packet(&envelope.payload).ok();
+            let to = packet.as_ref().and_then(|packet| match packet {
                 WirePacket::Export(msg) => known(&msg.to),
                 WirePacket::Revoke(rev) => known(&rev.to),
-                WirePacket::RevGossip(rev) => gossip_on && known(&rev.to),
-                WirePacket::RevSummary(msg) => gossip_on && known(&msg.to) && known(&msg.from),
-                WirePacket::RevPull(msg) => gossip_on && known(&msg.to) && known(&msg.from),
-            };
-            if !admitted {
+                WirePacket::RevGossip(rev) => known(&rev.to).filter(|_| gossip_on),
+                WirePacket::RevSummary(RevSummaryMessage { to, from, .. })
+                | WirePacket::RevPull(RevPullMessage { to, from, .. }) => {
+                    known(to).filter(|_| gossip_on && known(from).is_some())
+                }
+            });
+            let (Some(packet), Some(to)) = (packet, to) else {
                 self.stats.messages_rejected += 1;
                 continue;
-            }
+            };
             let absorb = matches!(packet, WirePacket::RevGossip(_));
             match packet {
-                WirePacket::Export(msg) => routed.entry(msg.to).or_default().tuples.push(vec![
+                WirePacket::Export(msg) => routed[to].tuples.push(vec![
                     Value::Sym(msg.to),
                     Value::Sym(msg.from),
                     Value::Quote(msg.rule.clone()),
@@ -2373,24 +1972,15 @@ impl System {
                         target: CertDigest(rev.digest),
                         signature: rev.auth,
                     };
-                    let to = routed.entry(rev.to).or_default();
-                    to.revocations.push((revocation, absorb));
+                    routed[to].revocations.push((revocation, absorb));
                 }
                 WirePacket::RevSummary(msg) => {
-                    let to = routed.entry(msg.to).or_default();
-                    to.summaries.push((msg.from, msg.issuer, msg.fingerprint));
+                    let summary = (msg.from, msg.issuer, msg.fingerprint);
+                    routed[to].summaries.push(summary);
                 }
-                WirePacket::RevPull(msg) => pulls.push((msg.to, msg.from, msg.issuer)),
+                WirePacket::RevPull(msg) => pulls.push((to, msg.from, msg.issuer)),
             }
         }
-        let destinations: Vec<Principal> = order
-            .iter()
-            .copied()
-            .filter(|p| routed.contains_key(p))
-            .collect();
-        // Each destination's state moves out as one owned job and
-        // merges back in registration order, so delivery statistics and
-        // workspace states are identical for every shard count.
         let verifier = self.key_verifier();
         let eager = self.sync_policy == SyncPolicy::Eager;
         let timing = self.obs.timing_enabled();
@@ -2398,51 +1988,28 @@ impl System {
             self.obs
                 .record_delivery_part(DeliveryPart::Decode, started.elapsed());
         }
-        let jobs: Vec<PoolTask> = destinations
-            .iter()
-            .map(|p| {
-                PoolTask::Delivery(Box::new(DeliveryJob {
-                    ws: self.workspaces.remove(p).expect("registered"),
-                    store: self.stores.remove(p).expect("registered"),
-                    facts: self.cert_facts.remove(p).unwrap_or_default(),
-                    gossip_inbox: self
-                        .gossip
-                        .as_mut()
-                        .map(|g| g.inbox.remove(p).unwrap_or_default()),
-                    routed: routed.remove(p).expect("filtered above"),
+        // Each destination moves out as one task and is back in
+        // registration order, its tallies already moved by the work it
+        // did — even when a hard error follows, so the statistics
+        // always reflect the mutations actually applied.
+        let report = self.run_batch(|i, _| {
+            let routed = std::mem::take(&mut routed[i]);
+            (!routed.is_empty()).then(|| {
+                Op::Deliver(Delivery {
+                    routed,
                     verifier: verifier.clone(),
                     eager,
                     timing,
                     export,
-                }))
+                })
             })
-            .collect();
-        let report = self.run_tasks(jobs);
+        });
         let merging = self.obs.phase_timer();
-        let mut spent = DeliverySpent::default();
         let mut first_error: Option<WsError> = None;
-        for (&p, done) in destinations.iter().zip(report.results) {
-            let PoolDone::Delivery {
-                job,
-                outcome,
-                error,
-            } = done
-            else {
+        for (_, result) in report.results {
+            let OpResult::Eval(error) = result else {
                 unreachable!("delivery batches return delivery results");
             };
-            let job = *job;
-            self.workspaces.insert(p, job.ws);
-            self.stores.insert(p, job.store);
-            self.cert_facts.insert(p, job.facts);
-            if let (Some(g), Some(ib)) = (self.gossip.as_mut(), job.gossip_inbox) {
-                g.inbox.insert(p, ib);
-            }
-            // Outcomes merge even when a hard error follows, so the
-            // statistics always reflect the mutations actually applied.
-            spent.verify += outcome.spent.verify;
-            spent.assert += outcome.spent.assert;
-            spent.evaluate += outcome.spent.evaluate;
-            self.merge_delivery(p, outcome);
             if first_error.is_none() {
                 first_error = error;
             }
@@ -2450,12 +2017,14 @@ impl System {
         if first_error.is_none() {
             self.serve_pulls(&pulls);
         }
-        for (part, spent) in [
-            (DeliveryPart::Verify, spent.verify),
-            (DeliveryPart::Assert, spent.assert),
-            (DeliveryPart::Evaluate, spent.evaluate),
+        for part in [
+            DeliveryPart::Verify,
+            DeliveryPart::Assert,
+            DeliveryPart::Evaluate,
         ] {
-            self.obs.record_delivery_part(part, spent);
+            let spent = self.nodes.iter_mut();
+            let spent = spent.map(|n| std::mem::take(&mut n.spent[part as usize]));
+            self.obs.record_delivery_part(part, spent.sum());
         }
         if let Some(started) = merging {
             self.obs
@@ -2468,21 +2037,17 @@ impl System {
     /// (duplicates within the step collapse): for each distinct
     /// `(responder, requester, issuer)`, the responder relays every
     /// signed revocation object by `issuer` it holds as `revgossip`
-    /// frames. Served after the destination shards ran, so a responder
+    /// frames. Served after the destination tasks ran, so a responder
     /// that learned new objects this very step already relays them.
-    fn serve_pulls(&mut self, pulls: &[(Principal, Symbol, Symbol)]) {
-        let mut seen: HashSet<(Principal, Symbol, Symbol)> = HashSet::new();
+    fn serve_pulls(&mut self, pulls: &[(usize, Symbol, Symbol)]) {
+        let mut seen: HashSet<(usize, Symbol, Symbol)> = HashSet::new();
         for &(responder, requester, issuer) in pulls {
             self.stats.messages_accepted += 1;
             if !seen.insert((responder, requester, issuer)) {
                 continue;
             }
-            let objects = self
-                .stores
-                .get(&responder)
-                .expect("registered")
-                .revocations_by(issuer);
-            let from_node = self.node_of(responder);
+            let objects = self.nodes[responder].store.revocations_by(issuer);
+            let from_node = self.nodes[responder].node;
             let to_node = self.node_of(requester);
             for object in objects {
                 let packet = WirePacket::RevGossip(RevokeMessage {
@@ -2497,56 +2062,31 @@ impl System {
         }
     }
 
-    /// Folds one delivery outcome into the system counters and the
-    /// destination's snapshot-publication bookkeeping.
-    fn merge_delivery(&mut self, at: Principal, outcome: DeliveryOutcome) {
-        self.stats.messages_accepted += outcome.accepted;
-        self.stats.messages_rejected += outcome.rejected;
-        self.stats.revocations += outcome.revocations;
-        self.stats.retractions += outcome.retractions;
-        self.stats.dred_repairs += outcome.dred_repairs;
-        self.stats.retraction_rebuilds += outcome.retraction_rebuilds;
-        if outcome.dred_repairs > 0 || !outcome.poisoned.is_empty() {
-            let pub_state = self.authz_pub.entry(at).or_default();
-            // `dred_repairs` counts exactly the incremental retraction
-            // repairs, each of which bumped the workspace epoch once.
-            pub_state.retraction_bumps += outcome.dred_repairs as u64;
-            pub_state.poisoned.extend(outcome.poisoned);
-        }
-    }
-
-    /// Syncs every dirty store once — the group-commit sweep. Shards
-    /// sync their stores in parallel so independent fsyncs overlap.
-    /// With auto-compaction armed, the same sweep compacts any store
-    /// whose dead-record bytes reached the threshold, still on its
-    /// shard worker — maintenance piggybacks on the commit point
-    /// instead of adding a stop-the-world phase.
-    fn sync_stores(&mut self) -> Result<(), SysError> {
-        let threshold = self.auto_compact_dead_bytes;
+    /// Syncs every dirty store once — the group-commit sweep
+    /// [`System::run_to_quiescence`] runs at every step under
+    /// [`SyncPolicy::Batched`], and the explicit commit point for
+    /// callers outside it. Clean stores are skipped, so this is a no-op
+    /// under [`SyncPolicy::Eager`] where nothing is ever left dirty.
+    /// Shards sync their stores in parallel so independent fsyncs
+    /// overlap. With auto-compaction armed, the same sweep compacts any
+    /// store whose dead-record bytes reached the threshold, still on its
+    /// shard worker — maintenance piggybacks on the commit point instead
+    /// of adding a stop-the-world phase.
+    pub fn flush(&mut self) -> Result<(), SysError> {
+        let auto_compact = self.auto_compact_dead_bytes;
         let step = self.stats.steps;
         // Skip quarantined stores (read-only until their fault heals)
         // and degraded stores whose step-based backoff has not elapsed
         // — extending the opportunistic-skip pattern group commit
         // already applies to oversized checkpoints.
-        let dirty: Vec<Principal> = self
-            .order
-            .iter()
-            .copied()
-            .filter(|p| {
-                self.stores.get(p).is_some_and(|s| s.is_dirty())
-                    && match self.health.get(p).map(|h| (h.health, h.retry_at_step)) {
-                        Some((StoreHealth::Quarantined, _)) => false,
-                        Some((StoreHealth::Degraded, retry_at)) => retry_at <= step,
-                        _ => true,
-                    }
-            })
-            .collect();
-        self.run_store_op(
-            &dirty,
-            StoreOp::GroupCommit {
-                auto_compact: threshold,
-            },
-        )
+        let due = |n: &PrincipalState| match n.health.health {
+            StoreHealth::Quarantined => false,
+            StoreHealth::Degraded => n.health.retry_at_step <= step,
+            StoreHealth::Healthy => true,
+        };
+        self.run_store_op(|n| {
+            (n.store.is_dirty() && due(n)).then_some(Op::GroupCommit { auto_compact })
+        })
         .map(|_| ())
     }
 
@@ -2555,66 +2095,51 @@ impl System {
     /// its fault has healed. Re-admission flushes whatever the store
     /// holds, applies clock ticks deferred while quarantined, and
     /// journals a `store.healed` event; the next gossip rounds repair
-    /// any revocations the store missed (PR 5 anti-entropy). Returns
-    /// the number of stores re-admitted this step — a non-zero count
-    /// keeps the quiescence loop running so that repair actually
-    /// happens.
-    fn probe_quarantined(&mut self, order: &[Principal]) -> Result<usize, SysError> {
+    /// any revocations the store missed (anti-entropy). Returns the
+    /// number of stores re-admitted this step — a non-zero count keeps
+    /// the quiescence loop running so that repair actually happens.
+    fn probe_quarantined(&mut self) -> Result<usize, SysError> {
         let step = self.stats.steps;
         let policy = self.retry_policy;
         let mut healed = 0usize;
-        for &p in order {
-            let due = self
-                .health
-                .get(&p)
-                .is_some_and(|h| h.health == StoreHealth::Quarantined && h.retry_at_step <= step);
-            if !due {
+        for i in 0..self.nodes.len() {
+            let node = &mut self.nodes[i];
+            if !node.quarantined() || node.health.retry_at_step > step {
                 continue;
             }
             // An armed persistent fault cannot pass a probe; push the
             // next one out (capped backoff) without touching the store.
-            if self
-                .fault_handles
-                .get(&p)
-                .is_some_and(FaultHandle::is_persistent)
-            {
-                let h = self.health.entry(p).or_default();
-                h.attempts = h.attempts.saturating_add(1);
-                h.retry_at_step = step + policy.backoff_steps(h.attempts);
+            if node.fault_armed() {
+                node.health.attempts = node.health.attempts.saturating_add(1);
+                node.health.retry_at_step = step + policy.backoff_steps(node.health.attempts);
                 continue;
             }
             // Probe: flush whatever the store buffered. On success the
             // store is writable again; on transient failure the probe
             // backs off and tries later.
-            // Invariant: quarantine never removes a registered store.
-            let store = self.stores.get_mut(&p).expect("registered");
-            match store.sync() {
+            let probed = node.store.sync();
+            let h = &mut node.health;
+            match probed {
                 Ok(()) => {
-                    let (attempts, pending) = {
-                        let h = self.health.entry(p).or_default();
-                        let attempts = h.attempts;
-                        h.health = StoreHealth::Healthy;
-                        h.attempts = 0;
-                        (attempts, std::mem::take(&mut h.pending_ticks))
-                    };
-                    self.journal_health("store.healed", p, attempts, "probe succeeded");
-                    if pending > 0 {
-                        // Apply the clock ticks the store missed. A
-                        // fresh failure here re-quarantines and puts
-                        // the balance back.
-                        match self.retry_store_op(p, |store| store.advance_clock(pending))? {
-                            Some(events) => self.retract_cert_facts(p, &events),
-                            None => {
-                                self.health.entry(p).or_default().pending_ticks += pending;
-                                continue;
-                            }
-                        }
+                    let attempts = std::mem::take(&mut h.attempts);
+                    let pending = std::mem::take(&mut h.pending_ticks);
+                    h.health = StoreHealth::Healthy;
+                    self.journal_health("store.healed", i, attempts, "probe succeeded");
+                    // Apply the clock ticks the store missed. A fresh
+                    // failure here re-quarantines and puts the balance
+                    // back.
+                    if pending > 0
+                        && self
+                            .retry_store_op(i, |n| n.advance_clock(pending))?
+                            .is_none()
+                    {
+                        self.nodes[i].health.pending_ticks += pending;
+                        continue;
                     }
                     healed += 1;
                 }
-                Err(e) if Self::is_storage_io(&e) => {
+                Err(e) if is_storage_io(&e) => {
                     self.obs.count_retry();
-                    let h = self.health.entry(p).or_default();
                     h.attempts = h.attempts.saturating_add(1);
                     h.last_error = e.to_string();
                     h.retry_at_step = step + policy.backoff_steps(h.attempts);
@@ -2625,321 +2150,10 @@ impl System {
         Ok(healed)
     }
 
-    /// The node hosting `p`, defaulting to a node named after the
-    /// principal (matching how unplaced principals behaved before
-    /// placement became data).
+    /// The node hosting `p`; a principal that is not registered is
+    /// addressed at a node named after it.
     fn node_of(&self, p: Principal) -> NodeId {
-        self.placement
-            .get(&p)
-            .copied()
-            .unwrap_or_else(|| NodeId::new(p.as_str()))
-    }
-}
-
-/// One destination's delivery work: everything the destination owns
-/// (workspace, certificate store, the fact index for its imported
-/// certificates), moved out of the `System` for one batch, plus the
-/// routed packets, a clone of the (cheap, `Arc`-backed) verifier and
-/// the per-batch flags — so the task is `'static` and self-contained.
-struct DeliveryJob {
-    ws: Workspace,
-    store: CertStore,
-    facts: CertFactIndex,
-    /// This destination's slice of the gossip advertisement inbox
-    /// (`None` when gossip is off; summaries are only routed when it
-    /// is on).
-    gossip_inbox: Option<HashMap<(Symbol, Symbol), String>>,
-    routed: Routed,
-    verifier: KeyVerifier,
-    eager: bool,
-    /// Whether to fill [`DeliveryOutcome::spent`].
-    timing: bool,
-    export: Symbol,
-}
-
-/// The packets routed to one destination this step, in delivery order.
-#[derive(Default)]
-struct Routed {
-    /// Wire revocations, each with how to apply it: `false` for the
-    /// eager broadcast (issuer-mismatch objects are rejected), `true`
-    /// for gossip-relayed objects (absorbed tolerantly so anti-entropy
-    /// converges).
-    revocations: Vec<(Revocation, bool)>,
-    /// Gossip advertisements: `(advertiser, signer, fingerprint)`.
-    summaries: Vec<(Symbol, Symbol, String)>,
-    /// `export` tuples to import.
-    tuples: Vec<Tuple>,
-}
-
-/// Counters one delivery shard hands back for the sequential merge
-/// into [`SystemStats`].
-#[derive(Default)]
-struct DeliveryOutcome {
-    accepted: usize,
-    rejected: usize,
-    revocations: usize,
-    retractions: usize,
-    dred_repairs: usize,
-    retraction_rebuilds: usize,
-    /// Digests of certificates that died at this destination during
-    /// the delivery — fed to the decision cache's poisoned-entry
-    /// invalidation at the next snapshot publish.
-    poisoned: Vec<CertDigest>,
-    spent: DeliverySpent,
-}
-
-/// Where one destination's delivery time went (see
-/// [`DeliveryPart`]); all zero while phase timing is off.
-#[derive(Default)]
-struct DeliverySpent {
-    verify: Duration,
-    assert: Duration,
-    evaluate: Duration,
-}
-
-/// Runs `work`, adding what it took to `spent` when `timing` is on.
-fn timed<T>(timing: bool, spent: &mut Duration, work: impl FnOnce() -> T) -> T {
-    if !timing {
-        return work();
-    }
-    let started = Instant::now();
-    let done = work();
-    *spent += started.elapsed();
-    done
-}
-
-/// Applies one destination's routed packets (consuming them from the
-/// job): revocations first (store transition + DRed retraction of the
-/// dead certificates' facts), then the export batch (assert + one
-/// evaluation, with per-message retry after a constraint rollback).
-/// Everything it touches is owned exclusively by the job except the
-/// shared verification cache and key directory behind `verifier`. The
-/// outcome counters are returned even when a hard error cuts the work
-/// short, so statistics stay faithful to the mutations actually
-/// applied.
-fn process_destination(job: &mut DeliveryJob) -> (DeliveryOutcome, Option<WsError>) {
-    let Routed {
-        revocations,
-        summaries,
-        tuples,
-    } = std::mem::take(&mut job.routed);
-    let mut out = DeliveryOutcome::default();
-    let timing = job.timing;
-    for (revocation, absorb) in revocations {
-        // Bad signatures (and, under Eager, a failed commit) count as
-        // rejections, exactly like tampered exports. Gossip-relayed
-        // objects absorb tolerantly — an issuer-mismatch object is
-        // remembered as inert instead of rejected, so anti-entropy
-        // converges on the object set.
-        let applied = timed(timing, &mut out.spent.verify, || {
-            if absorb {
-                job.store.absorb_revocation(&revocation, &job.verifier)
-            } else {
-                job.store.revoke_with_outcome(&revocation, &job.verifier)
-            }
-            .and_then(|outcome| {
-                if job.eager {
-                    job.store.sync().map(|()| outcome)
-                } else {
-                    Ok(outcome)
-                }
-            })
-        });
-        match applied {
-            Ok(outcome) => {
-                out.accepted += 1;
-                // A duplicated packet (or a re-pulled object) applies
-                // nothing: no counters move, no retraction re-fires.
-                // An inert foreign absorption is stored but revoked
-                // nothing, so it does not count as a revocation either.
-                if !outcome.applied || !outcome.authoritative {
-                    continue;
-                }
-                out.revocations += 1;
-                let mut batch: Vec<(Symbol, Tuple)> = Vec::new();
-                for event in &outcome.events {
-                    out.poisoned.push(event.digest);
-                    if let Some(fs) = job.facts.remove(&event.digest) {
-                        batch.extend(fs);
-                    }
-                }
-                if !batch.is_empty() {
-                    out.retractions += batch.len();
-                    let repaired = timed(timing, &mut out.spent.assert, || {
-                        job.ws.retract_facts(&batch)
-                    });
-                    match repaired {
-                        RetractOutcome::Incremental(_) => out.dred_repairs += 1,
-                        RetractOutcome::Deferred => out.retraction_rebuilds += 1,
-                        RetractOutcome::Noop => {}
-                    }
-                }
-            }
-            Err(_) => out.rejected += 1,
-        }
-    }
-    if !summaries.is_empty() {
-        let me = job.ws.me();
-        let inbox = job
-            .gossip_inbox
-            .as_mut()
-            .expect("summaries are only routed while gossip is on");
-        for (from, issuer, fingerprint) in summaries {
-            let key = (from, issuer);
-            let prev = inbox.get(&key).cloned();
-            out.accepted += 1;
-            if prev.as_deref() == Some(fingerprint.as_str()) {
-                continue; // duplicate or unchanged advertisement
-            }
-            // A newer advertisement supersedes the remembered one: the
-            // stale `gsays` fact is retracted (its derived pulls repair
-            // through DRed) before the fresh one lands.
-            timed(timing, &mut out.spent.assert, || {
-                if let Some(prev) = prev {
-                    let stale = vec![advert_fact(from, me, issuer, &prev)];
-                    job.ws.retract_facts(&stale);
-                }
-                let fresh = vec![advert_fact(from, me, issuer, &fingerprint)];
-                job.ws.assert_facts(&fresh);
-            });
-            inbox.insert(key, fingerprint);
-        }
-    }
-    if !tuples.is_empty() {
-        let n = tuples.len();
-        timed(timing, &mut out.spent.assert, || {
-            for tuple in &tuples {
-                job.ws.assert_fact(job.export, tuple.clone());
-            }
-        });
-        match timed(timing, &mut out.spent.evaluate, || job.ws.evaluate()) {
-            Ok(_) => out.accepted += n,
-            Err(WsError::Constraint(_)) => {
-                // Batch rolled back; isolate the poisoned message(s).
-                for tuple in tuples {
-                    timed(timing, &mut out.spent.assert, || {
-                        job.ws.assert_fact(job.export, tuple)
-                    });
-                    match timed(timing, &mut out.spent.evaluate, || job.ws.evaluate()) {
-                        Ok(_) => out.accepted += 1,
-                        Err(WsError::Constraint(_)) => out.rejected += 1,
-                        Err(e) => return (out, Some(e)),
-                    }
-                }
-            }
-            Err(e) => return (out, Some(e)),
-        }
-    }
-    (out, None)
-}
-
-// ---- worker-pool task plumbing ------------------------------------------
-
-/// One store's group-commit work: sync, then — with auto-compaction
-/// armed — compact if the dead-byte threshold is reached.
-fn group_commit_store(
-    store: &mut CertStore,
-    auto_compact: Option<u64>,
-) -> Result<(), CertStoreError> {
-    store.sync()?;
-    if let Some(dead) = auto_compact {
-        if store.dead_bytes() >= dead {
-            match store.compact() {
-                Ok(_) => {}
-                // A store whose live state outgrew the checkpoint
-                // frame budget cannot be compacted — but it is
-                // healthy, and the opportunistic trigger must not
-                // wedge every future group commit over it. An explicit
-                // `System::compact()` still surfaces the condition.
-                Err(CertStoreError::Storage(
-                    lbtrust_certstore::StorageError::CheckpointTooLarge { .. },
-                )) => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Which maintenance a [`PoolTask::Store`] performs.
-#[derive(Clone, Copy)]
-enum StoreOp {
-    /// The group-commit sweep: sync, plus opportunistic compaction.
-    GroupCommit { auto_compact: Option<u64> },
-    /// Explicit `compact()`/`checkpoint()`.
-    Maintain { prune: bool },
-}
-
-/// One unit of per-principal work: owned state moved out of the
-/// `System`'s maps for the duration of a batch. Ownership is what lets
-/// the pool threads outlive any one phase without unsafe lifetime
-/// erasure.
-// A task moves exactly twice (into the batch, out at claim); a shallow
-// struct copy is cheaper than boxing each Workspace/CertStore per step.
-#[allow(clippy::large_enum_variant)]
-enum PoolTask {
-    /// Evaluate one workspace to its local fixpoint.
-    Fixpoint(Workspace),
-    /// Apply one destination's routed packets (boxed: the job is the
-    /// fattest variant by far).
-    Delivery(Box<DeliveryJob>),
-    /// Sync/compact/checkpoint one certificate store.
-    Store { store: CertStore, op: StoreOp },
-}
-
-/// The matching results, each handing the moved state back for the
-/// sequential registration-order merge.
-// Same trade as [`PoolTask`]: two moves per result, no per-task boxing.
-#[allow(clippy::large_enum_variant)]
-enum PoolDone {
-    Fixpoint {
-        ws: Workspace,
-        error: Option<WsError>,
-    },
-    Delivery {
-        job: Box<DeliveryJob>,
-        outcome: DeliveryOutcome,
-        error: Option<WsError>,
-    },
-    Store {
-        store: CertStore,
-        /// Whether a maintenance pass actually installed (always
-        /// `false` for group commits).
-        result: Result<bool, CertStoreError>,
-    },
-}
-
-/// Executes one task — the single `fn` every [`WorkerPool`] thread
-/// runs on each task it claims, and the one [`System::run_tasks`] maps
-/// over an inline batch.
-fn run_pool_task(task: PoolTask) -> PoolDone {
-    match task {
-        PoolTask::Fixpoint(mut ws) => {
-            let error = ws.evaluate().err();
-            PoolDone::Fixpoint { ws, error }
-        }
-        PoolTask::Delivery(mut job) => {
-            let (outcome, error) = process_destination(&mut job);
-            PoolDone::Delivery {
-                job,
-                outcome,
-                error,
-            }
-        }
-        PoolTask::Store { mut store, op } => {
-            let result = match op {
-                StoreOp::GroupCommit { auto_compact } => {
-                    group_commit_store(&mut store, auto_compact).map(|()| false)
-                }
-                StoreOp::Maintain { prune } => if prune {
-                    store.compact()
-                } else {
-                    store.checkpoint()
-                }
-                .map(|report| report.performed),
-            };
-            PoolDone::Store { store, result }
-        }
+        self.location(p).unwrap_or_else(|| NodeId::new(p.as_str()))
     }
 }
 
@@ -2959,92 +2173,16 @@ fn gossip_send_key(send: &GossipSend) -> (&'static str, u8, &'static str, &str) 
     }
 }
 
-/// One principal's progress through its `export` relation.
-#[derive(Default)]
-struct ExportCursor {
-    /// Structural fingerprints of the export tuples already shipped —
-    /// 16 bytes per tuple instead of a deep clone of each exported tuple
-    /// (symbols, quoted rules, signature bytes).
-    seen: HashSet<TupleFingerprint>,
-    /// Length of the relation when it was last scanned.
-    mark: usize,
-    /// [`Workspace::compactions`] at that scan.
-    compactions: u64,
-}
-
-/// The shipped-dedup key: two independently seeded structural hashes
-/// of an export tuple. 16 bytes per remembered tuple instead of a deep
-/// clone of its symbols, quoted rule and signature bytes, and computed
-/// by the same allocation-free structural walk `HashSet<Tuple>` used —
-/// no rendering, no cryptographic digest on the drain hot loop. 128
-/// bits of combined fingerprint makes an accidental collision (which
-/// would silently drop one export message) about as likely as a SHA
-/// collision in practice.
-type TupleFingerprint = (u64, u64);
-
-/// Fingerprints an export tuple for the shipped-dedup sets. The
-/// structural `Hash` impls distinguish value variants, so `Sym("42")`
-/// and `Int(42)` — which render identically — cannot collide the way
-/// text-keyed schemes would.
-fn tuple_fingerprint(tuple: &[Value]) -> TupleFingerprint {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    let mut a = DefaultHasher::new();
-    tuple.hash(&mut a);
-    let mut b = DefaultHasher::new();
-    0x9e37_79b9_7f4a_7c15u64.hash(&mut b);
-    tuple.hash(&mut b);
-    (a.finish(), b.finish())
-}
-
 impl Default for System {
     fn default() -> Self {
         System::new()
     }
 }
 
-/// The workspace base facts one imported certificate introduces at
-/// principal `to`: the authenticated-import tuple (`export[to](issuer,
-/// R, S)`, re-verified by the declarative `exp2`/`exp3` pipeline) plus
-/// `says(issuer, to, R)` directly for workspaces without the auth
-/// prelude. Shared by live import and log-replay reconciliation so both
-/// assert byte-identical facts.
-fn cert_workspace_facts(to: Principal, cert: &LinkedCert) -> Vec<(Symbol, Tuple)> {
-    let export_tuple = vec![
-        Value::Sym(to),
-        Value::Sym(cert.issuer),
-        Value::Quote(cert.rule.clone()),
-        Value::bytes(&cert.rule_sig),
-    ];
-    let says_tuple = vec![
-        Value::Sym(cert.issuer),
-        Value::Sym(to),
-        Value::Quote(cert.rule.clone()),
-    ];
-    vec![
-        (Symbol::intern("export"), export_tuple),
-        (Symbol::intern("says"), says_tuple),
-    ]
-}
-
-/// Decodes an `export[to](from, R, S)` tuple into a wire message.
-fn export_tuple_to_message(tuple: &[Value]) -> Option<WireMessage> {
-    match tuple {
-        [Value::Sym(to), Value::Sym(from), Value::Quote(rule), Value::Bytes(auth)] => {
-            Some(WireMessage {
-                from: *from,
-                to: *to,
-                rule: rule.clone(),
-                auth: auth.to_vec(),
-            })
-        }
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workspace::RetractOutcome;
 
     fn sym(s: &str) -> Symbol {
         Symbol::intern(s)
@@ -3113,14 +2251,26 @@ mod tests {
             let issued = sys.issue_certificates(alice, &facts, &[], None).unwrap();
             sys.import_certificates(bob, issued).unwrap();
             sys.run_to_quiescence(16).unwrap();
-            let before = sys.authz_pub[&bob].snap.clone().expect("published");
+            let before = sys
+                .node(bob)
+                .unwrap()
+                .authz
+                .snap
+                .clone()
+                .expect("published");
             assert!(before.db.count(sym("access")) >= certs);
 
             let ws = sys.workspace_mut(bob).unwrap();
             ws.assert_fact(sym("seen"), vec![Value::sym("carol")]);
             ws.evaluate().unwrap();
             sys.publish_authz_snapshot();
-            let after = sys.authz_pub[&bob].snap.clone().expect("published");
+            let after = sys
+                .node(bob)
+                .unwrap()
+                .authz
+                .snap
+                .clone()
+                .expect("published");
             assert!(!Arc::ptr_eq(&before, &after));
 
             let (mut grown, mut copied) = (Vec::new(), 0);
@@ -3184,7 +2334,13 @@ mod tests {
         sys.import_certificates(bob, issued).unwrap();
         sys.run_to_quiescence(16).unwrap();
 
-        let held = sys.authz_pub[&bob].snap.clone().expect("published");
+        let held = sys
+            .node(bob)
+            .unwrap()
+            .authz
+            .snap
+            .clone()
+            .expect("published");
         let goals: Vec<String> = (0..SUBJECTS)
             .map(|i| format!("access(s{i},file1,read)"))
             .collect();
@@ -3252,7 +2408,13 @@ mod tests {
         assert!(passes >= 3);
         // The writer did move on: g is no longer what is published, and
         // the live state knows subjects g never heard of.
-        let now = sys.authz_pub[&bob].snap.clone().expect("published");
+        let now = sys
+            .node(bob)
+            .unwrap()
+            .authz
+            .snap
+            .clone()
+            .expect("published");
         assert!(!Arc::ptr_eq(&held, &now));
         assert!(now.decide("access(n0,file1,read)").unwrap().granted);
         assert!(!held.decide("access(n0,file1,read)").unwrap().granted);
@@ -3620,6 +2782,283 @@ mod tests {
             .unwrap());
     }
 
+    /// One revocation path: the same certificate revoked locally at the
+    /// issuer (which holds a copy) and by the delivered `Revoke` at
+    /// another holder goes through `PrincipalState::apply_revocation`
+    /// both times, so both principals end in the same state — store
+    /// status, retracted facts, publication bookkeeping and tallies.
+    #[test]
+    fn local_and_delivered_revocation_leave_equal_state() {
+        let mut sys = System::new().with_rsa_bits(512);
+        let alice = sys.add_principal("alice", "n1").unwrap();
+        let bob = sys.add_principal("bob", "n2").unwrap();
+        let cert = sys
+            .issue_certificate(alice, "good(carol).", &[], None)
+            .unwrap();
+        let digest = cert.digest();
+        for p in [alice, bob] {
+            sys.workspace_mut(p)
+                .unwrap()
+                .load(
+                    "policy",
+                    "access(P,f,read) <- says(alice,me,[| good(P) |]).",
+                )
+                .unwrap();
+            sys.import_certificates(p, vec![cert.clone()]).unwrap();
+        }
+        sys.run_to_quiescence(16).unwrap();
+        for p in [alice, bob] {
+            let ws = sys.workspace(p).unwrap();
+            assert!(ws.holds_src("access(carol,f,read)").unwrap());
+        }
+
+        // Local at alice now; over the wire at bob during one step
+        // (a step does not publish, so the bookkeeping is still there).
+        sys.revoke_certificate(alice, digest).unwrap();
+        assert!(!sys.step().unwrap());
+        let state = |p: Principal| {
+            let node = sys.node(p).unwrap();
+            let t = node.tally;
+            (
+                node.store.status(&digest),
+                ["export", "says", "access"].map(|pred| node.ws.tuples(sym(pred)).len()),
+                (node.authz.retraction_bumps, node.authz.poisoned.clone()),
+                [
+                    t.revocations,
+                    t.retractions,
+                    t.dred_repairs,
+                    t.retraction_rebuilds,
+                ],
+            )
+        };
+        assert_eq!(state(alice), state(bob));
+        let (status, facts, authz, tally) = state(bob);
+        assert_eq!(status, Some(lbtrust_certstore::CertStatus::Revoked));
+        assert_eq!(facts, [0, 0, 0]);
+        assert_eq!(authz, (1, vec![digest]));
+        assert_eq!(tally, [1, 2, 1, 0]);
+    }
+
+    /// `stats()` is the sequencer's counters plus every principal's:
+    /// after imports, a rejected tampered export, a revocation, an
+    /// expiry and a rollback it reads, field for field, what the commit
+    /// before principals kept their own tallies produced for this
+    /// script — at one shard and at three.
+    #[test]
+    fn stats_sum_the_principals_tallies_at_every_shard_count() {
+        fn mixed_run(shards: usize) -> SystemStats {
+            let mut sys = System::new().with_rsa_bits(512).with_shards(shards);
+            let alice = sys.add_principal("alice", "n1").unwrap();
+            let bob = sys.add_principal("bob", "n2").unwrap();
+            let carol = sys.add_principal("carol", "n3").unwrap();
+            for p in [bob, carol] {
+                sys.workspace_mut(p)
+                    .unwrap()
+                    .load(
+                        "policy",
+                        "access(P,f,read) <- says(alice,me,[| good(P) |]).\n\
+                         banned(P) -> !access(P,f,read).",
+                    )
+                    .unwrap();
+            }
+            // Imports: two lasting certificates and one that expires.
+            let mut certs = sys
+                .issue_certificates(alice, "good(dave). good(erin).", &[], None)
+                .unwrap();
+            let expiring = sys.issue_certificate(alice, "good(frank).", &[], Some(2));
+            certs.push(expiring.unwrap());
+            let revoked = certs[0].digest();
+            for p in [bob, carol] {
+                sys.import_certificates(p, certs.clone()).unwrap();
+            }
+            // A tampered export: eve signs with HMAC, bob verifies RSA.
+            let eve = sys.add_principal("eve", "n4").unwrap();
+            sys.establish_shared_secret(eve, bob).unwrap();
+            sys.set_auth_scheme(eve, AuthScheme::HmacSha1).unwrap();
+            let ws = sys.workspace_mut(eve).unwrap();
+            ws.load("policy", "says(me,bob,[| good(X). |]) <- vouched(X).")
+                .unwrap();
+            ws.assert_src("vouched(mallory).").unwrap();
+            sys.run_to_quiescence(16).unwrap();
+            // A revocation, an expiry, a rollback.
+            sys.revoke_certificate(alice, revoked).unwrap();
+            sys.run_to_quiescence(16).unwrap();
+            assert_eq!(sys.advance_time(3).unwrap(), 2);
+            sys.run_to_quiescence(16).unwrap();
+            let ws = sys.workspace_mut(bob).unwrap();
+            ws.assert_src("banned(erin).").unwrap();
+            sys.run_to_quiescence(16).unwrap()
+        }
+        for shards in [1, 3] {
+            assert_eq!(
+                format!("{:?}", mixed_run(shards)),
+                "SystemStats { messages_sent: 4, messages_accepted: 3, messages_rejected: 1, \
+                 local_rollbacks: 1, steps: 6, certs_imported: 6, revocations: 4, \
+                 retractions: 8, dred_repairs: 4, retraction_rebuilds: 0, certs_replayed: 0, \
+                 parallel_verify_batches: 0, gossip_rounds: 0, gossip_summaries: 0, \
+                 gossip_pulls: 0, gossip_served: 0 }",
+                "at {shards} shards"
+            );
+        }
+    }
+
+    /// Every public method that takes a `Principal` resolves it once at
+    /// the boundary: an unregistered name is `UnknownPrincipal` (or the
+    /// method's documented `None` / default), never a panic.
+    #[test]
+    fn unregistered_principals_are_refused_at_the_boundary() {
+        let mut sys = System::new().with_rsa_bits(512);
+        let alice = sys.add_principal("alice", "n1").unwrap();
+        let cert = sys
+            .issue_certificate(alice, "good(carol).", &[], None)
+            .unwrap();
+        let ghost = sym("ghost");
+        let unknown = |what: &str, result: Result<(), SysError>| match result {
+            Err(SysError::UnknownPrincipal(p)) => assert_eq!(p, ghost, "{what}"),
+            other => panic!("{what}: expected UnknownPrincipal, got {other:?}"),
+        };
+        type Call<'a> = Box<dyn Fn(&mut System) -> Result<(), SysError> + 'a>;
+        let calls: Vec<(&str, Call<'_>)> = vec![
+            ("workspace", Box::new(|s| s.workspace(ghost).map(drop))),
+            (
+                "workspace_mut",
+                Box::new(|s| s.workspace_mut(ghost).map(drop)),
+            ),
+            ("cert_store", Box::new(|s| s.cert_store(ghost).map(drop))),
+            (
+                "set_auth_scheme",
+                Box::new(|s| s.set_auth_scheme(ghost, AuthScheme::Plaintext)),
+            ),
+            (
+                "establish_shared_secret (first)",
+                Box::new(|s| s.establish_shared_secret(ghost, alice)),
+            ),
+            (
+                "establish_shared_secret (second)",
+                Box::new(|s| s.establish_shared_secret(alice, ghost)),
+            ),
+            (
+                "load_program",
+                Box::new(|s| s.load_program(ghost, "t", "p(a).").map(drop)),
+            ),
+            (
+                "issue_certificate",
+                Box::new(|s| s.issue_certificate(ghost, "p(a).", &[], None).map(drop)),
+            ),
+            (
+                "issue_certificates",
+                Box::new(|s| s.issue_certificates(ghost, "p(a).", &[], None).map(drop)),
+            ),
+            (
+                "import_certificates",
+                Box::new(|s| s.import_certificates(ghost, Vec::new()).map(drop)),
+            ),
+            (
+                "reimport_certificates",
+                Box::new(|s| s.reimport_certificates(ghost, &[]).map(drop)),
+            ),
+            (
+                "revoke_certificate",
+                Box::new(move |s| s.revoke_certificate(ghost, cert.digest())),
+            ),
+            (
+                "audit_introducers",
+                Box::new(|s| s.audit_introducers(ghost, "p(a).").map(drop)),
+            ),
+            (
+                "authorize",
+                Box::new(|s| s.authorize(ghost, "p(a)").map(drop)),
+            ),
+        ];
+        for (what, call) in &calls {
+            unknown(what, call(&mut sys));
+        }
+        assert_eq!(sys.store_health(ghost), StoreHealth::Healthy);
+        assert!(sys.fault_handle(ghost).is_none());
+        assert!(sys.auth_scheme(ghost).is_none());
+        assert!(sys.location(ghost).is_none());
+        sys.place(ghost, "n9");
+        assert!(sys.location(ghost).is_none());
+        assert_eq!(sys.principals(), [alice]);
+    }
+
+    /// A store is composed one way — backend, optional fault wrapper,
+    /// replaying open, counters — and each of the four `{memory, log} ×
+    /// {no faults, faults}` registrations describes its backend and binds
+    /// its `store.*` / `storelog.*` / `fault.*` metrics exactly as the
+    /// four hand-written constructor arms it replaces did.
+    #[test]
+    fn the_four_store_shapes_describe_and_bind_as_before() {
+        const STORE: &[&str] = &[
+            "store.checkpoints",
+            "store.compactions",
+            "store.evictions",
+            "store.expirations",
+            "store.imports",
+            "store.link_breaks",
+            "store.quarantined",
+            "store.reimports",
+            "store.replayed",
+            "store.retries",
+            "store.revocations",
+            "store.syncs",
+        ];
+        const STORELOG: &[&str] = &[
+            "storelog.checkpoint_bytes",
+            "storelog.checkpoint_ns",
+            "storelog.reclaimed_bytes",
+            "storelog.replay_bytes",
+            "storelog.replay_ns",
+            "storelog.rotation_ns",
+            "storelog.sync_ns",
+        ];
+        const FAULT: &[&str] = &[
+            "fault.injected.enospc",
+            "fault.injected.fsync_lie",
+            "fault.injected.io",
+            "fault.injected.torn",
+        ];
+        for (persist, faults) in [(false, false), (false, true), (true, false), (true, true)] {
+            let dir = std::env::temp_dir().join(format!(
+                "lbtrust-store-shapes-{}-{persist}-{faults}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut sys = System::new().with_rsa_bits(512);
+            if persist {
+                sys = sys.persist_at(&dir).unwrap();
+            }
+            if faults {
+                sys = sys.with_storage_faults(FaultConfig::uniform(7, 0));
+            }
+            let alice = sys.add_principal("alice", "n1").unwrap();
+
+            let mut describe = "memory".to_string();
+            if persist {
+                describe = dir.join("alice.certlog").display().to_string();
+            }
+            if faults {
+                describe = format!("faulting({describe})");
+            }
+            assert_eq!(sys.cert_store(alice).unwrap().backend_describe(), describe);
+            assert_eq!(sys.fault_handle(alice).is_some(), faults);
+
+            let bound = sys.obs_registry().snapshot();
+            let bound: Vec<&str> = bound
+                .entries
+                .keys()
+                .map(String::as_str)
+                .filter(|name| name.starts_with("store") || name.starts_with("fault"))
+                .collect();
+            let mut expected: Vec<&str> = Vec::new();
+            expected.extend(faults.then_some(FAULT).into_iter().flatten());
+            expected.extend(STORE);
+            expected.extend(persist.then_some(STORELOG).into_iter().flatten());
+            assert_eq!(bound, expected, "persist={persist} faults={faults}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
     #[test]
     fn dropping_a_sharded_system_joins_its_pool_threads() {
         let mut sys = System::new().with_rsa_bits(512).with_shards(4);
@@ -3645,11 +3084,11 @@ mod tests {
 
     #[test]
     fn resizing_shards_replaces_and_joins_the_old_pool() {
-        let mut sys = System::new().with_rsa_bits(512).with_shards(3);
+        let sys = System::new().with_rsa_bits(512).with_shards(3);
         let old = sys.pool_liveness().expect("pool exists at shards=3");
         // 3 worker clones + the pool's own + this one.
         assert_eq!(std::sync::Arc::strong_count(&old), 5);
-        sys.set_shards(1); // back to the inline serial engine
+        let sys = sys.with_shards(1); // back to the inline serial engine
         assert_eq!(std::sync::Arc::strong_count(&old), 1, "old workers joined");
         assert!(sys.pool_liveness().is_none(), "shards=1 keeps no pool");
     }

@@ -711,6 +711,11 @@ impl Workspace {
     /// rules and base facts *without* materializing unrelated
     /// conclusions. Aggregate rules are not supported on the goal's
     /// dependency path.
+    ///
+    /// Magic sets stay while the tabled top-down resolver went (ROADMAP
+    /// D 6) because they have callers — the REPL's `?-`, the
+    /// provenance-audit example, the confidentiality tests — and are a
+    /// rewrite onto the one bottom-up engine, not a second evaluator.
     pub fn query_goal(&self, goal_src: &str) -> Result<Vec<Tuple>, WsError> {
         let atom = lbtrust_datalog::parse_atom(goal_src)?;
         let atom = atom.substitute_sym(Symbol::intern("me"), self.me);

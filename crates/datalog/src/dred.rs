@@ -67,11 +67,26 @@ pub fn retract_with(
         });
     }
 
-    // Phase 1: over-delete.
+    // Phase 1: over-delete. `doomed` answers membership; `order` keeps
+    // each predicate's doomed tuples in the order they were doomed,
+    // predicates in first-doomed order, so what is re-derived first (and
+    // so where it lands in its relation) and what is reported do not
+    // depend on the process's hash seed.
     let mut doomed: HashMap<Symbol, HashSet<Tuple>> = HashMap::new();
+    let mut order: Vec<(Symbol, Vec<Tuple>)> = Vec::new();
+    let mut doom = |pred: Symbol, tuple: &Tuple| {
+        if !doomed.entry(pred).or_default().insert(tuple.clone()) {
+            return false;
+        }
+        match order.iter_mut().find(|(p, _)| *p == pred) {
+            Some((_, tuples)) => tuples.push(tuple.clone()),
+            None => order.push((pred, vec![tuple.clone()])),
+        }
+        true
+    };
     let mut frontier: Vec<(Symbol, Tuple)> = Vec::new();
     for (pred, tuple) in retracted {
-        if db.contains(*pred, tuple) && doomed.entry(*pred).or_default().insert(tuple.clone()) {
+        if db.contains(*pred, tuple) && doom(*pred, tuple) {
             frontier.push((*pred, tuple.clone()));
         }
     }
@@ -92,12 +107,7 @@ pub fn retract_with(
                 // pinned to the doomed tuple (other literals evaluated
                 // against the pre-deletion database, per DRed).
                 for (head_pred, head_tuple) in eval_rule_pinned(engine, rule, db, idx, &tuple)? {
-                    if db.contains(head_pred, &head_tuple)
-                        && doomed
-                            .entry(head_pred)
-                            .or_default()
-                            .insert(head_tuple.clone())
-                    {
+                    if db.contains(head_pred, &head_tuple) && doom(head_pred, &head_tuple) {
                         frontier.push((head_pred, head_tuple));
                     }
                 }
@@ -113,29 +123,26 @@ pub fn retract_with(
 
     // Phase 3: re-derive. A doomed tuple survives if some rule instance
     // still concludes it from the post-deletion database.
-    let mut seeds: HashMap<Symbol, usize> = HashMap::new();
-    for (pred, tuples) in &doomed {
+    let mut seeds: Vec<(Symbol, usize)> = Vec::new();
+    for (pred, tuples) in &order {
+        let mark = db.count(*pred);
+        let before = stats.rederived;
         for tuple in tuples {
-            if rederivable(engine, rules, db, *pred, tuple)? {
-                let mark = db.count(*pred);
-                if db.insert(*pred, tuple.clone()) {
-                    stats.rederived += 1;
-                    seeds.entry(*pred).or_insert(mark);
-                }
+            if rederivable(engine, rules, db, *pred, tuple)? && db.insert(*pred, tuple.clone()) {
+                stats.rederived += 1;
             }
         }
+        if stats.rederived > before {
+            seeds.push((*pred, mark));
+        }
     }
-    let seed_vec: Vec<(Symbol, usize)> = seeds.into_iter().collect();
-    if !seed_vec.is_empty() {
-        stats.eval = engine.run_incremental(db, &seed_vec)?;
+    if !seeds.is_empty() {
+        stats.eval = engine.run_incremental(db, &seeds)?;
         stats.rederived += stats.eval.derived;
     }
     let mut removed = Removed::new();
-    for (pred, tuples) in doomed {
-        let gone: Vec<Tuple> = tuples
-            .into_iter()
-            .filter(|t| !db.contains(pred, t))
-            .collect();
+    for (pred, mut gone) in order {
+        gone.retain(|t| !db.contains(pred, t));
         if !gone.is_empty() {
             removed.insert(pred, gone);
         }

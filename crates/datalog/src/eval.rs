@@ -478,8 +478,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Evaluates one body item under the given environments (exposed for
-    /// the top-down resolver, which shares comparison and builtin
-    /// semantics with the bottom-up engine).
+    /// the DRed repair, which shares comparison and builtin semantics
+    /// with the fixpoint).
     pub fn eval_single_item(
         &self,
         rule: &Rule,
@@ -815,8 +815,11 @@ impl<'a> Engine<'a> {
         let body_vars: Vec<Symbol> = rule.collect_vars();
         let mut seen: std::collections::HashSet<Vec<Option<Value>>> =
             std::collections::HashSet::new();
-        // group key -> over values
-        let mut groups: HashMap<Vec<GroupSlot>, Vec<Value>> = HashMap::new();
+        // Group key and over values, in first-seen order (so the tuples
+        // come out in an order that does not depend on the process's hash
+        // seed), and where each key sits.
+        let mut groups: Vec<(Vec<GroupSlot>, Vec<Value>)> = Vec::new();
+        let mut slot_of: HashMap<Vec<GroupSlot>, usize> = HashMap::new();
         for env in &envs {
             let projection: Vec<Option<Value>> =
                 body_vars.iter().map(|v| env.value(*v).cloned()).collect();
@@ -845,7 +848,11 @@ impl<'a> Engine<'a> {
                 }
             }
             if ok {
-                groups.entry(key).or_default().push(over);
+                let slot = *slot_of.entry(key).or_insert_with_key(|key| {
+                    groups.push((key.clone(), Vec::new()));
+                    groups.len() - 1
+                });
+                groups[slot].1.push(over);
             }
         }
 
@@ -924,15 +931,9 @@ fn probe_key(atom: &Atom, env: &Bindings) -> ProbeKey {
 /// Appends to `out`, in insertion order, every extension of `env` under
 /// which `atom` matches a tuple of `rel` at position `from` or later.
 /// With [`matches_any`], the one way a literal — positive or negated,
-/// bottom-up or top-down — meets a relation: the index narrows the
-/// candidates, `match_tuple` decides.
-pub(crate) fn probe(
-    rel: &Relation,
-    atom: &Atom,
-    env: &Bindings,
-    from: usize,
-    out: &mut Vec<Bindings>,
-) {
+/// in the fixpoint or in proof search — meets a relation: the index
+/// narrows the candidates, `match_tuple` decides.
+fn probe(rel: &Relation, atom: &Atom, env: &Bindings, from: usize, out: &mut Vec<Bindings>) {
     let _ = rel.probe(&probe_key(atom, env), from, |tuple| {
         out.extend(env.match_tuple(atom, tuple));
         ControlFlow::Continue(())
@@ -940,7 +941,7 @@ pub(crate) fn probe(
 }
 
 /// Whether [`probe`] would find anything: what a negated literal asks.
-pub(crate) fn matches_any(rel: &Relation, atom: &Atom, env: &Bindings) -> bool {
+fn matches_any(rel: &Relation, atom: &Atom, env: &Bindings) -> bool {
     rel.probe(&probe_key(atom, env), 0, |tuple| {
         if env.match_tuple(atom, tuple).is_empty() {
             ControlFlow::Continue(())

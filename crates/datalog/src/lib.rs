@@ -13,9 +13,9 @@
 //! * **evaluation** — stratified semi-naive bottom-up fixpoint with
 //!   incremental recomputation, plus a naive baseline ([`eval`],
 //!   [`strata`], [`db`], [`shared`]);
-//! * **goal-directed evaluation** — a magic-sets rewrite and a tabled
-//!   top-down resolver ([`magic`], [`topdown`]) for the paper's
-//!   "top-down to bottom-up" discussion (§5.1, §7);
+//! * **goal-directed evaluation** — a magic-sets rewrite onto the
+//!   bottom-up engine ([`magic`]) for the paper's "top-down to
+//!   bottom-up" discussion (§5.1, §7);
 //! * **meta-matching** — quote-pattern matching and template
 //!   instantiation ([`unify`]), the mechanism behind LogicBlox
 //!   meta-programming as used by LBTrust;
@@ -46,7 +46,6 @@ pub mod provenance;
 pub mod safety;
 pub mod shared;
 pub mod strata;
-pub mod topdown;
 pub mod unify;
 pub mod value;
 

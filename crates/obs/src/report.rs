@@ -129,23 +129,33 @@ impl Report {
     }
 }
 
-/// Locates the repository root: the parent of the `target` directory
-/// the running executable lives in (the layout `cargo bench` always
-/// produces), falling back to the first ancestor of the current
-/// directory containing `Cargo.lock` or `.git`.
+/// Whether `dir` looks like the top of a checkout.
+fn is_repo_root(dir: &Path) -> bool {
+    dir.join("Cargo.lock").exists() || dir.join(".git").exists()
+}
+
+/// The repository an executable at `exe` was built from: the parent of
+/// the `target` directory it lives in (the layout `cargo bench`
+/// produces) — when that parent is a checkout. Under a redirected
+/// `CARGO_TARGET_DIR` the `target` directory belongs to no repository,
+/// and the answer is `None`.
+fn repo_root_of_exe(exe: &Path) -> Option<PathBuf> {
+    let target = exe.ancestors().find(|dir| dir.ends_with("target"))?;
+    let parent = target.parent()?;
+    is_repo_root(parent).then(|| parent.to_path_buf())
+}
+
+/// Locates the repository root: the checkout whose `target` directory
+/// the running executable lives in, falling back to the first ancestor
+/// of the current directory containing `Cargo.lock` or `.git`.
 pub fn repo_root() -> Option<PathBuf> {
-    if let Ok(exe) = std::env::current_exe() {
-        for dir in exe.ancestors() {
-            if dir.file_name().is_some_and(|n| n == "target") {
-                if let Some(parent) = dir.parent() {
-                    return Some(parent.to_path_buf());
-                }
-            }
-        }
+    let from_exe = std::env::current_exe().ok();
+    if let Some(root) = from_exe.as_deref().and_then(repo_root_of_exe) {
+        return Some(root);
     }
     let cwd = std::env::current_dir().ok()?;
     cwd.ancestors()
-        .find(|d| d.join("Cargo.lock").exists() || d.join(".git").exists())
+        .find(|dir| is_repo_root(dir))
         .map(Path::to_path_buf)
 }
 
@@ -192,9 +202,29 @@ mod tests {
 
     #[test]
     fn repo_root_is_found_from_tests() {
-        // Under `cargo test` the exe lives in target/debug/deps, so the
-        // target-parent rule applies.
+        // Under `cargo test` the exe lives in target/debug/deps of this
+        // checkout or, with the target directory redirected, the tests
+        // run from inside the checkout: either rule finds it.
         let root = repo_root().expect("repo root");
-        assert!(root.join("Cargo.lock").exists() || root.join(".git").exists());
+        assert!(is_repo_root(&root));
+    }
+
+    #[test]
+    fn a_target_directory_counts_only_inside_a_checkout() {
+        let tmp = std::env::temp_dir().join(format!("obs_repo_root_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&tmp);
+        let exe = Path::new("debug/deps/bench-0123");
+        // A checkout's own target directory.
+        let repo = tmp.join("repo");
+        std::fs::create_dir_all(repo.join("target")).unwrap();
+        std::fs::write(repo.join("Cargo.lock"), "").unwrap();
+        assert_eq!(repo_root_of_exe(&repo.join("target").join(exe)), Some(repo));
+        // A foreign target directory (`CARGO_TARGET_DIR=/elsewhere/target`).
+        let elsewhere = tmp.join("elsewhere");
+        std::fs::create_dir_all(elsewhere.join("target")).unwrap();
+        assert_eq!(repo_root_of_exe(&elsewhere.join("target").join(exe)), None);
+        // No target directory at all.
+        assert_eq!(repo_root_of_exe(&tmp.join("bin").join("bench-0123")), None);
+        let _ = std::fs::remove_dir_all(&tmp);
     }
 }
