@@ -50,8 +50,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use lbtrust_certstore::{CertDigest, EvictionPolicy, GroundHeads, LruMap};
 use lbtrust_datalog::ast::Rule;
+use lbtrust_datalog::intern::names;
 use lbtrust_datalog::provenance::Proof;
-use lbtrust_datalog::{Builtins, Database, Symbol, Value};
+use lbtrust_datalog::{Builtins, Database, Value};
 use lbtrust_obs::{Counter, Histogram, Registry};
 
 use crate::principal::Principal;
@@ -154,7 +155,7 @@ fn collect_supporting<F>(
 where
     F: FnMut(&str, &mut Vec<CertDigest>),
 {
-    let says = Symbol::intern("says");
+    let says = names().says;
     let mut supporting: Vec<CertDigest> = Vec::new();
     let mut frontier = vec![proof];
     while let Some(node) = frontier.pop() {

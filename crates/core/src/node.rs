@@ -18,6 +18,7 @@ use lbtrust_certstore::{
     CertDigest, CertStore, CertStoreError, FaultHandle, LinkedCert, RetractionEvent, Revocation,
     StorageError,
 };
+use lbtrust_datalog::intern::names;
 use lbtrust_datalog::{Symbol, Tuple, Value};
 use lbtrust_net::{NodeId, WireMessage};
 use std::collections::{HashMap, HashSet};
@@ -657,10 +658,8 @@ fn cert_workspace_facts(to: Principal, cert: &LinkedCert) -> Vec<(Symbol, Tuple)
         Value::Sym(to),
         Value::Quote(cert.rule.clone()),
     ];
-    vec![
-        (Symbol::intern("export"), export_tuple),
-        (Symbol::intern("says"), says_tuple),
-    ]
+    let known = names();
+    vec![(known.export, export_tuple), (known.says, says_tuple)]
 }
 
 /// Decodes an `export[to](from, R, S)` tuple into a wire message.

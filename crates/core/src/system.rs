@@ -29,6 +29,7 @@ use lbtrust_certstore::{
     FaultHandle, FaultingBackend, ImportOutcome, LinkedCert, Revocation, SharedVerifyCache,
     SignatureVerifier, StorageBackend,
 };
+use lbtrust_datalog::intern::names;
 use lbtrust_datalog::{parse_program, Symbol, Value};
 use lbtrust_net::{
     NetworkConfig, NodeId, RevPullMessage, RevSummaryMessage, RevokeMessage, SimNetwork, WirePacket,
@@ -1700,7 +1701,7 @@ impl System {
     /// One step of the distributed fixpoint; `true` when it found the
     /// system quiescent.
     fn step(&mut self) -> Result<bool, SysError> {
-        let export = Symbol::intern("export");
+        let export = names().export;
         // 0. Gossip inputs: refresh each workspace's `revfp` facts from
         // its store and learn whether any two stores' summaries still
         // disagree. Sequential in registration order (cheap:
@@ -1890,7 +1891,7 @@ impl System {
     /// Phase 1b: fold derived `loc(P, N)` facts into the placement of
     /// the registered principals they name.
     fn update_placement(&mut self) {
-        let loc = Symbol::intern("loc");
+        let loc = names().loc;
         for i in 0..self.nodes.len() {
             for t in self.nodes[i].ws.tuples(loc) {
                 if let [Value::Sym(who), Value::Sym(node)] = t.as_slice() {

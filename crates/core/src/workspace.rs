@@ -18,6 +18,7 @@ use crate::principal::Principal;
 use lbtrust_datalog::ast::{BodyItem, Constraint, Rule};
 use lbtrust_datalog::dred::{self, Removed};
 use lbtrust_datalog::eval::{CompiledRules, Engine, EvalError, EvalStats};
+use lbtrust_datalog::intern::names;
 use lbtrust_datalog::safety::{check_rule, check_rule_at, SafetyError};
 use lbtrust_datalog::strata::{stratify_spanned, StratifyError};
 use lbtrust_datalog::{
@@ -369,7 +370,7 @@ impl Workspace {
     /// cites the offending rule's source position.
     pub fn load(&mut self, tag: &str, src: &str) -> Result<(), WsError> {
         let program = parse_program(src)?;
-        let me_sym = Symbol::intern("me");
+        let me_sym = names().me;
         let mut pending: Vec<(Arc<Rule>, Span)> = Vec::with_capacity(program.rules.len());
         for (i, rule) in program.rules.iter().enumerate() {
             let span = program.rule_span(i);
@@ -477,7 +478,7 @@ impl Workspace {
     /// constructs (`important([| payload(1). |]).`).
     pub fn assert_src(&mut self, src: &str) -> Result<(), WsError> {
         let program = parse_program(src)?;
-        let me_sym = Symbol::intern("me");
+        let me_sym = names().me;
         for rule in &program.rules {
             let rule = rule.substitute_sym(me_sym, self.me);
             let fact = (rule.body.is_empty() && rule.agg.is_none() && rule.heads.len() == 1)
@@ -642,7 +643,7 @@ impl Workspace {
     /// holds.
     pub fn holds_src(&self, src: &str) -> Result<bool, WsError> {
         let atom = lbtrust_datalog::parse_atom(src)?;
-        let atom = atom.substitute_sym(Symbol::intern("me"), self.me);
+        let atom = atom.substitute_sym(names().me, self.me);
         let pred = atom.pred.name().ok_or(WsError::Parse(ParseError {
             message: "pattern queries not supported here".into(),
             line: 0,
@@ -652,11 +653,8 @@ impl Workspace {
         match tuple {
             Some(t) => Ok(self.db.contains(pred, &t)),
             None => Ok(self.db.relation(pred).is_some_and(|rel| {
-                rel.iter().any(|t| {
-                    !lbtrust_datalog::Bindings::new()
-                        .match_tuple(&atom, t)
-                        .is_empty()
-                })
+                rel.iter()
+                    .any(|t| lbtrust_datalog::Bindings::new().matches(&atom, t))
             })),
         }
     }
@@ -718,7 +716,7 @@ impl Workspace {
     /// rewrite onto the one bottom-up engine, not a second evaluator.
     pub fn query_goal(&self, goal_src: &str) -> Result<Vec<Tuple>, WsError> {
         let atom = lbtrust_datalog::parse_atom(goal_src)?;
-        let atom = atom.substitute_sym(Symbol::intern("me"), self.me);
+        let atom = atom.substitute_sym(names().me, self.me);
         let rules: Vec<Rule> = self
             .program()
             .rules()
@@ -1023,7 +1021,7 @@ impl Workspace {
             {
                 break;
             }
-            let me_sym = Symbol::intern("me");
+            let me_sym = names().me;
             let mut new_rules = Vec::new();
             for quote in generated_rules(&self.db, &self.meta) {
                 let resolved = quote.substitute_sym(me_sym, self.me);
@@ -1109,7 +1107,7 @@ pub(crate) fn explain_goal(
     fact_src: &str,
 ) -> Result<Option<lbtrust_datalog::provenance::Proof>, WsError> {
     let atom = lbtrust_datalog::parse_atom(fact_src)?;
-    let atom = atom.substitute_sym(Symbol::intern("me"), me);
+    let atom = atom.substitute_sym(names().me, me);
     let pred = atom.pred.name().ok_or(WsError::Parse(ParseError {
         message: "explain takes a concrete fact".into(),
         line: 0,

@@ -138,7 +138,7 @@ impl Atom {
 
     /// All argument terms, key arguments first — the storage layout of the
     /// underlying un-curried relation.
-    pub fn all_args(&self) -> impl Iterator<Item = &Term> {
+    pub fn all_args(&self) -> impl Iterator<Item = &Term> + Clone {
         self.key_args.iter().chain(self.args.iter())
     }
 

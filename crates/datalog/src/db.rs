@@ -115,6 +115,16 @@ fn close_gaps(buckets: &mut Buckets, gone: &[usize]) {
     });
 }
 
+/// The positions filed under `hash` that are `from` or later.
+fn positions_from(buckets: &Buckets, hash: u64, from: usize) -> &[u32] {
+    let positions = buckets.get(&hash).map_or(&[][..], Bucket::positions);
+    &positions[positions.partition_point(|&pos| (pos as usize) < from)..]
+}
+
+/// How many positions [`Relation::probe`] copies out of an index under
+/// one hold of its lock.
+const PROBE_BATCH: usize = 32;
+
 /// Which columns of an atom a probe has values for, and the hash of those
 /// values: what [`Relation::probe`] looks up.
 #[derive(Clone, Debug)]
@@ -226,10 +236,11 @@ fn hash_cols(cols: u64, tuple: &[Value], ignored_bits: u64) -> Option<u64> {
 /// **Locking.** Lazy indices live behind an `RwLock` (not a `RefCell`) so
 /// a `Relation` — and therefore a snapshot of a whole [`Database`] — is
 /// `Sync`: concurrent authorization readers probe shared snapshots from
-/// many threads, taking the read lock once an index is warm. The visitor
-/// passed to [`Relation::probe`] runs under that lock and must not probe
-/// the same relation again: a first probe on another column set would
-/// wait for the write lock behind the read lock its own caller holds.
+/// many threads, taking the read lock once an index is warm. The lock is
+/// held to look positions up, never while the visitor passed to
+/// [`Relation::probe`] runs: a depth-first join probes its next literal
+/// from inside that visitor, and when that literal is over the same
+/// relation on a column set not probed before, it takes the write lock.
 #[derive(Debug, Default)]
 pub struct Relation {
     tuples: SharedVec<Tuple>,
@@ -349,9 +360,9 @@ impl Relation {
     /// Shows `visit`, in insertion order, every tuple at position `from`
     /// or later that has `key.arity` columns and `key`'s values in its
     /// bound columns — and possibly others; `visit` checks each (see the
-    /// type's documentation, also for what `visit` must not do). Stops
-    /// when `visit` breaks. Builds the index for the key's column set on
-    /// first use; a key binding every column needs none.
+    /// type's documentation). Stops when `visit` breaks. Builds the index
+    /// for the key's column set on first use; a key binding every column
+    /// needs none.
     pub fn probe(
         &self,
         key: &ProbeKey,
@@ -362,31 +373,46 @@ impl Relation {
             return self.since(from).try_for_each(visit);
         }
         let hash = key.hasher.finish() & !self.ignored_hash_bits;
-        let mut walk = |buckets: &Buckets| {
-            let positions = buckets.get(&hash).map_or(&[][..], Bucket::positions);
-            let first = positions.partition_point(|&pos| (pos as usize) < from);
-            positions[first..]
-                .iter()
-                .try_for_each(|&pos| visit(self.tuples.get(pos as usize)))
+        let mut show = |positions: &[u32]| {
+            let mut tuples = positions.iter().map(|&pos| self.tuples.get(pos as usize));
+            tuples.try_for_each(&mut visit)
         };
         if key.cols.count_ones() as usize == key.arity {
-            return walk(&self.all);
+            return show(positions_from(&self.all, hash, from));
         }
-        // Fast path: a warm index needs only the shared lock, so
-        // concurrent readers over a published snapshot don't serialize.
-        if let Some(index) = self
-            .indices
-            .read()
-            .expect("index lock poisoned")
-            .get(&key.cols)
-        {
-            return walk(index);
+        // `visit` runs outside the index lock (see **Locking**), so the
+        // positions are copied out a batch at a time and the walk resumes
+        // behind the last one shown.
+        let mut from = from;
+        loop {
+            let mut batch = [0u32; PROBE_BATCH];
+            let n = self.with_index(key.cols, |index| {
+                let positions = positions_from(index, hash, from);
+                let n = positions.len().min(PROBE_BATCH);
+                batch[..n].copy_from_slice(&positions[..n]);
+                n
+            });
+            show(&batch[..n])?;
+            if n < PROBE_BATCH {
+                return ControlFlow::Continue(());
+            }
+            from = batch[n - 1] as usize + 1;
+        }
+    }
+
+    /// Reads the index on `cols`, building it first if this is its first
+    /// use. A warm index needs only the shared lock, so concurrent
+    /// readers over a published snapshot don't serialize.
+    fn with_index<R>(&self, cols: u64, read: impl FnOnce(&Buckets) -> R) -> R {
+        if let Some(index) = self.indices.read().expect("index lock poisoned").get(&cols) {
+            return read(index);
         }
         let mut indices = self.indices.write().expect("index lock poisoned");
-        let index = indices
-            .entry(key.cols)
-            .or_insert_with(|| self.build_index(key.cols));
-        walk(index)
+        read(
+            indices
+                .entry(cols)
+                .or_insert_with(|| self.build_index(cols)),
+        )
     }
 
     /// Removes all tuples (used by full-recompute paths).

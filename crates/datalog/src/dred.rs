@@ -22,6 +22,7 @@ use crate::eval::{Engine, EvalError, EvalStats};
 use crate::intern::Symbol;
 use crate::unify::Bindings;
 use std::collections::{HashMap, HashSet};
+use std::ops::ControlFlow;
 
 /// Outcome counters for one retraction.
 #[derive(Clone, Copy, Debug, Default)]
@@ -159,26 +160,8 @@ fn eval_rule_pinned(
     idx: usize,
     tuple: &[crate::value::Value],
 ) -> Result<Vec<(Symbol, Tuple)>, EvalError> {
-    let mut envs = vec![Bindings::new()];
-    for (i, item) in rule.body.iter().enumerate() {
-        if envs.is_empty() {
-            return Ok(Vec::new());
-        }
-        if i == idx {
-            let BodyItem::Lit { atom, .. } = item else {
-                unreachable!("pinned literal is positive");
-            };
-            let mut next = Vec::new();
-            for env in &envs {
-                next.extend(env.match_tuple(atom, tuple));
-            }
-            envs = next;
-        } else {
-            envs = engine.eval_single_item(rule, item, envs, db)?;
-        }
-    }
     let mut out = Vec::new();
-    for env in &envs {
+    let visit_all = engine.for_each_pinned(rule, db, idx, tuple, &mut |env| {
         for head in &rule.heads {
             let pred = head.pred.name().expect("positive program");
             let head_tuple: Option<Tuple> = head.all_args().map(|t| env.resolve(t)).collect();
@@ -186,12 +169,13 @@ fn eval_rule_pinned(
                 out.push((pred, t));
             }
         }
-    }
-    Ok(out)
+        Ok(ControlFlow::Continue(()))
+    });
+    visit_all.map(|_| out)
 }
 
 /// Whether some rule instance still concludes `pred(tuple)` over the
-/// current database.
+/// current database: the search ends at the first one.
 fn rederivable(
     engine: &Engine<'_>,
     rules: &[Rule],
@@ -204,15 +188,15 @@ fn rederivable(
             if head.pred.name() != Some(pred) || head.arity() != tuple.len() {
                 continue;
             }
-            if rule.body.is_empty() {
-                // Fact-rule concluding exactly this tuple: it survives.
-                if !Bindings::new().match_tuple(head, tuple).is_empty() && head.is_ground() {
-                    return Ok(true);
-                }
+            // A fact-rule survives if it concludes exactly this tuple.
+            if rule.body.is_empty() && !head.is_ground() {
                 continue;
             }
-            let heads = Bindings::new().match_tuple(head, tuple);
-            if !heads.is_empty() && !engine.eval_body(rule, db, heads, None)?.is_empty() {
+            let found = &mut |_: &mut Bindings| Ok(ControlFlow::Break(()));
+            if engine
+                .for_each_proof(rule, head, tuple, db, found)?
+                .is_break()
+            {
                 return Ok(true);
             }
         }
@@ -327,6 +311,28 @@ mod tests {
         .unwrap();
         let expected = reference(&[("b", "c"), ("d", "e")]);
         assert!(same_reach(&db, &expected));
+    }
+
+    #[test]
+    fn rederivation_asks_for_one_proof_not_all() {
+        // Fifty ways to conclude r(a), each through the builtin `seen`.
+        let program = parse_program("r(X) <- q(X,Y), seen(Y).").unwrap();
+        let calls = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let mut builtins = Builtins::new();
+        let counter = calls.clone();
+        builtins.register("seen", 1, move |args| {
+            counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Ok(vec![vec![args[0].clone().expect("bound by q")]])
+        });
+        let mut db = Database::new();
+        for i in 0..50 {
+            db.insert(Symbol::intern("q"), vec![Value::sym("a"), Value::Int(i)]);
+        }
+        let engine = Engine::new(&program.rules, &builtins);
+        let r = Symbol::intern("r");
+        assert!(rederivable(&engine, &program.rules, &db, r, &[Value::sym("a")]).unwrap());
+        assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 1);
+        assert!(!rederivable(&engine, &program.rules, &db, r, &[Value::sym("b")]).unwrap());
     }
 
     #[test]

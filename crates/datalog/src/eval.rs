@@ -19,8 +19,8 @@ use crate::ast::{AggFunc, Atom, BodyItem, CmpOp, Expr, PredRef, Rule, Term};
 use crate::builtins::{BuiltinError, Builtins};
 use crate::db::{Database, ProbeKey, Relation, Tuple};
 use crate::intern::Symbol;
-use crate::strata::{stratify, Strata, StratifyError};
-use crate::unify::Bindings;
+use crate::strata::{stratify, StratifyError};
+use crate::unify::{Bindings, Visit};
 use crate::value::Value;
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -125,7 +125,9 @@ pub struct EvalStats {
 pub struct EvalLimits {
     /// Maximum fixpoint rounds per stratum.
     pub max_rounds: usize,
-    /// Maximum total tuples in the database.
+    /// Maximum total tuples in the database, counting what the round
+    /// under way has derived and not yet inserted (duplicates of stored
+    /// tuples included): the derivation that passes it is the last.
     pub max_tuples: usize,
 }
 
@@ -138,19 +140,108 @@ impl Default for EvalLimits {
     }
 }
 
+/// What [`Engine::for_each_solution`] calls once per solution, with the
+/// environment extended to that solution; `Break` ends the search and an
+/// error ends it and is returned.
+pub type Solved<'a> = dyn FnMut(&mut Bindings) -> Result<ControlFlow<()>, EvalError> + 'a;
+
+/// What a run needs of a rule set besides the rules, none of which
+/// depends on the database: worked out once per [`CompiledRules`] (or per
+/// run, by an ad-hoc engine) instead of once per stratum, round or rule
+/// evaluation.
+#[derive(Clone, Debug)]
+struct Plan {
+    strata: Vec<StratumPlan>,
+    rules: Vec<RulePlan>,
+}
+
+#[derive(Clone, Debug)]
+struct RulePlan {
+    /// [`Rule::is_pattern`].
+    pattern: bool,
+    /// Per body item: a positive literal over a builtin.
+    builtin: Vec<bool>,
+}
+
+#[derive(Clone, Debug, Default)]
+struct StratumPlan {
+    /// Aggregate rules; they run once, before the fixpoint.
+    agg: Vec<usize>,
+    plain: Vec<usize>,
+    /// The predicates the plain rules derive into.
+    heads: Vec<Symbol>,
+    /// `(rule, body position, predicate, predicate is of this stratum)`
+    /// of every positive literal of a plain rule, in rule then body
+    /// order: what a delta round walks.
+    literals: Vec<(usize, usize, Symbol, bool)>,
+}
+
+impl Plan {
+    fn of(rules: &[Rule], builtins: &Builtins) -> Result<Plan, StratifyError> {
+        let strata = stratify(rules, &|p| builtins.contains(p))?;
+        let positive = |item: &BodyItem| match item {
+            BodyItem::Lit {
+                negated: false,
+                atom,
+            } => atom.pred.name(),
+            _ => None,
+        };
+        let stratum_plan = |indices: &Vec<usize>| {
+            // The stratum's own predicates, for delta detection.
+            let own = (indices.iter().flat_map(|&i| &rules[i].heads))
+                .filter_map(|h| h.pred.name())
+                .map(|p| strata.stratum(p))
+                .max();
+            let mut plan = StratumPlan::default();
+            for &i in indices {
+                if rules[i].agg.is_some() {
+                    plan.agg.push(i);
+                    continue;
+                }
+                plan.plain.push(i);
+                for (pos, item) in rules[i].body.iter().enumerate() {
+                    if let Some(pred) = positive(item) {
+                        let in_stratum =
+                            own.is_some() && strata.stratum_of.get(&pred) == own.as_ref();
+                        plan.literals.push((i, pos, pred, in_stratum));
+                    }
+                }
+                for pred in rules[i].heads.iter().filter_map(|h| h.pred.name()) {
+                    if !plan.heads.contains(&pred) {
+                        plan.heads.push(pred);
+                    }
+                }
+            }
+            plan
+        };
+        Ok(Plan {
+            strata: strata.rules_by_stratum.iter().map(stratum_plan).collect(),
+            rules: rules
+                .iter()
+                .map(|rule| RulePlan {
+                    pattern: rule.is_pattern(),
+                    builtin: (rule.body.iter())
+                        .map(|item| positive(item).is_some_and(|p| builtins.contains(p)))
+                        .collect(),
+                })
+                .collect(),
+        })
+    }
+}
+
 /// A rule set compiled once for repeated evaluation: the rules in one
-/// shared slice plus their stratification. The owner (a workspace)
-/// recompiles only when the rule set — or the builtin registry that
-/// decides which predicates have no extension — changes, and hands the
-/// same value to every engine, DRed repair, proof search and published
-/// snapshot in between.
+/// shared slice plus their stratification and evaluation plan. The owner
+/// (a workspace) recompiles only when the rule set — or the builtin
+/// registry that decides which predicates have no extension — changes,
+/// and hands the same value to every engine, DRed repair, proof search
+/// and published snapshot in between.
 #[derive(Debug)]
 pub struct CompiledRules {
     rules: Arc<[Rule]>,
     /// Kept as a `Result` so an unstratifiable generated rule set still
     /// compiles; the error surfaces from the first run that needs
     /// strata, as it did when every run stratified for itself.
-    strata: Result<Strata, StratifyError>,
+    plan: Result<Plan, StratifyError>,
     monotone: bool,
 }
 
@@ -159,7 +250,7 @@ impl CompiledRules {
     pub fn compile(rules: impl Into<Arc<[Rule]>>, builtins: &Builtins) -> CompiledRules {
         let rules: Arc<[Rule]> = rules.into();
         CompiledRules {
-            strata: stratify(&rules, &|p| builtins.contains(p)),
+            plan: Plan::of(&rules, builtins),
             monotone: !rules.iter().any(Rule::is_non_monotonic),
             rules,
         }
@@ -180,30 +271,97 @@ impl CompiledRules {
 /// The evaluation engine: rules + builtins, applied to a [`Database`].
 pub struct Engine<'a> {
     rules: &'a [Rule],
-    /// `None` for an ad-hoc rule slice, stratified by each run.
-    strata: Option<&'a Result<Strata, StratifyError>>,
+    /// `None` for an ad-hoc rule slice, planned by each run.
+    plan: Option<&'a Result<Plan, StratifyError>>,
     builtins: &'a Builtins,
     limits: EvalLimits,
 }
 
+/// How one positive literal of a join meets its relation.
+#[derive(Clone, Copy)]
+enum Restrict<'t> {
+    /// Tuples at this position and after: 0 for all of them, more for a
+    /// semi-naive delta window.
+    From(usize),
+    /// Exactly this tuple, in the relation or not (DRed's over-deletion).
+    Only(&'t [Value]),
+}
+
+/// What stays the same along one join.
+#[derive(Clone, Copy)]
+struct Join<'j> {
+    rule: &'j Rule,
+    /// [`RulePlan::builtin`], when the rule is one of a planned set.
+    builtin: Option<&'j [bool]>,
+    db: &'j Database,
+    /// The one body position that is restricted, and how.
+    restricted: Option<(usize, Restrict<'j>)>,
+}
+
+impl<'j> Join<'j> {
+    /// A join over a rule that has no plan.
+    fn new(rule: &'j Rule, db: &'j Database, restricted: Option<(usize, Restrict<'j>)>) -> Self {
+        Join {
+            rule,
+            builtin: None,
+            db,
+            restricted,
+        }
+    }
+
+    fn window(window: Option<(usize, usize)>) -> Option<(usize, Restrict<'j>)> {
+        window.map(|(lit, from)| (lit, Restrict::From(from)))
+    }
+}
+
+/// What a fixpoint round starts from (see [`Engine::round`]).
+struct Round {
+    marks: Vec<(Symbol, usize)>,
+    budget: usize,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// How many head tuples this thread has instantiated.
+    static HEADS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Runs an in-place matcher under the fallible continuation `k`. The
+/// matcher's visitor cannot return an error, so the first one is set
+/// aside, ends the search, and is returned once the matcher has unwound
+/// (and so restored the environment).
+fn bridge(
+    k: &mut Solved<'_>,
+    run: impl FnOnce(&mut Visit<'_>) -> ControlFlow<()>,
+) -> Result<ControlFlow<()>, EvalError> {
+    let mut failed = None;
+    let flow = run(&mut |env| {
+        k(env).unwrap_or_else(|e| {
+            failed = Some(e);
+            ControlFlow::Break(())
+        })
+    });
+    failed.map_or(Ok(flow), Err)
+}
+
 impl<'a> Engine<'a> {
     /// Creates an engine over an ad-hoc rule slice; each run stratifies
-    /// it. Callers that evaluate one rule set repeatedly compile it once
-    /// and use [`Engine::for_compiled`].
+    /// and plans it. Callers that evaluate one rule set repeatedly compile
+    /// it once and use [`Engine::for_compiled`].
     pub fn new(rules: &'a [Rule], builtins: &'a Builtins) -> Engine<'a> {
         Engine {
             rules,
-            strata: None,
+            plan: None,
             builtins,
             limits: EvalLimits::default(),
         }
     }
 
-    /// Creates an engine over a compiled rule set, reusing its strata.
+    /// Creates an engine over a compiled rule set, reusing its plan.
     pub fn for_compiled(compiled: &'a CompiledRules, builtins: &'a Builtins) -> Engine<'a> {
         Engine {
             rules: &compiled.rules,
-            strata: Some(&compiled.strata),
+            plan: Some(&compiled.plan),
             builtins,
             limits: EvalLimits::default(),
         }
@@ -214,11 +372,11 @@ impl<'a> Engine<'a> {
         self.rules
     }
 
-    fn strata(&self) -> Result<Cow<'a, Strata>, EvalError> {
-        match self.strata {
-            Some(Ok(strata)) => Ok(Cow::Borrowed(strata)),
+    fn plan(&self) -> Result<Cow<'a, Plan>, EvalError> {
+        match self.plan {
+            Some(Ok(plan)) => Ok(Cow::Borrowed(plan)),
             Some(Err(e)) => Err(e.clone().into()),
-            None => Ok(Cow::Owned(stratify(self.rules, &|p| self.is_builtin(p))?)),
+            None => Ok(Cow::Owned(Plan::of(self.rules, self.builtins)?)),
         }
     }
 
@@ -228,16 +386,12 @@ impl<'a> Engine<'a> {
         self
     }
 
-    fn is_builtin(&self, pred: Symbol) -> bool {
-        self.builtins.contains(pred)
-    }
-
     /// Full evaluation to fixpoint with stratified semi-naive rounds.
     pub fn run(&self, db: &mut Database) -> Result<EvalStats, EvalError> {
-        let strata = self.strata()?;
+        let plan = self.plan()?;
         let mut stats = EvalStats::default();
-        for stratum_rules in &strata.rules_by_stratum {
-            self.run_stratum(db, &strata, stratum_rules, &mut stats, None)?;
+        for stratum in &plan.strata {
+            self.run_stratum(db, &plan, stratum, &mut stats, None)?;
         }
         Ok(stats)
     }
@@ -259,18 +413,18 @@ impl<'a> Engine<'a> {
     /// `grown` maps a predicate to the position of its first new tuple —
     /// on entry the caller's assertions, on return also every relation
     /// the run derived into — so a caller can revisit exactly the
-    /// bindings that use a new tuple (see [`Engine::eval_body`]).
+    /// bindings that use a new tuple (see [`Engine::for_each_solution`]).
     pub fn run_delta(
         &self,
         db: &mut Database,
         grown: &mut HashMap<Symbol, usize>,
     ) -> Result<EvalStats, EvalError> {
-        let strata = self.strata()?;
+        let plan = self.plan()?;
         let mut stats = EvalStats::default();
         // `grown` accumulates across strata, so later strata see earlier
         // strata's growth as delta.
-        for stratum_rules in &strata.rules_by_stratum {
-            let derived = self.run_stratum(db, &strata, stratum_rules, &mut stats, Some(grown))?;
+        for stratum in &plan.strata {
+            let derived = self.run_stratum(db, &plan, stratum, &mut stats, Some(grown))?;
             for (pred, first_new) in derived {
                 let entry = grown.entry(pred).or_insert(first_new);
                 *entry = (*entry).min(first_new);
@@ -285,22 +439,17 @@ impl<'a> Engine<'a> {
     fn run_stratum(
         &self,
         db: &mut Database,
-        strata: &Strata,
-        rule_indices: &[usize],
+        plan: &Plan,
+        stratum: &StratumPlan,
         stats: &mut EvalStats,
         seeds: Option<&HashMap<Symbol, usize>>,
     ) -> Result<HashMap<Symbol, usize>, EvalError> {
-        // Partition into aggregate and ordinary rules.
-        let (agg_rules, plain_rules): (Vec<usize>, Vec<usize>) = rule_indices
-            .iter()
-            .partition(|&&i| self.rules[i].agg.is_some());
-
         let mut first_new: HashMap<Symbol, usize> = HashMap::new();
 
         // Aggregate rules run once per stratum.
-        for &i in &agg_rules {
+        for &i in &stratum.agg {
             stats.rule_evals += 1;
-            let new_tuples = self.eval_agg_rule(&self.rules[i], db)?;
+            let new_tuples = self.eval_agg_rule(&self.rules[i], Some(&plan.rules[i]), db)?;
             for (pred, tuple) in new_tuples {
                 let mark = db.count(pred);
                 if db.insert(pred, tuple) {
@@ -310,31 +459,20 @@ impl<'a> Engine<'a> {
             }
         }
 
-        // The stratum's own predicates, for delta detection.
-        let stratum_index: Option<usize> = rule_indices
-            .iter()
-            .flat_map(|&i| self.rules[i].heads.iter())
-            .filter_map(|h| h.pred.name())
-            .map(|p| strata.stratum(p))
-            .max();
-        let in_stratum = |p: Symbol| -> bool {
-            strata.stratum_of.get(&p).copied() == stratum_index && stratum_index.is_some()
-        };
-
         // Delta windows: predicate -> start position of "new" tuples.
         let mut delta: HashMap<Symbol, usize> = HashMap::new();
+        let mut derived: Vec<(Symbol, Tuple)> = Vec::new();
 
         match seeds {
             None => {
                 // Round 0: full evaluation of every rule.
-                let marks = self.relation_marks(db, &plain_rules);
-                let mut derived: Vec<(Symbol, Tuple)> = Vec::new();
-                for &i in &plain_rules {
+                let round = self.round(db, stratum);
+                for &i in &stratum.plain {
                     stats.rule_evals += 1;
-                    derived.extend(self.eval_rule(&self.rules[i], db, None)?);
+                    self.derive(i, plan, db, None, round.budget, &mut derived)?;
                 }
                 stats.rounds += 1;
-                self.absorb(db, derived, &marks, &mut delta, &mut first_new, stats)?;
+                self.absorb(db, &mut derived, round, &mut delta, &mut first_new, stats)?;
             }
             Some(seed_map) => {
                 // Incremental: the asserted facts are the first delta.
@@ -349,53 +487,43 @@ impl<'a> Engine<'a> {
                     what: format!("{} fixpoint rounds", self.limits.max_rounds),
                 });
             }
-            let marks = self.relation_marks(db, &plain_rules);
-            let mut derived: Vec<(Symbol, Tuple)> = Vec::new();
-            for &i in &plain_rules {
-                let rule = &self.rules[i];
-                for (lit_idx, item) in rule.body.iter().enumerate() {
-                    let BodyItem::Lit {
-                        negated: false,
-                        atom,
-                    } = item
-                    else {
-                        continue;
-                    };
-                    let Some(pred) = atom.pred.name() else {
-                        continue;
-                    };
-                    // A literal participates in delta joins when its
-                    // predicate changed this round (stratum-local
-                    // recursion or incremental seeds).
-                    let relevant =
-                        delta.contains_key(&pred) && (in_stratum(pred) || seeds.is_some());
-                    if !relevant {
-                        continue;
-                    }
-                    stats.rule_evals += 1;
-                    let window = (lit_idx, delta[&pred]);
-                    derived.extend(self.eval_rule(rule, db, Some(window))?);
+            let round = self.round(db, stratum);
+            for &(i, lit_idx, pred, in_stratum) in &stratum.literals {
+                // A literal participates in delta joins when its
+                // predicate changed this round (stratum-local
+                // recursion or incremental seeds).
+                let Some(&from) = delta.get(&pred) else {
+                    continue;
+                };
+                if !(in_stratum || seeds.is_some()) {
+                    continue;
                 }
+                stats.rule_evals += 1;
+                let window = Some((lit_idx, from));
+                self.derive(i, plan, db, window, round.budget, &mut derived)?;
             }
             stats.rounds += 1;
             delta.clear();
-            self.absorb(db, derived, &marks, &mut delta, &mut first_new, stats)?;
+            self.absorb(db, &mut derived, round, &mut delta, &mut first_new, stats)?;
         }
         Ok(first_new)
     }
 
-    /// Records the current length of every relation a stratum's rules can
-    /// derive into, so newly inserted tuples define the next delta.
-    fn relation_marks(&self, db: &Database, rule_indices: &[usize]) -> HashMap<Symbol, usize> {
-        let mut marks = HashMap::new();
-        for &i in rule_indices {
-            for head in &self.rules[i].heads {
-                if let Some(p) = head.pred.name() {
-                    marks.insert(p, db.count(p));
-                }
-            }
+    /// What a round starts from: the current length of every relation the
+    /// stratum's rules can derive into, so newly inserted tuples define
+    /// the next delta, and how many tuples the round may derive before
+    /// the database would pass [`EvalLimits::max_tuples`].
+    fn round(&self, db: &Database, stratum: &StratumPlan) -> Round {
+        Round {
+            marks: stratum.heads.iter().map(|&p| (p, db.count(p))).collect(),
+            budget: self.limits.max_tuples.saturating_sub(db.total_tuples()),
         }
-        marks
+    }
+
+    fn tuple_limit(&self) -> EvalError {
+        EvalError::LimitExceeded {
+            what: format!("{} tuples", self.limits.max_tuples),
+        }
     }
 
     /// Inserts derived tuples, updating delta windows for relations that
@@ -403,23 +531,21 @@ impl<'a> Engine<'a> {
     fn absorb(
         &self,
         db: &mut Database,
-        derived: Vec<(Symbol, Tuple)>,
-        marks: &HashMap<Symbol, usize>,
+        derived: &mut Vec<(Symbol, Tuple)>,
+        round: Round,
         delta: &mut HashMap<Symbol, usize>,
         first_new: &mut HashMap<Symbol, usize>,
         stats: &mut EvalStats,
     ) -> Result<(), EvalError> {
-        for (pred, tuple) in derived {
+        for (pred, tuple) in derived.drain(..) {
             if db.insert(pred, tuple) {
                 stats.derived += 1;
             }
         }
         if db.total_tuples() > self.limits.max_tuples {
-            return Err(EvalError::LimitExceeded {
-                what: format!("{} tuples", self.limits.max_tuples),
-            });
+            return Err(self.tuple_limit());
         }
-        for (&pred, &mark) in marks {
+        for (pred, mark) in round.marks {
             if db.count(pred) > mark {
                 delta.insert(pred, mark);
                 first_new.entry(pred).or_insert(mark);
@@ -430,94 +556,173 @@ impl<'a> Engine<'a> {
 
     // ---- single-rule evaluation ------------------------------------------
 
-    /// Evaluates one rule against `db`, optionally restricting body
-    /// literal `window.0` to tuples at positions `>= window.1`.
-    /// Returns the derived `(pred, tuple)` pairs.
-    pub fn eval_rule(
+    /// Evaluates rule `i` of the planned set against `db`, optionally
+    /// restricting body literal `window.0` to tuples at positions
+    /// `>= window.1`, and appends the head tuples to `out` — which may
+    /// hold `budget` tuples and no more.
+    fn derive(
         &self,
-        rule: &Rule,
+        i: usize,
+        plan: &Plan,
         db: &Database,
         window: Option<(usize, usize)>,
-    ) -> Result<Vec<(Symbol, Tuple)>, EvalError> {
-        if rule.is_pattern() {
+        budget: usize,
+        out: &mut Vec<(Symbol, Tuple)>,
+    ) -> Result<(), EvalError> {
+        let (rule, rule_plan) = (&self.rules[i], &plan.rules[i]);
+        if rule_plan.pattern {
             return Err(EvalError::PatternRule {
                 rule: rule.to_string(),
             });
         }
-        let envs = self.eval_body(rule, db, vec![Bindings::new()], window)?;
-        let mut out = Vec::new();
-        for env in &envs {
-            self.instantiate_heads(rule, env, &mut out)?;
-        }
-        Ok(out)
-    }
-
-    /// Evaluates the body of `rule` left to right, returning every
-    /// extension of `envs` that satisfies it. With `window = (i, from)`,
-    /// body literal `i` only matches tuples at positions `>= from` — the
-    /// semi-naive delta window, which the constraint checker also uses to
-    /// visit just the premise bindings that rest on a new tuple.
-    pub fn eval_body(
-        &self,
-        rule: &Rule,
-        db: &Database,
-        mut envs: Vec<Bindings>,
-        window: Option<(usize, usize)>,
-    ) -> Result<Vec<Bindings>, EvalError> {
-        for (idx, item) in rule.body.iter().enumerate() {
-            if envs.is_empty() {
-                return Ok(envs);
+        let mut join = Join::new(rule, db, Join::window(window));
+        join.builtin = Some(&rule_plan.builtin);
+        self.join(join, 0, &mut Bindings::new(), &mut |env| {
+            self.instantiate_heads(rule, env, out)?;
+            // Checked here, per solution, so that a cross product stops
+            // within a tuple of its budget instead of after the round.
+            if out.len() > budget {
+                return Err(self.tuple_limit());
             }
-            let from = match window {
-                Some((lit, pos)) if lit == idx => Some(pos),
-                _ => None,
-            };
-            envs = self.eval_item(rule, item, envs, db, from)?;
-        }
-        Ok(envs)
+            Ok(ControlFlow::Continue(()))
+        })
+        .map(|_| ())
     }
 
-    /// Evaluates one body item under the given environments (exposed for
-    /// the DRed repair, which shares comparison and builtin semantics
-    /// with the fixpoint).
-    pub fn eval_single_item(
+    /// Visits every extension of `env` that satisfies the body of `rule`
+    /// (which need not be one of the engine's own). With
+    /// `window = (i, from)`, body literal `i` only matches tuples at
+    /// positions `>= from` — the semi-naive delta window, which the
+    /// constraint checker also uses to visit just the premise bindings
+    /// that rest on a new tuple.
+    ///
+    /// The join is depth-first on the one environment: body item *i* is
+    /// evaluated left to right under the bindings of items *0..i*, each
+    /// of its answers is bound in place, and the search descends into
+    /// item *i + 1* before trying the next answer — so the working set is
+    /// the body's length, not the number of partial solutions. Solutions
+    /// reach `visit` in the lexicographic order of (tuple position at
+    /// literal 0, at literal 1, …), the order a breadth-first evaluation
+    /// lists them in. `env` is as it was when this returns (see
+    /// [`Bindings`]); what `visit` wants to keep of a solution it must
+    /// copy out. `Break` from `visit` ends the search at once — a caller
+    /// asking *whether* there is a solution pays for the first.
+    pub fn for_each_solution(
+        &self,
+        rule: &Rule,
+        db: &Database,
+        env: &mut Bindings,
+        window: Option<(usize, usize)>,
+        visit: &mut Solved<'_>,
+    ) -> Result<ControlFlow<()>, EvalError> {
+        self.join(Join::new(rule, db, Join::window(window)), 0, env, visit)
+    }
+
+    /// [`Engine::for_each_solution`] from the empty environment, with
+    /// body literal `idx` matched against `tuple` and nothing else.
+    pub(crate) fn for_each_pinned(
+        &self,
+        rule: &Rule,
+        db: &Database,
+        idx: usize,
+        tuple: &[Value],
+        visit: &mut Solved<'_>,
+    ) -> Result<ControlFlow<()>, EvalError> {
+        let join = Join::new(rule, db, Some((idx, Restrict::Only(tuple))));
+        self.join(join, 0, &mut Bindings::new(), visit)
+    }
+
+    /// Visits every solution of `rule`'s body under which `head`, one of
+    /// its head atoms, is `tuple`: the rule instances that conclude it.
+    pub(crate) fn for_each_proof(
+        &self,
+        rule: &Rule,
+        head: &Atom,
+        tuple: &[Value],
+        db: &Database,
+        visit: &mut Solved<'_>,
+    ) -> Result<ControlFlow<()>, EvalError> {
+        let mut body = |env: &mut Bindings| self.for_each_solution(rule, db, env, None, visit);
+        bridge(&mut body, |visit| {
+            Bindings::new().match_tuple(head, tuple, visit)
+        })
+    }
+
+    /// Visits every extension of `env` that satisfies the one body item
+    /// `item`, evaluated as an item of `rule` would be (exposed for the
+    /// constraint checker, whose requirement formulas share literal,
+    /// comparison and builtin semantics with the fixpoint).
+    pub fn for_each_item(
         &self,
         rule: &Rule,
         item: &BodyItem,
-        envs: Vec<Bindings>,
         db: &Database,
-    ) -> Result<Vec<Bindings>, EvalError> {
-        self.eval_item(rule, item, envs, db, None)
+        env: &mut Bindings,
+        visit: &mut Solved<'_>,
+    ) -> Result<ControlFlow<()>, EvalError> {
+        let join = Join::new(rule, db, None);
+        self.item(join, item, None, Restrict::From(0), env, visit)
     }
 
-    fn eval_item(
+    /// The join from body position `idx` on.
+    fn join(
         &self,
-        rule: &Rule,
+        join: Join<'_>,
+        idx: usize,
+        env: &mut Bindings,
+        visit: &mut Solved<'_>,
+    ) -> Result<ControlFlow<()>, EvalError> {
+        let Some(item) = join.rule.body.get(idx) else {
+            return visit(env);
+        };
+        let source = match join.restricted {
+            Some((at, restrict)) if at == idx => restrict,
+            _ => Restrict::From(0),
+        };
+        let builtin = join.builtin.map(|flags| flags[idx]);
+        self.item(join, item, builtin, source, env, &mut |env| {
+            self.join(join, idx + 1, env, visit)
+        })
+    }
+
+    /// Evaluates one body item under `env`, calling `k` with each
+    /// extension that satisfies it.
+    fn item(
+        &self,
+        join: Join<'_>,
         item: &BodyItem,
-        envs: Vec<Bindings>,
-        db: &Database,
-        delta_from: Option<usize>,
-    ) -> Result<Vec<Bindings>, EvalError> {
+        builtin: Option<bool>,
+        source: Restrict<'_>,
+        env: &mut Bindings,
+        k: &mut Solved<'_>,
+    ) -> Result<ControlFlow<()>, EvalError> {
+        let rule = join.rule;
         match item {
             BodyItem::Lit {
                 negated: false,
                 atom,
             } => {
                 let pred = atom.pred.name().expect("concrete rule");
-                if self.is_builtin(pred) {
-                    let mut out = Vec::new();
-                    for env in &envs {
-                        out.extend(self.eval_builtin(pred, atom, env)?);
+                let from = match source {
+                    Restrict::From(from) => from,
+                    Restrict::Only(tuple) => {
+                        return bridge(k, |visit| env.match_tuple(atom, tuple, visit));
                     }
-                    Ok(out)
+                };
+                if builtin.unwrap_or_else(|| self.builtins.contains(pred)) {
+                    let args: Vec<Option<Value>> =
+                        atom.all_args().map(|t| env.resolve(t)).collect();
+                    let tuples = self
+                        .builtins
+                        .invoke(pred, &args)
+                        .expect("a builtin, as just checked")?;
+                    bridge(k, |visit| {
+                        (tuples.iter()).try_for_each(|tuple| env.match_tuple(atom, tuple, visit))
+                    })
+                } else if let Some(rel) = join.db.relation(pred) {
+                    bridge(k, |visit| probe(rel, atom, env, from, visit))
                 } else {
-                    let mut out = Vec::new();
-                    if let Some(rel) = db.relation(pred) {
-                        for env in &envs {
-                            probe(rel, atom, env, delta_from.unwrap_or(0), &mut out);
-                        }
-                    }
-                    Ok(out)
+                    Ok(ControlFlow::Continue(()))
                 }
             }
             BodyItem::Lit {
@@ -525,21 +730,13 @@ impl<'a> Engine<'a> {
                 atom,
             } => {
                 let pred = atom.pred.name().expect("concrete rule");
-                let mut out = Vec::new();
-                for env in envs {
-                    if self.negation_holds(rule, atom, pred, &env, db)? {
-                        out.push(env);
-                    }
+                if self.negation_holds(rule, atom, pred, env, join.db)? {
+                    k(env)
+                } else {
+                    Ok(ControlFlow::Continue(()))
                 }
-                Ok(out)
             }
-            BodyItem::Cmp { op, lhs, rhs } => {
-                let mut out = Vec::new();
-                for env in envs {
-                    out.extend(self.eval_cmp(rule, *op, lhs, rhs, env)?);
-                }
-                Ok(out)
-            }
+            BodyItem::Cmp { op, lhs, rhs } => self.eval_cmp(rule, *op, lhs, rhs, env, k),
             BodyItem::Rest(_) => Err(EvalError::PatternRule {
                 rule: rule.to_string(),
             }),
@@ -551,7 +748,7 @@ impl<'a> Engine<'a> {
         rule: &Rule,
         atom: &Atom,
         pred: Symbol,
-        env: &Bindings,
+        env: &mut Bindings,
         db: &Database,
     ) -> Result<bool, EvalError> {
         // All variables of a negated literal must be bound (safety).
@@ -572,24 +769,6 @@ impl<'a> Engine<'a> {
             .is_some_and(|rel| matches_any(rel, atom, env)))
     }
 
-    fn eval_builtin(
-        &self,
-        pred: Symbol,
-        atom: &Atom,
-        env: &Bindings,
-    ) -> Result<Vec<Bindings>, EvalError> {
-        let args: Vec<Option<Value>> = atom.all_args().map(|t| env.resolve(t)).collect();
-        let tuples = self
-            .builtins
-            .invoke(pred, &args)
-            .expect("checked by is_builtin")?;
-        let mut out = Vec::new();
-        for tuple in tuples {
-            out.extend(env.match_tuple(atom, &tuple));
-        }
-        Ok(out)
-    }
-
     /// Whether the expression contains a variable that is *bound to
     /// code* (a term of a matched rule that is not a ground value).
     /// Comparisons over such bindings fail silently — the meta-match
@@ -608,62 +787,63 @@ impl<'a> Engine<'a> {
         op: CmpOp,
         lhs: &Expr,
         rhs: &Expr,
-        env: Bindings,
-    ) -> Result<Vec<Bindings>, EvalError> {
-        let lv = self.eval_expr(lhs, &env)?;
-        let rv = self.eval_expr(rhs, &env)?;
+        env: &mut Bindings,
+        k: &mut Solved<'_>,
+    ) -> Result<ControlFlow<()>, EvalError> {
+        let lv = self.eval_expr(lhs, env)?;
+        let rv = self.eval_expr(rhs, env)?;
         // A side that failed to resolve because a variable is bound to
         // non-value code can never satisfy an object-level comparison.
-        if (lv.is_none() && self.expr_code_bound(lhs, &env))
-            || (rv.is_none() && self.expr_code_bound(rhs, &env))
+        if (lv.is_none() && self.expr_code_bound(lhs, env))
+            || (rv.is_none() && self.expr_code_bound(rhs, env))
         {
             // Exception: Eq against a quote pattern still matches (the
             // pattern side legitimately resolves to None).
             let quote_side = matches!(lhs, Expr::Term(Term::Quote(_)))
                 || matches!(rhs, Expr::Term(Term::Quote(_)));
             if !(op == CmpOp::Eq && quote_side) {
-                return Ok(Vec::new());
+                return Ok(ControlFlow::Continue(()));
             }
         }
-        match (op, lv, rv) {
+        let holds = match (op, lv, rv) {
             (CmpOp::Eq, Some(l), Some(r)) => {
                 // Quote patterns compare by matching, not identity: this is
                 // what makes `R = [| P(T*) <- A*. |]` bind P (del1, §4.2).
                 if let (Expr::Term(t @ Term::Quote(_)), Value::Quote(_)) = (lhs, &r) {
-                    return Ok(env.match_value(t, &r));
+                    return bridge(k, |visit| env.match_value(t, &r, visit));
                 }
                 if let (Expr::Term(t @ Term::Quote(_)), Value::Quote(_)) = (rhs, &l) {
-                    return Ok(env.match_value(t, &l));
+                    return bridge(k, |visit| env.match_value(t, &l, visit));
                 }
-                Ok(if l == r { vec![env] } else { Vec::new() })
+                l == r
             }
-            (CmpOp::Eq, Some(l), None) => self.try_bind(rule, rhs, l, env),
-            (CmpOp::Eq, None, Some(r)) => self.try_bind(rule, lhs, r, env),
-            (CmpOp::Eq, None, None) => Err(self.unbound(rule, op, lhs, rhs)),
-            (CmpOp::Ne, Some(l), Some(r)) => Ok(if l != r { vec![env] } else { Vec::new() }),
-            (_, Some(l), Some(r)) => {
+            (CmpOp::Eq, Some(l), None) => return self.try_bind(rule, rhs, &l, env, k),
+            (CmpOp::Eq, None, Some(r)) => return self.try_bind(rule, lhs, &r, env, k),
+            (CmpOp::Ne, Some(l), Some(r)) => l != r,
+            (CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge, Some(l), Some(r)) => {
                 let (Value::Int(a), Value::Int(b)) = (&l, &r) else {
                     return Err(EvalError::TypeError {
                         message: format!("ordering comparison on non-integers: {l} {op} {r}"),
                     });
                 };
-                let holds = match op {
+                match op {
                     CmpOp::Lt => a < b,
                     CmpOp::Le => a <= b,
                     CmpOp::Gt => a > b,
-                    CmpOp::Ge => a >= b,
-                    CmpOp::Eq | CmpOp::Ne => unreachable!("handled above"),
-                };
-                Ok(if holds { vec![env] } else { Vec::new() })
+                    _ => a >= b,
+                }
             }
-            _ => Err(self.unbound(rule, op, lhs, rhs)),
-        }
-    }
-
-    fn unbound(&self, rule: &Rule, op: CmpOp, lhs: &Expr, rhs: &Expr) -> EvalError {
-        EvalError::Unbound {
-            item: format!("{lhs} {op} {rhs}"),
-            rule: rule.to_string(),
+            _ => {
+                return Err(EvalError::Unbound {
+                    item: format!("{lhs} {op} {rhs}"),
+                    rule: rule.to_string(),
+                })
+            }
+        };
+        if holds {
+            k(env)
+        } else {
+            Ok(ControlFlow::Continue(()))
         }
     }
 
@@ -673,24 +853,13 @@ impl<'a> Engine<'a> {
         &self,
         rule: &Rule,
         target: &Expr,
-        value: Value,
-        env: Bindings,
-    ) -> Result<Vec<Bindings>, EvalError> {
+        value: &Value,
+        env: &mut Bindings,
+        k: &mut Solved<'_>,
+    ) -> Result<ControlFlow<()>, EvalError> {
         match target {
-            Expr::Term(Term::Var(v)) => {
-                let mut next = env;
-                Ok(if next.bind_value(*v, value) {
-                    vec![next]
-                } else {
-                    Vec::new()
-                })
-            }
-            Expr::Term(t @ Term::Quote(_)) => {
-                if let Value::Quote(_) = value {
-                    Ok(env.match_value(t, &value))
-                } else {
-                    Ok(Vec::new())
-                }
+            Expr::Term(t @ (Term::Var(_) | Term::Quote(_))) => {
+                bridge(k, |visit| env.match_value(t, value, visit))
             }
             other => Err(EvalError::Unbound {
                 item: format!("{other} = {value}"),
@@ -786,6 +955,8 @@ impl<'a> Engine<'a> {
                 }
             }
             if !skip {
+                #[cfg(test)]
+                HEADS.with(|n| n.set(n.get() + 1));
                 out.push((pred, tuple));
             }
         }
@@ -797,7 +968,12 @@ impl<'a> Engine<'a> {
     /// Evaluates an aggregate rule (§4.2.2): collect satisfying
     /// environments, group by the resolved head arguments (with the
     /// result position held out), and fold the aggregated variable.
-    fn eval_agg_rule(&self, rule: &Rule, db: &Database) -> Result<Vec<(Symbol, Tuple)>, EvalError> {
+    fn eval_agg_rule(
+        &self,
+        rule: &Rule,
+        plan: Option<&RulePlan>,
+        db: &Database,
+    ) -> Result<Vec<(Symbol, Tuple)>, EvalError> {
         let agg = rule.agg.as_ref().expect("aggregate rule");
         if rule.heads.len() != 1 {
             return Err(EvalError::PatternRule {
@@ -808,7 +984,6 @@ impl<'a> Engine<'a> {
         let pred = head.pred.name().ok_or_else(|| EvalError::PatternRule {
             rule: rule.to_string(),
         })?;
-        let envs = self.eval_body(rule, db, vec![Bindings::new()], None)?;
 
         // Dedup on the full variable projection (bag semantics over
         // distinct derivations), then group.
@@ -820,11 +995,13 @@ impl<'a> Engine<'a> {
         // seed), and where each key sits.
         let mut groups: Vec<(Vec<GroupSlot>, Vec<Value>)> = Vec::new();
         let mut slot_of: HashMap<Vec<GroupSlot>, usize> = HashMap::new();
-        for env in &envs {
+        let mut join = Join::new(rule, db, None);
+        join.builtin = plan.map(|p| &p.builtin[..]);
+        let _ = self.join(join, 0, &mut Bindings::new(), &mut |env| {
             let projection: Vec<Option<Value>> =
                 body_vars.iter().map(|v| env.value(*v).cloned()).collect();
             if !seen.insert(projection) {
-                continue;
+                return Ok(ControlFlow::Continue(()));
             }
             let over = env
                 .value(agg.over)
@@ -834,27 +1011,22 @@ impl<'a> Engine<'a> {
                     rule: rule.to_string(),
                 })?;
             let mut key = Vec::with_capacity(head.arity());
-            let mut ok = true;
             for term in head.all_args() {
                 match term {
                     Term::Var(v) if *v == agg.result => key.push(GroupSlot::Result),
                     other => match env.resolve(other) {
                         Some(val) => key.push(GroupSlot::Val(val)),
-                        None => {
-                            ok = false;
-                            break;
-                        }
+                        None => return Ok(ControlFlow::Continue(())),
                     },
                 }
             }
-            if ok {
-                let slot = *slot_of.entry(key).or_insert_with_key(|key| {
-                    groups.push((key.clone(), Vec::new()));
-                    groups.len() - 1
-                });
-                groups[slot].1.push(over);
-            }
-        }
+            let slot = *slot_of.entry(key).or_insert_with_key(|key| {
+                groups.push((key.clone(), Vec::new()));
+                groups.len() - 1
+            });
+            groups[slot].1.push(over);
+            Ok(ControlFlow::Continue(()))
+        })?;
 
         let mut out = Vec::new();
         for (key, overs) in groups {
@@ -928,28 +1100,25 @@ fn probe_key(atom: &Atom, env: &Bindings) -> ProbeKey {
     key
 }
 
-/// Appends to `out`, in insertion order, every extension of `env` under
-/// which `atom` matches a tuple of `rel` at position `from` or later.
-/// With [`matches_any`], the one way a literal — positive or negated,
-/// in the fixpoint or in proof search — meets a relation: the index
-/// narrows the candidates, `match_tuple` decides.
-fn probe(rel: &Relation, atom: &Atom, env: &Bindings, from: usize, out: &mut Vec<Bindings>) {
-    let _ = rel.probe(&probe_key(atom, env), from, |tuple| {
-        out.extend(env.match_tuple(atom, tuple));
-        ControlFlow::Continue(())
-    });
+/// Visits, in insertion order, every extension of `env` under which
+/// `atom` matches a tuple of `rel` at position `from` or later. With
+/// [`matches_any`], the one way a literal — positive or negated, in the
+/// fixpoint or in proof search — meets a relation: the index narrows the
+/// candidates, `match_tuple` decides.
+fn probe(
+    rel: &Relation,
+    atom: &Atom,
+    env: &mut Bindings,
+    from: usize,
+    visit: &mut Visit<'_>,
+) -> ControlFlow<()> {
+    let key = probe_key(atom, env);
+    rel.probe(&key, from, |tuple| env.match_tuple(atom, tuple, visit))
 }
 
 /// Whether [`probe`] would find anything: what a negated literal asks.
-fn matches_any(rel: &Relation, atom: &Atom, env: &Bindings) -> bool {
-    rel.probe(&probe_key(atom, env), 0, |tuple| {
-        if env.match_tuple(atom, tuple).is_empty() {
-            ControlFlow::Continue(())
-        } else {
-            ControlFlow::Break(())
-        }
-    })
-    .is_break()
+fn matches_any(rel: &Relation, atom: &Atom, env: &mut Bindings) -> bool {
+    probe(rel, atom, env, 0, &mut |_| ControlFlow::Break(())).is_break()
 }
 
 /// Naive evaluation: every rule re-evaluated in full each round until no
@@ -961,14 +1130,13 @@ pub fn run_naive(
     builtins: &Builtins,
 ) -> Result<EvalStats, EvalError> {
     let engine = Engine::new(rules, builtins);
-    let strata = stratify(rules, &|p| builtins.contains(p))?;
+    let plan = engine.plan()?;
     let mut stats = EvalStats::default();
-    for stratum_rules in &strata.rules_by_stratum {
-        let (agg_rules, plain_rules): (Vec<usize>, Vec<usize>) =
-            stratum_rules.iter().partition(|&&i| rules[i].agg.is_some());
-        for &i in &agg_rules {
+    let mut derived = Vec::new();
+    for stratum in &plan.strata {
+        for &i in &stratum.agg {
             stats.rule_evals += 1;
-            for (pred, tuple) in engine.eval_agg_rule(&rules[i], db)? {
+            for (pred, tuple) in engine.eval_agg_rule(&rules[i], Some(&plan.rules[i]), db)? {
                 if db.insert(pred, tuple) {
                     stats.derived += 1;
                 }
@@ -977,9 +1145,11 @@ pub fn run_naive(
         loop {
             stats.rounds += 1;
             let mut new = 0usize;
-            for &i in &plain_rules {
+            for &i in &stratum.plain {
                 stats.rule_evals += 1;
-                for (pred, tuple) in engine.eval_rule(&rules[i], db, None)? {
+                let budget = engine.round(db, stratum).budget;
+                engine.derive(i, &plan, db, None, budget, &mut derived)?;
+                for (pred, tuple) in derived.drain(..) {
                     if db.insert(pred, tuple) {
                         new += 1;
                     }
@@ -1298,6 +1468,62 @@ mod tests {
         assert_eq!(tuples(&db, "no"), vec!["b,a"]);
     }
 
+    #[test]
+    fn a_join_derives_in_the_order_of_its_literals() {
+        // 2 x 3 x 2 solutions: the first literal's tuples vary slowest,
+        // the order a breadth-first join listed its environments in.
+        let db = eval(
+            "a(1). a(2). b(1). b(2). b(3). c(1). c(2).
+             h(A,B,C) <- a(A), b(B), c(C).",
+        );
+        let h: Vec<String> = (db.relation(Symbol::intern("h")).unwrap().iter())
+            .map(|t| format!("{}{}{}", t[0], t[1], t[2]))
+            .collect();
+        assert_eq!(
+            h,
+            ["111", "112", "121", "122", "131", "132", "211", "212", "221", "222", "231", "232"]
+        );
+    }
+
+    /// `p(A,B,C,D) <- n(A), n(B), n(C), n(D).` over `facts` `n` facts,
+    /// under `max_tuples`; also how many head tuples were instantiated.
+    fn cross_product(facts: usize, max_tuples: usize) -> (Result<EvalStats, EvalError>, usize) {
+        let program = parse_program("p(A,B,C,D) <- n(A), n(B), n(C), n(D).").unwrap();
+        let builtins = Builtins::new();
+        let mut db = Database::new();
+        for i in 0..facts {
+            db.insert(Symbol::intern("n"), vec![Value::Int(i as i64)]);
+        }
+        let limits = EvalLimits {
+            max_tuples,
+            ..EvalLimits::default()
+        };
+        let before = HEADS.with(std::cell::Cell::get);
+        let outcome = Engine::new(&program.rules, &builtins)
+            .with_limits(limits)
+            .run(&mut db);
+        (outcome, HEADS.with(std::cell::Cell::get) - before)
+    }
+
+    #[test]
+    fn a_cross_product_stops_within_a_tuple_of_its_budget() {
+        // 64^4 = 16.7 M solutions, of which the budget allows 936.
+        let (outcome, instantiated) = cross_product(64, 1_000);
+        let err = outcome.expect_err("over the limit");
+        assert!(matches!(err, EvalError::LimitExceeded { .. }), "{err}");
+        assert_eq!(err.to_string(), "evaluation limit exceeded: 1000 tuples");
+        assert!(instantiated <= 1_001, "{instantiated} head tuples");
+        // 200^4 = 1.6 G: only reachable because nothing is held per
+        // partial solution.
+        let (outcome, instantiated) = cross_product(200, 1_000);
+        assert!(matches!(outcome, Err(EvalError::LimitExceeded { .. })));
+        assert!(instantiated <= 1_001, "{instantiated} head tuples");
+        // Within budget, the limit is not in the way.
+        let (outcome, instantiated) = cross_product(5, 1_000);
+        assert_eq!(outcome.unwrap().derived, 625);
+        assert_eq!(instantiated, 625);
+    }
+
     /// `says(hub,me,[| good(s_i). |])` for `i < n`, in `rel`.
     fn says_good(rel: &mut Relation, n: usize) {
         for i in 0..n {
@@ -1353,10 +1579,9 @@ mod tests {
             // ...of which a one-tuple delta window is one.
             assert_eq!(shown(&rel, &by_sender, &p5, n - 1), 1);
             assert_eq!(shown(&rel, &closed, &p5, 6), 0);
-            let mut found = Vec::new();
-            probe(&rel, &closed, &p5, 0, &mut found);
+            let found = p5.solutions(|env, visit| probe(&rel, &closed, env, 0, visit));
             assert_eq!(found, [p5.clone()]);
-            assert!(matches_any(&rel, &closed, &p5));
+            assert!(matches_any(&rel, &closed, &mut p5));
         }
     }
 
@@ -1372,9 +1597,7 @@ mod tests {
             .remove(0);
         let atom = rule.body[0].atom().unwrap();
         let matches = |rel: &Relation, env: &Bindings, from: usize| {
-            let mut out = Vec::new();
-            probe(rel, atom, env, from, &mut out);
-            out
+            (env.clone()).solutions(|env, visit| probe(rel, atom, env, from, visit))
         };
         let mut p9 = Bindings::new();
         p9.bind_value(Symbol::intern("P"), Value::sym("s9"));

@@ -62,6 +62,35 @@ impl Symbol {
     }
 }
 
+/// Names the runtime asks for on every step, evaluation, certificate or
+/// cache miss: interned when first wanted, then read without the
+/// interner's lock.
+#[derive(Clone, Copy, Debug)]
+pub struct Names {
+    /// `me`, the placeholder a workspace replaces by its principal.
+    pub me: Symbol,
+    /// `says(U1,U2,R)`.
+    pub says: Symbol,
+    /// `export[U2](U1,R,S)`.
+    pub export: Symbol,
+    /// `loc(P,N)`, a principal's placement.
+    pub loc: Symbol,
+    /// `fail()`, whose derivation fails an evaluation.
+    pub fail: Symbol,
+}
+
+/// The process-wide [`Names`].
+pub fn names() -> &'static Names {
+    static NAMES: OnceLock<Names> = OnceLock::new();
+    NAMES.get_or_init(|| Names {
+        me: Symbol::intern("me"),
+        says: Symbol::intern("says"),
+        export: Symbol::intern("export"),
+        loc: Symbol::intern("loc"),
+        fail: Symbol::intern("fail"),
+    })
+}
+
 impl fmt::Debug for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:?}", self.as_str())

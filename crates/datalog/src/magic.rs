@@ -18,6 +18,7 @@ use crate::builtins::Builtins;
 use crate::db::{Database, Tuple};
 use crate::eval::{Engine, EvalError, EvalStats};
 use crate::intern::Symbol;
+use crate::unify::Bindings;
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
 
@@ -282,11 +283,7 @@ pub fn query_magic(
     let mut seen: HashSet<Tuple> = HashSet::new();
     if let Some(rel) = work.relation(magic.answer_pred) {
         for tuple in rel.iter() {
-            if !crate::unify::Bindings::new()
-                .match_tuple(query, tuple)
-                .is_empty()
-                && seen.insert(tuple.clone())
-            {
+            if Bindings::new().matches(query, tuple) && seen.insert(tuple.clone()) {
                 answers.push(tuple.clone());
             }
         }
@@ -295,11 +292,7 @@ pub fn query_magic(
     // as answers (the rewrite only derives rule-produced tuples).
     if let Some(rel) = db.relation(query.pred.name().expect("concrete query")) {
         for tuple in rel.iter() {
-            if !crate::unify::Bindings::new()
-                .match_tuple(query, tuple)
-                .is_empty()
-                && seen.insert(tuple.clone())
-            {
+            if Bindings::new().matches(query, tuple) && seen.insert(tuple.clone()) {
                 answers.push(tuple.clone());
             }
         }

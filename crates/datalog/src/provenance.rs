@@ -20,6 +20,7 @@ use crate::unify::Bindings;
 use crate::value::Value;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// A proof tree for one tuple.
 #[derive(Clone, Debug, PartialEq)]
@@ -161,7 +162,7 @@ impl<'a> Explainer<'a> {
     }
 
     /// Finds some rule instance concluding `pred(tuple)` whose premises
-    /// hold in the database.
+    /// hold in the database: the first one the search meets.
     fn find_rule_instance(&mut self, pred: Symbol, tuple: &[Value]) -> Option<Proof> {
         for rule in self.rules {
             if rule.is_pattern() || rule.agg.is_some() {
@@ -173,70 +174,62 @@ impl<'a> Explainer<'a> {
                 }
                 if rule.body.is_empty() {
                     // A fact-rule concluding exactly this tuple.
-                    let envs = Bindings::new().match_tuple(head, tuple);
-                    if !envs.is_empty() && head.is_ground() {
+                    if head.is_ground() && Bindings::new().matches(head, tuple) {
                         return None; // it IS a base fact
                     }
                     continue;
                 }
                 // Bind the head against the tuple, then check the body.
-                for env in Bindings::new().match_tuple(head, tuple) {
-                    let mut envs = vec![env];
-                    for item in &rule.body {
-                        if envs.is_empty() {
-                            break;
-                        }
-                        envs = self
-                            .engine
-                            .eval_single_item(rule, item, envs, self.db)
-                            .unwrap_or_default();
-                    }
-                    let Some(witness) = envs.into_iter().next() else {
-                        continue;
-                    };
-                    // Premises: positive, non-builtin literals.
-                    let mut premises = Vec::new();
-                    let mut ok = true;
-                    for item in &rule.body {
-                        let BodyItem::Lit {
-                            negated: false,
-                            atom,
-                        } = item
-                        else {
-                            continue;
-                        };
-                        let Some(p) = atom.pred.name() else {
-                            continue;
-                        };
-                        if self.builtins.contains(p) {
-                            continue;
-                        }
-                        let premise_tuple: Option<Tuple> =
-                            atom.all_args().map(|t| witness.resolve(t)).collect();
-                        match premise_tuple {
-                            Some(t) if self.db.contains(p, &t) => {
-                                premises.push(self.prove(p, &t));
-                            }
-                            _ => {
-                                // Premise bound to code or missing:
-                                // cannot reconstruct through this witness.
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                    if ok {
-                        return Some(Proof::Derived {
-                            pred,
-                            tuple: tuple.to_vec(),
-                            rule: rule.to_string(),
-                            premises,
-                        });
-                    }
+                let mut premises = None;
+                let searched =
+                    (self.engine).for_each_proof(rule, head, tuple, self.db, &mut |witness| {
+                        premises = self.premises_of(rule, witness);
+                        Ok(match premises {
+                            Some(_) => ControlFlow::Break(()),
+                            None => ControlFlow::Continue(()),
+                        })
+                    });
+                if let (Ok(_), Some(premises)) = (searched, premises) {
+                    return Some(Proof::Derived {
+                        pred,
+                        tuple: tuple.to_vec(),
+                        rule: rule.to_string(),
+                        premises: premises.iter().map(|(p, t)| self.prove(*p, t)).collect(),
+                    });
                 }
             }
         }
         None
+    }
+
+    /// The premises of `rule` under `witness` — its positive, non-builtin
+    /// literals — if each is a tuple of the database. One bound to code,
+    /// or missing, cannot be reconstructed through this witness.
+    fn premises_of(&self, rule: &Rule, witness: &Bindings) -> Option<Vec<(Symbol, Tuple)>> {
+        let mut premises = Vec::new();
+        for item in &rule.body {
+            let BodyItem::Lit {
+                negated: false,
+                atom,
+            } = item
+            else {
+                continue;
+            };
+            let Some(p) = atom.pred.name() else {
+                continue;
+            };
+            if self.builtins.contains(p) {
+                continue;
+            }
+            let premise: Tuple = (atom.all_args())
+                .map(|t| witness.resolve(t))
+                .collect::<Option<_>>()?;
+            if !self.db.contains(p, &premise) {
+                return None;
+            }
+            premises.push((p, premise));
+        }
+        Some(premises)
     }
 }
 

@@ -15,18 +15,23 @@
 //! flow into ordinary head atoms.
 //!
 //! Pattern matching is nondeterministic (a pattern with a body-rest
-//! variable can embed into a concrete body in several ways), so matching
-//! functions return *all* consistent extensions of the input bindings —
-//! mirroring the existential meta-model translation in the paper, where
-//! `owner(U, [| A <- P(T2*), A*. |])` expands to a conjunction over
-//! existentially quantified `body(R1,A1), functor(A1,P)`.
+//! variable can embed into a concrete body in several ways), so a
+//! matching function *visits* every consistent extension of the
+//! environment it is given — mirroring the existential meta-model
+//! translation in the paper, where `owner(U, [| A <- P(T2*), A*. |])`
+//! expands to a conjunction over existentially quantified
+//! `body(R1,A1), functor(A1,P)`. The extension is made in place and
+//! taken back before the function returns; see [`Bindings`].
 
 use crate::ast::{Atom, BodyItem, Expr, PredRef, Rule, Term};
 use crate::intern::Symbol;
 use crate::value::Value;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::ops::ControlFlow::{self, Break, Continue};
 use std::sync::Arc;
+
+#[cfg(test)]
+mod model;
 
 /// What a variable can be bound to.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -56,19 +61,98 @@ impl Binding {
     }
 }
 
-/// An immutable-style binding environment. Cloned on extension; rule
-/// bodies are short, so environments stay small.
-#[derive(Clone, Default, Debug, PartialEq, Eq)]
-pub struct Bindings {
-    map: HashMap<Symbol, Binding>,
+/// One bound variable. Sequence meta-variables (`T*`, `A*`) live in
+/// their own namespace, the `seq` bit: the paper freely reuses a letter
+/// for both an atom meta-variable and a rest wildcard
+/// (`[| A <- P(T2*), A*. |]`), so `A` and `A*` must not collide.
+#[derive(Clone, Debug)]
+struct Entry {
+    var: Symbol,
+    seq: bool,
+    binding: Binding,
 }
 
-/// Sequence meta-variables (`T*`, `A*`) live in their own namespace: the
-/// paper freely reuses a letter for both an atom meta-variable and a rest
-/// wildcard (`[| A <- P(T2*), A*. |]`), so `A` and `A*` must not collide.
-/// Decorating with `*` is safe because user variables cannot contain it.
-fn seq_key(var: Symbol) -> Symbol {
-    Symbol::intern(&format!("{var}*"))
+/// What a matcher calls once per solution, with the environment extended
+/// to that solution; `Break` ends the search.
+pub type Visit<'a> = dyn FnMut(&mut Bindings) -> ControlFlow<()> + 'a;
+
+/// A binding environment: the variables bound so far, in the order they
+/// were bound.
+///
+/// **The vector is its own trail.** A variable is bound by pushing an
+/// entry and never rebound, so the environment before any sequence of
+/// bindings is a prefix of the one after it, and undoing them is a
+/// `truncate` to the length it had. That is what lets one environment
+/// serve a whole rule evaluation: nothing is cloned to try a candidate.
+///
+/// **Restore on return.** Every `match_*` function binds in place, calls
+/// its visitor once per solution with the environment extended to that
+/// solution, and leaves the environment exactly as it found it when it
+/// returns — whether it matched nothing, visited every solution, or the
+/// visitor answered `Break` (which it passes on). A visitor may itself
+/// match further against the environment it is handed; what it binds is
+/// gone when it returns. Only [`Bindings::insert`] and
+/// [`Bindings::bind_value`] leave a binding behind.
+///
+/// **Solution order.** Solutions are visited depth-first, which is the
+/// lexicographic order of the choices made left to right: an earlier
+/// argument's (or pattern item's) alternatives vary slowest. Only `A*`
+/// patterns have alternatives; every other match has at most one
+/// solution.
+///
+/// **Lookup is a scan.** A rule binds a handful of variables, so
+/// comparing a few `(Symbol, bool)` pairs costs less than hashing one.
+///
+/// Two environments are equal when they bind the same variables to the
+/// same things, in whatever order.
+#[derive(Default, Debug)]
+pub struct Bindings {
+    entries: Vec<Entry>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// How many times this thread has cloned a `Bindings`.
+    pub(crate) static CLONES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+impl Clone for Bindings {
+    fn clone(&self) -> Bindings {
+        #[cfg(test)]
+        CLONES.with(|n| n.set(n.get() + 1));
+        Bindings {
+            entries: self.entries.clone(),
+        }
+    }
+}
+
+impl PartialEq for Bindings {
+    fn eq(&self, other: &Bindings) -> bool {
+        self.len() == other.len()
+            && self
+                .entries
+                .iter()
+                .all(|e| other.lookup(e.var, e.seq) == Some(&e.binding))
+    }
+}
+
+impl Eq for Bindings {}
+
+/// What a pattern term is matched against: a stored value, or a term of
+/// quoted code that is not one.
+#[derive(Clone, Copy)]
+enum Code<'a> {
+    Val(&'a Value),
+    Term(&'a Term),
+}
+
+impl<'a> From<&'a Term> for Code<'a> {
+    fn from(term: &'a Term) -> Code<'a> {
+        match term {
+            Term::Val(value) => Code::Val(value),
+            other => Code::Term(other),
+        }
+    }
 }
 
 impl Bindings {
@@ -77,30 +161,60 @@ impl Bindings {
         Bindings::default()
     }
 
+    fn lookup(&self, var: Symbol, seq: bool) -> Option<&Binding> {
+        let entry = self.entries.iter().find(|e| e.var == var && e.seq == seq);
+        entry.map(|e| &e.binding)
+    }
+
     /// Looks up a variable.
     pub fn get(&self, var: Symbol) -> Option<&Binding> {
-        self.map.get(&var)
+        self.lookup(var, false)
+    }
+
+    /// Looks up a sequence meta-variable: `T` for what `T*` captured.
+    pub fn get_seq(&self, var: Symbol) -> Option<&Binding> {
+        self.lookup(var, true)
     }
 
     /// The bound value of `var`, if it is bound to a ground value.
     pub fn value(&self, var: Symbol) -> Option<&Value> {
-        match self.map.get(&var) {
+        match self.get(var) {
             Some(Binding::Val(v)) => Some(v),
             _ => None,
+        }
+    }
+
+    fn bind(&mut self, var: Symbol, seq: bool, binding: Binding) -> bool {
+        let binding = binding.normalized();
+        match self.lookup(var, seq) {
+            Some(existing) => *existing == binding,
+            None => {
+                self.entries.push(Entry { var, seq, binding });
+                true
+            }
+        }
+    }
+
+    /// [`Bindings::bind_value`] that clones `value` only to store it.
+    fn bind_to(&mut self, var: Symbol, value: &Value) -> bool {
+        match self.get(var) {
+            Some(existing) => matches!(existing, Binding::Val(v) if v == value),
+            None => {
+                let binding = Binding::Val(value.clone());
+                self.entries.push(Entry {
+                    var,
+                    seq: false,
+                    binding,
+                });
+                true
+            }
         }
     }
 
     /// Binds `var`, returning `false` (and leaving the environment
     /// unchanged) when `var` is already bound to something different.
     pub fn insert(&mut self, var: Symbol, binding: Binding) -> bool {
-        let binding = binding.normalized();
-        match self.map.get(&var) {
-            Some(existing) => *existing == binding,
-            None => {
-                self.map.insert(var, binding);
-                true
-            }
-        }
+        self.bind(var, false, binding)
     }
 
     /// Convenience: bind to a ground value.
@@ -110,17 +224,33 @@ impl Bindings {
 
     /// Number of bound variables.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.entries.len()
     }
 
     /// Whether no variables are bound.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.entries.is_empty()
     }
 
-    /// Iterates over `(variable, binding)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (Symbol, &Binding)> {
-        self.map.iter().map(|(k, v)| (*k, v))
+    /// Iterates over `(variable, is a sequence variable, binding)` in
+    /// binding order: the order the matcher met the variables in, which
+    /// for a rule body is left to right.
+    pub fn iter(&self) -> impl Iterator<Item = (Symbol, bool, &Binding)> {
+        self.entries.iter().map(|e| (e.var, e.seq, &e.binding))
+    }
+
+    /// The solutions `run` visits, cloned into a list: for callers that
+    /// want to hold them after the search, which a visitor cannot.
+    pub fn solutions(
+        &mut self,
+        run: impl FnOnce(&mut Bindings, &mut Visit<'_>) -> ControlFlow<()>,
+    ) -> Vec<Bindings> {
+        let mut out = Vec::new();
+        let _ = run(self, &mut |env| {
+            out.push(env.clone());
+            Continue(())
+        });
+        out
     }
 
     // ---- resolution ------------------------------------------------------
@@ -132,10 +262,7 @@ impl Bindings {
     pub fn resolve(&self, term: &Term) -> Option<Value> {
         match term {
             Term::Val(v) => Some(v.clone()),
-            Term::Var(v) => match self.map.get(v)? {
-                Binding::Val(value) => Some(value.clone()),
-                _ => None,
-            },
+            Term::Var(v) => self.value(*v).cloned(),
             Term::SeqVar(_) => None,
             Term::Quote(rule) => {
                 let instantiated = self.instantiate_rule(rule);
@@ -176,149 +303,147 @@ impl Bindings {
         hash_term(term, Some(self), state)
     }
 
-    // ---- object-level matching -------------------------------------------
+    // ---- matching ----------------------------------------------------------
 
-    /// Matches one atom-argument term against a ground value, returning
-    /// all consistent extensions (usually zero or one; quote patterns can
-    /// yield several).
-    pub fn match_value(&self, pattern: &Term, value: &Value) -> Vec<Bindings> {
-        match pattern {
-            Term::Val(v) => {
-                if v == value {
-                    vec![self.clone()]
-                } else {
-                    Vec::new()
+    /// Visits `self` extended by `var = binding`, if that is consistent.
+    fn bound(
+        &mut self,
+        var: Symbol,
+        seq: bool,
+        binding: Binding,
+        visit: &mut Visit<'_>,
+    ) -> ControlFlow<()> {
+        let mark = self.entries.len();
+        let flow = if self.bind(var, seq, binding) {
+            visit(self)
+        } else {
+            Continue(())
+        };
+        self.entries.truncate(mark);
+        flow
+    }
+
+    /// Matches pattern terms against as many of `codes`, pairwise. The
+    /// one loop under both levels of matching: everything but a quote
+    /// pattern has at most one solution and is bound without a call.
+    fn match_args<'p, 'c>(
+        &mut self,
+        mut patterns: impl Iterator<Item = &'p Term> + Clone,
+        mut codes: impl Iterator<Item = Code<'c>> + Clone,
+        visit: &mut Visit<'_>,
+    ) -> ControlFlow<()> {
+        let mark = self.entries.len();
+        let flow = loop {
+            let Some(pattern) = patterns.next() else {
+                break visit(self);
+            };
+            let matched = match (pattern, codes.next()) {
+                (Term::Val(v), Some(Code::Val(w))) => v == w,
+                (Term::Var(var), Some(Code::Val(w))) => self.bind_to(*var, w),
+                (Term::Var(var), Some(Code::Term(t))) => {
+                    self.bind(*var, false, Binding::CodeTerm(t.clone()))
                 }
-            }
-            Term::Var(var) => {
-                let mut next = self.clone();
-                if next.bind_value(*var, value.clone()) {
-                    vec![next]
-                } else {
-                    Vec::new()
+                (
+                    Term::Quote(pat),
+                    Some(Code::Val(Value::Quote(rule)) | Code::Term(Term::Quote(rule))),
+                ) => {
+                    break self.match_rule(pat, rule, &mut |env| {
+                        env.match_args(patterns.clone(), codes.clone(), visit)
+                    });
                 }
+                // A value against code that is not one, a quote pattern
+                // against anything but a quote, a `T*` that is not last.
+                _ => false,
+            };
+            if !matched {
+                break Continue(());
             }
-            Term::SeqVar(_) => Vec::new(), // invalid at object level
-            Term::Quote(pat) => match value {
-                Value::Quote(rule) => self.match_rule(pat, rule),
-                _ => Vec::new(),
-            },
-        }
+        };
+        self.entries.truncate(mark);
+        flow
+    }
+
+    /// Matches one atom-argument term against a ground value (at most
+    /// one solution, unless `pattern` is a quote pattern with `A*`).
+    pub fn match_value(
+        &mut self,
+        pattern: &Term,
+        value: &Value,
+        visit: &mut Visit<'_>,
+    ) -> ControlFlow<()> {
+        self.match_args(
+            std::iter::once(pattern),
+            std::iter::once(Code::Val(value)),
+            visit,
+        )
     }
 
     /// Matches an atom's arguments against a stored tuple. `tuple` covers
     /// key arguments first, then ordinary arguments.
-    pub fn match_tuple(&self, atom: &Atom, tuple: &[Value]) -> Vec<Bindings> {
+    pub fn match_tuple(
+        &mut self,
+        atom: &Atom,
+        tuple: &[Value],
+        visit: &mut Visit<'_>,
+    ) -> ControlFlow<()> {
         if atom.arity() != tuple.len() {
-            return Vec::new();
+            return Continue(());
         }
-        let mut envs = vec![self.clone()];
-        for (term, value) in atom.all_args().zip(tuple.iter()) {
-            let mut next = Vec::new();
-            for env in &envs {
-                next.extend(env.match_value(term, value));
-            }
-            if next.is_empty() {
-                return Vec::new();
-            }
-            envs = next;
-        }
-        envs
+        self.match_args(atom.all_args(), tuple.iter().map(Code::Val), visit)
     }
 
-    // ---- meta-level matching ----------------------------------------------
-
-    /// Matches a pattern term against a *code* term of a quoted rule.
-    pub fn match_code_term(&self, pattern: &Term, code: &Term) -> Vec<Bindings> {
-        match pattern {
-            Term::Var(var) => {
-                let binding = match code {
-                    Term::Val(v) => Binding::Val(v.clone()),
-                    other => Binding::CodeTerm(other.clone()),
-                };
-                let mut next = self.clone();
-                if next.insert(*var, binding) {
-                    vec![next]
-                } else {
-                    Vec::new()
-                }
-            }
-            Term::Val(v) => match code {
-                Term::Val(w) if v == w => vec![self.clone()],
-                _ => Vec::new(),
-            },
-            Term::Quote(pat) => match code {
-                Term::Quote(rule) => self.match_rule(pat, rule),
-                Term::Val(Value::Quote(rule)) => self.match_rule(pat, rule),
-                _ => Vec::new(),
-            },
-            Term::SeqVar(_) => Vec::new(), // handled by the arg-list matcher
-        }
+    /// Whether `atom` matches `tuple` under these bindings at all.
+    pub fn matches(&mut self, atom: &Atom, tuple: &[Value]) -> bool {
+        self.match_tuple(atom, tuple, &mut |_| Break(())).is_break()
     }
 
     /// Matches a pattern atom against a concrete (code) atom.
-    pub fn match_code_atom(&self, pattern: &Atom, code: &Atom) -> Vec<Bindings> {
-        // Bare meta-variable: capture the whole atom.
-        if let PredRef::Var(v) = pattern.pred {
-            if pattern.key_args.is_empty() && pattern.args.is_empty() {
-                let mut next = self.clone();
-                if next.insert(v, Binding::CodeAtom(code.clone())) {
-                    return vec![next];
-                }
-                return Vec::new();
-            }
-        }
-        // Functor.
-        let mut envs = match (&pattern.pred, &code.pred) {
-            (PredRef::Name(p), PredRef::Name(c)) if p == c => vec![self.clone()],
-            (PredRef::Name(_), _) => return Vec::new(),
-            (PredRef::Var(v), PredRef::Name(c)) => {
-                let mut next = self.clone();
-                if next.bind_value(*v, Value::Sym(*c)) {
-                    vec![next]
-                } else {
-                    return Vec::new();
-                }
-            }
-            (PredRef::Var(_), PredRef::Var(_)) => return Vec::new(),
-        };
+    pub fn match_code_atom(
+        &mut self,
+        pattern: &Atom,
+        code: &Atom,
+        visit: &mut Visit<'_>,
+    ) -> ControlFlow<()> {
         // Arguments: keys then args, with an optional trailing `T*`
         // absorbing the remainder.
-        let pattern_args: Vec<&Term> = pattern.all_args().collect();
-        let code_args: Vec<&Term> = code.all_args().collect();
-        let (fixed, seq_tail) = match pattern_args.split_last() {
-            Some((Term::SeqVar(v), init)) => (init.to_vec(), Some(*v)),
-            _ => (pattern_args.clone(), None),
+        let seq_tail = match pattern.all_args().last() {
+            Some(Term::SeqVar(v)) => Some(*v),
+            _ => None,
         };
-        if seq_tail.is_some() {
-            if code_args.len() < fixed.len() {
-                return Vec::new();
+        let fixed = pattern.arity() - usize::from(seq_tail.is_some());
+        let mut args = |env: &mut Bindings| {
+            if code.arity() < fixed || (seq_tail.is_none() && code.arity() > fixed) {
+                return Continue(());
             }
-        } else if code_args.len() != fixed.len() {
-            return Vec::new();
-        }
-        for (p, c) in fixed.iter().zip(code_args.iter()) {
-            let mut next = Vec::new();
-            for env in &envs {
-                next.extend(env.match_code_term(p, c));
+            let codes = code.all_args().map(Code::from);
+            env.match_args(pattern.all_args().take(fixed), codes, &mut |env| {
+                let Some(seq) = seq_tail else {
+                    return visit(env);
+                };
+                let tail = code.all_args().skip(fixed).cloned().collect();
+                env.bound(seq, true, Binding::Terms(tail), visit)
+            })
+        };
+        match (pattern.pred, code.pred) {
+            // Bare meta-variable: capture the whole atom.
+            (PredRef::Var(v), _) if pattern.arity() == 0 => {
+                self.bound(v, false, Binding::CodeAtom(code.clone()), visit)
             }
-            if next.is_empty() {
-                return Vec::new();
+            (PredRef::Name(p), PredRef::Name(c)) if p == c => args(self),
+            (PredRef::Var(v), PredRef::Name(c)) => {
+                self.bound(v, false, Binding::Val(Value::Sym(c)), &mut args)
             }
-            envs = next;
+            _ => Continue(()),
         }
-        if let Some(seq) = seq_tail {
-            let tail: Vec<Term> = code_args[fixed.len()..]
-                .iter()
-                .map(|t| (*t).clone())
-                .collect();
-            envs.retain_mut(|env| env.insert(seq_key(seq), Binding::Terms(tail.clone())));
-        }
-        envs
     }
 
     /// Matches a pattern body item against a concrete body item.
-    fn match_code_item(&self, pattern: &BodyItem, code: &BodyItem) -> Vec<Bindings> {
+    fn match_code_item(
+        &mut self,
+        pattern: &BodyItem,
+        code: &BodyItem,
+        visit: &mut Visit<'_>,
+    ) -> ControlFlow<()> {
         match (pattern, code) {
             (
                 BodyItem::Lit {
@@ -329,7 +454,7 @@ impl Bindings {
                     negated: cn,
                     atom: ca,
                 },
-            ) if pn == cn => self.match_code_atom(pa, ca),
+            ) if pn == cn => self.match_code_atom(pa, ca, visit),
             (
                 BodyItem::Cmp { op, lhs, rhs },
                 BodyItem::Cmp {
@@ -338,95 +463,93 @@ impl Bindings {
                     rhs: crhs,
                 },
             ) if op == cop => {
-                let mut envs = self.match_code_expr(lhs, clhs);
-                let mut out = Vec::new();
-                for env in envs.drain(..) {
-                    out.extend(env.match_code_expr(rhs, crhs));
-                }
-                out
+                self.match_code_expr(lhs, clhs, &mut |env| env.match_code_expr(rhs, crhs, visit))
             }
-            _ => Vec::new(),
+            _ => Continue(()),
         }
     }
 
-    fn match_code_expr(&self, pattern: &Expr, code: &Expr) -> Vec<Bindings> {
+    fn match_code_expr(
+        &mut self,
+        pattern: &Expr,
+        code: &Expr,
+        visit: &mut Visit<'_>,
+    ) -> ControlFlow<()> {
         match (pattern, code) {
-            (Expr::Term(p), Expr::Term(c)) => self.match_code_term(p, c),
-            (Expr::BinOp(op, pl, pr), Expr::BinOp(cop, cl, cr)) if op == cop => {
-                let mut out = Vec::new();
-                for env in self.match_code_expr(pl, cl) {
-                    out.extend(env.match_code_expr(pr, cr));
-                }
-                out
+            (Expr::Term(p), Expr::Term(c)) => {
+                self.match_args(std::iter::once(p), std::iter::once(Code::from(c)), visit)
             }
-            _ => Vec::new(),
+            (Expr::BinOp(op, pl, pr), Expr::BinOp(cop, cl, cr)) if op == cop => {
+                self.match_code_expr(pl, cl, &mut |env| env.match_code_expr(pr, cr, visit))
+            }
+            _ => Continue(()),
         }
     }
 
-    /// Matches a quote pattern against a concrete quoted rule, returning
-    /// all consistent binding extensions.
+    /// Matches `patterns[i]` against `codes[i]` by `step`, for every `i`
+    /// the two slices share.
+    fn match_each<T>(
+        &mut self,
+        patterns: &[T],
+        codes: &[T],
+        step: fn(&mut Bindings, &T, &T, &mut Visit<'_>) -> ControlFlow<()>,
+        visit: &mut Visit<'_>,
+    ) -> ControlFlow<()> {
+        match (patterns.split_first(), codes.split_first()) {
+            (Some((p, patterns)), Some((c, codes))) => step(self, p, c, &mut |env| {
+                env.match_each(patterns, codes, step, visit)
+            }),
+            _ => visit(self),
+        }
+    }
+
+    /// Matches each of `items` against *some* item of `body`.
+    fn match_some(
+        &mut self,
+        items: &[BodyItem],
+        body: &[BodyItem],
+        visit: &mut Visit<'_>,
+    ) -> ControlFlow<()> {
+        let Some((item, items)) = items.split_first() else {
+            return visit(self);
+        };
+        body.iter().try_for_each(|code| {
+            self.match_code_item(item, code, &mut |env| env.match_some(items, body, visit))
+        })
+    }
+
+    /// Matches a quote pattern against a concrete quoted rule.
     ///
     /// Head atoms match positionally. Body matching depends on whether the
     /// pattern ends in a body-rest variable (`A*`):
     ///
     /// * with `A*`: each pattern item matches *some* concrete body item
-    ///   (existential, unordered — the paper's meta-model translation);
-    ///   the rest variable captures the full concrete body;
+    ///   (existential, unordered — the paper's meta-model translation), so
+    ///   there can be several solutions; the rest variable captures the
+    ///   full concrete body;
     /// * without: bodies match positionally and exactly.
-    pub fn match_rule(&self, pattern: &Rule, code: &Rule) -> Vec<Bindings> {
+    pub fn match_rule(
+        &mut self,
+        pattern: &Rule,
+        code: &Rule,
+        visit: &mut Visit<'_>,
+    ) -> ControlFlow<()> {
         if pattern.heads.len() != code.heads.len() || pattern.agg != code.agg {
-            return Vec::new();
+            return Continue(());
         }
-        let mut envs = vec![self.clone()];
-        for (p, c) in pattern.heads.iter().zip(code.heads.iter()) {
-            let mut next = Vec::new();
-            for env in &envs {
-                next.extend(env.match_code_atom(p, c));
+        let heads = Bindings::match_code_atom;
+        match pattern.body.split_last() {
+            Some((BodyItem::Rest(rest), items)) => {
+                self.match_each(&pattern.heads, &code.heads, heads, &mut |env| {
+                    env.match_some(items, &code.body, &mut |env| {
+                        env.bound(*rest, true, Binding::Items(code.body.clone()), visit)
+                    })
+                })
             }
-            if next.is_empty() {
-                return Vec::new();
-            }
-            envs = next;
-        }
-        let (items, rest) = match pattern.body.split_last() {
-            Some((BodyItem::Rest(v), init)) => (init, Some(*v)),
-            _ => (&pattern.body[..], None),
-        };
-        match rest {
-            None => {
-                if items.len() != code.body.len() {
-                    return Vec::new();
-                }
-                for (p, c) in items.iter().zip(code.body.iter()) {
-                    let mut next = Vec::new();
-                    for env in &envs {
-                        next.extend(env.match_code_item(p, c));
-                    }
-                    if next.is_empty() {
-                        return Vec::new();
-                    }
-                    envs = next;
-                }
-                envs
-            }
-            Some(rest_var) => {
-                for p in items {
-                    let mut next = Vec::new();
-                    for env in &envs {
-                        for c in &code.body {
-                            next.extend(env.match_code_item(p, c));
-                        }
-                    }
-                    if next.is_empty() {
-                        return Vec::new();
-                    }
-                    envs = next;
-                }
-                envs.retain_mut(|env| {
-                    env.insert(seq_key(rest_var), Binding::Items(code.body.clone()))
-                });
-                envs
-            }
+            _ if pattern.body.len() != code.body.len() => Continue(()),
+            _ => self.match_each(&pattern.heads, &code.heads, heads, &mut |env| {
+                env.match_each(&pattern.body, &code.body, Bindings::match_code_item, visit)
+            }),
         }
     }
 
@@ -437,7 +560,7 @@ impl Bindings {
     pub fn instantiate_term(&self, term: &Term) -> Term {
         match term {
             Term::Val(_) => term.clone(),
-            Term::Var(v) => match self.map.get(v) {
+            Term::Var(v) => match self.get(*v) {
                 Some(Binding::Val(value)) => Term::Val(value.clone()),
                 Some(Binding::CodeTerm(t)) => t.clone(),
                 _ => term.clone(),
@@ -458,7 +581,7 @@ impl Bindings {
         let mut out = Vec::with_capacity(args.len());
         for term in args {
             if let Term::SeqVar(v) = term {
-                if let Some(Binding::Terms(ts)) = self.map.get(&seq_key(*v)) {
+                if let Some(Binding::Terms(ts)) = self.get_seq(*v) {
                     out.extend(ts.iter().map(|t| self.instantiate_term(t)));
                     continue;
                 }
@@ -473,14 +596,14 @@ impl Bindings {
     pub fn instantiate_atom(&self, atom: &Atom) -> Atom {
         if let PredRef::Var(v) = atom.pred {
             if atom.key_args.is_empty() && atom.args.is_empty() {
-                if let Some(Binding::CodeAtom(a)) = self.map.get(&v) {
+                if let Some(Binding::CodeAtom(a)) = self.get(v) {
                     return self.instantiate_atom(a);
                 }
             }
         }
         let pred = match atom.pred {
             PredRef::Name(_) => atom.pred,
-            PredRef::Var(v) => match self.map.get(&v) {
+            PredRef::Var(v) => match self.get(v) {
                 Some(Binding::Val(Value::Sym(name))) => PredRef::Name(*name),
                 _ => atom.pred,
             },
@@ -514,7 +637,7 @@ impl Bindings {
                 lhs: self.instantiate_expr(lhs),
                 rhs: self.instantiate_expr(rhs),
             }),
-            BodyItem::Rest(v) => match self.map.get(&seq_key(*v)) {
+            BodyItem::Rest(v) => match self.get_seq(*v) {
                 Some(Binding::Items(items)) => {
                     for sub in items {
                         self.instantiate_item(sub, out);
@@ -654,6 +777,18 @@ mod tests {
         }
     }
 
+    fn tuple_matches(env: &Bindings, atom: &Atom, tuple: &[Value]) -> Vec<Bindings> {
+        (env.clone()).solutions(|env, visit| env.match_tuple(atom, tuple, visit))
+    }
+
+    fn value_matches(env: &Bindings, pattern: &Term, value: &Value) -> Vec<Bindings> {
+        (env.clone()).solutions(|env, visit| env.match_value(pattern, value, visit))
+    }
+
+    fn rule_matches(pattern: &Rule, code: &Rule) -> Vec<Bindings> {
+        Bindings::new().solutions(|env, visit| env.match_rule(pattern, code, visit))
+    }
+
     #[test]
     fn bind_and_conflict() {
         let mut b = Bindings::new();
@@ -668,7 +803,7 @@ mod tests {
     fn match_tuple_simple() {
         let atom = parse_atom("access(P,O,read)").unwrap();
         let tuple = vec![Value::sym("alice"), Value::sym("file1"), Value::sym("read")];
-        let envs = Bindings::new().match_tuple(&atom, &tuple);
+        let envs = tuple_matches(&Bindings::new(), &atom, &tuple);
         assert_eq!(envs.len(), 1);
         assert_eq!(
             envs[0].value(Symbol::intern("P")),
@@ -680,7 +815,7 @@ mod tests {
             Value::sym("file1"),
             Value::sym("write"),
         ];
-        assert!(Bindings::new().match_tuple(&atom, &bad).is_empty());
+        assert!(tuple_matches(&Bindings::new(), &atom, &bad).is_empty());
     }
 
     #[test]
@@ -688,8 +823,8 @@ mod tests {
         let atom = parse_atom("edge(X,X)").unwrap();
         let same = vec![Value::sym("a"), Value::sym("a")];
         let diff = vec![Value::sym("a"), Value::sym("b")];
-        assert_eq!(Bindings::new().match_tuple(&atom, &same).len(), 1);
-        assert!(Bindings::new().match_tuple(&atom, &diff).is_empty());
+        assert_eq!(tuple_matches(&Bindings::new(), &atom, &same).len(), 1);
+        assert!(tuple_matches(&Bindings::new(), &atom, &diff).is_empty());
     }
 
     #[test]
@@ -697,7 +832,7 @@ mod tests {
         // says(bob,me,[|access(P,O,read)|]) binding P,O from the fact.
         let pattern = Term::Quote(quote_of("access(P,O,read)."));
         let value = Value::Quote(quote_of("access(alice,file1,read)."));
-        let envs = Bindings::new().match_value(&pattern, &value);
+        let envs = value_matches(&Bindings::new(), &pattern, &value);
         assert_eq!(envs.len(), 1);
         assert_eq!(
             envs[0].value(Symbol::intern("P")),
@@ -714,14 +849,15 @@ mod tests {
         // [| P(T*) <- A*. |] — mayWrite-style pattern.
         let pattern = quote_of("P(T*) <- A*.");
         let code = quote_of("access(alice,file1,read) <- good(alice).");
-        let envs = Bindings::new().match_rule(&pattern, &code);
+        let envs = rule_matches(&pattern, &code);
         assert_eq!(envs.len(), 1);
         assert_eq!(
             envs[0].value(Symbol::intern("P")),
             Some(&Value::sym("access"))
         );
-        // Sequence bindings live in the decorated namespace.
-        match envs[0].get(Symbol::intern("T*")) {
+        // Sequence bindings live in their own namespace.
+        assert_eq!(envs[0].get(Symbol::intern("T")), None);
+        match envs[0].get_seq(Symbol::intern("T")) {
             Some(Binding::Terms(ts)) => assert_eq!(ts.len(), 3),
             other => panic!("expected Terms, got {other:?}"),
         }
@@ -732,7 +868,7 @@ mod tests {
         // [| A <- P(T2*), A*. |] matches each body atom of the rule.
         let pattern = quote_of("A <- P(T2*), A*.");
         let code = quote_of("safe(X) <- good(X), vetted(X).");
-        let envs = Bindings::new().match_rule(&pattern, &code);
+        let envs = rule_matches(&pattern, &code);
         // P binds to 'good' in one extension and 'vetted' in the other.
         let mut preds: Vec<String> = envs
             .iter()
@@ -745,16 +881,9 @@ mod tests {
     #[test]
     fn exact_body_match_without_rest() {
         let pattern = quote_of("p(X) <- q(X).");
-        assert_eq!(
-            Bindings::new()
-                .match_rule(&pattern, &quote_of("p(a) <- q(a)."))
-                .len(),
-            1
-        );
+        assert_eq!(rule_matches(&pattern, &quote_of("p(a) <- q(a).")).len(), 1);
         // Extra body literal: no match without A*.
-        assert!(Bindings::new()
-            .match_rule(&pattern, &quote_of("p(a) <- q(a), r(a)."))
-            .is_empty());
+        assert!(rule_matches(&pattern, &quote_of("p(a) <- q(a), r(a).")).is_empty());
     }
 
     #[test]
@@ -763,7 +892,7 @@ mod tests {
         // a variable of the matched rule.
         let pattern = quote_of("A <- says(X,me,R), A*.");
         let code = quote_of("access(P) <- says(bob,me,[|access(P)|]).");
-        let envs = Bindings::new().match_rule(&pattern, &code);
+        let envs = rule_matches(&pattern, &code);
         assert_eq!(envs.len(), 1);
         assert_eq!(envs[0].value(Symbol::intern("X")), Some(&Value::sym("bob")));
         match envs[0].get(Symbol::intern("R")) {
@@ -786,10 +915,7 @@ mod tests {
     fn instantiate_splices_sequences() {
         let pattern = quote_of("P(T*) <- A*.");
         let code = quote_of("perm(alice,f,read) <- owner(alice,f).");
-        let env = Bindings::new()
-            .match_rule(&pattern, &code)
-            .pop()
-            .expect("match");
+        let env = rule_matches(&pattern, &code).pop().expect("match");
         // Re-instantiating the pattern under the match reproduces the code.
         let rebuilt = env.instantiate_rule(&pattern);
         assert_eq!(rebuilt.to_string(), code.to_string());
@@ -816,7 +942,7 @@ mod tests {
     fn whole_atom_capture_and_reuse() {
         let pattern = quote_of("A <- B, C*.");
         let code = quote_of("p(a) <- q(b), r(c).");
-        let envs = Bindings::new().match_rule(&pattern, &code);
+        let envs = rule_matches(&pattern, &code);
         // B matches q(b) and r(c) existentially.
         assert_eq!(envs.len(), 2);
         let rebuilt: Vec<String> = envs
@@ -824,6 +950,97 @@ mod tests {
             .map(|e| e.instantiate_atom(&pattern.heads[0]).to_string())
             .collect();
         assert!(rebuilt.iter().all(|s| s == "p(a)"), "{rebuilt:?}");
+    }
+
+    #[test]
+    fn equality_is_a_maps() {
+        let (x, y) = (Symbol::intern("X"), Symbol::intern("Y"));
+        let mut xy = Bindings::new();
+        let mut yx = Bindings::new();
+        assert!(xy.bind_value(x, Value::sym("a")) && xy.bind_value(y, Value::sym("b")));
+        assert!(yx.bind_value(y, Value::sym("b")) && yx.bind_value(x, Value::sym("a")));
+        assert_eq!(xy, yx);
+        // `iter` is in binding order, which differs.
+        assert_eq!(xy.iter().next().map(|(var, ..)| var), Some(x));
+        assert_eq!(yx.iter().next().map(|(var, ..)| var), Some(y));
+        // Same variables, another value; a variable more; `T` is not `T*`.
+        let mut other = Bindings::new();
+        assert!(other.bind_value(x, Value::sym("a")) && other.bind_value(y, Value::sym("c")));
+        assert_ne!(xy, other);
+        assert!(yx.bind_value(Symbol::intern("Z"), Value::sym("c")));
+        assert_ne!(xy, yx);
+        let (mut plain, mut seq) = (Bindings::new(), Bindings::new());
+        assert!(plain.bind(x, false, Binding::Terms(Vec::new())));
+        assert!(seq.bind(x, true, Binding::Terms(Vec::new())));
+        assert_ne!(plain, seq);
+    }
+
+    #[test]
+    fn matching_clones_no_environment() {
+        let payload = |i: usize| Value::Quote(quote_of(&format!("payload({i}).")));
+        let (alice, bob) = (Value::sym("alice"), Value::sym("bob"));
+        let export = |i| vec![bob.clone(), alice.clone(), payload(i), Value::Int(7)];
+        let says = |i| vec![alice.clone(), bob.clone(), payload(i)];
+        let body = |src: &str| {
+            parse_rule(&format!("h() <- {src}."))
+                .unwrap()
+                .body
+                .remove(0)
+        };
+        for (src, tuple) in [
+            (
+                "export[bob](U,R,S)",
+                &export as &dyn Fn(usize) -> Vec<Value>,
+            ),
+            ("says(U,bob,R)", &says),
+            ("says(alice,bob,[| payload(I) |])", &says),
+        ] {
+            let item = body(src);
+            let atom = item.atom().unwrap();
+            let tuples: Vec<Vec<Value>> = (0..1000).map(tuple).collect();
+            let mut env = Bindings::new();
+            let mut matched = 0;
+            let before = CLONES.with(std::cell::Cell::get);
+            for tuple in &tuples {
+                let _ = env.match_tuple(atom, tuple, &mut |env| {
+                    matched += usize::from(!env.is_empty());
+                    Continue(())
+                });
+            }
+            assert_eq!(CLONES.with(std::cell::Cell::get), before, "{src}");
+            assert_eq!(matched, 1000, "{src}");
+            assert!(env.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_failed_alternative_leaves_no_binding_behind() {
+        // `q(X)` first matches `q(a)`, under which `r(X)` finds nothing:
+        // X = a must be gone when `q(b)` is tried, or nothing matches.
+        let pattern = quote_of("A <- q(X), r(X), A*.");
+        let code = quote_of("p() <- q(a), q(b), r(b).");
+        let mut env = Bindings::new();
+        assert!(env.bind_value(Symbol::intern("K"), Value::sym("kept")));
+        let before = env.clone();
+        let found = env.solutions(|env, visit| env.match_rule(&pattern, &code, visit));
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].value(Symbol::intern("X")), Some(&Value::sym("b")));
+        assert_eq!(found[0].len(), 4); // K, A, X, A*
+        assert_eq!(env, before);
+        // The same for a functor variable and a `T*`: P = q and T* = (a)
+        // are undone before r(b), then s(b) itself, are tried.
+        let pattern = quote_of("A <- P(T*), s(T*), A*.");
+        let code = quote_of("p() <- q(a), r(b), s(b).");
+        let found = env.solutions(|env, visit| env.match_rule(&pattern, &code, visit));
+        let functors: Vec<_> = (found.iter())
+            .map(|env| env.value(Symbol::intern("P")).cloned())
+            .collect();
+        assert_eq!(functors, [Some(Value::sym("r")), Some(Value::sym("s"))]);
+        assert_eq!(env, before);
+        // And when the visitor stops the search half-way.
+        let flow = env.match_rule(&quote_of("A <- B, A*."), &code, &mut |_| Break(()));
+        assert!(flow.is_break());
+        assert_eq!(env, before);
     }
 
     fn closed_hash(env: &Bindings, term: &Term) -> Option<u64> {
@@ -862,7 +1079,10 @@ mod tests {
             (&ab, "p(X,b)."),
         ] {
             let term = Term::Quote(quote_of(pattern));
-            assert!(!bindings.match_value(&term, &keyed).is_empty(), "{pattern}");
+            assert!(
+                !value_matches(bindings, &term, &keyed).is_empty(),
+                "{pattern}"
+            );
             assert_eq!(
                 closed_hash(bindings, &term),
                 Some(value_hash(&keyed)),
@@ -889,7 +1109,7 @@ mod tests {
             let value = Value::Quote(quote_of(rule));
             let pattern = Term::Quote(quote_of(&rule.replace('a', "X")));
             let xa = env(&[("X", Value::sym("a"))]);
-            assert!(!xa.match_value(&pattern, &value).is_empty(), "{rule}");
+            assert!(!value_matches(&xa, &pattern, &value).is_empty(), "{rule}");
             assert_eq!(closed_hash(&xa, &pattern), Some(value_hash(&value)));
         }
     }
@@ -907,7 +1127,7 @@ mod tests {
         let instantiated = bound.resolve(&Term::Quote(pattern.clone())).unwrap();
         let term = Term::Quote(pattern);
         for value in [&parsed, &instantiated] {
-            assert!(!bound.match_value(&term, value).is_empty(), "{value}");
+            assert!(!value_matches(&bound, &term, value).is_empty(), "{value}");
             assert_eq!(closed_hash(&bound, &term), Some(value_hash(value)));
         }
     }
@@ -938,7 +1158,7 @@ mod tests {
         code.insert(Symbol::intern("X"), Binding::CodeTerm(Term::var("V")));
         let pattern = Term::Quote(quote_of("p(X)."));
         let stored = Value::Quote(quote_of("p(V)."));
-        assert!(!code.match_value(&pattern, &stored).is_empty());
+        assert!(!value_matches(&code, &pattern, &stored).is_empty());
         assert_eq!(closed_hash(&code, &pattern), None);
         assert_eq!(closed_hash(&code, &Term::var("X")), None);
     }

@@ -107,7 +107,7 @@ proptest! {
             args: (0..args.len()).map(|i| Term::var(&format!("V{i}"))).collect(),
         });
         let fact = Arc::new(fact);
-        let envs = Bindings::new().match_rule(&pattern, &fact);
+        let envs = Bindings::new().solutions(|env, visit| env.match_rule(&pattern, &fact, visit));
         prop_assert_eq!(envs.len(), 1);
         let rebuilt = envs[0].instantiate_rule(&pattern);
         prop_assert_eq!(rebuilt.to_string(), fact.to_string());

@@ -9,10 +9,11 @@
 
 use lbtrust_datalog::ast::{Atom, BodyItem, Constraint, Formula, Rule, Term};
 use lbtrust_datalog::dred::Removed;
-use lbtrust_datalog::eval::{Engine, EvalError};
+use lbtrust_datalog::eval::{Engine, EvalError, Solved};
 use lbtrust_datalog::{Bindings, Builtins, Database, Symbol};
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// A constraint violation.
 #[derive(Clone, Debug)]
@@ -176,14 +177,14 @@ impl Check {
     fn run(&self, db: &Database, builtins: &Builtins, scope: Scope<'_>) -> Result<(), CheckError> {
         let engine = Engine::new(std::slice::from_ref(&self.carrier), builtins);
         let (Scope::Delta { grown, removed }, Some(plan)) = (scope, &self.delta) else {
-            return self.require(&engine, db, vec![Bindings::new()], None);
+            return self.require(&engine, db, &mut Bindings::new(), None);
         };
         // Bindings that use a new tuple: one windowed pass per grown
         // premise literal.
         for &(idx, pred) in &plan.premise {
             match grown.get(&pred) {
                 Some(&from) if from < db.count(pred) => {
-                    self.require(&engine, db, vec![Bindings::new()], Some((idx, from)))?;
+                    self.require(&engine, db, &mut Bindings::new(), Some((idx, from)))?;
                 }
                 _ => {}
             }
@@ -193,51 +194,50 @@ impl Check {
         for atom in &plan.required {
             let lost = atom.pred.name().and_then(|pred| removed.get(&pred));
             for tuple in lost.into_iter().flatten() {
-                let starts: Vec<Bindings> = Bindings::new()
-                    .match_tuple(atom, tuple)
-                    .iter()
-                    .map(|pinned| {
-                        let mut start = Bindings::new();
-                        for &var in &plan.vars {
-                            if let Some(value) = pinned.value(var) {
-                                start.bind_value(var, value.clone());
-                            }
+                let mut checked = Ok(());
+                let _ = Bindings::new().match_tuple(atom, tuple, &mut |pinned| {
+                    let mut start = Bindings::new();
+                    for &var in &plan.vars {
+                        if let Some(value) = pinned.value(var) {
+                            start.bind_value(var, value.clone());
                         }
-                        start
-                    })
-                    .collect();
-                self.require(&engine, db, starts, None)?;
+                    }
+                    checked = self.require(&engine, db, &mut start, None);
+                    match checked {
+                        Ok(()) => ControlFlow::Continue(()),
+                        Err(_) => ControlFlow::Break(()),
+                    }
+                });
+                checked?;
             }
         }
         Ok(())
     }
 
-    /// Every premise binding extending `starts` (through `window`, if
-    /// given) must extend to satisfy the requirement.
+    /// Every premise binding extending `start` (through `window`, if
+    /// given) must extend to satisfy the requirement; how is not asked,
+    /// so the search for a witness ends at the first.
     fn require(
         &self,
         engine: &Engine<'_>,
         db: &Database,
-        starts: Vec<Bindings>,
+        start: &mut Bindings,
         window: Option<(usize, usize)>,
     ) -> Result<(), CheckError> {
-        for env in engine.eval_body(&self.carrier, db, starts, window)? {
-            let satisfied = !satisfy(
-                &self.constraint.requires,
-                &self.carrier,
-                engine,
-                db,
-                vec![env.clone()],
-            )?
-            .is_empty();
-            if !satisfied {
-                return Err(CheckError::Violation(Box::new(Violation {
-                    constraint: self.constraint.to_string(),
-                    witness: describe_env(&env),
-                })));
+        let mut violation = None;
+        let _ = engine.for_each_solution(&self.carrier, db, start, window, &mut |env| {
+            let witnessed = &mut |_: &mut Bindings| Ok(ControlFlow::Break(()));
+            let requires = &self.constraint.requires;
+            if satisfy(requires, &self.carrier, engine, db, env, witnessed)?.is_break() {
+                return Ok(ControlFlow::Continue(()));
             }
-        }
-        Ok(())
+            violation = Some(Violation {
+                constraint: self.constraint.to_string(),
+                witness: describe_env(env),
+            });
+            Ok(ControlFlow::Break(()))
+        })?;
+        violation.map_or(Ok(()), |v| Err(CheckError::Violation(Box::new(v))))
     }
 }
 
@@ -286,50 +286,62 @@ pub fn check_constraints(
         .try_for_each(|c| check_constraint(c, db, builtins))
 }
 
-/// All extensions of `envs` satisfying `formula`.
+/// Visits every extension of `env` satisfying `formula`; `env` is as it
+/// was when this returns, so an alternative starts from what the one
+/// before it started from.
 fn satisfy(
     formula: &Formula,
     carrier: &Rule,
     engine: &Engine<'_>,
     db: &Database,
-    envs: Vec<Bindings>,
-) -> Result<Vec<Bindings>, CheckError> {
+    env: &mut Bindings,
+    visit: &mut Solved<'_>,
+) -> Result<ControlFlow<()>, EvalError> {
     match formula {
-        Formula::Item(item) => Ok(engine.eval_single_item(carrier, item, envs, db)?),
-        Formula::And(parts) => {
-            let mut current = envs;
-            for part in parts {
-                if current.is_empty() {
-                    break;
-                }
-                current = satisfy(part, carrier, engine, db, current)?;
-            }
-            Ok(current)
-        }
+        Formula::Item(item) => engine.for_each_item(carrier, item, db, env, visit),
+        Formula::And(parts) => satisfy_all(parts, carrier, engine, db, env, visit),
         Formula::Or(parts) => {
-            let mut out = Vec::new();
             for part in parts {
-                out.extend(satisfy(part, carrier, engine, db, envs.clone())?);
+                if satisfy(part, carrier, engine, db, env, visit)?.is_break() {
+                    return Ok(ControlFlow::Break(()));
+                }
             }
-            Ok(out)
+            Ok(ControlFlow::Continue(()))
         }
         Formula::Not(inner) => {
-            // ¬F keeps the environments F cannot extend.
-            let mut out = Vec::new();
-            for env in envs {
-                if satisfy(inner, carrier, engine, db, vec![env.clone()])?.is_empty() {
-                    out.push(env);
-                }
+            // ¬F keeps the environment if F cannot extend it.
+            let extended = &mut |_: &mut Bindings| Ok(ControlFlow::Break(()));
+            if satisfy(inner, carrier, engine, db, env, extended)?.is_break() {
+                Ok(ControlFlow::Continue(()))
+            } else {
+                visit(env)
             }
-            Ok(out)
         }
+    }
+}
+
+/// [`satisfy`] for a conjunction: each part under the bindings of those
+/// before it.
+fn satisfy_all(
+    parts: &[Formula],
+    carrier: &Rule,
+    engine: &Engine<'_>,
+    db: &Database,
+    env: &mut Bindings,
+    visit: &mut Solved<'_>,
+) -> Result<ControlFlow<()>, EvalError> {
+    match parts.split_first() {
+        None => visit(env),
+        Some((part, rest)) => satisfy(part, carrier, engine, db, env, &mut |env| {
+            satisfy_all(rest, carrier, engine, db, env, visit)
+        }),
     }
 }
 
 fn describe_env(env: &Bindings) -> String {
     let mut parts: Vec<String> = env
         .iter()
-        .map(|(var, binding)| format!("{var}={binding:?}"))
+        .map(|(var, seq, binding)| format!("{var}{}={binding:?}", if seq { "*" } else { "" }))
         .collect();
     parts.sort();
     if parts.is_empty() {
@@ -342,7 +354,7 @@ fn describe_env(env: &Bindings) -> String {
 /// Checks the special `fail()` predicate: if any tuple was derived into
 /// it, evaluation "fails by terminating with an error" (§3.2).
 pub fn check_fail(db: &Database) -> Result<(), CheckError> {
-    let fail = lbtrust_datalog::Symbol::intern("fail");
+    let fail = lbtrust_datalog::intern::names().fail;
     if db.count(fail) > 0 {
         return Err(CheckError::Violation(Box::new(Violation {
             constraint: "fail()".into(),
@@ -417,6 +429,86 @@ mod tests {
         assert!(check_constraint(&c, &ok, &Builtins::new()).is_ok());
         let bad = db_with(&[("delegation", &["a", "p"][..]), ("revoked", &["a"][..])]);
         assert!(check_constraint(&c, &bad, &Builtins::new()).is_err());
+    }
+
+    #[test]
+    fn violation_message_is_pinned() {
+        // The witness lists the premise's bindings sorted by variable
+        // name, whatever order they were bound in, sequence variables
+        // under their starred name.
+        let c = constraint("access(P,O,M) -> principal(P).");
+        let db = db_with(&[("access", &["mallory", "f", "read"][..])]);
+        let err = check_constraint(&c, &db, &Builtins::new()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "constraint violated: access(P,O,M) -> principal(P). \
+             (witness: M=Val(read), O=Val(f), P=Val(mallory))"
+        );
+        let c = constraint("said([| p(T*) <- A*. |]) -> never().");
+        let mut db = Database::new();
+        let rule = lbtrust_datalog::parse_rule("p(a) <- q(a).").unwrap();
+        db.insert(
+            Symbol::intern("said"),
+            vec![crate::reflect::rule_entity(&rule)],
+        );
+        let err = check_constraint(&c, &db, &Builtins::new()).unwrap_err();
+        let Term::Val(a) = Term::sym("a") else {
+            unreachable!()
+        };
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "constraint violated: said([| p(T*) <- A*. |]) -> never(). (witness: \
+                 A*=Items({:?}), T*=Terms({:?}))",
+                rule.body,
+                [Term::Val(a)]
+            )
+        );
+    }
+
+    #[test]
+    fn a_requirement_is_satisfied_by_its_first_witness() {
+        // Fifty q(a,_) witness p(a); `seen` counts how many are tried.
+        let c = constraint("p(X) -> q(X,Y), seen(Y).");
+        let calls = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let mut builtins = Builtins::new();
+        let counter = calls.clone();
+        builtins.register("seen", 1, move |args| {
+            counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Ok(vec![vec![args[0].clone().expect("bound by q")]])
+        });
+        let mut db = db_with(&[("p", &["a"][..])]);
+        for i in 0..50 {
+            db.insert(Symbol::intern("q"), vec![Value::sym("a"), Value::Int(i)]);
+        }
+        assert!(check_constraint(&c, &db, &builtins).is_ok());
+        assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_failed_alternative_leaves_no_binding_behind() {
+        // q(a,b1) binds Y, r(b1) is missing: the second disjunct, and
+        // what follows the negation, must find Y free again.
+        let db = db_with(&[
+            ("p", &["a"][..]),
+            ("q", &["a", "b1"][..]),
+            ("s", &["a", "b2"][..]),
+        ]);
+        for src in [
+            "p(X) -> (q(X,Y), r(Y)); s(X,Y).",
+            "p(X) -> !(q(X,Y), r(Y)), s(X,Y).",
+        ] {
+            let c = constraint(src);
+            assert!(
+                matches!(c.requires, Formula::Or(_) | Formula::And(_)),
+                "{src}"
+            );
+            assert!(check_constraint(&c, &db, &Builtins::new()).is_ok(), "{src}");
+        }
+        // The premise's bindings are the witness, not the requirement's.
+        let c = constraint("p(X) -> q(X,Y), r(Y).");
+        let err = check_constraint(&c, &db, &Builtins::new()).unwrap_err();
+        assert!(err.to_string().ends_with("(witness: X=Val(a))"), "{err}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! An indexed probe finds exactly what a full scan finds.
 //!
-//! `Engine::eval_body` reaches a relation through a hash of the key
+//! `Engine::for_each_solution` reaches a relation through a hash of the key
 //! columns, and a closed quote pattern is such a column; the matcher
 //! (`Bindings::match_tuple`) is what says whether a tuple matches. Over
 //! random stored tuples — quotes with key arguments, nested quotes, code
@@ -18,6 +18,7 @@ use lbtrust_datalog::unify::{Binding, Bindings};
 use lbtrust_datalog::{parse_rule, Builtins, Database, Engine, Symbol, Value};
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::ops::ControlFlow;
 
 /// Quoted rules a stored tuple may carry. Neighbours differ in exactly
 /// the ways a hash of the wrong view confuses or separates.
@@ -136,21 +137,30 @@ fn check(db: &Database, probes: &[Probe]) {
         let scan = |from: usize| -> Vec<Bindings> {
             rel.iter()
                 .skip(from)
-                .flat_map(|tuple| env.match_tuple(&atom, tuple))
+                .flat_map(|tuple| {
+                    (env.clone()).solutions(|env, visit| env.match_tuple(&atom, tuple, visit))
+                })
                 .collect()
         };
         let engine = Engine::new(std::slice::from_ref(&positive), &builtins);
+        let solve = |rule: &Rule, window| -> Result<Vec<Bindings>, _> {
+            let mut found = Vec::new();
+            engine
+                .for_each_solution(rule, db, &mut env.clone(), window, &mut |env| {
+                    found.push(env.clone());
+                    Ok(ControlFlow::Continue(()))
+                })
+                .map(|_| found)
+        };
         for window in [None, Some((0, from))] {
-            let indexed = engine
-                .eval_body(&positive, db, vec![env.clone()], window)
-                .unwrap();
+            let indexed = solve(&positive, window).unwrap();
             let expected = scan(window.map_or(0, |(_, from)| from));
             assert_eq!(indexed, expected, "{src} under {env:?}, window {window:?}");
         }
 
         let negative = Rule::new(positive.heads[0].clone(), vec![BodyItem::neg(atom.clone())]);
         // An unbound variable outside a quote is an error, not an answer.
-        if let Ok(holds) = engine.eval_body(&negative, db, vec![env.clone()], None) {
+        if let Ok(holds) = solve(&negative, None) {
             assert_eq!(
                 !holds.is_empty(),
                 scan(0).is_empty(),
