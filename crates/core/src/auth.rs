@@ -144,14 +144,15 @@ impl SignatureVerifier for KeyVerifier {
 
 /// The synthetic cache identity for a pairwise HMAC secret (the
 /// verification cache keys outcomes by signer symbol; a MAC has no
-/// single signer, so the pair itself is the identity).
-fn hmac_cache_identity(a: Principal, b: Principal) -> Symbol {
-    let (lo, hi) = if a.as_str() <= b.as_str() {
-        (a, b)
+/// single signer, so the pair itself is the identity): the pair's
+/// handle in canonical order — which `handle`, parsed into `(a, b)`,
+/// already is unless it was written the other way round.
+fn hmac_cache_identity(handle: Symbol, a: Principal, b: Principal) -> Symbol {
+    if a.as_str() <= b.as_str() {
+        handle
     } else {
-        (b, a)
-    };
-    Symbol::intern(&format!("hmac:{lo}:{hi}"))
+        Symbol::intern(&format!("hmac:{b}:{a}"))
+    }
 }
 
 /// Registers the cryptographic builtin predicates for principal `me`,
@@ -182,8 +183,8 @@ pub fn register_crypto_builtins_cached(
 ) {
     // rsasign(R, S, K): sign rule R with private key K (mine), yielding S.
     let k = keys.clone();
+    let name = Symbol::intern("rsasign");
     builtins.register("rsasign", 3, move |args| {
-        let name = Symbol::intern("rsasign");
         let r = lbtrust_datalog::builtins::require_bound(name, args, 0)?;
         let key_handle = lbtrust_datalog::builtins::require_bound(name, args, 2)?;
         let rule = quote_arg(name, r)?;
@@ -221,8 +222,8 @@ pub fn register_crypto_builtins_cached(
     // different workspace — skips the modular exponentiation.
     let k = keys.clone();
     let vc = cache.clone();
+    let name = Symbol::intern("rsaverify");
     builtins.register("rsaverify", 3, move |args| {
-        let name = Symbol::intern("rsaverify");
         let r = lbtrust_datalog::builtins::require_bound(name, args, 0)?;
         let s = lbtrust_datalog::builtins::require_bound(name, args, 1)?;
         let key_handle = lbtrust_datalog::builtins::require_bound(name, args, 2)?;
@@ -247,15 +248,16 @@ pub fn register_crypto_builtins_cached(
 
     // hmacsign(R, K, S): MAC rule R under shared secret K.
     let k = keys.clone();
+    let name = Symbol::intern("hmacsign");
     builtins.register("hmacsign", 3, move |args| {
-        let name = Symbol::intern("hmacsign");
         let r = lbtrust_datalog::builtins::require_bound(name, args, 0)?;
         let key_handle = lbtrust_datalog::builtins::require_bound(name, args, 1)?;
         let rule = quote_arg(name, r)?;
-        let Some(secret) = resolve_secret(&k, me, key_handle) else {
+        let message = rule_bytes(rule);
+        let Some(mac) = with_secret(&k, me, key_handle, |secret| hmac_sha1(secret, &message))
+        else {
             return Ok(vec![]);
         };
-        let mac = hmac_sha1(&secret, &rule_bytes(rule));
         Ok(vec![vec![
             r.clone(),
             key_handle.clone(),
@@ -269,28 +271,35 @@ pub fn register_crypto_builtins_cached(
     // secret's principal pair (a MAC has no single signer).
     let k = keys.clone();
     let vc = cache.clone();
+    let name = Symbol::intern("hmacverify");
     builtins.register("hmacverify", 3, move |args| {
-        let name = Symbol::intern("hmacverify");
         let r = lbtrust_datalog::builtins::require_bound(name, args, 0)?;
         let s = lbtrust_datalog::builtins::require_bound(name, args, 1)?;
         let key_handle = lbtrust_datalog::builtins::require_bound(name, args, 2)?;
         let rule = quote_arg(name, r)?;
         let mac = bytes_arg(name, s)?;
-        let Some((a, b)) = KeyDirectory::parse_secret_handle(key_handle) else {
+        let (Some(handle), Some((a, b))) = (
+            key_handle.as_sym(),
+            KeyDirectory::parse_secret_handle(key_handle),
+        ) else {
             return Ok(vec![]);
         };
-        let Some(secret) = resolve_secret(&k, me, key_handle) else {
+        if a != me && b != me {
+            return Ok(vec![]);
+        }
+        let message = rule_bytes(rule);
+        // The cache, then the keys: the order `rsaverify` takes them in
+        // (its verifier reads the directory under the cache's lock).
+        let mut cache = vc.lock().unwrap_or_else(|e| e.into_inner());
+        let guard = k.read();
+        let Some(secret) = guard.shared_secret(a, b) else {
             return Ok(vec![]);
         };
-        let mac_verifier = move |_signer: Symbol, message: &[u8], sig: &[u8]| {
-            verify_mac(&hmac_sha1(&secret, message), sig)
+        let mac_verifier = |_signer: Symbol, message: &[u8], sig: &[u8]| {
+            verify_mac(&hmac_sha1(secret, message), sig)
         };
-        let (ok, _hit) = vc.lock().unwrap_or_else(|e| e.into_inner()).check(
-            &mac_verifier,
-            hmac_cache_identity(a, b),
-            &rule_bytes(rule),
-            mac,
-        );
+        let identity = hmac_cache_identity(handle, a, b);
+        let (ok, _hit) = cache.check(&mac_verifier, identity, &message, mac);
         if ok {
             Ok(vec![vec![r.clone(), s.clone(), key_handle.clone()]])
         } else {
@@ -301,17 +310,18 @@ pub fn register_crypto_builtins_cached(
     // encryptrule(R, K, C): deterministic (SIV) encryption of rule R
     // under shared secret K (§4.1.3 confidentiality).
     let k = keys.clone();
+    let name = Symbol::intern("encryptrule");
     builtins.register("encryptrule", 3, move |args| {
-        let name = Symbol::intern("encryptrule");
         let r = lbtrust_datalog::builtins::require_bound(name, args, 0)?;
         let key_handle = lbtrust_datalog::builtins::require_bound(name, args, 1)?;
         let rule = quote_arg(name, r)?;
-        let Some(secret) = resolve_secret(&k, me, key_handle) else {
+        let plain = rule_bytes(rule);
+        let Some(cipher) = with_secret(&k, me, key_handle, |secret| {
+            let nonce = stream::siv_nonce(secret, &plain);
+            stream::encrypt_with_nonce(secret, &nonce, &plain)
+        }) else {
             return Ok(vec![]);
         };
-        let plain = rule_bytes(rule);
-        let nonce = stream::siv_nonce(&secret, &plain);
-        let cipher = stream::encrypt_with_nonce(&secret, &nonce, &plain);
         Ok(vec![vec![
             r.clone(),
             key_handle.clone(),
@@ -322,15 +332,13 @@ pub fn register_crypto_builtins_cached(
     // decryptrule(C, K, R): decrypt and re-parse. A wrong key produces
     // garbage that fails to parse, yielding no fact (not an error).
     let k = keys.clone();
+    let name = Symbol::intern("decryptrule");
     builtins.register("decryptrule", 3, move |args| {
-        let name = Symbol::intern("decryptrule");
         let c = lbtrust_datalog::builtins::require_bound(name, args, 0)?;
         let key_handle = lbtrust_datalog::builtins::require_bound(name, args, 1)?;
         let cipher = bytes_arg(name, c)?;
-        let Some(secret) = resolve_secret(&k, me, key_handle) else {
-            return Ok(vec![]);
-        };
-        let Some(plain) = stream::decrypt(&secret, cipher) else {
+        let decrypted = with_secret(&k, me, key_handle, |secret| stream::decrypt(secret, cipher));
+        let Some(plain) = decrypted.flatten() else {
             return Ok(vec![]);
         };
         let Ok(text) = String::from_utf8(plain) else {
@@ -347,8 +355,8 @@ pub fn register_crypto_builtins_cached(
     });
 
     // sha1digest(R, H): integrity hash of a rule (§4.1.3).
+    let name = Symbol::intern("sha1digest");
     builtins.register("sha1digest", 2, move |args| {
-        let name = Symbol::intern("sha1digest");
         let r = lbtrust_datalog::builtins::require_bound(name, args, 0)?;
         let rule = quote_arg(name, r)?;
         let digest = Sha1::digest(&rule_bytes(rule));
@@ -356,8 +364,8 @@ pub fn register_crypto_builtins_cached(
     });
 
     // crc32sum(R, C): cheap checksum of a rule (§4.1.3).
+    let name = Symbol::intern("crc32sum");
     builtins.register("crc32sum", 2, move |args| {
-        let name = Symbol::intern("crc32sum");
         let r = lbtrust_datalog::builtins::require_bound(name, args, 0)?;
         let rule = quote_arg(name, r)?;
         let sum = crc32::crc32(&rule_bytes(rule));
@@ -365,13 +373,19 @@ pub fn register_crypto_builtins_cached(
     });
 }
 
-/// Resolves a shared-secret handle, requiring `me` to be a party.
-fn resolve_secret(keys: &SharedKeys, me: Principal, handle: &Value) -> Option<Vec<u8>> {
+/// Runs `f` on the secret a handle names, borrowed under the directory's
+/// read guard; `None` unless `me` is a party to it and it exists.
+fn with_secret<T>(
+    keys: &SharedKeys,
+    me: Principal,
+    handle: &Value,
+    f: impl FnOnce(&[u8]) -> T,
+) -> Option<T> {
     let (a, b) = KeyDirectory::parse_secret_handle(handle)?;
     if a != me && b != me {
         return None;
     }
-    keys.read().shared_secret(a, b).map(<[u8]>::to_vec)
+    keys.read().shared_secret(a, b).map(f)
 }
 
 #[cfg(test)]
@@ -488,6 +502,71 @@ mod tests {
             .unwrap()
             .unwrap();
         assert!(denied.is_empty());
+    }
+
+    /// Bytes from the network reach `rsaverify` and `hmacverify` as the
+    /// signature argument: any length from nothing to twice the modulus,
+    /// and the values at the edges of `[0, n)`, derive no tuple and raise
+    /// no error — and a handle written the other way round names the
+    /// same secret and the same cached outcome.
+    #[test]
+    fn hostile_signatures_derive_nothing() {
+        use lbtrust_crypto::BigUint;
+        let (keys, alice, bob) = setup();
+        let n = keys.read().rsa(alice).unwrap().public_key().n().clone();
+        let k = n.bits().div_ceil(8);
+        let mut b = Builtins::new();
+        register_crypto_builtins(&mut b, bob, keys);
+        let r = quote("good(carol).");
+        let one = BigUint::one();
+        let mut hostile: Vec<Vec<u8>> = (0..=2 * k)
+            .flat_map(|len| [vec![0x00; len], vec![0xff; len]])
+            .collect();
+        for value in [
+            BigUint::zero(),
+            one.clone(),
+            n.sub(&one),
+            n.clone(),
+            n.add(&one),
+            one.shl(8 * k).sub(&one),
+        ] {
+            hostile.push(value.to_bytes_be_padded(k).unwrap());
+        }
+        let reversed = Value::sym(&format!("hmac:{bob}:{alice}"));
+        for sig in &hostile {
+            for (builtin, handle) in [
+                ("rsaverify", rsa_pub_handle(alice)),
+                ("hmacverify", shared_secret_handle(alice, bob)),
+                ("hmacverify", reversed.clone()),
+            ] {
+                let out = b
+                    .invoke(
+                        Symbol::intern(builtin),
+                        &[Some(r.clone()), Some(Value::bytes(sig)), Some(handle)],
+                    )
+                    .unwrap();
+                assert_eq!(out, Ok(vec![]), "{builtin}, {} bytes", sig.len());
+            }
+        }
+        // The reversed handle is not a different secret.
+        let mac = b
+            .invoke(
+                Symbol::intern("hmacsign"),
+                &[Some(r.clone()), Some(reversed.clone()), None],
+            )
+            .unwrap()
+            .unwrap()[0][2]
+            .clone();
+        for handle in [reversed, shared_secret_handle(alice, bob)] {
+            let ok = b
+                .invoke(
+                    Symbol::intern("hmacverify"),
+                    &[Some(r.clone()), Some(mac.clone()), Some(handle)],
+                )
+                .unwrap()
+                .unwrap();
+            assert_eq!(ok.len(), 1);
+        }
     }
 
     #[test]

@@ -2,14 +2,22 @@
 //!
 //! [`BigUint`] stores magnitudes as little-endian `u64` limbs and provides
 //! the operations the RSA implementation needs: schoolbook multiplication,
-//! Knuth Algorithm D division, Montgomery modular exponentiation, extended
-//! Euclid modular inverses, and big-endian byte conversions.
+//! Knuth Algorithm D division, extended Euclid modular inverses,
+//! big-endian byte conversions, and modular exponentiation.
 //!
-//! The implementation is deliberately simple and is **not constant time**;
-//! see the crate-level documentation for the threat model.
+//! Everything but the exponentiation is deliberately simple: each
+//! operation returns a fresh value, and none of them is where a signature
+//! spends its time. The exponentiation is where it does — a 1024-bit
+//! signature is some 1 300 modular products — so that one kernel
+//! (`Montgomery`, below) works on caller-owned limb slices, allocates
+//! nothing per product and reads long exponents a window at a time. It is
+//! plain `u64 × u64 → u128` arithmetic: no intrinsics, no `unsafe`, and
+//! **not constant time**; see the crate-level documentation for the
+//! threat model.
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// An arbitrary-precision unsigned integer.
 ///
@@ -428,9 +436,9 @@ impl BigUint {
 
     /// `self^exponent mod modulus`.
     ///
-    /// Uses Montgomery multiplication when the modulus is odd (the RSA and
-    /// Miller–Rabin case) and falls back to square-and-multiply with
-    /// explicit reductions otherwise.
+    /// Uses Montgomery multiplication when the modulus is odd, on a context
+    /// built for this one call (RSA keys and Miller–Rabin hold theirs), and
+    /// falls back to square-and-multiply with explicit reductions otherwise.
     pub fn modpow(&self, exponent: &Self, modulus: &Self) -> Self {
         assert!(!modulus.is_zero(), "modpow modulus must be nonzero");
         if modulus.is_one() {
@@ -440,9 +448,15 @@ impl BigUint {
             return Self::one();
         }
         if modulus.is_odd() {
-            return Montgomery::new(modulus).modpow(&self.rem(modulus), exponent);
+            return Montgomery::new(modulus).modpow(self, exponent);
         }
-        // Generic square-and-multiply for even moduli (not used by RSA).
+        self.modpow_by_ladder(exponent, modulus)
+    }
+
+    /// Square-and-multiply with an explicit reduction per step: what an
+    /// even modulus gets (RSA has none), and the oracle the Montgomery
+    /// kernel is tested against.
+    fn modpow_by_ladder(&self, exponent: &Self, modulus: &Self) -> Self {
         let mut base = self.rem(modulus);
         let mut result = Self::one();
         for i in 0..exponent.bits() {
@@ -540,106 +554,253 @@ impl BigUint {
     }
 }
 
-/// Montgomery-form modular arithmetic over a fixed odd modulus.
+/// Montgomery-form arithmetic over one odd modulus `n` of `len` limbs,
+/// with `R = 2^(64·len)`: a residue `x` is held as `x·R mod n`, and the
+/// product of two such residues is one pass of multiply-and-reduce with
+/// no division.
 ///
-/// Precomputes `n0' = -n^{-1} mod 2^64` and `R^2 mod n` so that repeated
-/// multiplications inside [`BigUint::modpow`] avoid full divisions.
-struct Montgomery {
-    n: Vec<u64>,
+/// **What it holds, and who owns it.** The modulus, `-n⁻¹ mod 2⁶⁴` and
+/// `R² mod n` (which takes a value into Montgomery form). Building it
+/// costs a Knuth division, so it is built once per modulus:
+/// [`crate::rsa::KeyPair::generate`] builds one each for `n`, `p` and `q`
+/// and the keys hold them, Miller–Rabin builds one per candidate, and
+/// [`BigUint::modpow`] builds a throw-away one. Everything but the
+/// modulus is derived from it, so equality, hashing and `Debug` are the
+/// modulus's own.
+///
+/// **The multiply** ([`mul_body`]) is one fused pass ([`fused_row`]) per
+/// limb `aᵢ` of `a`: `t[j-1] ← t[j] + aᵢ·bⱼ + m·nⱼ`, with `m` chosen so
+/// the lowest limb cancels. The two products can sum past 128 bits, so
+/// each has its own carry; the two chains also overlap in the pipeline,
+/// which is why the pass is fused. It allocates nothing and leaves a
+/// result below `2n` that one in-place conditional subtraction brings
+/// below `n`. **A square** is that multiply with both operands the same:
+/// a routine that forms each cross product once was measured and did not
+/// pay once the multiply was unrolled for the limb counts RSA uses.
+/// **The exponent** is read in fixed windows whose width
+/// ([`window_bits`]) depends on its bit length alone. None of it is
+/// constant time.
+#[derive(Clone)]
+pub(crate) struct Montgomery {
+    n: BigUint,
     n0_inv: u64,
-    r2: BigUint,
-    modulus: BigUint,
+    r2: Vec<u64>,
+}
+
+impl PartialEq for Montgomery {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n
+    }
+}
+
+impl Eq for Montgomery {}
+
+impl Hash for Montgomery {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.n.hash(state);
+    }
+}
+
+impl fmt::Debug for Montgomery {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.n.fmt(f)
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Contexts built on this thread, so a test can show who builds none.
+    pub(crate) static CONTEXTS_BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 impl Montgomery {
-    fn new(modulus: &BigUint) -> Self {
-        debug_assert!(modulus.is_odd());
-        let n = modulus.limbs.clone();
+    /// Builds the context of an odd `modulus`.
+    pub(crate) fn new(modulus: &BigUint) -> Self {
+        assert!(modulus.is_odd(), "Montgomery modulus must be odd");
+        #[cfg(test)]
+        CONTEXTS_BUILT.with(|built| built.set(built.get() + 1));
+        let len = modulus.limbs.len();
         // Newton iteration for the inverse of n[0] mod 2^64.
         let mut inv = 1u64;
         for _ in 0..6 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(n[0].wrapping_mul(inv)));
+            inv = inv.wrapping_mul(2u64.wrapping_sub(modulus.limbs[0].wrapping_mul(inv)));
         }
-        let n0_inv = inv.wrapping_neg();
-        // R^2 mod n where R = 2^(64 * len).
-        let r2 = BigUint::one().shl(n.len() * 128).rem(modulus);
+        let mut r2 = BigUint::one().shl(len * 128).rem(modulus).limbs;
+        r2.resize(len, 0);
         Montgomery {
-            n,
-            n0_inv,
+            n: modulus.clone(),
+            n0_inv: inv.wrapping_neg(),
             r2,
-            modulus: modulus.clone(),
         }
     }
 
-    /// Montgomery product: `a · b · R^{-1} mod n` (CIOS method).
-    fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let len = self.n.len();
-        let mut t = vec![0u64; len + 2];
-        for i in 0..len {
-            let ai = a.get(i).copied().unwrap_or(0);
-            // t += ai * b
-            let mut carry = 0u128;
-            #[allow(clippy::needless_range_loop)] // reads b while writing t
-            for j in 0..len {
-                let bj = b.get(j).copied().unwrap_or(0);
-                let cur = t[j] as u128 + ai as u128 * bj as u128 + carry;
-                t[j] = cur as u64;
-                carry = cur >> 64;
-            }
-            let cur = t[len] as u128 + carry;
-            t[len] = cur as u64;
-            t[len + 1] = (cur >> 64) as u64;
+    /// The modulus.
+    pub(crate) fn modulus(&self) -> &BigUint {
+        &self.n
+    }
 
-            // m = t[0] * n0' mod 2^64; t += m * n; t >>= 64
-            let m = t[0].wrapping_mul(self.n0_inv);
-            let cur = t[0] as u128 + m as u128 * self.n[0] as u128;
-            let mut carry = cur >> 64;
-            #[allow(clippy::needless_range_loop)] // shifts t while indexing n
-            for j in 1..len {
-                let cur = t[j] as u128 + m as u128 * self.n[j] as u128 + carry;
-                t[j - 1] = cur as u64;
-                carry = cur >> 64;
-            }
-            let cur = t[len] as u128 + carry;
-            t[len - 1] = cur as u64;
-            t[len] = t[len + 1].wrapping_add((cur >> 64) as u64);
-            t[len + 1] = 0;
+    /// `out ← a·b·R⁻¹ mod n`, for `a, b < n`; `out` is neither of them.
+    fn mul_into(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
+        let n = &self.n.limbs[..];
+        // The limb counts of 1024-bit RSA (`p` and `q`, then `n`) get the
+        // body with its length known to the compiler, which unrolls it
+        // and keeps `out` in registers; every other length gets the same
+        // body over slices.
+        match n.len() {
+            8 => mul_body(out, a, b, &n[..8], self.n0_inv),
+            16 => mul_body(out, a, b, &n[..16], self.n0_inv),
+            _ => mul_body(out, a, b, n, self.n0_inv),
         }
-        t.truncate(len + 1);
-        // Conditional final subtraction to bring the result below n.
-        let mut res = BigUint::from_limbs(t);
-        if res.cmp_big(&self.modulus) != Ordering::Less {
-            res = res.sub(&self.modulus);
-        }
-        let mut out = res.limbs;
-        out.resize(len, 0);
+    }
+
+    /// `v·R mod n`. A `v` of `n` or more is reduced first: the kernel
+    /// needs operands below `n`, and a caller may hold any value.
+    pub(crate) fn to_mont(&self, v: &BigUint) -> Vec<u64> {
+        let reduced;
+        let v = if v.cmp_big(&self.n) == Ordering::Less {
+            v
+        } else {
+            reduced = v.rem(&self.n);
+            &reduced
+        };
+        let mut limbs = v.limbs.clone();
+        limbs.resize(self.r2.len(), 0);
+        let mut out = vec![0; limbs.len()];
+        self.mul_into(&mut out, &limbs, &self.r2);
         out
     }
 
-    fn modpow(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
-        let len = self.n.len();
-        let mut base_limbs = base.limbs.clone();
-        base_limbs.resize(len, 0);
-        // Convert into Montgomery form: base · R mod n = montmul(base, R²).
-        let mut r2 = self.r2.limbs.clone();
-        r2.resize(len, 0);
-        let base_m = self.mont_mul(&base_limbs, &r2);
-        // one · R mod n = montmul(1, R²)
-        let mut one = vec![0u64; len];
+    /// The value whose Montgomery form is `x`: `x·1·R⁻¹ mod n`.
+    pub(crate) fn to_plain(&self, x: &[u64]) -> BigUint {
+        let (mut out, mut one) = (vec![0; x.len()], vec![0; x.len()]);
         one[0] = 1;
-        let mut acc = self.mont_mul(&one, &r2);
-        // Left-to-right square and multiply.
-        for i in (0..exponent.bits()).rev() {
-            acc = self.mont_mul(&acc, &acc);
-            if exponent.bit(i) {
-                acc = self.mont_mul(&acc, &base_m);
-            }
-        }
-        // Convert out of Montgomery form: montmul(acc, 1).
-        let out = self.mont_mul(&acc, &one);
+        self.mul_into(&mut out, x, &one);
         BigUint::from_limbs(out)
     }
+
+    /// The square of a Montgomery-form `x`, in Montgomery form.
+    pub(crate) fn sqr(&self, x: &[u64]) -> Vec<u64> {
+        let mut out = vec![0; x.len()];
+        self.mul_into(&mut out, x, x);
+        out
+    }
+
+    /// `base^exponent mod n`.
+    pub(crate) fn modpow(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
+        self.to_plain(&self.pow(base, exponent))
+    }
+
+    /// `base^exponent mod n` in Montgomery form: the exponent is read
+    /// from the top in windows of [`window_bits`] bits, each `w` squarings
+    /// and, unless its digit is zero, one multiply by `base^digit` from a
+    /// table built up front. The table and the buffers are allocated here
+    /// and swapped; the loop allocates nothing.
+    pub(crate) fn pow(&self, base: &BigUint, exponent: &BigUint) -> Vec<u64> {
+        let len = self.r2.len();
+        let w = window_bits(exponent.bits());
+        let digit = |i: usize| {
+            (0..w)
+                .rev()
+                .fold(0, |d, b| d << 1 | exponent.bit(i * w + b) as usize)
+        };
+        // table[d] = base^d for d in 1..2^w (a zero digit multiplies by
+        // nothing, so entry 0 is never read).
+        let mut table = vec![0u64; len << w];
+        table[len..2 * len].copy_from_slice(&self.to_mont(base));
+        for d in 2..1 << w {
+            let (lower, entry) = table.split_at_mut(d * len);
+            self.mul_into(entry, &lower[(d - 1) * len..], &lower[len..]);
+        }
+        let entry = |d: usize| &table[d * len..(d + 1) * len];
+        let mut windows = (0..exponent.bits().div_ceil(w)).rev();
+        // The top window's digit is not zero: start from its entry.
+        let mut acc = match windows.next() {
+            Some(top) => entry(digit(top)).to_vec(),
+            None => return self.to_mont(&BigUint::one()),
+        };
+        let mut next = vec![0; len];
+        for i in windows {
+            for _ in 0..w {
+                self.mul_into(&mut next, &acc, &acc);
+                std::mem::swap(&mut acc, &mut next);
+            }
+            let d = digit(i);
+            if d != 0 {
+                self.mul_into(&mut next, &acc, entry(d));
+                std::mem::swap(&mut acc, &mut next);
+            }
+        }
+        acc
+    }
 }
+
+/// Window width for an exponent of `bits` bits: a property of the input,
+/// so a short public exponent (`65537`: 16 squarings and one multiply)
+/// builds no table, and a long private one trades 30 table entries for a
+/// multiply every five bits instead of every other bit (even at 129 bits:
+/// 30 + 25 multiplies against 64).
+fn window_bits(bits: usize) -> usize {
+    if bits > WINDOW_MIN_BITS {
+        5
+    } else {
+        1
+    }
+}
+
+/// The longest exponent read a bit at a time.
+const WINDOW_MIN_BITS: usize = 128;
+
+/// One row of the fused pass: `out ← (top·R + out + ai·b + m·n) / 2^64`,
+/// with `m` chosen so the division is exact; returns the new `top`.
+#[inline(always)]
+fn fused_row(out: &mut [u64], ai: u64, b: &[u64], n: &[u64], n0_inv: u64, top: u64) -> u64 {
+    // Every slice is re-bound to the modulus's length, so the loop carries
+    // no bounds check and a constant length unrolls.
+    let len = n.len();
+    let (out, b, ai) = (&mut out[..len], &b[..len], ai as u128);
+    let x = out[0] as u128 + ai * b[0] as u128;
+    let m = (x as u64).wrapping_mul(n0_inv) as u128;
+    let y = (x as u64) as u128 + m * n[0] as u128;
+    let (mut carry_ab, mut carry_mn) = (x >> 64, y >> 64);
+    for j in 1..len {
+        let x = out[j] as u128 + ai * b[j] as u128 + carry_ab;
+        let y = (x as u64) as u128 + m * n[j] as u128 + carry_mn;
+        (out[j - 1], carry_ab, carry_mn) = (y as u64, x >> 64, y >> 64);
+    }
+    let z = top as u128 + carry_ab + carry_mn;
+    out[len - 1] = z as u64;
+    (z >> 64) as u64
+}
+
+/// The fused Montgomery multiply: see [`Montgomery`].
+#[inline(always)]
+fn mul_body(out: &mut [u64], a: &[u64], b: &[u64], n: &[u64], n0_inv: u64) {
+    let out = &mut out[..n.len()];
+    out.fill(0);
+    let mut top = 0;
+    for &ai in &a[..n.len()] {
+        top = fused_row(out, ai, b, n, n0_inv, top);
+    }
+    reduce_once(out, top, n);
+}
+
+/// Brings `top·R + out < 2n` below `n`: the one conditional subtraction
+/// that ends a multiply, in place.
+#[inline(always)]
+fn reduce_once(out: &mut [u64], top: u64, n: &[u64]) {
+    if top == 0 && out.iter().rev().lt(n.iter().rev()) {
+        return;
+    }
+    let mut borrow = false;
+    for (o, &nj) in out.iter_mut().zip(n) {
+        let (d, b1) = o.overflowing_sub(nj);
+        let (d, b2) = d.overflowing_sub(borrow as u64);
+        (*o, borrow) = (d, b1 | b2);
+    }
+}
+
+#[cfg(test)]
+mod model;
 
 #[cfg(test)]
 mod tests {
@@ -831,6 +992,149 @@ mod tests {
         assert_eq!(big(255).bits(), 8);
         assert_eq!(BigUint::one().shl(100).bits(), 101);
         assert!(big(5).cmp_big(&big(6)) == Ordering::Less);
+    }
+
+    /// All-ones limbs: `2^(64·len) - 1`, the largest value of its length.
+    fn all_ones(len: usize) -> BigUint {
+        BigUint::from_limbs(vec![u64::MAX; len])
+    }
+
+    /// `len` limbs, each as likely an extreme (where a limb product or a
+    /// carry is at its largest or vanishes) as a random one.
+    fn extreme_limbs(rng: &mut StdRng, len: usize) -> Vec<u64> {
+        (0..len)
+            .map(|_| match rng.gen::<u64>() % 8 {
+                0 | 1 => u64::MAX,
+                2 => u64::MAX - 1,
+                3 => 0,
+                4 => 1 << 63,
+                _ => rng.gen(),
+            })
+            .collect()
+    }
+
+    /// An odd modulus of 1 to 17 limbs, at least 3. One in four is an
+    /// edge: all-ones limbs, `2^k - c` or extreme limbs (the rows of the
+    /// fused pass carry out of the top), or a single limb; and the two
+    /// lengths the kernel is unrolled for come up as often as all the
+    /// others together.
+    fn arb_modulus(rng: &mut StdRng) -> BigUint {
+        let len = match rng.gen::<u64>() % 4 {
+            0 => 8,
+            1 => 16,
+            _ => 1 + rng.gen::<usize>() % 17,
+        };
+        let kind = rng.gen::<u64>() % 16;
+        let m = match kind {
+            0 => all_ones(len),
+            1 => all_ones(len).sub(&big((rng.gen::<u64>() % 1000) * 2)),
+            2 => big(rng.gen::<u64>() | 1),
+            _ => {
+                let mut limbs: Vec<u64> = if kind == 3 {
+                    extreme_limbs(rng, len)
+                } else {
+                    (0..len).map(|_| rng.gen()).collect()
+                };
+                limbs[0] |= 1;
+                limbs[len - 1] |= 1 << (rng.gen::<u64>() % 64);
+                BigUint::from_limbs(limbs)
+            }
+        };
+        if m.is_one() {
+            big(3)
+        } else {
+            m
+        }
+    }
+
+    /// A base for modulus `n`; one in four is 0, 1, `n - 1`, extreme limbs
+    /// or not below `n`.
+    fn arb_base(rng: &mut StdRng, n: &BigUint) -> BigUint {
+        match rng.gen::<u64>() % 20 {
+            0 => BigUint::zero(),
+            1 => BigUint::one(),
+            2 => n.sub(&BigUint::one()),
+            3 => n.add(&BigUint::random_bits(rng, n.bits() + 64)),
+            4 => BigUint::from_limbs(extreme_limbs(rng, n.limbs.len())),
+            _ => BigUint::random_below(rng, n),
+        }
+    }
+
+    /// An exponent; one in four is 0, 1, 2, 65537, all ones, or has a bit
+    /// length one under, at or one over a multiple of the window or the
+    /// length from which a window is used.
+    fn arb_exponent(rng: &mut StdRng) -> BigUint {
+        let exactly = |rng: &mut StdRng, bits: usize| {
+            BigUint::random_bits(rng, bits - 1).add(&BigUint::one().shl(bits - 1))
+        };
+        let around = |rng: &mut StdRng, bits: usize| bits - 1 + rng.gen::<usize>() % 3;
+        match rng.gen::<u64>() % 32 {
+            0 => BigUint::zero(),
+            1 => big(1 + rng.gen::<u64>() % 2),
+            2 => big(65537),
+            3 => all_ones(3).shr(rng.gen::<usize>() % 192),
+            4 | 5 => {
+                let bits = around(rng, WINDOW_MIN_BITS);
+                exactly(rng, bits)
+            }
+            6 | 7 => {
+                let windows = 26 + rng.gen::<usize>() % 30;
+                let bits = around(rng, 5 * windows);
+                exactly(rng, bits)
+            }
+            _ => {
+                let bits = 1 + rng.gen::<usize>() % 320;
+                BigUint::random_bits(rng, bits)
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The kernel against the exponentiation it replaced and against
+        /// the division-per-step ladder, on the context path and on
+        /// `BigUint::modpow`'s throw-away one.
+        #[test]
+        fn modpow_model_equivalence(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = arb_modulus(&mut rng);
+            let base = arb_base(&mut rng, &n);
+            let e = arb_exponent(&mut rng);
+            let expect = base.modpow_by_ladder(&e, &n);
+            assert_eq!(
+                model::Montgomery::new(&n).modpow(&base.rem(&n), &e),
+                expect,
+                "the model: {base:?}^{e:?} mod {n:?}"
+            );
+            assert_eq!(
+                Montgomery::new(&n).modpow(&base, &e),
+                expect,
+                "{base:?}^{e:?} mod {n:?}"
+            );
+            assert_eq!(base.modpow(&e, &n), expect);
+        }
+
+        /// One product in Montgomery form is one `mulmod`, and into and
+        /// out of Montgomery form is the identity below `n`.
+        #[test]
+        fn one_square_matches_mulmod(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = arb_modulus(&mut rng);
+            let a = arb_base(&mut rng, &n);
+            let ctx = Montgomery::new(&n);
+            let a_mont = ctx.to_mont(&a);
+            assert_eq!(ctx.to_plain(&ctx.sqr(&a_mont)), a.mulmod(&a, &n));
+            assert_eq!(ctx.to_plain(&a_mont), a.rem(&n));
+        }
+    }
+
+    #[test]
+    fn window_follows_the_exponent() {
+        assert_eq!(window_bits(big(65537).bits()), 1);
+        assert_eq!(window_bits(WINDOW_MIN_BITS), 1);
+        assert_eq!(window_bits(WINDOW_MIN_BITS + 1), 5);
+        assert_eq!(window_bits(512), 5);
     }
 
     #[test]

@@ -6,27 +6,35 @@
 
 use crate::digest::Digest;
 
+/// The block of both hashes this crate has, so both pads are stack
+/// arrays; a wider hash would raise it (and does not compile until it
+/// does).
+const MAX_BLOCK_LEN: usize = 64;
+
 /// Computes `HMAC_H(key, message)`.
 pub fn hmac<H: Digest>(key: &[u8], message: &[u8]) -> Vec<u8> {
+    const { assert!(H::BLOCK_LEN <= MAX_BLOCK_LEN, "hash block wider than a pad") };
     // Keys longer than the block size are hashed first.
-    let mut key_block = if key.len() > H::BLOCK_LEN {
-        H::hash(key)
+    let hashed;
+    let key = if key.len() > H::BLOCK_LEN {
+        hashed = H::hash(key);
+        &hashed[..]
     } else {
-        key.to_vec()
+        key
     };
-    key_block.resize(H::BLOCK_LEN, 0);
-
-    let ipad: Vec<u8> = key_block.iter().map(|b| b ^ 0x36).collect();
-    let opad: Vec<u8> = key_block.iter().map(|b| b ^ 0x5c).collect();
+    let (mut ipad, mut opad) = ([0x36u8; MAX_BLOCK_LEN], [0x5cu8; MAX_BLOCK_LEN]);
+    for ((i, o), k) in ipad.iter_mut().zip(&mut opad).zip(key) {
+        *i ^= k;
+        *o ^= k;
+    }
 
     let mut inner = H::fresh();
-    inner.absorb(&ipad);
+    inner.absorb(&ipad[..H::BLOCK_LEN]);
     inner.absorb(message);
-    let inner_digest = inner.produce();
 
     let mut outer = H::fresh();
-    outer.absorb(&opad);
-    outer.absorb(&inner_digest);
+    outer.absorb(&opad[..H::BLOCK_LEN]);
+    outer.absorb(&inner.produce());
     outer.produce()
 }
 

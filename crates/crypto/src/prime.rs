@@ -4,7 +4,7 @@
 //! All randomness flows through caller-provided RNGs so key generation is
 //! reproducible in tests and benches.
 
-use crate::bignum::BigUint;
+use crate::bignum::{BigUint, Montgomery};
 use rand::Rng;
 
 /// Small primes used for cheap trial division before Miller–Rabin.
@@ -42,10 +42,11 @@ pub fn is_probable_prime<R: Rng>(n: &BigUint, rng: &mut R) -> bool {
 }
 
 /// Miller–Rabin with `rounds` random bases. `n` must be odd and > 3.
+///
+/// One Montgomery context serves the candidate: every base is raised, and
+/// every result squared and compared, in Montgomery form on it.
 fn miller_rabin<R: Rng>(n: &BigUint, rounds: usize, rng: &mut R) -> bool {
-    let one = BigUint::one();
-    let two = BigUint::from_u64(2);
-    let n_minus_1 = n.sub(&one);
+    let n_minus_1 = n.sub(&BigUint::one());
     // n - 1 = 2^s * d with d odd
     let mut d = n_minus_1.clone();
     let mut s = 0usize;
@@ -53,6 +54,8 @@ fn miller_rabin<R: Rng>(n: &BigUint, rounds: usize, rng: &mut R) -> bool {
         d = d.shr(1);
         s += 1;
     }
+    let ctx = Montgomery::new(n);
+    let (one, minus_one) = (ctx.to_mont(&BigUint::one()), ctx.to_mont(&n_minus_1));
     'witness: for _ in 0..rounds {
         // Random base in [2, n-2].
         let a = loop {
@@ -61,13 +64,13 @@ fn miller_rabin<R: Rng>(n: &BigUint, rounds: usize, rng: &mut R) -> bool {
                 break a;
             }
         };
-        let mut x = a.modpow(&d, n);
-        if x.is_one() || x == n_minus_1 {
+        let mut x = ctx.pow(&a, &d);
+        if x == one || x == minus_one {
             continue 'witness;
         }
         for _ in 0..s - 1 {
-            x = x.modpow(&two, n);
-            if x == n_minus_1 {
+            x = ctx.sqr(&x);
+            if x == minus_one {
                 continue 'witness;
             }
         }
@@ -146,6 +149,29 @@ mod tests {
                 "Carmichael {c} must be rejected"
             );
         }
+    }
+
+    /// A candidate that reaches Miller–Rabin costs one context, whether
+    /// it takes all forty bases (a prime) or falls to the first (a
+    /// composite with no small factor) — not one per base and squaring.
+    #[test]
+    fn one_context_per_candidate() {
+        use crate::bignum::CONTEXTS_BUILT;
+        let mut rng = StdRng::seed_from_u64(5);
+        let m127 = BigUint::one().shl(127).sub(&BigUint::one());
+        let m61 = BigUint::one().shl(61).sub(&BigUint::one());
+        for (candidate, prime) in [(m127.clone(), true), (m127.mul(&m61), false)] {
+            let before = CONTEXTS_BUILT.with(|built| built.get());
+            assert_eq!(is_probable_prime(&candidate, &mut rng), prime);
+            assert_eq!(CONTEXTS_BUILT.with(|built| built.get()) - before, 1);
+        }
+        // One the small primes settle builds none.
+        let before = CONTEXTS_BUILT.with(|built| built.get());
+        assert!(!is_probable_prime(
+            &m127.mul(&BigUint::from_u64(3)),
+            &mut rng
+        ));
+        assert_eq!(CONTEXTS_BUILT.with(|built| built.get()), before);
     }
 
     #[test]

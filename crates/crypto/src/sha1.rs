@@ -76,13 +76,16 @@ impl Sha1 {
     /// Applies padding and returns the 20-byte digest.
     pub fn finalize(mut self) -> [u8; 20] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0]);
+        // `0x80`, zeros, then the length in the block's last eight bytes:
+        // one fill, and a block of its own when the length does not fit.
+        let mut block = self.buffer;
+        block[self.buffer_len] = 0x80;
+        block[self.buffer_len + 1..].fill(0);
+        if self.buffer_len >= 56 {
+            self.compress(&block);
+            block = [0; 64];
         }
-        // Manually place the length to avoid counting it in total_len.
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
         let mut out = [0u8; 20];
         for (i, word) in self.state.iter().enumerate() {
@@ -197,6 +200,24 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), Sha1::digest(&data), "split at {split}");
+        }
+    }
+
+    /// Lengths on either side of where the padding's length field stops
+    /// fitting in the last block (55 | 56) and of a block boundary, for
+    /// one block and for two. The message is the bytes `i % 251`.
+    #[test]
+    fn padding_boundary_lengths() {
+        for (len, expect) in [
+            (55, "8ae2d46729cfe68ff927af5eec9c7d1b66d65ac2"),
+            (56, "636e2ec698dac903498e648bd2f3af641d3c88cb"),
+            (63, "6d942da0c4392b123528f2905c713a3ce28364bd"),
+            (64, "c6138d514ffa2135bfce0ed0b8fac65669917ec7"),
+            (119, "41c89d06001bab4ab78736b44efe7ce18ce6ae08"),
+            (120, "d3dbd653bd8597b7475321b60a36891278e6a04a"),
+        ] {
+            let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            assert_eq!(hex(&Sha1::digest(&data)), expect, "{len} bytes");
         }
     }
 }

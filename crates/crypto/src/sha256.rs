@@ -87,12 +87,16 @@ impl Sha256 {
     /// Applies padding and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0]);
+        // `0x80`, zeros, then the length in the block's last eight bytes:
+        // one fill, and a block of its own when the length does not fit.
+        let mut block = self.buffer;
+        block[self.buffer_len] = 0x80;
+        block[self.buffer_len + 1..].fill(0);
+        if self.buffer_len >= 56 {
+            self.compress(&block);
+            block = [0; 64];
         }
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
@@ -199,6 +203,42 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), Sha256::digest(&data), "split at {split}");
+        }
+    }
+
+    /// Lengths on either side of where the padding's length field stops
+    /// fitting in the last block (55 | 56) and of a block boundary, for
+    /// one block and for two. The message is the bytes `i % 251`.
+    #[test]
+    fn padding_boundary_lengths() {
+        for (len, expect) in [
+            (
+                55,
+                "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59",
+            ),
+            (
+                56,
+                "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562",
+            ),
+            (
+                63,
+                "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488",
+            ),
+            (
+                64,
+                "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108",
+            ),
+            (
+                119,
+                "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6",
+            ),
+            (
+                120,
+                "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c",
+            ),
+        ] {
+            let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            assert_eq!(hex(&Sha256::digest(&data)), expect, "{len} bytes");
         }
     }
 }

@@ -6,15 +6,40 @@ use lbtrust_crypto::hmac::{hmac_sha1, hmac_sha256, verify_mac};
 use lbtrust_crypto::sha1::Sha1;
 use lbtrust_crypto::sha256::Sha256;
 use lbtrust_crypto::stream;
+use lbtrust_crypto::{KeyPair, RsaError};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::cmp::Ordering;
+use std::sync::OnceLock;
 
 fn big(bytes: &[u8]) -> BigUint {
     BigUint::from_bytes_be(bytes)
 }
 
+/// One 512-bit key for every case that needs one (`k` = 64 bytes).
+fn test_key() -> &'static KeyPair {
+    static KEY: OnceLock<KeyPair> = OnceLock::new();
+    KEY.get_or_init(|| KeyPair::generate(512, &mut StdRng::seed_from_u64(20)))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Whatever arrives as a signature — any bytes, any length from
+    /// nothing to twice the modulus — is refused, not panicked on; and a
+    /// real signature with any one bit flipped is refused too.
+    #[test]
+    fn rsa_verify_refuses_arbitrary_bytes(sig in prop::collection::vec(any::<u8>(), 0..129),
+                                          msg in prop::collection::vec(any::<u8>(), 0..40),
+                                          flip in 0usize..512) {
+        let key = test_key();
+        prop_assert_eq!(key.public_key().verify(&msg, &sig), Err(RsaError::BadSignature));
+        let mut real = key.private.sign(&msg).unwrap();
+        prop_assert!(key.public_key().verify(&msg, &real).is_ok());
+        real[flip / 8] ^= 1 << (flip % 8);
+        prop_assert_eq!(key.public_key().verify(&msg, &real), Err(RsaError::BadSignature));
+    }
 
     #[test]
     fn bytes_roundtrip(data in prop::collection::vec(any::<u8>(), 1..64)) {

@@ -34,15 +34,25 @@ pub fn to_hex(bytes: &[u8]) -> String {
     String::from_utf8(out).expect("hex digits are ascii")
 }
 
-/// Parses lowercase/uppercase hex back into bytes.
+/// Parses lowercase/uppercase hex back into bytes: `None` unless `s` is
+/// an even number of hex digits and nothing else (a sign, or a character
+/// wider than a byte, is not a digit wherever it falls).
 pub fn from_hex(s: &str) -> Option<Vec<u8>> {
+    let nibble = |c: u8| match c {
+        b'0'..=b'9' => Some(c - b'0'),
+        b'a'..=b'f' => Some(c - b'a' + 10),
+        b'A'..=b'F' => Some(c - b'A' + 10),
+        _ => None,
+    };
+    let s = s.as_bytes();
     if !s.len().is_multiple_of(2) {
         return None;
     }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).ok())
-        .collect()
+    let mut out = Vec::with_capacity(s.len() / 2);
+    for pair in s.chunks_exact(2) {
+        out.push(nibble(pair[0])? << 4 | nibble(pair[1])?);
+    }
+    Some(out)
 }
 
 // ---- record framing (durable logs) ----------------------------------------
@@ -663,6 +673,12 @@ mod packet_tests {
         assert_eq!(from_hex(&to_hex(&d)).unwrap(), d.to_vec());
         assert!(from_hex("abc").is_none(), "odd length");
         assert!(from_hex("zz").is_none(), "non-hex");
+        assert!(from_hex("+a").is_none(), "a sign is not a digit");
+        // Bytes off the wire: a wide character astride a digit pair is
+        // refused, not sliced through.
+        assert!(from_hex("a\u{e9}a").is_none());
+        assert!(from_hex("\u{e9}").is_none());
+        assert_eq!(from_hex("Ab0f"), Some(vec![0xab, 0x0f]));
     }
 
     #[test]
