@@ -142,19 +142,6 @@ impl SignatureVerifier for KeyVerifier {
     }
 }
 
-/// The synthetic cache identity for a pairwise HMAC secret (the
-/// verification cache keys outcomes by signer symbol; a MAC has no
-/// single signer, so the pair itself is the identity): the pair's
-/// handle in canonical order — which `handle`, parsed into `(a, b)`,
-/// already is unless it was written the other way round.
-fn hmac_cache_identity(handle: Symbol, a: Principal, b: Principal) -> Symbol {
-    if a.as_str() <= b.as_str() {
-        handle
-    } else {
-        Symbol::intern(&format!("hmac:{b}:{a}"))
-    }
-}
-
 /// Registers the cryptographic builtin predicates for principal `me`,
 /// resolving key handles against `keys`, with a private verification
 /// cache. Prefer [`register_crypto_builtins_cached`] when a shared
@@ -171,10 +158,11 @@ pub fn register_crypto_builtins(builtins: &mut Builtins, me: Principal, keys: Sh
 /// `me` is not a party to — a workspace cannot sign as somebody else no
 /// matter what rules it runs.
 ///
-/// Verification builtins (`rsaverify`, `hmacverify`) route through
-/// `cache`: a signature over identical canonical bytes is checked once
-/// process-wide and every later check — by any principal sharing the
-/// cache, on any fixpoint round — is a memo lookup.
+/// `rsaverify` routes through `cache`: a signature over identical
+/// canonical bytes is checked once process-wide and every later check —
+/// by any principal sharing the cache, on any fixpoint round — is a
+/// memo lookup. `hmacverify` computes the MAC: that is cheaper than the
+/// two digests a cache key takes.
 pub fn register_crypto_builtins_cached(
     builtins: &mut Builtins,
     me: Principal,
@@ -266,11 +254,8 @@ pub fn register_crypto_builtins_cached(
     });
 
     // hmacverify(R, S, K): succeeds iff S is the MAC of R under K.
-    // MAC checks are cheap, but memoization still removes the repeated
-    // recomputation across fixpoint rounds. The cache identity is the
-    // secret's principal pair (a MAC has no single signer).
+    // Computed every time: a MAC costs less than remembering one.
     let k = keys.clone();
-    let vc = cache.clone();
     let name = Symbol::intern("hmacverify");
     builtins.register("hmacverify", 3, move |args| {
         let r = lbtrust_datalog::builtins::require_bound(name, args, 0)?;
@@ -278,29 +263,11 @@ pub fn register_crypto_builtins_cached(
         let key_handle = lbtrust_datalog::builtins::require_bound(name, args, 2)?;
         let rule = quote_arg(name, r)?;
         let mac = bytes_arg(name, s)?;
-        let (Some(handle), Some((a, b))) = (
-            key_handle.as_sym(),
-            KeyDirectory::parse_secret_handle(key_handle),
-        ) else {
-            return Ok(vec![]);
-        };
-        if a != me && b != me {
-            return Ok(vec![]);
-        }
         let message = rule_bytes(rule);
-        // The cache, then the keys: the order `rsaverify` takes them in
-        // (its verifier reads the directory under the cache's lock).
-        let mut cache = vc.lock().unwrap_or_else(|e| e.into_inner());
-        let guard = k.read();
-        let Some(secret) = guard.shared_secret(a, b) else {
-            return Ok(vec![]);
-        };
-        let mac_verifier = |_signer: Symbol, message: &[u8], sig: &[u8]| {
-            verify_mac(&hmac_sha1(secret, message), sig)
-        };
-        let identity = hmac_cache_identity(handle, a, b);
-        let (ok, _hit) = cache.check(&mac_verifier, identity, &message, mac);
-        if ok {
+        let ok = with_secret(&k, me, key_handle, |secret| {
+            verify_mac(&hmac_sha1(secret, &message), mac)
+        });
+        if ok == Some(true) {
             Ok(vec![vec![r.clone(), s.clone(), key_handle.clone()]])
         } else {
             Ok(vec![])

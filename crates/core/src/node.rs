@@ -20,7 +20,7 @@ use lbtrust_certstore::{
 };
 use lbtrust_datalog::intern::names;
 use lbtrust_datalog::{Symbol, Tuple, Value};
-use lbtrust_net::{NodeId, WireMessage};
+use lbtrust_net::NodeId;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -352,8 +352,9 @@ impl PrincipalState {
     }
 
     /// The `export` tuples this workspace gained since the last call,
-    /// as wire messages in relation order, each shipped at most once.
-    pub(crate) fn fresh_exports(&mut self, export: Symbol) -> Vec<WireMessage> {
+    /// as `(addressee, encoded packet)` in relation order, each shipped
+    /// at most once.
+    pub(crate) fn fresh_exports(&mut self, export: Symbol) -> Vec<(Principal, Vec<u8>)> {
         let (ws, cursor) = (&self.ws, &mut self.cursor);
         // Relations only append between compactions, so everything
         // below the watermark was fingerprinted on an earlier step. A
@@ -366,23 +367,29 @@ impl PrincipalState {
         }
         let exported = ws.db().relation(export);
         let fresh = exported.into_iter().flat_map(|rel| rel.since(cursor.mark));
-        let mut outgoing: Vec<WireMessage> = Vec::new();
+        let mut outgoing = Vec::new();
         for tuple in fresh {
-            if !cursor.seen.insert(tuple_fingerprint(tuple)) {
-                continue;
-            }
-            let Some(msg) = export_tuple_to_message(tuple) else {
+            let [Value::Sym(to), Value::Sym(from), Value::Quote(rule), Value::Bytes(auth)] =
+                tuple.as_slice()
+            else {
                 continue;
             };
             // Tuples addressed *to* this principal are received imports
             // sitting in its own export[me] partition, not outgoing
-            // traffic.
-            if msg.to != self.me {
-                outgoing.push(msg);
+            // traffic: never shipped, so never remembered as shipped.
+            if *to == self.me || !cursor.seen.insert(tuple_fingerprint(tuple)) {
+                continue;
             }
+            outgoing.push((*to, lbtrust_net::encode_export(*to, *from, rule, auth)));
         }
         cursor.mark = cursor.mark.max(ws.db().count(export));
         outgoing
+    }
+
+    /// How many export tuples are remembered as shipped.
+    #[cfg(test)]
+    pub(crate) fn shipped(&self) -> usize {
+        self.cursor.seen.len()
     }
 
     /// Reconciles the workspace's `revfp` facts with the store's
@@ -660,19 +667,4 @@ fn cert_workspace_facts(to: Principal, cert: &LinkedCert) -> Vec<(Symbol, Tuple)
     ];
     let known = names();
     vec![(known.export, export_tuple), (known.says, says_tuple)]
-}
-
-/// Decodes an `export[to](from, R, S)` tuple into a wire message.
-fn export_tuple_to_message(tuple: &[Value]) -> Option<WireMessage> {
-    match tuple {
-        [Value::Sym(to), Value::Sym(from), Value::Quote(rule), Value::Bytes(auth)] => {
-            Some(WireMessage {
-                from: *from,
-                to: *to,
-                rule: rule.clone(),
-                auth: auth.to_vec(),
-            })
-        }
-        _ => None,
-    }
 }

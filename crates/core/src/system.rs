@@ -46,6 +46,10 @@ use std::time::Instant;
 pub enum SysError {
     /// No such principal registered.
     UnknownPrincipal(Principal),
+    /// [`System::add_principal`] was given a name that programs, printed
+    /// rules and wire packets could not spell
+    /// ([`lbtrust_datalog::lexer::is_principal_name`]).
+    InvalidName(String),
     /// A workspace operation failed.
     Workspace(WsError),
     /// The distributed fixpoint did not quiesce within the step budget.
@@ -74,6 +78,11 @@ impl fmt::Display for SysError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SysError::UnknownPrincipal(p) => write!(f, "unknown principal {p}"),
+            SysError::InvalidName(name) => write!(
+                f,
+                "{name:?} cannot name a principal: a name is a lower-case letter, then \
+                 letters, digits, _, ' and interior colons, and is not `me`"
+            ),
             SysError::Workspace(e) => write!(f, "{e}"),
             SysError::NoQuiescence { steps } => {
                 write!(f, "system did not quiesce after {steps} steps")
@@ -94,6 +103,7 @@ impl std::error::Error for SysError {
             SysError::Cert(e) => Some(e),
             SysError::Lint(e) => Some(e),
             SysError::UnknownPrincipal(_)
+            | SysError::InvalidName(_)
             | SysError::NoQuiescence { .. }
             | SysError::Issue(_)
             | SysError::Persist(_)
@@ -870,8 +880,13 @@ impl System {
     /// Registers a principal, generating its RSA keypair, placing it on
     /// `node`, installing the `says` declarations and the default
     /// authentication scheme (RSA, §5.1), and introducing it (name and
-    /// public key handle) to every existing principal.
+    /// public key handle) to every existing principal. A name no packet
+    /// could carry — a symbol travels as its bare text — is refused with
+    /// [`SysError::InvalidName`] here, not dropped by every receiver later.
     pub fn add_principal(&mut self, name: &str, node: &str) -> Result<Principal, SysError> {
+        if !lbtrust_datalog::lexer::is_principal_name(name) {
+            return Err(SysError::InvalidName(name.to_string()));
+        }
         let me = Symbol::intern(name);
         if self.index.contains_key(&me) {
             return Ok(me);
@@ -1913,12 +1928,12 @@ impl System {
         let mut shipped = 0usize;
         for i in 0..self.nodes.len() {
             let from_node = self.nodes[i].node;
-            for msg in self.nodes[i].fresh_exports(export) {
+            for (to, packet) in self.nodes[i].fresh_exports(export) {
                 // A drop still counts as shipped for quiescence
                 // purposes (the workspace export moved into the
                 // network's hands this step), but not as a sent
                 // message — see `send_packet`.
-                self.send_packet(from_node, self.node_of(msg.to), lbtrust_net::encode(&msg));
+                self.send_packet(from_node, self.node_of(to), packet);
                 shipped += 1;
             }
         }
@@ -1964,8 +1979,8 @@ impl System {
                 WirePacket::Export(msg) => routed[to].tuples.push(vec![
                     Value::Sym(msg.to),
                     Value::Sym(msg.from),
-                    Value::Quote(msg.rule.clone()),
-                    Value::bytes(&msg.auth),
+                    Value::Quote(msg.rule),
+                    Value::Bytes(msg.auth.into()),
                 ]),
                 WirePacket::Revoke(rev) | WirePacket::RevGossip(rev) => {
                     let revocation = Revocation {
@@ -2587,6 +2602,82 @@ mod tests {
             .workspace(bob)
             .unwrap()
             .holds(sym("received"), &[Value::sym("hello")]));
+    }
+
+    /// A receiver's inbox is not outgoing traffic: what it imported sits
+    /// in its own `export[me]` partition, and draining that ships
+    /// nothing and remembers nothing — only the sender's hundred count
+    /// as shipped.
+    #[test]
+    fn a_receiver_drains_nothing_from_its_inbox() {
+        let mut sys = System::new().with_rsa_bits(512);
+        let alice = sys.add_principal("alice", "n1").unwrap();
+        let bob = sys.add_principal("bob", "n2").unwrap();
+        sys.set_auth_scheme(alice, AuthScheme::Plaintext).unwrap();
+        sys.set_auth_scheme(bob, AuthScheme::Plaintext).unwrap();
+        let ws = sys.workspace_mut(alice).unwrap();
+        ws.load("policy", "says(me,bob,[| note(N). |]) <- memo(N).")
+            .unwrap();
+        for n in 0..100 {
+            ws.assert_src(&format!("memo({n}).")).unwrap();
+        }
+        sys.run_to_quiescence(16).unwrap();
+        assert_eq!(sys.stats().messages_accepted, 100);
+        let export = names().export;
+        let (sender, receiver) = (sys.index[&alice], sys.index[&bob]);
+        assert_eq!(sys.nodes[receiver].ws.db().count(export), 100);
+        assert!(sys.nodes[receiver].fresh_exports(export).is_empty());
+        assert_eq!(sys.nodes[receiver].shipped(), 0);
+        assert_eq!(sys.nodes[sender].shipped(), 100);
+    }
+
+    /// A symbol travels as its bare text, so a principal is registered
+    /// only under a name a packet can carry; the three refused here were
+    /// registered by the parent, their exports sent, and every one
+    /// dropped by its receiver as undecodable.
+    #[test]
+    fn a_principal_is_named_what_the_wire_can_spell() {
+        let mut sys = System::new().with_rsa_bits(512);
+        for name in ["Alice", "bob-2", "rev oke", "me", "", "_", "caf\u{e9}"] {
+            match sys.add_principal(name, "n1") {
+                Err(SysError::InvalidName(refused)) => assert_eq!(refused, name),
+                other => panic!("{name:?}: {other:?}"),
+            }
+        }
+        assert!(sys.principals().is_empty());
+        // Every shape of name that is accepted round-trips a plaintext
+        // `says`, each principal to the next.
+        let ring = ["alice", "rsa:3:c1eb", "n_1'"];
+        for name in ring {
+            let who = sys.add_principal(name, "n1").unwrap();
+            sys.set_auth_scheme(who, AuthScheme::Plaintext).unwrap();
+        }
+        for (i, name) in ring.into_iter().enumerate() {
+            let next = ring[(i + 1) % ring.len()];
+            let ws = sys.workspace_mut(sym(name)).unwrap();
+            ws.load(
+                "policy",
+                &format!("says(me,{next},[| note(me). |]) <- memo(x)."),
+            )
+            .unwrap();
+            ws.load("inbox", "heard(U) <- says(U,me,[| note(U) |]).")
+                .unwrap();
+            ws.assert_src("memo(x).").unwrap();
+        }
+        sys.run_to_quiescence(16).unwrap();
+        let stats = sys.stats();
+        assert_eq!(
+            (
+                stats.messages_sent,
+                stats.messages_accepted,
+                stats.messages_rejected
+            ),
+            (3, 3, 0)
+        );
+        for (i, name) in ring.into_iter().enumerate() {
+            let next = sys.workspace(sym(ring[(i + 1) % ring.len()])).unwrap();
+            assert!(next.holds(sym("heard"), &[Value::sym(name)]), "{name}");
+        }
     }
 
     #[test]

@@ -8,15 +8,32 @@ pub fn crc32(data: &[u8]) -> u32 {
     crc32_update(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
 }
 
+/// The reflected IEEE polynomial.
+const POLY: u32 = 0xEDB8_8320;
+
+/// `TABLE[b]`: what eight shift-and-mask rounds make of the byte `b`.
+const TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut state = byte as u32;
+        let mut round = 0;
+        while round < 8 {
+            state = (state >> 1) ^ (POLY & (state & 1).wrapping_neg());
+            round += 1;
+        }
+        table[byte] = state;
+        byte += 1;
+    }
+    table
+};
+
 /// Incrementally folds `data` into a running CRC state (pass
-/// `0xFFFFFFFF` to start, XOR the final state with `0xFFFFFFFF`).
+/// `0xFFFFFFFF` to start, XOR the final state with `0xFFFFFFFF`): one
+/// table lookup per byte.
 pub fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
     for &byte in data {
-        state ^= byte as u32;
-        for _ in 0..8 {
-            let mask = (state & 1).wrapping_neg();
-            state = (state >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        state = (state >> 8) ^ TABLE[((state ^ byte as u32) & 0xff) as usize];
     }
     state
 }
@@ -24,6 +41,29 @@ pub fn crc32_update(mut state: u32, data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bit-at-a-time loop the table replaced, kept as the model.
+    fn crc32_update_bitwise(mut state: u32, data: &[u8]) -> u32 {
+        for &byte in data {
+            state ^= byte as u32;
+            for _ in 0..8 {
+                let mask = (state & 1).wrapping_neg();
+                state = (state >> 1) ^ (POLY & mask);
+            }
+        }
+        state
+    }
+
+    proptest! {
+        #[test]
+        fn table_matches_the_bitwise_model(
+            state in any::<u32>(),
+            data in prop::collection::vec(any::<u8>(), 0..600),
+        ) {
+            prop_assert_eq!(crc32_update(state, &data), crc32_update_bitwise(state, &data));
+        }
+    }
 
     #[test]
     fn known_vectors() {

@@ -1,5 +1,6 @@
 //! Tokenizer for the LBTrust Datalog dialect.
 
+use crate::hex;
 use std::fmt;
 
 /// A lexical token.
@@ -78,13 +79,10 @@ impl fmt::Display for Token {
             Token::Ident(s) | Token::UIdent(s) => write!(f, "{s}"),
             Token::Underscore => write!(f, "_"),
             Token::Int(i) => write!(f, "{i}"),
-            Token::Str(s) => write!(f, "{s:?}"),
+            Token::Str(s) => write_str_literal(f, s),
             Token::Bytes(b) => {
-                write!(f, "#")?;
-                for byte in b {
-                    write!(f, "{byte:02x}")?;
-                }
-                Ok(())
+                f.write_str("#")?;
+                hex::write_hex(f, b)
             }
             Token::LParen => write!(f, "("),
             Token::RParen => write!(f, ")"),
@@ -198,8 +196,15 @@ impl std::error::Error for LexError {}
 /// Tokenizes `src`. Comments run from `//` to end of line; whitespace is
 /// insignificant.
 pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
+    lex_to_end(src).map(|(toks, _)| toks)
+}
+
+/// [`lex`], and the byte offset just past the last token (0 when there is
+/// none): `src.len()` exactly when no blank or comment trails it.
+pub(crate) fn lex_to_end(src: &str) -> Result<(Vec<Spanned>, usize), LexError> {
     let bytes = src.as_bytes();
     let mut out = Vec::new();
+    let mut last_end = 0;
     let mut i = 0;
     let mut line = 1;
     // Byte index of the first character of the current line; the column of
@@ -213,6 +218,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
                 col: i - line_start + 1,
             });
             i += $len;
+            last_end = i;
         }};
     }
     macro_rules! col {
@@ -272,20 +278,15 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
                 while j < bytes.len() && (bytes[j] as char).is_ascii_hexdigit() {
                     j += 1;
                 }
-                let hex = &src[i + 1..j];
                 // A bare `#` is the empty byte string (e.g. the signature
                 // field of a plaintext-transfer message).
-                if !hex.len().is_multiple_of(2) {
+                let Some(b) = hex::from_hex(&bytes[i + 1..j]) else {
                     return Err(LexError {
-                        message: format!("invalid byte literal '#{hex}'"),
+                        message: format!("invalid byte literal '{}'", &src[i..j]),
                         line,
                         col: col!(),
                     });
-                }
-                let b = (0..hex.len())
-                    .step_by(2)
-                    .map(|k| u8::from_str_radix(&hex[k..k + 2], 16).expect("hex digits"))
-                    .collect();
+                };
                 push!(Token::Bytes(b), j - i);
             }
             c if c.is_ascii_digit() => {
@@ -302,20 +303,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
                 push!(Token::Int(v), j - i);
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut j = i;
-                while j < bytes.len() {
-                    let cj = bytes[j] as char;
-                    if is_ident_char(cj) {
-                        j += 1;
-                    } else if cj == ':'
-                        && bytes.get(j + 1).is_some_and(|&b| is_ident_char(b as char))
-                    {
-                        // Interior colon: `message:fname`, `rsa:3:c1ebab5d`.
-                        j += 1;
-                    } else {
-                        break;
-                    }
-                }
+                let j = ident_end(bytes, i);
                 let text = src[i..j].to_string();
                 let tok = if c.is_ascii_uppercase() {
                     Token::UIdent(text)
@@ -333,62 +321,103 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
             }
         }
     }
-    Ok(out)
+    Ok((out, last_end))
 }
 
 fn is_ident_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_' || c == '\''
 }
 
-/// Lexes a double-quoted string starting at `src[0] == '"'`. Returns the
-/// unescaped contents and the byte length consumed (including quotes).
-fn lex_string(src: &str, line: usize, col: usize) -> Result<(String, usize), LexError> {
-    let bytes = src.as_bytes();
-    let mut out = String::new();
-    let mut i = 1;
-    while i < bytes.len() {
-        match bytes[i] as char {
-            '"' => return Ok((out, i + 1)),
-            '\\' => {
-                let esc = bytes.get(i + 1).map(|&b| b as char).ok_or(LexError {
-                    message: "unterminated escape".into(),
-                    line,
-                    col,
-                })?;
-                out.push(match esc {
-                    'n' => '\n',
-                    't' => '\t',
-                    'r' => '\r',
-                    '\\' => '\\',
-                    '"' => '"',
-                    other => {
-                        return Err(LexError {
-                            message: format!("unknown escape '\\{other}'"),
-                            line,
-                            col,
-                        })
-                    }
-                });
-                i += 2;
-            }
-            '\n' => {
-                return Err(LexError {
-                    message: "unterminated string".into(),
-                    line,
-                    col,
-                })
-            }
-            c => {
-                out.push(c);
-                i += c.len_utf8();
-            }
+/// Where the identifier starting at `bytes[start]` ends.
+fn ident_end(bytes: &[u8], start: usize) -> usize {
+    let mut j = start;
+    while j < bytes.len() {
+        let cj = bytes[j] as char;
+        if is_ident_char(cj) {
+            j += 1;
+        } else if cj == ':' && bytes.get(j + 1).is_some_and(|&b| is_ident_char(b as char)) {
+            // Interior colon: `message:fname`, `rsa:3:c1ebab5d`.
+            j += 1;
+        } else {
+            break;
         }
     }
-    Err(LexError {
-        message: "unterminated string".into(),
-        line,
-        col,
-    })
+    j
+}
+
+/// Whether `name` can stand for a principal wherever one is written: in
+/// a program, in a printed rule and in the envelope of a wire packet. A
+/// symbol prints as its bare text, so the name has to be exactly what
+/// [`lex`] reads back as one [`Token::Ident`] — a lower-case letter
+/// first, then letters, digits, `_`, `'` and interior `:` (`alice`,
+/// `n_1'`, `rsa:3:c1eb`) — and not `me`, which every workspace replaces
+/// by its own principal. `Alice` would read back as a variable, `bob-2`
+/// as a subtraction and `rev oke` as two tokens.
+pub fn is_principal_name(name: &str) -> bool {
+    let bytes = name.as_bytes();
+    matches!(bytes.first(), Some(b'a'..=b'z')) && ident_end(bytes, 0) == bytes.len() && name != "me"
+}
+
+/// Writes `s` as a string literal [`lex`] reads back to the same `s`:
+/// `\\ \" \n \t \r` by name, every other control character as
+/// `\u{hex}`, everything else — wide characters included — as itself.
+pub(crate) fn write_str_literal(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '\\' => out.write_str("\\\\")?,
+            '"' => out.write_str("\\\"")?,
+            '\n' => out.write_str("\\n")?,
+            '\t' => out.write_str("\\t")?,
+            '\r' => out.write_str("\\r")?,
+            c if c.is_control() => write!(out, "\\u{{{:x}}}", c as u32)?,
+            c => out.write_char(c)?,
+        }
+    }
+    out.write_char('"')
+}
+
+/// Lexes a double-quoted string starting at `src[0] == '"'`. Returns the
+/// unescaped contents and the byte length consumed (including quotes).
+/// The escapes are the ones [`write_str_literal`] writes.
+fn lex_string(src: &str, line: usize, col: usize) -> Result<(String, usize), LexError> {
+    let err = |message: String| LexError { message, line, col };
+    let mut out = String::new();
+    let mut chars = src.char_indices().skip(1);
+    while let Some((at, c)) = chars.next() {
+        match c {
+            '"' => return Ok((out, at + 1)),
+            '\n' => break,
+            '\\' => out.push(match chars.next().map(|(_, esc)| esc) {
+                None => return Err(err("unterminated escape".into())),
+                Some('n') => '\n',
+                Some('t') => '\t',
+                Some('r') => '\r',
+                Some('\\') => '\\',
+                Some('"') => '"',
+                Some('u') => unicode_escape(&mut chars)
+                    .ok_or_else(|| err("invalid escape '\\u': expected {1-6 hex digits}".into()))?,
+                Some(other) => return Err(err(format!("unknown escape '\\{other}'"))),
+            }),
+            c => out.push(c),
+        }
+    }
+    Err(err("unterminated string".into()))
+}
+
+/// The character of a `\u{…}` escape, read from just after the `u`.
+fn unicode_escape(chars: &mut impl Iterator<Item = (usize, char)>) -> Option<char> {
+    if chars.next()?.1 != '{' {
+        return None;
+    }
+    let mut code = 0u32;
+    for digits in 0..=6 {
+        match chars.next()?.1 {
+            '}' if digits > 0 => return char::from_u32(code),
+            c => code = code * 16 + c.to_digit(16)?,
+        }
+    }
+    None
 }
 
 #[cfg(test)]

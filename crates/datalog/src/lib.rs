@@ -38,6 +38,7 @@ pub mod db;
 pub mod dnf;
 pub mod dred;
 pub mod eval;
+pub mod hex;
 pub mod intern;
 pub mod lexer;
 pub mod magic;
@@ -55,7 +56,7 @@ pub use db::{Database, Relation, Tuple};
 pub use eval::{CompiledRules, Engine, EvalError, EvalStats};
 pub use intern::Symbol;
 pub use lexer::Span;
-pub use parser::{parse_atom, parse_program, parse_rule, ParseError};
+pub use parser::{parse_atom, parse_program, parse_quoted_rule, parse_rule, ParseError};
 pub use shared::SharedVec;
 pub use unify::{Binding, Bindings};
 pub use value::Value;

@@ -36,7 +36,7 @@ use crate::ast::{
 };
 use crate::dnf::to_dnf;
 use crate::intern::Symbol;
-use crate::lexer::{lex, Span, Spanned, Token};
+use crate::lexer::{lex_to_end, Span, Spanned, Token};
 use crate::value::Value;
 use std::fmt;
 use std::sync::Arc;
@@ -103,6 +103,35 @@ pub fn parse_rule(src: &str) -> Result<Rule, ParseError> {
     }
 }
 
+/// Parses the text of exactly one quoted rule, `[| heads <- body. |]`
+/// with nothing before the `[|` and nothing after the `|]` — the slice a
+/// wire decoder cuts out of an `export` packet
+/// (`lbtrust_net::decode_packet`), so that only what a peer *said* goes
+/// through the parser and the envelope around it does not.
+///
+/// The rule is read by the same `quote` production a `[| … |]` term in a
+/// program is: meta-variables, `T*` / `A*`, the optional dot and nested
+/// quotes all mean what they mean there, and a fresh parser numbers `_`
+/// from `_G1` as one reading the whole packet would. What a fact's
+/// argument may not hold, this may not either: arithmetic to hoist
+/// (`[| p(N-1). |]`) is refused. Nesting deeper than [`MAX_NESTING`] is a
+/// [`ParseError`], as everywhere.
+pub fn parse_quoted_rule(src: &str) -> Result<Rule, ParseError> {
+    let mut p = Parser::new(src)?;
+    let rule = p.quote()?;
+    p.expect_eof()?;
+    if !p.hoisted.is_empty() {
+        return Err(p.error("arithmetic not allowed in a quoted fact's arguments".into()));
+    }
+    // The quote's own `[|` and `|]` are the text's first and last two
+    // bytes: no blank or comment before, and no `//` comment after that
+    // only *looks* closed because it ends in `|]`.
+    if !src.starts_with("[|") || p.last_end != src.len() {
+        return Err(p.error("expected exactly one quoted rule, '[|' first and '|]' last".into()));
+    }
+    Ok(rule)
+}
+
 /// Parses a single ground atom, e.g. `neighbor(a, b)`.
 pub fn parse_atom(src: &str) -> Result<Atom, ParseError> {
     let mut p = Parser::new(src)?;
@@ -111,11 +140,26 @@ pub fn parse_atom(src: &str) -> Result<Atom, ParseError> {
     Ok(atom)
 }
 
+/// How deep one statement may go: open quotes, parenthesised formulas
+/// and expressions, and negations, plus every arithmetic operator read so
+/// far of the expression at hand (each puts its left operand one level
+/// further down; the count is given back where that expression ends), all
+/// on one count. The parser descends recursively, and so does everything that
+/// later walks, prints or drops what it built, and its input can come
+/// from a peer: unbounded, a 100 KB packet of `[| p(` or of `+ 1`
+/// overflows the stack, which no caller can catch. This repository's own
+/// programs nest two quotes at most (the `pull` rules).
+pub const MAX_NESTING: usize = 64;
+
 struct Parser {
     toks: Vec<Spanned>,
+    /// The byte offset just past the last token.
+    last_end: usize,
     pos: usize,
     gensym: u32,
     quote_depth: usize,
+    /// What the current statement has spent of [`MAX_NESTING`].
+    nesting: usize,
     /// Body items hoisted from argument-position arithmetic, appended to
     /// the enclosing top-level statement.
     hoisted: Vec<BodyItem>,
@@ -123,16 +167,18 @@ struct Parser {
 
 impl Parser {
     fn new(src: &str) -> Result<Parser, ParseError> {
-        let toks = lex(src).map_err(|e| ParseError {
+        let (toks, last_end) = lex_to_end(src).map_err(|e| ParseError {
             message: e.message,
             line: e.line,
             col: e.col,
         })?;
         Ok(Parser {
             toks,
+            last_end,
             pos: 0,
             gensym: 0,
             quote_depth: 0,
+            nesting: 0,
             hoisted: Vec::new(),
         })
     }
@@ -202,6 +248,29 @@ impl Parser {
         Symbol::intern(&format!("_G{}", self.gensym))
     }
 
+    /// Goes one level down, or refuses at [`MAX_NESTING`].
+    fn deepen(&mut self) -> Result<(), ParseError> {
+        if self.nesting == MAX_NESTING {
+            return Err(self.error(format!(
+                "nesting deeper than {MAX_NESTING} levels (quotes, parentheses, negations \
+                 and arithmetic operators of one expression)"
+            )));
+        }
+        self.nesting += 1;
+        Ok(())
+    }
+
+    /// Runs one production that recurses into the grammar, a level down.
+    fn nested<T>(
+        &mut self,
+        production: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.deepen()?;
+        let result = production(self);
+        self.nesting -= 1;
+        result
+    }
+
     fn expect_eof(&self) -> Result<(), ParseError> {
         if self.pos == self.toks.len() {
             Ok(())
@@ -222,6 +291,7 @@ impl Parser {
 
     fn statement(&mut self, program: &mut Program) -> Result<(), ParseError> {
         debug_assert!(self.hoisted.is_empty());
+        self.nesting = 0;
         // The statement's source position: the first token of its head.
         // Rules split out of a disjunctive body all share this span.
         let span = self.span();
@@ -406,12 +476,12 @@ impl Parser {
 
     fn unary_formula(&mut self) -> Result<Formula, ParseError> {
         if self.eat(&Token::Bang) {
-            let inner = self.unary_formula()?;
+            let inner = self.nested(Self::unary_formula)?;
             return Ok(Formula::Not(Box::new(inner)));
         }
         if self.peek() == Some(&Token::LParen) && self.starts_formula_group() {
             self.bump();
-            let inner = self.formula()?;
+            let inner = self.nested(Self::formula)?;
             self.expect(&Token::RParen)?;
             return Ok(inner);
         }
@@ -601,7 +671,18 @@ impl Parser {
 
     // ---- expressions --------------------------------------------------------
 
+    /// One whole expression: a comparison's side or an atom's argument.
+    /// Its operators are levels of this expression only, given back at
+    /// its end, so the next one of the statement starts from where this
+    /// did and a tree is never deeper than [`MAX_NESTING`].
     fn expr(&mut self) -> Result<Expr, ParseError> {
+        let outer = self.nesting;
+        let expr = self.add_expr()?;
+        self.nesting = outer;
+        Ok(expr)
+    }
+
+    fn add_expr(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.mul_expr()?;
         loop {
             let op = match self.peek() {
@@ -610,6 +691,7 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.deepen()?;
             let rhs = self.mul_expr()?;
             lhs = Expr::BinOp(op, Box::new(lhs), Box::new(rhs));
         }
@@ -630,6 +712,7 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.deepen()?;
             let rhs = self.operand()?;
             lhs = Expr::BinOp(op, Box::new(lhs), Box::new(rhs));
         }
@@ -640,7 +723,7 @@ impl Parser {
         match self.peek().cloned() {
             Some(Token::LParen) => {
                 self.bump();
-                let inner = self.expr()?;
+                let inner = self.nested(Self::add_expr)?;
                 self.expect(&Token::RParen)?;
                 Ok(inner)
             }
@@ -707,7 +790,7 @@ impl Parser {
     fn quote(&mut self) -> Result<Rule, ParseError> {
         self.expect(&Token::LQuote)?;
         self.quote_depth += 1;
-        let result = self.quote_body();
+        let result = self.nested(Self::quote_body);
         self.quote_depth -= 1;
         result
     }
@@ -991,5 +1074,99 @@ mod tests {
         "#;
         let p = parse_program(src).unwrap();
         assert_eq!(p.rules.len(), 2);
+    }
+
+    /// The shapes that recurse, or build what recurses, `depth` levels deep.
+    fn nested_sources(depth: usize) -> [String; 6] {
+        let (open, close) = ("(".repeat(depth), ")".repeat(depth));
+        [
+            format!("p({}1{}).", "[| p(".repeat(depth), "). |]".repeat(depth)),
+            format!("p(X) <- {open}q(X){close}."),
+            format!("p(X) <- q(Y), X = {open}Y{close}."),
+            format!("p(X) <- q(X), {}r(X).", "!".repeat(depth)),
+            format!("p(X) <- q(Y), X = Y{}.", " + 1".repeat(depth)),
+            format!("p(X) <- q(Y), X = Y{}.", " * 2".repeat(depth)),
+        ]
+    }
+
+    #[test]
+    fn nesting_is_bounded_on_a_default_thread_stack() {
+        // A pool worker and a spawned thread get 2 MiB; the main thread
+        // of a test binary may get more, so the check runs on neither.
+        let checked = std::thread::spawn(|| {
+            for src in nested_sources(MAX_NESTING) {
+                parse_rule(&src).unwrap_or_else(|e| panic!("{e}: {}", &src[..40]));
+            }
+            for depth in [MAX_NESTING + 1, 100_000] {
+                for src in nested_sources(depth) {
+                    let err = parse_rule(&src).unwrap_err();
+                    assert!(
+                        err.message.contains("nesting deeper than 64"),
+                        "depth {depth}, {}: {err}",
+                        &src[..40]
+                    );
+                }
+            }
+        });
+        checked.join().expect("no overflow, no panic");
+    }
+
+    #[test]
+    fn nesting_counts_depth_not_operators_of_a_statement() {
+        // 80 operators, none more than two levels down.
+        let body: Vec<String> = (0..40).map(|i| format!("X{i} = A + B * {i}")).collect();
+        let rule = parse_rule(&format!("h(X0) <- q(A,B), {}.", body.join(", "))).unwrap();
+        assert_eq!(rule.body.len(), 41);
+        // And as arguments, each hoisted on its own.
+        let args: Vec<String> = (0..40).map(|i| format!("A + B * {i}")).collect();
+        parse_rule(&format!("h({}) <- q(A,B).", args.join(","))).unwrap();
+        // One expression is still one count, closed parentheses included:
+        // what they enclosed is the left operand of what follows.
+        let tree = format!("{}A{}", "(".repeat(32), " + 1)".repeat(32));
+        parse_rule(&format!("h(X) <- q(A), X = {tree}{}.", " + 1".repeat(32))).unwrap();
+        let err =
+            parse_rule(&format!("h(X) <- q(A), X = {tree}{}.", " + 1".repeat(33))).unwrap_err();
+        assert!(err.message.contains("nesting deeper than 64"), "{err}");
+    }
+
+    #[test]
+    fn quoted_rule_is_the_quote_production_and_nothing_around_it() {
+        let quoted = |src: &str| parse_quoted_rule(src).map(|r| r.to_string());
+        // What a `[| … |]` term parses to inside a program.
+        for inner in [
+            "p(x).",
+            "access(P,O,read) <- good(P), !banned(P).",
+            "A <- P(T2*), A*.",
+            "says(a,b,[| reachable(a,b). |]) <- neighbor(a,b).",
+            "p(\"|] // not a comment\",#ab,_).",
+        ] {
+            let program = parse_rule(&format!("holds([| {inner} |]).")).unwrap();
+            let Term::Quote(expected) = &program.heads[0].args[0] else {
+                panic!("not a quote: {program}");
+            };
+            assert_eq!(
+                parse_quoted_rule(&format!("[| {inner} |]")).as_ref(),
+                Ok(&**expected)
+            );
+        }
+        // The dot is optional, as in a program.
+        assert_eq!(quoted("[|p(x)|]").unwrap(), "p(x).");
+        // Exactly one quote, first byte to last.
+        for bad in [
+            "",
+            "p(x).",
+            "[| p(x). |] [| q(x). |]",
+            "[| p(x). |].",
+            " [| p(x). |]",
+            "[| p(x). |] ",
+            "// c\n[| p(x). |]",
+            "[| p(x). |] // |]",
+            "[| p(x). |]\n// |]",
+            "[| p(x). ",
+            "[| p(x) <- q(x); r(x). |]",
+            "[| p(N-1). |]",
+        ] {
+            assert!(parse_quoted_rule(bad).is_err(), "accepted {bad:?}");
+        }
     }
 }

@@ -1,7 +1,9 @@
 //! Runtime values stored in relations.
 
 use crate::ast::Rule;
+use crate::hex;
 use crate::intern::Symbol;
+use crate::lexer::write_str_literal;
 use std::fmt;
 use std::sync::Arc;
 
@@ -81,13 +83,10 @@ impl fmt::Display for Value {
         match self {
             Value::Sym(s) => write!(f, "{s}"),
             Value::Int(i) => write!(f, "{i}"),
-            Value::Str(s) => write!(f, "{s:?}"),
+            Value::Str(s) => write_str_literal(f, s),
             Value::Bytes(b) => {
-                write!(f, "#")?;
-                for byte in b.iter() {
-                    write!(f, "{byte:02x}")?;
-                }
-                Ok(())
+                f.write_str("#")?;
+                hex::write_hex(f, b)
             }
             Value::Quote(r) => write!(f, "[| {r} |]"),
         }
@@ -130,6 +129,55 @@ mod tests {
         assert_eq!(Value::Int(-5).to_string(), "-5");
         assert_eq!(Value::str("hi").to_string(), "\"hi\"");
         assert_eq!(Value::bytes(&[0xde, 0xad]).to_string(), "#dead");
+    }
+
+    /// What is printed is what is read back: a string over `says` is
+    /// signed, sent, logged and replayed as this text.
+    #[test]
+    fn a_string_survives_print_and_parse() {
+        let tricky = [
+            "caf\u{e9}",
+            "\u{20ac}5",
+            "a\u{1}b",
+            "nul\0",
+            "tab\t cr\r lf\n",
+            "\"quoted\" \\ back",
+            "|] ,# ). // [|",
+            "\u{7f}\u{85}\u{200b}\u{10ffff}",
+            "",
+        ];
+        for text in tricky {
+            let printed = Value::str(text).to_string();
+            let fact = crate::parse_rule(&format!("p({printed}).")).unwrap_or_else(|e| {
+                panic!("{text:?} printed as {printed}, which does not parse: {e}")
+            });
+            assert_eq!(
+                fact.heads[0].args,
+                vec![crate::Term::Val(Value::str(text))],
+                "{printed}"
+            );
+            assert_eq!(fact.to_string(), format!("p({printed})."));
+        }
+        assert_eq!(Value::str("caf\u{e9}").to_string(), "\"caf\u{e9}\"");
+        assert_eq!(Value::str("a\u{1}\0\n").to_string(), r#""a\u{1}\u{0}\n""#);
+        // Escapes the printer never writes are still read, or refused —
+        // not mangled.
+        let read = |src: &str| crate::parse_rule(src).map(|r| r.heads[0].args[0].clone());
+        assert_eq!(
+            read(r#"p("\u{E9}\u{000041}")."#),
+            Ok(crate::Term::Val(Value::str("\u{e9}A")))
+        );
+        for bad in [
+            r#"p("\0")."#,
+            r#"p("\u{}")."#,
+            r#"p("\u{110000}")."#,
+            r#"p("\u{d800}")."#,
+            r#"p("\u{1234567}")."#,
+            r#"p("\u41")."#,
+            r#"p("\u{41")."#,
+        ] {
+            assert!(read(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -17,11 +17,46 @@ fn var_name() -> impl Strategy<Value = String> {
     "[A-Z][a-z0-9]{0,4}".boxed()
 }
 
+/// Any string: plain runs, what the dialect's own punctuation and
+/// escapes are made of, control characters, and characters of every
+/// encoded width (the shim's `any::<char>()` draws printable ASCII only).
+fn arb_string() -> impl Strategy<Value = String> {
+    let piece = prop_oneof![
+        "[a-z ]{0,4}".boxed(),
+        prop_oneof![
+            Just("\""),
+            Just("\\"),
+            Just("|]"),
+            Just("[|"),
+            Just("#"),
+            Just("//"),
+            Just("\n"),
+            Just("\t"),
+            Just("\r"),
+            Just("\0"),
+            Just("\u{1}"),
+            Just("\u{7f}"),
+            Just("\u{85}"),
+            Just("\u{e9}"),
+            Just("\u{20ac}5"),
+        ]
+        .prop_map(str::to_string)
+        .boxed(),
+        any::<u32>()
+            .prop_map(|u| char::from_u32(u % 0x11_0000).map_or_else(String::new, String::from))
+            .boxed(),
+        (0u32..0x20)
+            .prop_map(|u| char::from_u32(u).map_or_else(String::new, String::from))
+            .boxed(),
+    ];
+    prop::collection::vec(piece, 0..5).prop_map(|pieces| pieces.concat())
+}
+
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
         ident().prop_map(|s| Value::sym(&s)),
         any::<i32>().prop_map(|i| Value::Int(i as i64)),
-        "[a-z ]{0,10}".prop_map(|s| Value::str(&s)),
+        arb_string().prop_map(|s| Value::str(&s)),
         prop::collection::vec(any::<u8>(), 0..6).prop_map(|b| Value::bytes(&b)),
     ]
 }
@@ -79,7 +114,10 @@ proptest! {
     fn rule_display_parse_roundtrip(rule in arb_rule()) {
         let text = rule.to_string();
         match parse_rule(&text) {
-            Ok(reparsed) => prop_assert_eq!(text, reparsed.to_string()),
+            Ok(reparsed) => {
+                prop_assert_eq!(&text, &reparsed.to_string());
+                prop_assert_eq!(rule, reparsed, "{}", text);
+            }
             Err(e) => prop_assert!(false, "generated rule failed to parse: {text}: {e}"),
         }
     }

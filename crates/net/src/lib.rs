@@ -17,9 +17,9 @@ pub mod wire;
 pub use network::{Envelope, NetMetrics, NetworkConfig, NetworkStats, SimNetwork};
 pub use node::NodeId;
 pub use wire::{
-    decode, decode_packet, digest_bytes, encode, encode_packet, encode_revgossip, encode_revoke,
-    encode_revpull, encode_revsummary, frame_meta_file, frame_record, from_hex, read_frame,
-    read_frame_sequence, read_meta_file, revoke_signing_bytes, rule_bytes, to_hex, RevPullMessage,
-    RevSummaryMessage, RevokeMessage, WireDigest, WireError, WireMessage, WirePacket,
-    FRAME_OVERHEAD, MAX_FRAME_BODY, META_CHECKPOINT, META_MANIFEST,
+    decode, decode_packet, digest_bytes, encode, encode_export, encode_packet, encode_revgossip,
+    encode_revoke, encode_revpull, encode_revsummary, frame_meta_file, frame_record, from_hex,
+    read_frame, read_frame_sequence, read_meta_file, revoke_signing_bytes, rule_bytes, to_hex,
+    RevPullMessage, RevSummaryMessage, RevokeMessage, WireDigest, WireError, WireMessage,
+    WirePacket, FRAME_OVERHEAD, MAX_FRAME_BODY, META_CHECKPOINT, META_MANIFEST,
 };

@@ -93,8 +93,9 @@ proptest! {
             seed,
         );
         let (a, b) = (NodeId::new("a"), NodeId::new("b"));
+        let heal_at = net.step() + 2;
         if cut_first {
-            net.partition(a, b, Some(net.step() + 2));
+            net.partition(a, b, Some(heal_at));
         }
         let mut delivered = 0;
         for i in 0..n {
@@ -102,8 +103,10 @@ proptest! {
             net.send(a, b, vec![i as u8]);
             delivered += net.deliver_all().len();
         }
-        // Drain the delay queue: advance steps until nothing is held.
-        while net.has_pending() {
+        // Drain the delay queue: advance steps until nothing is held, and
+        // (`n` may be one) at least to the step the heal is scheduled for,
+        // so the last assertion checks the heal fired when it was due.
+        while net.has_pending() || (cut_first && net.step() < heal_at) {
             net.begin_step();
             delivered += net.deliver_all().len();
         }
