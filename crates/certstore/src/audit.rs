@@ -1,7 +1,7 @@
 //! A certificate-transparency-style audit trail.
 //!
 //! Every lifecycle transition a store witnesses — import, revocation,
-//! expiry, link breakage, tombstone eviction — appends one immutable
+//! expiry, link breakage — appends one immutable
 //! `(digest, action, logical-time)` entry here. The trail outlives the
 //! credentials it describes: after a certificate is revoked and its
 //! derived conclusions retracted, an `explain`-style query can still
@@ -28,8 +28,9 @@ pub enum AuditAction {
     Expired,
     /// Died because a supporting (linked) certificate died.
     LinkBroken,
-    /// Tombstone dropped by the entry-map LRU bound (the certificate
-    /// was already dead; only its in-memory record was reclaimed).
+    /// A dead certificate's in-memory record was dropped. No store
+    /// records this any more (nothing evicts); the variant stays so the
+    /// durable audit segments of older stores keep decoding.
     Evicted,
 }
 

@@ -396,12 +396,6 @@ impl LogBackend {
         &self.dir
     }
 
-    /// Overrides the rotation budget.
-    pub fn with_rotate_budget(mut self, bytes: u64) -> Self {
-        self.rotate_bytes = bytes.max(1);
-        self
-    }
-
     /// Records lifecycle durations and byte volumes into `registry`'s
     /// `storelog.*` metrics. Attach *before* the replaying open so the
     /// replay itself is measured.

@@ -70,8 +70,8 @@ pub struct CheckpointCert {
 /// logical clock, every *live* certificate, and the remembered
 /// revocations (which must keep blocking re-imports forever). Dead
 /// non-revoked certificates are deliberately absent — compaction
-/// forgets them exactly like tombstone eviction already does, while the
-/// folded audit segment keeps their full lifecycle citable.
+/// forgets them, while the folded audit segment keeps their full
+/// lifecycle citable.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CheckpointState {
     /// The store's logical time.
@@ -652,6 +652,15 @@ mod tests {
                 principal: Symbol::intern("bob"),
                 action: AuditAction::LinkBroken,
                 at: 9,
+                rule: None,
+            },
+            // Nothing writes `evicted` any more; segments folded by an
+            // older store may hold it and must keep decoding.
+            AuditEntry {
+                digest: CertDigest::of(b"c3"),
+                principal: Symbol::intern("alice"),
+                action: AuditAction::Evicted,
+                at: 11,
                 rule: None,
             },
         ];

@@ -73,6 +73,17 @@ impl LinkedCert {
         rule_bytes(&self.rule)
     }
 
+    /// The two `(message, signature)` pairs the issuer signed, in the
+    /// order the store checks them: the certificate signature over
+    /// [`LinkedCert::signing_bytes`], then the export-pipeline one over
+    /// [`LinkedCert::rule_bytes`].
+    pub(crate) fn signed(&self) -> [(Vec<u8>, &[u8]); 2] {
+        [
+            (self.signing_bytes(), &self.signature),
+            (self.rule_bytes(), &self.rule_sig),
+        ]
+    }
+
     /// Parses the canonical wire form produced by
     /// [`LinkedCert::wire_bytes`] back into a certificate — the decode
     /// half of the durable log's record payloads. Returns `None` on any

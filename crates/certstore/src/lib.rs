@@ -38,10 +38,11 @@
 //!   records every lifecycle transition so conclusions can be traced to
 //!   the credential that introduced them even after revocation — and
 //!   after compaction.
-//! * **Bounded memory** ([`lru`]) — the verification cache and the
-//!   entry map accept capacity bounds with O(1) touch/evict, under
-//!   plain LRU or the scan-resistant 2Q policy
-//!   ([`lru::EvictionPolicy`]).
+//!
+//! Nothing in this crate bounds memory: the verification memo and a
+//! store's dead-certificate tombstones grow with history, as they have
+//! in every configuration the system builds (the one bounded map is the
+//! runtime's decision cache, 16 × 1024 entries under 2Q).
 //!
 //! The crate deliberately sits *below* the runtime: it knows rules,
 //! digests and signatures, but resolves keys through the
@@ -54,7 +55,6 @@ pub mod audit;
 pub mod backend;
 pub mod cert;
 pub mod digest;
-pub mod lru;
 pub mod revocation;
 pub mod store;
 pub mod verify;
@@ -66,13 +66,9 @@ pub use backend::{
 };
 pub use cert::LinkedCert;
 pub use digest::CertDigest;
-pub use lru::{EvictionPolicy, LruMap};
 pub use revocation::Revocation;
 pub use store::{
     CertStatus, CertStore, CertStoreError, GroundHeads, ImportOutcome, MaintenanceReport,
     ReplayReport, RetractReason, RetractionEvent, RevokeOutcome, StoreStats,
 };
-pub use verify::{
-    shared_verify_cache, shared_verify_cache_with_capacity, SharedVerifyCache, SignatureVerifier,
-    VerifyCache,
-};
+pub use verify::{shared_verify_cache, SharedVerifyCache, SignatureVerifier, VerifyCache};

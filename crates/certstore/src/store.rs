@@ -17,9 +17,8 @@ use crate::backend::{
 };
 use crate::cert::LinkedCert;
 use crate::digest::CertDigest;
-use crate::lru::LruMap;
 use crate::revocation::Revocation;
-use crate::verify::{shared_verify_cache, CacheStats, SharedVerifyCache, SignatureVerifier};
+use crate::verify::{shared_verify_cache, SharedVerifyCache, SignatureVerifier};
 use lbtrust_datalog::ast::{PredRef, Rule, Term};
 use lbtrust_datalog::{Symbol, Tuple};
 use std::cmp::Reverse;
@@ -221,8 +220,6 @@ pub struct StoreStats {
     pub expirations: u64,
     /// Certificates broken by a dead link (cascade).
     pub link_breaks: u64,
-    /// Dead entries (tombstones) dropped by the entry-map LRU bound.
-    pub evictions: u64,
     /// Records rebuilt from the backend at open time.
     pub replayed: u64,
     /// Backend syncs actually performed ([`CertStore::sync`] on a
@@ -250,8 +247,6 @@ pub struct StoreStats {
     /// instead of raw log replay (active certificates + remembered
     /// revocations inside the checkpoint).
     pub replayed_from_checkpoint: u64,
-    /// Verification-cache counters at the shared cache.
-    pub cache: CacheStats,
 }
 
 /// What [`CertStore::open`] recovered from its backend.
@@ -309,9 +304,7 @@ pub struct Entry {
 /// [`StorageBackend`].
 pub struct CertStore {
     entries: HashMap<CertDigest, Entry>,
-    /// Insertion order, for deterministic iteration. Evicted digests
-    /// stay listed (their entries are gone); readers filter through
-    /// `entries`.
+    /// Insertion order, for deterministic iteration.
     order: Vec<CertDigest>,
     /// Reverse link index: support -> certificates citing it.
     dependents: HashMap<CertDigest, Vec<CertDigest>>,
@@ -321,10 +314,10 @@ pub struct CertStore {
     /// arrived before their certificate (a later import is rejected iff
     /// the certificate's own issuer is among the revokers — another
     /// principal's self-signed revocation object carries no authority
-    /// and must not mask the real issuer's). Survives tombstone
-    /// eviction, so revoked stays revoked. An empty signature marks an
-    /// object restored from a pre-signature checkpoint: it still blocks
-    /// imports but cannot be re-served.
+    /// and must not mask the real issuer's). Outlives the certificate's
+    /// entry across a compacted reopen, so revoked stays revoked. An
+    /// empty signature marks an object restored from a pre-signature
+    /// checkpoint: it still blocks imports but cannot be re-served.
     revoked: HashMap<CertDigest, HashMap<Symbol, Vec<u8>>>,
     /// Maintained XOR fold, per signer, of the re-servable (non-empty
     /// signature) objects in `revoked` — kept current by
@@ -361,19 +354,11 @@ pub struct CertStore {
     /// Monotone active-set version: bumped on every mutation of the
     /// live certificate set (import, revocation death, expiry, link
     /// break, checkpoint restore) and *not* on inert bookkeeping
-    /// (pre-arrival revocation memory, foreign objects, tombstone
-    /// eviction), so a cached read keyed on it stays valid exactly as
-    /// long as the facts it rests on.
+    /// (pre-arrival revocation memory, foreign objects), so a cached
+    /// read keyed on it stays valid exactly as long as the facts it
+    /// rests on.
     version: u64,
-    /// Bound on the entry map (`None` = unbounded). Only *dead*
-    /// entries (tombstones) are ever evicted; live certificates are
-    /// never dropped, so the bound is best-effort when the live set
-    /// alone exceeds it.
-    entry_capacity: Option<usize>,
-    /// Recency index over dead entries, for O(1) tombstone eviction.
-    dead_lru: LruMap<CertDigest, ()>,
     replay_report: ReplayReport,
-    replay_events: Vec<RetractionEvent>,
     /// Whether records were appended since the last [`CertStore::sync`].
     /// Lets group-commit callers sync many stores cheaply: a clean
     /// store's sync is a no-op, not an fsync.
@@ -401,7 +386,6 @@ struct StoreObs {
     revocations: lbtrust_obs::Counter,
     expirations: lbtrust_obs::Counter,
     link_breaks: lbtrust_obs::Counter,
-    evictions: lbtrust_obs::Counter,
     replayed: lbtrust_obs::Counter,
     syncs: lbtrust_obs::Counter,
     compactions: lbtrust_obs::Counter,
@@ -416,7 +400,6 @@ impl StoreObs {
             revocations: registry.counter("store.revocations"),
             expirations: registry.counter("store.expirations"),
             link_breaks: registry.counter("store.link_breaks"),
-            evictions: registry.counter("store.evictions"),
             replayed: registry.counter("store.replayed"),
             syncs: registry.counter("store.syncs"),
             compactions: registry.counter("store.compactions"),
@@ -488,6 +471,33 @@ fn revoke_record_bytes(issuer: Symbol, sig_len: usize) -> u64 {
     (lbtrust_net::FRAME_OVERHEAD + 1 + payload) as u64
 }
 
+/// The `(predicate, tuple)` facts a certified rule asserts outright:
+/// every ground head of a bodyless rule. Rules with bodies derive
+/// rather than assert, and non-ground heads materialize per-binding —
+/// both are cited through `says` premises instead, so neither is
+/// indexed.
+fn asserted_ground_heads(rule: &Rule) -> impl Iterator<Item = (Symbol, Tuple)> + '_ {
+    let heads = if rule.body.is_empty() {
+        rule.heads.as_slice()
+    } else {
+        &[]
+    };
+    heads.iter().filter_map(|head| {
+        let PredRef::Name(pred) = head.pred else {
+            return None;
+        };
+        let ground: Option<Tuple> = head
+            .args
+            .iter()
+            .map(|t| match t {
+                Term::Val(v) => Some(v.clone()),
+                _ => None,
+            })
+            .collect();
+        Some((pred, ground?))
+    })
+}
+
 /// Nominal revocation-record size used when the signature is no longer
 /// on hand (checkpoint restore keeps `(issuer, target)` only).
 const REVOKE_RECORD_NOMINAL: u64 = 384;
@@ -525,10 +535,7 @@ impl CertStore {
             active_dirty: false,
             ground_heads: Arc::default(),
             version: 0,
-            entry_capacity: None,
-            dead_lru: LruMap::new(None),
             replay_report: ReplayReport::default(),
-            replay_events: Vec::new(),
             dirty: false,
             live_bytes: 0,
             audit_persisted: 0,
@@ -586,31 +593,11 @@ impl CertStore {
         obs.revocations.add(self.stats.revocations);
         obs.expirations.add(self.stats.expirations);
         obs.link_breaks.add(self.stats.link_breaks);
-        obs.evictions.add(self.stats.evictions);
         obs.replayed.add(self.stats.replayed);
         obs.syncs.add(self.stats.syncs);
         obs.compactions.add(self.stats.compactions);
         obs.checkpoints.add(self.stats.checkpoints);
         self.obs = Some(obs);
-    }
-
-    /// Bounds the entry map to `capacity` entries (`None` = unbounded),
-    /// evicting least-recently-touched *dead* entries (tombstones) to
-    /// fit. Live certificates are never evicted.
-    pub fn set_entry_capacity(&mut self, capacity: Option<usize>) {
-        self.entry_capacity = capacity;
-        self.enforce_capacity();
-    }
-
-    /// Builder form of [`CertStore::set_entry_capacity`].
-    pub fn with_entry_capacity(mut self, capacity: Option<usize>) -> Self {
-        self.set_entry_capacity(capacity);
-        self
-    }
-
-    /// The configured entry-map bound.
-    pub fn entry_capacity(&self) -> Option<usize> {
-        self.entry_capacity
     }
 
     /// The store's logical time.
@@ -623,11 +610,9 @@ impl CertStore {
         &self.cache
     }
 
-    /// Counters (cache counters read from the shared cache; footprint
-    /// counters read from the backend).
+    /// Counters (footprint counters read from the backend).
     pub fn stats(&self) -> StoreStats {
         let mut s = self.stats;
-        s.cache = self.cache.lock().unwrap_or_else(|e| e.into_inner()).stats();
         let fp = self.backend.footprint();
         s.segments = fp.segments;
         s.live_bytes = self.live_bytes;
@@ -636,20 +621,12 @@ impl CertStore {
     }
 
     /// Bytes of dead (compactable) records on the backend's medium —
-    /// the compaction trigger, computable without locking the shared
-    /// verification cache.
+    /// the compaction trigger.
     pub fn dead_bytes(&self) -> u64 {
         self.backend
             .footprint()
             .bytes
             .saturating_sub(self.live_bytes)
-    }
-
-    /// Seals the active segment and starts a fresh one, independent of
-    /// the size-triggered rotation. A no-op for the memory backend.
-    pub fn rotate(&mut self) -> Result<(), CertStoreError> {
-        self.backend.rotate()?;
-        Ok(())
     }
 
     /// Installs a checkpoint — the serialized materialized state (live
@@ -665,10 +642,9 @@ impl CertStore {
     /// Compacts the log: installs a checkpoint (see
     /// [`CertStore::checkpoint`]) and prunes every superseded segment,
     /// reclaiming the disk held by dead records — revoked and expired
-    /// certificates, superseded clock ticks. What compaction forgets is
-    /// exactly what tombstone eviction already forgets: dead
-    /// non-revoked certificates lose their in-memory tombstone on the
-    /// *next* reopen, while revocations keep blocking re-imports
+    /// certificates, superseded clock ticks. What compaction forgets:
+    /// dead non-revoked certificates lose their in-memory tombstone on
+    /// the *next* reopen, while revocations keep blocking re-imports
     /// forever and the folded audit segment keeps every lifecycle entry
     /// citable.
     pub fn compact(&mut self) -> Result<MaintenanceReport, CertStoreError> {
@@ -748,8 +724,8 @@ impl CertStore {
     }
 
     /// The append-only lifecycle trail: every import, revocation,
-    /// expiry, link break and eviction this store (or the log it was
-    /// reopened from) ever witnessed.
+    /// expiry and link break this store (or the log it was reopened
+    /// from) ever witnessed.
     pub fn audit(&self) -> &AuditLog {
         &self.audit
     }
@@ -758,13 +734,6 @@ impl CertStore {
     /// fresh or in-memory store).
     pub fn replay_report(&self) -> ReplayReport {
         self.replay_report
-    }
-
-    /// Drains the retraction events replay produced for certificates
-    /// that died *within* the log's history — the runtime reconciles
-    /// its workspace against these after a reopen.
-    pub fn take_replay_events(&mut self) -> Vec<RetractionEvent> {
-        std::mem::take(&mut self.replay_events)
     }
 
     /// Where this store's records live ("memory" or the segment path).
@@ -795,8 +764,7 @@ impl CertStore {
         self.dirty
     }
 
-    /// Number of stored certificates (any status; evicted tombstones no
-    /// longer count).
+    /// Number of stored certificates (any status).
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -849,34 +817,15 @@ impl CertStore {
     }
 
     /// Files every ground head of a bodyless certified rule under the
-    /// certificate's content address. Rules with bodies derive rather
-    /// than assert, and non-ground heads materialize per-binding — both
-    /// are cited through `says` premises instead, so neither is
-    /// indexed.
+    /// certificate's content address.
     fn index_ground_heads(&mut self, digest: CertDigest, rule: &Rule) {
-        if !rule.body.is_empty() {
-            return;
-        }
-        for head in &rule.heads {
-            let PredRef::Name(pred) = head.pred else {
-                continue;
-            };
-            let ground: Option<Tuple> = head
-                .args
-                .iter()
-                .map(|t| match t {
-                    Term::Val(v) => Some(v.clone()),
-                    _ => None,
-                })
-                .collect();
-            if let Some(tuple) = ground {
-                Arc::make_mut(&mut self.ground_heads)
-                    .entry(pred)
-                    .or_default()
-                    .entry(tuple)
-                    .or_default()
-                    .push(digest);
-            }
+        for (pred, tuple) in asserted_ground_heads(rule) {
+            Arc::make_mut(&mut self.ground_heads)
+                .entry(pred)
+                .or_default()
+                .entry(tuple)
+                .or_default()
+                .push(digest);
         }
     }
 
@@ -884,22 +833,7 @@ impl CertStore {
     /// leaves the active set, pruning emptied tuple and predicate
     /// slots so the index tracks the live set's size, not history.
     fn unindex_ground_heads(&mut self, digest: CertDigest, rule: &Rule) {
-        if !rule.body.is_empty() {
-            return;
-        }
-        for head in &rule.heads {
-            let PredRef::Name(pred) = head.pred else {
-                continue;
-            };
-            let ground: Option<Tuple> = head
-                .args
-                .iter()
-                .map(|t| match t {
-                    Term::Val(v) => Some(v.clone()),
-                    _ => None,
-                })
-                .collect();
-            let Some(tuple) = ground else { continue };
+        for (pred, tuple) in asserted_ground_heads(rule) {
             let filed = self.ground_heads.get(&pred);
             if !filed.is_some_and(|by_tuple| by_tuple.contains_key(&tuple)) {
                 continue;
@@ -1012,10 +946,7 @@ impl CertStore {
                         newly_added: false,
                     })
                 }
-                status => {
-                    self.dead_lru.touch(&digest);
-                    Err(CertStoreError::NotLive(digest, status))
-                }
+                status => Err(CertStoreError::NotLive(digest, status)),
             };
         }
         self.check_links(digest, &cert.links)?;
@@ -1032,7 +963,7 @@ impl CertStore {
         let LogRecord::Cert(cert) = record else {
             unreachable!("constructed above")
         };
-        self.apply_insert(cert);
+        self.apply_insert(digest, cert);
         Ok(ImportOutcome {
             digest,
             cache_hit: hit,
@@ -1066,17 +997,10 @@ impl CertStore {
         Ok(())
     }
 
-    /// Files a verified (or replayed-as-verified) certificate.
-    fn apply_insert(&mut self, cert: LinkedCert) -> CertDigest {
-        let digest = cert.digest();
-        self.live_bytes += cert_record_bytes(&cert);
-        let expires_at = cert.ttl.map(|t| self.clock.saturating_add(t));
-        for link in &cert.links {
-            self.dependents.entry(*link).or_default().push(digest);
-        }
-        if let Some(deadline) = expires_at {
-            self.expiry.push(Reverse((deadline, digest)));
-        }
+    /// Lands a verified (or replayed-as-verified) certificate at the
+    /// current logical time, under the content address `digest` its
+    /// caller already computed.
+    fn apply_insert(&mut self, digest: CertDigest, cert: LinkedCert) {
         self.audit.record(
             digest,
             cert.issuer,
@@ -1084,14 +1008,40 @@ impl CertStore {
             self.clock,
             Some(cert.rule.clone()),
         );
-        self.index_ground_heads(digest, &cert.rule);
         self.version += 1;
+        self.stats.imports += 1;
+        if let Some(o) = &self.obs {
+            o.imports.inc();
+        }
+        let expires_at = cert.ttl.map(|t| self.clock.saturating_add(t));
+        self.file(digest, cert, self.clock, expires_at);
+    }
+
+    /// Files a live certificate in every index — the one place an
+    /// [`Entry`] is built. A landing import stamps it with the clock and
+    /// a deadline from its TTL; a checkpoint restore passes the import
+    /// time and deadline the checkpoint recorded.
+    fn file(
+        &mut self,
+        digest: CertDigest,
+        cert: LinkedCert,
+        imported_at: u64,
+        expires_at: Option<u64>,
+    ) {
+        self.live_bytes += cert_record_bytes(&cert);
+        for link in &cert.links {
+            self.dependents.entry(*link).or_default().push(digest);
+        }
+        if let Some(deadline) = expires_at {
+            self.expiry.push(Reverse((deadline, digest)));
+        }
+        self.index_ground_heads(digest, &cert.rule);
         self.entries.insert(
             digest,
             Entry {
                 cert,
                 status: CertStatus::Active,
-                imported_at: self.clock,
+                imported_at,
                 expires_at,
             },
         );
@@ -1099,12 +1049,64 @@ impl CertStore {
         if !self.active_dirty {
             self.active_cache.push(digest);
         }
-        self.stats.imports += 1;
-        if let Some(o) = &self.obs {
-            o.imports.inc();
+    }
+
+    /// Ends a live certificate's life — the one place a stored
+    /// certificate's status leaves [`CertStatus::Active`], so
+    /// revocation, clock advance and link cascade cannot drift apart:
+    /// status, reclaimed bytes, counter, active cache, ground heads,
+    /// version, trail. Returns the retraction event, or `None` when no
+    /// live certificate is filed under `digest`: a revocation may
+    /// arrive before its certificate, a revoked certificate's deadline
+    /// still sits in the expiry heap, and a dependent citing two
+    /// supports breaks with the first.
+    fn kill(&mut self, digest: CertDigest, reason: RetractReason) -> Option<RetractionEvent> {
+        let entry = self
+            .entries
+            .get_mut(&digest)
+            .filter(|e| e.status == CertStatus::Active)?;
+        let obs = self.obs.as_ref();
+        let (status, action, total, mirror) = match reason {
+            RetractReason::Revoked => (
+                CertStatus::Revoked,
+                AuditAction::Revoked,
+                &mut self.stats.revocations,
+                obs.map(|o| &o.revocations),
+            ),
+            RetractReason::Expired => (
+                CertStatus::Expired,
+                AuditAction::Expired,
+                &mut self.stats.expirations,
+                obs.map(|o| &o.expirations),
+            ),
+            RetractReason::LinkBroken => (
+                CertStatus::Broken,
+                AuditAction::LinkBroken,
+                &mut self.stats.link_breaks,
+                obs.map(|o| &o.link_breaks),
+            ),
+        };
+        entry.status = status;
+        *total += 1;
+        if let Some(counter) = mirror {
+            counter.inc();
         }
-        self.enforce_capacity();
-        digest
+        let event = RetractionEvent {
+            digest,
+            issuer: entry.cert.issuer,
+            rule: entry.cert.rule.clone(),
+            rule_sig: entry.cert.rule_sig.clone(),
+            reason,
+        };
+        self.live_bytes = self
+            .live_bytes
+            .saturating_sub(cert_record_bytes(&entry.cert));
+        self.active_dirty = true;
+        self.unindex_ground_heads(digest, &event.rule);
+        self.version += 1;
+        self.audit
+            .record(digest, event.issuer, action, self.clock, None);
+        Some(event)
     }
 
     /// Imports a batch whose members may link to each other: passes are
@@ -1233,7 +1235,6 @@ impl CertStore {
             stored.is_some_and(|s| s.is_empty()) && !revocation.signature.is_empty();
         let entry_active = self.status(&target) == Some(CertStatus::Active);
         if known_revoker && !signature_upgrade && !(authoritative && entry_active) {
-            self.dead_lru.touch(&target);
             return Ok(RevokeOutcome {
                 applied: false,
                 authoritative,
@@ -1276,8 +1277,17 @@ impl CertStore {
         if prev.is_none_or(|s| s.is_empty()) && !signature.is_empty() {
             self.index_servable(issuer, target);
         }
-        let Some(entry) = self.entries.get_mut(&target) else {
-            // Pre-arrival revocation: remembered, blocks later import.
+        if (self.entries.get(&target)).is_some_and(|e| e.cert.issuer != issuer) {
+            // Foreign revocation object: no authority, no trail entry.
+            return Vec::new();
+        }
+        let Some(event) = self.kill(target, RetractReason::Revoked) else {
+            // No lifecycle to end — a pre-arrival revocation (remembered,
+            // blocks the later import) or the issuer's revocation of an
+            // already-dead certificate. The two count and leave the same
+            // trail entry on purpose: replaying the record after a
+            // compaction forgot the tombstone rebuilds an identical
+            // audit trail.
             self.stats.revocations += 1;
             if let Some(o) = &self.obs {
                 o.revocations.inc();
@@ -1286,47 +1296,8 @@ impl CertStore {
                 .record(target, issuer, AuditAction::Revoked, self.clock, None);
             return Vec::new();
         };
-        if entry.cert.issuer != issuer {
-            // Foreign revocation object: no authority, no trail entry.
-            return Vec::new();
-        }
-        if entry.status != CertStatus::Active {
-            // A verified issuer revocation of an already-dead
-            // certificate: no lifecycle change, but the trail records
-            // it — deliberately matching the pre-arrival branch above,
-            // so replaying this record after a compaction forgot the
-            // tombstone rebuilds an identical audit trail.
-            self.stats.revocations += 1;
-            if let Some(o) = &self.obs {
-                o.revocations.inc();
-            }
-            self.audit
-                .record(target, issuer, AuditAction::Revoked, self.clock, None);
-            return Vec::new();
-        }
-        entry.status = CertStatus::Revoked;
-        let reclaimed = cert_record_bytes(&entry.cert);
-        let mut events = vec![RetractionEvent {
-            digest: target,
-            issuer: entry.cert.issuer,
-            rule: entry.cert.rule.clone(),
-            rule_sig: entry.cert.rule_sig.clone(),
-            reason: RetractReason::Revoked,
-        }];
-        self.live_bytes = self.live_bytes.saturating_sub(reclaimed);
-        self.stats.revocations += 1;
-        if let Some(o) = &self.obs {
-            o.revocations.inc();
-        }
-        self.active_dirty = true;
-        self.dead_lru.insert(target, ());
-        let rule = events[0].rule.clone();
-        self.unindex_ground_heads(target, &rule);
-        self.version += 1;
-        self.audit
-            .record(target, issuer, AuditAction::Revoked, self.clock, None);
+        let mut events = vec![event];
         self.cascade_broken(&[target], &mut events);
-        self.enforce_capacity();
         events
     }
 
@@ -1344,7 +1315,6 @@ impl CertStore {
     fn apply_advance(&mut self, ticks: u64) -> Vec<RetractionEvent> {
         self.clock = self.clock.saturating_add(ticks);
         let mut events = Vec::new();
-        let mut expired = Vec::new();
         // Only certificates actually due are touched: the heap is keyed
         // by TTL deadline, so a tick expiring nothing is O(1).
         while let Some(&Reverse((deadline, digest))) = self.expiry.peek() {
@@ -1352,38 +1322,10 @@ impl CertStore {
                 break;
             }
             self.expiry.pop();
-            let Some(entry) = self.entries.get_mut(&digest) else {
-                continue; // evicted tombstone
-            };
-            if entry.status != CertStatus::Active || entry.expires_at != Some(deadline) {
-                continue; // already dead by another cause
-            }
-            entry.status = CertStatus::Expired;
-            let reclaimed = cert_record_bytes(&entry.cert);
-            events.push(RetractionEvent {
-                digest,
-                issuer: entry.cert.issuer,
-                rule: entry.cert.rule.clone(),
-                rule_sig: entry.cert.rule_sig.clone(),
-                reason: RetractReason::Expired,
-            });
-            let issuer = entry.cert.issuer;
-            let rule = entry.cert.rule.clone();
-            expired.push(digest);
-            self.live_bytes = self.live_bytes.saturating_sub(reclaimed);
-            self.stats.expirations += 1;
-            if let Some(o) = &self.obs {
-                o.expirations.inc();
-            }
-            self.active_dirty = true;
-            self.dead_lru.insert(digest, ());
-            self.unindex_ground_heads(digest, &rule);
-            self.version += 1;
-            self.audit
-                .record(digest, issuer, AuditAction::Expired, self.clock, None);
+            events.extend(self.kill(digest, RetractReason::Expired));
         }
+        let expired: Vec<CertDigest> = events.iter().map(|e| e.digest).collect();
         self.cascade_broken(&expired, &mut events);
-        self.enforce_capacity();
         events
     }
 
@@ -1394,77 +1336,11 @@ impl CertStore {
         while let Some(dead) = frontier.pop() {
             let dependents = self.dependents.get(&dead).cloned().unwrap_or_default();
             for dep in dependents {
-                let Some(entry) = self.entries.get_mut(&dep) else {
-                    continue; // evicted tombstone (was already dead)
-                };
-                if entry.status == CertStatus::Active {
-                    entry.status = CertStatus::Broken;
-                    let reclaimed = cert_record_bytes(&entry.cert);
-                    events.push(RetractionEvent {
-                        digest: dep,
-                        issuer: entry.cert.issuer,
-                        rule: entry.cert.rule.clone(),
-                        rule_sig: entry.cert.rule_sig.clone(),
-                        reason: RetractReason::LinkBroken,
-                    });
-                    let issuer = entry.cert.issuer;
-                    let rule = entry.cert.rule.clone();
-                    self.live_bytes = self.live_bytes.saturating_sub(reclaimed);
-                    self.stats.link_breaks += 1;
-                    if let Some(o) = &self.obs {
-                        o.link_breaks.inc();
-                    }
-                    self.active_dirty = true;
-                    self.dead_lru.insert(dep, ());
-                    self.unindex_ground_heads(dep, &rule);
-                    self.version += 1;
-                    self.audit
-                        .record(dep, issuer, AuditAction::LinkBroken, self.clock, None);
+                if let Some(event) = self.kill(dep, RetractReason::LinkBroken) {
+                    events.push(event);
                     frontier.push(dep);
                 }
             }
-        }
-    }
-
-    /// Evicts least-recently-touched tombstones while the entry map
-    /// exceeds its bound. Live certificates are never evicted, so the
-    /// loop stops when only live entries remain.
-    fn enforce_capacity(&mut self) {
-        let Some(cap) = self.entry_capacity else {
-            return;
-        };
-        while self.entries.len() > cap {
-            let Some((victim, ())) = self.dead_lru.pop_lru() else {
-                break; // everything over budget is live
-            };
-            let Some(entry) = self.entries.remove(&victim) else {
-                continue;
-            };
-            for link in &entry.cert.links {
-                if let Some(deps) = self.dependents.get_mut(link) {
-                    deps.retain(|d| *d != victim);
-                }
-            }
-            // Its own dependents (if any) are dead too — drop the index.
-            self.dependents.remove(&victim);
-            self.stats.evictions += 1;
-            if let Some(o) = &self.obs {
-                o.evictions.inc();
-            }
-            self.audit.record(
-                victim,
-                entry.cert.issuer,
-                AuditAction::Evicted,
-                self.clock,
-                None,
-            );
-        }
-        // Amortized compaction: once evicted tombstones make up more
-        // than half of `order`, drop them so iteration (and
-        // `refresh_active`) scales with live-ish entries, not with
-        // all-time history.
-        if self.order.len() > 16 && self.order.len() > 2 * self.entries.len() {
-            self.order.retain(|d| self.entries.contains_key(d));
         }
     }
 
@@ -1488,26 +1364,19 @@ impl CertStore {
     /// transition logic the live paths use, so the result is
     /// byte-for-byte the state an uninterrupted store would hold.
     fn apply_replay(&mut self, log: ReplayLog) {
-        let mut events = Vec::new();
         let records = log.records.len();
-        let from_checkpoint = log.from_checkpoint;
         // The audit segment holds everything folded out of compacted
         // history; replaying the suffix regenerates the rest.
         let audit_restored = log.audit.len();
         self.audit = AuditLog::restore(log.audit);
         self.audit_persisted = audit_restored;
+        // The retraction events the transitions return are dropped: a
+        // store is opened before its workspace holds any fact to retract.
         for record in log.records {
             self.stats.replayed += 1;
-            if let Some(o) = &self.obs {
-                o.replayed.inc();
-            }
             match record {
                 LogRecord::Cert(cert) => {
-                    {
-                        let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-                        cache.prime(cert.issuer, &cert.signing_bytes(), &cert.signature, true);
-                        cache.prime(cert.issuer, &cert.rule_bytes(), &cert.rule_sig, true);
-                    }
+                    self.prime_recorded(cert.issuer, &cert.signed());
                     let digest = cert.digest();
                     // A faithful log cannot trip these guards (the
                     // original insert validated them), but a log from a
@@ -1523,22 +1392,15 @@ impl CertStore {
                     {
                         continue;
                     }
-                    self.apply_insert(cert);
+                    self.apply_insert(digest, cert);
                 }
                 LogRecord::Revoke {
                     issuer,
                     target,
                     signature,
                 } => {
-                    {
-                        let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-                        cache.prime(
-                            issuer,
-                            &lbtrust_net::revoke_signing_bytes(issuer, target.as_bytes()),
-                            &signature,
-                            true,
-                        );
-                    }
+                    let signed = lbtrust_net::revoke_signing_bytes(issuer, target.as_bytes());
+                    self.prime_recorded(issuer, &[(signed, &signature)]);
                     // Foreign objects (signer ≠ the held certificate's
                     // issuer) replay too: `absorb_revocation` logged
                     // them, and `apply_revoke` already remembers them
@@ -1547,15 +1409,10 @@ impl CertStore {
                     // make gossip re-pull (and re-append) the same
                     // object after every restart.
                     self.live_bytes += revoke_record_bytes(issuer, signature.len());
-                    events.extend(self.apply_revoke(issuer, target, &signature));
+                    self.apply_revoke(issuer, target, &signature);
                 }
-                LogRecord::Tick(ticks) => events.extend(self.apply_advance(ticks)),
-                LogRecord::Checkpoint(state) => {
-                    // A checkpoint supersedes everything before it;
-                    // events from superseded records must not fire.
-                    events.clear();
-                    self.restore_checkpoint(*state);
-                }
+                LogRecord::Tick(ticks) => drop(self.apply_advance(ticks)),
+                LogRecord::Checkpoint(state) => self.restore_checkpoint(*state),
             }
         }
         self.refresh_active();
@@ -1563,10 +1420,20 @@ impl CertStore {
             records,
             bytes: log.valid_bytes,
             truncated_tail: log.truncated_tail,
-            from_checkpoint,
+            from_checkpoint: log.from_checkpoint,
             audit_restored,
         };
-        self.replay_events = events;
+    }
+
+    /// Installs recorded verification outcomes in the shared cache: a
+    /// record's presence in the log or in a checkpoint says each
+    /// `(message, signature)` pair verified under `signer` before it
+    /// was written, so replay never re-runs a signature check.
+    fn prime_recorded(&self, signer: Symbol, verified: &[(Vec<u8>, &[u8])]) {
+        let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
+        for (message, signature) in verified {
+            cache.prime(signer, message, signature, true);
+        }
     }
 
     /// Resets the store to a checkpoint's materialized state: live
@@ -1590,7 +1457,6 @@ impl CertStore {
         // whatever was held, so any decision keyed on an older version
         // is stale (the counter stays monotone — it never resets).
         self.version += 1;
-        self.dead_lru = LruMap::new(None);
         self.live_bytes = 0;
         self.clock = state.clock;
         for CheckpointCert {
@@ -1599,31 +1465,8 @@ impl CertStore {
             expires_at,
         } in state.active
         {
-            {
-                let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-                cache.prime(cert.issuer, &cert.signing_bytes(), &cert.signature, true);
-                cache.prime(cert.issuer, &cert.rule_bytes(), &cert.rule_sig, true);
-            }
-            let digest = cert.digest();
-            for link in &cert.links {
-                self.dependents.entry(*link).or_default().push(digest);
-            }
-            if let Some(deadline) = expires_at {
-                self.expiry.push(Reverse((deadline, digest)));
-            }
-            self.live_bytes += cert_record_bytes(&cert);
-            self.index_ground_heads(digest, &cert.rule);
-            self.entries.insert(
-                digest,
-                Entry {
-                    cert,
-                    status: CertStatus::Active,
-                    imported_at,
-                    expires_at,
-                },
-            );
-            self.order.push(digest);
-            self.active_cache.push(digest);
+            self.prime_recorded(cert.issuer, &cert.signed());
+            self.file(cert.digest(), cert, imported_at, expires_at);
             self.stats.replayed_from_checkpoint += 1;
         }
         for (issuer, target, signature) in state.revoked {
@@ -1633,25 +1476,17 @@ impl CertStore {
                 // The signature survives the checkpoint, so the object
                 // can be re-served to anti-entropy peers after a reopen
                 // — prime the cache like replaying its raw record would.
-                let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-                cache.prime(
-                    issuer,
-                    &lbtrust_net::revoke_signing_bytes(issuer, target.as_bytes()),
-                    &signature,
-                    true,
-                );
+                let signed = lbtrust_net::revoke_signing_bytes(issuer, target.as_bytes());
+                self.prime_recorded(issuer, &[(signed, &signature)]);
+                self.index_servable(issuer, target);
                 revoke_record_bytes(issuer, signature.len())
             };
-            if !signature.is_empty() {
-                self.index_servable(issuer, target);
-            }
             self.revoked
                 .entry(target)
                 .or_default()
                 .insert(issuer, signature);
             self.stats.replayed_from_checkpoint += 1;
         }
-        self.enforce_capacity();
     }
 
     fn check_cert_signatures(
@@ -1660,14 +1495,9 @@ impl CertStore {
         verifier: &dyn SignatureVerifier,
     ) -> (bool, bool) {
         let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-        let (sig_ok, hit1) = cache.check(
-            verifier,
-            cert.issuer,
-            &cert.signing_bytes(),
-            &cert.signature,
-        );
-        let (rule_ok, hit2) =
-            cache.check(verifier, cert.issuer, &cert.rule_bytes(), &cert.rule_sig);
+        let [(sig_ok, hit1), (rule_ok, hit2)] = cert
+            .signed()
+            .map(|(message, signature)| cache.check(verifier, cert.issuer, &message, signature));
         (sig_ok && rule_ok, hit1 && hit2)
     }
 }
@@ -2073,54 +1903,6 @@ mod tests {
         assert_eq!(intro.len(), 1, "introducer cited after revocation");
         assert_eq!(intro[0].digest, d);
         assert_eq!(store.audit().latest_action(&d), Some(AuditAction::Revoked));
-    }
-
-    #[test]
-    fn tombstone_eviction_respects_capacity_and_liveness() {
-        let mut store = CertStore::new().with_entry_capacity(Some(3));
-        let mut dead = Vec::new();
-        // Four certificates; revoke three.
-        for i in 0..4 {
-            let c = cert("alice", &format!("p(x{i})."), vec![], None);
-            let d = store.insert(c, &toy_verifier()).unwrap().digest;
-            if i < 3 {
-                dead.push(d);
-            }
-        }
-        for d in &dead {
-            store
-                .revoke(&revocation("alice", *d), &toy_verifier())
-                .unwrap();
-        }
-        // Capacity 3, 4 entries, 3 dead: one tombstone evicted.
-        assert_eq!(store.len(), 3);
-        assert_eq!(store.stats().evictions, 1);
-        assert_eq!(store.active_len(), 1, "the live certificate survived");
-        // The evicted digest still cannot be re-imported: the revokers
-        // set outlives the tombstone.
-        let c0 = cert("alice", "p(x0).", vec![], None);
-        assert!(matches!(
-            store.insert(c0, &toy_verifier()),
-            Err(CertStoreError::Revoked(_))
-        ));
-        // Audit remembers the eviction.
-        assert!(store
-            .audit()
-            .entries()
-            .iter()
-            .any(|e| e.action == AuditAction::Evicted));
-    }
-
-    #[test]
-    fn live_entries_are_never_evicted() {
-        let mut store = CertStore::new().with_entry_capacity(Some(2));
-        for i in 0..5 {
-            let c = cert("alice", &format!("q(x{i})."), vec![], None);
-            store.insert(c, &toy_verifier()).unwrap();
-        }
-        assert_eq!(store.len(), 5, "no dead entries to evict");
-        assert_eq!(store.stats().evictions, 0);
-        assert_eq!(store.active_len(), 5);
     }
 
     fn tmp_store_path(tag: &str) -> std::path::PathBuf {

@@ -7,20 +7,19 @@
 //! so a signature over identical canonical bytes is verified exactly
 //! once per process and every later check is a hash lookup.
 //!
-//! Two extensions serve the durable store ([`crate::backend`]):
+//! One extension serves the durable store ([`crate::backend`]):
+//! [`VerifyCache::prime`] installs an outcome without running a
+//! verifier. Log replay primes recorded outcomes (so a reopened store
+//! never re-pays the modular exponentiation) and the runtime's parallel
+//! import fans real checks across threads, then primes the shared cache
+//! with their results.
 //!
-//! * **Bounded memory** — the memo table is an [`crate::lru::LruMap`];
-//!   [`VerifyCache::with_capacity`] bounds it and evicts the
-//!   least-recently-checked outcome in O(1).
-//! * **Priming** — [`VerifyCache::prime`] installs an outcome without
-//!   running a verifier. Log replay primes recorded outcomes (so a
-//!   reopened store never re-pays the modular exponentiation) and the
-//!   runtime's parallel import fans real checks across threads, then
-//!   primes the shared cache with their results.
+//! The memo table is unbounded: one entry per distinct signature ever
+//! checked or primed in the process.
 
 use crate::digest::CertDigest;
-use crate::lru::{EvictionPolicy, LruMap};
 use lbtrust_datalog::Symbol;
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Resolves a principal's key material and checks signatures. The
@@ -38,7 +37,7 @@ impl<F: Fn(Symbol, &[u8], &[u8]) -> bool> SignatureVerifier for F {
     }
 }
 
-/// Cache statistics (also surfaced through the store's stats).
+/// Cache statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered without touching the verifier.
@@ -47,8 +46,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Outcomes installed without a verifier (replay, parallel import).
     pub primed: u64,
-    /// Outcomes evicted by the LRU bound.
-    pub evictions: u64,
 }
 
 /// The memo key: signer plus content addresses of message and signature.
@@ -56,7 +53,7 @@ type OutcomeKey = (Symbol, CertDigest, CertDigest);
 
 /// A memo table of signature-verification outcomes.
 pub struct VerifyCache {
-    outcomes: LruMap<OutcomeKey, bool>,
+    outcomes: HashMap<OutcomeKey, bool>,
     stats: CacheStats,
 }
 
@@ -70,37 +67,9 @@ impl VerifyCache {
     /// An empty, unbounded cache.
     pub fn new() -> VerifyCache {
         VerifyCache {
-            outcomes: LruMap::new(None),
+            outcomes: HashMap::new(),
             stats: CacheStats::default(),
         }
-    }
-
-    /// An empty cache bounded to `capacity` memoized outcomes, evicting
-    /// the least-recently-checked outcome beyond that.
-    pub fn with_capacity(capacity: usize) -> VerifyCache {
-        VerifyCache::with_capacity_policy(capacity, EvictionPolicy::Lru)
-    }
-
-    /// An empty cache bounded to `capacity` outcomes under an explicit
-    /// eviction policy. [`EvictionPolicy::TwoQueue`] degrades
-    /// gracefully when a sequential working set (a bulk import sweep)
-    /// exceeds capacity, where plain LRU's hit rate collapses to zero.
-    pub fn with_capacity_policy(capacity: usize, policy: EvictionPolicy) -> VerifyCache {
-        VerifyCache {
-            outcomes: LruMap::with_policy(Some(capacity), policy),
-            stats: CacheStats::default(),
-        }
-    }
-
-    /// Rebounds the memo table (`None` = unbounded), evicting down.
-    pub fn set_capacity(&mut self, capacity: Option<usize>) {
-        let evicted = self.outcomes.set_capacity(capacity);
-        self.stats.evictions += evicted.len() as u64;
-    }
-
-    /// The configured bound (`None` = unbounded).
-    pub fn capacity(&self) -> Option<usize> {
-        self.outcomes.capacity()
     }
 
     fn key(signer: Symbol, message: &[u8], signature: &[u8]) -> OutcomeKey {
@@ -123,28 +92,22 @@ impl VerifyCache {
         }
         self.stats.misses += 1;
         let ok = verifier.verify(signer, message, signature);
-        if self.outcomes.insert(key, ok).is_some() {
-            self.stats.evictions += 1;
-        }
+        self.outcomes.insert(key, ok);
         (ok, false)
     }
 
-    /// Whether an outcome for this exact check is memoized (recency is
-    /// not touched).
+    /// Whether an outcome for this exact check is memoized.
     pub fn is_cached(&self, signer: Symbol, message: &[u8], signature: &[u8]) -> bool {
         self.outcomes
-            .peek(&Self::key(signer, message, signature))
-            .is_some()
+            .contains_key(&Self::key(signer, message, signature))
     }
 
     /// Installs an outcome without running a verifier — the trusted
     /// fast path for log replay (the outcome was recorded when the
     /// signature was first checked) and for parallel pre-verification.
     pub fn prime(&mut self, signer: Symbol, message: &[u8], signature: &[u8], outcome: bool) {
-        let key = Self::key(signer, message, signature);
-        if self.outcomes.insert(key, outcome).is_some() {
-            self.stats.evictions += 1;
-        }
+        self.outcomes
+            .insert(Self::key(signer, message, signature), outcome);
         self.stats.primed += 1;
     }
 
@@ -162,35 +125,15 @@ impl VerifyCache {
     pub fn is_empty(&self) -> bool {
         self.outcomes.is_empty()
     }
-
-    /// Drops all memoized outcomes (keeps counters, capacity and
-    /// eviction policy).
-    pub fn clear(&mut self) {
-        let capacity = self.outcomes.capacity();
-        let policy = self.outcomes.policy();
-        self.outcomes = LruMap::with_policy(capacity, policy);
-    }
 }
 
 /// A verification cache shared across certificate stores and workspace
 /// builtins — the "checked once, reused across principals" property.
 pub type SharedVerifyCache = Arc<Mutex<VerifyCache>>;
 
-/// Builds an empty, unbounded shared cache.
+/// Builds an empty shared cache.
 pub fn shared_verify_cache() -> SharedVerifyCache {
     Arc::new(Mutex::new(VerifyCache::new()))
-}
-
-/// Builds an empty shared cache bounded to `capacity` outcomes under
-/// the scan-resistant 2Q policy: the shared cache sits under every
-/// principal's import path, where one bulk sweep larger than capacity
-/// would flush an LRU cache completely (the `ablation_certstore_lru`
-/// cliff) — 2Q's protected queue keeps the reused core resident.
-pub fn shared_verify_cache_with_capacity(capacity: usize) -> SharedVerifyCache {
-    Arc::new(Mutex::new(VerifyCache::with_capacity_policy(
-        capacity,
-        EvictionPolicy::TwoQueue,
-    )))
 }
 
 #[cfg(test)]
@@ -263,60 +206,5 @@ mod tests {
         assert!(ok && hit);
         assert_eq!(calls.get(), 0, "primed outcome answers without verifier");
         assert_eq!(cache.stats().primed, 1);
-    }
-
-    #[test]
-    fn two_queue_cache_survives_sequential_sweep() {
-        // 48 distinct signatures swept repeatedly through a 32-outcome
-        // cache: LRU thrashes to zero hits after the warmup pass, 2Q
-        // retains a protected core.
-        fn sweep_hits(cache: &mut VerifyCache) -> u64 {
-            let verifier = |_s: Symbol, _m: &[u8], _sig: &[u8]| true;
-            let p = Symbol::intern("p");
-            for _ in 0..6 {
-                for i in 0..48u32 {
-                    cache.check(&verifier, p, &i.to_le_bytes(), b"s");
-                }
-            }
-            cache.stats().hits
-        }
-        let mut lru = VerifyCache::with_capacity_policy(32, EvictionPolicy::Lru);
-        let mut two_q = VerifyCache::with_capacity_policy(32, EvictionPolicy::TwoQueue);
-        let lru_hits = sweep_hits(&mut lru);
-        let two_q_hits = sweep_hits(&mut two_q);
-        assert_eq!(lru_hits, 0, "the LRU cliff");
-        assert!(
-            two_q_hits > 0,
-            "the shared-cache policy must degrade gracefully under scans"
-        );
-        // The shared-cache constructor uses 2Q.
-        let shared = shared_verify_cache_with_capacity(32);
-        let mut guard = shared.lock().unwrap();
-        assert!(sweep_hits(&mut guard) > 0);
-    }
-
-    #[test]
-    fn bounded_cache_evicts_lru() {
-        let calls = Cell::new(0u32);
-        let verifier = |_s: Symbol, _m: &[u8], _sig: &[u8]| {
-            calls.set(calls.get() + 1);
-            true
-        };
-        let mut cache = VerifyCache::with_capacity(2);
-        let p = Symbol::intern("p");
-        cache.check(&verifier, p, b"m1", b"s");
-        cache.check(&verifier, p, b"m2", b"s");
-        // Touch m1 so m2 is LRU, then overflow.
-        cache.check(&verifier, p, b"m1", b"s");
-        cache.check(&verifier, p, b"m3", b"s");
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().evictions, 1);
-        // m1 survived (it was touched) …
-        assert!(cache.is_cached(p, b"m1", b"s"));
-        // … and m2 was evicted: checking it again runs the verifier.
-        let before = calls.get();
-        let (_, hit) = cache.check(&verifier, p, b"m2", b"s");
-        assert!(!hit);
-        assert_eq!(calls.get(), before + 1);
     }
 }

@@ -6,7 +6,7 @@
 
 use lbtrust_certstore::{
     cert::signing_bytes, shared_verify_cache, CertDigest, CertStatus, CertStore, CertStoreError,
-    LinkedCert, Revocation, SignatureVerifier,
+    LinkedCert, RetractReason, Revocation, SignatureVerifier,
 };
 use lbtrust_datalog::{parse_rule, Symbol};
 use lbtrust_net::revoke_signing_bytes;
@@ -127,6 +127,50 @@ fn fingerprint(store: &CertStore, certs: &[LinkedCert]) -> Vec<(usize, Option<Ce
         .collect()
 }
 
+/// The universe members other members link to (3 cites 2, 7 cites 6).
+const SUPPORTS: [usize; 2] = [2, 6];
+
+/// Revokes every support certificate `memory` still holds live on both
+/// stores and compares what died, in order. The link cascade runs over
+/// the `dependents` index, which a reopen rebuilds from the log or from
+/// a checkpoint.
+fn revoking_supports_cascades_alike(
+    reopened: &mut CertStore,
+    memory: &mut CertStore,
+    certs: &[LinkedCert],
+) {
+    let died = |store: &mut CertStore, cert: &LinkedCert| -> Vec<(CertDigest, RetractReason)> {
+        store
+            .revoke(
+                &make_revocation(cert.issuer, cert.digest()),
+                &toy_verifier(),
+            )
+            .expect("an issuer may revoke its own certificate")
+            .iter()
+            .map(|e| (e.digest, e.reason))
+            .collect()
+    };
+    for cert in SUPPORTS.map(|i| &certs[i]) {
+        if memory.status(&cert.digest()) == Some(CertStatus::Active) {
+            assert_eq!(
+                died(reopened, cert),
+                died(memory, cert),
+                "revocation cascade"
+            );
+        }
+    }
+    assert_eq!(
+        reopened.active(),
+        memory.active(),
+        "post-cascade active set"
+    );
+    assert_eq!(
+        reopened.ground_heads(),
+        memory.ground_heads(),
+        "post-cascade ground heads"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -165,6 +209,12 @@ proptest! {
             "per-certificate statuses"
         );
         prop_assert_eq!(reopened.active(), memory.active(), "active set + order");
+        prop_assert_eq!(reopened.ground_heads(), memory.ground_heads(), "ground heads");
+        prop_assert_eq!(
+            reopened.revocation_fingerprints(),
+            memory.revocation_fingerprints(),
+            "revocation fingerprints"
+        );
         prop_assert_eq!(
             reopened.audit().len(),
             memory.audit().len(),
@@ -183,6 +233,7 @@ proptest! {
                 i
             );
         }
+        revoking_supports_cascades_alike(&mut reopened, &mut memory, &certs);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -275,8 +326,7 @@ proptest! {
     /// deadlines), the audit trail length, revocation blocking — and
     /// must keep behaving identically under further safe commands.
     /// (The one sanctioned divergence: dead *non-revoked* certificates
-    /// lose their in-memory tombstone across a compacted reopen,
-    /// exactly as tombstone eviction already forgets them.)
+    /// lose their in-memory tombstone across a compacted reopen.)
     #[test]
     fn compaction_at_any_point_preserves_observable_state(
         ops in prop::collection::vec(maint_op_strategy(), 1..32),
@@ -310,6 +360,12 @@ proptest! {
             prop_assert_eq!(&r.cert, &m.cert, "active entry content");
             prop_assert_eq!(r.expires_at, m.expires_at, "expiry deadline");
         }
+        prop_assert_eq!(reopened.ground_heads(), memory.ground_heads(), "ground heads");
+        prop_assert_eq!(
+            reopened.revocation_fingerprints(),
+            memory.revocation_fingerprints(),
+            "revocation fingerprints"
+        );
         prop_assert_eq!(
             reopened.audit().len(),
             memory.audit().len(),
@@ -360,6 +416,7 @@ proptest! {
         let e2: Vec<_> = memory.advance_clock(3).unwrap().iter().map(|e| e.digest).collect();
         prop_assert_eq!(e1, e2, "expiry events after reopen");
         prop_assert_eq!(reopened.active(), memory.active(), "post-advance active set");
+        revoking_supports_cascades_alike(&mut reopened, &mut memory, &certs);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir_all(path.with_extension(""));
     }

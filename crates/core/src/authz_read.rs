@@ -48,13 +48,14 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use lbtrust_certstore::{CertDigest, EvictionPolicy, GroundHeads, LruMap};
+use lbtrust_certstore::{CertDigest, GroundHeads};
 use lbtrust_datalog::ast::Rule;
 use lbtrust_datalog::intern::names;
 use lbtrust_datalog::provenance::Proof;
 use lbtrust_datalog::{Builtins, Database, Value};
 use lbtrust_obs::{Counter, Histogram, Registry};
 
+use crate::lru::TwoQueueMap;
 use crate::principal::Principal;
 use crate::system::{AuthzDecision, SysError};
 use crate::workspace::explain_goal;
@@ -280,24 +281,19 @@ type CacheKey = (Principal, u64, String);
 
 /// The sharded 2Q decision cache.
 struct DecisionCache {
-    shards: Vec<Mutex<LruMap<CacheKey, CachedDecision>>>,
+    shards: Vec<Mutex<TwoQueueMap<CacheKey, CachedDecision>>>,
 }
 
 impl DecisionCache {
     fn new() -> DecisionCache {
         DecisionCache {
             shards: (0..CACHE_SHARDS)
-                .map(|_| {
-                    Mutex::new(LruMap::with_policy(
-                        Some(CACHE_SHARD_CAPACITY),
-                        EvictionPolicy::TwoQueue,
-                    ))
-                })
+                .map(|_| Mutex::new(TwoQueueMap::new(CACHE_SHARD_CAPACITY)))
                 .collect(),
         }
     }
 
-    fn shard_of(&self, key: &CacheKey) -> &Mutex<LruMap<CacheKey, CachedDecision>> {
+    fn shard_of(&self, key: &CacheKey) -> &Mutex<TwoQueueMap<CacheKey, CachedDecision>> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
         &self.shards[(h.finish() as usize) % CACHE_SHARDS]

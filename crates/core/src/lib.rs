@@ -57,6 +57,7 @@ pub mod authz;
 pub mod authz_read;
 pub mod delegation;
 pub mod gossip;
+mod lru;
 mod node;
 pub mod obs;
 mod pool;

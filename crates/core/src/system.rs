@@ -972,11 +972,8 @@ impl System {
         // still active re-introduces exactly the facts a live import
         // would have asserted, so the workspace's derived state matches
         // the pre-restart system once policies are reloaded.
-        // Certificates the log shows as revoked/expired produced
-        // retraction events during replay, but a freshly registered
-        // workspace holds no facts for them — the events are drained so
-        // they cannot fire twice.
-        let _ = store.take_replay_events();
+        // Certificates the log shows as revoked/expired need nothing: a
+        // freshly registered workspace holds no facts for them.
         let active = store.active();
         let mut principal = Box::new(PrincipalState::new(ws, store, NodeId::new(node), faults));
         self.stats.certs_replayed += principal.file_cert_facts(active);
@@ -1562,8 +1559,8 @@ impl System {
     /// Audit query: which credential(s) introduced the certified rule
     /// `rule_src` into `who`'s store? Answers from the store's
     /// append-only audit trail, so the citation survives the
-    /// credential's revocation, expiry, tombstone eviction — and, for
-    /// durable stores, process restarts.
+    /// credential's revocation and expiry — and, for durable stores,
+    /// process restarts.
     pub fn audit_introducers(
         &self,
         who: Principal,
@@ -3084,7 +3081,6 @@ mod tests {
         const STORE: &[&str] = &[
             "store.checkpoints",
             "store.compactions",
-            "store.evictions",
             "store.expirations",
             "store.imports",
             "store.link_breaks",

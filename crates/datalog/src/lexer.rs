@@ -73,6 +73,25 @@ pub enum Token {
     At,
 }
 
+impl Token {
+    /// Whether an operand can end with this token — a `-` right after it
+    /// subtracts rather than signs the literal that follows.
+    fn ends_operand(&self) -> bool {
+        matches!(
+            self,
+            Token::Ident(_)
+                | Token::UIdent(_)
+                | Token::Underscore
+                | Token::Int(_)
+                | Token::Str(_)
+                | Token::Bytes(_)
+                | Token::RParen
+                | Token::RBracket
+                | Token::RQuote
+        )
+    }
+}
+
 impl fmt::Display for Token {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -260,6 +279,26 @@ pub(crate) fn lex_to_end(src: &str) -> Result<(Vec<Spanned>, usize), LexError> {
             '>' if next == Some('>') => push!(Token::RAngles, 2),
             '>' => push!(Token::Gt, 1),
             '-' if next == Some('>') => push!(Token::Implies, 2),
+            // A `-` directly before the digits is the literal's sign — so
+            // `i64::MIN`, whose magnitude alone is out of range, reads
+            // back — except after an operand, where it subtracts (`N-1`).
+            c if c.is_ascii_digit()
+                || (c == '-'
+                    && next.is_some_and(|n| n.is_ascii_digit())
+                    && !out.last().is_some_and(|t| t.token.ends_operand())) =>
+            {
+                let mut j = i + 1;
+                while j < bytes.len() && bytes[j].is_ascii_digit() {
+                    j += 1;
+                }
+                let text = &src[i..j];
+                let v: i64 = text.parse().map_err(|_| LexError {
+                    message: format!("integer literal '{text}' out of range"),
+                    line,
+                    col: col!(),
+                })?;
+                push!(Token::Int(v), j - i);
+            }
             '-' => push!(Token::Minus, 1),
             ':' if next == Some('-') => push!(Token::ImpliedBy, 2),
             '=' => push!(Token::Eq, 1),
@@ -289,23 +328,14 @@ pub(crate) fn lex_to_end(src: &str) -> Result<(Vec<Spanned>, usize), LexError> {
                 };
                 push!(Token::Bytes(b), j - i);
             }
-            c if c.is_ascii_digit() => {
-                let mut j = i;
-                while j < bytes.len() && (bytes[j] as char).is_ascii_digit() {
-                    j += 1;
-                }
-                let text = &src[i..j];
-                let v: i64 = text.parse().map_err(|_| LexError {
-                    message: format!("integer literal '{text}' out of range"),
-                    line,
-                    col: col!(),
-                })?;
-                push!(Token::Int(v), j - i);
-            }
             c if c.is_ascii_alphabetic() || c == '_' => {
                 let j = ident_end(bytes, i);
                 let text = src[i..j].to_string();
-                let tok = if c.is_ascii_uppercase() {
+                // `_` then an upper-case letter is a variable: it is how an
+                // anonymous one (`_G1`) prints.
+                let variable = c.is_ascii_uppercase()
+                    || (c == '_' && next.is_some_and(|n| n.is_ascii_uppercase()));
+                let tok = if variable {
                     Token::UIdent(text)
                 } else {
                     Token::Ident(text)
@@ -541,6 +571,47 @@ mod tests {
                 Token::Underscore,
             ]
         );
+    }
+
+    #[test]
+    fn underscore_then_uppercase_is_a_variable() {
+        // How an anonymous variable prints (`_G1`) must read back as a
+        // variable, not as the constant `_G1`.
+        assert_eq!(
+            toks("_G1 _x _ _1"),
+            vec![
+                Token::UIdent("_G1".into()),
+                Token::Ident("_x".into()),
+                Token::Underscore,
+                Token::Ident("_1".into()),
+            ]
+        );
+    }
+
+    #[test]
+    fn minus_before_digits_signs_the_literal_unless_it_subtracts() {
+        assert_eq!(
+            toks("-9223372036854775808"),
+            vec![Token::Int(i64::MIN)],
+            "the one literal whose magnitude alone is out of range"
+        );
+        assert_eq!(
+            toks("p(-5,N-1) - 2"),
+            vec![
+                Token::Ident("p".into()),
+                Token::LParen,
+                Token::Int(-5),
+                Token::Comma,
+                Token::UIdent("N".into()),
+                Token::Minus,
+                Token::Int(1),
+                Token::RParen,
+                Token::Minus,
+                Token::Int(2),
+            ]
+        );
+        assert!(lex("9223372036854775808").is_err());
+        assert!(lex("-9223372036854775809").is_err());
     }
 
     #[test]

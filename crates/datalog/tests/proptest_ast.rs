@@ -12,9 +12,16 @@ fn ident() -> impl Strategy<Value = String> {
     "[a-z][a-z0-9_]{0,6}".prop_filter("reserved words", |s| s != "agg" && s != "me")
 }
 
-/// Uppercase identifiers for variables.
+/// Variable names: uppercase identifiers, and the `_G1` an anonymous
+/// variable prints as.
 fn var_name() -> impl Strategy<Value = String> {
-    "[A-Z][a-z0-9]{0,4}".boxed()
+    prop_oneof!["[A-Z][a-z0-9]{0,4}".boxed(), "_[A-Z][a-z0-9]{0,3}".boxed()]
+}
+
+/// The full `i64` range, its ends drawn often: `i64::MIN` is the one
+/// literal whose magnitude alone does not fit.
+fn arb_int() -> impl Strategy<Value = i64> {
+    prop_oneof![any::<i64>(), Just(i64::MIN), Just(i64::MAX)]
 }
 
 /// Any string: plain runs, what the dialect's own punctuation and
@@ -55,7 +62,7 @@ fn arb_string() -> impl Strategy<Value = String> {
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
         ident().prop_map(|s| Value::sym(&s)),
-        any::<i32>().prop_map(|i| Value::Int(i as i64)),
+        arb_int().prop_map(Value::Int),
         arb_string().prop_map(|s| Value::str(&s)),
         prop::collection::vec(any::<u8>(), 0..6).prop_map(|b| Value::bytes(&b)),
     ]
@@ -81,7 +88,7 @@ fn arb_body_item() -> impl Strategy<Value = BodyItem> {
         (arb_atom(), any::<bool>()).prop_map(|(atom, negated)| BodyItem::Lit { negated, atom }),
         (
             var_name(),
-            any::<i32>(),
+            arb_int(),
             prop_oneof![
                 Just(CmpOp::Lt),
                 Just(CmpOp::Le),
@@ -93,7 +100,7 @@ fn arb_body_item() -> impl Strategy<Value = BodyItem> {
             .prop_map(|(v, n, op)| BodyItem::Cmp {
                 op,
                 lhs: Expr::var(&v),
-                rhs: Expr::Term(Term::int(n as i64)),
+                rhs: Expr::Term(Term::int(n)),
             }),
     ]
 }
