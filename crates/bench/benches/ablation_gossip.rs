@@ -47,8 +47,7 @@ fn fanout_system(drop_pct: u32, gossip: bool) -> (System, Principal, Vec<CertDig
     let mut sys =
         System::with_network(network(drop_pct), u64::from(drop_pct) + 1).with_rsa_bits(512);
     if gossip {
-        sys = sys
-            .with_gossip(&rev_gossip_program().expect("gossip program translates"))
+        sys.enable_gossip(&rev_gossip_program().expect("gossip program translates"))
             .expect("gossip program loads");
     }
     let hub = sys.add_principal("hub", "n0").unwrap();

@@ -5,413 +5,223 @@
 //! Certificates are imported by prefixing the says operator with a public
 //! key representing the context to import from" (§5.1 of the paper).
 //!
-//! A [`Certificate`] bundles a set of exported facts with an RSA
-//! signature over their canonical text; importing verifies the signature
-//! against the issuer's public key (identified by fingerprint, the
-//! paper's `rsa:3:c1ebab5d` style) and asserts `says(issuer, me, fact)`
-//! for each fact.
+//! A [`Certificate`] is a bundle over the runtime's own credentials: one
+//! [`LinkedCert`] per exported fact, issued by
+//! [`lbtrust::System::issue_certificates`], plus the issuer's RSA
+//! signature over the set of their content addresses. Binder signs and
+//! checks that batch signature and nothing else:
+//! [`BinderSystem::issue_certificate`] and
+//! [`BinderSystem::import_certificate`] hand the members to the system,
+//! so each fact's own signatures are checked by the importer's
+//! certificate store through the shared verification cache, and the
+//! store is what files `says(issuer, me, fact)` into the workspace. A
+//! Binder certificate therefore expires with its TTL and is retracted by
+//! its issuer's revocation like any other credential.
+//!
+//! [`BinderSystem::issue_certificate`]: crate::BinderSystem::issue_certificate
+//! [`BinderSystem::import_certificate`]: crate::BinderSystem::import_certificate
 
-use lbtrust::principal::{Principal, SharedKeys};
-use lbtrust::workspace::{Workspace, WsError};
-use lbtrust::KeyVerifier;
-use lbtrust_certstore::{cert, CertDigest, CertStore, CertStoreError, ImportOutcome, LinkedCert};
-use lbtrust_crypto::RsaError;
-use lbtrust_datalog::ast::Rule;
-use lbtrust_datalog::{parse_program, Symbol, Value};
-use std::fmt;
-use std::sync::Arc;
+use lbtrust::principal::Principal;
+use lbtrust_certstore::LinkedCert;
 
-/// Certificate errors.
-#[derive(Debug)]
-pub enum CertError {
-    /// The issuer has no key in the directory.
-    UnknownIssuer(Principal),
-    /// Signature creation/verification failed.
-    Rsa(RsaError),
-    /// The certificate body failed to parse or contained non-facts.
-    BadBody(String),
-    /// Workspace import failed.
-    Workspace(WsError),
-    /// Certificate-store import failed (broken link, revoked, …).
-    Store(CertStoreError),
-}
-
-impl fmt::Display for CertError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CertError::UnknownIssuer(p) => write!(f, "no key material for issuer {p}"),
-            CertError::Rsa(e) => write!(f, "certificate signature: {e}"),
-            CertError::BadBody(m) => write!(f, "bad certificate body: {m}"),
-            CertError::Workspace(e) => write!(f, "{e}"),
-            CertError::Store(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for CertError {}
-
-impl From<CertStoreError> for CertError {
-    fn from(e: CertStoreError) -> Self {
-        CertError::Store(e)
-    }
-}
-
-impl From<RsaError> for CertError {
-    fn from(e: RsaError) -> Self {
-        CertError::Rsa(e)
-    }
-}
-
-impl From<WsError> for CertError {
-    fn from(e: WsError) -> Self {
-        CertError::Workspace(e)
-    }
-}
-
-/// One certified fact: the fact plus the issuer's RSA signature over
-/// its canonical bytes — the same bytes the declarative `exp3`
-/// verification constraint checks, so certificate-imported facts flow
-/// through the standard authenticated-import pipeline — and a second
-/// signature over the certstore's linked-credential form (rule + links
-/// + TTL), so link metadata is tamper-evident per fact.
-#[derive(Clone, Debug)]
-pub struct CertifiedFact {
-    /// The exported fact (a ground, bodyless rule).
-    pub rule: Arc<Rule>,
-    /// Per-fact RSA signature over `rule_bytes(rule)`.
-    pub signature: Vec<u8>,
-    /// Per-fact RSA signature over the linked-credential canonical form
-    /// (`lbtrust_certstore::cert::signing_bytes`).
-    pub cert_sig: Vec<u8>,
-}
-
-/// A signed set of exported facts, optionally citing supporting
-/// certificates by content address (SAFE-style credential linking).
+/// A signed set of exported facts.
 #[derive(Clone, Debug)]
 pub struct Certificate {
     /// The signing principal.
     pub issuer: Principal,
-    /// Fingerprint of the issuer's public key (display/lookup aid).
-    pub key_fingerprint: String,
-    /// The exported facts with per-fact signatures.
-    pub facts: Vec<CertifiedFact>,
-    /// Content addresses of supporting certificates; resolved against
-    /// the receiver's certificate store at import.
-    pub links: Vec<CertDigest>,
-    /// Lifetime in store-logical ticks (`None` = no expiry).
-    pub ttl: Option<u64>,
-    /// RSA signature over the whole canonical body (batch integrity).
+    /// One linked credential per exported fact, each carrying the
+    /// supporting links and the lifetime the certificate was issued
+    /// with.
+    pub certs: Vec<LinkedCert>,
+    /// The issuer's RSA signature over its name and every member's
+    /// content address, in order (batch integrity: no member swapped,
+    /// added or dropped).
     pub signature: Vec<u8>,
 }
 
-/// The byte string behind the batch signature: issuer name, link and
-/// TTL metadata, then facts in canonical text, one per line.
-fn signing_bytes(
-    issuer: Principal,
-    links: &[CertDigest],
-    ttl: Option<u64>,
-    facts: &[CertifiedFact],
-) -> Vec<u8> {
-    let mut out = format!("binder-certificate:{issuer}\n").into_bytes();
-    out.extend_from_slice(b"links:");
-    for (i, link) in links.iter().enumerate() {
-        if i > 0 {
-            out.push(b',');
-        }
-        out.extend_from_slice(link.to_hex().as_bytes());
-    }
-    out.push(b'\n');
-    match ttl {
-        Some(t) => out.extend_from_slice(format!("ttl:{t}\n").as_bytes()),
-        None => out.extend_from_slice(b"ttl:none\n"),
-    }
-    for f in facts {
-        out.extend_from_slice(f.rule.to_string().as_bytes());
-        out.push(b'\n');
-    }
-    out
-}
-
 impl Certificate {
-    /// Issues a certificate over the facts in `facts_src` (e.g.
-    /// `"good(carol). good(dave)."`), signed with `issuer`'s private key.
-    pub fn issue(keys: &SharedKeys, issuer: Principal, facts_src: &str) -> Result<Self, CertError> {
-        Certificate::issue_linked(keys, issuer, facts_src, &[], None)
-    }
-
-    /// Issues a certificate citing `links` as supporting credentials
-    /// and valid for `ttl` store-logical ticks.
-    pub fn issue_linked(
-        keys: &SharedKeys,
-        issuer: Principal,
-        facts_src: &str,
-        links: &[CertDigest],
-        ttl: Option<u64>,
-    ) -> Result<Self, CertError> {
-        let program = parse_program(facts_src).map_err(|e| CertError::BadBody(e.to_string()))?;
-        if !program.constraints.is_empty() {
-            return Err(CertError::BadBody("certificates carry facts only".into()));
+    /// The byte string behind the batch signature: the issuer's name,
+    /// then every member's content address in order, one per line. An
+    /// address covers its member's issuer, fact, links, TTL and both
+    /// signatures, so editing any of them changes these bytes.
+    pub(crate) fn signing_bytes(issuer: Principal, certs: &[LinkedCert]) -> Vec<u8> {
+        let mut out = format!("binder-certificate:{issuer}\n").into_bytes();
+        for cert in certs {
+            out.extend_from_slice(cert.digest().to_hex().as_bytes());
+            out.push(b'\n');
         }
-        let guard = keys.read();
-        let pair = guard.rsa(issuer).ok_or(CertError::UnknownIssuer(issuer))?;
-        let mut facts = Vec::with_capacity(program.rules.len());
-        for rule in program.rules {
-            if !rule.is_fact() {
-                return Err(CertError::BadBody(format!("'{rule}' is not a ground fact")));
-            }
-            let rule = Arc::new(rule);
-            let signature = pair.private.sign(&lbtrust_net::rule_bytes(&rule))?;
-            let cert_sig = pair
-                .private
-                .sign(&cert::signing_bytes(issuer, &rule, links, ttl))?;
-            facts.push(CertifiedFact {
-                rule,
-                signature,
-                cert_sig,
-            });
-        }
-        let signature = pair
-            .private
-            .sign(&signing_bytes(issuer, links, ttl, &facts))?;
-        let key_fingerprint = pair.public_key().fingerprint();
-        Ok(Certificate {
-            issuer,
-            key_fingerprint,
-            facts,
-            links: links.to_vec(),
-            ttl,
-            signature,
-        })
-    }
-
-    /// Verifies the signature against the issuer's public key.
-    pub fn verify(&self, keys: &SharedKeys) -> Result<(), CertError> {
-        let guard = keys.read();
-        let pair = guard
-            .rsa(self.issuer)
-            .ok_or(CertError::UnknownIssuer(self.issuer))?;
-        pair.public_key().verify(
-            &signing_bytes(self.issuer, &self.links, self.ttl, &self.facts),
-            &self.signature,
-        )?;
-        for fact in &self.facts {
-            pair.public_key()
-                .verify(&lbtrust_net::rule_bytes(&fact.rule), &fact.signature)?;
-        }
-        Ok(())
-    }
-
-    /// The per-fact linked credentials this certificate bundles — the
-    /// form the certificate store files under content addresses.
-    pub fn to_linked_certs(&self) -> Vec<LinkedCert> {
-        self.facts
-            .iter()
-            .map(|fact| LinkedCert {
-                issuer: self.issuer,
-                rule: fact.rule.clone(),
-                links: self.links.clone(),
-                ttl: self.ttl,
-                signature: fact.cert_sig.clone(),
-                rule_sig: fact.signature.clone(),
-            })
-            .collect()
-    }
-
-    /// Verifies and imports through a certificate store: each fact is
-    /// filed under its content address (cached verification, link
-    /// resolution against the store), then asserted into the workspace
-    /// exactly as [`Certificate::import_into`] does. Returns the store
-    /// outcomes (one per fact).
-    pub fn import_via_store(
-        &self,
-        ws: &mut Workspace,
-        keys: &SharedKeys,
-        store: &mut CertStore,
-    ) -> Result<Vec<ImportOutcome>, CertError> {
-        self.verify(keys)?;
-        let verifier = KeyVerifier::new(keys.clone());
-        let outcomes = store.import_bundle(self.to_linked_certs(), &verifier)?;
-        // Outcomes are index-aligned with `facts`; only facts whose
-        // credential is new to the store are asserted, so re-delivering
-        // the same certificate does not pile up duplicate base facts.
-        let fresh: Vec<bool> = outcomes.iter().map(|o| o.newly_added).collect();
-        self.assert_selected_facts(ws, |i| fresh[i])?;
-        Ok(outcomes)
-    }
-
-    /// Verifies and imports: asserts `export[me](issuer, fact, sig)` (so
-    /// a workspace running the RSA `exp2`/`exp3` pipeline imports and
-    /// re-verifies declaratively) *and* `says(issuer, me, fact)` (so
-    /// bare workspaces without the auth prelude can consume certified
-    /// facts directly), then re-evaluates.
-    pub fn import_into(&self, ws: &mut Workspace, keys: &SharedKeys) -> Result<(), CertError> {
-        self.verify(keys)?;
-        self.assert_facts(ws)
-    }
-
-    /// Asserts the certified facts into `ws` and re-evaluates (shared
-    /// tail of the import paths; signature checking already happened).
-    fn assert_facts(&self, ws: &mut Workspace) -> Result<(), CertError> {
-        self.assert_selected_facts(ws, |_| true)
-    }
-
-    /// Asserts the facts whose index passes `select`, then re-evaluates.
-    fn assert_selected_facts(
-        &self,
-        ws: &mut Workspace,
-        select: impl Fn(usize) -> bool,
-    ) -> Result<(), CertError> {
-        let says = Symbol::intern("says");
-        let export = Symbol::intern("export");
-        let me = ws.me();
-        for (i, fact) in self.facts.iter().enumerate() {
-            if !select(i) {
-                continue;
-            }
-            ws.assert_fact(
-                export,
-                vec![
-                    Value::Sym(me),
-                    Value::Sym(self.issuer),
-                    Value::Quote(fact.rule.clone()),
-                    Value::bytes(&fact.signature),
-                ],
-            );
-            ws.assert_fact(
-                says,
-                vec![
-                    Value::Sym(self.issuer),
-                    Value::Sym(me),
-                    Value::Quote(fact.rule.clone()),
-                ],
-            );
-        }
-        ws.evaluate()?;
-        Ok(())
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use lbtrust::principal::shared_keys;
+    use crate::{BinderSysError, BinderSystem};
+    use lbtrust::SysError;
+    use lbtrust_certstore::CertStoreError;
+    use lbtrust_datalog::{parse_rule, Symbol};
+    use std::sync::Arc;
 
-    fn keys_with(issuer: &str) -> (SharedKeys, Principal) {
-        let keys = shared_keys();
-        let p = Symbol::intern(issuer);
-        keys.write().generate_rsa(p, 512, 9);
-        (keys, p)
+    /// alice (running Binder's b2 on bob's word) and bob.
+    fn alice_and_bob() -> (BinderSystem, Symbol, Symbol) {
+        let mut sys = BinderSystem::new(512);
+        let alice = sys.add_context("alice", "n1").unwrap();
+        let bob = sys.add_context("bob", "n2").unwrap();
+        sys.load_binder(alice, "access(P,o,read) :- bob says good(P).")
+            .unwrap();
+        (sys, alice, bob)
+    }
+
+    fn bad_signature<T: std::fmt::Debug>(what: &str, result: Result<T, impl Into<BinderSysError>>) {
+        match result.map_err(Into::into) {
+            Err(BinderSysError::System(SysError::Cert(CertStoreError::BadSignature(_)))) => {}
+            other => panic!("{what}: expected BadSignature, got {other:?}"),
+        }
     }
 
     #[test]
     fn issue_verify_roundtrip() {
-        let (keys, bob) = keys_with("bob");
-        let cert = Certificate::issue(&keys, bob, "good(carol). good(dave).").unwrap();
-        assert_eq!(cert.facts.len(), 2);
-        assert_eq!(cert.key_fingerprint.len(), 8);
-        cert.verify(&keys).unwrap();
+        let (mut sys, alice, bob) = alice_and_bob();
+        let cert = sys
+            .issue_certificate(bob, "good(carol). good(dave).", &[], None)
+            .unwrap();
+        assert_eq!(cert.issuer, bob);
+        assert_eq!(cert.certs.len(), 2);
+        assert!(cert.certs.iter().all(|c| c.issuer == bob));
+        let outcomes = sys.import_certificate(alice, &cert).unwrap();
+        assert_eq!(outcomes.len(), 2);
+        assert!(outcomes.iter().all(|o| o.newly_added));
     }
 
+    /// A swapped fact and a wrong issuer fail closed twice over: the
+    /// batch signature refuses the bundle, and the members alone are
+    /// refused by the store's per-certificate signature check.
     #[test]
     fn tampered_certificate_rejected() {
-        let (keys, bob) = keys_with("bob");
-        let mut cert = Certificate::issue(&keys, bob, "good(carol).").unwrap();
-        let old = cert.facts[0].clone();
-        cert.facts = vec![CertifiedFact {
-            rule: Arc::new(lbtrust_datalog::parse_rule("good(mallory).").unwrap()),
-            signature: old.signature,
-            cert_sig: old.cert_sig,
-        }];
-        assert!(cert.verify(&keys).is_err());
+        let (mut sys, alice, bob) = alice_and_bob();
+        let mallory = sys.add_context("mallory", "n3").unwrap();
+        let cert = sys
+            .issue_certificate(bob, "good(carol).", &[], None)
+            .unwrap();
+
+        let mut swapped = cert.clone();
+        swapped.certs[0].rule = Arc::new(parse_rule("good(mallory).").unwrap());
+        let mut reissued = cert.clone();
+        reissued.issuer = mallory;
+        let mut member_reissued = cert.clone();
+        member_reissued.certs[0].issuer = mallory;
+        // (what, the forgery, whether its members are forged too)
+        for (what, forged, members) in [
+            ("swapped fact", swapped, true),
+            ("wrong issuer", reissued, false),
+            ("wrong member issuer", member_reissued, true),
+        ] {
+            bad_signature(what, sys.import_certificate(alice, &forged));
+            if members {
+                let system = sys.system_mut();
+                bad_signature(what, system.import_certificates(alice, forged.certs));
+            }
+        }
+        assert!(!sys.holds(alice, "access(mallory,o,read)").unwrap());
+        assert!(sys.system().cert_store(alice).unwrap().is_empty());
+        // The certificate as issued is still good.
+        sys.import_certificate(alice, &cert).unwrap();
+        assert!(sys.holds(alice, "access(carol,o,read)").unwrap());
     }
 
+    /// Links are signed metadata: an edited link list — even one citing
+    /// a live certificate the importer holds — is refused by the batch
+    /// signature and, members alone, by the signature over
+    /// `cert::signing_bytes`.
     #[test]
     fn tampered_links_rejected() {
-        let (keys, bob) = keys_with("bob");
-        let mut cert = Certificate::issue(&keys, bob, "good(carol).").unwrap();
-        cert.links = vec![CertDigest::of(b"injected support")];
-        assert!(cert.verify(&keys).is_err(), "links are signed metadata");
+        let (mut sys, alice, bob) = alice_and_bob();
+        let root = sys
+            .issue_certificate(bob, "authority(bob).", &[], None)
+            .unwrap();
+        sys.import_certificate(alice, &root).unwrap();
+        let mut cert = sys
+            .issue_certificate(bob, "good(carol).", &[], None)
+            .unwrap();
+        cert.certs[0].links = vec![root.certs[0].digest()];
+        bad_signature("batch", sys.import_certificate(alice, &cert));
+        let system = sys.system_mut();
+        bad_signature("member", system.import_certificates(alice, cert.certs));
+        assert!(!sys.holds(alice, "access(carol,o,read)").unwrap());
     }
 
     #[test]
-    fn import_via_store_files_and_asserts() {
-        let (keys, bob) = keys_with("bob");
-        let root = Certificate::issue(&keys, bob, "authority(bob).").unwrap();
-        let root_digest = root.to_linked_certs()[0].digest();
-        let linked =
-            Certificate::issue_linked(&keys, bob, "good(carol).", &[root_digest], Some(100))
-                .unwrap();
-
-        let mut ws = Workspace::new("alice");
-        ws.load("policy", "access(P,o,read) <- says(bob,me,[| good(P) |]).")
+    fn linked_certificate_files_and_asserts() {
+        let (mut sys, alice, bob) = alice_and_bob();
+        let dana = sys.add_context("dana", "n3").unwrap();
+        let root = sys
+            .issue_certificate(bob, "authority(bob).", &[], None)
             .unwrap();
-        let mut store = CertStore::new();
-        root.import_via_store(&mut ws, &keys, &mut store).unwrap();
-        let outcomes = linked.import_via_store(&mut ws, &keys, &mut store).unwrap();
+        let root_digest = root.certs[0].digest();
+        let linked = sys
+            .issue_certificate(bob, "good(carol).", &[root_digest], Some(100))
+            .unwrap();
+
+        sys.import_certificate(alice, &root).unwrap();
+        let outcomes = sys.import_certificate(alice, &linked).unwrap();
         assert_eq!(outcomes.len(), 1);
-        assert!(ws.holds_src("access(carol,o,read)").unwrap());
-        assert_eq!(store.active().len(), 2);
+        assert!(sys.holds(alice, "access(carol,o,read)").unwrap());
+        assert_eq!(sys.system().cert_store(alice).unwrap().active().len(), 2);
 
         // Without the supporting certificate in the store, the same
         // linked certificate is rejected.
-        let mut fresh_store = CertStore::new();
-        let mut fresh_ws = Workspace::new("dana");
         assert!(matches!(
-            linked.import_via_store(&mut fresh_ws, &keys, &mut fresh_store),
-            Err(CertError::Store(_))
+            sys.import_certificate(dana, &linked),
+            Err(BinderSysError::System(SysError::Cert(
+                CertStoreError::BrokenLink { missing, .. }
+            ))) if missing == root_digest
         ));
     }
 
     #[test]
-    fn repeated_import_via_store_does_not_duplicate_base_facts() {
-        let (keys, bob) = keys_with("bob");
-        let cert = Certificate::issue(&keys, bob, "good(carol).").unwrap();
-        let mut ws = Workspace::new("alice");
-        ws.load("policy", "seen(P) <- says(bob,me,[| good(P) |]).")
+    fn repeated_import_does_not_duplicate_base_facts() {
+        let (mut sys, alice, bob) = alice_and_bob();
+        let cert = sys
+            .issue_certificate(bob, "good(carol).", &[], None)
             .unwrap();
-        let mut store = CertStore::new();
-        let first = cert.import_via_store(&mut ws, &keys, &mut store).unwrap();
+        let first = sys.import_certificate(alice, &cert).unwrap();
         assert!(first[0].newly_added);
         // Redelivery: the store answers from cache, no facts re-asserted.
-        let second = cert.import_via_store(&mut ws, &keys, &mut store).unwrap();
+        let second = sys.import_certificate(alice, &cert).unwrap();
         assert!(!second[0].newly_added && second[0].cache_hit);
-        assert!(ws.holds_src("seen(carol)").unwrap());
+        assert!(sys.holds(alice, "access(carol,o,read)").unwrap());
 
-        // Exactly one supporting copy exists: retracting one copy of
-        // the says fact kills the conclusion (duplicates would keep it).
-        let says = Symbol::intern("says");
-        let rule = cert.facts[0].rule.clone();
-        let outcome = ws.retract_facts(&[(
-            says,
-            vec![
-                Value::Sym(bob),
-                Value::Sym(Symbol::intern("alice")),
-                Value::Quote(rule),
-            ],
-        )]);
-        assert!(!matches!(outcome, lbtrust::workspace::RetractOutcome::Noop));
-        ws.evaluate().unwrap();
+        // Exactly one supporting copy exists: the one retraction a
+        // revocation performs kills the conclusion (a second copy of the
+        // base facts would keep it).
+        let digest = cert.certs[0].digest();
+        sys.system_mut().revoke_certificate(bob, digest).unwrap();
+        sys.run(16).unwrap();
         assert!(
-            !ws.holds_src("seen(carol)").unwrap(),
+            !sys.holds(alice, "access(carol,o,read)").unwrap(),
             "a single retraction must remove the only supporting copy"
         );
     }
 
     #[test]
     fn non_fact_body_rejected() {
-        let (keys, bob) = keys_with("bob");
-        assert!(Certificate::issue(&keys, bob, "p(X) <- q(X).").is_err());
+        let (mut sys, _, bob) = alice_and_bob();
+        assert!(sys
+            .issue_certificate(bob, "p(X) <- q(X).", &[], None)
+            .is_err());
     }
 
     #[test]
     fn import_asserts_says_facts() {
-        let (keys, bob) = keys_with("bob");
-        let cert = Certificate::issue(&keys, bob, "good(carol).").unwrap();
-        let mut ws = Workspace::new("alice");
-        // Binder's b2: access on bob's word.
-        ws.load("policy", "access(P,o,read) <- says(bob,me,[| good(P) |]).")
+        let (mut sys, alice, bob) = alice_and_bob();
+        let cert = sys
+            .issue_certificate(bob, "good(carol).", &[], None)
             .unwrap();
-        cert.import_into(&mut ws, &keys).unwrap();
-        assert!(ws.holds_src("access(carol,o,read)").unwrap());
+        sys.import_certificate(alice, &cert).unwrap();
+        // Binder's b2: access on bob's word.
+        assert!(sys.holds(alice, "access(carol,o,read)").unwrap());
+        assert!(sys
+            .holds(alice, "says(bob,alice,[| good(carol). |])")
+            .unwrap());
     }
 }

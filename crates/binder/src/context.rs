@@ -7,10 +7,12 @@
 //! with whatever authentication scheme is configured — the
 //! reconfigurability the paper demonstrates in §6.
 
+use crate::certificate::Certificate;
 use crate::translate::{binder_to_lbtrust, BinderError};
 use lbtrust::principal::Principal;
 use lbtrust::system::{SysError, System, SystemStats};
 use lbtrust::AuthScheme;
+use lbtrust_certstore::{CertDigest, CertStoreError, ImportOutcome, SignatureVerifier};
 use std::fmt;
 
 /// Errors from the Binder layer.
@@ -101,6 +103,54 @@ impl BinderSystem {
             .load("binder-export", &rule)
             .map_err(SysError::Workspace)?;
         Ok(())
+    }
+
+    /// Issues a certificate over the facts in `facts_src` (e.g.
+    /// `"good(carol). good(dave)."`): one credential per fact from
+    /// [`System::issue_certificates`], citing `links` as support and
+    /// valid for `ttl` store-logical ticks (`None` = no expiry), and
+    /// `issuer`'s signature over the set.
+    pub fn issue_certificate(
+        &mut self,
+        issuer: Principal,
+        facts_src: &str,
+        links: &[CertDigest],
+        ttl: Option<u64>,
+    ) -> Result<Certificate, BinderSysError> {
+        let certs = self
+            .system
+            .issue_certificates(issuer, facts_src, links, ttl)?;
+        let keys = self.system.keys().read();
+        let pair = keys.rsa(issuer).ok_or(SysError::UnknownPrincipal(issuer))?;
+        let signature = pair
+            .private
+            .sign(&Certificate::signing_bytes(issuer, &certs))
+            .map_err(|e| SysError::Issue(e.to_string()))?;
+        Ok(Certificate {
+            issuer,
+            certs,
+            signature,
+        })
+    }
+
+    /// Imports a certificate into `to`'s context: the batch signature
+    /// is checked against the issuer's public key (a mismatch is
+    /// [`CertStoreError::BadSignature`] of the batch bytes' address),
+    /// then the members go through [`System::import_certificates`] —
+    /// signatures, links, freshness and the `says(issuer, me, fact)`
+    /// facts are the store's. Returns the store outcomes, one per fact.
+    pub fn import_certificate(
+        &mut self,
+        to: Principal,
+        cert: &Certificate,
+    ) -> Result<Vec<ImportOutcome>, BinderSysError> {
+        let signed = Certificate::signing_bytes(cert.issuer, &cert.certs);
+        let verifier = self.system.key_verifier();
+        if !verifier.verify(cert.issuer, &signed, &cert.signature) {
+            let batch = CertDigest::of(&signed);
+            return Err(SysError::Cert(CertStoreError::BadSignature(batch)).into());
+        }
+        Ok(self.system.import_certificates(to, cert.certs.clone())?)
     }
 
     /// Reconfigures a context's authentication scheme.

@@ -6,10 +6,14 @@
 //! *on top of* LBTrust, exactly as the paper's case study does:
 //!
 //! * [`translate`] — `bob says p(X)` → `says(bob,me,[| p(X) |])`;
-//! * [`certificate`] — RSA-signed fact certificates with
-//!   fingerprint-identified keys;
+//! * [`certificate`] — a Binder certificate is a bundle of the
+//!   runtime's own linked credentials (one per fact) under the issuer's
+//!   batch signature; the runtime issues, verifies and files them, so a
+//!   Binder certificate expires and is revoked like any other;
 //! * [`context`] — multi-principal Binder deployments over the LBTrust
-//!   system runtime, inheriting its reconfigurable authentication.
+//!   system runtime, inheriting its reconfigurable authentication and
+//!   its certificate store ([`BinderSystem::issue_certificate`],
+//!   [`BinderSystem::import_certificate`]).
 //!
 //! ```
 //! use lbtrust_binder::BinderSystem;
@@ -32,6 +36,6 @@ pub mod certificate;
 pub mod context;
 pub mod translate;
 
-pub use certificate::{CertError, Certificate};
+pub use certificate::Certificate;
 pub use context::{BinderSysError, BinderSystem};
 pub use translate::{binder_to_lbtrust, parse_binder, BinderError};

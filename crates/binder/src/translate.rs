@@ -9,7 +9,7 @@
 //! The translation is token-level: everything except `P says atom` is
 //! already valid LBTrust syntax.
 
-use lbtrust_datalog::lexer::{lex, Spanned, Token};
+use lbtrust_datalog::lexer::{self, lex, Spanned, Token};
 use lbtrust_datalog::{parse_program, ParseError, Program};
 
 /// Translation failure.
@@ -49,7 +49,7 @@ pub fn binder_to_lbtrust(src: &str) -> Result<String, BinderError> {
         {
             if kw == "says" && is_principal_token(&tokens[i].token) {
                 let atom_start = i + 2;
-                let atom_end = scan_atom(&tokens, atom_start).ok_or_else(|| BinderError {
+                let atom_end = lexer::atom_end(&tokens, atom_start).ok_or_else(|| BinderError {
                     message: format!(
                         "expected an atom after '{principal} says' at line {}",
                         tokens[i].line
@@ -86,34 +86,6 @@ fn is_principal_token(tok: &Token) -> bool {
 
 fn token_text(tokens: &[Spanned], i: usize) -> Option<String> {
     tokens.get(i).map(|s| s.token.to_string())
-}
-
-/// Returns the exclusive end index of the atom starting at `start`:
-/// a functor token plus an optional balanced parenthesized argument list.
-fn scan_atom(tokens: &[Spanned], start: usize) -> Option<usize> {
-    match tokens.get(start).map(|s| &s.token) {
-        Some(Token::Ident(_) | Token::UIdent(_)) => {}
-        _ => return None,
-    }
-    let mut i = start + 1;
-    if tokens.get(i).map(|s| &s.token) == Some(&Token::LParen) {
-        let mut depth = 0usize;
-        while let Some(spanned) = tokens.get(i) {
-            match spanned.token {
-                Token::LParen => depth += 1,
-                Token::RParen => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some(i + 1);
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        return None; // unbalanced
-    }
-    Some(i)
 }
 
 /// Emits a token with sensible spacing.

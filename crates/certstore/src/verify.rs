@@ -9,10 +9,8 @@
 //!
 //! One extension serves the durable store ([`crate::backend`]):
 //! [`VerifyCache::prime`] installs an outcome without running a
-//! verifier. Log replay primes recorded outcomes (so a reopened store
-//! never re-pays the modular exponentiation) and the runtime's parallel
-//! import fans real checks across threads, then primes the shared cache
-//! with their results.
+//! verifier. Log replay primes recorded outcomes, so a reopened store
+//! never re-pays the modular exponentiation.
 //!
 //! The memo table is unbounded: one entry per distinct signature ever
 //! checked or primed in the process.
@@ -44,7 +42,7 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that had to run a real signature check.
     pub misses: u64,
-    /// Outcomes installed without a verifier (replay, parallel import).
+    /// Outcomes installed without a verifier (log replay).
     pub primed: u64,
 }
 
@@ -96,15 +94,9 @@ impl VerifyCache {
         (ok, false)
     }
 
-    /// Whether an outcome for this exact check is memoized.
-    pub fn is_cached(&self, signer: Symbol, message: &[u8], signature: &[u8]) -> bool {
-        self.outcomes
-            .contains_key(&Self::key(signer, message, signature))
-    }
-
     /// Installs an outcome without running a verifier — the trusted
     /// fast path for log replay (the outcome was recorded when the
-    /// signature was first checked) and for parallel pre-verification.
+    /// signature was first checked).
     pub fn prime(&mut self, signer: Symbol, message: &[u8], signature: &[u8], outcome: bool) {
         self.outcomes
             .insert(Self::key(signer, message, signature), outcome);
@@ -201,7 +193,6 @@ mod tests {
         let mut cache = VerifyCache::new();
         let p = Symbol::intern("p");
         cache.prime(p, b"msg", b"sig", true);
-        assert!(cache.is_cached(p, b"msg", b"sig"));
         let (ok, hit) = cache.check(&verifier, p, b"msg", b"sig");
         assert!(ok && hit);
         assert_eq!(calls.get(), 0, "primed outcome answers without verifier");

@@ -7,7 +7,7 @@
 //! that — so the [`crate::System`] is a sequencer over a vector of them
 //! and a pool task is "this principal, plus what to do".
 
-use crate::auth::{AuthScheme, KeyVerifier};
+use crate::auth::KeyVerifier;
 use crate::authz_read::{AuthzPublishState, PrincipalSnapshot};
 use crate::gossip::{advert_fact, revfp_fact, ZERO_FP_HEX};
 use crate::obs::DeliveryPart;
@@ -30,13 +30,13 @@ use std::time::{Duration, Instant};
 /// **What it owns.** The workspace, the certificate store, the index
 /// from each imported certificate to the workspace facts it introduced
 /// (so expiry and revocation retract exactly those), how far the
-/// `export` relation has been shipped, the authentication scheme, the
-/// node the principal is placed on, the store's fault-handling state and
-/// fault schedule, the snapshot-publication bookkeeping, the gossip
-/// facts currently asserted on its behalf, and its own share of the
-/// [`crate::SystemStats`] counters. Nothing here points at another
-/// principal; what principals share (key directory, verification cache,
-/// metrics registry) they share by `Arc`.
+/// `export` relation has been shipped, the node the principal is placed
+/// on, the store's fault-handling state and fault schedule, the
+/// snapshot-publication bookkeeping, the gossip facts currently asserted
+/// on its behalf, and its own share of the [`crate::SystemStats`]
+/// counters. Nothing here points at another principal; what principals
+/// share (key directory, verification cache, metrics registry) they
+/// share by `Arc`.
 ///
 /// **Who may touch it when.** Between batches only the sequencer — the
 /// thread that owns the `System`. During a batch the value is moved (one
@@ -61,7 +61,6 @@ pub(crate) struct PrincipalState {
     /// by content address.
     facts: HashMap<CertDigest, Vec<(Symbol, Tuple)>>,
     cursor: ExportCursor,
-    pub(crate) auth: AuthScheme,
     /// Placement: the physical node hosting this principal (the `loc`
     /// relation).
     pub(crate) node: NodeId,
@@ -143,7 +142,6 @@ impl PrincipalState {
             store,
             facts: HashMap::new(),
             cursor: ExportCursor::default(),
-            auth: AuthScheme::Rsa,
             node,
             health: HealthState::default(),
             faults,
@@ -521,14 +519,7 @@ impl PrincipalState {
             Op::GroupCommit { auto_compact } => {
                 OpResult::Store(self.group_commit(auto_compact).map(|()| false))
             }
-            Op::Maintain { prune } => {
-                let report = if prune {
-                    self.store.compact()
-                } else {
-                    self.store.checkpoint()
-                };
-                OpResult::Store(report.map(|report| report.performed))
-            }
+            Op::Maintain => OpResult::Store(self.store.compact().map(|report| report.performed)),
         }
     }
 }
@@ -543,16 +534,16 @@ pub(crate) enum Op {
     Deliver(Delivery),
     /// The group-commit sweep: sync, plus opportunistic compaction.
     GroupCommit { auto_compact: Option<u64> },
-    /// Explicit `compact()` (`prune`) / `checkpoint()`.
-    Maintain { prune: bool },
+    /// Explicit `compact()`.
+    Maintain,
 }
 
 /// What came of an [`Op`].
 pub(crate) enum OpResult {
     /// A fixpoint or delivery: the evaluation error that cut it short.
     Eval(Option<WsError>),
-    /// Store maintenance: whether a compaction/checkpoint actually
-    /// installed (always `false` for group commits).
+    /// Store maintenance: whether a compaction actually installed
+    /// (always `false` for group commits).
     Store(Result<bool, CertStoreError>),
 }
 

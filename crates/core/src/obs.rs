@@ -8,7 +8,7 @@
 //! each phase of `run_to_quiescence` — including one histogram *per
 //! fixpoint shard*, so worker imbalance on skewed topologies is
 //! visible — and the decision [`Journal`]. Phase timing is on by
-//! default and can be disabled ([`crate::System::set_phase_timing`])
+//! default and can be disabled ([`crate::System::with_phase_timing`])
 //! for overhead-sensitive runs; the journal is disabled unless a sink
 //! is attached.
 

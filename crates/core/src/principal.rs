@@ -98,20 +98,6 @@ impl KeyDirectory {
         self.secrets.get(&(lo, hi)).map(Vec::as_slice)
     }
 
-    /// Principals with RSA keys.
-    pub fn rsa_principals(&self) -> Vec<Principal> {
-        let mut v: Vec<Principal> = self.rsa.keys().copied().collect();
-        v.sort_unstable_by_key(|s| s.as_str());
-        v
-    }
-
-    /// Secret pairs (sorted principal pairs).
-    pub fn secret_pairs(&self) -> Vec<(Principal, Principal)> {
-        let mut v: Vec<(Principal, Principal)> = self.secrets.keys().copied().collect();
-        v.sort_unstable_by_key(|(a, b)| (a.as_str(), b.as_str()));
-        v
-    }
-
     /// Resolves an RSA key handle value to `(principal, private?)`.
     pub fn parse_rsa_handle(handle: &Value) -> Option<(Principal, bool)> {
         let sym = handle.as_sym()?;

@@ -27,7 +27,7 @@ use lbtrust_certstore::backend::{log::LogBackend, memory::MemoryBackend};
 use lbtrust_certstore::{
     cert, shared_verify_cache, AuditEntry, CertDigest, CertStore, CertStoreError, FaultConfig,
     FaultHandle, FaultingBackend, ImportOutcome, LinkedCert, Revocation, SharedVerifyCache,
-    SignatureVerifier, StorageBackend,
+    StorageBackend,
 };
 use lbtrust_datalog::intern::names;
 use lbtrust_datalog::{parse_program, Symbol, Value};
@@ -261,9 +261,6 @@ pub struct SystemStats {
     /// Certificates reconciled from durable logs at principal
     /// registration (replayed, not re-verified).
     pub certs_replayed: usize,
-    /// Import bundles whose signature checks were fanned across worker
-    /// threads before the store walked the bundle.
-    pub parallel_verify_batches: usize,
     /// Anti-entropy rounds in which gossip traffic was generated
     /// (steps where at least two stores' revocation summaries
     /// disagreed).
@@ -392,12 +389,6 @@ pub struct System {
     lint: AnalyzerConfig,
 }
 
-/// Bundles at or above this size fan their signature checks across
-/// `std::thread::scope` workers before the store walks the bundle;
-/// smaller bundles verify serially (thread spawn would cost more than
-/// the checks).
-pub const PARALLEL_VERIFY_MIN: usize = 8;
-
 impl System {
     /// Creates a system over a perfect network.
     pub fn new() -> System {
@@ -485,35 +476,13 @@ impl System {
 
     // ---- observability -------------------------------------------------------
 
-    /// Replaces the system's metrics registry — so several systems (or
-    /// a bench harness) share one registry, or tests get a private one
-    /// to snapshot. Must be called before principals are registered:
-    /// stores bind their counter handles at registration. The network's
-    /// counters re-bind immediately (seeded with totals so far); phase
-    /// timing and journal settings carry over.
-    pub fn with_obs_registry(mut self, registry: Registry) -> Self {
-        let timing = self.obs.timing_enabled();
-        let journal = self.obs.journal.clone();
-        self.obs = SystemObs::new(registry);
-        self.obs.set_timing(timing);
-        self.obs.journal = journal;
-        self.net.attach_metrics(self.obs.registry());
-        // The reader-side counters bind at construction too; existing
-        // reader handles (there are none this early — see the doc
-        // comment) would keep the old shared state, so the cell and
-        // cache are recreated alongside.
-        self.authz_shared = Arc::new(AuthzShared::new(self.obs.registry()));
-        for node in &mut self.nodes {
-            node.authz.snap = None;
-        }
-        self
-    }
-
     /// The unified metrics registry: `net.*` counters (live), `store.*`
     /// counters (live, aggregated across every principal's store),
     /// `storelog.*` lifecycle metrics (persistent stores), `quiesce.*`
     /// phase-timing histograms, `authz.*` decision counters, and the
-    /// `system.*` gauges refreshed by [`System::publish_obs`].
+    /// `system.*` gauges, refreshed each time
+    /// [`System::run_to_quiescence`] reaches quiescence. The registry
+    /// belongs to this system alone.
     pub fn obs_registry(&self) -> &Registry {
         self.obs.registry()
     }
@@ -522,13 +491,8 @@ impl System {
     /// timing) on or off. On by default; the off path costs one branch
     /// per phase, which the bench suite's overhead microbench pins
     /// under its noise floor.
-    pub fn set_phase_timing(&mut self, on: bool) {
-        self.obs.set_timing(on);
-    }
-
-    /// Builder form of [`System::set_phase_timing`].
     pub fn with_phase_timing(mut self, on: bool) -> Self {
-        self.set_phase_timing(on);
+        self.obs.set_timing(on);
         self
     }
 
@@ -549,9 +513,8 @@ impl System {
     /// Refreshes the `system.*` gauges from [`SystemStats`] and the
     /// aggregate store-footprint gauges (`store.live_bytes`,
     /// `store.dead_bytes`, `store.segments`) from every principal's
-    /// store. Called automatically when [`System::run_to_quiescence`]
-    /// reaches quiescence; call directly for a mid-run snapshot.
-    pub fn publish_obs(&self) {
+    /// store, when [`System::run_to_quiescence`] reaches quiescence.
+    fn publish_obs(&self) {
         let r = self.obs.registry();
         let s = self.stats();
         for (name, value) in [
@@ -566,7 +529,6 @@ impl System {
             ("system.dred_repairs", s.dred_repairs),
             ("system.retraction_rebuilds", s.retraction_rebuilds),
             ("system.certs_replayed", s.certs_replayed),
-            ("system.parallel_verify_batches", s.parallel_verify_batches),
             ("system.gossip_rounds", s.gossip_rounds),
             ("system.gossip_summaries", s.gossip_summaries),
             ("system.gossip_pulls", s.gossip_pulls),
@@ -706,12 +668,6 @@ impl System {
         Ok(())
     }
 
-    /// Builder form of [`System::enable_gossip`].
-    pub fn with_gossip(mut self, program: &str) -> Result<Self, SysError> {
-        self.enable_gossip(program)?;
-        Ok(self)
-    }
-
     /// Whether the gossip repair layer is on.
     pub fn gossip_enabled(&self) -> bool {
         self.gossip.is_some()
@@ -730,24 +686,11 @@ impl System {
     /// (memory-backed stores never do). Dead records (revoked/expired
     /// certificates, superseded ticks) stop occupying disk, reopen cost
     /// drops to checkpoint + suffix, and audit citations survive via
-    /// the folded audit segment.
+    /// the folded audit segment. Quarantined stores are skipped
+    /// outright — compaction is a write (checkpoint append / segment
+    /// rewrite) and the store is read-only until its fault heals.
     pub fn compact(&mut self) -> Result<usize, SysError> {
-        self.maintain_stores(true)
-    }
-
-    /// Checkpoints every principal's store without pruning: future
-    /// reopens replay checkpoint + suffix, while superseded segments
-    /// stay on disk. Runs on the shard workers like [`System::compact`].
-    pub fn checkpoint(&mut self) -> Result<usize, SysError> {
-        self.maintain_stores(false)
-    }
-
-    /// Runs per-store checkpoint/compaction, one task per store.
-    /// Quarantined stores are skipped outright — maintenance is a write
-    /// (checkpoint append / segment rewrite) and the store is read-only
-    /// until its fault heals.
-    fn maintain_stores(&mut self, prune: bool) -> Result<usize, SysError> {
-        self.run_store_op(|n| (!n.quarantined()).then_some(Op::Maintain { prune }))
+        self.run_store_op(|n| (!n.quarantined()).then_some(Op::Maintain))
     }
 
     /// Runs the store operation `pick` names on every principal it
@@ -1014,25 +957,9 @@ impl System {
     /// Swaps `who`'s authentication scheme — the paper's two-rule
     /// reconfiguration (§4.1.2). Policies using `says` are untouched.
     pub fn set_auth_scheme(&mut self, who: Principal, scheme: AuthScheme) -> Result<(), SysError> {
-        let i = self.index_of(who)?;
-        self.nodes[i].ws.replace_tag("auth", &scheme.prelude())?;
-        self.nodes[i].auth = scheme;
+        self.workspace_mut(who)?
+            .replace_tag("auth", &scheme.prelude())?;
         Ok(())
-    }
-
-    /// The current scheme of `who`.
-    pub fn auth_scheme(&self, who: Principal) -> Option<AuthScheme> {
-        Some(self.node(who).ok()?.auth)
-    }
-
-    /// Re-places a principal onto a different node (the `loc` relation
-    /// is data: "users can easily enforce various distribution plans by
-    /// modifying the loc table", §5.2). Placing a principal that is not
-    /// registered places nothing.
-    pub fn place(&mut self, who: Principal, node: &str) {
-        if let Ok(i) = self.index_of(who) {
-            self.nodes[i].node = NodeId::new(node);
-        }
     }
 
     /// The node hosting `who`.
@@ -1347,10 +1274,6 @@ impl System {
         certs: Vec<LinkedCert>,
     ) -> Result<Vec<ImportOutcome>, SysError> {
         let to = self.index_of(to)?;
-        // Bulk loads fan the expensive signature checks across worker
-        // threads first; the store's serial walk then answers every
-        // check from the shared cache.
-        self.prewarm_verifications(&certs);
         let verifier = self.key_verifier();
         // The bundle import retries as a unit on transient I/O: a
         // failed insert left no trace (append-before-mutate), and
@@ -1372,84 +1295,6 @@ impl System {
         let node = &mut self.nodes[to];
         self.stats.certs_imported += node.file_cert_facts(outcomes.iter().map(|o| o.digest));
         node.ws.evaluate()?;
-        Ok(outcomes)
-    }
-
-    /// Verifies a bundle's signatures in parallel, priming the shared
-    /// cache with the outcomes. A no-op for bundles below
-    /// [`PARALLEL_VERIFY_MIN`] or when everything is already cached.
-    /// Correctness is unchanged: the store re-asks the cache for every
-    /// signature and any outcome not primed here is checked serially.
-    fn prewarm_verifications(&mut self, certs: &[LinkedCert]) {
-        if certs.len() < PARALLEL_VERIFY_MIN {
-            return;
-        }
-        // Both signatures of every certificate, deduplicated against
-        // outcomes the cache already holds.
-        let mut jobs: Vec<(Symbol, Vec<u8>, &[u8])> = Vec::with_capacity(certs.len() * 2);
-        {
-            let cache = self.vcache.lock().unwrap_or_else(|e| e.into_inner());
-            for cert in certs {
-                let signing = cert.signing_bytes();
-                if !cache.is_cached(cert.issuer, &signing, &cert.signature) {
-                    jobs.push((cert.issuer, signing, &cert.signature));
-                }
-                let rule = cert.rule_bytes();
-                if !cache.is_cached(cert.issuer, &rule, &cert.rule_sig) {
-                    jobs.push((cert.issuer, rule, &cert.rule_sig));
-                }
-            }
-        }
-        if jobs.is_empty() {
-            return;
-        }
-        // At least two workers so the fan-out is real even on
-        // single-core hosts (the checks are pure CPU; extra threads
-        // cost one spawn each and change no outcome), scaling up with
-        // the machine.
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .clamp(2, 16)
-            .min(jobs.len());
-        let verifier = self.key_verifier();
-        let chunk = jobs.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            for part in jobs.chunks(chunk) {
-                let verifier = &verifier;
-                let vcache = &self.vcache;
-                scope.spawn(move || {
-                    for (signer, message, signature) in part {
-                        let ok = verifier.verify(*signer, message, signature);
-                        vcache
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .prime(*signer, message, signature, ok);
-                    }
-                });
-            }
-        });
-        self.stats.parallel_verify_batches += 1;
-    }
-
-    /// Re-imports certificates already held by `to`: answered from the
-    /// store and the verification cache without fresh signature checks
-    /// or workspace work.
-    pub fn reimport_certificates(
-        &mut self,
-        to: Principal,
-        certs: &[LinkedCert],
-    ) -> Result<Vec<ImportOutcome>, SysError> {
-        let to = self.index_of(to)?;
-        let verifier = self.key_verifier();
-        let outcomes = self.with_store_retry(to, |n| {
-            let mut outcomes = Vec::with_capacity(certs.len());
-            for cert in certs {
-                outcomes.push(n.store.insert(cert.clone(), &verifier)?);
-            }
-            Ok(outcomes)
-        })?;
-        self.with_store_retry(to, |n| n.store.sync())?;
         Ok(outcomes)
     }
 
@@ -2984,8 +2829,7 @@ mod tests {
                 "SystemStats { messages_sent: 4, messages_accepted: 3, messages_rejected: 1, \
                  local_rollbacks: 1, steps: 6, certs_imported: 6, revocations: 4, \
                  retractions: 8, dred_repairs: 4, retraction_rebuilds: 0, certs_replayed: 0, \
-                 parallel_verify_batches: 0, gossip_rounds: 0, gossip_summaries: 0, \
-                 gossip_pulls: 0, gossip_served: 0 }",
+                 gossip_rounds: 0, gossip_summaries: 0, gossip_pulls: 0, gossip_served: 0 }",
                 "at {shards} shards"
             );
         }
@@ -3043,10 +2887,6 @@ mod tests {
                 Box::new(|s| s.import_certificates(ghost, Vec::new()).map(drop)),
             ),
             (
-                "reimport_certificates",
-                Box::new(|s| s.reimport_certificates(ghost, &[]).map(drop)),
-            ),
-            (
                 "revoke_certificate",
                 Box::new(move |s| s.revoke_certificate(ghost, cert.digest())),
             ),
@@ -3064,9 +2904,6 @@ mod tests {
         }
         assert_eq!(sys.store_health(ghost), StoreHealth::Healthy);
         assert!(sys.fault_handle(ghost).is_none());
-        assert!(sys.auth_scheme(ghost).is_none());
-        assert!(sys.location(ghost).is_none());
-        sys.place(ghost, "n9");
         assert!(sys.location(ghost).is_none());
         assert_eq!(sys.principals(), [alice]);
     }

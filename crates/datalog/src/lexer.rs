@@ -388,6 +388,36 @@ pub fn is_principal_name(name: &str) -> bool {
     matches!(bytes.first(), Some(b'a'..=b'z')) && ident_end(bytes, 0) == bytes.len() && name != "me"
 }
 
+/// The exclusive end of the atom starting at `tokens[start]`: a functor
+/// token plus an optional balanced parenthesised argument list — what
+/// the surface-language translators quote after an infix `says`. `None`
+/// when no functor stands at `start` or the list never closes.
+pub fn atom_end(tokens: &[Spanned], start: usize) -> Option<usize> {
+    match tokens.get(start).map(|s| &s.token) {
+        Some(Token::Ident(_) | Token::UIdent(_)) => {}
+        _ => return None,
+    }
+    let mut i = start + 1;
+    if tokens.get(i).map(|s| &s.token) == Some(&Token::LParen) {
+        let mut depth = 0usize;
+        while let Some(spanned) = tokens.get(i) {
+            match spanned.token {
+                Token::LParen => depth += 1,
+                Token::RParen => {
+                    depth -= 1;
+                    if depth == 0 {
+                        return Some(i + 1);
+                    }
+                }
+                _ => {}
+            }
+            i += 1;
+        }
+        return None; // unbalanced
+    }
+    Some(i)
+}
+
 /// Writes `s` as a string literal [`lex`] reads back to the same `s`:
 /// `\\ \" \n \t \r` by name, every other control character as
 /// `\u{hex}`, everything else — wide characters included — as itself.
@@ -687,5 +717,21 @@ mod tests {
             toks("#xyz"),
             vec![Token::Bytes(Vec::new()), Token::Ident("xyz".into())]
         );
+    }
+
+    /// The translators' cases: the atom after `bob says` in Binder's b2
+    /// and zero-arity bodies, SeNDlog's `W says reachable(S,D)`, nested
+    /// argument lists, and the two refusals.
+    #[test]
+    fn atom_end_spans_a_functor_and_its_balanced_arguments() {
+        let end = |src: &str, start: usize| atom_end(&lex(src).unwrap(), start);
+        // access ( P , O , read ) .
+        assert_eq!(end("bob says access(P,O,read).", 2), Some(10));
+        assert_eq!(end("p :- bob says q.", 4), Some(5));
+        assert_eq!(end("W says reachable(S,D), link(S,W)", 2), Some(8));
+        assert_eq!(end("f(g(X),(Y)) rest", 0), Some(11));
+        assert_eq!(end("p :- bob says q(X.", 4), None, "unbalanced");
+        assert_eq!(end("bob says (q)", 2), None, "no functor");
+        assert_eq!(end("bob says", 2), None, "nothing there");
     }
 }

@@ -167,11 +167,6 @@ impl SendlogNetwork {
     pub fn system(&self) -> &System {
         &self.system
     }
-
-    /// Escape hatch to the underlying system, mutably.
-    pub fn system_mut(&mut self) -> &mut System {
-        &mut self.system
-    }
 }
 
 /// Registers the path-string builtins used by [`PATH_VECTOR`].

@@ -9,7 +9,7 @@
 //! * a body literal `W says p(args)` becomes `says(W, me, [| p(args) |])`;
 //! * a head `p(args)@X` becomes `says(me, X, [| p(args). |])`.
 
-use lbtrust_datalog::lexer::{lex, LexError, Spanned, Token};
+use lbtrust_datalog::lexer::{self, lex, LexError, Spanned, Token};
 use lbtrust_datalog::{parse_program, ParseError, Program};
 use std::fmt;
 
@@ -240,7 +240,7 @@ fn translate_statement(
         if let Some(Token::Ident(kw)) = body_toks.get(i + 1).map(|s| &s.token) {
             if kw == "says" && matches!(body_toks[i].token, Token::Ident(_) | Token::UIdent(_)) {
                 let atom_start = i + 2;
-                let atom_end = scan_atom(body_toks, atom_start)
+                let atom_end = lexer::atom_end(body_toks, atom_start)
                     .ok_or_else(|| SendlogError::new("expected an atom after 'says'"))?;
                 out.push_str(says_pred);
                 out.push('(');
@@ -259,33 +259,6 @@ fn translate_statement(
     }
     out.push('.');
     Ok(())
-}
-
-/// Returns the exclusive end of the atom starting at `start`.
-fn scan_atom(tokens: &[Spanned], start: usize) -> Option<usize> {
-    match tokens.get(start).map(|s| &s.token) {
-        Some(Token::Ident(_) | Token::UIdent(_)) => {}
-        _ => return None,
-    }
-    let mut i = start + 1;
-    if tokens.get(i).map(|s| &s.token) == Some(&Token::LParen) {
-        let mut depth = 0usize;
-        while let Some(spanned) = tokens.get(i) {
-            match spanned.token {
-                Token::LParen => depth += 1,
-                Token::RParen => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some(i + 1);
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        return None;
-    }
-    Some(i)
 }
 
 /// Emits a token, mapping the context variable to `me`.

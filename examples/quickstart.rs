@@ -21,7 +21,7 @@ fn main() {
         "principals: alice on {}, bob on {} ({} auth)\n",
         sys.location(alice).unwrap(),
         sys.location(bob).unwrap(),
-        sys.auth_scheme(alice).unwrap_or(AuthScheme::Rsa),
+        AuthScheme::Rsa, // what `add_principal` installs (§5.1)
     );
 
     // Alice's policy (b1 + b2 from the paper, range-restricted):

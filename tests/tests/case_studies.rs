@@ -3,40 +3,68 @@
 //! makes possible (§7: "a basis for comparison across different trust
 //! management systems").
 
-use lbtrust::{AuthScheme, System};
-use lbtrust_binder::{BinderSystem, Certificate};
+use lbtrust::certstore::CertStoreError;
+use lbtrust::{AuthScheme, SysError, System};
+use lbtrust_binder::{BinderSysError, BinderSystem};
 use lbtrust_d1lp::D1lpPolicy;
-use lbtrust_datalog::Symbol;
 use lbtrust_sendlog::{SendlogNetwork, REACHABILITY};
 
 #[test]
 fn binder_certificates_feed_policies() {
     // Offline certificate flow: bob issues a signed certificate; alice
     // imports it without any network round-trip.
-    let mut sys = System::new().with_rsa_bits(512);
-    let alice = sys.add_principal("alice", "n1").unwrap();
-    let bob = sys.add_principal("bob", "n2").unwrap();
-    let _ = bob;
-    sys.workspace_mut(alice)
-        .unwrap()
-        .load(
-            "policy",
-            "access(P,vault,read) <- says(bob,me,[| cleared(P) |]).",
-        )
+    let mut sys = BinderSystem::new(512);
+    let alice = sys.add_context("alice", "n1").unwrap();
+    let bob = sys.add_context("bob", "n2").unwrap();
+    sys.load_binder(alice, "access(P,vault,read) :- bob says cleared(P).")
         .unwrap();
-    let keys = sys.keys().clone();
-    let cert = Certificate::issue(
-        &keys,
-        Symbol::intern("bob"),
-        "cleared(carol). cleared(dan).",
-    )
-    .unwrap();
-    cert.import_into(sys.workspace_mut(alice).unwrap(), &keys)
+    let cert = sys
+        .issue_certificate(bob, "cleared(carol). cleared(dan).", &[], None)
         .unwrap();
-    let ws = sys.workspace(alice).unwrap();
-    assert!(ws.holds_src("access(carol,vault,read)").unwrap());
-    assert!(ws.holds_src("access(dan,vault,read)").unwrap());
-    assert!(!ws.holds_src("access(eve,vault,read)").unwrap());
+    sys.import_certificate(alice, &cert).unwrap();
+    assert!(sys.holds(alice, "access(carol,vault,read)").unwrap());
+    assert!(sys.holds(alice, "access(dan,vault,read)").unwrap());
+    assert!(!sys.holds(alice, "access(eve,vault,read)").unwrap());
+}
+
+#[test]
+fn binder_certificates_expire_and_are_revoked_like_any_credential() {
+    // A Binder certificate reaches the workspace through the importer's
+    // certificate store and by no other road, so it is mortal (TTL) and
+    // revocable, and a revoked one is refused on re-import.
+    let mut sys = BinderSystem::new(512);
+    let alice = sys.add_context("alice", "n1").unwrap();
+    let bob = sys.add_context("bob", "n2").unwrap();
+    sys.load_binder(alice, "access(P,vault,read) :- bob says cleared(P).")
+        .unwrap();
+    let mortal = sys
+        .issue_certificate(bob, "cleared(carol).", &[], Some(3))
+        .unwrap();
+    let lasting = sys
+        .issue_certificate(bob, "cleared(dan).", &[], None)
+        .unwrap();
+    sys.import_certificate(alice, &mortal).unwrap();
+    sys.import_certificate(alice, &lasting).unwrap();
+    sys.run(16).unwrap();
+    assert!(sys.holds(alice, "access(carol,vault,read)").unwrap());
+    assert!(sys.holds(alice, "access(dan,vault,read)").unwrap());
+
+    assert_eq!(sys.system_mut().advance_time(3).unwrap(), 1);
+    sys.run(16).unwrap();
+    assert!(!sys.holds(alice, "access(carol,vault,read)").unwrap());
+    assert!(sys.holds(alice, "access(dan,vault,read)").unwrap());
+
+    let digest = lasting.certs[0].digest();
+    sys.system_mut().revoke_certificate(bob, digest).unwrap();
+    sys.run(16).unwrap();
+    assert!(!sys.holds(alice, "access(dan,vault,read)").unwrap());
+    assert!(matches!(
+        sys.import_certificate(alice, &lasting),
+        Err(BinderSysError::System(SysError::Cert(
+            CertStoreError::Revoked(_) | CertStoreError::NotLive(..)
+        )))
+    ));
+    assert!(!sys.holds(alice, "access(dan,vault,read)").unwrap());
 }
 
 #[test]
@@ -165,12 +193,12 @@ fn relocating_a_principal_keeps_protocol_running() {
         .unwrap();
     sys.run_to_quiescence(16).unwrap();
     // Move bob to another physical node and continue.
-    sys.place(b, "n9");
     sys.workspace_mut(a)
         .unwrap()
-        .assert_src("tick(2).")
+        .assert_src("loc(bob,n9). tick(2).")
         .unwrap();
     sys.run_to_quiescence(16).unwrap();
+    assert_eq!(sys.location(b).unwrap().name(), "n9");
     let ws = sys.workspace(b).unwrap();
     assert!(ws.holds_src("pong(1)").unwrap());
     assert!(ws.holds_src("pong(2)").unwrap());

@@ -49,8 +49,6 @@ fn chaos_system(
         .with_rsa_bits(512)
         .with_shards(shards)
         .with_sync_policy(SyncPolicy::Batched)
-        .with_gossip(&rev_gossip_program().unwrap())
-        .unwrap()
         .with_storage_faults(faults)
         // Schedule-driven faults are one-shot probabilistic rolls, so
         // a generous immediate-retry budget makes user-path quarantine
@@ -60,6 +58,7 @@ fn chaos_system(
             max_attempts: 6,
             ..RetryPolicy::default()
         });
+    sys.enable_gossip(&rev_gossip_program().unwrap()).unwrap();
     let alice = sys.add_principal("alice", "n0").unwrap();
     let recs: Vec<Principal> = (0..receivers)
         .map(|i| sys.add_principal(&format!("r{i}"), &node_name(i)).unwrap())

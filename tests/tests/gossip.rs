@@ -32,7 +32,7 @@ fn fanout_system(
         .with_rsa_bits(512)
         .with_shards(shards);
     if gossip {
-        sys = sys.with_gossip(&rev_gossip_program().unwrap()).unwrap();
+        sys.enable_gossip(&rev_gossip_program().unwrap()).unwrap();
     }
     let alice = sys.add_principal("alice", "n0").unwrap();
     let recs: Vec<Principal> = (0..receivers)
@@ -145,7 +145,7 @@ fn late_joiner_learns_revocations_issued_before_it_existed() {
     let run = |gossip: bool| -> (System, Principal, CertDigest) {
         let mut sys = System::new().with_rsa_bits(512);
         if gossip {
-            sys = sys.with_gossip(&rev_gossip_program().unwrap()).unwrap();
+            sys.enable_gossip(&rev_gossip_program().unwrap()).unwrap();
         }
         let alice = sys.add_principal("alice", "n0").unwrap();
         let bob = sys.add_principal("bob", "n1").unwrap();
@@ -381,9 +381,8 @@ proptest! {
         let build = |shards: usize| -> (System, Vec<Principal>, Vec<CertDigest>) {
             let mut sys = System::with_network(config, seed)
                 .with_rsa_bits(512)
-                .with_shards(shards)
-                .with_gossip(&rev_gossip_program().unwrap())
-                .unwrap();
+                .with_shards(shards);
+            sys.enable_gossip(&rev_gossip_program().unwrap()).unwrap();
             let alice = sys.add_principal("alice", "n0").unwrap();
             let recs: Vec<Principal> = (0..receivers)
                 .map(|i| sys.add_principal(&format!("r{i}"), &format!("m{i}")).unwrap())

@@ -5,7 +5,7 @@
 //! actually record, and journaled authorization decisions must cite
 //! exactly the certificate digests the audit trail knows.
 
-use lbtrust::obs::{Journal, Registry, RingSink};
+use lbtrust::obs::{Journal, RingSink};
 use lbtrust::{Principal, SyncPolicy, System};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -163,8 +163,7 @@ fn phase_timing_records_per_phase_and_per_shard() {
         assert!(count_of(name) > 0, "no samples recorded for {name}");
     }
 
-    let mut quiet = fanout_system(2, 4);
-    quiet.set_phase_timing(false);
+    let mut quiet = fanout_system(2, 4).with_phase_timing(false);
     let before = quiet.obs_registry().timings();
     quiet
         .workspace_mut(Principal::from("hub"))
@@ -229,8 +228,7 @@ fn delivery_time_is_attributed_to_its_parts() {
         assert!(det.histogram(&part_name(part)).is_none());
     }
 
-    let mut quiet = run(1);
-    quiet.set_phase_timing(false);
+    let mut quiet = run(1).with_phase_timing(false);
     let before = quiet.obs_registry().snapshot();
     let hub = quiet.workspace_mut(Principal::from("hub")).unwrap();
     hub.assert_src("vedge(d,e).").unwrap();
@@ -469,36 +467,6 @@ fn jsonl_journal_round_trips_through_file() {
         assert!(lines[0].contains(&d.to_hex()));
     }
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A shared registry across systems accumulates (the bench-harness
-/// use), and `with_obs_registry` rebinds before principals register.
-#[test]
-fn shared_registry_accumulates_across_systems() {
-    let shared = Registry::new();
-    for _ in 0..2 {
-        let mut sys = System::new()
-            .with_rsa_bits(512)
-            .with_obs_registry(shared.clone());
-        let hub = sys.add_principal("hub", "n0").unwrap();
-        let r = sys.add_principal("r0", "m0").unwrap();
-        sys.workspace_mut(r)
-            .unwrap()
-            .load("policy", "seen(X) <- says(hub,me,[| ping(X) |]).")
-            .unwrap();
-        sys.workspace_mut(hub)
-            .unwrap()
-            .load("policy", "says(me,r0,[| ping(X). |]) <- go(X).")
-            .unwrap();
-        sys.workspace_mut(hub)
-            .unwrap()
-            .assert_src("go(a).")
-            .unwrap();
-        sys.run_to_quiescence(16).unwrap();
-        assert_eq!(sys.stats().messages_sent, 1);
-    }
-    // Two systems, one message each, one shared ledger.
-    assert_eq!(shared.snapshot().counter("net.sent").unwrap(), 2);
 }
 
 /// The journal fast path: a disabled journal records nothing and
