@@ -35,14 +35,11 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 /// Opens the store at `path` with the log's `storelog.*` metrics wired
-/// before the opening replay (so the replay is measured) and the
-/// store's `store.*` counters right after.
+/// before the opening replay, so the replay is measured.
 fn open_observed(path: &Path, registry: &Registry) -> CertStore {
     let mut log = LogBackend::open(path).unwrap();
     log.attach_metrics(registry);
-    let mut store = CertStore::open_backend(Box::new(log), shared_verify_cache()).unwrap();
-    store.attach_obs(registry);
-    store
+    CertStore::open_backend(Box::new(log), shared_verify_cache()).unwrap()
 }
 
 /// Issues `mult * ROUND_CERTS` distinct certificates (RSA-512 keys for

@@ -30,7 +30,6 @@
 
 use super::{Footprint, LogRecord, ReplayLog, StorageBackend, StorageError};
 use crate::audit::AuditEntry;
-use lbtrust_obs::{Counter, Registry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -117,7 +116,8 @@ pub enum Fault {
     },
 }
 
-/// Totals of injected faults, by class.
+/// Totals of injected faults, by class: the fault plane's only record
+/// of them (a runtime's registry shows them as `fault.injected.*`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultCounts {
     /// Transient/persistent `EIO` injections.
@@ -133,16 +133,6 @@ pub struct FaultCounts {
     pub fsync_lies: u64,
 }
 
-/// Volatile `fault.injected.*` counters (wall-clock-free but
-/// schedule-dependent, so excluded from deterministic snapshots like
-/// the pool telemetry).
-struct FaultMetrics {
-    io: Counter,
-    enospc: Counter,
-    torn: Counter,
-    fsync_lies: Counter,
-}
-
 /// Mutable fault state shared between the backend (which consults it
 /// on every operation) and the test or runtime holding the handle.
 struct FaultState {
@@ -151,7 +141,6 @@ struct FaultState {
     queue: VecDeque<Fault>,
     persistent: bool,
     counts: FaultCounts,
-    metrics: Option<FaultMetrics>,
 }
 
 /// What [`FaultState`] decided for one append.
@@ -172,38 +161,10 @@ enum SyncOutcome {
 }
 
 impl FaultState {
-    fn count_io(&mut self) {
-        self.counts.io += 1;
-        if let Some(m) = &self.metrics {
-            m.io.inc();
-        }
-    }
-
-    fn count_enospc(&mut self) {
-        self.counts.enospc += 1;
-        if let Some(m) = &self.metrics {
-            m.enospc.inc();
-        }
-    }
-
-    fn count_torn(&mut self, kept: usize) {
-        self.counts.torn += 1;
-        self.counts.torn_bytes_kept += kept as u64;
-        if let Some(m) = &self.metrics {
-            m.torn.inc();
-        }
-    }
-
-    fn count_lie(&mut self) {
-        self.counts.fsync_lies += 1;
-        if let Some(m) = &self.metrics {
-            m.fsync_lies.inc();
-        }
-    }
-
     /// Pops the front queue entry if it applies to an append,
-    /// decrementing multi-op faults in place.
-    fn queued_append(&mut self) -> Option<AppendOutcome> {
+    /// decrementing multi-op faults in place; a tear keeps at most the
+    /// record's `record_bytes`.
+    fn queued_append(&mut self, record_bytes: usize) -> Option<AppendOutcome> {
         match self.queue.front_mut() {
             Some(Fault::TransientIo { ops }) => {
                 *ops -= 1;
@@ -220,7 +181,7 @@ impl FaultState {
                 Some(AppendOutcome::Enospc)
             }
             Some(Fault::TornWrite { keep_bytes }) => {
-                let keep = *keep_bytes;
+                let keep = (*keep_bytes).min(record_bytes);
                 self.queue.pop_front();
                 Some(AppendOutcome::Torn { keep_bytes: keep })
             }
@@ -250,24 +211,28 @@ impl FaultState {
         }
     }
 
+    /// Decides one append — a persistent fault, else the queue, else a
+    /// seeded roll — and counts what it injected.
     fn decide_append(&mut self, record_bytes: usize) -> AppendOutcome {
-        if self.persistent {
-            self.count_io();
-            return AppendOutcome::Io;
-        }
-        if let Some(out) = self.queued_append() {
-            match out {
-                AppendOutcome::Io => self.count_io(),
-                AppendOutcome::Enospc => self.count_enospc(),
-                AppendOutcome::Torn { keep_bytes } => {
-                    let kept = keep_bytes.min(record_bytes);
-                    self.count_torn(kept);
-                    return AppendOutcome::Torn { keep_bytes: kept };
-                }
-                AppendOutcome::Pass => {}
+        let out = if self.persistent {
+            AppendOutcome::Io
+        } else {
+            self.queued_append(record_bytes)
+                .unwrap_or_else(|| self.rolled_append(record_bytes))
+        };
+        match out {
+            AppendOutcome::Io => self.counts.io += 1,
+            AppendOutcome::Enospc => self.counts.enospc += 1,
+            AppendOutcome::Torn { keep_bytes } => {
+                self.counts.torn += 1;
+                self.counts.torn_bytes_kept += keep_bytes as u64;
             }
-            return out;
+            AppendOutcome::Pass => {}
         }
+        out
+    }
+
+    fn rolled_append(&mut self, record_bytes: usize) -> AppendOutcome {
         let c = self.config;
         let total = c.append_io_ppm + c.enospc_ppm + c.torn_ppm;
         if total == 0 {
@@ -277,35 +242,35 @@ impl FaultState {
         // function of the store's operation count.
         let roll: u32 = self.rng.gen_range(0..1_000_000u32);
         if roll < c.append_io_ppm {
-            self.count_io();
             AppendOutcome::Io
         } else if roll < c.append_io_ppm + c.enospc_ppm {
-            self.count_enospc();
             AppendOutcome::Enospc
         } else if roll < total {
             // A second draw picks the tear offset — only on the rare
             // torn path, so it cannot skew the per-op stream.
             let keep_bytes = self.rng.gen_range(0..record_bytes.max(1));
-            self.count_torn(keep_bytes);
             AppendOutcome::Torn { keep_bytes }
         } else {
             AppendOutcome::Pass
         }
     }
 
+    /// Decides one sync, like [`FaultState::decide_append`].
     fn decide_sync(&mut self) -> SyncOutcome {
-        if self.persistent {
-            self.count_io();
-            return SyncOutcome::Io;
+        let out = if self.persistent {
+            SyncOutcome::Io
+        } else {
+            self.queued_sync().unwrap_or_else(|| self.rolled_sync())
+        };
+        match out {
+            SyncOutcome::Io => self.counts.io += 1,
+            SyncOutcome::Lie => self.counts.fsync_lies += 1,
+            SyncOutcome::Pass => {}
         }
-        if let Some(out) = self.queued_sync() {
-            match &out {
-                SyncOutcome::Io => self.count_io(),
-                SyncOutcome::Lie => self.count_lie(),
-                SyncOutcome::Pass => {}
-            }
-            return out;
-        }
+        out
+    }
+
+    fn rolled_sync(&mut self) -> SyncOutcome {
         let c = self.config;
         let total = c.sync_io_ppm + c.fsync_lie_ppm;
         if total == 0 {
@@ -313,10 +278,8 @@ impl FaultState {
         }
         let roll: u32 = self.rng.gen_range(0..1_000_000u32);
         if roll < c.sync_io_ppm {
-            self.count_io();
             SyncOutcome::Io
         } else if roll < total {
-            self.count_lie();
             SyncOutcome::Lie
         } else {
             SyncOutcome::Pass
@@ -350,7 +313,6 @@ impl FaultHandle {
             queue: VecDeque::new(),
             persistent: false,
             counts: FaultCounts::default(),
-            metrics: None,
         })))
     }
 
@@ -394,24 +356,6 @@ impl FaultHandle {
     /// Totals of faults injected so far.
     pub fn counts(&self) -> FaultCounts {
         self.0.lock().expect("fault state lock").counts
-    }
-
-    /// Registers volatile `fault.injected.*` counters, seeded with the
-    /// totals so far. Volatile: fault telemetry stays out of
-    /// deterministic snapshots, like the pool counters.
-    pub fn attach_metrics(&self, registry: &Registry) {
-        let mut st = self.0.lock().expect("fault state lock");
-        let m = FaultMetrics {
-            io: registry.volatile_counter("fault.injected.io"),
-            enospc: registry.volatile_counter("fault.injected.enospc"),
-            torn: registry.volatile_counter("fault.injected.torn"),
-            fsync_lies: registry.volatile_counter("fault.injected.fsync_lie"),
-        };
-        m.io.add(st.counts.io);
-        m.enospc.add(st.counts.enospc);
-        m.torn.add(st.counts.torn);
-        m.fsync_lies.add(st.counts.fsync_lies);
-        st.metrics = Some(m);
     }
 
     fn decide_append(&self, record_bytes: usize) -> AppendOutcome {

@@ -341,8 +341,25 @@ impl LogBackend {
         manifest: Manifest,
         rotate_bytes: u64,
     ) -> Result<LogBackend, StorageError> {
-        // Remove unreferenced segment files: orphans of a crashed
-        // rotation or compaction whose manifest swap never landed.
+        // Refuse a manifest that cannot govern this directory before
+        // touching any file: it must list segments, and every sealed one
+        // must be present. (A listed-but-absent *active* segment is legal:
+        // a crash can land between the manifest swap and its first byte.)
+        let Some((&active, sealed_segs)) = manifest.segments.split_last() else {
+            return Err(StorageError::Io {
+                context: format!("manifest in {}", dir.display()),
+                message: "manifest lists no segments".into(),
+            });
+        };
+        let mut sealed = Vec::new();
+        for &seg in sealed_segs {
+            let len = std::fs::metadata(dir.join(seg_name(seg)))
+                .map_err(|e| io_err(&format!("reading sealed segment {seg}"), e))?
+                .len();
+            sealed.push((seg, len));
+        }
+        // Only now remove unreferenced segment files: orphans of a
+        // crashed rotation or compaction whose manifest swap never landed.
         if let Ok(entries) = std::fs::read_dir(&dir) {
             for entry in entries.filter_map(|e| e.ok()) {
                 if let Some(seg) = parse_seg_name(&entry.file_name().to_string_lossy()) {
@@ -351,17 +368,6 @@ impl LogBackend {
                     }
                 }
             }
-        }
-        let &active = manifest.segments.last().ok_or_else(|| StorageError::Io {
-            context: format!("manifest in {}", dir.display()),
-            message: "manifest lists no segments".into(),
-        })?;
-        let mut sealed = Vec::new();
-        for &seg in &manifest.segments[..manifest.segments.len() - 1] {
-            let len = std::fs::metadata(dir.join(seg_name(seg)))
-                .map_err(|e| io_err(&format!("reading sealed segment {seg}"), e))?
-                .len();
-            sealed.push((seg, len));
         }
         let file = open_append(&dir.join(seg_name(active)))?;
         let active_bytes = file
@@ -1107,6 +1113,79 @@ mod tests {
             "segments recovered in numeric order without a manifest"
         );
         assert!(dir.join("MANIFEST").exists(), "manifest re-synthesized");
+        cleanup(&path);
+    }
+
+    /// Writes a rotated log (several segment files under a manifest),
+    /// returning its segment directory.
+    fn rotated_log(path: &Path) -> PathBuf {
+        let tick_len = encode_record(&LogRecord::Tick(0)).len() as u64;
+        let mut b = LogBackend::open_with_budget(path, 3 * tick_len).unwrap();
+        for t in 0..10u64 {
+            b.append(&LogRecord::Tick(t)).unwrap();
+        }
+        b.sync().unwrap();
+        segment_dir(path)
+    }
+
+    /// The directory's file names, sorted.
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// Overwrites the manifest with a CRC-valid one.
+    fn write_manifest_file(dir: &Path, manifest: &Manifest) {
+        std::fs::write(dir.join("MANIFEST"), manifest.encode()).unwrap();
+    }
+
+    #[test]
+    fn manifest_listing_no_segments_is_refused_before_any_file_goes() {
+        let path = tmp_path("emptymanifest");
+        cleanup(&path);
+        let dir = rotated_log(&path);
+        write_manifest_file(
+            &dir,
+            &Manifest {
+                next: 9,
+                segments: vec![],
+                checkpoint: None,
+                audit_entries: 0,
+                audit_bytes: 0,
+            },
+        );
+        let before = listing(&dir);
+        assert!(before.iter().filter(|n| n.starts_with("seg-")).count() >= 3);
+        assert!(LogBackend::open(&path).is_err());
+        assert_eq!(listing(&dir), before, "a refused open deletes nothing");
+        cleanup(&path);
+    }
+
+    #[test]
+    fn manifest_missing_a_sealed_segment_is_refused_before_any_file_goes() {
+        let path = tmp_path("sealedgone");
+        cleanup(&path);
+        let dir = rotated_log(&path);
+        let manifest = Manifest::decode(&std::fs::read(dir.join("MANIFEST")).unwrap()).unwrap();
+        // The manifest names a sealed segment the directory lacks (and
+        // leaves its first segment unreferenced, an orphan the sweep
+        // would otherwise remove).
+        let mut segments = manifest.segments[1..].to_vec();
+        segments.insert(0, manifest.next + 7);
+        write_manifest_file(
+            &dir,
+            &Manifest {
+                segments,
+                ..manifest
+            },
+        );
+        let before = listing(&dir);
+        assert!(LogBackend::open(&path).is_err());
+        assert_eq!(listing(&dir), before, "a refused open deletes nothing");
         cleanup(&path);
     }
 

@@ -207,7 +207,9 @@ impl From<StorageError> for CertStoreError {
     }
 }
 
-/// Counters for the harness and benches.
+/// Counters for the harness and benches: the store's only record of
+/// them. A runtime keeping a metrics registry sums them over its stores
+/// into `store.*` when the registry is read.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StoreStats {
     /// Certificates added.
@@ -370,42 +372,6 @@ pub struct CertStore {
     /// Audit entries already folded into the backend's durable audit
     /// segment; the suffix past this marker rides the next checkpoint.
     audit_persisted: usize,
-    /// Live registry counters mirroring [`StoreStats`], off unless
-    /// [`CertStore::attach_obs`] is called.
-    obs: Option<StoreObs>,
-}
-
-/// Registry counters mirroring the [`StoreStats`] fields the unified
-/// observability layer reconciles. Handles with the same name share
-/// one atomic, so every store attached to the same registry
-/// aggregates into one deployment-wide `store.*` ledger.
-#[derive(Clone, Debug)]
-struct StoreObs {
-    imports: lbtrust_obs::Counter,
-    reimports: lbtrust_obs::Counter,
-    revocations: lbtrust_obs::Counter,
-    expirations: lbtrust_obs::Counter,
-    link_breaks: lbtrust_obs::Counter,
-    replayed: lbtrust_obs::Counter,
-    syncs: lbtrust_obs::Counter,
-    compactions: lbtrust_obs::Counter,
-    checkpoints: lbtrust_obs::Counter,
-}
-
-impl StoreObs {
-    fn registered_in(registry: &lbtrust_obs::Registry) -> StoreObs {
-        StoreObs {
-            imports: registry.counter("store.imports"),
-            reimports: registry.counter("store.reimports"),
-            revocations: registry.counter("store.revocations"),
-            expirations: registry.counter("store.expirations"),
-            link_breaks: registry.counter("store.link_breaks"),
-            replayed: registry.counter("store.replayed"),
-            syncs: registry.counter("store.syncs"),
-            compactions: registry.counter("store.compactions"),
-            checkpoints: registry.counter("store.checkpoints"),
-        }
-    }
 }
 
 /// Encoded size of a certificate record, mirroring
@@ -539,7 +505,6 @@ impl CertStore {
             dirty: false,
             live_bytes: 0,
             audit_persisted: 0,
-            obs: None,
         }
     }
 
@@ -580,24 +545,6 @@ impl CertStore {
         let mut store = CertStore::with_backend(backend, cache);
         store.apply_replay(log);
         Ok(store)
-    }
-
-    /// Mirrors every future [`StoreStats`] change into `registry`'s
-    /// `store.*` counters. Totals accumulated so far (including a
-    /// replaying open's) are seeded in, so attaching at any point
-    /// keeps the registry reconciled with [`CertStore::stats`].
-    pub fn attach_obs(&mut self, registry: &lbtrust_obs::Registry) {
-        let obs = StoreObs::registered_in(registry);
-        obs.imports.add(self.stats.imports);
-        obs.reimports.add(self.stats.reimports);
-        obs.revocations.add(self.stats.revocations);
-        obs.expirations.add(self.stats.expirations);
-        obs.link_breaks.add(self.stats.link_breaks);
-        obs.replayed.add(self.stats.replayed);
-        obs.syncs.add(self.stats.syncs);
-        obs.compactions.add(self.stats.compactions);
-        obs.checkpoints.add(self.stats.checkpoints);
-        self.obs = Some(obs);
     }
 
     /// The store's logical time.
@@ -664,9 +611,6 @@ impl CertStore {
             self.dirty = false;
             if prune {
                 self.stats.compactions += 1;
-                if let Some(o) = &self.obs {
-                    o.compactions.inc();
-                }
                 // Everything a pruned log holds is the checkpoint —
                 // live by definition. Re-anchor the estimate (the
                 // checkpoint encodes revocations denser than their raw
@@ -674,9 +618,6 @@ impl CertStore {
                 self.live_bytes = self.backend.footprint().bytes;
             } else {
                 self.stats.checkpoints += 1;
-                if let Some(o) = &self.obs {
-                    o.checkpoints.inc();
-                }
             }
         }
         let after = self.backend.footprint();
@@ -752,9 +693,6 @@ impl CertStore {
         self.backend.sync()?;
         self.dirty = false;
         self.stats.syncs += 1;
-        if let Some(o) = &self.obs {
-            o.syncs.inc();
-        }
         Ok(())
     }
 
@@ -937,9 +875,6 @@ impl CertStore {
                     // the certificate whose signatures were verified at
                     // first import — no re-verification needed.
                     self.stats.reimports += 1;
-                    if let Some(o) = &self.obs {
-                        o.reimports.inc();
-                    }
                     Ok(ImportOutcome {
                         digest,
                         cache_hit: true,
@@ -1010,9 +945,6 @@ impl CertStore {
         );
         self.version += 1;
         self.stats.imports += 1;
-        if let Some(o) = &self.obs {
-            o.imports.inc();
-        }
         let expires_at = cert.ttl.map(|t| self.clock.saturating_add(t));
         self.file(digest, cert, self.clock, expires_at);
     }
@@ -1065,32 +997,25 @@ impl CertStore {
             .entries
             .get_mut(&digest)
             .filter(|e| e.status == CertStatus::Active)?;
-        let obs = self.obs.as_ref();
-        let (status, action, total, mirror) = match reason {
+        let (status, action, total) = match reason {
             RetractReason::Revoked => (
                 CertStatus::Revoked,
                 AuditAction::Revoked,
                 &mut self.stats.revocations,
-                obs.map(|o| &o.revocations),
             ),
             RetractReason::Expired => (
                 CertStatus::Expired,
                 AuditAction::Expired,
                 &mut self.stats.expirations,
-                obs.map(|o| &o.expirations),
             ),
             RetractReason::LinkBroken => (
                 CertStatus::Broken,
                 AuditAction::LinkBroken,
                 &mut self.stats.link_breaks,
-                obs.map(|o| &o.link_breaks),
             ),
         };
         entry.status = status;
         *total += 1;
-        if let Some(counter) = mirror {
-            counter.inc();
-        }
         let event = RetractionEvent {
             digest,
             issuer: entry.cert.issuer,
@@ -1289,9 +1214,6 @@ impl CertStore {
             // compaction forgot the tombstone rebuilds an identical
             // audit trail.
             self.stats.revocations += 1;
-            if let Some(o) = &self.obs {
-                o.revocations.inc();
-            }
             self.audit
                 .record(target, issuer, AuditAction::Revoked, self.clock, None);
             return Vec::new();

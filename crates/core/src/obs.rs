@@ -3,14 +3,15 @@
 //! plug into the runtime.
 //!
 //! Every [`crate::System`] owns one observability state: a metrics
-//! [`Registry`] (shared with each principal's certificate store, the
-//! log backends, and the simulated network), wall-clock histograms for
-//! each phase of `run_to_quiescence` — including one histogram *per
-//! fixpoint shard*, so worker imbalance on skewed topologies is
-//! visible — and the decision [`Journal`]. Phase timing is on by
-//! default and can be disabled ([`crate::System::with_phase_timing`])
-//! for overhead-sensitive runs; the journal is disabled unless a sink
-//! is attached.
+//! [`Registry`] (shared with the log backends; the network, the stores
+//! and the fault plane count in their own structs, which
+//! [`crate::System::obs_registry`] copies in when read), wall-clock
+//! histograms for each phase of `run_to_quiescence` — including one
+//! histogram *per fixpoint shard*, so worker imbalance on skewed
+//! topologies is visible — and the decision [`Journal`]. Phase timing
+//! is on by default and can be disabled
+//! ([`crate::System::with_phase_timing`]) for overhead-sensitive runs;
+//! the journal is disabled unless a sink is attached.
 
 use std::time::{Duration, Instant};
 
@@ -234,10 +235,9 @@ impl SystemObs {
     pub(crate) fn publish_imbalance(&self) {
         let sums: Vec<u64> = self.shard_fixpoints.iter().map(Histogram::sum).collect();
         let total: u64 = sums.iter().sum();
-        if sums.is_empty() || total == 0 {
+        let Some(&max) = sums.iter().max().filter(|_| total > 0) else {
             return;
-        }
-        let max = *sums.iter().max().expect("non-empty");
+        };
         let mean = total as f64 / sums.len() as f64;
         let ratio = max as f64 / mean.max(1e-9);
         self.imbalance.set((ratio * 1000.0).round() as u64);

@@ -129,6 +129,8 @@ impl<T: Send + 'static, R: Send + 'static> WorkerPool<T, R> {
                         let _alive = alive;
                         worker_loop(&core, me, run.as_ref());
                     })
+                    // `with_shards` returns `Self` (`benchmark/src/micro.rs:265` pins it),
+                    // so a failed spawn has no error to become.
                     .expect("spawning pool worker thread")
             })
             .collect();

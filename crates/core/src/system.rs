@@ -26,15 +26,15 @@ use lbtrust_analysis::{analyze, Analysis, AnalyzerConfig, Diagnostic, LintLevel}
 use lbtrust_certstore::backend::{log::LogBackend, memory::MemoryBackend};
 use lbtrust_certstore::{
     cert, shared_verify_cache, AuditEntry, CertDigest, CertStore, CertStoreError, FaultConfig,
-    FaultHandle, FaultingBackend, ImportOutcome, LinkedCert, Revocation, SharedVerifyCache,
-    StorageBackend,
+    FaultCounts, FaultHandle, FaultingBackend, ImportOutcome, LinkedCert, Revocation,
+    SharedVerifyCache, StorageBackend, StoreStats,
 };
 use lbtrust_datalog::intern::names;
 use lbtrust_datalog::{parse_program, Symbol, Value};
 use lbtrust_net::{
     NetworkConfig, NodeId, RevPullMessage, RevSummaryMessage, RevokeMessage, SimNetwork, WirePacket,
 };
-use lbtrust_obs::{Event, EventSink, Journal, Registry};
+use lbtrust_obs::{Counter, Event, EventSink, Journal, Registry};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -399,15 +399,13 @@ impl System {
     /// (key generation derives per-principal seeds from it).
     pub fn with_network(config: NetworkConfig, seed: u64) -> System {
         let registry = Registry::new();
-        let mut net = SimNetwork::new(config, seed);
-        net.attach_metrics(&registry);
         let authz_shared = Arc::new(AuthzShared::new(&registry));
         System {
             keys: shared_keys(),
             nodes: Vec::new(),
             index: HashMap::new(),
             order: Vec::new(),
-            net,
+            net: SimNetwork::new(config, seed),
             rsa_bits: DEFAULT_RSA_BITS,
             stats: SystemStats::default(),
             seed,
@@ -476,14 +474,15 @@ impl System {
 
     // ---- observability -------------------------------------------------------
 
-    /// The unified metrics registry: `net.*` counters (live), `store.*`
-    /// counters (live, aggregated across every principal's store),
+    /// The unified metrics registry: `net.*`, `store.*` and
+    /// `fault.injected.*` counters and the `system.*` and store-footprint
+    /// gauges, written from the component structs by this call; the
     /// `storelog.*` lifecycle metrics (persistent stores), `quiesce.*`
-    /// phase-timing histograms, `authz.*` decision counters, and the
-    /// `system.*` gauges, refreshed each time
-    /// [`System::run_to_quiescence`] reaches quiescence. The registry
-    /// belongs to this system alone.
+    /// phase-timing histograms and `authz.*` decision counters, recorded
+    /// as they happen. The registry belongs to this system alone; a clone
+    /// of it shows component counts as of the last call here.
     pub fn obs_registry(&self) -> &Registry {
+        self.publish_obs();
         self.obs.registry()
     }
 
@@ -510,12 +509,31 @@ impl System {
         self.obs.journal.flush();
     }
 
-    /// Refreshes the `system.*` gauges from [`SystemStats`] and the
-    /// aggregate store-footprint gauges (`store.live_bytes`,
-    /// `store.dead_bytes`, `store.segments`) from every principal's
-    /// store, when [`System::run_to_quiescence`] reaches quiescence.
+    /// Writes every component's counts into the registry, each under the
+    /// one name and kind it has: `net.*` and the nine `store.*` event
+    /// counts (summed over stores, once there is a store) as counters
+    /// raised to the struct totals, `system.*` and the store footprint as
+    /// gauges, `fault.injected.*` as volatile counters once some store has
+    /// a fault handle, and the imbalance gauge. Components count only in
+    /// their own structs; this is the one place those counts reach the
+    /// registry, and [`System::obs_registry`] its one caller.
     fn publish_obs(&self) {
+        type Field<T> = fn(&T) -> u64;
         let r = self.obs.registry();
+        let raise = |counter: Counter, total: u64| counter.add(total.saturating_sub(counter.get()));
+        let n = self.net.stats();
+        for (name, total) in [
+            ("net.sent", n.sent),
+            ("net.delivered", n.delivered),
+            ("net.dropped", n.dropped),
+            ("net.duplicated", n.duplicated),
+            ("net.blackholed", n.blackholed),
+            ("net.delayed", n.delayed),
+            ("net.reordered", n.reordered),
+            ("net.bytes_sent", n.bytes_sent),
+        ] {
+            raise(r.counter(name), total as u64);
+        }
         let s = self.stats();
         for (name, value) in [
             ("system.messages_sent", s.messages_sent),
@@ -536,18 +554,43 @@ impl System {
         ] {
             r.gauge(name).set(value as u64);
         }
-        let mut live = 0u64;
-        let mut dead = 0u64;
-        let mut segments = 0u64;
-        for node in &self.nodes {
-            let st = node.store.stats();
-            live += st.live_bytes;
-            dead += st.dead_bytes;
-            segments += st.segments;
+        let stores: Vec<StoreStats> = self.nodes.iter().map(|n| n.store.stats()).collect();
+        let sum = |field: Field<StoreStats>| stores.iter().map(field).sum::<u64>();
+        let events: [(&str, Field<StoreStats>); 9] = [
+            ("store.imports", |s| s.imports),
+            ("store.reimports", |s| s.reimports),
+            ("store.revocations", |s| s.revocations),
+            ("store.expirations", |s| s.expirations),
+            ("store.link_breaks", |s| s.link_breaks),
+            ("store.replayed", |s| s.replayed),
+            ("store.syncs", |s| s.syncs),
+            ("store.compactions", |s| s.compactions),
+            ("store.checkpoints", |s| s.checkpoints),
+        ];
+        if !stores.is_empty() {
+            for (name, field) in events {
+                raise(r.counter(name), sum(field));
+            }
         }
-        r.gauge("store.live_bytes").set(live);
-        r.gauge("store.dead_bytes").set(dead);
-        r.gauge("store.segments").set(segments);
+        r.gauge("store.live_bytes").set(sum(|s| s.live_bytes));
+        r.gauge("store.dead_bytes").set(sum(|s| s.dead_bytes));
+        r.gauge("store.segments").set(sum(|s| s.segments));
+        let faults: Vec<FaultCounts> = self
+            .nodes
+            .iter()
+            .filter_map(|n| n.faults.as_ref().map(FaultHandle::counts))
+            .collect();
+        let injected: [(&str, Field<FaultCounts>); 4] = [
+            ("fault.injected.io", |f| f.io),
+            ("fault.injected.enospc", |f| f.enospc),
+            ("fault.injected.torn", |f| f.torn),
+            ("fault.injected.fsync_lie", |f| f.fsync_lies),
+        ];
+        if !faults.is_empty() {
+            for (name, field) in injected {
+                raise(r.volatile_counter(name), faults.iter().map(field).sum());
+            }
+        }
         self.obs.publish_imbalance();
     }
 
@@ -768,6 +811,7 @@ impl System {
         self.nodes.reserve(places.len());
         for (i, place) in places.into_iter().enumerate() {
             self.nodes.push(place.unwrap_or_else(|| {
+                // Cannot fire: one result per task, or `run_batch` re-panics.
                 let done = done.next().expect("every task hands its principal back");
                 results.push((i, done.result));
                 done.principal
@@ -885,9 +929,8 @@ impl System {
         // metrics wired before the opening replay, so the replay is
         // measured); with fault injection armed, either is wrapped in a
         // FaultingBackend whose schedule depends only on the spec seed
-        // and the principal's name; then opened (replaying whatever the
-        // backend holds) and bound to the `store.*` counters.
-        let registry = self.obs.registry();
+        // and the principal's name; then opened, replaying whatever the
+        // backend holds.
         let mut backend: Box<dyn StorageBackend> = match &self.persist_dir {
             None => Box::new(MemoryBackend::new()),
             Some(dir) => {
@@ -897,7 +940,7 @@ impl System {
                     None => LogBackend::open(path),
                 }
                 .map_err(CertStoreError::from)?;
-                log.attach_metrics(registry);
+                log.attach_metrics(self.obs.registry());
                 Box::new(log)
             }
         };
@@ -906,11 +949,9 @@ impl System {
             .as_ref()
             .map(|spec| FaultHandle::seeded(spec.for_store(name)));
         if let Some(handle) = &faults {
-            handle.attach_metrics(registry);
             backend = Box::new(FaultingBackend::new(backend, handle.clone()));
         }
-        let mut store = CertStore::open_backend(backend, self.vcache.clone())?;
-        store.attach_obs(registry);
+        let store = CertStore::open_backend(backend, self.vcache.clone())?;
         // Replay reconciliation: every certificate the log shows as
         // still active re-introduces exactly the facts a live import
         // would have asserted, so the workspace's derived state matches
@@ -1539,7 +1580,6 @@ impl System {
             // held for this step.
             self.net.begin_step();
             if self.phase(QuiescePhase::Step, System::step)? {
-                self.publish_obs();
                 self.publish_authz_snapshot();
                 return Ok(self.stats());
             }
@@ -2909,23 +2949,27 @@ mod tests {
     }
 
     /// A store is composed one way — backend, optional fault wrapper,
-    /// replaying open, counters — and each of the four `{memory, log} ×
-    /// {no faults, faults}` registrations describes its backend and binds
-    /// its `store.*` / `storelog.*` / `fault.*` metrics exactly as the
-    /// four hand-written constructor arms it replaces did.
+    /// replaying open — and each of the four `{memory, log} × {no faults,
+    /// faults}` registrations describes its backend and shows exactly its
+    /// `store.*` / `storelog.*` / `fault.*` metrics in a registry read
+    /// before any quiescence (the footprint gauges included: a read
+    /// writes them).
     #[test]
     fn the_four_store_shapes_describe_and_bind_as_before() {
         const STORE: &[&str] = &[
             "store.checkpoints",
             "store.compactions",
+            "store.dead_bytes",
             "store.expirations",
             "store.imports",
             "store.link_breaks",
+            "store.live_bytes",
             "store.quarantined",
             "store.reimports",
             "store.replayed",
             "store.retries",
             "store.revocations",
+            "store.segments",
             "store.syncs",
         ];
         const STORELOG: &[&str] = &[

@@ -14,7 +14,7 @@ pub mod network;
 pub mod node;
 pub mod wire;
 
-pub use network::{Envelope, NetMetrics, NetworkConfig, NetworkStats, SimNetwork};
+pub use network::{Envelope, NetworkConfig, NetworkStats, SimNetwork};
 pub use node::NodeId;
 pub use wire::{
     decode, decode_packet, digest_bytes, encode, encode_export, encode_packet, encode_revgossip,

@@ -12,7 +12,6 @@
 //! did before the fault plane existed.
 
 use crate::node::NodeId;
-use lbtrust_obs::{Counter, Registry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
@@ -70,6 +69,8 @@ impl Default for NetworkConfig {
 }
 
 /// Counters the harness reports (message counts drive Figure 2's x-axis).
+/// The network's only record of them: a runtime that keeps a metrics
+/// registry copies these totals into it when the registry is read.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NetworkStats {
     /// Messages accepted by `send`.
@@ -88,44 +89,6 @@ pub struct NetworkStats {
     pub reordered: usize,
     /// Total payload bytes accepted.
     pub bytes_sent: usize,
-}
-
-/// Live registry counters mirroring [`NetworkStats`], so the unified
-/// observability snapshot reconciles against the ad-hoc struct.
-#[derive(Clone, Debug)]
-pub struct NetMetrics {
-    /// Mirrors `NetworkStats.sent` (`net.sent`).
-    pub sent: Counter,
-    /// Mirrors `NetworkStats.delivered` (`net.delivered`).
-    pub delivered: Counter,
-    /// Mirrors `NetworkStats.dropped` (`net.dropped`).
-    pub dropped: Counter,
-    /// Mirrors `NetworkStats.duplicated` (`net.duplicated`).
-    pub duplicated: Counter,
-    /// Mirrors `NetworkStats.blackholed` (`net.blackholed`).
-    pub blackholed: Counter,
-    /// Mirrors `NetworkStats.delayed` (`net.delayed`).
-    pub delayed: Counter,
-    /// Mirrors `NetworkStats.reordered` (`net.reordered`).
-    pub reordered: Counter,
-    /// Mirrors `NetworkStats.bytes_sent` (`net.bytes_sent`).
-    pub bytes_sent: Counter,
-}
-
-impl NetMetrics {
-    /// Counters registered under the `net.*` namespace of `registry`.
-    pub fn registered_in(registry: &Registry) -> NetMetrics {
-        NetMetrics {
-            sent: registry.counter("net.sent"),
-            delivered: registry.counter("net.delivered"),
-            dropped: registry.counter("net.dropped"),
-            duplicated: registry.counter("net.duplicated"),
-            blackholed: registry.counter("net.blackholed"),
-            delayed: registry.counter("net.delayed"),
-            reordered: registry.counter("net.reordered"),
-            bytes_sent: registry.counter("net.bytes_sent"),
-        }
-    }
 }
 
 /// The discrete-event network simulator.
@@ -147,7 +110,6 @@ pub struct SimNetwork {
     /// sequence). Released into `queue` by `begin_step`.
     held: BinaryHeap<Reverse<(u64, u64, QueuedEnvelope)>>,
     stats: NetworkStats,
-    metrics: Option<NetMetrics>,
 }
 
 /// Envelope wrapper ordered by its position in the tuple above; the
@@ -174,24 +136,7 @@ impl SimNetwork {
             partitions: HashMap::new(),
             held: BinaryHeap::new(),
             stats: NetworkStats::default(),
-            metrics: None,
         }
-    }
-
-    /// Mirrors every future stat change into `registry`'s `net.*`
-    /// counters. Existing totals are seeded in so attaching mid-flight
-    /// still reconciles with [`SimNetwork::stats`].
-    pub fn attach_metrics(&mut self, registry: &Registry) {
-        let metrics = NetMetrics::registered_in(registry);
-        metrics.sent.add(self.stats.sent as u64);
-        metrics.delivered.add(self.stats.delivered as u64);
-        metrics.dropped.add(self.stats.dropped as u64);
-        metrics.duplicated.add(self.stats.duplicated as u64);
-        metrics.blackholed.add(self.stats.blackholed as u64);
-        metrics.delayed.add(self.stats.delayed as u64);
-        metrics.reordered.add(self.stats.reordered as u64);
-        metrics.bytes_sent.add(self.stats.bytes_sent as u64);
-        self.metrics = Some(metrics);
     }
 
     /// A perfect network (no loss, fixed latency) with a fixed seed.
@@ -278,29 +223,16 @@ impl SimNetwork {
     pub fn send(&mut self, from: NodeId, to: NodeId, payload: Vec<u8>) -> bool {
         self.stats.sent += 1;
         self.stats.bytes_sent += payload.len();
-        if let Some(m) = &self.metrics {
-            m.sent.inc();
-            m.bytes_sent.add(payload.len() as u64);
-        }
         if self.partitions.contains_key(&(from, to)) {
             self.stats.blackholed += 1;
-            if let Some(m) = &self.metrics {
-                m.blackholed.inc();
-            }
             return false;
         }
         if self.config.drop_prob > 0.0 && self.rng.gen_bool(self.config.drop_prob) {
             self.stats.dropped += 1;
-            if let Some(m) = &self.metrics {
-                m.dropped.inc();
-            }
             return false;
         }
         if self.config.delay_prob > 0.0 && self.rng.gen_bool(self.config.delay_prob) {
             self.stats.delayed += 1;
-            if let Some(m) = &self.metrics {
-                m.delayed.inc();
-            }
             let hold = self.rng.gen_range(1..=self.config.delay_steps_max.max(1));
             self.seq += 1;
             self.held.push(Reverse((
@@ -313,9 +245,6 @@ impl SimNetwork {
         self.enqueue(from, to, payload.clone());
         if self.config.duplicate_prob > 0.0 && self.rng.gen_bool(self.config.duplicate_prob) {
             self.stats.duplicated += 1;
-            if let Some(m) = &self.metrics {
-                m.duplicated.inc();
-            }
             self.enqueue(from, to, payload);
         }
         true
@@ -331,9 +260,6 @@ impl SimNetwork {
         let mut deliver_at = self.clock + latency;
         if self.config.reorder_prob > 0.0 && self.rng.gen_bool(self.config.reorder_prob) {
             self.stats.reordered += 1;
-            if let Some(m) = &self.metrics {
-                m.reordered.inc();
-            }
             // Push the message past its cohort: jitter bounded by the
             // configured latency spread (at least 4 µs so a fixed-
             // latency config still reorders).
@@ -354,9 +280,6 @@ impl SimNetwork {
         let Reverse((time, _, queued)) = self.queue.pop()?;
         self.clock = self.clock.max(time);
         self.stats.delivered += 1;
-        if let Some(m) = &self.metrics {
-            m.delivered.inc();
-        }
         Some(Envelope {
             from: queued.from,
             to: queued.to,

@@ -310,6 +310,36 @@ fn chaos_seed_matrix() {
             );
         }
         assert_eq!(serial.net_stats(), sharded.net_stats(), "seed {seed}");
+        for sys in [&serial, &sharded] {
+            assert_injected_faults_shown(sys, &principals);
+        }
+    }
+}
+
+/// The registry's `fault.injected.*` counters are the fault handles'
+/// own counts, summed over every principal's store.
+fn assert_injected_faults_shown(sys: &System, principals: &[Principal]) {
+    let counts: Vec<_> = principals
+        .iter()
+        .map(|p| sys.fault_handle(*p).expect("faults are armed").counts())
+        .collect();
+    let snap = sys.obs_registry().snapshot();
+    for (name, total) in [
+        (
+            "fault.injected.io",
+            counts.iter().map(|c| c.io).sum::<u64>(),
+        ),
+        (
+            "fault.injected.enospc",
+            counts.iter().map(|c| c.enospc).sum(),
+        ),
+        ("fault.injected.torn", counts.iter().map(|c| c.torn).sum()),
+        (
+            "fault.injected.fsync_lie",
+            counts.iter().map(|c| c.fsync_lies).sum(),
+        ),
+    ] {
+        assert_eq!(snap.counter(name), Some(total), "{name}");
     }
 }
 

@@ -1,6 +1,6 @@
-//! The unified observability layer, end to end: registry counters must
-//! reconcile with the `SystemStats`/`NetworkStats`/`StoreStats` ledgers
-//! they mirror, deterministic snapshots must be identical across serial
+//! The unified observability layer, end to end: the registry must show
+//! exactly the `SystemStats`/`NetworkStats`/`StoreStats`/`FaultCounts`
+//! ledgers it is written from when read, deterministic snapshots must be identical across serial
 //! and sharded engines (wall-clock timing excluded), phase spans must
 //! actually record, and journaled authorization decisions must cite
 //! exactly the certificate digests the audit trail knows.
@@ -57,7 +57,7 @@ fn fanout_system(shards: usize, receivers: usize) -> System {
 /// Satellite (a): the three ledgers and the registry agree. The
 /// engine-level guarantee `messages_sent == net.sent - net.dropped -
 /// net.blackholed` must hold both between the stats structs and
-/// between the live registry counters they feed.
+/// between the registry counters a read writes from them.
 #[test]
 fn registry_reconciles_with_stats_ledgers() {
     let sys = fanout_system(1, 4);
@@ -73,8 +73,7 @@ fn registry_reconciles_with_stats_ledgers() {
         stats.messages_sent as u64,
         snap.counter("net.sent").unwrap() - snap.counter("net.dropped").unwrap()
     );
-    // publish_obs ran at quiescence: the system gauges mirror the
-    // stats struct.
+    // The read wrote the system gauges from the stats struct.
     assert_eq!(
         snap.gauge("system.messages_sent").unwrap(),
         stats.messages_sent as u64
@@ -82,9 +81,9 @@ fn registry_reconciles_with_stats_ledgers() {
     assert_eq!(snap.gauge("system.steps").unwrap(), stats.steps as u64);
 }
 
-/// Satellite (a), durable half: `StoreStats::syncs` vs the registry's
-/// aggregate `store.syncs` counter, over persistent stores under group
-/// commit.
+/// Satellite (a), durable half: `StoreStats::syncs` summed over stores
+/// vs the registry's `store.syncs` counter, over persistent stores under
+/// group commit.
 #[test]
 fn store_sync_counter_reconciles_with_fsyncs() {
     let dir = tmp_dir("syncs");
@@ -116,6 +115,133 @@ fn store_sync_counter_reconciles_with_fsyncs() {
         .map(|p| sys.cert_store(*p).unwrap().stats().imports)
         .sum();
     assert_eq!(snap.counter("store.imports").unwrap(), imported);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The registry is written when it is read, not when the system last
+/// quiesced: an import and a revocation with no `run_to_quiescence`
+/// after them already show in the `system.*` and store gauges.
+#[test]
+fn registry_is_current_without_quiescence() {
+    let mut sys = System::new().with_rsa_bits(512);
+    let alice = sys.add_principal("alice", "n1").unwrap();
+    let bob = sys.add_principal("bob", "n2").unwrap();
+    let certs = sys
+        .issue_certificates(alice, "good(carol). good(dave).", &[], None)
+        .unwrap();
+    let revoked = certs[0].digest();
+    sys.import_certificates(bob, certs).unwrap();
+    sys.revoke_certificate(alice, revoked).unwrap();
+
+    let snap = sys.obs_registry().snapshot();
+    let stats = sys.stats();
+    assert!(stats.certs_imported > 0 && stats.revocations > 0);
+    assert_eq!(
+        snap.gauge("system.certs_imported"),
+        Some(stats.certs_imported as u64)
+    );
+    assert_eq!(
+        snap.gauge("system.revocations"),
+        Some(stats.revocations as u64)
+    );
+    let live: u64 = sys
+        .principals()
+        .iter()
+        .map(|p| sys.cert_store(*p).unwrap().stats().live_bytes)
+        .sum();
+    assert!(live > 0);
+    assert_eq!(snap.gauge("store.live_bytes"), Some(live));
+}
+
+/// Every `system.*`, `net.*`, `store.*` and `fault.injected.*` name a
+/// persistent, fault-armed system shows after quiescence, with its kind:
+/// renaming one, or turning a counter into a gauge, fails here.
+#[test]
+fn registry_names_and_kinds_are_pinned() {
+    use lbtrust::certstore::FaultConfig;
+    use lbtrust::obs::MetricValue;
+
+    const SHOWN: &[&str] = &[
+        "fault.injected.enospc volatile counter",
+        "fault.injected.fsync_lie volatile counter",
+        "fault.injected.io volatile counter",
+        "fault.injected.torn volatile counter",
+        "net.blackholed counter",
+        "net.bytes_sent counter",
+        "net.delayed counter",
+        "net.delivered counter",
+        "net.dropped counter",
+        "net.duplicated counter",
+        "net.reordered counter",
+        "net.sent counter",
+        "store.checkpoints counter",
+        "store.compactions counter",
+        "store.dead_bytes gauge",
+        "store.expirations counter",
+        "store.imports counter",
+        "store.link_breaks counter",
+        "store.live_bytes gauge",
+        "store.quarantined volatile counter",
+        "store.reimports counter",
+        "store.replayed counter",
+        "store.retries volatile counter",
+        "store.revocations counter",
+        "store.segments gauge",
+        "store.syncs counter",
+        "system.certs_imported gauge",
+        "system.certs_replayed gauge",
+        "system.dred_repairs gauge",
+        "system.gossip_pulls gauge",
+        "system.gossip_rounds gauge",
+        "system.gossip_served gauge",
+        "system.gossip_summaries gauge",
+        "system.local_rollbacks gauge",
+        "system.messages_accepted gauge",
+        "system.messages_rejected gauge",
+        "system.messages_sent gauge",
+        "system.retraction_rebuilds gauge",
+        "system.retractions gauge",
+        "system.revocations gauge",
+        "system.steps gauge",
+    ];
+    let dir = tmp_dir("names");
+    let mut sys = System::open_persistent(&dir)
+        .unwrap()
+        .with_rsa_bits(512)
+        .with_storage_faults(FaultConfig::uniform(3, 0));
+    let alice = sys.add_principal("alice", "n1").unwrap();
+    let bob = sys.add_principal("bob", "n2").unwrap();
+    let certs = sys
+        .issue_certificates(alice, "good(carol).", &[], None)
+        .unwrap();
+    sys.import_certificates(bob, certs).unwrap();
+    sys.run_to_quiescence(16).unwrap();
+
+    let full = sys.obs_registry().snapshot();
+    let det = sys.obs_registry().deterministic_snapshot();
+    let shown: Vec<String> = full
+        .entries
+        .iter()
+        .filter(|(name, _)| {
+            ["system.", "net.", "store.", "fault.injected."]
+                .iter()
+                .any(|prefix| name.starts_with(prefix))
+        })
+        .map(|(name, value)| {
+            let kind = match value {
+                MetricValue::Counter(_) => "counter",
+                MetricValue::Gauge(_) => "gauge",
+                MetricValue::Histogram(_) => "histogram",
+            };
+            let volatile = if det.entries.contains_key(name) {
+                ""
+            } else {
+                "volatile "
+            };
+            format!("{name} {volatile}{kind}")
+        })
+        .collect();
+    assert_eq!(shown, SHOWN);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -273,8 +399,8 @@ fn pool_metrics_record_tasks_steals_and_imbalance() {
 
 /// The fault plane's ledger: under partitions + loss + delay the
 /// extended reconciliation invariant holds (`messages_sent ==
-/// net.sent - net.dropped - net.blackholed`), the new network
-/// counters mirror the stats struct, degradation transitions are
+/// net.sent - net.dropped - net.blackholed`), the registry's network
+/// counters equal the stats struct, degradation transitions are
 /// journaled, and the fault/retry counters stay out of the
 /// deterministic snapshot.
 #[test]
