@@ -12,7 +12,6 @@
 use crate::digest::CertDigest;
 use lbtrust_datalog::ast::Rule;
 use lbtrust_datalog::Symbol;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -100,13 +99,6 @@ impl fmt::Display for AuditEntry {
 #[derive(Clone, Debug, Default)]
 pub struct AuditLog {
     entries: Vec<AuditEntry>,
-    /// Canonical rule text → indices of `Imported` entries carrying
-    /// that rule, in append order. Keeps [`AuditLog::introducers`] —
-    /// which sits on the authorization hot path — O(matches) instead
-    /// of a full-trail scan.
-    intro: HashMap<String, Vec<usize>>,
-    /// Entries filed in `intro`.
-    indexed: usize,
 }
 
 impl AuditLog {
@@ -119,27 +111,7 @@ impl AuditLog {
     /// segment (history folded away by checkpointing; replay of the log
     /// suffix appends the rest).
     pub(crate) fn restore(entries: Vec<AuditEntry>) -> AuditLog {
-        let mut log = AuditLog {
-            entries,
-            intro: HashMap::new(),
-            indexed: 0,
-        };
-        for i in 0..log.entries.len() {
-            log.index_entry(i);
-        }
-        log
-    }
-
-    /// Indexes entry `i` into the introducer map if it is an import
-    /// carrying a rule.
-    fn index_entry(&mut self, i: usize) {
-        let e = &self.entries[i];
-        if e.action == AuditAction::Imported {
-            if let Some(rule) = &e.rule {
-                self.intro.entry(rule.to_string()).or_default().push(i);
-                self.indexed += 1;
-            }
-        }
+        AuditLog { entries }
     }
 
     /// Appends one entry (the store's internal hook).
@@ -158,7 +130,6 @@ impl AuditLog {
             at,
             rule,
         });
-        self.index_entry(self.entries.len() - 1);
     }
 
     /// Every entry, oldest first.
@@ -185,40 +156,20 @@ impl AuditLog {
     }
 
     /// Import entries whose certified rule renders exactly as
-    /// `rule_src` — "which credential introduced this conclusion?".
-    /// Matches by canonical rule text, so callers can pass either a
-    /// parsed rule's `to_string()` or source they normalized the same
-    /// way.
+    /// `rule_src` — "which credential introduced this conclusion?", dead
+    /// or alive. Matches by canonical rule text, so callers can pass
+    /// either a parsed rule's `to_string()` or source they normalized the
+    /// same way. An audit query: a pass over the trail. Authorization
+    /// cites live certificates only, from the store's maintained index
+    /// (`CertStore::introducers`).
     pub fn introducers(&self, rule_src: &str) -> Vec<&AuditEntry> {
-        self.intro
-            .get(rule_src)
-            .map(|is| is.iter().map(|&i| &self.entries[i]).collect())
-            .unwrap_or_default()
-    }
-
-    /// The full introducer map: canonical rule text → digests of the
-    /// import entries that introduced that rule, in append order. This
-    /// is the snapshot-extraction form of [`AuditLog::introducers`]:
-    /// one pass here captures every says-premise citation a concurrent
-    /// reader may need, without borrowing the trail.
-    /// Costs the whole map; [`AuditLog::introducers_len`] says whether an
-    /// earlier extraction is still current.
-    pub fn introducer_digests(&self) -> HashMap<String, Vec<CertDigest>> {
-        self.intro
-            .iter()
-            .map(|(rule, is)| {
-                (
-                    rule.clone(),
-                    is.iter().map(|&i| self.entries[i].digest).collect(),
-                )
-            })
-            .collect()
-    }
-
-    /// How many entries the introducer map indexes. The trail is
-    /// append-only, so two reads that agree on this saw the same map.
-    pub fn introducers_len(&self) -> usize {
-        self.indexed
+        let imported = |e: &&AuditEntry| {
+            e.action == AuditAction::Imported
+                && e.rule
+                    .as_ref()
+                    .is_some_and(|rule| rule.to_string() == rule_src)
+        };
+        self.entries.iter().filter(imported).collect()
     }
 
     /// The latest action recorded for a digest (e.g. `Revoked` after a

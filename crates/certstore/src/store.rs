@@ -20,7 +20,7 @@ use crate::digest::CertDigest;
 use crate::revocation::Revocation;
 use crate::verify::{shared_verify_cache, SharedVerifyCache, SignatureVerifier};
 use lbtrust_datalog::ast::{PredRef, Rule, Term};
-use lbtrust_datalog::{Symbol, Tuple};
+use lbtrust_datalog::{SharedMap, Symbol, Tuple};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
@@ -29,7 +29,11 @@ use std::sync::Arc;
 
 /// The ground-head index ([`CertStore::ground_heads`]): predicate → ground
 /// head tuple → digests of the live bodyless certificates asserting it.
-pub type GroundHeads = HashMap<Symbol, HashMap<Tuple, Vec<CertDigest>>>;
+pub type GroundHeads = HashMap<Symbol, SharedMap<Tuple, Vec<CertDigest>>>;
+
+/// The live-introducer index ([`CertStore::introducers`]): canonical rule
+/// text → digests of the live certificates carrying that rule.
+pub type Introducers = SharedMap<String, Vec<CertDigest>>;
 
 /// Lifecycle state of a stored certificate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -341,18 +345,20 @@ pub struct CertStore {
     /// Min-heap of `(deadline, digest)` so clock advances touch only
     /// certificates actually due, not every entry.
     expiry: BinaryHeap<Reverse<(u64, CertDigest)>>,
-    /// Cached list of live digests in insertion order.
-    active_cache: Vec<CertDigest>,
-    /// Whether `active_cache` needs a rebuild (set when an entry dies).
-    active_dirty: bool,
+    /// Number of live certificates.
+    active_len: usize,
     /// Maintained ground-head index over *active* certificates:
     /// predicate → ground head tuple → digests of the live bodyless
-    /// certificates asserting that fact. Kept incrementally at
-    /// import/revoke/expiry/link-break so authorization citation never
-    /// rebuilds it per query, and behind an `Arc` so a published
-    /// snapshot shares it: the map is copied when a certificate is filed
-    /// or unfiled while a snapshot still holds it, not per publish.
-    ground_heads: Arc<GroundHeads>,
+    /// certificates asserting that fact. Kept in [`CertStore::file`] and
+    /// [`CertStore::kill`] so authorization citation never rebuilds it
+    /// per query, and in [`SharedMap`]s so a published snapshot shares it:
+    /// filing or unfiling a certificate while a snapshot holds the index
+    /// copies one shard, not the map.
+    ground_heads: GroundHeads,
+    /// Maintained live-introducer index: canonical rule text → digests of
+    /// the *live* certificates carrying that rule — what a `says` premise
+    /// of a proof is cited by. Kept and shared like `ground_heads`.
+    introducers: Introducers,
     /// Monotone active-set version: bumped on every mutation of the
     /// live certificate set (import, revocation death, expiry, link
     /// break, checkpoint restore) and *not* on inert bookkeeping
@@ -497,9 +503,9 @@ impl CertStore {
             backend,
             audit: AuditLog::new(),
             expiry: BinaryHeap::new(),
-            active_cache: Vec::new(),
-            active_dirty: false,
-            ground_heads: Arc::default(),
+            active_len: 0,
+            ground_heads: GroundHeads::new(),
+            introducers: Introducers::new(),
             version: 0,
             replay_report: ReplayReport::default(),
             dirty: false,
@@ -634,9 +640,8 @@ impl CertStore {
     /// certificates in insertion order plus every remembered
     /// revocation, deterministically ordered.
     fn checkpoint_state(&self) -> CheckpointState {
-        debug_assert!(!self.active_dirty, "mutators refresh before returning");
         let active = self
-            .active_cache
+            .active()
             .iter()
             .map(|d| {
                 let e = self.entries.get(d).expect("active digest is stored");
@@ -722,16 +727,17 @@ impl CertStore {
         self.entries.get(digest).map(|e| e.status)
     }
 
-    /// Digests of live certificates in insertion order. Served from a
-    /// maintained cache — no per-call rescan of the entry map.
+    /// Digests of live certificates in insertion order: a pass over every
+    /// certificate this store has held, for the callers that want the list
+    /// — replay reconciliation at open, checkpoints, tests.
     pub fn active(&self) -> Vec<CertDigest> {
-        debug_assert!(!self.active_dirty, "mutators refresh before returning");
-        self.active_cache.clone()
+        let live = |d: &&CertDigest| self.status(d) == Some(CertStatus::Active);
+        self.order.iter().filter(live).copied().collect()
     }
 
     /// Number of live certificates, O(1).
     pub fn active_len(&self) -> usize {
-        self.active_cache.len()
+        self.active_len
     }
 
     /// The store's active-set version: a monotone counter bumped on
@@ -745,48 +751,63 @@ impl CertStore {
 
     /// The maintained ground-head index: predicate → ground head tuple
     /// → digests of the *live* bodyless certificates asserting that
-    /// fact. Maintained incrementally at every lifecycle transition, so
-    /// citation lookups ("which credential asserted this fact?") are a
-    /// hash probe, never a store rescan. Cloning the `Arc` shares the
-    /// index as of now; the store's next change to it leaves that clone
-    /// as it was.
-    pub fn ground_heads(&self) -> &Arc<GroundHeads> {
+    /// fact. Maintained at every lifecycle transition, so citation
+    /// lookups ("which credential asserted this fact?") are a hash probe,
+    /// never a store rescan. A clone shares the index as of now, a
+    /// pointer per shard; the store's next change to it copies the shard
+    /// it touches and leaves that clone as it was.
+    pub fn ground_heads(&self) -> &GroundHeads {
         &self.ground_heads
     }
 
-    /// Files every ground head of a bodyless certified rule under the
-    /// certificate's content address.
-    fn index_ground_heads(&mut self, digest: CertDigest, rule: &Rule) {
-        for (pred, tuple) in asserted_ground_heads(rule) {
-            Arc::make_mut(&mut self.ground_heads)
-                .entry(pred)
-                .or_default()
-                .entry(tuple)
-                .or_default()
-                .push(digest);
-        }
+    /// The maintained live-introducer index: canonical rule text →
+    /// digests of the *live* certificates carrying that rule, in filing
+    /// order. Maintained and shared like [`CertStore::ground_heads`]; the
+    /// audit trail's [`AuditLog::introducers`] answers the same question
+    /// over every certificate ever imported.
+    pub fn introducers(&self) -> &Introducers {
+        &self.introducers
     }
 
-    /// Reverses [`CertStore::index_ground_heads`] when a certificate
-    /// leaves the active set, pruning emptied tuple and predicate
-    /// slots so the index tracks the live set's size, not history.
-    fn unindex_ground_heads(&mut self, digest: CertDigest, rule: &Rule) {
+    /// Files a live certificate in the two citation indexes under its
+    /// content address: every ground head of a bodyless rule, and the
+    /// rule's text.
+    fn index_citations(&mut self, digest: CertDigest, rule: &Rule) {
         for (pred, tuple) in asserted_ground_heads(rule) {
-            let filed = self.ground_heads.get(&pred);
-            if !filed.is_some_and(|by_tuple| by_tuple.contains_key(&tuple)) {
-                continue;
-            }
-            let ground_heads = Arc::make_mut(&mut self.ground_heads);
-            let by_tuple = ground_heads.get_mut(&pred).expect("checked above");
-            let digests = by_tuple.get_mut(&tuple).expect("checked above");
+            let by_tuple = self.ground_heads.entry(pred).or_default();
+            by_tuple.upsert(tuple, || vec![digest], |digests| digests.push(digest));
+        }
+        self.introducers
+            .upsert(rule.to_string(), || vec![digest], |ds| ds.push(digest));
+    }
+
+    /// Reverses [`CertStore::index_citations`] when a certificate leaves
+    /// the active set, pruning emptied slots so the indexes track the
+    /// live set's size, not history.
+    fn unindex_citations(&mut self, digest: CertDigest, rule: &Rule) {
+        fn unfile<K: std::hash::Hash + Eq + Clone>(
+            map: &mut SharedMap<K, Vec<CertDigest>>,
+            key: &K,
+            digest: CertDigest,
+        ) {
+            let Some(digests) = map.get_mut(key) else {
+                return;
+            };
             digests.retain(|d| *d != digest);
             if digests.is_empty() {
-                by_tuple.remove(&tuple);
-            }
-            if by_tuple.is_empty() {
-                ground_heads.remove(&pred);
+                map.remove(key);
             }
         }
+        for (pred, tuple) in asserted_ground_heads(rule) {
+            let Some(by_tuple) = self.ground_heads.get_mut(&pred) else {
+                continue;
+            };
+            unfile(by_tuple, &tuple, digest);
+            if by_tuple.is_empty() {
+                self.ground_heads.remove(&pred);
+            }
+        }
+        unfile(&mut self.introducers, &rule.to_string(), digest);
     }
 
     /// The store's anti-entropy revocation summary: for every signer
@@ -967,7 +988,7 @@ impl CertStore {
         if let Some(deadline) = expires_at {
             self.expiry.push(Reverse((deadline, digest)));
         }
-        self.index_ground_heads(digest, &cert.rule);
+        self.index_citations(digest, &cert.rule);
         self.entries.insert(
             digest,
             Entry {
@@ -978,16 +999,14 @@ impl CertStore {
             },
         );
         self.order.push(digest);
-        if !self.active_dirty {
-            self.active_cache.push(digest);
-        }
+        self.active_len += 1;
     }
 
     /// Ends a live certificate's life — the one place a stored
     /// certificate's status leaves [`CertStatus::Active`], so
     /// revocation, clock advance and link cascade cannot drift apart:
-    /// status, reclaimed bytes, counter, active cache, ground heads,
-    /// version, trail. Returns the retraction event, or `None` when no
+    /// status, reclaimed bytes, counters, citation indexes, version,
+    /// trail. Returns the retraction event, or `None` when no
     /// live certificate is filed under `digest`: a revocation may
     /// arrive before its certificate, a revoked certificate's deadline
     /// still sits in the expiry heap, and a dependent citing two
@@ -1026,8 +1045,8 @@ impl CertStore {
         self.live_bytes = self
             .live_bytes
             .saturating_sub(cert_record_bytes(&entry.cert));
-        self.active_dirty = true;
-        self.unindex_ground_heads(digest, &event.rule);
+        self.active_len -= 1;
+        self.unindex_citations(digest, &event.rule);
         self.version += 1;
         self.audit
             .record(digest, event.issuer, action, self.clock, None);
@@ -1174,7 +1193,6 @@ impl CertStore {
         self.dirty = true;
         self.live_bytes += revoke_record_bytes(revocation.issuer, revocation.signature.len());
         let events = self.apply_revoke(revocation.issuer, target, &revocation.signature);
-        self.refresh_active();
         Ok(RevokeOutcome {
             applied: true,
             authoritative,
@@ -1229,9 +1247,7 @@ impl CertStore {
     pub fn advance_clock(&mut self, ticks: u64) -> Result<Vec<RetractionEvent>, CertStoreError> {
         self.backend.append(&LogRecord::Tick(ticks))?;
         self.dirty = true;
-        let events = self.apply_advance(ticks);
-        self.refresh_active();
-        Ok(events)
+        Ok(self.apply_advance(ticks))
     }
 
     fn apply_advance(&mut self, ticks: u64) -> Vec<RetractionEvent> {
@@ -1264,20 +1280,6 @@ impl CertStore {
                 }
             }
         }
-    }
-
-    /// Rebuilds the live-digest cache after deaths.
-    fn refresh_active(&mut self) {
-        if !self.active_dirty {
-            return;
-        }
-        self.active_cache = self
-            .order
-            .iter()
-            .filter(|d| self.entries.get(d).map(|e| e.status) == Some(CertStatus::Active))
-            .copied()
-            .collect();
-        self.active_dirty = false;
     }
 
     /// Rebuilds state from a backend's records: inserts skip signature
@@ -1337,7 +1339,6 @@ impl CertStore {
                 LogRecord::Checkpoint(state) => self.restore_checkpoint(*state),
             }
         }
-        self.refresh_active();
         self.replay_report = ReplayReport {
             records,
             bytes: log.valid_bytes,
@@ -1372,9 +1373,9 @@ impl CertStore {
         self.fp_cache.clear();
         self.by_signer.clear();
         self.expiry.clear();
-        self.active_cache.clear();
-        self.active_dirty = false;
-        self.ground_heads = Arc::default();
+        self.active_len = 0;
+        self.ground_heads.clear();
+        self.introducers.clear();
         // One bump for the whole swap: the restored live set replaces
         // whatever was held, so any decision keyed on an older version
         // is stale (the counter stays monotone — it never resets).

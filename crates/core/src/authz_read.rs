@@ -8,8 +8,8 @@
 //! contends with the fixpoint writer. This module splits the read path
 //! off: at each quiescent point the system publishes an
 //! [`AuthzSnapshot`] — an immutable, `Arc`-shared view of every
-//! principal's materialized database, active-certificate ground-head
-//! index, and audit introducer map — and any number of
+//! principal's materialized database and the store's ground-head and
+//! live-introducer indexes — and any number of
 //! [`AuthzReader`] handles evaluate `authorize()` against it from
 //! other threads while imports and revocations keep streaming through
 //! the writer.
@@ -48,7 +48,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use lbtrust_certstore::{CertDigest, GroundHeads};
+use lbtrust_certstore::{CertDigest, GroundHeads, Introducers};
 use lbtrust_datalog::ast::Rule;
 use lbtrust_datalog::intern::names;
 use lbtrust_datalog::provenance::Proof;
@@ -85,17 +85,14 @@ pub(crate) struct PrincipalSnapshot {
     /// The workspace's registry, shared until it is next handed out
     /// mutably.
     pub(crate) builtins: Arc<Builtins>,
-    /// The store's incrementally-maintained ground-head index:
-    /// predicate → ground head tuple → digests of live bodyless
-    /// certificates asserting that fact. Shared with the store until a
-    /// certificate is next filed or unfiled.
-    pub(crate) ground_heads: Arc<GroundHeads>,
-    /// Audit introducer map: canonical rule text → digests of the
-    /// certificates that imported that rule. Shared with the previous
-    /// snapshot while no import was recorded.
-    pub(crate) introducers: Arc<HashMap<String, Vec<CertDigest>>>,
-    /// `AuditLog::introducers_len` when `introducers` was extracted.
-    pub(crate) introducers_len: usize,
+    /// The store's maintained ground-head index: predicate → ground head
+    /// tuple → digests of live bodyless certificates asserting that fact.
+    /// Shares every shard with the store but the ones a certificate filed
+    /// or unfiled since has touched.
+    pub(crate) ground_heads: GroundHeads,
+    /// The store's live-introducer index: canonical rule text → digests
+    /// of the live certificates carrying that rule. Shared the same way.
+    pub(crate) introducers: Introducers,
     /// The cache-key version: decisions cached under it stay servable
     /// until it bumps (or a poisoned-digest invalidation removes them).
     pub(crate) authz_version: u64,
@@ -109,64 +106,55 @@ impl PrincipalSnapshot {
     /// on — a reader's cache miss.
     pub(crate) fn decide(&self, goal: &str) -> Result<CachedDecision, SysError> {
         let proof = explain_goal(self.me, &self.rules, &self.db, &self.builtins, goal)?;
-        Ok(decide(proof, &self.ground_heads, |rule_src, out| {
-            if let Some(ds) = self.introducers.get(rule_src) {
-                out.extend(ds.iter().copied());
-            }
-        }))
+        Ok(decide(proof, &self.ground_heads, &self.introducers))
     }
 }
 
 /// Turns a proof (or its absence) into a decision: grant/deny, the
 /// supporting digests, the rendered proof. The one `decide` behind the
-/// serial [`crate::System::authorize`] (live store indexes) and the
-/// snapshot readers (captured copies of the same indexes), so both
-/// cite identically.
-pub(crate) fn decide<F>(
+/// serial [`crate::System::authorize`] (the store's indexes) and the
+/// snapshot readers (the same indexes as published), so both cite
+/// identically.
+pub(crate) fn decide(
     proof: Option<Proof>,
     ground_heads: &GroundHeads,
-    cite_introducers: F,
-) -> CachedDecision
-where
-    F: FnMut(&str, &mut Vec<CertDigest>),
-{
+    introducers: &Introducers,
+) -> CachedDecision {
     CachedDecision {
         granted: proof.is_some(),
         supporting: proof
             .as_ref()
-            .map(|p| collect_supporting(p, ground_heads, cite_introducers))
+            .map(|p| collect_supporting(p, ground_heads, introducers))
             .unwrap_or_default(),
         proof: proof.map(|p| p.render()),
     }
 }
 
-/// Walks a proof tree collecting the digests of every certificate the
-/// derivation rests on: ground-head index hits for cert-materialized
-/// facts, introducer citations for `says` premises. The store
+/// Walks a proof tree collecting the digests of every live certificate
+/// the derivation rests on: ground-head index hits for cert-materialized
+/// facts, live-introducer citations for `says` premises. The store
 /// maintains both indexes incrementally, so citation is hash probes —
 /// no rescan of the active set. The result is sorted on raw digest bytes
 /// (identical order to the old hex-string sort — lowercase hex is
 /// monotone in the bytes — without a `String` per comparison) and
 /// deduplicated.
-fn collect_supporting<F>(
+fn collect_supporting(
     proof: &Proof,
     ground_heads: &GroundHeads,
-    mut cite_introducers: F,
-) -> Vec<CertDigest>
-where
-    F: FnMut(&str, &mut Vec<CertDigest>),
-{
+    introducers: &Introducers,
+) -> Vec<CertDigest> {
     let says = names().says;
     let mut supporting: Vec<CertDigest> = Vec::new();
     let mut frontier = vec![proof];
     while let Some(node) = frontier.pop() {
         let (pred, tuple) = node.conclusion();
         // A `says` premise carries its certified rule as the trailing
-        // quotation; the introducer map cites the certificate(s) that
-        // imported that rule.
+        // quotation; the live-introducer index cites the live
+        // certificate(s) carrying that rule.
         if pred == says {
             if let Some(Value::Quote(rule)) = tuple.last() {
-                cite_introducers(&rule.to_string(), &mut supporting);
+                let cited = introducers.get(rule.to_string().as_str());
+                supporting.extend(cited.into_iter().flatten());
             }
         }
         // A certified bodyless rule materializes its head as a base

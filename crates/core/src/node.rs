@@ -329,23 +329,16 @@ impl PrincipalState {
         st.published_epoch = epoch;
         st.published_store_version = store_version;
         // Everything below is shared, not copied: the database with the
-        // workspace (a pointer per relation), the registry and the
-        // ground-head index with their owners, and the introducer map
-        // with the previous snapshot unless an import was recorded.
-        let audit = store.audit();
-        let introducers_len = audit.introducers_len();
-        let introducers = match &st.snap {
-            Some(prev) if prev.introducers_len == introducers_len => prev.introducers.clone(),
-            _ => Arc::new(audit.introducer_digests()),
-        };
+        // workspace (a pointer per relation), the registry with its owner,
+        // and the store's two citation indexes with the store (a pointer
+        // per shard).
         let snap = Arc::new(PrincipalSnapshot {
             me: self.me,
             rules: ws.program().rules().clone(),
             db: ws.db().clone(),
             builtins: ws.builtins().clone(),
             ground_heads: store.ground_heads().clone(),
-            introducers,
-            introducers_len,
+            introducers: store.introducers().clone(),
             authz_version: st.authz_version,
             store_version,
         });
@@ -358,11 +351,12 @@ impl PrincipalState {
     /// at most once.
     pub(crate) fn fresh_exports(&mut self, export: Symbol) -> Vec<(Principal, Vec<u8>)> {
         let (ws, cursor) = (&self.ws, &mut self.cursor);
-        // Relations only append between compactions, so everything
+        // Between compactions a tuple keeps its position — a removal
+        // leaves a tombstone — and new ones are appended, so everything
         // below the watermark was fingerprinted on an earlier step. A
-        // compaction may have moved tuples (k removals followed by k
-        // appends leave the length unchanged, hence a counter and not a
-        // length comparison): rescan, and `seen` still dedups.
+        // compaction (a re-pack, a rebuild, a restore) may have moved
+        // tuples: rescan, and `seen` still dedups. A tuple a repair
+        // re-derives lands past the watermark, and `seen` dedups that too.
         if cursor.compactions != ws.compactions() {
             cursor.compactions = ws.compactions();
             cursor.mark = 0;
@@ -384,7 +378,7 @@ impl PrincipalState {
             }
             outgoing.push((*to, lbtrust_net::encode_export(*to, *from, rule, auth)));
         }
-        cursor.mark = cursor.mark.max(ws.db().count(export));
+        cursor.mark = cursor.mark.max(ws.db().end(export));
         outgoing
     }
 
@@ -617,7 +611,7 @@ struct ExportCursor {
     /// 16 bytes per tuple instead of a deep clone of each exported tuple
     /// (symbols, quoted rules, signature bytes).
     seen: HashSet<TupleFingerprint>,
-    /// Length of the relation when it was last scanned.
+    /// The relation's next position when it was last scanned.
     mark: usize,
     /// [`Workspace::compactions`] at that scan.
     compactions: u64,

@@ -1466,9 +1466,10 @@ impl System {
     /// Decides whether `goal` holds in `who`'s workspace and cites the
     /// credentials the decision rests on: the proof tree is walked for
     /// `says` premises, and each certified rule is traced back through
-    /// the store's audit trail to the digest(s) of the certificate(s)
-    /// that introduced it (the same citation [`System::audit_introducers`]
-    /// answers). The decision increments `authz.granted`/`authz.denied`
+    /// the store's live-introducer index to the digest(s) of the live
+    /// certificate(s) carrying it ([`System::audit_introducers`] answers
+    /// the same question over every certificate the store ever imported).
+    /// The decision increments `authz.granted`/`authz.denied`
     /// and, when a journal sink is attached
     /// ([`System::enable_decision_journal`]), is recorded as an
     /// `authorize` event carrying the supporting digests.
@@ -1476,9 +1477,7 @@ impl System {
         let node = self.node(who)?;
         let store = &node.store;
         let proof = node.ws.explain_proof(goal)?;
-        let decided = decide(proof, store.ground_heads(), |rule_src, out| {
-            out.extend(store.audit().introducers(rule_src).iter().map(|e| e.digest));
-        });
+        let decided = decide(proof, store.ground_heads(), store.introducers());
         if decided.granted {
             self.obs.authz_granted.inc();
         } else {
@@ -2080,6 +2079,7 @@ impl Default for System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::authz_read::PrincipalSnapshot;
     use crate::workspace::RetractOutcome;
 
     fn sym(s: &str) -> Symbol {
@@ -2124,6 +2124,70 @@ mod tests {
         assert_eq!(sys.stats().messages_rejected, 0);
     }
 
+    /// Alice certifies `good(s_i)` for `i < certs` to bob, whose policy
+    /// grants on her word; bob imports them all and everything quiesces
+    /// (which publishes). Returns the digests in issue order.
+    fn certified(certs: usize) -> (System, Principal, Principal, Vec<CertDigest>) {
+        let mut sys = System::new().with_rsa_bits(512);
+        let alice = sys.add_principal("alice", "n1").unwrap();
+        let bob = sys.add_principal("bob", "n2").unwrap();
+        sys.workspace_mut(bob)
+            .unwrap()
+            .load(
+                "policy",
+                "access(P,file1,read) <- says(alice,me,[| good(P) |]).\n\
+                 noted(P) <- seen(P).",
+            )
+            .unwrap();
+        let facts: String = (0..certs).map(|i| format!("good(s{i}). ")).collect();
+        let issued = sys.issue_certificates(alice, &facts, &[], None).unwrap();
+        let digests = issued.iter().map(LinkedCert::digest).collect();
+        sys.import_certificates(bob, issued).unwrap();
+        sys.run_to_quiescence(16).unwrap();
+        (sys, alice, bob, digests)
+    }
+
+    /// `who`'s last published snapshot.
+    fn published(sys: &System, who: Principal) -> Arc<PrincipalSnapshot> {
+        let snap = sys.node(who).unwrap().authz.snap.clone();
+        snap.expect("published")
+    }
+
+    /// What `after` holds that `before` does not share with it.
+    #[derive(Debug)]
+    struct Copied {
+        /// Per relation that is not the same allocation on both sides:
+        /// its positions outside a shared chunk, and its position-map
+        /// shards `before` does not hold.
+        relations: Vec<(Symbol, usize, usize)>,
+        /// Shards of the ground-head index `before` does not hold.
+        ground_heads: usize,
+        /// Shards of the live-introducer index `before` does not hold.
+        introducers: usize,
+    }
+
+    fn copied(before: &PrincipalSnapshot, after: &PrincipalSnapshot) -> Copied {
+        let empty_db = lbtrust_datalog::Relation::new();
+        let mut relations = Vec::new();
+        for (pred, rel) in after.db.iter() {
+            let old = before.db.relation(pred).unwrap_or(&empty_db);
+            if !std::ptr::eq(old, rel) {
+                let tuples = rel.end() - rel.tuples_shared_with(old);
+                relations.push((pred, tuples, rel.unshared_shards(old)));
+            }
+        }
+        relations.sort_by_key(|(pred, _, _)| pred.as_str());
+        let empty = Default::default();
+        let ground_heads = after.ground_heads.iter().map(|(pred, by_tuple)| {
+            by_tuple.unshared_shards(before.ground_heads.get(pred).unwrap_or(&empty))
+        });
+        Copied {
+            relations,
+            ground_heads: ground_heads.sum(),
+            introducers: after.introducers.unshared_shards(&before.introducers),
+        }
+    }
+
     /// The no-timing cost witness for shared storage: what one asserted
     /// fact makes assert → evaluate → publish copy does not grow with the
     /// store. At 256 and at 4 096 certificates the new snapshot shares,
@@ -2134,62 +2198,30 @@ mod tests {
     fn a_publish_after_one_fact_copies_a_chunk_per_grown_relation() {
         use lbtrust_datalog::shared::CHUNK;
         for certs in [256usize, 4096] {
-            let mut sys = System::new().with_rsa_bits(512);
-            let alice = sys.add_principal("alice", "n1").unwrap();
-            let bob = sys.add_principal("bob", "n2").unwrap();
-            sys.workspace_mut(bob)
-                .unwrap()
-                .load(
-                    "policy",
-                    "access(P,file1,read) <- says(alice,me,[| good(P) |]).\n\
-                     noted(P) <- seen(P).",
-                )
-                .unwrap();
-            let facts: String = (0..certs).map(|i| format!("good(s{i}). ")).collect();
-            let issued = sys.issue_certificates(alice, &facts, &[], None).unwrap();
-            sys.import_certificates(bob, issued).unwrap();
-            sys.run_to_quiescence(16).unwrap();
-            let before = sys
-                .node(bob)
-                .unwrap()
-                .authz
-                .snap
-                .clone()
-                .expect("published");
+            let (mut sys, _, bob, _) = certified(certs);
+            let before = published(&sys, bob);
             assert!(before.db.count(sym("access")) >= certs);
 
             let ws = sys.workspace_mut(bob).unwrap();
             ws.assert_fact(sym("seen"), vec![Value::sym("carol")]);
             ws.evaluate().unwrap();
             sys.publish_authz_snapshot();
-            let after = sys
-                .node(bob)
-                .unwrap()
-                .authz
-                .snap
-                .clone()
-                .expect("published");
+            let after = published(&sys, bob);
             assert!(!Arc::ptr_eq(&before, &after));
 
-            let (mut grown, mut copied) = (Vec::new(), 0);
-            for (pred, rel) in after.db.iter() {
-                let Some(old) = before.db.relation(pred) else {
-                    grown.push(pred);
-                    copied += rel.len();
-                    continue;
-                };
-                if std::ptr::eq(old, rel) {
-                    continue;
-                }
-                assert!(rel.len() > old.len(), "{pred} was copied without growing");
-                grown.push(pred);
-                let unshared = rel.len() - rel.tuples_shared_with(old);
-                assert!(unshared <= CHUNK, "{pred}: {unshared} tuples copied");
-                copied += unshared;
-            }
-            grown.sort_by_key(|p| p.as_str());
+            let copied = copied(&before, &after);
+            let grown: Vec<Symbol> = copied.relations.iter().map(|r| r.0).collect();
             assert_eq!(grown, [sym("noted"), sym("seen")], "at {certs}");
-            assert_eq!(copied, 2, "at {certs}");
+            for &(pred, tuples, _) in &copied.relations {
+                assert!(tuples <= CHUNK, "{pred}: {tuples} tuples copied");
+                let (rel, old) = (after.db.relation(pred).unwrap(), before.db.relation(pred));
+                assert!(
+                    rel.len() > old.map_or(0, |old| old.len()),
+                    "{pred} copied, not grown"
+                );
+            }
+            let tuples: usize = copied.relations.iter().map(|r| r.1).sum();
+            assert_eq!(tuples, 2, "at {certs}");
             // The big relations are the writer's own, by pointer.
             let live = sys.workspace(bob).unwrap().db();
             for pred in ["access", "says", "export"] {
@@ -2197,10 +2229,66 @@ mod tests {
                 assert!(std::ptr::eq(rel, before.db.relation(sym(pred)).unwrap()));
                 assert!(std::ptr::eq(rel, live.relation(sym(pred)).unwrap()));
             }
-            assert!(Arc::ptr_eq(&before.ground_heads, &after.ground_heads));
-            assert!(Arc::ptr_eq(&before.introducers, &after.introducers));
+            assert_eq!((copied.ground_heads, copied.introducers), (0, 0));
             assert!(Arc::ptr_eq(&before.builtins, &after.builtins));
         }
+    }
+
+    /// The same witness for the delete path and the replacement import
+    /// that follows it in `revoke_fanout`: after one `revoke_certificate`,
+    /// quiescence and publish, and again after one import, the new
+    /// snapshot shares with the previous one every tuple of each relation
+    /// it touched but at most a chunk, all but a handful of position-map
+    /// shards — as many at 4 096 certificates as at 256 — and all but at
+    /// most one shard of each citation index. (Before tombstones, a
+    /// revocation copied the removed relation's tail and both indexes
+    /// whole.)
+    #[test]
+    fn a_revocation_and_its_replacement_copy_a_shard_per_map_they_touch() {
+        use lbtrust_datalog::shared::CHUNK;
+        let mut shards = Vec::new();
+        for certs in [256usize, 4096] {
+            let (mut sys, alice, bob, digests) = certified(certs);
+            let before = published(&sys, bob);
+            sys.revoke_certificate(alice, digests[certs / 2]).unwrap();
+            sys.run_to_quiescence(16).unwrap();
+            let revoked = published(&sys, bob);
+            let goal = format!("access(s{},file1,read)", certs / 2);
+            assert!(!revoked.decide(&goal).unwrap().granted);
+
+            let fresh = sys.issue_certificates(alice, "good(fresh).", &[], None);
+            sys.import_certificates(bob, fresh.unwrap()).unwrap();
+            sys.run_to_quiescence(16).unwrap();
+            let replaced = published(&sys, bob);
+            assert!(replaced.decide("access(fresh,file1,read)").unwrap().granted);
+
+            for (step, old, new) in [
+                ("revocation", &before, &revoked),
+                ("import", &revoked, &replaced),
+            ] {
+                let copied = copied(old, new);
+                assert!(!copied.relations.is_empty(), "{step} at {certs}");
+                for &(pred, tuples, _) in &copied.relations {
+                    assert!(
+                        tuples <= CHUNK,
+                        "{step} at {certs}: {pred} copied {tuples} tuples"
+                    );
+                }
+                assert!(copied.ground_heads <= 1, "{step} at {certs}: {copied:?}");
+                assert!(copied.introducers <= 1, "{step} at {certs}: {copied:?}");
+                let per_relation: Vec<(Symbol, usize)> = copied
+                    .relations
+                    .iter()
+                    .map(|&(pred, _, shards)| (pred, shards))
+                    .collect();
+                shards.push((step, per_relation));
+            }
+        }
+        assert_eq!(
+            shards[..2],
+            shards[2..],
+            "shards copied at 256 and at 4 096 certificates"
+        );
     }
 
     /// Reader isolation under threads: a reader that holds generation g
@@ -2318,10 +2406,10 @@ mod tests {
         assert!(!held.decide("access(n0,file1,read)").unwrap().granted);
     }
 
-    /// The export drain scans only what the relation gained — and one
-    /// removal followed by one append leaves the length where the
-    /// watermark stood, so the watermark must follow compactions, not
-    /// lengths, or the new export is never shipped.
+    /// The export drain scans only what the relation gained — and here
+    /// one removal re-packs the two-tuple relation, so the append after it
+    /// lands where the watermark stood: the watermark must follow
+    /// compactions, not positions, or the new export is never shipped.
     #[test]
     fn export_drain_ships_what_replaces_a_retracted_export() {
         let mut sys = System::new().with_rsa_bits(512);
@@ -2347,6 +2435,31 @@ mod tests {
         assert!(bob_ws
             .holds_src("says(alice,bob,[| good(erin). |])")
             .unwrap());
+    }
+
+    /// A repair that leaves only tombstones moves no tuple, so it is no
+    /// compaction: the export drain after it keeps its watermark and has
+    /// nothing to rescan or ship.
+    #[test]
+    fn a_repair_that_does_not_repack_leaves_the_export_drain_where_it_was() {
+        let mut sys = System::new().with_rsa_bits(512);
+        let alice = sys.add_principal("alice", "n1").unwrap();
+        sys.add_principal("bob", "n2").unwrap();
+        let ws = sys.workspace_mut(alice).unwrap();
+        ws.load("policy", "says(me,bob,[| good(X). |]) <- vouched(X).")
+            .unwrap();
+        ws.assert_src("vouched(carol). vouched(dave). vouched(erin). vouched(fay).")
+            .unwrap();
+        sys.run_to_quiescence(16).unwrap();
+        let sender = &mut sys.nodes[sys.index[&alice]];
+        let compactions = sender.ws.compactions();
+        let outcome = sender
+            .ws
+            .retract_facts(&[(sym("vouched"), vec![Value::sym("carol")])]);
+        assert!(matches!(outcome, RetractOutcome::Incremental(stats) if stats.repacks == 0));
+        assert_eq!(sender.ws.compactions(), compactions);
+        assert!(sender.fresh_exports(names().export).is_empty());
+        assert_eq!(sender.shipped(), 4);
     }
 
     /// The static-analysis preflight refuses a deny-level program

@@ -22,13 +22,16 @@ use lbtrust_datalog::intern::names;
 use lbtrust_datalog::safety::{check_rule, check_rule_at, SafetyError};
 use lbtrust_datalog::strata::{stratify_spanned, StratifyError};
 use lbtrust_datalog::{
-    parse_program, Builtins, Database, ParseError, SharedVec, Span, Symbol, Tuple, Value,
+    parse_program, Builtins, Database, ParseError, PositionIndex, SharedVec, Span, Symbol, Tuple,
+    Value,
 };
 use lbtrust_metamodel::constraintcheck::{check_fail, CheckError, ConstraintSet, Scope};
 use lbtrust_metamodel::reflect::reflect_into;
 use lbtrust_metamodel::{generated_rules, MetaPreds};
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::BuildHasher;
 use std::sync::{Arc, OnceLock};
 
 /// Errors from workspace operations.
@@ -170,7 +173,7 @@ pub struct Workspace {
     /// `constraints`, compiled on first use after they changed.
     checks: Option<ConstraintSet>,
     /// Facts asserted from outside (the EDB), in assertion order.
-    base_facts: SharedVec<(Symbol, Tuple)>,
+    base_facts: BaseFacts,
     db: Database,
     /// What the next evaluation has to do.
     owed: Owed,
@@ -192,24 +195,116 @@ pub struct Workspace {
     /// rebuilt or derived. Never decremented, so snapshot publishers can
     /// compare epochs across time.
     epoch: u64,
-    /// Counts the events after which a tuple's position in its relation
-    /// may have changed: repairs, rebuilds, restores.
+    /// Counts the events after which a tuple may sit at another position
+    /// in its relation: re-packs, rebuilds, restores.
     compactions: u64,
+}
+
+/// The facts asserted from outside (the EDB), one entry per supporting
+/// copy, in assertion order. A retracted copy becomes a tombstone
+/// ([`SharedVec::kill`]), so positions — and the rollback baseline's mark
+/// into them — move only when the tombstones reach the live copies and
+/// the facts re-pack. `copies` finds a fact's live copies without a scan;
+/// it is built at the first retraction and kept from then on, so a
+/// workspace that only ever asserts (a `says` receiver) hashes no fact
+/// for it.
+#[derive(Clone, Default)]
+struct BaseFacts {
+    facts: SharedVec<(Symbol, Tuple)>,
+    /// Hash of a fact -> the positions of its live copies, once built.
+    copies: Option<PositionIndex>,
+}
+
+impl BaseFacts {
+    /// The hash `pred(tuple)` is listed under in `copies`.
+    fn hash(pred: Symbol, tuple: &[Value]) -> u64 {
+        static KEYS: OnceLock<RandomState> = OnceLock::new();
+        KEYS.get_or_init(RandomState::new).hash_one((pred, tuple))
+    }
+
+    fn push(&mut self, pred: Symbol, tuple: Tuple) {
+        if let Some(copies) = &mut self.copies {
+            let pos = u32::try_from(self.facts.end()).expect("under 2^32 base facts");
+            copies.add(BaseFacts::hash(pred, &tuple), pos);
+        }
+        self.facts.push((pred, tuple));
+    }
+
+    /// The positions of the live copies of `pred(tuple)`, ascending.
+    fn copies(&mut self, pred: Symbol, tuple: &[Value]) -> Vec<usize> {
+        let facts = &self.facts;
+        let index = self.copies.get_or_insert_with(|| {
+            let mut index = PositionIndex::new();
+            for (pos, (p, t)) in facts.entries_from(0) {
+                index.add(BaseFacts::hash(*p, t), pos as u32);
+            }
+            index
+        });
+        let listed = index.positions_from(BaseFacts::hash(pred, tuple), 0);
+        let same = |pos: &usize| {
+            let (p, t) = facts.get(*pos);
+            *p == pred && t == tuple
+        };
+        listed
+            .iter()
+            .map(|&pos| pos as usize)
+            .filter(same)
+            .collect()
+    }
+
+    /// Takes the live copy at `pos` out of `copies`.
+    fn unlist(&mut self, pos: usize) {
+        if let Some(copies) = &mut self.copies {
+            let (pred, tuple) = self.facts.get(pos);
+            copies.remove(BaseFacts::hash(*pred, tuple), pos as u32);
+        }
+    }
+
+    /// Retracts the live copy at `pos`: a tombstone, nothing moves.
+    fn kill(&mut self, pos: usize) {
+        self.unlist(pos);
+        self.facts.kill(pos);
+    }
+
+    /// Re-packs once the tombstones reach the live copies, returning the
+    /// positions that went (ascending; none when it did not re-pack).
+    fn repack_if_due(&mut self) -> Vec<usize> {
+        if self.facts.tombstones() == 0 || self.facts.tombstones() < self.facts.len() {
+            return Vec::new();
+        }
+        let gone = self.facts.repack();
+        if let Some(copies) = &mut self.copies {
+            copies.close_gaps(&gone);
+        }
+        gone
+    }
+
+    /// Drops the copies and tombstones at position `end` and after.
+    fn truncate(&mut self, end: usize) {
+        if self.copies.is_some() {
+            let cut: Vec<usize> = self.facts.entries_from(end).map(|(pos, _)| pos).collect();
+            for pos in cut {
+                self.unlist(pos);
+            }
+        }
+        self.facts.truncate(end);
+    }
 }
 
 /// The rollback baseline: the state after the last successful
 /// evaluation, recorded as **watermarks** into the live state rather than
 /// as a copy of it. Between two evaluations relations, base facts and
-/// generated rules only grow at the end, so their lengths say what to cut
-/// off; what can change anywhere — the rule and constraint lists — is
-/// held by `Arc`, shared with the live lists until a load or swap copies
-/// them. The two events that move tuples keep the marks true: a retraction
-/// moves the base-fact mark with the fact it removes and a DRed repair
-/// re-takes the relation marks (a retraction is never undone), and a
-/// rebuild sets the old database aside until the new one is accepted.
+/// generated rules only grow at the end (a removal leaves a tombstone in
+/// place), so their next positions say what to cut off; what can change
+/// anywhere — the rule and constraint lists — is held by `Arc`, shared
+/// with the live lists until a load or swap copies them. The events that
+/// move positions keep the marks true: a re-pack of the base facts moves
+/// the base-fact mark with it, a DRed repair re-takes the relation marks
+/// (a retraction is never undone), and a rebuild sets the old database
+/// aside until the new one is accepted.
 #[derive(Clone)]
 struct Committed {
-    /// The length of every relation.
+    /// The next position of every relation.
     relations: HashMap<Symbol, usize>,
     base_facts: usize,
     generated: usize,
@@ -225,7 +320,7 @@ struct Committed {
 impl Committed {
     fn mark_relations(&mut self, db: &Database) {
         self.relations.clear();
-        self.relations.extend(db.lengths());
+        self.relations.extend(db.ends());
     }
 }
 
@@ -240,7 +335,7 @@ pub struct Snapshot {
     rules: Arc<Vec<(String, Arc<Rule>)>>,
     constraints: Arc<Vec<(String, Constraint)>>,
     generated: Vec<Arc<Rule>>,
-    base_facts: SharedVec<(Symbol, Tuple)>,
+    base_facts: BaseFacts,
     /// Whether `db` is not the fixpoint of the captured rules and base
     /// facts, so a restore must rebuild it.
     rebuild: bool,
@@ -266,7 +361,7 @@ impl Workspace {
             installed: HashSet::new(),
             program: OnceLock::new(),
             checks: None,
-            base_facts: SharedVec::new(),
+            base_facts: BaseFacts::default(),
             db: Database::new(),
             owed: Owed::Rebuild,
             seeds: HashMap::new(),
@@ -321,9 +416,11 @@ impl Workspace {
     }
 
     /// Counts the events that may have moved tuples within their
-    /// relations (DRed repairs, rebuilds, restores). While it stands
-    /// still relations have only been appended to, so a caller that
-    /// remembers a relation's length has seen everything before it.
+    /// relations: re-packs, rebuilds, restores. A DRed repair that only
+    /// left tombstones is not one. While it stands still every tuple keeps
+    /// its position and new ones are appended, so a caller that remembers
+    /// a relation's [`lbtrust_datalog::Relation::end`] has seen every
+    /// tuple before it.
     pub fn compactions(&self) -> u64 {
         self.compactions
     }
@@ -454,11 +551,11 @@ impl Workspace {
         if self.db.contains(pred, &tuple) {
             // Already present (possibly derived); still record as base so
             // it survives a rebuild.
-            self.base_facts.push((pred, tuple));
+            self.base_facts.push(pred, tuple);
             return;
         }
-        let mark = self.db.count(pred);
-        self.base_facts.push((pred, tuple.clone()));
+        let mark = self.db.end(pred);
+        self.base_facts.push(pred, tuple.clone());
         self.db.insert(pred, tuple);
         self.seeds.entry(pred).or_insert(mark);
         self.epoch += 1;
@@ -513,7 +610,7 @@ impl Workspace {
     /// (§3.1 "active rules are incrementally recomputed") — otherwise
     /// the next evaluation re-derives everything from the remaining base.
     pub fn retract_fact(&mut self, pred: Symbol, tuple: &[Value]) -> bool {
-        let copies = base_copies(&self.base_facts, pred, tuple);
+        let copies = self.base_facts.copies(pred, tuple).len();
         self.retract_facts(&vec![(pred, tuple.to_vec()); copies]);
         copies > 0
     }
@@ -526,38 +623,26 @@ impl Workspace {
     /// relies on this).
     pub fn retract_facts(&mut self, facts: &[(Symbol, Tuple)]) -> RetractOutcome {
         let mut gone: Vec<(Symbol, Tuple)> = Vec::new();
-        let mut no_mark = 0;
-        let mark = match &mut self.committed {
-            Some(base) => &mut base.base_facts,
-            None => &mut no_mark,
-        };
+        let mark = self.committed.as_ref().map_or(0, |base| base.base_facts);
         for (pred, tuple) in facts {
-            // One pass: the first copy, the first one asserted since the
-            // baseline, and how many there are.
-            let (mut first, mut unmarked, mut copies) = (None, None, 0);
-            for (pos, (p, t)) in self.base_facts.iter().enumerate() {
-                if p == pred && t == tuple {
-                    copies += 1;
-                    first.get_or_insert(pos);
-                    if pos >= *mark {
-                        unmarked.get_or_insert(pos);
-                    }
-                }
-            }
+            let copies = self.base_facts.copies(*pred, tuple);
             // A copy the baseline does not hold goes first: the baseline
             // gives one up only when the live EDB has no other left, so a
             // rollback neither brings a retracted copy back (a retraction
-            // is never undone) nor drops a copy that is still supported.
-            let Some(victim) = unmarked.or(first) else {
+            // is never undone, and a tombstone below the mark stays) nor
+            // drops a copy that is still supported.
+            let unmarked = copies.iter().find(|&&pos| pos >= mark);
+            let Some(&victim) = unmarked.or(copies.first()) else {
                 continue;
             };
-            self.base_facts.remove_positions(&[victim]);
-            if victim < *mark {
-                *mark -= 1;
-            }
-            if copies == 1 {
+            self.base_facts.kill(victim);
+            if copies.len() == 1 {
                 gone.push((*pred, tuple.clone()));
             }
+        }
+        let moved = self.base_facts.repack_if_due();
+        if let Some(base) = &mut self.committed {
+            base.base_facts -= moved.partition_point(|&pos| pos < base.base_facts);
         }
         if gone.is_empty() {
             return RetractOutcome::Noop;
@@ -582,7 +667,6 @@ impl Workspace {
         let engine = Engine::for_compiled(&program, &self.builtins);
         // Whatever comes of the repair, it removes tuples as it goes.
         self.epoch += 1;
-        self.compactions += 1;
         match dred::retract_with(&engine, &mut self.db, &retracted) {
             // A repair that takes a rule out of `active`/`rule` has
             // withdrawn the reason a generated rule was installed; only a
@@ -591,20 +675,26 @@ impl Workspace {
                 if !removed.contains_key(&self.meta.active)
                     && !removed.contains_key(&self.meta.rule) =>
             {
+                // Tombstones leave every position where it was; only a
+                // re-pack moves tuples.
+                if stats.repacks > 0 {
+                    self.compactions += 1;
+                }
                 for (pred, tuples) in removed {
                     self.removed.entry(pred).or_default().extend(tuples);
                 }
                 self.owed = self.owed.max(Owed::Delta);
                 // The repaired state is the new baseline: the marks are
-                // re-taken over the re-packed relations.
+                // re-taken over the repaired relations.
                 self.commit();
                 RetractOutcome::Incremental(stats)
             }
             // That, or a failure (e.g. a generated pattern construct the
             // DRed fragment rejects), falls back to full recomputation.
-            // The attempt moved tuples, so lengths taken before it no
-            // longer say which are new.
+            // The attempt may have re-packed, so marks taken before it no
+            // longer say which tuples are new.
             _ => {
+                self.compactions += 1;
                 if let Some(base) = &mut self.committed {
                     base.mark_relations(&self.db);
                 }
@@ -676,7 +766,7 @@ impl Workspace {
             out.push_str(&format!("// tag: {tag}\n{r}\n"));
         }
         out.push_str("// base facts\n");
-        for (pred, tuple) in self.base_facts.iter() {
+        for (pred, tuple) in self.base_facts.facts.iter() {
             let args: Vec<String> = tuple.iter().map(ToString::to_string).collect();
             out.push_str(&format!("{pred}({}).\n", args.join(",")));
         }
@@ -805,7 +895,7 @@ impl Workspace {
         let mut base = Committed {
             // The last baseline's map, for its allocation.
             relations: last.map(|base| base.relations).unwrap_or_default(),
-            base_facts: self.base_facts.len(),
+            base_facts: self.base_facts.facts.end(),
             generated: self.generated.len(),
             rules: self.rules.clone(),
             constraints: self.constraints.clone(),
@@ -860,7 +950,7 @@ impl Workspace {
     fn reset_db(&mut self) -> Database {
         let old = std::mem::take(&mut self.db);
         self.compactions += 1;
-        for (pred, tuple) in self.base_facts.iter() {
+        for (pred, tuple) in self.base_facts.facts.iter() {
             self.db.insert(*pred, tuple.clone());
         }
         for rule in self.rules.iter().map(|(_, r)| r).chain(&self.generated) {
@@ -901,18 +991,18 @@ impl Workspace {
     /// evaluation, undoing the offending assertions.
     ///
     /// **Rollback is truncation.** No outcome copies the store to be able
-    /// to undo itself. A successful evaluation records the *lengths* of
-    /// every relation, of the base facts and of the generated rules, and
-    /// keeps the rule and constraint lists by `Arc`. What each outcome
-    /// then needs for undo: (1) nothing — it changed nothing; (2) those
-    /// lengths — an insert-only run appended to relations, and a failure
-    /// cuts them (and the asserted base facts, and any rule generated on
-    /// the way) back off; (3) the database and the generated rules it
-    /// replaces, set aside by move until the rebuilt ones pass their
-    /// checks, and put back — then cut to the same lengths — if they do
-    /// not. A DRed repair between evaluations is not undone by a later
-    /// failure (a retraction never is): it re-takes the lengths over the
-    /// relations it re-packed.
+    /// to undo itself. A successful evaluation records the *next
+    /// positions* of every relation and of the base facts, the length of
+    /// the generated rules, and keeps the rule and constraint lists by
+    /// `Arc`. What each outcome then needs for undo: (1) nothing — it
+    /// changed nothing; (2) those marks — an insert-only run appended to
+    /// relations, and a failure cuts them (and the asserted base facts,
+    /// and any rule generated on the way) back off; (3) the database and
+    /// the generated rules it replaces, set aside by move until the
+    /// rebuilt ones pass their checks, and put back — then cut to the same
+    /// marks — if they do not. A DRed repair between evaluations is not
+    /// undone by a later failure (a retraction never is): it re-takes the
+    /// marks over the relations it repaired.
     ///
     /// [`epoch`]: Workspace::epoch
     pub fn evaluate(&mut self) -> Result<EvalStats, WsError> {
@@ -937,7 +1027,7 @@ impl Workspace {
                 // After a DRed repair with nothing asserted since, the
                 // marks the repair took still stand.
                 let marked = self.committed.as_ref().is_some_and(|base| {
-                    base.epoch == self.epoch && base.base_facts == self.base_facts.len()
+                    base.epoch == self.epoch && base.base_facts == self.base_facts.facts.end()
                 });
                 if !marked {
                     self.commit();
@@ -953,7 +1043,7 @@ impl Workspace {
                     None => {
                         // Nothing ever succeeded: reset to an empty,
                         // facts-free state with the loaded rules intact.
-                        self.base_facts.clear();
+                        self.base_facts = BaseFacts::default();
                         self.db = Database::new();
                         self.seeds.clear();
                         self.removed.clear();
@@ -1078,13 +1168,6 @@ impl Workspace {
 struct Displaced {
     db: Option<Database>,
     generated: Option<Vec<Arc<Rule>>>,
-}
-
-/// Number of supporting copies of `pred(tuple)` in `base`.
-fn base_copies(base: &SharedVec<(Symbol, Tuple)>, pred: Symbol, tuple: &[Value]) -> usize {
-    base.iter()
-        .filter(|(p, t)| *p == pred && t == tuple)
-        .count()
 }
 
 /// Reflects an installed rule into the meta-model and the `active` table
@@ -1524,7 +1607,10 @@ mod tests {
         assert_eq!(ws.db.count(sym("poison")), 0);
         assert_eq!(shared(&ws, "q"), 192);
         assert_eq!(shared(&ws, "p"), 192);
-        assert_eq!(ws.base_facts.shared_with(&watch.base_facts), 192);
+        assert_eq!(
+            ws.base_facts.facts.shared_with(&watch.base_facts.facts),
+            192
+        );
     }
 
     #[test]

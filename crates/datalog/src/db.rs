@@ -4,16 +4,16 @@
 //!
 //! A [`Database`] is the fact store of one LogicBlox-style workspace
 //! (§3.1 of the paper). Indices are built lazily for the column sets a
-//! join actually probes and are maintained incrementally on insert, so
-//! repeated semi-naive rounds pay amortized O(1) per probe — and, because
-//! a closed quote pattern is a key like any other value
+//! join actually probes and are maintained incrementally on insert and
+//! removal, so repeated semi-naive rounds pay amortized O(1) per probe —
+//! and, because a closed quote pattern is a key like any other value
 //! ([`crate::unify::Bindings`]), so does proving `says(hub,me,[| good(s5) |])`.
 
 use crate::intern::Symbol;
-use crate::shared::SharedVec;
+use crate::shared::{SharedMap, SharedVec};
 use crate::unify::hash_value;
 use crate::value::Value;
-use std::collections::hash_map::{DefaultHasher, Entry, RandomState};
+use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::ops::ControlFlow;
@@ -29,7 +29,7 @@ fn key_hasher() -> DefaultHasher {
     KEYS.get_or_init(RandomState::new).build_hasher()
 }
 
-/// The positions whose key columns share one hash, ascending.
+/// The positions filed under one hash, ascending.
 #[derive(Clone, Debug)]
 enum Bucket {
     One(u32),
@@ -45,7 +45,7 @@ impl Bucket {
     }
 }
 
-/// The keys of a [`Buckets`] map are hashes already.
+/// The keys of a [`PositionIndex`] are hashes already.
 #[derive(Default)]
 struct PassThrough(u64);
 
@@ -55,7 +55,7 @@ impl Hasher for PassThrough {
     }
 
     fn write(&mut self, _: &[u8]) {
-        unreachable!("bucket maps are keyed by u64");
+        unreachable!("position indexes are keyed by u64");
     }
 
     fn write_u64(&mut self, hash: u64) {
@@ -63,62 +63,92 @@ impl Hasher for PassThrough {
     }
 }
 
-/// Hash of the key columns -> the positions of the tuples that have it.
-type Buckets = HashMap<u64, Bucket, BuildHasherDefault<PassThrough>>;
+/// Hash -> the ascending positions of the entries filed under it: a
+/// relation's dedup map and each of its indexes, and a workspace's index
+/// of its base facts. A [`SharedMap`], so a clone shares every shard and
+/// a write copies the one it touches; the caller hashes, and a hash is a
+/// superset of what it is looking for (colliding entries share a bucket).
+#[derive(Clone, Debug, Default)]
+pub struct PositionIndex(SharedMap<u64, Bucket, BuildHasherDefault<PassThrough>>);
 
-/// Appends `pos` (larger than every position already there) under `hash`.
-fn add_position(buckets: &mut Buckets, hash: u64, pos: u32) {
-    match buckets.entry(hash) {
-        Entry::Vacant(slot) => {
-            slot.insert(Bucket::One(pos));
-        }
-        Entry::Occupied(mut slot) => match slot.get_mut() {
-            Bucket::One(first) => *slot.get_mut() = Bucket::Many(vec![*first, pos]),
-            Bucket::Many(positions) => positions.push(pos),
-        },
+impl PositionIndex {
+    /// An empty index.
+    pub fn new() -> PositionIndex {
+        PositionIndex::default()
     }
-}
 
-/// Takes `pos` — the largest position filed under `hash` — back out.
-fn pop_position(buckets: &mut Buckets, hash: u64, pos: u32) {
-    let Entry::Occupied(mut slot) = buckets.entry(hash) else {
-        unreachable!("position {pos} was filed under its hash");
-    };
-    if let Bucket::Many(positions) = slot.get_mut() {
-        debug_assert_eq!(positions.last(), Some(&pos));
-        positions.pop();
-        if !positions.is_empty() {
-            return;
+    /// Files `pos` — larger than every position already there — under
+    /// `hash`.
+    pub fn add(&mut self, hash: u64, pos: u32) {
+        self.0.upsert(
+            hash,
+            || Bucket::One(pos),
+            |bucket| match bucket {
+                Bucket::One(first) => *bucket = Bucket::Many(vec![*first, pos]),
+                Bucket::Many(positions) => positions.push(pos),
+            },
+        );
+    }
+
+    /// Takes `pos`, which is filed under `hash`, back out.
+    pub fn remove(&mut self, hash: u64, pos: u32) {
+        let emptied = match self.0.get_mut(&hash) {
+            Some(Bucket::One(filed)) => {
+                debug_assert_eq!(*filed, pos);
+                true
+            }
+            Some(Bucket::Many(positions)) => {
+                let at = positions.binary_search(&pos);
+                positions.remove(at.expect("position filed under its hash"));
+                positions.is_empty()
+            }
+            None => unreachable!("position {pos} was filed under its hash"),
+        };
+        if emptied {
+            self.0.remove(&hash);
         }
     }
-    slot.remove();
-}
 
-/// Drops the positions in `gone` (ascending) from every bucket and moves
-/// each surviving position down by the number of removed ones below it —
-/// what closing the gaps does to the tuples. Order within a bucket is
-/// kept, and nothing is hashed.
-fn close_gaps(buckets: &mut Buckets, gone: &[usize]) {
-    let moved = |pos: &mut u32| match gone.binary_search(&(*pos as usize)) {
-        Ok(_) => false,
-        Err(below) => {
-            *pos -= below as u32;
-            true
-        }
-    };
-    buckets.retain(|_, bucket| match bucket {
-        Bucket::One(pos) => moved(pos),
-        Bucket::Many(positions) => {
-            positions.retain_mut(moved);
-            !positions.is_empty()
-        }
-    });
-}
+    /// The positions filed under `hash` that are `from` or later.
+    pub fn positions_from(&self, hash: u64, from: usize) -> &[u32] {
+        let positions = self.0.get(&hash).map_or(&[][..], Bucket::positions);
+        &positions[positions.partition_point(|&pos| (pos as usize) < from)..]
+    }
 
-/// The positions filed under `hash` that are `from` or later.
-fn positions_from(buckets: &Buckets, hash: u64, from: usize) -> &[u32] {
-    let positions = buckets.get(&hash).map_or(&[][..], Bucket::positions);
-    &positions[positions.partition_point(|&pos| (pos as usize) < from)..]
+    /// Moves each position down by the number of positions in `gone`
+    /// (ascending, none of them filed any more) below it — what a re-pack
+    /// ([`SharedVec::repack`]) does to what the positions point at. Order
+    /// within a bucket is kept, and nothing is hashed.
+    pub fn close_gaps(&mut self, gone: &[usize]) {
+        let moved = |pos: &mut u32| *pos -= gone.partition_point(|&g| g < *pos as usize) as u32;
+        for bucket in self.0.values_mut() {
+            match bucket {
+                Bucket::One(pos) => moved(pos),
+                Bucket::Many(positions) => positions.iter_mut().for_each(moved),
+            }
+        }
+    }
+
+    /// Number of distinct hashes filed.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether nothing is filed.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Removes everything.
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    /// How many of this index's shards `other` does not hold too
+    /// ([`SharedMap::unshared_shards`]).
+    pub fn unshared_shards(&self, other: &PositionIndex) -> usize {
+        self.0.unshared_shards(&other.0)
+    }
 }
 
 /// How many positions [`Relation::probe`] copies out of an index under
@@ -204,22 +234,34 @@ fn hash_cols(cols: u64, tuple: &[Value], ignored_bits: u64) -> Option<u64> {
 /// ascending positions of the tuples whose columns hash to it. No index
 /// holds a [`Value`].
 ///
+/// **Two lengths.** A removed tuple becomes a tombstone: it leaves `all`
+/// and every index, its position is marked dead, and nothing else moves.
+/// So [`Relation::len`] counts the live tuples and [`Relation::end`] is
+/// the next position — one past every tuple inserted and not cut off,
+/// live or dead. Positions, delta windows and rollback marks are in the
+/// second; sizes in the first. Once the dead positions reach the live
+/// ones the relation re-packs: the tombstones go, the tuples after each
+/// move down and every position map follows. That is the one event that
+/// moves a tuple, and it costs O(relation) once per at least as many
+/// removals, so a removal is amortized O(1).
+///
 /// **What is shared.** `tuples` is a [`SharedVec`]: chunks of
 /// [`crate::shared::CHUNK`] tuples, the full ones each frozen behind an
-/// `Arc`. A clone of the relation — a published snapshot, a
-/// transaction's undo copy — copies the chunk pointers, the tuples of the
-/// open last chunk (fewer than `CHUNK`, whatever the relation holds) and
-/// the position maps (warm indices included), and from then on the two
-/// share every full chunk neither has changed. Inserting copies nothing
-/// more. A [`Relation::truncate`] copies the kept part of the chunk the
-/// cut falls in, a [`Relation::remove_tuples`] the tuples that stay from
-/// the first removed position on. A full chunk is never written again —
-/// there is no operation that does — which is what lets a reader thread
-/// probe an old snapshot with no lock on the tuples while the writer
-/// carries on. One level up, a [`Database`] holds each relation behind
-/// an `Arc` too, so a relation nobody wrote to since a clone is the same
-/// allocation in both — one pointer copied, its indices warm for both
-/// sides.
+/// `Arc`; `all` and every index are [`SharedMap`]s, shards behind `Arc`s.
+/// A clone of the relation — a published snapshot, a transaction's undo
+/// copy — copies the chunk and shard pointers and the tuples of the open
+/// last chunk (fewer than `CHUNK`, whatever the relation holds), and from
+/// then on the two share every chunk and shard neither has changed.
+/// Inserting copies the shard of each map the new position is filed in;
+/// removing, the shard of each map it is taken out of and one of the
+/// tombstone map. A [`Relation::truncate`] copies the kept part of the
+/// chunk the cut falls in; a re-pack, the tuples and shards from the first
+/// tombstone on. A full chunk is never written again — there is no
+/// operation that does — which is what lets a reader thread probe an old
+/// snapshot with no lock on the tuples while the writer carries on. One
+/// level up, a [`Database`] holds each relation behind an `Arc` too, so a
+/// relation nobody wrote to since a clone is the same allocation in both —
+/// one pointer copied, its indices warm for both sides.
 ///
 /// **Why candidates are re-matched.** A bucket is found by a 64-bit hash
 /// taken in the matcher's view (`Bindings::hash_closed` in [`crate::unify`]),
@@ -232,6 +274,7 @@ fn hash_cols(cols: u64, tuple: &[Value], ignored_bits: u64) -> Option<u64> {
 /// **Order.** A bucket lists positions in insertion order, so a probe
 /// visits tuples in the order a full scan would, and a semi-naive delta
 /// window (`from`) is a binary search for the first position inside it.
+/// A bucket never lists a dead position.
 ///
 /// **Locking.** Lazy indices live behind an `RwLock` (not a `RefCell`) so
 /// a `Relation` — and therefore a snapshot of a whole [`Database`] — is
@@ -244,9 +287,9 @@ fn hash_cols(cols: u64, tuple: &[Value], ignored_bits: u64) -> Option<u64> {
 #[derive(Debug, Default)]
 pub struct Relation {
     tuples: SharedVec<Tuple>,
-    all: Buckets,
+    all: PositionIndex,
     /// Column set (as in [`ProbeKey`]) -> its index.
-    indices: RwLock<HashMap<u64, Buckets>>,
+    indices: RwLock<HashMap<u64, PositionIndex>>,
     /// Hash bits to ignore; zero except in the collision tests.
     ignored_hash_bits: u64,
 }
@@ -255,7 +298,7 @@ impl Clone for Relation {
     fn clone(&self) -> Self {
         // Tuples are shared and positions are the same on both sides, so
         // the indices built so far are as good for the clone as for the
-        // original: copying them is a walk over `u32`s, rebuilding them
+        // original: copying them is a pointer per shard, rebuilding them
         // hashes every tuple.
         let indices = self.indices.read().expect("index lock poisoned");
         Relation {
@@ -283,21 +326,27 @@ impl Relation {
         }
     }
 
-    /// Number of tuples.
+    /// Number of live tuples.
     pub fn len(&self) -> usize {
         self.tuples.len()
     }
 
-    /// Whether the relation is empty.
+    /// The next position: one past every tuple inserted and not cut off,
+    /// live or removed. A delta window or a rollback mark is one of these.
+    pub fn end(&self) -> usize {
+        self.tuples.end()
+    }
+
+    /// Whether the relation has no live tuple.
     pub fn is_empty(&self) -> bool {
         self.tuples.is_empty()
     }
 
-    fn build_index(&self, cols: u64) -> Buckets {
-        let mut index = Buckets::default();
-        for (pos, tuple) in self.tuples.iter().enumerate() {
+    fn build_index(&self, cols: u64) -> PositionIndex {
+        let mut index = PositionIndex::new();
+        for (pos, tuple) in self.tuples.entries_from(0) {
             if let Some(hash) = hash_cols(cols, tuple, self.ignored_hash_bits) {
-                add_position(&mut index, hash, pos as u32);
+                index.add(hash, pos as u32);
             }
         }
         index
@@ -305,7 +354,7 @@ impl Relation {
 
     /// Where `tuple`, which hashes to `hash`, is.
     fn position(&self, hash: u64, tuple: &[Value]) -> Option<u32> {
-        let mut positions = self.all.get(&hash)?.positions().iter().copied();
+        let mut positions = self.all.positions_from(hash, 0).iter().copied();
         positions.find(|&pos| self.tuples.get(pos as usize) == tuple)
     }
 
@@ -329,40 +378,48 @@ impl Relation {
     /// Appends `tuple`, which hashes to `hash` and is not present.
     fn file(&mut self, hash: u64, tuple: Tuple) {
         let ignored_bits = self.ignored_hash_bits;
-        let pos = u32::try_from(self.tuples.len()).expect("a relation holds under 2^32 tuples");
+        let pos = u32::try_from(self.tuples.end()).expect("a relation holds under 2^32 tuples");
         let indices = self.indices.get_mut().expect("index lock poisoned");
         for (&cols, index) in indices.iter_mut() {
             if let Some(hash) = hash_cols(cols, &tuple, ignored_bits) {
-                add_position(index, hash, pos);
+                index.add(hash, pos);
             }
         }
-        add_position(&mut self.all, hash, pos);
+        self.all.add(hash, pos);
         self.tuples.push(tuple);
     }
 
-    /// Iterates over all tuples in insertion order.
+    /// Takes the live tuple at `pos` out of the dedup map and every index
+    /// built so far.
+    fn unfile(&mut self, pos: usize) {
+        let ignored_bits = self.ignored_hash_bits;
+        let tuple = self.tuples.get(pos);
+        self.all.remove(hash_all(tuple, ignored_bits), pos as u32);
+        let indices = self.indices.get_mut().expect("index lock poisoned");
+        for (&cols, index) in indices.iter_mut() {
+            if let Some(hash) = hash_cols(cols, tuple, ignored_bits) {
+                index.remove(hash, pos as u32);
+            }
+        }
+    }
+
+    /// Iterates over the live tuples in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
         self.tuples.iter()
     }
 
-    /// The tuple at `pos` (positions are stable while the relation only
-    /// grows).
-    pub fn get(&self, pos: usize) -> &Tuple {
-        self.tuples.get(pos)
-    }
-
-    /// Tuples inserted at or after position `from` — the semi-naive delta
+    /// The live tuples at position `from` or later — the semi-naive delta
     /// window — in insertion order.
     pub fn since(&self, from: usize) -> impl Iterator<Item = &Tuple> {
         self.tuples.iter_from(from)
     }
 
-    /// Shows `visit`, in insertion order, every tuple at position `from`
-    /// or later that has `key.arity` columns and `key`'s values in its
-    /// bound columns — and possibly others; `visit` checks each (see the
-    /// type's documentation). Stops when `visit` breaks. Builds the index
-    /// for the key's column set on first use; a key binding every column
-    /// needs none.
+    /// Shows `visit`, in insertion order, every live tuple at position
+    /// `from` or later that has `key.arity` columns and `key`'s values in
+    /// its bound columns — and possibly others; `visit` checks each (see
+    /// the type's documentation). Stops when `visit` breaks. Builds the
+    /// index for the key's column set on first use; a key binding every
+    /// column needs none.
     pub fn probe(
         &self,
         key: &ProbeKey,
@@ -378,7 +435,7 @@ impl Relation {
             tuples.try_for_each(&mut visit)
         };
         if key.cols.count_ones() as usize == key.arity {
-            return show(positions_from(&self.all, hash, from));
+            return show(self.all.positions_from(hash, from));
         }
         // `visit` runs outside the index lock (see **Locking**), so the
         // positions are copied out a batch at a time and the walk resumes
@@ -387,7 +444,7 @@ impl Relation {
         loop {
             let mut batch = [0u32; PROBE_BATCH];
             let n = self.with_index(key.cols, |index| {
-                let positions = positions_from(index, hash, from);
+                let positions = index.positions_from(hash, from);
                 let n = positions.len().min(PROBE_BATCH);
                 batch[..n].copy_from_slice(&positions[..n]);
                 n
@@ -403,7 +460,7 @@ impl Relation {
     /// Reads the index on `cols`, building it first if this is its first
     /// use. A warm index needs only the shared lock, so concurrent
     /// readers over a published snapshot don't serialize.
-    fn with_index<R>(&self, cols: u64, read: impl FnOnce(&Buckets) -> R) -> R {
+    fn with_index<R>(&self, cols: u64, read: impl FnOnce(&PositionIndex) -> R) -> R {
         if let Some(index) = self.indices.read().expect("index lock poisoned").get(&cols) {
             return read(index);
         }
@@ -422,55 +479,70 @@ impl Relation {
         self.indices.get_mut().expect("index lock poisoned").clear();
     }
 
-    /// Drops the tuples at position `len` and after — undoing every insert
-    /// since the relation was `len` long — and takes their positions back
-    /// out of the dedup map and every index built so far.
-    pub fn truncate(&mut self, len: usize) {
-        let ignored_bits = self.ignored_hash_bits;
-        let indices = self.indices.get_mut().expect("index lock poisoned");
-        // Highest first: each is then the last position of its buckets.
-        for pos in (len..self.tuples.len()).rev() {
-            let tuple = self.tuples.get(pos);
-            pop_position(&mut self.all, hash_all(tuple, ignored_bits), pos as u32);
-            for (&cols, index) in indices.iter_mut() {
-                if let Some(hash) = hash_cols(cols, tuple, ignored_bits) {
-                    pop_position(index, hash, pos as u32);
-                }
-            }
+    /// Drops the tuples and tombstones at position `end` and after —
+    /// undoing every insert since the relation's [`Relation::end`] was
+    /// `end` — and takes the live ones back out of the dedup map and
+    /// every index built so far.
+    pub fn truncate(&mut self, end: usize) {
+        let cut: Vec<usize> = self.tuples.entries_from(end).map(|(pos, _)| pos).collect();
+        for pos in cut {
+            self.unfile(pos);
         }
-        self.tuples.truncate(len);
+        self.tuples.truncate(end);
     }
 
     /// Removes every tuple in `doomed`, returning how many were removed.
-    /// The tuples after a removed one move down a position, and the dedup
-    /// map and every index built so far follow them in place: a doomed
-    /// tuple is hashed to find it, a kept one is not touched. Callers must
-    /// not hold delta windows across a removal.
+    /// Each becomes a tombstone: a doomed tuple is hashed to find it and
+    /// taken out of the dedup map and every index built so far, and no
+    /// other tuple is touched or moved — unless the dead positions now
+    /// reach the live ones, when the relation re-packs (see the type's
+    /// documentation) and [`Relation::end`] falls.
     pub fn remove_tuples(&mut self, doomed: &HashSet<Tuple>) -> usize {
         let ignored_bits = self.ignored_hash_bits;
-        let mut gone: Vec<usize> = doomed
+        let gone: Vec<u32> = doomed
             .iter()
             .filter_map(|tuple| self.position(hash_all(tuple, ignored_bits), tuple))
-            .map(|pos| pos as usize)
             .collect();
-        if gone.is_empty() {
-            return 0;
+        for &pos in &gone {
+            self.unfile(pos as usize);
+            self.tuples.kill(pos as usize);
         }
-        gone.sort_unstable();
-        close_gaps(&mut self.all, &gone);
-        let indices = self.indices.get_mut().expect("index lock poisoned");
-        for index in indices.values_mut() {
-            close_gaps(index, &gone);
+        if !gone.is_empty() && self.tuples.tombstones() >= self.tuples.len() {
+            self.repack();
         }
-        self.tuples.remove_positions(&gone);
         gone.len()
     }
 
-    /// How many of this relation's tuples are stored in a chunk `other`
+    /// Closes the gaps the tombstones leave: the tuples after each move
+    /// down, and the dedup map and every index follow them in place.
+    fn repack(&mut self) {
+        let gone = self.tuples.repack();
+        self.all.close_gaps(&gone);
+        let indices = self.indices.get_mut().expect("index lock poisoned");
+        for index in indices.values_mut() {
+            index.close_gaps(&gone);
+        }
+    }
+
+    /// How many of this relation's positions are stored in a chunk `other`
     /// holds too: the tuples neither has copied since one was cloned from
     /// the other ([`SharedVec::shared_with`]).
     pub fn tuples_shared_with(&self, other: &Relation) -> usize {
         self.tuples.shared_with(&other.tuples)
+    }
+
+    /// How many shards of this relation's position maps — the dedup map
+    /// and every index — `other` does not hold too
+    /// ([`SharedMap::unshared_shards`]; an index `other` has not built
+    /// counts whole).
+    pub fn unshared_shards(&self, other: &Relation) -> usize {
+        let mine = self.indices.read().expect("index lock poisoned");
+        let theirs = other.indices.read().expect("index lock poisoned");
+        let empty = PositionIndex::new();
+        let indices = mine
+            .iter()
+            .map(|(cols, index)| index.unshared_shards(theirs.get(cols).unwrap_or(&empty)));
+        self.all.unshared_shards(&other.all) + indices.sum::<usize>()
     }
 }
 
@@ -517,12 +589,19 @@ impl Database {
         self.relations.get(&pred).is_some_and(|r| r.contains(tuple))
     }
 
-    /// Number of tuples in `pred`'s relation.
+    /// Number of live tuples in `pred`'s relation.
     pub fn count(&self, pred: Symbol) -> usize {
         self.relations.get(&pred).map_or(0, |r| r.len())
     }
 
-    /// Total number of tuples across all relations.
+    /// The next position of `pred`'s relation ([`Relation::end`]): where
+    /// the next tuple inserted into it will sit, and so the start of the
+    /// delta window that tuple opens.
+    pub fn end(&self, pred: Symbol) -> usize {
+        self.relations.get(&pred).map_or(0, |r| r.end())
+    }
+
+    /// Total number of live tuples across all relations.
     pub fn total_tuples(&self) -> usize {
         self.relations.values().map(|r| r.len()).sum()
     }
@@ -544,20 +623,22 @@ impl Database {
         }
     }
 
-    /// The length of every relation: a watermark [`Database::truncate`]
-    /// can return to for as long as relations were only inserted into.
-    pub fn lengths(&self) -> impl Iterator<Item = (Symbol, usize)> + '_ {
-        self.relations.iter().map(|(pred, rel)| (*pred, rel.len()))
+    /// The next position of every relation: a watermark
+    /// [`Database::truncate`] can return to for as long as nothing was
+    /// removed and no relation re-packed since.
+    pub fn ends(&self) -> impl Iterator<Item = (Symbol, usize)> + '_ {
+        self.relations.iter().map(|(pred, rel)| (*pred, rel.end()))
     }
 
-    /// Cuts every relation back to its length in `lengths` (to nothing
-    /// when it has none), undoing the inserts since [`Database::lengths`]
-    /// gave them. A relation that did not grow is not touched.
-    pub fn truncate(&mut self, lengths: &HashMap<Symbol, usize>) {
+    /// Cuts every relation back to its next position in `ends` (to
+    /// nothing when it has none), undoing the inserts since
+    /// [`Database::ends`] gave them. A relation that did not grow is not
+    /// touched.
+    pub fn truncate(&mut self, ends: &HashMap<Symbol, usize>) {
         for (pred, rel) in &mut self.relations {
-            let len = lengths.get(pred).copied().unwrap_or(0);
-            if rel.len() > len {
-                Arc::make_mut(rel).truncate(len);
+            let end = ends.get(pred).copied().unwrap_or(0);
+            if rel.end() > end {
+                Arc::make_mut(rel).truncate(end);
             }
         }
     }
@@ -672,6 +753,8 @@ mod tests {
         assert_eq!(shown(&rel, 2, &[(0, "a")], 0).len(), 3);
         let doomed = HashSet::from([t(&["a", "b"]), t(&["x", "y"])]);
         assert_eq!(rel.remove_tuples(&doomed), 1);
+        // A tombstone: one tuple fewer, nothing moved.
+        assert_eq!((rel.len(), rel.end()), (2, 3));
         assert!(!rel.contains(&t(&["a", "b"])));
         assert!(rel.contains(&t(&["a", "d"])));
         assert_eq!(
@@ -679,10 +762,20 @@ mod tests {
             [t(&["a", "c"]), t(&["a", "d"])]
         );
         assert_eq!(shown(&rel, 2, &[(0, "a"), (1, "d")], 0), [t(&["a", "d"])]);
+        assert_eq!(since(&rel, 2), [t(&["a", "d"])]);
         // The removed tuple can come back, at the end.
         assert!(rel.insert(t(&["a", "b"])));
         assert!(!rel.insert(t(&["a", "c"])));
-        assert_eq!(shown(&rel, 2, &[(0, "a")], 2), [t(&["a", "b"])]);
+        assert_eq!(shown(&rel, 2, &[(0, "a")], 3), [t(&["a", "b"])]);
+        // Three dead positions reach the one live one: the relation
+        // re-packs, and the survivor moves to the front.
+        let doomed = HashSet::from([t(&["a", "c"]), t(&["a", "d"])]);
+        assert_eq!(rel.remove_tuples(&doomed), 2);
+        assert_eq!((rel.len(), rel.end()), (1, 1));
+        assert_eq!(shown(&rel, 2, &[(0, "a")], 0), [t(&["a", "b"])]);
+        assert_eq!(shown(&rel, 2, &[(0, "a"), (1, "b")], 0), [t(&["a", "b"])]);
+        assert!(rel.insert(t(&["a", "c"])));
+        assert_eq!(since(&rel, 1), [t(&["a", "c"])]);
     }
 
     #[test]
@@ -821,6 +914,7 @@ mod tests {
         }
         shown(&rel, 2, &[(0, "hub")], 0);
         shown(&rel, 2, &[(1, "s40")], 0);
+        let before = rel.clone();
         let doomed = HashSet::from([t(&["hub", "s7"]), t(&["hub", "s70"]), t(&["x", "y"])]);
         assert_eq!(rel.remove_tuples(&doomed), 2);
         assert_eq!(rel.indices.read().unwrap().len(), 2, "nothing was dropped");
@@ -828,9 +922,15 @@ mod tests {
         assert_eq!(all, since(&rel, 0));
         assert_eq!(all.len(), 98);
         assert_eq!(shown(&rel, 2, &[(1, "s40")], 0), [t(&["hub", "s40"])]);
-        // s40 moved down one position, s80 two.
-        assert_eq!(rel.get(39), &t(&["hub", "s40"]));
-        assert_eq!(shown(&rel, 2, &[(0, "hub")], 78)[0], t(&["hub", "s80"]));
+        assert!(shown(&rel, 2, &[(1, "s70")], 0).is_empty());
+        // Nothing moved: s71 is the first tuple from position 70 on.
+        assert_eq!(shown(&rel, 2, &[(0, "hub")], 70)[0], t(&["hub", "s71"]));
+        assert_eq!(shown(&rel, 2, &[(0, "hub")], 80)[0], t(&["hub", "s80"]));
+        // Two removals copied no tuple, and a shard of each of the three
+        // maps per removal at most.
+        assert_eq!(rel.tuples_shared_with(&before), 96);
+        assert!(rel.unshared_shards(&before) <= 6);
+        assert_eq!(before.len(), 100);
     }
 
     #[test]
@@ -854,13 +954,15 @@ mod tests {
         assert!(!std::ptr::eq(mine, theirs));
         assert_eq!((mine.len(), theirs.len()), (101, 100));
         assert!(!snapshot.contains(p, &t(&["fresh"])));
-        // Only the open chunk was copied.
+        // Only the open chunk and one shard of the dedup map were copied.
         assert_eq!(mine.tuples_shared_with(theirs), 96);
+        assert_eq!(mine.unshared_shards(theirs), 1);
         assert!(same(&db, &snapshot, q));
-        // Cutting back to the snapshot's lengths leaves equal contents.
-        let lengths: HashMap<Symbol, usize> = snapshot.lengths().collect();
+        // Cutting back to the snapshot's next positions leaves equal
+        // contents.
+        let ends: HashMap<Symbol, usize> = snapshot.ends().collect();
         db.insert(Symbol::intern("r"), t(&["new"]));
-        db.truncate(&lengths);
+        db.truncate(&ends);
         assert_eq!(db.count(p), 100);
         assert_eq!(db.count(Symbol::intern("r")), 0);
         assert!(!db.contains(p, &t(&["fresh"])));
@@ -871,6 +973,8 @@ mod tests {
     enum Op {
         Insert(u8, u8),
         Remove(Vec<(u8, u8)>),
+        /// Remove every tuple whose first column is `a{.0}`.
+        Purge(u8),
         Truncate(usize),
         Clone,
         /// Probe on column set `.0` (bit c = column c), so that the index
@@ -888,8 +992,9 @@ mod tests {
             0usize..200,
         )
             .prop_map(|(kind, (a, b), some, n)| match kind {
-                0..=8 => Op::Insert(a, b),
-                9..=10 => Op::Remove(some),
+                0..=7 => Op::Insert(a, b),
+                8..=9 => Op::Remove(some),
+                10 => Op::Purge(a),
                 11 => Op::Truncate(n),
                 12..=13 => Op::Clone,
                 _ => Op::Warm(1 + (n % 3) as u8, a, b),
@@ -906,10 +1011,18 @@ mod tests {
         tuple
     }
 
+    /// The model of a relation: its positions, each holding a live tuple
+    /// or nothing (a tombstone).
+    type Slots = Vec<Option<Tuple>>;
+
+    fn live(slots: &[Option<Tuple>]) -> impl Iterator<Item = &Tuple> {
+        slots.iter().flatten()
+    }
+
     /// What `rel` shows a probe for `(a, b)` on `cols` from `from`,
-    /// checked to be in insertion order and inside the window, then cut
+    /// checked to be in position order and inside the window, then cut
     /// down to the tuples that really match.
-    fn matches(rel: &Relation, cols: u8, a: u8, b: u8, from: usize) -> Vec<Tuple> {
+    fn matches(rel: &Relation, slots: &Slots, cols: u8, a: u8, b: u8, from: usize) -> Vec<Tuple> {
         let wanted = cell(a, b.min(11));
         let mut key = ProbeKey::new(2);
         for (col, value) in wanted.iter().enumerate() {
@@ -924,7 +1037,12 @@ mod tests {
         });
         let positions: Vec<usize> = seen
             .iter()
-            .map(|tuple| rel.iter().position(|other| other == tuple).unwrap())
+            .map(|tuple| {
+                slots
+                    .iter()
+                    .position(|s| s.as_ref() == Some(tuple))
+                    .unwrap()
+            })
             .collect();
         assert!(positions.windows(2).all(|w| w[0] < w[1]), "{positions:?}");
         assert!(positions.first().is_none_or(|&first| first >= from));
@@ -935,55 +1053,77 @@ mod tests {
         seen
     }
 
+    /// Removes `doomed` from `rel` and from its model, re-packing the
+    /// model once its empty slots reach the filled ones.
+    fn remove(rel: &mut Relation, model: &mut Slots, doomed: HashSet<Tuple>) {
+        let mut removed = 0;
+        for slot in model.iter_mut() {
+            if slot.as_ref().is_some_and(|tuple| doomed.contains(tuple)) {
+                *slot = None;
+                removed += 1;
+            }
+        }
+        let dead = model.iter().filter(|slot| slot.is_none()).count();
+        if removed > 0 && dead >= model.len() - dead {
+            model.retain(Option::is_some);
+        }
+        assert_eq!(rel.remove_tuples(&doomed), removed);
+    }
+
     /// Runs `ops` over a family of relations — an original and every clone
-    /// taken along the way, each beside a plain `Vec` model — and checks
-    /// after every step that every member still agrees with its own
-    /// model: no member ever sees a write made to another. The original
-    /// starts out `preload` tuples long, so that there are full chunks
-    /// for the clones to share and for cuts and removals to fall in.
+    /// taken along the way, each beside a plain `Vec` model of its
+    /// positions — and checks after every step that every member still
+    /// agrees with its own model: no member ever sees a write made to
+    /// another. A removal empties the model's slot; once the empty slots
+    /// reach the filled ones the model drops them, which is the re-pack.
+    /// The original starts out `preload` tuples long, so that there are
+    /// full chunks for the clones to share and for cuts and removals to
+    /// fall in.
     fn agrees_with_the_model(mut first: Relation, preload: usize, ops: &[(usize, Op)]) {
-        let model: Vec<Tuple> = (0..preload)
-            .map(|i| cell((i % 12) as u8, (i / 12) as u8))
+        let model: Slots = (0..preload)
+            .map(|i| Some(cell((i % 12) as u8, (i / 12) as u8)))
             .collect();
-        for tuple in &model {
+        for tuple in live(&model) {
             assert!(first.insert(tuple.clone()));
         }
-        let mut family: Vec<(Relation, Vec<Tuple>)> = vec![(first, model)];
+        let mut family: Vec<(Relation, Slots)> = vec![(first, model)];
         for (which, op) in ops {
             let target = which % family.len();
             let (rel, model) = &mut family[target];
             match op {
                 Op::Insert(a, b) => {
                     let tuple = cell(*a, *b);
-                    let fresh = !model.contains(&tuple);
+                    let fresh = !live(model).any(|t| *t == tuple);
                     assert_eq!(rel.insert(tuple.clone()), fresh);
                     if fresh {
-                        model.push(tuple);
+                        model.push(Some(tuple));
                     }
                 }
                 Op::Remove(some) => {
-                    let doomed: HashSet<Tuple> = some.iter().map(|(a, b)| cell(*a, *b)).collect();
-                    let before = model.len();
-                    model.retain(|tuple| !doomed.contains(tuple));
-                    assert_eq!(rel.remove_tuples(&doomed), before - model.len());
+                    remove(rel, model, some.iter().map(|(a, b)| cell(*a, *b)).collect());
+                }
+                Op::Purge(a) => {
+                    let first = Value::sym(&format!("a{a}"));
+                    let doomed = live(model).filter(|t| t[0] == first).cloned().collect();
+                    remove(rel, model, doomed);
                 }
                 Op::Truncate(n) => {
-                    let len = n % (model.len() + 1);
-                    rel.truncate(len);
-                    model.truncate(len);
+                    let end = n % (model.len() + 1);
+                    rel.truncate(end);
+                    model.truncate(end);
                 }
                 Op::Clone => {
                     let copy = (rel.clone(), model.clone());
                     family.push(copy);
                 }
                 Op::Warm(cols, a, b) => {
-                    matches(rel, *cols, *a, *b, 0);
+                    matches(rel, model, *cols, *a, *b, 0);
                 }
             }
             for (rel, model) in &family {
-                assert_eq!(rel.len(), model.len());
-                assert!(rel.iter().eq(model.iter()), "iteration order");
-                assert!((0..model.len()).all(|pos| rel.get(pos) == &model[pos]));
+                assert_eq!(rel.len(), live(model).count());
+                assert_eq!(rel.end(), model.len());
+                assert!(rel.iter().eq(live(model)), "iteration order");
                 let windows = [
                     0,
                     model.len() / 2,
@@ -991,26 +1131,25 @@ mod tests {
                     model.len(),
                 ];
                 for from in windows {
-                    assert!(rel.since(from).eq(&model[from..]), "since({from})");
+                    assert!(rel.since(from).eq(live(&model[from..])), "since({from})");
                 }
                 let probe = cell((target % 12) as u8, (model.len() % 13) as u8);
-                assert_eq!(rel.contains(&probe), model.contains(&probe));
-                if let Some(tuple) = model.get(model.len() / 3) {
+                assert_eq!(rel.contains(&probe), live(model).any(|t| *t == probe));
+                if let Some(tuple) = live(model).nth(model.len() / 3) {
                     assert!(rel.contains(tuple));
                 }
                 for cols in 1..4u8 {
                     let (a, b) = ((model.len() % 12) as u8, (target % 12) as u8);
                     for from in windows {
                         let wanted = cell(a, b);
-                        let expected: Vec<Tuple> = model[from..]
-                            .iter()
+                        let expected: Vec<Tuple> = live(&model[from..])
                             .filter(|tuple| {
                                 tuple.len() == 2
                                     && (0..2).all(|c| cols & (1 << c) == 0 || tuple[c] == wanted[c])
                             })
                             .cloned()
                             .collect();
-                        assert_eq!(matches(rel, cols, a, b, from), expected);
+                        assert_eq!(matches(rel, model, cols, a, b, from), expected);
                     }
                 }
             }

@@ -32,6 +32,9 @@ pub struct DredStats {
     pub overdeleted: usize,
     /// Tuples restored by re-derivation.
     pub rederived: usize,
+    /// Relations the removal re-packed: the only ones in which a tuple
+    /// moved (see [`crate::db::Relation`]).
+    pub repacks: usize,
     /// Underlying evaluation statistics from the propagation phase.
     pub eval: EvalStats,
 }
@@ -116,17 +119,21 @@ pub fn retract_with(
         }
     }
 
-    // Phase 2: remove.
+    // Phase 2: remove. A removal that re-packs is the one that lowers
+    // the relation's next position.
     let mut stats = DredStats::default();
     for (pred, tuples) in &doomed {
-        stats.overdeleted += db.relation_mut(*pred).remove_tuples(tuples);
+        let rel = db.relation_mut(*pred);
+        let end = rel.end();
+        stats.overdeleted += rel.remove_tuples(tuples);
+        stats.repacks += usize::from(rel.end() < end);
     }
 
     // Phase 3: re-derive. A doomed tuple survives if some rule instance
     // still concludes it from the post-deletion database.
     let mut seeds: Vec<(Symbol, usize)> = Vec::new();
     for (pred, tuples) in &order {
-        let mark = db.count(*pred);
+        let mark = db.end(*pred);
         let before = stats.rederived;
         for tuple in tuples {
             if rederivable(engine, rules, db, *pred, tuple)? && db.insert(*pred, tuple.clone()) {

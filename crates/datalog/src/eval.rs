@@ -396,8 +396,9 @@ impl<'a> Engine<'a> {
         Ok(stats)
     }
 
-    /// Incremental evaluation: `seeds` are `(predicate, old_len)` pairs
-    /// describing which relation suffixes are newly asserted. Only sound
+    /// Incremental evaluation: `seeds` are `(predicate, old_end)` pairs
+    /// ([`Database::end`] before the assertions) describing which relation
+    /// suffixes are newly asserted. Only sound
     /// for updates that cannot retract conclusions (the caller — the
     /// workspace — falls back to full recomputation when negation or
     /// aggregation could observe the change).
@@ -451,7 +452,7 @@ impl<'a> Engine<'a> {
             stats.rule_evals += 1;
             let new_tuples = self.eval_agg_rule(&self.rules[i], Some(&plan.rules[i]), db)?;
             for (pred, tuple) in new_tuples {
-                let mark = db.count(pred);
+                let mark = db.end(pred);
                 if db.insert(pred, tuple) {
                     stats.derived += 1;
                     first_new.entry(pred).or_insert(mark);
@@ -509,13 +510,13 @@ impl<'a> Engine<'a> {
         Ok(first_new)
     }
 
-    /// What a round starts from: the current length of every relation the
+    /// What a round starts from: the next position of every relation the
     /// stratum's rules can derive into, so newly inserted tuples define
     /// the next delta, and how many tuples the round may derive before
     /// the database would pass [`EvalLimits::max_tuples`].
     fn round(&self, db: &Database, stratum: &StratumPlan) -> Round {
         Round {
-            marks: stratum.heads.iter().map(|&p| (p, db.count(p))).collect(),
+            marks: stratum.heads.iter().map(|&p| (p, db.end(p))).collect(),
             budget: self.limits.max_tuples.saturating_sub(db.total_tuples()),
         }
     }
@@ -546,7 +547,7 @@ impl<'a> Engine<'a> {
             return Err(self.tuple_limit());
         }
         for (pred, mark) in round.marks {
-            if db.count(pred) > mark {
+            if db.end(pred) > mark {
                 delta.insert(pred, mark);
                 first_new.entry(pred).or_insert(mark);
             }
@@ -1327,7 +1328,7 @@ mod tests {
         }
         let engine = Engine::new(&program.rules, &builtins);
         engine.run(&mut inc).unwrap();
-        let mark = inc.count(edge);
+        let mark = inc.end(edge);
         inc.insert(edge, vec![Value::sym("c"), Value::sym("d")]);
         engine.run_incremental(&mut inc, &[(edge, mark)]).unwrap();
 

@@ -52,11 +52,11 @@ pub mod value;
 
 pub use ast::{Atom, BodyItem, Constraint, Formula, Program, Rule, Term};
 pub use builtins::Builtins;
-pub use db::{Database, Relation, Tuple};
+pub use db::{Database, PositionIndex, Relation, Tuple};
 pub use eval::{CompiledRules, Engine, EvalError, EvalStats};
 pub use intern::Symbol;
 pub use lexer::Span;
 pub use parser::{parse_atom, parse_program, parse_quoted_rule, parse_rule, ParseError};
-pub use shared::SharedVec;
+pub use shared::{SharedMap, SharedVec};
 pub use unify::{Binding, Bindings};
 pub use value::Value;

@@ -183,7 +183,7 @@ impl Check {
         // premise literal.
         for &(idx, pred) in &plan.premise {
             match grown.get(&pred) {
-                Some(&from) if from < db.count(pred) => {
+                Some(&from) if from < db.end(pred) => {
                     self.require(&engine, db, &mut Bindings::new(), Some((idx, from)))?;
                 }
                 _ => {}

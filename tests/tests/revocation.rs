@@ -313,6 +313,45 @@ fn duplicate_support_keeps_fact_alive_until_last_credential_dies() {
     );
 }
 
+/// A grant cites the live certificates it rests on, and only those: the
+/// same fact certified again after a revocation (a new TTL, so a new
+/// digest) is cited by its new digest alone, by the serial `authorize`
+/// and by a reader alike, while the audit trail still lists both
+/// introducers. (Citation once went through the trail's history, so both
+/// paths also cited the revoked digest.)
+#[test]
+fn a_grant_cites_only_the_live_certificate_it_rests_on() {
+    let (mut sys, alice, bob) = alice_bob_system();
+    let reader = sys.authz_reader();
+    let first = sys.issue_certificate(alice, "good(a).", &[], None).unwrap();
+    sys.import_certificates(bob, vec![first.clone()]).unwrap();
+    sys.run_to_quiescence(16).unwrap();
+    sys.revoke_certificate(alice, first.digest()).unwrap();
+    sys.run_to_quiescence(16).unwrap();
+    assert!(
+        !reader
+            .authorize(bob, "access(a,file1,read)")
+            .unwrap()
+            .granted
+    );
+
+    let second = sys
+        .issue_certificate(alice, "good(a).", &[], Some(1_000))
+        .unwrap();
+    assert_ne!(first.digest(), second.digest());
+    sys.import_certificates(bob, vec![second.clone()]).unwrap();
+    sys.run_to_quiescence(16).unwrap();
+    let serial = sys.authorize(bob, "access(a,file1,read)").unwrap();
+    let read = reader.authorize(bob, "access(a,file1,read)").unwrap();
+    for decision in [&serial, &read] {
+        assert!(decision.granted);
+        assert_eq!(decision.supporting, [second.digest()]);
+    }
+    let introducers = sys.audit_introducers(bob, "good(a).").unwrap();
+    let cited: Vec<_> = introducers.iter().map(|entry| entry.digest).collect();
+    assert_eq!(cited, [first.digest(), second.digest()]);
+}
+
 #[test]
 fn revoked_certificate_cannot_be_reimported() {
     let (mut sys, alice, bob) = alice_bob_system();

@@ -21,6 +21,13 @@
 //! base facts with the workspace; whatever the workspace does afterwards,
 //! restoring the snapshot brings back exactly the state it was taken in.
 //!
+//! **Base facts are a list of copies.** A retracted copy is a tombstone
+//! until the copies re-pack, and the rollback baseline is a mark into
+//! them; from outside, the base facts must read as a plain list of
+//! copies in assertion order from which a retraction takes the first copy
+//! the baseline does not hold (else the first), a DRed repair makes
+//! everything the baseline, and a rollback drops what it does not hold.
+//!
 //! The storage layer's own model-equivalence property (random `insert` /
 //! `remove_tuples` / `truncate` / `clone` / index-warming probes against
 //! a `Vec` model, also under colliding hashes) lives beside `Relation` in
@@ -28,7 +35,7 @@
 //! reader-isolation test need a published snapshot's insides and live in
 //! `crates/core/src/system.rs`.
 
-use lbtrust::{Workspace, WsError};
+use lbtrust::{RetractOutcome, Workspace, WsError};
 use lbtrust_datalog::{Symbol, Value};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -247,8 +254,85 @@ fn snapshot_is_a_value(flavour: &Flavour, history: &[Op], later: &[Op]) {
     assert_eq!(observable(&ws), then);
 }
 
+/// One step of the base-facts model property.
+#[derive(Clone, Debug)]
+enum CopyOp {
+    /// One more supporting copy of `p(c<n>)`.
+    Assert(u8),
+    /// One copy of `p(c<n>)` fewer.
+    Retract(u8),
+    /// A successful evaluation.
+    Evaluate,
+    /// An evaluation a poisoned fact makes fail.
+    Fail,
+}
+
+fn arb_copy_ops() -> impl Strategy<Value = Vec<CopyOp>> {
+    let op = (0u8..9, 0u8..4).prop_map(|(kind, n)| match kind {
+        0..=3 => CopyOp::Assert(n),
+        4..=6 => CopyOp::Retract(n),
+        7 => CopyOp::Evaluate,
+        _ => CopyOp::Fail,
+    });
+    prop::collection::vec(op, 0..60)
+}
+
+/// Runs `ops` against a workspace and a model — the copies in assertion
+/// order, each marked whether the rollback baseline holds it — and checks
+/// after every step that the workspace's base facts are the model's.
+fn base_facts_are_a_list_of_copies(ops: &[CopyOp]) {
+    let (p, q) = (Symbol::intern("p"), Symbol::intern("q"));
+    let c = |n: u8| vec![Value::sym(&format!("c{n}"))];
+    let mut ws = Workspace::new("c0");
+    ws.load("base", "q(X) <- p(X).\npoison(X) -> never(X).")
+        .unwrap();
+    ws.evaluate().unwrap();
+    let mut model: Vec<(u8, bool)> = Vec::new();
+    for op in ops {
+        match *op {
+            CopyOp::Assert(n) => {
+                ws.assert_fact(p, c(n));
+                model.push((n, false));
+            }
+            CopyOp::Retract(n) => {
+                let outcome = ws.retract_facts(&[(p, c(n))]);
+                let copies: Vec<usize> = (0..model.len()).filter(|&i| model[i].0 == n).collect();
+                let unmarked = copies.iter().find(|&&i| !model[i].1);
+                if let Some(&victim) = unmarked.or(copies.first()) {
+                    model.remove(victim);
+                }
+                if matches!(outcome, RetractOutcome::Incremental(_)) {
+                    model.iter_mut().for_each(|copy| copy.1 = true);
+                }
+            }
+            CopyOp::Evaluate => {
+                ws.evaluate().unwrap();
+                model.iter_mut().for_each(|copy| copy.1 = true);
+            }
+            CopyOp::Fail => {
+                ws.assert_fact(Symbol::intern("poison"), c(0));
+                assert!(matches!(ws.evaluate(), Err(WsError::Constraint(_))));
+                model.retain(|copy| copy.1);
+            }
+        }
+        let program = ws.export_program();
+        let listed: Vec<&str> = program.lines().filter(|l| l.starts_with("p(")).collect();
+        let expected: Vec<String> = model.iter().map(|(n, _)| format!("p(c{n}).")).collect();
+        assert_eq!(listed, expected, "after {op:?}");
+    }
+    ws.evaluate().unwrap();
+    for n in 0..4 {
+        assert_eq!(ws.holds(q, &c(n)), model.iter().any(|copy| copy.0 == n));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn base_facts_agree_with_a_list_of_copies(ops in arb_copy_ops()) {
+        base_facts_are_a_list_of_copies(&ops);
+    }
 
     #[test]
     fn monotone_rollback_is_exact(h in arb_ops(), batch in 0usize..16, p in arb_ops()) {
