@@ -6,13 +6,20 @@
 //! do Y" queries against a slowly-mutating credential set — yet
 //! [`crate::System::authorize`] needs `&System`, so every query
 //! contends with the fixpoint writer. This module splits the read path
-//! off: at each quiescent point the system publishes an
-//! [`AuthzSnapshot`] — an immutable, `Arc`-shared view of every
-//! principal's materialized database and the store's ground-head and
-//! live-introducer indexes — and any number of
+//! off: the system publishes an [`AuthzSnapshot`] — an immutable,
+//! `Arc`-shared view of every principal's materialized database and the
+//! store's ground-head and live-introducer indexes — and any number of
 //! [`AuthzReader`] handles evaluate `authorize()` against it from
 //! other threads while imports and revocations keep streaming through
 //! the writer.
+//!
+//! A quiescent point publishes while a reader is alive; with none, the
+//! system holds no snapshot and no cached decision. A snapshot shares the
+//! writer's relations, so holding one nobody reads would make the next
+//! step copy every relation it writes to; releasing it hands them back.
+//! A reader arriving later gets a fresh publish from
+//! [`crate::System::authz_reader`] and a cache version no released
+//! decision was stored under.
 //!
 //! Three pieces, all `std`-only (the crate stays
 //! `#![forbid(unsafe_code)]`):
@@ -184,6 +191,14 @@ pub struct AuthzSnapshot {
 }
 
 impl AuthzSnapshot {
+    /// A snapshot of no principal, stamped when published.
+    pub(crate) fn empty() -> AuthzSnapshot {
+        AuthzSnapshot {
+            generation: 0,
+            principals: HashMap::new(),
+        }
+    }
+
     /// The publication generation this snapshot was installed under.
     pub fn generation(&self) -> u64 {
         self.generation
@@ -208,10 +223,7 @@ impl SnapshotCell {
     fn new() -> SnapshotCell {
         SnapshotCell {
             generation: AtomicU64::new(0),
-            slot: Mutex::new(Arc::new(AuthzSnapshot {
-                generation: 0,
-                principals: HashMap::new(),
-            })),
+            slot: Mutex::new(Arc::new(AuthzSnapshot::empty())),
         }
     }
 
@@ -384,6 +396,28 @@ impl AuthzShared {
             self.invalidations.add(removed);
         }
     }
+
+    /// Lets go of the published snapshot and every cached decision,
+    /// once no reader is left to ask: `&mut self` is the proof. The cell
+    /// gets an empty snapshot at the next generation, so generations
+    /// stay monotone. When nothing is held this is one look at the cell.
+    pub(crate) fn release(&mut self) {
+        let slot = self.cell.slot.get_mut().unwrap_or_else(|e| e.into_inner());
+        if !slot.principals.is_empty() {
+            self.cell.publish(AuthzSnapshot::empty());
+            self.cache = DecisionCache::new();
+        }
+    }
+
+    /// How many principals the cell's snapshot covers and how many
+    /// decisions are cached.
+    #[cfg(test)]
+    pub(crate) fn held(&self) -> (usize, usize) {
+        let principals = self.cell.load().1.principals.len();
+        let shards = self.cache.shards.iter();
+        let cached = shards.map(|s| s.lock().unwrap().iter().count()).sum();
+        (principals, cached)
+    }
 }
 
 /// Per-principal publication bookkeeping the system keeps between
@@ -407,6 +441,17 @@ pub(crate) struct AuthzPublishState {
     /// The last published per-principal snapshot, reused (Arc-shared)
     /// when nothing changed.
     pub(crate) snap: Option<Arc<PrincipalSnapshot>>,
+}
+
+impl AuthzPublishState {
+    /// Forgets the last publish and what happened since, once no reader
+    /// is left. The cache version stays: with no snapshot held, the next
+    /// publish bumps it past every decision cached before.
+    pub(crate) fn release(&mut self) {
+        self.snap = None;
+        self.poisoned = Vec::new();
+        self.retraction_bumps = 0;
+    }
 }
 
 /// A `Send + Sync` handle evaluating `authorize()` against the last
@@ -464,7 +509,8 @@ impl AuthzReader {
     }
 
     /// The generation of the snapshot this handle would answer from
-    /// right now (revalidates first).
+    /// right now: the cell's current one, read without refreshing the
+    /// handle (its next query does that).
     pub fn generation(&self) -> u64 {
         self.shared.cell.current_generation()
     }

@@ -70,7 +70,8 @@ pub(crate) struct PrincipalState {
     /// persistently-failed handle cannot pass).
     pub(crate) faults: Option<FaultHandle>,
     /// What the last published [`crate::AuthzSnapshot`] captured, and
-    /// which retractions and certificate deaths happened since.
+    /// which retractions and certificate deaths happened since; emptied
+    /// at a quiescent point no reader is alive for.
     pub(crate) authz: AuthzPublishState,
     /// Last asserted `revfp` hex per signer, so a changed fingerprint
     /// retracts exactly the stale fact it replaces.
@@ -318,10 +319,10 @@ impl PrincipalState {
             }
         } else {
             // Arbitrary change (fresh imports, rule loads, a
-            // non-monotonic rebuild, a rollback): no per-entry
-            // attribution is possible, so the version bump orphans the
-            // principal's cached decisions wholesale and the 2Q
-            // eviction reclaims them.
+            // non-monotonic rebuild, a rollback), or the first publish
+            // since a release: no per-entry attribution is possible, so
+            // the version bump orphans the principal's cached decisions
+            // wholesale and the 2Q eviction reclaims them.
             st.authz_version += 1;
         }
         st.poisoned.clear();

@@ -1501,11 +1501,12 @@ impl System {
     /// Publishes a fresh [`crate::AuthzSnapshot`] of every principal's
     /// current state for the concurrent read path: [`AuthzReader`]
     /// handles answer against it lock-free while this system keeps
-    /// mutating. Called automatically at every quiescent point of
-    /// [`System::run_to_quiescence`]; callers streaming imports or
-    /// revocations outside the fixpoint (e.g.
-    /// [`System::revoke_certificate`]) publish explicitly to make those
-    /// changes visible to readers.
+    /// mutating. Always publishes when called. A quiescent point of
+    /// [`System::run_to_quiescence`] publishes while a reader is alive;
+    /// with none, the system holds no snapshot and no cached decision.
+    /// Callers streaming imports or revocations outside the fixpoint
+    /// (e.g. [`System::revoke_certificate`]) publish explicitly to make
+    /// those changes visible to readers.
     ///
     /// Publication also settles the decision cache: a window in which a
     /// principal changed *only* by incremental DRed retractions keeps
@@ -1543,10 +1544,34 @@ impl System {
     /// snapshots from any thread, without borrowing the system. Clone
     /// the handle (or call this again) for more reader threads; all
     /// handles share one decision cache and see each newly published
-    /// snapshot within one atomic load.
+    /// snapshot within one atomic load. A quiescent point publishes
+    /// while a reader is alive; with none, the system holds no snapshot
+    /// and no cached decision, so open the reader before the traffic it
+    /// is to follow.
     pub fn authz_reader(&mut self) -> AuthzReader {
         self.publish_authz_snapshot();
         AuthzReader::new(self.authz_shared.clone())
+    }
+
+    /// A quiescent point's part in the read path: publish while a reader
+    /// is alive; with none, hold no snapshot and no cached decision, so
+    /// the writer's relations are its own again and the next step's
+    /// writes copy nothing.
+    fn publish_for_readers(&mut self) {
+        // The shared state is unshared exactly when no reader is alive,
+        // and none can appear while this runs: a reader comes from
+        // `authz_reader` (which needs `&mut self`) or from cloning a live
+        // one. A reader dropped on another thread meanwhile costs one
+        // publish nobody reads.
+        let Some(shared) = Arc::get_mut(&mut self.authz_shared) else {
+            return self.publish_authz_snapshot();
+        };
+        shared.release();
+        // Revocations fill `poisoned` whether or not anything was
+        // published, so each principal's bookkeeping is emptied here.
+        for node in &mut self.nodes {
+            node.authz.release();
+        }
     }
 
     // ---- the distributed fixpoint ---------------------------------------------
@@ -1554,6 +1579,10 @@ impl System {
     /// Runs every workspace to its local fixpoint, ships export tuples,
     /// delivers messages (triggering imports), and repeats until no
     /// workspace derives anything new and the network is empty.
+    ///
+    /// A quiescent point publishes while a reader is alive; with none,
+    /// the system holds no snapshot and no cached decision (see
+    /// [`System::authz_reader`]).
     ///
     /// The local-fixpoint, delivery-import and group-commit phases each
     /// run as one batch of per-principal tasks — on the pool workers
@@ -1579,7 +1608,7 @@ impl System {
             // held for this step.
             self.net.begin_step();
             if self.phase(QuiescePhase::Step, System::step)? {
-                self.publish_authz_snapshot();
+                self.publish_for_readers();
                 return Ok(self.stats());
             }
         }
@@ -2126,9 +2155,11 @@ mod tests {
 
     /// Alice certifies `good(s_i)` for `i < certs` to bob, whose policy
     /// grants on her word; bob imports them all and everything quiesces
-    /// (which publishes). Returns the digests in issue order.
-    fn certified(certs: usize) -> (System, Principal, Principal, Vec<CertDigest>) {
+    /// (which publishes: the reader returned last is alive — keep it so
+    /// for the whole test). Returns the digests in issue order.
+    fn certified(certs: usize) -> (System, Principal, Principal, Vec<CertDigest>, AuthzReader) {
         let mut sys = System::new().with_rsa_bits(512);
+        let reader = sys.authz_reader();
         let alice = sys.add_principal("alice", "n1").unwrap();
         let bob = sys.add_principal("bob", "n2").unwrap();
         sys.workspace_mut(bob)
@@ -2144,7 +2175,7 @@ mod tests {
         let digests = issued.iter().map(LinkedCert::digest).collect();
         sys.import_certificates(bob, issued).unwrap();
         sys.run_to_quiescence(16).unwrap();
-        (sys, alice, bob, digests)
+        (sys, alice, bob, digests, reader)
     }
 
     /// `who`'s last published snapshot.
@@ -2198,7 +2229,7 @@ mod tests {
     fn a_publish_after_one_fact_copies_a_chunk_per_grown_relation() {
         use lbtrust_datalog::shared::CHUNK;
         for certs in [256usize, 4096] {
-            let (mut sys, _, bob, _) = certified(certs);
+            let (mut sys, _, bob, _, _reader) = certified(certs);
             let before = published(&sys, bob);
             assert!(before.db.count(sym("access")) >= certs);
 
@@ -2248,7 +2279,7 @@ mod tests {
         use lbtrust_datalog::shared::CHUNK;
         let mut shards = Vec::new();
         for certs in [256usize, 4096] {
-            let (mut sys, alice, bob, digests) = certified(certs);
+            let (mut sys, alice, bob, digests, _reader) = certified(certs);
             let before = published(&sys, bob);
             sys.revoke_certificate(alice, digests[certs / 2]).unwrap();
             sys.run_to_quiescence(16).unwrap();
@@ -2318,6 +2349,8 @@ mod tests {
         let issued = sys.issue_certificates(alice, &facts, &[], None).unwrap();
         let digests: Vec<CertDigest> = issued.iter().map(LinkedCert::digest).collect();
         sys.import_certificates(bob, issued).unwrap();
+        // Alive to the end, so every quiescent point below publishes.
+        let _reader = sys.authz_reader();
         sys.run_to_quiescence(16).unwrap();
 
         let held = sys
@@ -2404,6 +2437,85 @@ mod tests {
         assert!(!Arc::ptr_eq(&held, &now));
         assert!(now.decide("access(n0,file1,read)").unwrap().granted);
         assert!(!held.decide("access(n0,file1,read)").unwrap().granted);
+    }
+
+    /// With no reader alive a quiescent point publishes nothing and holds
+    /// nothing: after eight single messages alice → bob no publish was
+    /// timed, neither principal holds a snapshot, every relation of both
+    /// workspaces is the writer's own, and a revocation leaves no
+    /// bookkeeping behind its quiescence. What a reader that comes and
+    /// goes made the system hold is let go of at the next quiescent point.
+    #[test]
+    fn a_quiescent_point_with_no_reader_publishes_nothing_and_holds_nothing() {
+        let mut sys = System::new().with_rsa_bits(512).with_phase_timing(true);
+        let alice = sys.add_principal("alice", "n1").unwrap();
+        let bob = sys.add_principal("bob", "n2").unwrap();
+        sys.workspace_mut(alice)
+            .unwrap()
+            .load("policy", "says(me,bob,[| good(X). |]) <- vouched(X).")
+            .unwrap();
+        sys.workspace_mut(bob)
+            .unwrap()
+            .load(
+                "policy",
+                "access(P,file1,read) <- says(alice,me,[| good(P) |]).",
+            )
+            .unwrap();
+        let publishes = |sys: &System| {
+            let snap = sys.obs_registry().snapshot();
+            snap.histogram("snapshot.publish_ns").map_or(0, |h| h.count)
+        };
+        // Per principal: a snapshot held, relations shared, digests
+        // poisoned; then the cell's principals and the cached decisions.
+        let holds = |sys: &System| {
+            let principals = [alice, bob].map(|p| {
+                let node = sys.node(p).unwrap();
+                let shared = node.ws.db().shared_relations();
+                (node.authz.snap.is_some(), shared, node.authz.poisoned.len())
+            });
+            (principals, sys.authz_shared.held())
+        };
+        let nothing = ([(false, 0, 0); 2], (0, 0));
+
+        for i in 0..8 {
+            let ws = sys.workspace_mut(alice).unwrap();
+            ws.assert_src(&format!("vouched(s{i}).")).unwrap();
+            sys.run_to_quiescence(16).unwrap();
+        }
+        assert_eq!(sys.stats().messages_sent, 8);
+        assert!(sys
+            .workspace(bob)
+            .unwrap()
+            .holds_src("access(s7,file1,read)")
+            .unwrap());
+        assert_eq!(publishes(&sys), 0);
+        assert_eq!(holds(&sys), nothing);
+
+        let facts = "good(carol). good(dave).";
+        let certs = sys.issue_certificates(alice, facts, &[], None).unwrap();
+        let digests: Vec<CertDigest> = certs.iter().map(LinkedCert::digest).collect();
+        sys.import_certificates(bob, certs).unwrap();
+        sys.run_to_quiescence(16).unwrap();
+        sys.revoke_certificate(alice, digests[0]).unwrap();
+        sys.run_to_quiescence(16).unwrap();
+        assert_eq!(publishes(&sys), 0);
+        assert_eq!(holds(&sys), nothing);
+
+        // A reader: a snapshot sharing bob's relations, a cached grant,
+        // and — once the certificate it cites dies — bookkeeping.
+        let reader = sys.authz_reader();
+        let goal = "access(dave,file1,read)";
+        assert!(reader.authorize(bob, goal).unwrap().granted);
+        let ([_, (snap, shared, _)], cell) = holds(&sys);
+        assert!(snap && shared > 0, "{shared} relations shared");
+        assert_eq!(cell, (2, 1));
+        sys.revoke_certificate(alice, digests[1]).unwrap();
+        drop(reader);
+        assert!(!sys.step().unwrap());
+        assert_eq!(holds(&sys).0[1].2, 1, "bob's bookkeeping names it");
+        sys.run_to_quiescence(16).unwrap();
+        assert_eq!(publishes(&sys), 1);
+        assert_eq!(holds(&sys), nothing);
     }
 
     /// The export drain scans only what the relation gained — and here

@@ -611,6 +611,14 @@ impl Database {
         self.relations.iter().map(|(k, v)| (*k, &**v))
     }
 
+    /// How many of this database's relations some clone still shares —
+    /// the ones whose next write copies. Tests bound what a snapshot
+    /// holds by it.
+    pub fn shared_relations(&self) -> usize {
+        let relations = self.relations.values();
+        relations.filter(|rel| Arc::strong_count(rel) > 1).count()
+    }
+
     /// Removes the relations named by `preds` (full-recompute support).
     pub fn clear_predicates(&mut self, preds: impl IntoIterator<Item = Symbol>) {
         for p in preds {

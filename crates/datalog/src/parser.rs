@@ -420,24 +420,19 @@ impl Parser {
     // ---- formulas ---------------------------------------------------------
 
     fn formula(&mut self) -> Result<Formula, ParseError> {
-        // Singleton conjunctions stay unwrapped so `p(X) -> q(X).` prints
-        // back without spurious grouping.
-        fn conj(mut parts: Vec<Formula>) -> Formula {
-            if parts.len() == 1 {
-                parts.pop().expect("one element")
-            } else {
-                Formula::And(parts)
+        // Singleton conjunctions and disjunctions stay unwrapped so
+        // `p(X) -> q(X).` prints back without spurious grouping.
+        fn one_or(parts: Vec<Formula>, many: fn(Vec<Formula>) -> Formula) -> Formula {
+            match <[Formula; 1]>::try_from(parts) {
+                Ok([one]) => one,
+                Err(parts) => many(parts),
             }
         }
-        let mut parts = vec![conj(self.conjunction_formulas()?)];
+        let mut parts = vec![one_or(self.conjunction_formulas()?, Formula::And)];
         while self.eat(&Token::Semi) {
-            parts.push(conj(self.conjunction_formulas()?));
+            parts.push(one_or(self.conjunction_formulas()?, Formula::And));
         }
-        Ok(if parts.len() == 1 {
-            parts.pop().expect("one element")
-        } else {
-            Formula::Or(parts)
-        })
+        Ok(one_or(parts, Formula::Or))
     }
 
     fn conjunction_formulas(&mut self) -> Result<Vec<Formula>, ParseError> {
@@ -810,11 +805,11 @@ impl Parser {
         let mut body = Vec::new();
         if self.eat(&Token::ImpliedBy) {
             let formula = self.formula()?;
-            let mut disjuncts = to_dnf(&formula).map_err(|e| self.error(e.to_string()))?;
-            if disjuncts.len() != 1 {
+            let disjuncts = to_dnf(&formula).map_err(|e| self.error(e.to_string()))?;
+            let Ok([conjunction]) = <[_; 1]>::try_from(disjuncts) else {
                 return Err(self.error("disjunction not supported inside quoted code".into()));
-            }
-            body = disjuncts.pop().expect("one disjunct");
+            };
+            body = conjunction;
         }
         self.eat(&Token::Dot);
         self.expect(&Token::RQuote)?;

@@ -7,6 +7,7 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
 
 use lbtrust::certstore::{CertDigest, FaultConfig};
 use lbtrust::{Principal, StoreHealth, SysError, System};
@@ -44,6 +45,16 @@ fn cert_fanout(
 
 fn volatile_counter(sys: &System, name: &str) -> u64 {
     sys.obs_registry().snapshot().counter(name).unwrap_or(0)
+}
+
+/// Raises `stop` when dropped — once the writer is through, or has
+/// panicked — so reader threads never spin on beside a failed test.
+struct Raise<'a>(&'a AtomicBool);
+
+impl Drop for Raise<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
 }
 
 proptest! {
@@ -267,32 +278,47 @@ fn quarantined_store_keeps_serving_reads_through_snapshots() {
 /// imports and revocations through repeated quiescence runs. Readers
 /// must never error, never see a grant for a subject whose certificate
 /// was revoked before their snapshot's generation, and converge to the
-/// final state once the stream ends.
+/// final state once the stream ends. Every reader makes one full pass
+/// before the writer's first wave, however the threads are scheduled.
 #[test]
 fn concurrent_readers_survive_a_live_revocation_stream() {
+    const READERS: usize = 4;
     let (mut sys, alice, recs, _digests) = cert_fanout(2, 1);
     let reader = sys.authz_reader();
     let stop = AtomicBool::new(false);
     let goals: Vec<String> = (0..8).map(|i| format!("access(w{i},file1,read)")).collect();
+    let (passed, first_passes) = mpsc::channel();
 
     std::thread::scope(|scope| {
-        for _ in 0..4 {
+        for _ in 0..READERS {
             let reader = reader.clone();
+            let passed = passed.clone();
             let stop = &stop;
             let goals = &goals;
             let recs = &recs;
             scope.spawn(move || {
-                let mut queries = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                let pass = |queries: &mut u64| {
                     for &r in recs {
                         for g in goals {
                             reader.authorize(r, g).unwrap();
-                            queries += 1;
+                            *queries += 1;
                         }
                     }
+                };
+                let mut queries = 0u64;
+                pass(&mut queries);
+                passed.send(()).expect("the writer is waiting");
+                drop(passed);
+                while !stop.load(Ordering::Acquire) {
+                    pass(&mut queries);
                 }
                 assert!(queries > 0);
             });
+        }
+        let stop = Raise(&stop);
+        drop(passed);
+        for _ in 0..READERS {
+            first_passes.recv().expect("every reader passed once");
         }
 
         // Writer: certify each wave subject, spread it, then kill it.
@@ -313,7 +339,7 @@ fn concurrent_readers_survive_a_live_revocation_stream() {
                 live.remove(&wave);
             }
         }
-        stop.store(true, Ordering::Relaxed);
+        drop(stop);
 
         // Convergence: the final snapshot answers exactly the live set.
         sys.publish_authz_snapshot();
@@ -332,7 +358,9 @@ fn concurrent_readers_survive_a_live_revocation_stream() {
 /// `run_to_quiescence` has returned, the revocation is published, and
 /// no later `authorize` may grant it — in particular not from a cache
 /// entry a concurrent miss re-proved on the superseded snapshot and
-/// re-inserted under the unchanged cache version.
+/// re-inserted under the unchanged cache version. The sweeper makes one
+/// full sweep, granting and caching every subject, before the first
+/// revocation, however the threads are scheduled.
 #[test]
 fn swept_grant_does_not_outlive_the_publish_of_its_revocation() {
     const SUBJECTS: usize = 24;
@@ -343,13 +371,14 @@ fn swept_grant_does_not_outlive_the_publish_of_its_revocation() {
         .map(|i| (format!("access(s{i},file1,read)"), AtomicBool::new(false)))
         .collect();
     let stop = AtomicBool::new(false);
+    let (swept_once, first_sweep) = mpsc::channel();
 
     let stale = std::thread::scope(|scope| {
         let sweeper = {
             let (reader, goals, stop) = (reader.clone(), &goals, &stop);
             scope.spawn(move || {
                 let mut stale = Vec::new();
-                while !stop.load(Ordering::Relaxed) {
+                let mut sweep = || {
                     for (goal, enforced) in goals {
                         // Loaded before asking: `true` means the
                         // revocation's publish has already returned.
@@ -359,16 +388,23 @@ fn swept_grant_does_not_outlive_the_publish_of_its_revocation() {
                             stale.push(goal.clone());
                         }
                     }
+                };
+                sweep();
+                swept_once.send(()).expect("the writer is waiting");
+                while !stop.load(Ordering::Acquire) {
+                    sweep();
                 }
                 stale
             })
         };
+        let stop = Raise(&stop);
+        first_sweep.recv().expect("the sweeper swept once");
         for (digest, (_, enforced)) in digests.iter().zip(&goals) {
             sys.revoke_certificate(alice, *digest).unwrap();
             sys.run_to_quiescence(64).unwrap();
             enforced.store(true, Ordering::Release);
         }
-        stop.store(true, Ordering::Relaxed);
+        drop(stop);
         sweeper.join().expect("reader thread")
     });
     assert!(
@@ -410,6 +446,42 @@ fn republish_without_changes_is_stable() {
     assert!(
         volatile_counter(&sys, "authz.cache_hits") > hits_before,
         "an unchanged republish must not orphan cached decisions"
+    );
+}
+
+/// A grant cached by a reader that is gone is never served to the next
+/// one, however the system moved in between: its certificate revoked,
+/// an unrelated one imported, the system quiescing after each step. The
+/// next reader denies, cites what the serial path cites, and proves its
+/// first answer afresh.
+#[test]
+fn readers_that_come_and_go_never_serve_a_stale_grant() {
+    let (mut sys, alice, recs, digests) = cert_fanout(1, 2);
+    let bob = recs[0];
+    let goal = "access(s0,file1,read)";
+    let first = sys.authz_reader();
+    assert!(first.authorize(bob, goal).unwrap().granted);
+    let hits = volatile_counter(&sys, "authz.cache_hits");
+    assert!(first.authorize(bob, goal).unwrap().granted);
+    assert_eq!(volatile_counter(&sys, "authz.cache_hits"), hits + 1);
+    drop(first);
+    sys.run_to_quiescence(64).unwrap();
+
+    sys.revoke_certificate(alice, digests[0]).unwrap();
+    sys.run_to_quiescence(64).unwrap();
+    let unrelated = sys.issue_certificate(alice, "good(u).", &[], None).unwrap();
+    sys.import_certificates(bob, vec![unrelated]).unwrap();
+    sys.run_to_quiescence(64).unwrap();
+
+    let second = sys.authz_reader();
+    let misses = volatile_counter(&sys, "authz.cache_misses");
+    let read = second.authorize(bob, goal).unwrap();
+    assert_eq!(volatile_counter(&sys, "authz.cache_misses"), misses + 1);
+    let serial = sys.authorize(bob, goal).unwrap();
+    assert!(!read.granted, "a released grant must not be served");
+    assert_eq!(
+        (read.granted, &read.supporting, &read.proof),
+        (serial.granted, &serial.supporting, &serial.proof)
     );
 }
 
