@@ -80,6 +80,17 @@ struct Manifest {
 }
 
 impl Manifest {
+    /// The active segment: the last one listed. Every manifest this
+    /// backend governs lists one (`open_dir_mode` refuses one that does
+    /// not, and nothing empties the list), so the error is a refusal,
+    /// not a path a working store takes.
+    fn active(&self, dir: &Path) -> Result<u64, StorageError> {
+        self.segments
+            .last()
+            .copied()
+            .ok_or_else(|| manifest_error(dir, "manifest lists no segments"))
+    }
+
     fn encode(&self) -> Vec<u8> {
         let segments: Vec<String> = self.segments.iter().map(|s| s.to_string()).collect();
         let checkpoint = match self.checkpoint {
@@ -194,6 +205,14 @@ fn io_err(context: &str, e: std::io::Error) -> StorageError {
     }
 }
 
+/// A manifest that cannot govern `dir`, or none where one must.
+fn manifest_error(dir: &Path, message: &str) -> StorageError {
+    StorageError::Io {
+        context: format!("manifest in {}", dir.display()),
+        message: message.into(),
+    }
+}
+
 fn seg_name(seg: u64) -> String {
     format!("seg-{seg:08}.certlog")
 }
@@ -302,10 +321,10 @@ impl LogBackend {
                 .collect(),
             Err(_) => Vec::new(),
         };
-        if !found.is_empty() {
-            found.sort_unstable();
+        found.sort_unstable();
+        if let Some(&last) = found.last() {
             let manifest = Manifest {
-                next: found.last().unwrap() + 1,
+                next: last + 1,
                 segments: found,
                 checkpoint: None,
                 audit_entries: 0,
@@ -346,10 +365,7 @@ impl LogBackend {
         // must be present. (A listed-but-absent *active* segment is legal:
         // a crash can land between the manifest swap and its first byte.)
         let Some((&active, sealed_segs)) = manifest.segments.split_last() else {
-            return Err(StorageError::Io {
-                context: format!("manifest in {}", dir.display()),
-                message: "manifest lists no segments".into(),
-            });
+            return Err(manifest_error(&dir, "manifest lists no segments"));
         };
         let mut sealed = Vec::new();
         for &seg in sealed_segs {
@@ -409,13 +425,19 @@ impl LogBackend {
         self.metrics = Some(LifecycleMetrics::registered_in(registry));
     }
 
+    /// The governing manifest. Only dir mode has one, and every caller
+    /// runs there (after `migrate_to_dir` at the latest), so the error
+    /// is a refusal, not a path a working store takes.
+    fn dir_manifest(&self) -> Result<&Manifest, StorageError> {
+        (self.manifest.as_ref()).ok_or_else(|| manifest_error(&self.dir, "the log has no manifest"))
+    }
+
     /// Durably writes the manifest: tmp file, fsync, atomic rename,
     /// directory fsync. Until the rename lands, the previous manifest
     /// generation governs — this is the "old segments win" point of the
     /// crash contract.
     fn write_manifest(&mut self) -> Result<(), StorageError> {
-        let manifest = self.manifest.as_ref().expect("dir mode");
-        let bytes = manifest.encode();
+        let bytes = self.dir_manifest()?.encode();
         let tmp = self.dir.join("MANIFEST.tmp");
         let target = self.dir.join("MANIFEST");
         let mut f = create_truncated(&tmp)?;
@@ -470,8 +492,10 @@ impl LogBackend {
             .get_ref()
             .sync_data()
             .map_err(|e| io_err("sealing the active segment", e))?;
-        let manifest = self.manifest.as_mut().expect("dir mode");
-        let sealed_seg = *manifest.segments.last().expect("has active");
+        let dir = &self.dir;
+        let manifest = (self.manifest.as_mut())
+            .ok_or_else(|| manifest_error(dir, "the log has no manifest"))?;
+        let sealed_seg = manifest.active(dir)?;
         let new_seg = manifest.next;
         let file = create_truncated(&self.dir.join(seg_name(new_seg)))?;
         manifest.next += 1;
@@ -581,7 +605,7 @@ impl StorageBackend for LogBackend {
                     .and_then(|c| manifest.segments.iter().position(|&s| s == c))
                     .unwrap_or(0);
                 out.from_checkpoint = manifest.checkpoint.is_some();
-                let active = *manifest.segments.last().expect("has active");
+                let active = manifest.active(&self.dir)?;
                 for (i, &seg) in manifest.segments[start..].iter().enumerate() {
                     let seg_path = self.dir.join(seg_name(seg));
                     let (clean, seg_bytes) =
@@ -599,7 +623,10 @@ impl StorageBackend for LogBackend {
                         let keep: Vec<u64> = manifest.segments[..=pos].to_vec();
                         let dropped: Vec<u64> = manifest.segments[pos + 1..].to_vec();
                         self.sealed.retain(|(s, _)| keep.contains(s) && *s != seg);
-                        self.manifest.as_mut().expect("dir mode").segments = keep;
+                        self.manifest = Some(Manifest {
+                            segments: keep,
+                            ..manifest.clone()
+                        });
                         self.active_bytes = seg_bytes;
                         self.writer = BufWriter::new(open_append(&seg_path)?);
                         self.write_manifest()?;
@@ -693,9 +720,9 @@ impl StorageBackend for LogBackend {
             .map_err(|e| io_err("sealing before checkpoint", e))?;
 
         // 1. Write the checkpoint into a fresh segment and fsync it.
-        let manifest = self.manifest.as_ref().expect("dir mode");
+        let manifest = self.dir_manifest()?;
         let old_segments = manifest.segments.clone();
-        let old_active = *old_segments.last().expect("has active");
+        let old_active = manifest.active(&self.dir)?;
         let new_seg = manifest.next;
         let seg_path = self.dir.join(seg_name(new_seg));
         let mut file = create_truncated(&seg_path)?;
@@ -739,9 +766,8 @@ impl StorageBackend for LogBackend {
             .get_ref()
             .sync_data()
             .map_err(|e| io_err("fsyncing the audit segment", e))?;
-        let new_audit_bytes = self.manifest.as_ref().expect("dir mode").audit_bytes + appended;
-        let new_audit_entries =
-            self.manifest.as_ref().expect("dir mode").audit_entries + audit_suffix.len() as u64;
+        let new_audit_bytes = manifest.audit_bytes + appended;
+        let new_audit_entries = manifest.audit_entries + audit_suffix.len() as u64;
 
         // 3. Swap the manifest: the checkpoint segment becomes the
         // replay anchor and the new active segment. Until this rename

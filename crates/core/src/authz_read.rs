@@ -35,7 +35,9 @@
 //!   threads never contend on a shared refcount cache line.
 //! * **`DecisionCache`** — a sharded, 2Q-evicted map keyed
 //!   `(principal, authz-version, goal)`. Each entry records the
-//!   supporting certificate digests of the cached decision, so a DRed
+//!   supporting certificate digests of the cached decision — every
+//!   certificate on its proof, which is well-founded (see
+//!   [`lbtrust_datalog::provenance::explain_with_base`]) — so a DRed
 //!   retraction (revocation or TTL expiry) invalidates exactly the
 //!   poisoned decisions: a cached grant never survives the revocation
 //!   of a certificate it rests on. Any change the invalidation
@@ -58,14 +60,14 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use lbtrust_certstore::{CertDigest, GroundHeads, Introducers};
 use lbtrust_datalog::ast::Rule;
 use lbtrust_datalog::intern::names;
-use lbtrust_datalog::provenance::Proof;
+use lbtrust_datalog::provenance::{Proof, ProofText};
 use lbtrust_datalog::{Builtins, Database, Value};
 use lbtrust_obs::{Counter, Histogram, Registry};
 
 use crate::lru::TwoQueueMap;
 use crate::principal::Principal;
 use crate::system::{AuthzDecision, SysError};
-use crate::workspace::explain_goal;
+use crate::workspace::{explain_goal, BaseFacts};
 
 /// Decision-cache shard count: enough to keep reader threads off each
 /// other's locks at typical core counts, few enough that invalidation
@@ -92,6 +94,9 @@ pub(crate) struct PrincipalSnapshot {
     /// The workspace's registry, shared until it is next handed out
     /// mutably.
     pub(crate) builtins: Arc<Builtins>,
+    /// The facts asserted from outside at the quiescent point, shared
+    /// chunk by chunk like `db`: a proof may rest on one as a leaf.
+    pub(crate) base: BaseFacts,
     /// The store's maintained ground-head index: predicate → ground head
     /// tuple → digests of live bodyless certificates asserting that fact.
     /// Shares every shard with the store but the ones a certificate filed
@@ -112,18 +117,25 @@ impl PrincipalSnapshot {
     /// Proves `goal` over this snapshot and cites what the proof rests
     /// on — a reader's cache miss.
     pub(crate) fn decide(&self, goal: &str) -> Result<CachedDecision, SysError> {
-        let proof = explain_goal(self.me, &self.rules, &self.db, &self.builtins, goal)?;
+        let proof = explain_goal(
+            self.me,
+            &self.rules,
+            &self.db,
+            &self.builtins,
+            &self.base,
+            goal,
+        )?;
         Ok(decide(proof, &self.ground_heads, &self.introducers))
     }
 }
 
 /// Turns a proof (or its absence) into a decision: grant/deny, the
-/// supporting digests, the rendered proof. The one `decide` behind the
-/// serial [`crate::System::authorize`] (the store's indexes) and the
-/// snapshot readers (the same indexes as published), so both cite
-/// identically.
+/// supporting digests, and the proof itself, rendered only when read.
+/// The one `decide` behind the serial [`crate::System::authorize`] (the
+/// store's indexes) and the snapshot readers (the same indexes as
+/// published), so both cite identically.
 pub(crate) fn decide(
-    proof: Option<Proof>,
+    proof: Option<ProofText>,
     ground_heads: &GroundHeads,
     introducers: &Introducers,
 ) -> CachedDecision {
@@ -131,9 +143,9 @@ pub(crate) fn decide(
         granted: proof.is_some(),
         supporting: proof
             .as_ref()
-            .map(|p| collect_supporting(p, ground_heads, introducers))
+            .map(|p| collect_supporting(p.tree(), ground_heads, introducers))
             .unwrap_or_default(),
-        proof: proof.map(|p| p.render()),
+        proof,
     }
 }
 
@@ -172,7 +184,7 @@ fn collect_supporting(
             supporting.extend(digests.iter().copied());
         }
         if let Proof::Derived { premises, .. } = node {
-            frontier.extend(premises.iter());
+            frontier.extend(premises.iter().map(|p| &**p));
         }
     }
     supporting.sort_unstable();
@@ -258,7 +270,7 @@ impl SnapshotCell {
 pub(crate) struct CachedDecision {
     pub(crate) granted: bool,
     pub(crate) supporting: Vec<CertDigest>,
-    proof: Option<String>,
+    proof: Option<ProofText>,
 }
 
 impl CachedDecision {

@@ -329,15 +329,16 @@ impl PrincipalState {
         st.retraction_bumps = 0;
         st.published_epoch = epoch;
         st.published_store_version = store_version;
-        // Everything below is shared, not copied: the database with the
-        // workspace (a pointer per relation), the registry with its owner,
-        // and the store's two citation indexes with the store (a pointer
-        // per shard).
+        // Everything below is shared, not copied: the database and the
+        // base facts with the workspace (a pointer per relation or full
+        // chunk), the registry with its owner, and the store's two
+        // citation indexes with the store (a pointer per shard).
         let snap = Arc::new(PrincipalSnapshot {
             me: self.me,
             rules: ws.program().rules().clone(),
             db: ws.db().clone(),
             builtins: ws.builtins().clone(),
+            base: ws.base_facts().clone(),
             ground_heads: store.ground_heads().clone(),
             introducers: store.introducers().clone(),
             authz_version: st.authz_version,

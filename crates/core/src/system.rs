@@ -30,6 +30,7 @@ use lbtrust_certstore::{
     SharedVerifyCache, StorageBackend, StoreStats,
 };
 use lbtrust_datalog::intern::names;
+use lbtrust_datalog::provenance::ProofText;
 use lbtrust_datalog::{parse_program, Symbol, Value};
 use lbtrust_net::{
     NetworkConfig, NodeId, RevPullMessage, RevSummaryMessage, RevokeMessage, SimNetwork, WirePacket,
@@ -313,8 +314,15 @@ pub struct AuthzDecision {
     /// Empty for denials and for grants derivable from local facts
     /// alone.
     pub supporting: Vec<CertDigest>,
-    /// The rendered proof tree, when granted.
-    pub proof: Option<String>,
+    /// The proof tree, when granted, with the rules it indexes. It is
+    /// rendered when read (`to_string()`, `{}`), not when decided, and it
+    /// is well-founded: no tuple sits below itself, so a grant cites
+    /// every certificate its derivation rests on. Its leaves are program
+    /// facts, asserted facts (a certificate's among them) and facts no
+    /// rule instance concludes. A goal whose search exceeds a fixed bound
+    /// of rule instances is denied
+    /// ([`lbtrust_datalog::provenance::explain_with_base`]).
+    pub proof: Option<ProofText>,
 }
 
 /// The multi-principal LBTrust runtime: a sequencer over its
@@ -1469,6 +1477,10 @@ impl System {
     /// the store's live-introducer index to the digest(s) of the live
     /// certificate(s) carrying it ([`System::audit_introducers`] answers
     /// the same question over every certificate the store ever imported).
+    /// The proof search fails closed: a goal whose search tries more than
+    /// 65,536 rule instances in one pass — one per derived tuple of the
+    /// proof, or, once it has met a cycle, every instance of every tuple
+    /// it expands before the goal is proved — is denied though it holds.
     /// The decision increments `authz.granted`/`authz.denied`
     /// and, when a journal sink is attached
     /// ([`System::enable_decision_journal`]), is recorded as an

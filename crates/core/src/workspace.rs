@@ -19,6 +19,7 @@ use lbtrust_datalog::ast::{BodyItem, Constraint, Rule};
 use lbtrust_datalog::dred::{self, Removed};
 use lbtrust_datalog::eval::{CompiledRules, Engine, EvalError, EvalStats};
 use lbtrust_datalog::intern::names;
+use lbtrust_datalog::provenance::{explain_with_base, ProofText};
 use lbtrust_datalog::safety::{check_rule, check_rule_at, SafetyError};
 use lbtrust_datalog::strata::{stratify_spanned, StratifyError};
 use lbtrust_datalog::{
@@ -28,6 +29,7 @@ use lbtrust_datalog::{
 use lbtrust_metamodel::constraintcheck::{check_fail, CheckError, ConstraintSet, Scope};
 use lbtrust_metamodel::reflect::reflect_into;
 use lbtrust_metamodel::{generated_rules, MetaPreds};
+use std::cell::OnceCell;
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -209,13 +211,37 @@ pub struct Workspace {
 /// workspace that only ever asserts (a `says` receiver) hashes no fact
 /// for it.
 #[derive(Clone, Default)]
-struct BaseFacts {
+pub(crate) struct BaseFacts {
     facts: SharedVec<(Symbol, Tuple)>,
     /// Hash of a fact -> the positions of its live copies, once built.
     copies: Option<PositionIndex>,
 }
 
 impl BaseFacts {
+    /// Whether `pred(tuple)` has a live copy, asked by a proof search
+    /// (`lbtrust_datalog::provenance::explain_with_base`) — only once it
+    /// has met a cycle. Through `copies` once built; before that, through
+    /// a set of the live facts built at the first question.
+    pub(crate) fn asserted(&self) -> impl Fn(Symbol, &[Value]) -> bool + '_ {
+        let set = OnceCell::new();
+        move |pred, tuple| match &self.copies {
+            Some(index) => {
+                let listed = index.positions_from(BaseFacts::hash(pred, tuple), 0);
+                listed.iter().any(|&pos| {
+                    let (p, t) = self.facts.get(pos as usize);
+                    *p == pred && t[..] == *tuple
+                })
+            }
+            None => set
+                .get_or_init(|| {
+                    (self.facts.iter())
+                        .map(|(p, t)| (*p, &t[..]))
+                        .collect::<HashSet<_>>()
+                })
+                .contains(&(pred, tuple)),
+        }
+    }
+
     /// The hash `pred(tuple)` is listed under in `copies`.
     fn hash(pred: Symbol, tuple: &[Value]) -> u64 {
         static KEYS: OnceLock<RandomState> = OnceLock::new();
@@ -819,22 +845,38 @@ impl Workspace {
         Ok(answers)
     }
 
-    /// Explains how a fact was derived (provenance, §7 of the paper).
-    /// Returns `None` if the fact does not hold.
+    /// Explains how a fact was derived (provenance, §7 of the paper):
+    /// the rendered proof tree, one line per tuple. Every proof is
+    /// well-founded — no tuple sits below itself — and its leaves are
+    /// program facts, asserted facts and facts no rule instance
+    /// concludes. Returns `None` if the fact does not hold, and also,
+    /// failing closed, if it was not asserted and its only derivations
+    /// lead back to it, or if the search tries more rule instances than a
+    /// fixed bound allows
+    /// ([`lbtrust_datalog::provenance::explain_with_base`]).
     pub fn explain(&self, fact_src: &str) -> Result<Option<String>, WsError> {
-        Ok(self.explain_proof(fact_src)?.map(|proof| proof.render()))
+        Ok(self.explain_proof(fact_src)?.map(|proof| proof.to_string()))
     }
 
-    /// [`Workspace::explain`], but returning the structured proof tree
-    /// instead of its rendering — callers that need the derivation's
-    /// *premises* (e.g. the decision journal collecting the `says`
-    /// facts an authorization rests on) walk this.
-    pub fn explain_proof(
-        &self,
-        fact_src: &str,
-    ) -> Result<Option<lbtrust_datalog::provenance::Proof>, WsError> {
+    /// [`Workspace::explain`], but returning the proof tree with the
+    /// rules it indexes, unrendered — callers that need the
+    /// derivation's *premises* (e.g. [`crate::System::authorize`] citing
+    /// the certificates a grant rests on) walk [`ProofText::tree`].
+    pub fn explain_proof(&self, fact_src: &str) -> Result<Option<ProofText>, WsError> {
         let rules = self.program().rules();
-        explain_goal(self.me, rules, &self.db, &self.builtins, fact_src)
+        explain_goal(
+            self.me,
+            rules,
+            &self.db,
+            &self.builtins,
+            &self.base_facts,
+            fact_src,
+        )
+    }
+
+    /// The facts asserted from outside, shared.
+    pub(crate) fn base_facts(&self) -> &BaseFacts {
+        &self.base_facts
     }
 
     // ---- evaluation ---------------------------------------------------------
@@ -1179,16 +1221,18 @@ fn reflect_installed(rule: &Arc<Rule>, meta: &MetaPreds, db: &mut Database) {
 }
 
 /// Proves the ground fact written as `fact_src` (with `me` resolved to
-/// `me`) over `rules`, `db` and `builtins`. The one goal parser behind
-/// [`Workspace::explain_proof`] on the live workspace and the
-/// [`crate::AuthzReader`]s on a published snapshot of the same three.
+/// `me`) over `rules`, `db`, `builtins` and the asserted `base`. The one
+/// goal parser behind [`Workspace::explain_proof`] on the live workspace
+/// and the [`crate::AuthzReader`]s on a published snapshot of the same
+/// four.
 pub(crate) fn explain_goal(
     me: Principal,
-    rules: &[Rule],
+    rules: &Arc<[Rule]>,
     db: &Database,
     builtins: &Builtins,
+    base: &BaseFacts,
     fact_src: &str,
-) -> Result<Option<lbtrust_datalog::provenance::Proof>, WsError> {
+) -> Result<Option<ProofText>, WsError> {
     let atom = lbtrust_datalog::parse_atom(fact_src)?;
     let atom = atom.substitute_sym(names().me, me);
     let pred = atom.pred.name().ok_or(WsError::Parse(ParseError {
@@ -1204,9 +1248,9 @@ pub(crate) fn explain_goal(
             col: 0,
         }));
     };
-    Ok(lbtrust_datalog::provenance::explain(
-        rules, db, builtins, pred, &tuple,
-    ))
+    let asserted = base.asserted();
+    let proof = explain_with_base(rules, db, builtins, &asserted, pred, &tuple);
+    Ok(proof.map(|proof| ProofText::new(proof, rules.clone())))
 }
 
 // The quiescence engine moves whole workspaces onto the pool's worker
@@ -1922,6 +1966,41 @@ mod tests {
         assert!(proof.contains("owns(alice,f1)"), "{proof}");
         // Absent facts have no explanation.
         assert!(ws.explain("grant(bob,f1)").unwrap().is_none());
+    }
+
+    /// An asserted fact whose only rule instances lead back to it is a
+    /// leaf of its own proof and of the proofs resting on it — before
+    /// the first retraction, and after it, when the base facts are
+    /// looked up through their index.
+    #[test]
+    fn an_asserted_fact_in_a_vouching_cycle_is_explained() {
+        let mut ws = Workspace::new("w");
+        ws.load(
+            "policy",
+            "trusted(X) <- trusted(Y), vouches(Y,X).\n\
+             vouches(a,b). vouches(b,a).",
+        )
+        .unwrap();
+        ws.assert_src("trusted(a). spare(x).").unwrap();
+        ws.evaluate().unwrap();
+        for retracted in [false, true] {
+            if retracted {
+                assert!(ws.retract_fact(sym("spare"), &vals(&["x"])));
+                ws.evaluate().unwrap();
+            }
+            assert_eq!(
+                ws.explain("trusted(a)").unwrap().as_deref(),
+                Some("trusted(a) [fact]\n")
+            );
+            assert_eq!(
+                ws.explain("trusted(b)").unwrap().as_deref(),
+                Some(
+                    "trusted(b) [via trusted(X) <- trusted(Y), vouches(Y,X).]\n  \
+                     trusted(a) [fact]\n  vouches(a,b) [fact]\n"
+                ),
+                "retracted: {retracted}"
+            );
+        }
     }
 
     #[test]

@@ -15,9 +15,26 @@ use proptest::prelude::*;
 
 const ACCESS_POLICY: &str = "access(P,file1,read) <- says(alice,me,[| good(P) |]).";
 
+/// A recursive access policy: trust travels along `vouches`, and the
+/// cyclic rule comes before the one that reads a certificate, so the
+/// first rule instance a proof search meets for a subject leads back to
+/// it.
+const RECURSIVE_POLICY: &str = "trusted(X) <- trusted(Y), vouches(Y,X).\n\
+     trusted(X) <- says(alice,me,[| good(X) |]).\n\
+     access(P,file1,read) <- trusted(P).";
+
 /// One issuer, `receivers` importing principals with the access policy,
 /// one certificate per subject `s0..s{subjects}` imported everywhere.
 fn cert_fanout(
+    receivers: usize,
+    subjects: usize,
+) -> (System, Principal, Vec<Principal>, Vec<CertDigest>) {
+    fanout_under(ACCESS_POLICY, receivers, subjects)
+}
+
+/// [`cert_fanout`] under `policy`.
+fn fanout_under(
+    policy: &str,
     receivers: usize,
     subjects: usize,
 ) -> (System, Principal, Vec<Principal>, Vec<CertDigest>) {
@@ -35,7 +52,7 @@ fn cert_fanout(
     for &r in &recs {
         sys.workspace_mut(r)
             .unwrap()
-            .load("policy", ACCESS_POLICY)
+            .load("policy", policy)
             .unwrap();
         sys.import_certificates(r, certs.clone()).unwrap();
     }
@@ -58,20 +75,44 @@ impl Drop for Raise<'_> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 8 })]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Equivalence: for every (principal, goal) pair, a reader thread's
     /// decision over the published snapshot is identical — grant bit
     /// and supporting digests — to the serial `System::authorize` at
-    /// the same store version, for arbitrary fanout shapes and an
-    /// arbitrary subset of the certificates revoked beforehand.
+    /// the same store version, for arbitrary fanout shapes, under the
+    /// plain or the recursive policy (its `vouches` a ring over every
+    /// subject), with an arbitrary subset of the certificates revoked —
+    /// every decision either computed afresh after the revocations, or
+    /// cached before them.
     #[test]
     fn reader_decisions_match_serial_authorize(
         receivers in 1usize..4,
         subjects in 1usize..5,
         revoke_mask in 0usize..32,
+        recursive in any::<bool>(),
+        precache in any::<bool>(),
     ) {
-        let (mut sys, alice, recs, digests) = cert_fanout(receivers, subjects);
+        let ring: String = (0..=subjects)
+            .map(|i| format!("vouches(s{i},s{}). ", (i + 1) % (subjects + 1)))
+            .collect();
+        let policy = match recursive {
+            true => format!("{RECURSIVE_POLICY}\n{ring}"),
+            false => ACCESS_POLICY.to_string(),
+        };
+        let (mut sys, alice, recs, digests) = fanout_under(&policy, receivers, subjects);
+        let goals: Vec<String> = (0..subjects + 1) // one never-certified subject
+            .map(|i| format!("access(s{i},file1,read)"))
+            .collect();
+        let precached = precache.then(|| {
+            let reader = sys.authz_reader();
+            for &r in &recs {
+                for g in &goals {
+                    reader.authorize(r, g).unwrap();
+                }
+            }
+            reader
+        });
         for (i, d) in digests.iter().enumerate() {
             if revoke_mask & (1 << i) != 0 {
                 sys.revoke_certificate(alice, *d).unwrap();
@@ -79,9 +120,6 @@ proptest! {
         }
         sys.run_to_quiescence(64).unwrap();
 
-        let goals: Vec<String> = (0..subjects + 1) // one never-certified subject
-            .map(|i| format!("access(s{i},file1,read)"))
-            .collect();
         let mut serial = Vec::new();
         for &r in &recs {
             for g in &goals {
@@ -89,7 +127,7 @@ proptest! {
             }
         }
 
-        let reader = sys.authz_reader();
+        let reader = precached.unwrap_or_else(|| sys.authz_reader());
         for &r in &recs {
             // The snapshot is of exactly the store state serial saw.
             prop_assert_eq!(
@@ -111,6 +149,106 @@ proptest! {
             }
         });
     }
+}
+
+/// A recursive policy whose cyclic rule comes first: the first rule
+/// instance for `trusted(a)` goes through `trusted(b)`, whose only one
+/// leads back to `trusted(a)`. Both grants must rest on the certificate
+/// — a proof that closed the cycle with a `trusted(a)` leaf cited
+/// nothing, so the reader kept serving both grants after the revocation
+/// that made the serial path deny them.
+#[test]
+fn a_recursive_policy_does_not_keep_a_revoked_grant_in_the_cache() {
+    let mut sys = System::new().with_rsa_bits(512);
+    let hub = sys.add_principal("hub", "n0").unwrap();
+    let r0 = sys.add_principal("r0", "n1").unwrap();
+    sys.workspace_mut(r0)
+        .unwrap()
+        .load(
+            "policy",
+            "trusted(X) <- trusted(Y), vouches(Y,X).\n\
+             trusted(X) <- says(hub,me,[| good(X) |]).\n\
+             vouches(a,b). vouches(b,a).",
+        )
+        .unwrap();
+    let cert = sys.issue_certificate(hub, "good(a).", &[], None).unwrap();
+    let digest = cert.digest();
+    sys.import_certificates(r0, vec![cert]).unwrap();
+    sys.run_to_quiescence(64).unwrap();
+
+    let reader = sys.authz_reader();
+    let goals = ["trusted(a)", "trusted(b)"];
+    for goal in goals {
+        let read = reader.authorize(r0, goal).unwrap();
+        let serial = sys.authorize(r0, goal).unwrap();
+        assert!(read.granted && serial.granted, "{goal}");
+        assert_eq!(read.supporting, vec![digest], "{goal}");
+        assert_eq!(
+            (&read.supporting, &read.proof),
+            (&serial.supporting, &serial.proof),
+            "{goal}"
+        );
+    }
+
+    sys.revoke_certificate(hub, digest).unwrap();
+    sys.run_to_quiescence(64).unwrap();
+    for goal in goals {
+        assert!(!sys.authorize(r0, goal).unwrap().granted, "{goal}");
+        assert!(
+            !reader.authorize(r0, goal).unwrap().granted,
+            "{goal}: a cached grant outlived the revocation of its certificate"
+        );
+    }
+}
+
+/// A certificate's `says` fact under mutual speaks-for rules, in a
+/// workspace without the authentication prelude, so the import asserts
+/// the fact itself: each `says` is concluded from the other, and the
+/// first rule instance for alice's leads back to it. The proof rests on
+/// the asserted fact, so both paths grant, cite the certificate, and
+/// deny once it is revoked.
+#[test]
+fn a_certified_says_under_mutual_speaks_for_is_granted_and_cited() {
+    let mut sys = System::new().with_rsa_bits(512);
+    let alice = sys.add_principal("alice", "n0").unwrap();
+    sys.add_principal("bob", "n2").unwrap();
+    let r0 = sys.add_principal("r0", "n1").unwrap();
+    let ws = sys.workspace_mut(r0).unwrap();
+    ws.replace_tag("auth", "").unwrap();
+    ws.load(
+        "policy",
+        "says(alice,me,R) <- says(bob,me,R).\n\
+         says(bob,me,R) <- says(alice,me,R).\n\
+         access(P,file1,read) <- says(alice,me,[| good(P) |]).",
+    )
+    .unwrap();
+    let cert = sys
+        .issue_certificate(alice, "good(s0).", &[], None)
+        .unwrap();
+    let digest = cert.digest();
+    sys.import_certificates(r0, vec![cert]).unwrap();
+    sys.run_to_quiescence(64).unwrap();
+
+    let reader = sys.authz_reader();
+    let goal = "access(s0,file1,read)";
+    let read = reader.authorize(r0, goal).unwrap();
+    let serial = sys.authorize(r0, goal).unwrap();
+    assert!(read.granted && serial.granted);
+    assert_eq!(read.supporting, vec![digest]);
+    assert_eq!(
+        (&read.supporting, &read.proof),
+        (&serial.supporting, &serial.proof)
+    );
+    let proof = serial.proof.expect("granted").to_string();
+    assert!(
+        proof.ends_with("  says(alice,r0,[| good(s0). |]) [fact]\n"),
+        "{proof}"
+    );
+
+    sys.revoke_certificate(alice, digest).unwrap();
+    sys.run_to_quiescence(64).unwrap();
+    assert!(!sys.authorize(r0, goal).unwrap().granted);
+    assert!(!reader.authorize(r0, goal).unwrap().granted);
 }
 
 /// The revocation-invalidation regression at the heart of the cache
