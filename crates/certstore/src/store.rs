@@ -1355,7 +1355,7 @@ impl CertStore {
     fn prime_recorded(&self, signer: Symbol, verified: &[(Vec<u8>, &[u8])]) {
         let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
         for (message, signature) in verified {
-            cache.prime(signer, message, signature, true);
+            cache.prime(signer, message, signature);
         }
     }
 

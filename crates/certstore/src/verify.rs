@@ -2,22 +2,33 @@
 //!
 //! Checking an RSA signature costs a modular exponentiation; in a busy
 //! deployment the same certificate arrives at many principals and is
-//! re-checked on every fixpoint round. The cache memoizes verification
-//! *outcomes* keyed by `(signer, digest(message), digest(signature))`,
-//! so a signature over identical canonical bytes is verified exactly
-//! once per process and every later check is a hash lookup.
+//! re-checked on every fixpoint round. The cache remembers each
+//! signature that *verified* by its exact bytes: one boxed byte string
+//! `signer ‖ len(message) ‖ message ‖ signature`, where the length
+//! prefix makes the message/signature split unambiguous. A signature
+//! over identical canonical bytes is verified once per process and
+//! every later check is a set lookup. No digest is computed, so a hit
+//! does not rest on any hash function's collision resistance; the set
+//! hashes with std's keyed SipHash because the bytes are chosen by
+//! whoever sent them.
+//!
+//! Only successes are remembered. A failed check runs the verifier again
+//! the next time it is asked: a remembered failure would hold
+//! attacker-chosen bytes (a `says` rule of any size plus a forged
+//! signature) for the life of the process.
 //!
 //! One extension serves the durable store ([`crate::backend`]):
-//! [`VerifyCache::prime`] installs an outcome without running a
-//! verifier. Log replay primes recorded outcomes, so a reopened store
-//! never re-pays the modular exponentiation.
+//! [`VerifyCache::prime`] records a success without running a verifier.
+//! Log replay primes every recorded signature, so a reopened store never
+//! re-pays the modular exponentiation.
 //!
-//! The memo table is unbounded: one entry per distinct signature ever
-//! checked or primed in the process.
+//! The set is unbounded: one entry per distinct signature ever verified
+//! or primed in the process, each holding its message and signature
+//! plus a 12-byte header in one allocation. A certificate's two entries
+//! hold its signed form, its rule and both raw signatures.
 
-use crate::digest::CertDigest;
 use lbtrust_datalog::Symbol;
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 /// Resolves a principal's key material and checks signatures. The
@@ -46,12 +57,9 @@ pub struct CacheStats {
     pub primed: u64,
 }
 
-/// The memo key: signer plus content addresses of message and signature.
-type OutcomeKey = (Symbol, CertDigest, CertDigest);
-
-/// A memo table of signature-verification outcomes.
+/// A memo set of verified signatures.
 pub struct VerifyCache {
-    outcomes: HashMap<OutcomeKey, bool>,
+    verified: HashSet<Box<[u8]>>,
     stats: CacheStats,
 }
 
@@ -65,17 +73,24 @@ impl VerifyCache {
     /// An empty, unbounded cache.
     pub fn new() -> VerifyCache {
         VerifyCache {
-            outcomes: HashMap::new(),
+            verified: HashSet::new(),
             stats: CacheStats::default(),
         }
     }
 
-    fn key(signer: Symbol, message: &[u8], signature: &[u8]) -> OutcomeKey {
-        (signer, CertDigest::of(message), CertDigest::of(signature))
+    /// The memo key: `signer ‖ len(message) ‖ message ‖ signature`.
+    fn key(signer: Symbol, message: &[u8], signature: &[u8]) -> Box<[u8]> {
+        let mut key = Vec::with_capacity(12 + message.len() + signature.len());
+        key.extend_from_slice(&signer.index().to_le_bytes());
+        key.extend_from_slice(&(message.len() as u64).to_le_bytes());
+        key.extend_from_slice(message);
+        key.extend_from_slice(signature);
+        key.into_boxed_slice()
     }
 
     /// Checks `signature` over `message` as `signer`, consulting the
-    /// memo table first. Returns `(outcome, was_cache_hit)`.
+    /// memo set first. Returns `(outcome, was_cache_hit)`; a hit is
+    /// always a success.
     pub fn check(
         &mut self,
         verifier: &dyn SignatureVerifier,
@@ -84,22 +99,23 @@ impl VerifyCache {
         signature: &[u8],
     ) -> (bool, bool) {
         let key = Self::key(signer, message, signature);
-        if let Some(&ok) = self.outcomes.get(&key) {
+        if self.verified.contains(&key) {
             self.stats.hits += 1;
-            return (ok, true);
+            return (true, true);
         }
         self.stats.misses += 1;
         let ok = verifier.verify(signer, message, signature);
-        self.outcomes.insert(key, ok);
+        if ok {
+            self.verified.insert(key);
+        }
         (ok, false)
     }
 
-    /// Installs an outcome without running a verifier — the trusted
-    /// fast path for log replay (the outcome was recorded when the
-    /// signature was first checked).
-    pub fn prime(&mut self, signer: Symbol, message: &[u8], signature: &[u8], outcome: bool) {
-        self.outcomes
-            .insert(Self::key(signer, message, signature), outcome);
+    /// Records a success without running a verifier — the trusted fast
+    /// path for log replay (a record is written only after its
+    /// signatures verified).
+    pub fn prime(&mut self, signer: Symbol, message: &[u8], signature: &[u8]) {
+        self.verified.insert(Self::key(signer, message, signature));
         self.stats.primed += 1;
     }
 
@@ -108,14 +124,14 @@ impl VerifyCache {
         self.stats
     }
 
-    /// Number of memoized outcomes.
+    /// Number of remembered signatures.
     pub fn len(&self) -> usize {
-        self.outcomes.len()
+        self.verified.len()
     }
 
-    /// Whether the memo table is empty.
+    /// Whether the memo set is empty.
     pub fn is_empty(&self) -> bool {
-        self.outcomes.is_empty()
+        self.verified.is_empty()
     }
 }
 
@@ -158,7 +174,7 @@ mod tests {
     }
 
     #[test]
-    fn negative_outcomes_are_cached_too() {
+    fn negative_outcomes_are_checked_again() {
         let calls = Cell::new(0u32);
         let verifier = |_s: Symbol, _m: &[u8], _sig: &[u8]| {
             calls.set(calls.get() + 1);
@@ -166,9 +182,25 @@ mod tests {
         };
         let mut cache = VerifyCache::new();
         let p = Symbol::intern("p");
-        assert!(!cache.check(&verifier, p, b"m", b"s").0);
-        assert!(!cache.check(&verifier, p, b"m", b"s").0);
-        assert_eq!(calls.get(), 1);
+        assert_eq!(cache.check(&verifier, p, b"m", b"s"), (false, false));
+        assert_eq!(cache.check(&verifier, p, b"m", b"s"), (false, false));
+        assert_eq!(calls.get(), 2, "a failure is verified every time");
+        assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn forged_checks_hold_nothing() {
+        let verifier = |_s: Symbol, m: &[u8], sig: &[u8]| m == sig;
+        let mut cache = VerifyCache::new();
+        let p = Symbol::intern("p");
+        cache.prime(p, b"kept", b"kept");
+        let before = cache.len();
+        for i in 0..1_000u32 {
+            let rule = format!("grant(user{i}).");
+            assert!(!cache.check(&verifier, p, rule.as_bytes(), b"forged").0);
+        }
+        assert_eq!(cache.len(), before, "a forged signature is not remembered");
+        assert_eq!(cache.stats().misses, 1_000);
     }
 
     #[test]
@@ -180,7 +212,11 @@ mod tests {
         cache.check(&verifier, b, b"m", b"s");
         cache.check(&verifier, a, b"n", b"s");
         cache.check(&verifier, a, b"m", b"t");
-        assert_eq!(cache.len(), 4);
+        // The same concatenation split differently is another triple.
+        cache.check(&verifier, a, b"ms", b"");
+        cache.check(&verifier, a, b"", b"ms");
+        assert_eq!(cache.len(), 6);
+        assert_eq!(cache.stats().hits, 0);
     }
 
     #[test]
@@ -192,7 +228,7 @@ mod tests {
         };
         let mut cache = VerifyCache::new();
         let p = Symbol::intern("p");
-        cache.prime(p, b"msg", b"sig", true);
+        cache.prime(p, b"msg", b"sig");
         let (ok, hit) = cache.check(&verifier, p, b"msg", b"sig");
         assert!(ok && hit);
         assert_eq!(calls.get(), 0, "primed outcome answers without verifier");

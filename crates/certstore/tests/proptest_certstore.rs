@@ -120,7 +120,8 @@ proptest! {
     }
 
     /// A cached verification answer equals what a fresh verification
-    /// would produce — for successes and failures alike.
+    /// would produce. Only a success is remembered: a forged
+    /// signature's second check is a miss again, and still `false`.
     #[test]
     fn cache_hit_equals_fresh_verification(
         signer in ident(),
@@ -134,13 +135,65 @@ proptest! {
             signature[last] ^= 1;
         }
         let fresh = toy_verifier().verify(signer, &message, &signature);
+        prop_assert_eq!(fresh, !tamper);
         let mut cache = VerifyCache::new();
         let (first, hit1) = cache.check(&toy_verifier(), signer, &message, &signature);
         let (second, hit2) = cache.check(&toy_verifier(), signer, &message, &signature);
         prop_assert!(!hit1, "first check is a miss");
-        prop_assert!(hit2, "second check is a hit");
+        prop_assert_eq!(hit2, fresh, "only a success is answered from the cache");
         prop_assert_eq!(first, fresh, "miss path equals fresh verification");
-        prop_assert_eq!(second, fresh, "hit path equals fresh verification");
+        prop_assert_eq!(second, fresh, "second check equals fresh verification");
+        prop_assert_eq!(cache.len(), usize::from(fresh));
+    }
+
+    /// Random `check` / `prime` sequences against the plain verifier as
+    /// the model. The alphabet holds the same bytes under two signers and
+    /// triples whose `message ‖ signature` concatenations are equal but
+    /// split differently; which triples verify is drawn per case. Every
+    /// answer is the verifier's, and a hit follows only a success (a
+    /// verified check or a prime) on the identical triple.
+    #[test]
+    fn cache_agrees_with_verifier_on_any_sequence(
+        valid in any::<u32>(),
+        ops in prop::collection::vec((any::<bool>(), 0usize..32), 1..64),
+    ) {
+        const PARTS: [&[u8]; 4] = [b"", b"x", b"xy", b"xyz"];
+        let signers = [Symbol::intern("a"), Symbol::intern("b")];
+        // 32 triples: signer × message ∈ PARTS × signature ∈ suffixes
+        // of "xyz", so ("x", "yz"), ("xy", "z") and ("xyz", "") spell
+        // the same concatenation.
+        let triple = |i: usize| (signers[i / 16], PARTS[i / 4 % 4], &b"xyz"[i % 4..]);
+        let index = |s: Symbol, m: &[u8], sig: &[u8]| {
+            let signer = signers.iter().position(|x| *x == s).unwrap();
+            let message = PARTS.iter().position(|p| *p == m).unwrap();
+            signer * 16 + message * 4 + (3 - sig.len())
+        };
+        let calls = std::cell::Cell::new(0u64);
+        let verifier = |s: Symbol, m: &[u8], sig: &[u8]| {
+            calls.set(calls.get() + 1);
+            valid >> index(s, m, sig) & 1 == 1
+        };
+        let mut cache = VerifyCache::new();
+        let mut remembered = std::collections::HashSet::new();
+        for (prime, i) in ops {
+            let (signer, message, signature) = triple(i);
+            let truth = valid >> i & 1 == 1;
+            if prime && truth {
+                // Replay primes only what verified when it was written.
+                cache.prime(signer, message, signature);
+                remembered.insert(i);
+            } else {
+                let before = calls.get();
+                let (ok, hit) = cache.check(&verifier, signer, message, signature);
+                prop_assert_eq!(ok, truth, "triple {} answered wrongly", i);
+                prop_assert_eq!(hit, remembered.contains(&i), "triple {} hit wrongly", i);
+                prop_assert_eq!(calls.get() - before, u64::from(!hit));
+                if ok {
+                    remembered.insert(i);
+                }
+            }
+            prop_assert_eq!(cache.len(), remembered.len());
+        }
     }
 
     /// Bundles resolve regardless of member order: any rotation of a

@@ -161,8 +161,8 @@ pub fn register_crypto_builtins(builtins: &mut Builtins, me: Principal, keys: Sh
 /// `rsaverify` routes through `cache`: a signature over identical
 /// canonical bytes is checked once process-wide and every later check —
 /// by any principal sharing the cache, on any fixpoint round — is a
-/// memo lookup. `hmacverify` computes the MAC: that is cheaper than the
-/// two digests a cache key takes.
+/// memo lookup. `hmacverify` computes the MAC: each MAC is checked once
+/// per message, so a memo would only hold bytes.
 pub fn register_crypto_builtins_cached(
     builtins: &mut Builtins,
     me: Principal,
@@ -205,7 +205,7 @@ pub fn register_crypto_builtins_cached(
     });
 
     // rsaverify(R, S, K): succeeds iff S is K's signature over R.
-    // Outcomes are memoized in the shared cache: checking the same
+    // Successes are remembered in the shared cache: checking the same
     // (rule, signature, key) again — on a later fixpoint round or in a
     // different workspace — skips the modular exponentiation.
     let k = keys.clone();
@@ -254,7 +254,8 @@ pub fn register_crypto_builtins_cached(
     });
 
     // hmacverify(R, S, K): succeeds iff S is the MAC of R under K.
-    // Computed every time: a MAC costs less than remembering one.
+    // Computed every time: each MAC is checked once per message, so a
+    // memo would only hold bytes.
     let k = keys.clone();
     let name = Symbol::intern("hmacverify");
     builtins.register("hmacverify", 3, move |args| {

@@ -1,8 +1,12 @@
 //! SHA-256 (FIPS 180-4).
 //!
-//! Used by the confidentiality layer ([`crate::stream`]) as a keystream
-//! block function, and available as a stronger-than-SHA-1 integrity hash
-//! for the `integrity` security construct (§4.1.3 of the paper).
+//! Every certificate's content address is the SHA-256 of its canonical
+//! wire bytes (`lbtrust-certstore`'s `CertDigest`), computed once when a
+//! store imports or replays a certificate; links and revocations name
+//! certificates by it. The confidentiality layer ([`crate::stream`])
+//! also uses it as a keystream block function, and it is available as a
+//! stronger-than-SHA-1 integrity hash for the `integrity` security
+//! construct (§4.1.3 of the paper).
 
 use crate::digest::Digest;
 
