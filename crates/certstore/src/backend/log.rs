@@ -91,6 +91,30 @@ impl Manifest {
             .ok_or_else(|| manifest_error(dir, "manifest lists no segments"))
     }
 
+    /// Why this manifest cannot govern a segment directory, beyond
+    /// listing no segment: a segment listed twice, one not below `next`
+    /// (a rotation creates segment `next` truncated, over whatever file
+    /// has that number), or a checkpoint naming an unlisted segment.
+    fn inconsistency(&self) -> Option<&'static str> {
+        let mut listed = std::collections::HashSet::new();
+        if !self.segments.iter().all(|&seg| listed.insert(seg)) {
+            Some("manifest lists a segment twice")
+        } else if self.segments.iter().any(|&seg| seg >= self.next) {
+            Some("manifest's next segment is not above every listed one")
+        } else if self.checkpoint.is_some_and(|c| !listed.contains(&c)) {
+            Some("manifest's checkpoint names an unlisted segment")
+        } else {
+            None
+        }
+    }
+
+    /// What `next` becomes once segment `next` is created: a manifest
+    /// read from disk may have put it at the end of the numbers.
+    fn after_next(&self, dir: &Path) -> Result<u64, StorageError> {
+        let next = self.next.checked_add(1);
+        next.ok_or_else(|| manifest_error(dir, "segment numbers ran out"))
+    }
+
     fn encode(&self) -> Vec<u8> {
         let segments: Vec<String> = self.segments.iter().map(|s| s.to_string()).collect();
         let checkpoint = match self.checkpoint {
@@ -361,12 +385,16 @@ impl LogBackend {
         rotate_bytes: u64,
     ) -> Result<LogBackend, StorageError> {
         // Refuse a manifest that cannot govern this directory before
-        // touching any file: it must list segments, and every sealed one
+        // touching any file: it must list segments, each once and each
+        // below `next`, a checkpoint among them, and every sealed one
         // must be present. (A listed-but-absent *active* segment is legal:
         // a crash can land between the manifest swap and its first byte.)
         let Some((&active, sealed_segs)) = manifest.segments.split_last() else {
             return Err(manifest_error(&dir, "manifest lists no segments"));
         };
+        if let Some(why) = manifest.inconsistency() {
+            return Err(manifest_error(&dir, why));
+        }
         let mut sealed = Vec::new();
         for &seg in sealed_segs {
             let len = std::fs::metadata(dir.join(seg_name(seg)))
@@ -497,8 +525,9 @@ impl LogBackend {
             .ok_or_else(|| manifest_error(dir, "the log has no manifest"))?;
         let sealed_seg = manifest.active(dir)?;
         let new_seg = manifest.next;
+        let next = manifest.after_next(dir)?;
         let file = create_truncated(&self.dir.join(seg_name(new_seg)))?;
-        manifest.next += 1;
+        manifest.next = next;
         manifest.segments.push(new_seg);
         self.sealed.push((sealed_seg, self.active_bytes));
         self.writer = BufWriter::new(file);
@@ -724,6 +753,7 @@ impl StorageBackend for LogBackend {
         let old_segments = manifest.segments.clone();
         let old_active = manifest.active(&self.dir)?;
         let new_seg = manifest.next;
+        let next = manifest.after_next(&self.dir)?;
         let seg_path = self.dir.join(seg_name(new_seg));
         let mut file = create_truncated(&seg_path)?;
         file.write_all(&record)
@@ -780,7 +810,7 @@ impl StorageBackend for LogBackend {
             s
         };
         self.manifest = Some(Manifest {
-            next: new_seg + 1,
+            next,
             segments,
             checkpoint: Some(new_seg),
             audit_entries: new_audit_entries,
@@ -1154,14 +1184,18 @@ mod tests {
         segment_dir(path)
     }
 
-    /// The directory's file names, sorted.
-    fn listing(dir: &Path) -> Vec<String> {
-        let mut names: Vec<String> = std::fs::read_dir(dir)
+    /// The directory's files, name and size, sorted by name.
+    fn listing(dir: &Path) -> Vec<(String, u64)> {
+        let mut files: Vec<(String, u64)> = std::fs::read_dir(dir)
             .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .map(|e| {
+                let e = e.unwrap();
+                let name = e.file_name().to_string_lossy().into_owned();
+                (name, e.metadata().unwrap().len())
+            })
             .collect();
-        names.sort();
-        names
+        files.sort();
+        files
     }
 
     /// Overwrites the manifest with a CRC-valid one.
@@ -1185,9 +1219,73 @@ mod tests {
             },
         );
         let before = listing(&dir);
-        assert!(before.iter().filter(|n| n.starts_with("seg-")).count() >= 3);
+        assert!(before.iter().filter(|(n, _)| n.starts_with("seg-")).count() >= 3);
         assert!(LogBackend::open(&path).is_err());
         assert_eq!(listing(&dir), before, "a refused open deletes nothing");
+        cleanup(&path);
+    }
+
+    /// Rewrites the rotated log's manifest through `edit` and opens it:
+    /// the open is refused, and every file keeps its name and size.
+    fn refused_untouched(tag: &str, edit: impl FnOnce(&mut Manifest)) {
+        let path = tmp_path(tag);
+        cleanup(&path);
+        let dir = rotated_log(&path);
+        let mut manifest = Manifest::decode(&std::fs::read(dir.join("MANIFEST")).unwrap()).unwrap();
+        assert_eq!(
+            (manifest.next, &manifest.segments[..]),
+            (5, &[1, 2, 3, 4][..])
+        );
+        edit(&mut manifest);
+        write_manifest_file(&dir, &manifest);
+        let before = listing(&dir);
+        assert!(LogBackend::open(&path).is_err(), "{manifest:?} opened");
+        assert_eq!(listing(&dir), before, "a refused open changes no file");
+        cleanup(&path);
+    }
+
+    /// A stale `next` would make the next rotations re-create sealed
+    /// segments truncated, losing the records in them.
+    #[test]
+    fn manifest_next_not_above_its_segments_is_refused_before_any_file_changes() {
+        refused_untouched("stalenext", |m| m.next = 1);
+        refused_untouched("nextatlast", |m| m.next = 4);
+    }
+
+    #[test]
+    fn manifest_listing_a_segment_twice_is_refused_before_any_file_changes() {
+        refused_untouched("twice", |m| m.segments.insert(2, 2));
+    }
+
+    #[test]
+    fn manifest_checkpoint_naming_an_unlisted_segment_is_refused_before_any_file_changes() {
+        refused_untouched("unlistedckpt", |m| m.checkpoint = Some(0));
+    }
+
+    /// A manifest may set `next` to the last segment number; the
+    /// rotation that would need the one after it is an error, not an
+    /// overflow, and so is a checkpoint.
+    #[test]
+    fn a_log_out_of_segment_numbers_refuses_to_rotate() {
+        let path = tmp_path("lastnumber");
+        cleanup(&path);
+        let dir = rotated_log(&path);
+        let mut manifest = Manifest::decode(&std::fs::read(dir.join("MANIFEST")).unwrap()).unwrap();
+        manifest.next = u64::MAX;
+        write_manifest_file(&dir, &manifest);
+        let tick_len = encode_record(&LogRecord::Tick(0)).len() as u64;
+        let mut b = LogBackend::open_with_budget(&path, tick_len).unwrap();
+        assert_eq!(b.replay().unwrap().records.len(), 10);
+        assert!(b.append(&LogRecord::Tick(10)).is_err());
+        let ckpt = LogRecord::Checkpoint(Box::new(CheckpointState {
+            clock: 11,
+            active: vec![],
+            revoked: vec![],
+        }));
+        assert!(b.install_checkpoint(&ckpt, &[], true).is_err());
+        drop(b);
+        let mut again = LogBackend::open(&path).unwrap();
+        assert_eq!(again.replay().unwrap().records.len(), 11);
         cleanup(&path);
     }
 
@@ -1201,7 +1299,7 @@ mod tests {
         // leaves its first segment unreferenced, an orphan the sweep
         // would otherwise remove).
         let mut segments = manifest.segments[1..].to_vec();
-        segments.insert(0, manifest.next + 7);
+        segments.insert(0, 0);
         write_manifest_file(
             &dir,
             &Manifest {

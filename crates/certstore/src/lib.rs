@@ -42,7 +42,8 @@
 //! Nothing in this crate bounds memory: the verification memo and a
 //! store's dead-certificate tombstones grow with history, as they have
 //! in every configuration the system builds (the one bounded map is the
-//! runtime's decision cache, 16 × 1024 entries under 2Q).
+//! runtime's decision cache: at most 4,096 decisions per principal
+//! snapshot).
 //!
 //! The crate deliberately sits *below* the runtime: it knows rules,
 //! digests and signatures, but resolves keys through the

@@ -6,13 +6,26 @@
 //! the decoder; the other half keep the originals and must read as a
 //! torn tail. Decoding never panics, and every record before the edited
 //! one replays as written.
+//!
+//! The same edits, applied to a rotated log's `MANIFEST` — to the file,
+//! to its payload or to one field's value, the last two re-framed with a
+//! fresh CRC so they reach the field parser — reach `LogBackend::open`:
+//! it never panics, opens exactly the manifests a model of the format
+//! and its consistency rules accepts, and a refused open leaves every
+//! file as it was.
 
-use lbtrust_certstore::backend::{decode_record, encode_record, scan_records};
-use lbtrust_certstore::{CertDigest, LinkedCert, LogRecord};
+use lbtrust_certstore::backend::log::LogBackend;
+use lbtrust_certstore::backend::{
+    decode_record, encode_record, scan_records, CheckpointState, StorageBackend,
+};
+use lbtrust_certstore::{AuditAction, AuditEntry, CertDigest, LinkedCert, LogRecord};
 use lbtrust_datalog::{parse_rule, Symbol};
-use lbtrust_net::wire::{frame_record, read_frame};
+use lbtrust_net::wire::{frame_meta_file, frame_record, read_frame, read_meta_file, META_MANIFEST};
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::collections::HashSet;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 const RULES: [&str; 4] = [
     "good(carol).",
@@ -148,5 +161,180 @@ proptest! {
                 prop_assert!(!log.truncated_tail && log.unsupported_at.is_none());
             }
         }
+    }
+}
+
+/// A segment directory's files, name and contents, sorted by name.
+type Files = Vec<(String, Vec<u8>)>;
+
+fn files(dir: &Path) -> Files {
+    let mut files: Files = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+static CASE: AtomicU64 = AtomicU64::new(0);
+
+/// A fresh log path; its segment directory is the path minus `.certlog`.
+fn fresh_log_path(tag: &str) -> PathBuf {
+    let case = CASE.fetch_add(1, Ordering::Relaxed);
+    PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!(
+        "manifest-{}-{tag}-{case}.certlog",
+        std::process::id()
+    ))
+}
+
+/// Two rotated logs' directories, written once: ten ticks in segments
+/// 1-4 (`next` 5, no checkpoint), and the same plus an unpruned
+/// checkpoint in segment 5 and a folded audit entry.
+fn templates() -> &'static [Files; 2] {
+    static TEMPLATES: OnceLock<[Files; 2]> = OnceLock::new();
+    TEMPLATES.get_or_init(|| {
+        [false, true].map(|checkpointed| {
+            let path = fresh_log_path("template");
+            let tick = encode_record(&LogRecord::Tick(0)).len() as u64;
+            let mut log = LogBackend::open_with_budget(&path, 3 * tick).unwrap();
+            for t in 0..10 {
+                log.append(&LogRecord::Tick(t)).unwrap();
+            }
+            if checkpointed {
+                let state = CheckpointState {
+                    clock: 10,
+                    active: vec![],
+                    revoked: vec![],
+                };
+                let audit = AuditEntry {
+                    digest: CertDigest::of(b"gone"),
+                    principal: Symbol::intern("alice"),
+                    action: AuditAction::Revoked,
+                    at: 7,
+                    rule: None,
+                };
+                let record = LogRecord::Checkpoint(Box::new(state));
+                assert!(log.install_checkpoint(&record, &[audit], false).unwrap());
+            }
+            log.sync().unwrap();
+            drop(log);
+            let dir = path.with_extension("");
+            let files = files(&dir);
+            std::fs::remove_dir_all(&dir).unwrap();
+            files
+        })
+    })
+}
+
+/// A manifest's `(next, segments, checkpoint)` as the model reads the
+/// format; `None` where the bytes are not a manifest.
+fn manifest_fields(bytes: &[u8]) -> Option<(u64, Vec<u64>, Option<u64>)> {
+    let text = std::str::from_utf8(read_meta_file(META_MANIFEST, bytes)?).ok()?;
+    let lines: Vec<&str> = text.lines().collect();
+    let ["lbtrust-manifest:v1", next, segments, checkpoint, audit] = lines[..] else {
+        return None;
+    };
+    let next = next.strip_prefix("next:")?.parse().ok()?;
+    let segments = match segments.strip_prefix("segments:")? {
+        "" => Vec::new(),
+        list => list
+            .split(',')
+            .map(|s| s.parse().ok())
+            .collect::<Option<_>>()?,
+    };
+    let checkpoint = match checkpoint.strip_prefix("checkpoint:")? {
+        "none" => None,
+        seg => Some(seg.parse().ok()?),
+    };
+    let (entries, bytes) = audit.strip_prefix("audit:")?.split_once(':')?;
+    entries.parse::<u64>().ok()?;
+    bytes.parse::<u64>().ok()?;
+    Some((next, segments, checkpoint))
+}
+
+/// Where the value of field line `field` (1 `next` … 4 `audit`) lies in
+/// a valid manifest payload: after the line's first `:`.
+fn value_span(payload: &[u8], field: usize) -> std::ops::Range<usize> {
+    let text = std::str::from_utf8(payload).unwrap();
+    let start: usize = text.split_inclusive('\n').take(field).map(str::len).sum();
+    let line = text[start..].lines().next().unwrap();
+    start + line.find(':').unwrap() + 1..start + line.len()
+}
+
+/// Whether a manifest can govern a directory holding `present`: it lists
+/// segments, each once and each below `next`, a checkpoint among them,
+/// and every sealed one (all but the last) is there.
+fn governs((next, segments, checkpoint): (u64, Vec<u64>, Option<u64>), present: &Files) -> bool {
+    let Some((_, sealed)) = segments.split_last() else {
+        return false;
+    };
+    let listed: HashSet<u64> = segments.iter().copied().collect();
+    let present = |seg: &u64| {
+        present
+            .iter()
+            .any(|(name, _)| *name == format!("seg-{seg:08}.certlog"))
+    };
+    listed.len() == segments.len()
+        && segments.iter().all(|&seg| seg < next)
+        && checkpoint.is_none_or(|c| listed.contains(&c))
+        && sealed.iter().all(present)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn mutated_manifests_open_only_when_they_govern_and_a_refusal_changes_nothing(
+        checkpointed in any::<bool>(),
+        dice in (any::<u8>(), any::<usize>(), any::<usize>(), any::<u8>()),
+        // 0: the file as stored; 1: its payload, re-framed; 2..=5: the
+        // value of one field line, re-framed.
+        target in 0usize..6,
+    ) {
+        let manifest_of = |files: &Files| {
+            let (_, bytes) = files.iter().find(|(name, _)| name == "MANIFEST").unwrap();
+            bytes.clone()
+        };
+        let template = &templates()[usize::from(checkpointed)];
+        let manifest = manifest_of(template);
+        let other = manifest_of(&templates()[usize::from(!checkpointed)]);
+        prop_assert!(manifest_fields(&manifest).is_some_and(|m| governs(m, template)));
+        let payload = |bytes| read_meta_file(META_MANIFEST, bytes).unwrap();
+        let (mine, theirs) = (payload(&manifest), payload(&other));
+        let mutant = match target {
+            0 => mutate(&manifest, &other, dice),
+            1 => frame_meta_file(META_MANIFEST, &mutate(mine, theirs, dice)),
+            field => {
+                let (at, from) = (value_span(mine, field - 1), value_span(theirs, field - 1));
+                let value = mutate(&mine[at.clone()], &theirs[from], dice);
+                let edited = [&mine[..at.start], &value, &mine[at.end..]].concat();
+                frame_meta_file(META_MANIFEST, &edited)
+            }
+        };
+
+        let path = fresh_log_path("case");
+        let dir = path.with_extension("");
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, bytes) in template {
+            let bytes = if name == "MANIFEST" { &mutant } else { bytes };
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+        let before = files(&dir);
+        let accepted = manifest_fields(&mutant).is_some_and(|m| governs(m, template));
+        match LogBackend::open(&path) {
+            Ok(mut log) => {
+                prop_assert!(accepted, "opened {:?}", String::from_utf8_lossy(&mutant));
+                let _ = log.replay();
+            }
+            Err(e) => {
+                prop_assert!(!accepted, "refused {:?}: {e}", String::from_utf8_lossy(&mutant));
+                prop_assert_eq!(files(&dir), before, "a refused open changed a file");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,6 +1,6 @@
 //! The concurrent authorization read front-end: immutable snapshots,
-//! `Send + Sync` reader handles, and a precisely-invalidated decision
-//! cache.
+//! `Send + Sync` reader handles, and decisions cached in the snapshot
+//! they were proved on.
 //!
 //! Production trust management is read-dominated — millions of "may X
 //! do Y" queries against a slowly-mutating credential set — yet
@@ -18,8 +18,8 @@
 //! writer's relations, so holding one nobody reads would make the next
 //! step copy every relation it writes to; releasing it hands them back.
 //! A reader arriving later gets a fresh publish from
-//! [`crate::System::authz_reader`] and a cache version no released
-//! decision was stored under.
+//! [`crate::System::authz_reader`], whose snapshots hold no decision a
+//! released one cached.
 //!
 //! Three pieces, all `std`-only (the crate stays
 //! `#![forbid(unsafe_code)]`):
@@ -33,18 +33,22 @@
 //!   generation change takes the slot lock (clone-on-read arc-swap).
 //!   Queries then run against the *handle-local* `Arc`, so reader
 //!   threads never contend on a shared refcount cache line.
-//! * **`DecisionCache`** — a sharded, 2Q-evicted map keyed
-//!   `(principal, authz-version, goal)`. Each entry records the
-//!   supporting certificate digests of the cached decision — every
-//!   certificate on its proof, which is well-founded (see
-//!   [`lbtrust_datalog::provenance::explain_with_base`]) — so a DRed
-//!   retraction (revocation or TTL expiry) invalidates exactly the
-//!   poisoned decisions: a cached grant never survives the revocation
-//!   of a certificate it rests on. Any change the invalidation
-//!   bookkeeping cannot attribute precisely (fresh imports, rule
-//!   changes, non-monotonic rebuilds) bumps the principal's
-//!   authz-version instead, orphaning every older key at once (the 2Q
-//!   eviction ages them out).
+//! * **The decision cache** — each principal's snapshot holds the
+//!   decisions proved on it, by goal, at most `CACHE_CAPACITY` (a
+//!   full map is cleared). Each entry records the supporting
+//!   certificate digests of the cached decision — every certificate on
+//!   its proof, which is well-founded (see
+//!   [`lbtrust_datalog::provenance::explain_with_base`]). A publish
+//!   hands a principal's decisions on to its next snapshot only across
+//!   a window in which it changed *only* by DRed retractions
+//!   (revocation or TTL expiry), minus every decision citing a
+//!   certificate that died; any other change (fresh imports, rule
+//!   changes, non-monotonic rebuilds) starts the next snapshot with
+//!   none. A reader's miss is cached in the snapshot it was proved on,
+//!   so a grant proved on a superseded snapshot is seen only by readers
+//!   still answering from that generation: a cached grant never
+//!   survives the publish of the revocation of a certificate it rests
+//!   on.
 //!
 //! Cache traffic is counted in the volatile `authz.cache_hits` /
 //! `authz.cache_misses` / `authz.cache_invalidations` counters and
@@ -53,7 +57,6 @@
 //! scheduling.
 
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -64,18 +67,17 @@ use lbtrust_datalog::provenance::{Proof, ProofText};
 use lbtrust_datalog::{Builtins, Database, Value};
 use lbtrust_obs::{Counter, Histogram, Registry};
 
-use crate::lru::TwoQueueMap;
 use crate::principal::Principal;
 use crate::system::{AuthzDecision, SysError};
 use crate::workspace::{explain_goal, BaseFacts};
 
-/// Decision-cache shard count: enough to keep reader threads off each
-/// other's locks at typical core counts, few enough that invalidation
-/// sweeps stay cheap.
-const CACHE_SHARDS: usize = 16;
+/// The most decisions one principal's snapshot caches. A full map is
+/// cleared, not evicted from: no workload asks one principal this many
+/// distinct goals within one publish window.
+pub(crate) const CACHE_CAPACITY: usize = 4096;
 
-/// Per-shard decision-cache capacity (2Q-evicted).
-const CACHE_SHARD_CAPACITY: usize = 1024;
+/// Decisions by goal.
+pub(crate) type Decisions = HashMap<Box<str>, CachedDecision>;
 
 /// One principal's share of a published snapshot: everything a reader
 /// needs to decide and cite an authorization without touching the live
@@ -105,9 +107,10 @@ pub(crate) struct PrincipalSnapshot {
     /// The store's live-introducer index: canonical rule text → digests
     /// of the live certificates carrying that rule. Shared the same way.
     pub(crate) introducers: Introducers,
-    /// The cache-key version: decisions cached under it stay servable
-    /// until it bumps (or a poisoned-digest invalidation removes them).
-    pub(crate) authz_version: u64,
+    /// The decisions cached for this snapshot: proved on it, or handed
+    /// on from the snapshot it replaced across a retraction-only window
+    /// (`PrincipalState::publish`).
+    pub(crate) cache: Mutex<Decisions>,
     /// The store's active-set version at publication, for diagnostics
     /// and the equivalence tests.
     pub(crate) store_version: u64,
@@ -126,6 +129,36 @@ impl PrincipalSnapshot {
             goal,
         )?;
         Ok(decide(proof, &self.ground_heads, &self.introducers))
+    }
+
+    /// This snapshot's cached decisions, locked.
+    pub(crate) fn cache(&self) -> MutexGuard<'_, Decisions> {
+        self.cache.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Caches `decided`, proved on this snapshot, for `goal`.
+    pub(crate) fn remember(&self, goal: &str, decided: CachedDecision) {
+        let mut cache = self.cache();
+        if cache.len() >= CACHE_CAPACITY {
+            cache.clear();
+        }
+        cache.insert(goal.into(), decided);
+    }
+
+    /// Takes this snapshot's cached decisions for its successor, less
+    /// every one citing a `poisoned` certificate, and returns how many
+    /// were dropped. The survivors hold across a retraction-only window:
+    /// facts only disappeared, so a deny cannot have flipped, and any
+    /// fact that could disappear is cited by its digest. A reader still
+    /// answering from this snapshot caches into the emptied map, which
+    /// only readers of this generation see.
+    pub(crate) fn hand_on(&self, poisoned: &[CertDigest]) -> (Decisions, u64) {
+        let mut decisions = std::mem::take(&mut *self.cache());
+        let poisoned: HashSet<&CertDigest> = poisoned.iter().collect();
+        let before = decisions.len();
+        decisions.retain(|_, d| !d.supporting.iter().any(|s| poisoned.contains(s)));
+        let dropped = (before - decisions.len()) as u64;
+        (decisions, dropped)
     }
 }
 
@@ -264,8 +297,8 @@ impl SnapshotCell {
 }
 
 /// A cached decision: everything needed to answer a repeat query
-/// byte-for-byte, plus the supporting digests the invalidation sweep
-/// matches poisoned certificates against.
+/// byte-for-byte, plus the supporting digests a publish matches dead
+/// certificates against.
 #[derive(Clone)]
 pub(crate) struct CachedDecision {
     pub(crate) granted: bool,
@@ -285,92 +318,10 @@ impl CachedDecision {
     }
 }
 
-/// Cache key: `(principal, authz-version, goal)`. The version
-/// component orphans every stale entry at once when a principal's
-/// decision function changes in a way the precise invalidation cannot
-/// attribute (2Q eviction reclaims the orphans).
-type CacheKey = (Principal, u64, String);
-
-/// The sharded 2Q decision cache.
-struct DecisionCache {
-    shards: Vec<Mutex<TwoQueueMap<CacheKey, CachedDecision>>>,
-}
-
-impl DecisionCache {
-    fn new() -> DecisionCache {
-        DecisionCache {
-            shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(TwoQueueMap::new(CACHE_SHARD_CAPACITY)))
-                .collect(),
-        }
-    }
-
-    fn shard_of(&self, key: &CacheKey) -> &Mutex<TwoQueueMap<CacheKey, CachedDecision>> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % CACHE_SHARDS]
-    }
-
-    fn get(&self, key: &CacheKey) -> Option<CachedDecision> {
-        let mut shard = self.shard_of(key).lock().unwrap_or_else(|e| e.into_inner());
-        shard.get(key).cloned()
-    }
-
-    /// Caches `value` unless `still_current` — asked under the shard
-    /// lock [`DecisionCache::invalidate_poisoned`] also takes — says
-    /// the snapshot it was proved against has been superseded.
-    fn insert_if(
-        &self,
-        key: CacheKey,
-        value: CachedDecision,
-        still_current: impl FnOnce() -> bool,
-    ) {
-        let mut shard = self
-            .shard_of(&key)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if still_current() {
-            shard.insert(key, value);
-        }
-    }
-
-    /// Removes every cached decision of `who` at `version` that rests
-    /// on a poisoned certificate, returning how many died. Decisions
-    /// not citing a poisoned digest survive: a retraction-only change
-    /// cannot flip them (facts only disappear, and any fact that could
-    /// disappear is cited by its digest).
-    fn invalidate_poisoned(
-        &self,
-        who: Principal,
-        version: u64,
-        poisoned: &HashSet<CertDigest>,
-    ) -> u64 {
-        let mut removed = 0;
-        for shard in &self.shards {
-            let mut shard = shard.lock().unwrap_or_else(|e| e.into_inner());
-            let victims: Vec<CacheKey> = shard
-                .iter()
-                .filter(|(key, value)| {
-                    key.0 == who
-                        && key.1 == version
-                        && value.supporting.iter().any(|d| poisoned.contains(d))
-                })
-                .map(|(key, _)| key.clone())
-                .collect();
-            for key in victims {
-                shard.remove(&key);
-                removed += 1;
-            }
-        }
-        removed
-    }
-}
-
 /// State shared between the owning [`crate::System`] (publisher) and
 /// every [`AuthzReader`] handle.
 pub(crate) struct AuthzShared {
     pub(crate) cell: SnapshotCell,
-    cache: DecisionCache,
     hits: Counter,
     misses: Counter,
     pub(crate) invalidations: Counter,
@@ -381,7 +332,6 @@ impl AuthzShared {
     pub(crate) fn new(registry: &Registry) -> AuthzShared {
         AuthzShared {
             cell: SnapshotCell::new(),
-            cache: DecisionCache::new(),
             hits: registry.volatile_counter("authz.cache_hits"),
             misses: registry.volatile_counter("authz.cache_misses"),
             invalidations: registry.volatile_counter("authz.cache_invalidations"),
@@ -389,46 +339,24 @@ impl AuthzShared {
         }
     }
 
-    /// Drops every cached decision of `who` at `version` resting on a
-    /// poisoned certificate (see [`DecisionCache::invalidate_poisoned`]),
-    /// counting the casualties in `authz.cache_invalidations`. Call it
-    /// *after* publishing the snapshot the poison took effect in: a
-    /// reader's miss only caches while the generation it proved against
-    /// is still current, checked under the shard lock this sweep takes,
-    /// so a grant proved on the superseded snapshot is either already
-    /// cached (and swept here) or never cached at all.
-    pub(crate) fn invalidate_poisoned(
-        &self,
-        who: Principal,
-        version: u64,
-        poisoned: &HashSet<CertDigest>,
-    ) {
-        let removed = self.cache.invalidate_poisoned(who, version, poisoned);
-        if removed > 0 {
-            self.invalidations.add(removed);
-        }
-    }
-
-    /// Lets go of the published snapshot and every cached decision,
-    /// once no reader is left to ask: `&mut self` is the proof. The cell
-    /// gets an empty snapshot at the next generation, so generations
+    /// Lets go of the published snapshot, and the decisions cached in
+    /// it, once no reader is left to ask: `&mut self` is the proof. The
+    /// cell gets an empty snapshot at the next generation, so generations
     /// stay monotone. When nothing is held this is one look at the cell.
     pub(crate) fn release(&mut self) {
         let slot = self.cell.slot.get_mut().unwrap_or_else(|e| e.into_inner());
         if !slot.principals.is_empty() {
             self.cell.publish(AuthzSnapshot::empty());
-            self.cache = DecisionCache::new();
         }
     }
 
     /// How many principals the cell's snapshot covers and how many
-    /// decisions are cached.
+    /// decisions their snapshots cache.
     #[cfg(test)]
     pub(crate) fn held(&self) -> (usize, usize) {
-        let principals = self.cell.load().1.principals.len();
-        let shards = self.cache.shards.iter();
-        let cached = shards.map(|s| s.lock().unwrap().iter().count()).sum();
-        (principals, cached)
+        let snap = self.cell.load().1;
+        let cached = snap.principals.values().map(|p| p.cache().len()).sum();
+        (snap.principals.len(), cached)
     }
 }
 
@@ -448,17 +376,15 @@ pub(crate) struct AuthzPublishState {
     /// Digests of certificates that died (revocation, expiry, link
     /// break) at this principal since the last publish.
     pub(crate) poisoned: Vec<CertDigest>,
-    /// The principal's current cache-key version.
-    pub(crate) authz_version: u64,
-    /// The last published per-principal snapshot, reused (Arc-shared)
-    /// when nothing changed.
+    /// The last published per-principal snapshot, reused (Arc-shared,
+    /// cached decisions included) when nothing changed.
     pub(crate) snap: Option<Arc<PrincipalSnapshot>>,
 }
 
 impl AuthzPublishState {
     /// Forgets the last publish and what happened since, once no reader
-    /// is left. The cache version stays: with no snapshot held, the next
-    /// publish bumps it past every decision cached before.
+    /// is left. With no snapshot held, the next publish starts one with
+    /// no cached decision.
     pub(crate) fn release(&mut self) {
         self.snap = None;
         self.poisoned = Vec::new();
@@ -471,8 +397,9 @@ impl AuthzPublishState {
 /// the system keeps importing and revoking while readers decide. Each
 /// handle caches the snapshot `Arc` locally and revalidates it with
 /// one atomic generation load per query, so handles on different
-/// threads share no hot cache line. Decisions hit the shared decision
-/// cache first; misses are proved against the snapshot and cached.
+/// threads share no hot cache line. Decisions hit the decisions cached
+/// in the principal's snapshot first; misses are proved against that
+/// snapshot and cached in it.
 ///
 /// Reader decisions deliberately do **not** move the deterministic
 /// `authz.granted`/`authz.denied` counters or the decision journal —
@@ -506,17 +433,14 @@ impl AuthzReader {
             .principals
             .get(&who)
             .ok_or(SysError::UnknownPrincipal(who))?;
-        let key: CacheKey = (who, ps.authz_version, goal.to_string());
-        if let Some(hit) = self.shared.cache.get(&key) {
+        let hit = ps.cache().get(goal).cloned();
+        if let Some(hit) = hit {
             self.shared.hits.inc();
-            return Ok(hit.into_decision(who, key.2));
+            return Ok(hit.into_decision(who, goal.to_string()));
         }
         self.shared.misses.inc();
         let decided = ps.decide(goal)?;
-        let proved_at = local.0;
-        self.shared.cache.insert_if(key, decided.clone(), || {
-            self.shared.cell.current_generation() == proved_at
-        });
+        ps.remember(goal, decided.clone());
         Ok(decided.into_decision(who, goal.to_string()))
     }
 

@@ -57,7 +57,6 @@ pub mod authz;
 pub mod authz_read;
 pub mod delegation;
 pub mod gossip;
-mod lru;
 mod node;
 pub mod obs;
 mod pool;

@@ -22,7 +22,7 @@ use lbtrust_datalog::intern::names;
 use lbtrust_datalog::{Symbol, Tuple, Value};
 use lbtrust_net::NodeId;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Everything the runtime holds for one principal.
@@ -85,10 +85,6 @@ pub(crate) struct PrincipalState {
     /// [`DeliveryPart`]; taken by the sequencer's merge.
     pub(crate) spent: [Duration; DeliveryPart::ALL.len()],
 }
-
-/// A cache version and the certificates that died under it: the cached
-/// decisions of that version citing one of them are to be dropped.
-pub(crate) type Sweep = (u64, HashSet<CertDigest>);
 
 /// One principal's share of [`crate::SystemStats`]: counted where the
 /// work happens, summed in registration order by
@@ -274,8 +270,8 @@ impl PrincipalState {
                 self.tally.dred_repairs += 1;
                 // One incremental repair = exactly one workspace epoch
                 // bump; the publish path matches these totals to tell
-                // "retraction-only" windows (precise cache
-                // invalidation) from arbitrary change (version bump).
+                // "retraction-only" windows (cached decisions handed
+                // on) from arbitrary change (none).
                 self.authz.retraction_bumps += 1;
             }
             RetractOutcome::Deferred => self.tally.retraction_rebuilds += 1,
@@ -283,15 +279,16 @@ impl PrincipalState {
         }
     }
 
-    /// This principal's share of a fresh [`crate::AuthzSnapshot`], plus
-    /// — for a window in which it changed *only* by incremental DRed
-    /// retractions — the `(cache version, dead certificates)` sweep to
-    /// run once the snapshot is in the cell. Any other change (imports,
-    /// rule changes, non-monotonic rebuilds — detected by comparing
-    /// workspace-epoch movement against the counted retraction repairs)
-    /// bumps the version and orphans the principal's older cached
-    /// decisions wholesale.
-    pub(crate) fn publish(&mut self) -> (Arc<PrincipalSnapshot>, Option<Sweep>) {
+    /// This principal's share of a fresh [`crate::AuthzSnapshot`], and
+    /// how many cached decisions it dropped. An unchanged principal
+    /// shares its last snapshot, cached decisions included. After a
+    /// window in which it changed *only* by incremental DRed retractions
+    /// (detected by comparing workspace-epoch movement against the
+    /// counted retraction repairs), the new snapshot takes the last
+    /// one's cached decisions, less those citing a certificate that
+    /// died. Any other change (imports, rule changes, non-monotonic
+    /// rebuilds) starts it with none.
+    pub(crate) fn publish(&mut self) -> (Arc<PrincipalSnapshot>, u64) {
         // A quarantined store stays registered and keeps serving reads
         // (the degradation contract), so it publishes like a healthy
         // one.
@@ -303,28 +300,20 @@ impl PrincipalState {
             // Unchanged since the last publish: share the Arc.
             st.poisoned.clear();
             st.retraction_bumps = 0;
-            return (snap.clone(), None);
+            return (snap.clone(), 0);
         }
         let epoch_delta = epoch.wrapping_sub(st.published_epoch);
-        let mut sweep = None;
-        if st.snap.is_some() && epoch_delta == st.retraction_bumps {
+        let (cache, dropped) = match &st.snap {
             // Retraction-only window: every workspace change was an
             // incremental DRed repair (facts only disappeared), so a
             // cached deny cannot have flipped and a cached grant is
-            // stale exactly when it cites a dead certificate. Drop
-            // precisely those; the version (and every other cached
-            // decision) survives.
-            if !st.poisoned.is_empty() {
-                sweep = Some((st.authz_version, st.poisoned.drain(..).collect()));
-            }
-        } else {
+            // stale exactly when it cites a dead certificate.
+            Some(last) if epoch_delta == st.retraction_bumps => last.hand_on(&st.poisoned),
             // Arbitrary change (fresh imports, rule loads, a
             // non-monotonic rebuild, a rollback), or the first publish
-            // since a release: no per-entry attribution is possible, so
-            // the version bump orphans the principal's cached decisions
-            // wholesale and the 2Q eviction reclaims them.
-            st.authz_version += 1;
-        }
+            // since a release: no per-entry attribution is possible.
+            _ => Default::default(),
+        };
         st.poisoned.clear();
         st.retraction_bumps = 0;
         st.published_epoch = epoch;
@@ -341,11 +330,11 @@ impl PrincipalState {
             base: ws.base_facts().clone(),
             ground_heads: store.ground_heads().clone(),
             introducers: store.introducers().clone(),
-            authz_version: st.authz_version,
+            cache: Mutex::new(cache),
             store_version,
         });
         st.snap = Some(snap.clone());
-        (snap, sweep)
+        (snap, dropped)
     }
 
     /// The `export` tuples this workspace gained since the last call,

@@ -390,7 +390,7 @@ pub struct System {
     /// schedule derived from this spec and the principal's name.
     fault_spec: Option<FaultConfig>,
     /// State shared with [`crate::AuthzReader`] handles: the snapshot
-    /// cell, the decision cache, and the volatile cache counters.
+    /// cell and the volatile cache counters.
     authz_shared: Arc<AuthzShared>,
     /// Lint levels and predicate vocabulary for the static-analysis
     /// preflight ([`System::load_program`], [`System::enable_gossip`]).
@@ -1520,30 +1520,31 @@ impl System {
     /// (e.g. [`System::revoke_certificate`]) publish explicitly to make
     /// those changes visible to readers.
     ///
-    /// Publication also settles the decision cache: a window in which a
-    /// principal changed *only* by incremental DRed retractions keeps
-    /// its cache version and drops exactly the decisions citing a dead
-    /// certificate, while any other change bumps the version and
-    /// orphans the principal's older entries wholesale. Either way a
-    /// cached grant never outlives a revocation of its support.
+    /// Decisions are cached in the snapshot they were proved on. A
+    /// principal that changed *only* by incremental DRed retractions
+    /// hands its cached decisions on to its new snapshot, less exactly
+    /// those citing a dead certificate (counted in
+    /// `authz.cache_invalidations`); any other change starts the new
+    /// snapshot with none. A grant a reader proves on a superseded
+    /// snapshot is cached there, where no reader of a later generation
+    /// looks, so a cached grant never outlives the publish of a
+    /// revocation of its support.
     pub fn publish_authz_snapshot(&mut self) {
         let started = Instant::now();
         let mut principals = HashMap::with_capacity(self.nodes.len());
-        // Poisoned-decision sweeps, run only once the new snapshot is
-        // in the cell (see [`AuthzShared::invalidate_poisoned`]).
-        let mut sweeps: Vec<(Principal, u64, HashSet<CertDigest>)> = Vec::new();
+        let mut dropped = 0;
         for node in &mut self.nodes {
-            let (snap, sweep) = node.publish();
+            let (snap, invalidated) = node.publish();
             principals.insert(node.me, snap);
-            sweeps.extend(sweep.map(|(version, poisoned)| (node.me, version, poisoned)));
+            dropped += invalidated;
+        }
+        if dropped > 0 {
+            self.authz_shared.invalidations.add(dropped);
         }
         self.authz_shared.cell.publish(crate::AuthzSnapshot {
             generation: 0, // stamped by the cell
             principals,
         });
-        for (p, version, poisoned) in sweeps {
-            self.authz_shared.invalidate_poisoned(p, version, &poisoned);
-        }
         if self.obs.timing_enabled() {
             self.authz_shared
                 .publish_ns
@@ -1555,8 +1556,9 @@ impl System {
     /// [`AuthzReader`] evaluating `authorize()` against published
     /// snapshots from any thread, without borrowing the system. Clone
     /// the handle (or call this again) for more reader threads; all
-    /// handles share one decision cache and see each newly published
-    /// snapshot within one atomic load. A quiescent point publishes
+    /// handles share the decisions cached in each published snapshot
+    /// and see each newly published snapshot within one atomic load.
+    /// A quiescent point publishes
     /// while a reader is alive; with none, the system holds no snapshot
     /// and no cached decision, so open the reader before the traffic it
     /// is to follow.
@@ -2528,6 +2530,99 @@ mod tests {
         sys.run_to_quiescence(16).unwrap();
         assert_eq!(publishes(&sys), 1);
         assert_eq!(holds(&sys), nothing);
+    }
+
+    /// A decision lives in the snapshot it was proved on: a fresh import
+    /// at bob starts his next snapshot with no cached decision, so the
+    /// ones his reader cached before are let go of with the snapshot
+    /// that held them, not kept until something evicts them.
+    #[test]
+    fn a_fresh_import_starts_the_next_snapshot_with_no_cached_decision() {
+        const GOALS: usize = 8;
+        let (mut sys, alice, bob, _, reader) = certified(GOALS);
+        for i in 0..GOALS {
+            let goal = format!("access(s{i},file1,read)");
+            assert!(reader.authorize(bob, &goal).unwrap().granted);
+        }
+        assert_eq!(sys.authz_shared.held(), (2, GOALS));
+
+        let fresh = sys.issue_certificates(alice, "good(fresh).", &[], None);
+        sys.import_certificates(bob, fresh.unwrap()).unwrap();
+        sys.run_to_quiescence(16).unwrap();
+        assert_eq!(sys.authz_shared.held(), (2, 0));
+        assert!(published(&sys, bob).cache().is_empty());
+    }
+
+    /// The stale insert, forced: a reader caught mid-query holds bob's
+    /// snapshot while the certificate its grant rests on is revoked and
+    /// the system quiesces, then proves the grant on the snapshot it
+    /// holds and caches it there. The grant lands in the superseded
+    /// snapshot, so every reader answering after the publish denies.
+    #[test]
+    fn a_grant_proved_on_a_superseded_snapshot_is_never_served() {
+        let (mut sys, alice, bob, digests, reader) = certified(4);
+        let (goal, other) = ("access(s0,file1,read)", "access(s1,file1,read)");
+        assert!(reader.authorize(bob, goal).unwrap().granted);
+        assert!(reader.authorize(bob, other).unwrap().granted);
+        let held = published(&sys, bob);
+
+        sys.revoke_certificate(alice, digests[0]).unwrap();
+        sys.run_to_quiescence(16).unwrap();
+        let now = published(&sys, bob);
+        assert!(!Arc::ptr_eq(&held, &now));
+        // A retraction-only window: the unrelated grant was handed on,
+        // the revoked one was not.
+        let cached = [goal, other].map(|g| now.cache().contains_key(g));
+        assert_eq!(cached, [false, true]);
+
+        let stale = held.decide(goal).unwrap();
+        assert!(stale.granted, "the held snapshot predates the revocation");
+        held.remember(goal, stale);
+        assert!(held.cache().contains_key(goal));
+        assert!(!now.cache().contains_key(goal));
+
+        let late = sys.authz_reader();
+        for r in [&reader, &reader.clone(), &late] {
+            assert!(!r.authorize(bob, goal).unwrap().granted);
+            assert!(r.authorize(bob, other).unwrap().granted);
+        }
+        assert!(!sys.authorize(bob, goal).unwrap().granted);
+    }
+
+    /// A snapshot caches at most `CACHE_CAPACITY` decisions: asking one
+    /// goal more than that clears the map and caches the last, and every
+    /// answer on the way, cached or proved, is the serial one.
+    #[test]
+    fn a_full_snapshot_cache_is_cleared_and_answers_stay_serial() {
+        use crate::authz_read::CACHE_CAPACITY;
+        let (sys, _, bob, _, reader) = certified(8);
+        let goals: Vec<String> = (0..=CACHE_CAPACITY)
+            .map(|i| format!("access(s{i},file1,read)"))
+            .collect();
+        let agree = |goal: &str| {
+            let (read, serial) = (reader.authorize(bob, goal), sys.authorize(bob, goal));
+            let (read, serial) = (read.unwrap(), serial.unwrap());
+            assert_eq!(
+                (read.granted, &read.supporting, &read.proof),
+                (serial.granted, &serial.supporting, &serial.proof),
+                "{goal}"
+            );
+            read.granted
+        };
+        let mut granted = 0;
+        for (i, goal) in goals.iter().enumerate() {
+            granted += usize::from(agree(goal));
+            let cached = sys.authz_shared.held().1;
+            assert!(cached <= CACHE_CAPACITY, "{cached} decisions cached");
+            assert_eq!(cached, i % CACHE_CAPACITY + 1, "after {goal}");
+        }
+        assert_eq!(granted, 8);
+        // The first goals were cleared with the rest: asked again, they
+        // are proved again, and answer as before.
+        for goal in &goals[..16] {
+            agree(goal);
+        }
+        assert_eq!(sys.authz_shared.held().1, 17);
     }
 
     /// The export drain scans only what the relation gained — and here

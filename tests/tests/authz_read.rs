@@ -1,8 +1,8 @@
 //! The concurrent authorization read path: `Send + Sync` reader
 //! handles answering `authorize()` against atomically published
 //! snapshots while the system keeps importing and revoking, the
-//! versioned decision cache, and its revocation-invalidation contract
-//! (a cached grant never survives the retraction that killed its
+//! decisions each snapshot caches, and the revocation contract they
+//! keep (a cached grant never survives the retraction that killed its
 //! support past the next snapshot publish).
 
 use std::collections::HashSet;
@@ -255,8 +255,8 @@ fn a_certified_says_under_mutual_speaks_for_is_granted_and_cited() {
 /// contract: a decision cached from a published snapshot must flip to
 /// deny in the first snapshot published after the retraction — and in a
 /// retraction-only window the invalidation is surgical: the poisoned
-/// entry dies, unrelated cached decisions (and the cache version)
-/// survive.
+/// entry dies, unrelated cached decisions are handed on to the new
+/// snapshot.
 #[test]
 fn cached_grant_dies_with_its_certificate_and_nothing_else_does() {
     let (mut sys, alice, recs, digests) = cert_fanout(1, 2);
@@ -303,7 +303,7 @@ fn cached_grant_dies_with_its_certificate_and_nothing_else_does() {
         "retraction-only window must take the precise invalidation path"
     );
     // …while the unrelated cached decision is still served from cache
-    // under the same version.
+    // by the new snapshot.
     let hits_before = volatile_counter(&sys, "authz.cache_hits");
     let d = reader.authorize(bob, "access(s1,file1,read)").unwrap();
     assert!(d.granted);
@@ -495,10 +495,12 @@ fn concurrent_readers_survive_a_live_revocation_stream() {
 /// reader sweeps the very keys the writer revokes, one per wave. Once
 /// `run_to_quiescence` has returned, the revocation is published, and
 /// no later `authorize` may grant it — in particular not from a cache
-/// entry a concurrent miss re-proved on the superseded snapshot and
-/// re-inserted under the unchanged cache version. The sweeper makes one
-/// full sweep, granting and caching every subject, before the first
-/// revocation, however the threads are scheduled.
+/// entry a concurrent miss re-proved on the superseded snapshot (it is
+/// cached in that snapshot, which no later reader answers from; the core
+/// crate's `a_grant_proved_on_a_superseded_snapshot_is_never_served`
+/// forces this ordering). The sweeper makes one full sweep,
+/// granting and caching every subject, before the first revocation,
+/// however the threads are scheduled.
 #[test]
 fn swept_grant_does_not_outlive_the_publish_of_its_revocation() {
     const SUBJECTS: usize = 24;
@@ -549,7 +551,8 @@ fn swept_grant_does_not_outlive_the_publish_of_its_revocation() {
         stale.is_empty(),
         "granted after the revocation was published: {stale:?}"
     );
-    // Precise invalidation did the work: no version bump was needed.
+    // Precise invalidation did the work: each revocation is a
+    // retraction-only window, whose publish drops the revoked grant.
     assert!(volatile_counter(&sys, "authz.cache_invalidations") > 0);
     for (goal, _) in &goals {
         assert!(!reader.authorize(at, goal).unwrap().granted, "{goal}");
