@@ -669,11 +669,12 @@ impl System {
     ///
     /// What the pool is worth today, for ROADMAP item D (5): with state
     /// shared instead of copied a per-principal task is several times
-    /// cheaper, so there is less for workers to overlap. `ablation_parallel`
-    /// on 2 cores, 32 principals, pooled over inline, two runs
-    /// (`BENCH_parallel.json` holds the second): `fanout_revocation`
-    /// 0.88x – 1.06x at 2 workers and 1.10x – 1.27x at 4 and 8 (it was
-    /// 1.45x – 1.58x while every repair copied its database twice),
+    /// cheaper, so there is less for workers to overlap. A pool sweep
+    /// on 2 cores, 32 principals, pooled over inline, two runs (its
+    /// record is in `CHANGES.md`; ROADMAP D (5) holds the open verdict):
+    /// `fanout_revocation` 0.88x – 1.06x at 2 workers and 1.10x – 1.27x
+    /// at 4 and 8 (it was 1.45x – 1.58x while every repair copied its
+    /// database twice),
     /// `fanout_chain` 1.02x – 1.22x at 2 and 1.38x – 1.49x at 4 and 8, the
     /// skewed hub-and-spokes shape 0.87x – 0.98x. Every benchmark workload
     /// runs at one shard.

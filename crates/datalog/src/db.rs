@@ -155,6 +155,12 @@ impl PositionIndex {
 /// one hold of its lock.
 const PROBE_BATCH: usize = 32;
 
+#[cfg(test)]
+thread_local! {
+    /// How many tuples [`Relation::probe`] has shown on this thread.
+    pub(crate) static PROBED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Which columns of an atom a probe has values for, and the hash of those
 /// values: what [`Relation::probe`] looks up.
 #[derive(Clone, Debug)]
@@ -426,6 +432,11 @@ impl Relation {
         from: usize,
         mut visit: impl FnMut(&Tuple) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
+        #[cfg(test)]
+        let mut visit = |tuple: &Tuple| {
+            PROBED.with(|n| n.set(n.get() + 1));
+            visit(tuple)
+        };
         if key.cols == 0 {
             return self.since(from).try_for_each(visit);
         }

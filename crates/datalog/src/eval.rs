@@ -1,6 +1,6 @@
 //! Bottom-up evaluation: stratified semi-naive fixpoint (the LogicBlox
-//! execution model, §3.1 of the paper) plus a naive evaluator kept as an
-//! ablation baseline.
+//! execution model, §3.1 of the paper) plus a naive evaluator that
+//! `tests/equivalence.rs` holds the semi-naive one equal to.
 //!
 //! Within each stratum:
 //!
@@ -108,8 +108,7 @@ impl From<BuiltinError> for EvalError {
     }
 }
 
-/// Statistics from one evaluation run (used by the benchmark harness and
-/// the naive-vs-semi-naive ablation).
+/// Statistics from one evaluation run (tests count its fixpoint rounds).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EvalStats {
     /// Fixpoint rounds executed (across all strata).
@@ -1123,8 +1122,8 @@ fn matches_any(rel: &Relation, atom: &Atom, env: &mut Bindings) -> bool {
 }
 
 /// Naive evaluation: every rule re-evaluated in full each round until no
-/// new tuples appear. Kept as the baseline for the semi-naive ablation
-/// (experiment A1 in DESIGN.md).
+/// new tuples appear. Kept as the reference semi-naive evaluation must
+/// equal: `tests/equivalence.rs`'s `seminaive_equals_naive`.
 pub fn run_naive(
     rules: &[Rule],
     db: &mut Database,

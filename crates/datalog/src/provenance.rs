@@ -1023,6 +1023,30 @@ mod tests {
         }
     }
 
+    /// Explaining a grant shows it the one certificate tuple it rests
+    /// on, however many the store holds: the premise's closed quote
+    /// pattern is an index key, not a filter over a scan of `says`. The
+    /// certificates are stored newest first, so a scan would meet `s5`
+    /// only near the end of the relation.
+    #[test]
+    fn an_explanation_probes_what_it_cites_not_the_store() {
+        let probed = |certs: usize| {
+            let facts: String = (0..certs)
+                .rev()
+                .map(|i| format!("says(hub,me,[| good(s{i}). |]). "))
+                .collect();
+            let (_, stored, _) = setup(&facts);
+            let (rules, db, builtins) =
+                setup_over("access(P,f,read) <- says(hub,me,[| good(P). |]).", stored);
+            let goal = t(&["s5", "f", "read"]);
+            let before = crate::db::PROBED.with(std::cell::Cell::get);
+            let proof = explain(&rules, &db, &builtins, Symbol::intern("access"), &goal);
+            assert!(proof.is_some(), "{certs} certificates");
+            crate::db::PROBED.with(std::cell::Cell::get) - before
+        };
+        assert_eq!(probed(256), probed(2048));
+    }
+
     /// Past its bound of rule instances a search gives up, and a
     /// decision resting on the tuple fails closed — though a proof
     /// exists: here every `w` fact makes one more instance of the cycle.

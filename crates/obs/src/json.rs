@@ -1,8 +1,8 @@
 //! A tiny JSON writer — just enough for the JSONL sink and the
-//! `BENCH_*.json` reports. The workspace builds offline with no serde,
-//! so serialization is hand-rolled: objects are emitted in insertion
-//! order, strings are escaped per RFC 8259, and non-finite floats map
-//! to `null` (JSON has no NaN/Infinity).
+//! `benchmark/` package's result lines. The workspace builds offline
+//! with no serde, so serialization is hand-rolled: objects are emitted
+//! in insertion order, strings are escaped per RFC 8259, and non-finite
+//! floats map to `null` (JSON has no NaN/Infinity).
 
 use std::fmt::Write as _;
 
@@ -75,13 +75,6 @@ impl ObjectWriter {
         self
     }
 
-    /// Adds a float member (`null` when not finite).
-    pub fn f64_field(&mut self, key: &str, value: f64) -> &mut Self {
-        self.key(key);
-        write_f64(&mut self.buf, value);
-        self
-    }
-
     /// Adds a boolean member.
     pub fn bool_field(&mut self, key: &str, value: bool) -> &mut Self {
         self.key(key);
@@ -100,13 +93,6 @@ impl ObjectWriter {
             write_str(&mut self.buf, v);
         }
         self.buf.push(']');
-        self
-    }
-
-    /// Adds a member whose value is raw, already-valid JSON.
-    pub fn raw_field(&mut self, key: &str, raw_json: &str) -> &mut Self {
-        self.key(key);
-        self.buf.push_str(raw_json);
         self
     }
 
@@ -151,13 +137,8 @@ mod tests {
         w.str_field("s", "x")
             .u64_field("n", 7)
             .bool_field("b", true)
-            .f64_field("f", 0.5)
-            .str_list_field("l", &["a".into(), "b".into()])
-            .raw_field("o", "{\"k\":1}");
-        assert_eq!(
-            w.finish(),
-            r#"{"s":"x","n":7,"b":true,"f":0.5,"l":["a","b"],"o":{"k":1}}"#
-        );
+            .str_list_field("l", &["a".into(), "b".into()]);
+        assert_eq!(w.finish(), r#"{"s":"x","n":7,"b":true,"l":["a","b"]}"#);
     }
 
     #[test]

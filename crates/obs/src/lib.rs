@@ -7,7 +7,7 @@
 //! did the time go", "do the ledgers reconcile" and "why was X
 //! allowed" are all answerable from data the system already collected.
 //!
-//! Four pieces, layered smallest-first:
+//! Three pieces, layered smallest-first:
 //!
 //! * [`metrics`] — a process-local [`metrics::Registry`] of counters,
 //!   gauges and log2-bucketed histograms behind cheap atomic handles.
@@ -22,14 +22,8 @@
 //!   [`journal::JsonlSink`] writing one JSON object per line. The
 //!   runtime records authorization decisions here together with the
 //!   digests of the supporting credentials.
-//! * [`json`] — the tiny JSON writer backing the JSONL sink and the
-//!   bench reports (no serde in this workspace; the build environment
-//!   has no registry access).
-//! * [`report`] — [`report::Report`], the `BENCH_<name>.json` emitter:
-//!   each bench persists its headline metric plus a phase-time
-//!   breakdown at the repository root, so the perf trajectory is
-//!   diffable across PRs instead of buried in
-//!   `target/criterion/summary.txt`.
+//! * [`json`] — the tiny JSON writer backing the JSONL sink (no serde
+//!   in this workspace; the build environment has no registry access).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,8 +31,6 @@
 pub mod journal;
 pub mod json;
 pub mod metrics;
-pub mod report;
 
 pub use journal::{Event, EventSink, Field, Journal, JsonlSink, NullSink, RingSink};
 pub use metrics::{Counter, Gauge, Histogram, MetricValue, Registry, Snapshot};
-pub use report::Report;

@@ -386,7 +386,7 @@ impl Registry {
     }
 
     /// Every wall-clock timing histogram, sorted by name — the phase
-    /// breakdown [`crate::report::Report::phases_from`] renders.
+    /// breakdown `tests/observability.rs` reads.
     pub fn timings(&self) -> Vec<(String, HistogramSnapshot)> {
         let metrics = self.metrics.lock().unwrap_or_else(|e| e.into_inner());
         metrics

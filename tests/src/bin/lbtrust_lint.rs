@@ -19,8 +19,8 @@
 //!
 //! Exit status: 0 when no program has a deny-level finding, 1 when any
 //! does, 2 on usage/read/parse errors. This is the workspace CI gate:
-//! `cargo run -p lbtrust-bench --bin lbtrust-lint -- --deny --builtin
-//! examples/programs/*.sdl`.
+//! `cargo run -p lbtrust-tests --bin lbtrust-lint -- --deny --builtin
+//! examples/programs/*.sdl`; `tests/lint_cli.rs` pins the three statuses.
 
 use lbtrust_analysis::{analyze, Analysis, AnalyzerConfig, LintLevel};
 use lbtrust_datalog::parse_program;

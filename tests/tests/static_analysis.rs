@@ -11,8 +11,8 @@ use lbtrust_datalog::{parse_program, Span};
 use lbtrust_sendlog::{rev_gossip_program, sendlog_to_lbtrust, PATH_VECTOR, REACHABILITY};
 
 /// Every in-tree protocol — exactly as the runtime loads it — is clean
-/// even with every lint promoted to `Deny`. This is the bar the CI
-/// `lint-programs` step enforces over `examples/programs/*.sdl`.
+/// even with every lint promoted to `Deny`. `lint_cli.rs` holds the
+/// `lbtrust-lint` CLI to the same bar over `examples/programs/*.sdl`.
 #[test]
 fn in_tree_programs_lint_clean_at_deny() {
     let translated = [
