@@ -27,10 +27,6 @@ pub enum AuditAction {
     Expired,
     /// Died because a supporting (linked) certificate died.
     LinkBroken,
-    /// A dead certificate's in-memory record was dropped. No store
-    /// records this any more (nothing evicts); the variant stays so the
-    /// durable audit segments of older stores keep decoding.
-    Evicted,
 }
 
 impl AuditAction {
@@ -42,7 +38,6 @@ impl AuditAction {
             "revoked" => AuditAction::Revoked,
             "expired" => AuditAction::Expired,
             "link-broken" => AuditAction::LinkBroken,
-            "evicted" => AuditAction::Evicted,
             _ => return None,
         })
     }
@@ -55,7 +50,6 @@ impl fmt::Display for AuditAction {
             AuditAction::Revoked => "revoked",
             AuditAction::Expired => "expired",
             AuditAction::LinkBroken => "link-broken",
-            AuditAction::Evicted => "evicted",
         })
     }
 }

@@ -1042,6 +1042,7 @@ mod tests {
         let ckpt = LogRecord::Checkpoint(Box::new(CheckpointState {
             clock: 190,
             active: vec![CheckpointCert {
+                digest: cert("good(carol).").digest(),
                 cert: cert("good(carol)."),
                 imported_at: 3,
                 expires_at: None,

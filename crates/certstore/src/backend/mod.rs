@@ -19,8 +19,9 @@
 //!   replay and live-state compaction. A record's presence in the log
 //!   *is* its recorded verification outcome: replay trusts it and
 //!   primes the shared verification cache instead of re-running
-//!   signature checks, which is why reopening a store is much cheaper
-//!   than a cold import.
+//!   signature checks, and files a certificate under the content
+//!   address its record carries instead of hashing it again, which is
+//!   why reopening a store is much cheaper than a cold import.
 
 pub mod fault;
 pub mod log;
@@ -34,8 +35,11 @@ use lbtrust_net::wire::{frame_record, read_frame, read_frame_sequence, META_CHEC
 use std::fmt;
 use std::sync::Arc;
 
-/// Frame tag for a certificate-import record.
-pub const REC_CERT: u8 = 1;
+/// Frame tag for a certificate-import record: the certificate's 32-byte
+/// content address, then its wire bytes. Tag 1 held the wire bytes
+/// alone; a log holding it is refused as
+/// [`StorageError::UnsupportedRecord`].
+pub const REC_CERT: u8 = 6;
 /// Frame tag for a revocation record.
 pub const REC_REVOKE: u8 = 2;
 /// Frame tag for a clock-advance record.
@@ -47,8 +51,10 @@ pub const REC_CHECKPOINT: u8 = 4;
 pub const REC_AUDIT: u8 = 5;
 
 /// Nested frame tag (inside a checkpoint payload) for one active
-/// certificate plus its lifecycle metadata.
-const CKPT_CERT: u8 = 0xA2;
+/// certificate: its content address, its lifecycle metadata, its wire
+/// bytes. Tag `0xA2` held no address; a checkpoint holding it does not
+/// decode.
+const CKPT_CERT: u8 = 0xA4;
 /// Nested frame tag for one remembered revocation.
 const CKPT_REVOKED: u8 = 0xA3;
 
@@ -58,6 +64,8 @@ const CKPT_REVOKED: u8 = 0xA3;
 /// restored clock would grant expired certificates a fresh lease).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CheckpointCert {
+    /// Its content address, recorded so a restore never hashes it.
+    pub digest: CertDigest,
     /// The certificate (signatures recorded as verified).
     pub cert: LinkedCert,
     /// Logical time of the original import.
@@ -89,11 +97,17 @@ pub struct CheckpointState {
 
 /// One durable mutation. Records are appended only after verification
 /// succeeds, so presence in a log is itself the recorded verification
-/// outcome.
+/// outcome — and a certificate record's address is the one its import
+/// computed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LogRecord {
     /// A certificate whose both signatures verified at append time.
-    Cert(LinkedCert),
+    Cert {
+        /// Its content address, as the import computed it.
+        digest: CertDigest,
+        /// The certificate.
+        cert: LinkedCert,
+    },
     /// A revocation whose signature verified at append time.
     Revoke {
         /// The withdrawing principal.
@@ -300,10 +314,19 @@ impl StorageBackend for Box<dyn StorageBackend> {
     }
 }
 
+/// Splits a payload that starts with a 32-byte content address.
+fn split_address(payload: &[u8]) -> Option<(CertDigest, &[u8])> {
+    let (address, rest) = payload.split_first_chunk()?;
+    Some((CertDigest(*address), rest))
+}
+
 /// Encodes one record as a framed byte string.
 pub fn encode_record(record: &LogRecord) -> Vec<u8> {
     match record {
-        LogRecord::Cert(cert) => frame_record(REC_CERT, &cert.wire_bytes()),
+        LogRecord::Cert { digest, cert } => frame_record(
+            REC_CERT,
+            &[digest.as_bytes().as_slice(), &cert.wire_bytes()].concat(),
+        ),
         LogRecord::Revoke {
             issuer,
             target,
@@ -331,7 +354,8 @@ pub fn encode_record(record: &LogRecord) -> Vec<u8> {
                     Some(t) => t.to_string(),
                     None => "none".to_string(),
                 };
-                let mut body = format!("at:{}\nexp:{exp}\n", c.imported_at).into_bytes();
+                let mut body = c.digest.as_bytes().to_vec();
+                body.extend_from_slice(format!("at:{}\nexp:{exp}\n", c.imported_at).as_bytes());
                 body.extend_from_slice(&c.cert.wire_bytes());
                 payload.extend_from_slice(&frame_record(CKPT_CERT, &body));
             }
@@ -373,6 +397,7 @@ fn decode_checkpoint(payload: &[u8]) -> Option<CheckpointState> {
     for (kind, body) in it {
         match kind {
             CKPT_CERT => {
+                let (digest, body) = split_address(body)?;
                 let text = std::str::from_utf8(body).ok()?;
                 let mut parts = text.splitn(3, '\n');
                 let imported_at: u64 = parts.next()?.strip_prefix("at:")?.parse().ok()?;
@@ -382,6 +407,7 @@ fn decode_checkpoint(payload: &[u8]) -> Option<CheckpointState> {
                 };
                 let cert = LinkedCert::parse_wire_bytes(parts.next()?.as_bytes())?;
                 active.push(CheckpointCert {
+                    digest,
                     cert,
                     imported_at,
                     expires_at,
@@ -468,7 +494,11 @@ pub fn decode_audit_entry(kind: u8, payload: &[u8]) -> Option<AuditEntry> {
 /// replay treats that the same as a corrupt tail.
 pub fn decode_record(kind: u8, payload: &[u8]) -> Option<LogRecord> {
     match kind {
-        REC_CERT => LinkedCert::parse_wire_bytes(payload).map(LogRecord::Cert),
+        REC_CERT => {
+            let (digest, wire) = split_address(payload)?;
+            let cert = LinkedCert::parse_wire_bytes(wire)?;
+            Some(LogRecord::Cert { digest, cert })
+        }
         REC_REVOKE => {
             let text = std::str::from_utf8(payload).ok()?;
             let mut lines = text.lines();
@@ -543,10 +573,30 @@ mod tests {
         }
     }
 
+    fn cert_record(cert: LinkedCert) -> LogRecord {
+        LogRecord::Cert {
+            digest: cert.digest(),
+            cert,
+        }
+    }
+
+    fn checkpoint_cert(
+        cert: LinkedCert,
+        imported_at: u64,
+        expires_at: Option<u64>,
+    ) -> CheckpointCert {
+        CheckpointCert {
+            digest: cert.digest(),
+            cert,
+            imported_at,
+            expires_at,
+        }
+    }
+
     #[test]
     fn record_codec_roundtrip() {
         let records = vec![
-            LogRecord::Cert(cert("good(carol).", Some(9))),
+            cert_record(cert("good(carol).", Some(9))),
             LogRecord::Revoke {
                 issuer: Symbol::intern("alice"),
                 target: CertDigest::of(b"victim"),
@@ -581,16 +631,8 @@ mod tests {
         let state = CheckpointState {
             clock: 17,
             active: vec![
-                CheckpointCert {
-                    cert: cert("good(carol).", Some(9)),
-                    imported_at: 3,
-                    expires_at: Some(12),
-                },
-                CheckpointCert {
-                    cert: cert("p(x) <- q(x).", None),
-                    imported_at: 0,
-                    expires_at: None,
-                },
+                checkpoint_cert(cert("good(carol).", Some(9)), 3, Some(12)),
+                checkpoint_cert(cert("p(x) <- q(x).", None), 0, None),
             ],
             revoked: vec![
                 (Symbol::intern("alice"), CertDigest::of(b"gone"), vec![9; 8]),
@@ -612,11 +654,7 @@ mod tests {
     fn corrupt_checkpoint_is_unsupported_not_salvaged() {
         let record = LogRecord::Checkpoint(Box::new(CheckpointState {
             clock: 1,
-            active: vec![CheckpointCert {
-                cert: cert("good(carol).", None),
-                imported_at: 0,
-                expires_at: None,
-            }],
+            active: vec![checkpoint_cert(cert("good(carol).", None), 0, None)],
             revoked: vec![],
         }));
         let mut buf = encode_record(&record);
@@ -652,15 +690,6 @@ mod tests {
                 principal: Symbol::intern("bob"),
                 action: AuditAction::LinkBroken,
                 at: 9,
-                rule: None,
-            },
-            // Nothing writes `evicted` any more; segments folded by an
-            // older store may hold it and must keep decoding.
-            AuditEntry {
-                digest: CertDigest::of(b"c3"),
-                principal: Symbol::intern("alice"),
-                action: AuditAction::Evicted,
-                at: 11,
                 rule: None,
             },
         ];

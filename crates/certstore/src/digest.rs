@@ -9,9 +9,17 @@ use std::fmt;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CertDigest(pub WireDigest);
 
+#[cfg(test)]
+thread_local! {
+    /// How many digests [`CertDigest::of`] has computed on this thread.
+    pub(crate) static HASHED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 impl CertDigest {
     /// Digests a canonical byte string.
     pub fn of(bytes: &[u8]) -> CertDigest {
+        #[cfg(test)]
+        HASHED.with(|n| n.set(n.get() + 1));
         CertDigest(digest_bytes(bytes))
     }
 

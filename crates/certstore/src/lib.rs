@@ -30,7 +30,8 @@
 //!   ephemeral behaviour, while the segmented log backend makes stores
 //!   survive restarts ([`CertStore::open`] replays the segment set,
 //!   skipping signature re-verification by priming recorded outcomes
-//!   into the shared cache). Since PR 4 the log has a full lifecycle:
+//!   into the shared cache, and filing each certificate under the
+//!   content address its record carries). The log has a full lifecycle:
 //!   size-triggered segment rotation under a CRC-framed manifest,
 //!   [`CertStore::checkpoint`] bounding replay to checkpoint + suffix,
 //!   and [`CertStore::compact`] reclaiming dead records while folding

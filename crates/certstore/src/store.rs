@@ -406,7 +406,9 @@ fn cert_record_bytes(cert: &LinkedCert) -> u64 {
         Some(t) => "ttl:\n".len() + decimal_digits(t),
         None => "ttl:none\n".len(),
     };
-    let payload = "lbtrust-cert:v1\n".len()
+    // The raw content address, then the wire bytes.
+    let payload = 32
+        + "lbtrust-cert:v1\n".len()
         + "issuer:\n".len()
         + cert.issuer.as_str().len()
         + "rule:\n".len()
@@ -646,6 +648,7 @@ impl CertStore {
             .map(|d| {
                 let e = self.entries.get(d).expect("active digest is stored");
                 CheckpointCert {
+                    digest: *d,
                     cert: e.cert.clone(),
                     imported_at: e.imported_at,
                     expires_at: e.expires_at,
@@ -913,10 +916,10 @@ impl CertStore {
         // Durability first: the record reaches the backend before the
         // in-memory state changes, so an append failure leaves the
         // store consistent.
-        let record = LogRecord::Cert(cert);
+        let record = LogRecord::Cert { digest, cert };
         self.backend.append(&record)?;
         self.dirty = true;
-        let LogRecord::Cert(cert) = record else {
+        let LogRecord::Cert { cert, .. } = record else {
             unreachable!("constructed above")
         };
         self.apply_insert(digest, cert);
@@ -1284,9 +1287,12 @@ impl CertStore {
 
     /// Rebuilds state from a backend's records: inserts skip signature
     /// re-verification (the recorded outcome is primed into the shared
-    /// cache instead), revocations and clock advances re-run the same
-    /// transition logic the live paths use, so the result is
-    /// byte-for-byte the state an uninterrupted store would hold.
+    /// cache instead) and file each certificate under the address its
+    /// record carries (trusted exactly like that outcome: both sit behind
+    /// the frame CRC of a log this store wrote), revocations and clock
+    /// advances re-run the same transition logic the live paths use, so
+    /// the result is byte-for-byte the state an uninterrupted store would
+    /// hold.
     fn apply_replay(&mut self, log: ReplayLog) {
         let records = log.records.len();
         // The audit segment holds everything folded out of compacted
@@ -1299,9 +1305,8 @@ impl CertStore {
         for record in log.records {
             self.stats.replayed += 1;
             match record {
-                LogRecord::Cert(cert) => {
+                LogRecord::Cert { digest, cert } => {
                     self.prime_recorded(cert.issuer, &cert.signed());
-                    let digest = cert.digest();
                     // A faithful log cannot trip these guards (the
                     // original insert validated them), but a log from a
                     // newer/older version might; skipping keeps replay
@@ -1360,8 +1365,9 @@ impl CertStore {
     }
 
     /// Resets the store to a checkpoint's materialized state: live
-    /// certificates land with their original import time and expiry
-    /// deadline (signatures primed as verified, no re-verification),
+    /// certificates land under their recorded addresses with their
+    /// original import time and expiry deadline (signatures primed as
+    /// verified, nothing re-verified or re-hashed),
     /// remembered revocations resume blocking imports. No audit entries
     /// are generated — the checkpoint's history lives in the restored
     /// audit segment.
@@ -1383,13 +1389,14 @@ impl CertStore {
         self.live_bytes = 0;
         self.clock = state.clock;
         for CheckpointCert {
+            digest,
             cert,
             imported_at,
             expires_at,
         } in state.active
         {
             self.prime_recorded(cert.issuer, &cert.signed());
-            self.file(cert.digest(), cert, imported_at, expires_at);
+            self.file(digest, cert, imported_at, expires_at);
             self.stats.replayed_from_checkpoint += 1;
         }
         for (issuer, target, signature) in state.revoked {
@@ -1943,8 +1950,17 @@ mod tests {
         ] {
             assert_eq!(
                 cert_record_bytes(&c),
-                encode_record(&LogRecord::Cert(c.clone())).len() as u64,
+                encode_record(&LogRecord::Cert {
+                    digest: c.digest(),
+                    cert: c.clone()
+                })
+                .len() as u64,
                 "size arithmetic drifted from the encoder for {c:?}"
+            );
+            // The payload is the raw 32-byte address, then the wire bytes.
+            assert_eq!(
+                cert_record_bytes(&c),
+                (lbtrust_net::FRAME_OVERHEAD + 1 + 32 + c.wire_bytes().len()) as u64
             );
         }
         let issuer = Symbol::intern("alice");
@@ -1958,6 +1974,76 @@ mod tests {
             })
             .len() as u64
         );
+    }
+
+    #[test]
+    fn a_reopen_hashes_no_certificate() {
+        let hashed = || crate::digest::HASHED.with(std::cell::Cell::get);
+        let path = tmp_store_path("nohash");
+        wipe(&path);
+        let mut store = CertStore::open(&path, shared_verify_cache()).unwrap();
+        let root = cert("alice", "root(alice).", vec![], None);
+        let root_d = store.insert(root, &toy_verifier()).unwrap().digest;
+        for i in 0..8 {
+            let c = cert("alice", &format!("p(x{i})."), vec![root_d], Some(50));
+            store.insert(c, &toy_verifier()).unwrap();
+        }
+        store.advance_clock(1).unwrap();
+        let active = store.active();
+        store.sync().unwrap();
+        drop(store);
+
+        // From the log's records, then from a checkpoint.
+        for compact in [false, true] {
+            let before = hashed();
+            let mut reopened = CertStore::open(&path, shared_verify_cache()).unwrap();
+            assert_eq!(hashed() - before, 0, "open computed a digest");
+            assert_eq!(reopened.replay_report().from_checkpoint, compact);
+            assert_eq!(reopened.active(), active);
+            for d in &active {
+                let entry = reopened.get(d).unwrap();
+                assert_eq!(entry.cert.digest(), *d, "filed under its own address");
+            }
+            if !compact {
+                assert!(reopened.compact().unwrap().performed);
+            }
+        }
+        wipe(&path);
+    }
+
+    #[test]
+    fn an_address_less_certificate_refuses_the_open_and_changes_no_byte() {
+        use crate::backend::encode_record;
+        use lbtrust_net::wire::{frame_record, META_CHECKPOINT};
+        let c = cert("alice", "good(carol).", vec![], None);
+        let tick = encode_record(&LogRecord::Tick(1));
+        // Tag 1 held a certificate's wire bytes alone, and a checkpoint's
+        // tag 0xA2 its metadata and wire bytes.
+        let old_record = frame_record(1, &c.wire_bytes());
+        let mut old_checkpoint = frame_record(
+            META_CHECKPOINT,
+            b"lbtrust-checkpoint:v1\nclock:0\nactive:1\nrevoked:0\n",
+        );
+        let body = [b"at:0\nexp:none\n".as_slice(), &c.wire_bytes()].concat();
+        old_checkpoint.extend_from_slice(&frame_record(0xA2, &body));
+        let old_checkpoint = frame_record(crate::backend::REC_CHECKPOINT, &old_checkpoint);
+        for old in [old_record, old_checkpoint] {
+            let path = tmp_store_path("oldlayout");
+            wipe(&path);
+            let bytes = [tick.as_slice(), &old].concat();
+            std::fs::write(&path, &bytes).unwrap();
+            match CertStore::open(&path, shared_verify_cache()) {
+                Err(CertStoreError::Storage(StorageError::UnsupportedRecord {
+                    offset, ..
+                })) => {
+                    assert_eq!(offset, tick.len() as u64)
+                }
+                Err(e) => panic!("refused for another reason: {e}"),
+                Ok(_) => panic!("opened a log in the address-less layout"),
+            }
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "a byte changed");
+            wipe(&path);
+        }
     }
 
     #[test]

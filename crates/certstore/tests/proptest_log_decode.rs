@@ -1,11 +1,16 @@
 //! Hostile bytes on the certificate log's replay path: `scan_records`
 //! → `decode_record` → `LinkedCert::parse_wire_bytes`, seeded from
-//! valid `encode_record` output (certificate, revocation and clock
-//! records) and then edited (flip, truncate, splice, duplicate, extend).
-//! Half of the edited frames get a fresh length and CRC, so they reach
-//! the decoder; the other half keep the originals and must read as a
-//! torn tail. Decoding never panics, and every record before the edited
-//! one replays as written.
+//! valid `encode_record` output (certificate, revocation, clock and
+//! checkpoint records) and then edited (flip, truncate, splice,
+//! duplicate, extend). Half of the edited frames get a fresh length and
+//! CRC, so they reach the decoder; the other half keep the originals and
+//! must read as a torn tail. Decoding never panics, and every record
+//! before the edited one replays as written.
+//!
+//! Replay files a certificate under the content address its record
+//! carries, without hashing it; a flip that keeps the frame's CRC,
+//! address bytes included, is a torn tail, so no such edit files a
+//! certificate under an address other than the one written.
 //!
 //! The same edits, applied to a rotated log's `MANIFEST` — to the file,
 //! to its payload or to one field's value, the last two re-framed with a
@@ -16,7 +21,7 @@
 
 use lbtrust_certstore::backend::log::LogBackend;
 use lbtrust_certstore::backend::{
-    decode_record, encode_record, scan_records, CheckpointState, StorageBackend,
+    decode_record, encode_record, scan_records, CheckpointCert, CheckpointState, StorageBackend,
 };
 use lbtrust_certstore::{AuditAction, AuditEntry, CertDigest, LinkedCert, LogRecord};
 use lbtrust_datalog::{parse_rule, Symbol};
@@ -34,31 +39,67 @@ const RULES: [&str; 4] = [
     "p(\"s t\", 42) <- q(X).",
 ];
 
+fn bytes(len: u64, salt: u64) -> Vec<u8> {
+    (0..len)
+        .map(|k| (k * 31).wrapping_add(salt) as u8)
+        .collect()
+}
+
+fn issuer(n: u64) -> Symbol {
+    Symbol::intern(["alice", "bob"][n as usize % 2])
+}
+
+/// A certificate drawn from `n`, with its content address.
+fn cert(n: u64) -> (CertDigest, LinkedCert) {
+    let cert = LinkedCert {
+        issuer: issuer(n),
+        rule: Arc::new(parse_rule(RULES[n as usize % RULES.len()]).unwrap()),
+        links: (0..n % 3)
+            .map(|k| CertDigest::of(&[k as u8, n as u8]))
+            .collect(),
+        ttl: (!n.is_multiple_of(4)).then_some(n % 97),
+        signature: bytes(n % 97, n),
+        rule_sig: bytes(n % 13, n.wrapping_add(1)),
+    };
+    (cert.digest(), cert)
+}
+
 /// A valid record drawn from `(kind, n)`.
 fn record((kind, n): (u8, u64)) -> LogRecord {
-    let issuer = Symbol::intern(["alice", "bob"][n as usize % 2]);
-    let bytes = |len: u64, salt: u64| -> Vec<u8> {
-        (0..len)
-            .map(|k| (k * 31).wrapping_add(salt) as u8)
-            .collect()
-    };
-    match kind % 3 {
-        0 => LogRecord::Cert(LinkedCert {
-            issuer,
-            rule: Arc::new(parse_rule(RULES[n as usize % RULES.len()]).unwrap()),
-            links: (0..n % 3)
-                .map(|k| CertDigest::of(&[k as u8, n as u8]))
-                .collect(),
-            ttl: (n % 4 != 0).then_some(n % 97),
-            signature: bytes(n % 97, n),
-            rule_sig: bytes(n % 13, n.wrapping_add(1)),
-        }),
+    match kind % 4 {
+        0 => {
+            let (digest, cert) = cert(n);
+            LogRecord::Cert { digest, cert }
+        }
         1 => LogRecord::Revoke {
-            issuer,
+            issuer: issuer(n),
             target: CertDigest::of(&n.to_le_bytes()),
             signature: bytes(n % 64, n),
         },
-        _ => LogRecord::Tick(n),
+        2 => LogRecord::Tick(n),
+        _ => LogRecord::Checkpoint(Box::new(CheckpointState {
+            clock: n,
+            active: (0..n % 3)
+                .map(|k| {
+                    let (digest, cert) = cert(n.wrapping_add(k));
+                    CheckpointCert {
+                        digest,
+                        cert,
+                        imported_at: k,
+                        expires_at: (k % 2 == 1).then_some(n),
+                    }
+                })
+                .collect(),
+            revoked: (0..n % 2)
+                .map(|k| {
+                    (
+                        issuer(k),
+                        CertDigest::of(&k.to_le_bytes()),
+                        bytes(n % 16, k),
+                    )
+                })
+                .collect(),
+        })),
     }
 }
 

@@ -879,6 +879,23 @@ impl System {
     /// public key handle) to every existing principal. A name no packet
     /// could carry — a symbol travels as its bare text — is refused with
     /// [`SysError::InvalidName`] here, not dropped by every receiver later.
+    ///
+    /// The newcomer is not evaluated here: its introduced facts and the
+    /// facts of the certificates its store replays become its rollback
+    /// baseline as they stand, and its first evaluation is owed to the
+    /// next step of [`System::run_to_quiescence`] (or to whatever
+    /// evaluates it first). Until then its workspace holds those facts
+    /// and nothing derived from them, so a reader is denied. If they
+    /// violate a constraint — a replayed credential whose issuer has not
+    /// registered yet — the evaluation that finds it rolls the workspace
+    /// back to that baseline and counts in
+    /// [`SystemStats::local_rollbacks`], and a later registration that
+    /// introduces the missing principal lets the next evaluation succeed.
+    /// Every existing principal evaluates its introduction of the
+    /// newcomer now. A constraint violation there is counted the same
+    /// way and does not abort the registration: that principal rolls
+    /// back and keeps the introduction in its baseline. Any other
+    /// evaluation error is returned.
     pub fn add_principal(&mut self, name: &str, node: &str) -> Result<Principal, SysError> {
         if !lbtrust_datalog::lexer::is_principal_name(name) {
             return Err(SysError::InvalidName(name.to_string()));
@@ -909,28 +926,14 @@ impl System {
         }
 
         // Introduce everyone to everyone (prin facts + key handles).
-        ws.assert_fact(Symbol::intern("prin"), vec![Value::Sym(me)]);
+        introduce(&mut ws, me);
         ws.assert_fact(
             Symbol::intern("rsaprivkey"),
             vec![Value::Sym(me), rsa_priv_handle(me)],
         );
-        ws.assert_fact(
-            Symbol::intern("rsapubkey"),
-            vec![Value::Sym(me), rsa_pub_handle(me)],
-        );
         for other in &mut self.nodes {
-            ws.assert_fact(Symbol::intern("prin"), vec![Value::Sym(other.me)]);
-            ws.assert_fact(
-                Symbol::intern("rsapubkey"),
-                vec![Value::Sym(other.me), rsa_pub_handle(other.me)],
-            );
-            other
-                .ws
-                .assert_fact(Symbol::intern("prin"), vec![Value::Sym(me)]);
-            other.ws.assert_fact(
-                Symbol::intern("rsapubkey"),
-                vec![Value::Sym(me), rsa_pub_handle(me)],
-            );
+            introduce(&mut ws, other.me);
+            introduce(&mut other.ws, me);
         }
 
         // The certificate store, composed one way: an ephemeral backend
@@ -971,11 +974,20 @@ impl System {
         let mut principal = Box::new(PrincipalState::new(ws, store, NodeId::new(node), faults));
         self.stats.certs_replayed += principal.file_cert_facts(active);
 
-        // Commit a baseline so any later constraint violation rolls back
-        // to a fully introduced workspace, not an empty one.
-        principal.ws.evaluate()?;
+        // A constraint violation rolls back to a fully introduced
+        // workspace, not an empty one; the first evaluation is the next
+        // step's.
+        principal.ws.mark_baseline();
         for other in &mut self.nodes {
-            other.ws.evaluate()?;
+            match other.ws.evaluate() {
+                Ok(_) => {}
+                Err(WsError::Constraint(_)) => {
+                    self.stats.local_rollbacks += 1;
+                    introduce(&mut other.ws, me);
+                    other.ws.mark_baseline();
+                }
+                Err(e) => return Err(e.into()),
+            }
         }
         self.index.insert(me, self.nodes.len());
         self.nodes.push(principal);
@@ -2096,6 +2108,15 @@ impl System {
     fn node_of(&self, p: Principal) -> NodeId {
         self.location(p).unwrap_or_else(|| NodeId::new(p.as_str()))
     }
+}
+
+/// Introduces `who` to `ws`: its name and its public key handle.
+fn introduce(ws: &mut Workspace, who: Principal) {
+    ws.assert_fact(Symbol::intern("prin"), vec![Value::Sym(who)]);
+    ws.assert_fact(
+        Symbol::intern("rsapubkey"),
+        vec![Value::Sym(who), rsa_pub_handle(who)],
+    );
 }
 
 /// Name-based ordering key for one gossip message, so the send order

@@ -948,6 +948,20 @@ impl Workspace {
         self.committed = Some(base);
     }
 
+    /// Makes the current state the rollback baseline without evaluating
+    /// it: the marks are taken over the base facts asserted so far, and
+    /// the baseline is flagged as not the fixpoint, so a rollback to it
+    /// rebuilds. What the state owes stays owed to the next evaluation.
+    /// A registration marks a newcomer's introduced facts this way
+    /// instead of evaluating a workspace its first policy load would
+    /// rebuild anyway.
+    pub(crate) fn mark_baseline(&mut self) {
+        self.commit();
+        if let Some(base) = &mut self.committed {
+            base.rebuild = true;
+        }
+    }
+
     /// Undoes a failed evaluation: puts back what a rebuild `displaced`,
     /// then cuts everything that only grew back to the baseline's marks.
     fn roll_back(&mut self, base: &Committed, displaced: Displaced) {
@@ -1822,6 +1836,28 @@ mod tests {
         assert!(ws.holds(sym("mode"), &vals(&["rsa"])));
         assert!(!ws.holds(sym("mode"), &vals(&["hmac"])));
         assert_eq!(ws.active_rules().len(), 1);
+    }
+
+    #[test]
+    fn a_marked_baseline_is_evaluated_by_the_next_evaluation_and_rolled_back_to() {
+        let mut ws = Workspace::new("w");
+        ws.load("schema", "member(X) -> person(X).").unwrap();
+        ws.assert_src("member(ann).").unwrap();
+        ws.mark_baseline();
+        assert_eq!(ws.compactions(), 0, "marking evaluates nothing");
+        // A rule loaded after the mark, then a failed evaluation: back to
+        // the marked facts, without the rule, owed a rebuild.
+        ws.load("derive", "vip(X) <- member(X).").unwrap();
+        assert!(ws.evaluate().is_err());
+        assert!(ws.holds(sym("member"), &vals(&["ann"])));
+        assert!(!ws.holds(sym("vip"), &vals(&["ann"])));
+        assert_eq!(ws.active_rules().len(), 0);
+        // The missing fact arrives; the next evaluation succeeds from the
+        // marked facts.
+        ws.assert_src("person(ann).").unwrap();
+        ws.load("derive", "vip(X) <- member(X).").unwrap();
+        ws.evaluate().unwrap();
+        assert!(ws.holds(sym("vip"), &vals(&["ann"])));
     }
 
     #[test]

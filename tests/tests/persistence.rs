@@ -19,6 +19,9 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Bob's access policy: what alice says is good may read file1.
+const POLICY: &str = "access(P,file1,read) <- says(alice,me,[| good(P) |]).";
+
 /// Builds a persistent two-principal system with bob's access policy.
 fn persistent_system(dir: &PathBuf) -> (System, lbtrust::Principal, lbtrust::Principal) {
     let mut sys = System::open_persistent(dir).unwrap().with_rsa_bits(512);
@@ -26,10 +29,7 @@ fn persistent_system(dir: &PathBuf) -> (System, lbtrust::Principal, lbtrust::Pri
     let bob = sys.add_principal("bob", "n2").unwrap();
     sys.workspace_mut(bob)
         .unwrap()
-        .load(
-            "policy",
-            "access(P,file1,read) <- says(alice,me,[| good(P) |]).",
-        )
+        .load("policy", POLICY)
         .unwrap();
     (sys, alice, bob)
 }
@@ -613,5 +613,125 @@ fn warm_reopen_at_least_5x_faster_than_cold_import() {
         warm_best * 1e3,
         cold_best / warm_best,
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The first life behind the reopen tests below: alice certifies carol
+/// and dave to bob, then revokes dave. Returns bob's verdicts on carol,
+/// dave and erin (never certified).
+fn first_life(dir: &PathBuf) -> Vec<bool> {
+    let (mut sys, alice, bob) = persistent_system(dir);
+    let certs = sys
+        .issue_certificates(alice, "good(carol). good(dave).", &[], None)
+        .unwrap();
+    let dave = certs[1].digest();
+    sys.import_certificates(bob, certs).unwrap();
+    sys.run_to_quiescence(16).unwrap();
+    sys.revoke_certificate(alice, dave).unwrap();
+    sys.run_to_quiescence(16).unwrap();
+    let verdicts = verdicts(&sys, bob);
+    assert_eq!(verdicts, vec![true, false, false]);
+    verdicts
+}
+
+fn verdicts(sys: &System, bob: lbtrust::Principal) -> Vec<bool> {
+    ["carol", "dave", "erin"]
+        .iter()
+        .map(|p| {
+            sys.authorize(bob, &format!("access({p},file1,read)"))
+                .unwrap()
+                .granted
+        })
+        .collect()
+}
+
+/// A receiver may register before the issuer of the credentials its
+/// log replays: its first evaluation waits for the first step, by when
+/// the issuer is introduced.
+#[test]
+fn reopen_decides_as_the_first_life_in_either_registration_order() {
+    let dir = fresh_dir("order");
+    let before = first_life(&dir);
+    for receiver_first in [false, true] {
+        let mut sys = System::open_persistent(&dir).unwrap().with_rsa_bits(512);
+        let order = if receiver_first {
+            ["bob", "alice"]
+        } else {
+            ["alice", "bob"]
+        };
+        for name in order {
+            sys.add_principal(name, name).unwrap();
+        }
+        let bob = sys.principals()[usize::from(!receiver_first)];
+        sys.load_program(bob, "policy", POLICY).unwrap();
+        sys.run_to_quiescence(16).unwrap();
+        assert_eq!(verdicts(&sys, bob), before, "bob first: {receiver_first}");
+        assert_eq!(sys.stats().local_rollbacks, 0);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Registration marks the receiver's replayed facts as its baseline
+/// instead of evaluating them, so the first step's rebuild (the policy
+/// load asks for one) is the only one before its first decision.
+#[test]
+fn a_reopened_receiver_rebuilds_once_before_its_first_decision() {
+    let dir = fresh_dir("once");
+    let before = first_life(&dir);
+    let (mut sys, _alice, bob) = persistent_system(&dir);
+    assert_eq!(sys.workspace(bob).unwrap().compactions(), 0);
+    sys.run_to_quiescence(16).unwrap();
+    assert_eq!(verdicts(&sys, bob), before);
+    assert_eq!(sys.workspace(bob).unwrap().compactions(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Replayed credentials whose issuer is not registered violate
+/// `says(U1,U2,R) -> prin(U1), prin(U2)`. The registration succeeds;
+/// every evaluation that finds the violation rolls the receiver back to
+/// its registration baseline — undoing the policy loaded since, as any
+/// failed evaluation undoes what came after its baseline — and the
+/// reader is denied. Once the issuer registers, the receiver evaluates.
+#[test]
+fn a_receiver_whose_issuer_is_not_registered_fails_closed() {
+    let dir = fresh_dir("orphan");
+    first_life(&dir);
+    let mut sys = System::open_persistent(&dir).unwrap().with_rsa_bits(512);
+    let reader = sys.authz_reader();
+    let bob = sys.add_principal("bob", "n2").unwrap();
+    sys.load_program(bob, "policy", POLICY).unwrap();
+    sys.run_to_quiescence(16).unwrap();
+    let rollbacks = sys.stats().local_rollbacks;
+    assert!(rollbacks >= 1, "{:?}", sys.stats());
+    assert_eq!(verdicts(&sys, bob), vec![false; 3]);
+    let goal = "access(carol,file1,read)";
+    assert!(!reader.authorize(bob, goal).unwrap().granted);
+    let has_policy = |sys: &System| {
+        let rules = sys.workspace(bob).unwrap().active_rules();
+        rules.iter().any(|r| r.to_string().starts_with("access("))
+    };
+    assert!(!has_policy(&sys), "the rollback undid the policy load");
+
+    // Another registration evaluates bob, fails the same way, and
+    // neither aborts nor loses bob's introduction to the newcomer.
+    sys.add_principal("frank", "n3").unwrap();
+    assert_eq!(sys.stats().local_rollbacks, rollbacks + 1);
+    let rollbacks = rollbacks + 1;
+    assert!(sys
+        .workspace(bob)
+        .unwrap()
+        .holds_src("prin(frank)")
+        .unwrap());
+
+    // The issuer's registration introduces it; bob's evaluation there
+    // succeeds, and the policy loaded again decides at the next step.
+    sys.add_principal("alice", "n1").unwrap();
+    assert_eq!(sys.stats().local_rollbacks, rollbacks);
+    sys.load_program(bob, "policy", POLICY).unwrap();
+    assert!(has_policy(&sys));
+    sys.run_to_quiescence(16).unwrap();
+    assert_eq!(sys.stats().local_rollbacks, rollbacks);
+    assert_eq!(verdicts(&sys, bob), vec![true, false, false]);
+    assert!(reader.authorize(bob, goal).unwrap().granted);
     let _ = std::fs::remove_dir_all(&dir);
 }
