@@ -8,7 +8,8 @@ use std::fmt;
 /// Levels are ordered: `Allow < Warn < Deny`. A load-time preflight
 /// (`lbtrust::System`) refuses programs carrying any `Deny`-level
 /// diagnostic; `Warn` diagnostics are reported but do not block; `Allow`
-/// diagnostics are informational (the magic-set report uses this level).
+/// diagnostics are informational: a kind configured down to `Allow` is
+/// still recorded but neither blocks nor is surfaced as a warning.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum LintLevel {
     /// Report only; never blocks and is not surfaced as a warning.
@@ -62,15 +63,11 @@ pub enum DiagKind {
     /// uncorrelated with the payload, joined with a recursive premise —
     /// the shape that turns one revocation into thousands of messages.
     CommAmplification,
-    /// A rule the magic-set rewrite cannot specialize (aggregation,
-    /// negated IDB premise, or meta-programming constructs). Report-only
-    /// input to goal-directed evaluation planning.
-    MagicInapplicable,
 }
 
 impl DiagKind {
     /// Every kind, for iteration and configuration surfaces.
-    pub const ALL: [DiagKind; 8] = [
+    pub const ALL: [DiagKind; 7] = [
         DiagKind::DeadRule,
         DiagKind::NeverConsumed,
         DiagKind::UnreachablePredicate,
@@ -78,7 +75,6 @@ impl DiagKind {
         DiagKind::TypoSuspect,
         DiagKind::UnsignedAuthority,
         DiagKind::CommAmplification,
-        DiagKind::MagicInapplicable,
     ];
 
     /// The kebab-case name used in rendered diagnostics.
@@ -91,7 +87,6 @@ impl DiagKind {
             DiagKind::TypoSuspect => "typo-suspect",
             DiagKind::UnsignedAuthority => "unsigned-authority",
             DiagKind::CommAmplification => "comm-amplification",
-            DiagKind::MagicInapplicable => "magic-inapplicable",
         }
     }
 
@@ -100,7 +95,6 @@ impl DiagKind {
     pub fn default_level(&self) -> LintLevel {
         match self {
             DiagKind::ArityMismatch | DiagKind::UnsignedAuthority => LintLevel::Deny,
-            DiagKind::MagicInapplicable => LintLevel::Allow,
             _ => LintLevel::Warn,
         }
     }
@@ -171,15 +165,11 @@ impl AnalyzerConfig {
         AnalyzerConfig::default()
     }
 
-    /// A configuration with every lint raised to [`LintLevel::Deny`]
-    /// (the magic-set report stays at `Allow`: it describes an
-    /// optimization opportunity, not a defect).
+    /// A configuration with every lint raised to [`LintLevel::Deny`].
     pub fn strict() -> AnalyzerConfig {
         let mut config = AnalyzerConfig::default();
         for kind in DiagKind::ALL {
-            if kind != DiagKind::MagicInapplicable {
-                config.set_level(kind, LintLevel::Deny);
-            }
+            config.set_level(kind, LintLevel::Deny);
         }
         config
     }
@@ -229,7 +219,6 @@ mod tests {
         let config = AnalyzerConfig::default();
         assert_eq!(config.level(DiagKind::UnsignedAuthority), LintLevel::Deny);
         assert_eq!(config.level(DiagKind::DeadRule), LintLevel::Warn);
-        assert_eq!(config.level(DiagKind::MagicInapplicable), LintLevel::Allow);
         let config = config.with_level(DiagKind::DeadRule, LintLevel::Deny);
         assert_eq!(config.level(DiagKind::DeadRule), LintLevel::Deny);
     }
@@ -239,7 +228,6 @@ mod tests {
         let strict = AnalyzerConfig::strict();
         assert_eq!(strict.level(DiagKind::DeadRule), LintLevel::Deny);
         assert_eq!(strict.level(DiagKind::CommAmplification), LintLevel::Deny);
-        assert_eq!(strict.level(DiagKind::MagicInapplicable), LintLevel::Allow);
     }
 
     #[test]

@@ -35,74 +35,12 @@ impl fmt::Display for Diagnostic {
 
 impl std::error::Error for Diagnostic {}
 
-/// Why the magic-set rewrite cannot specialize a rule.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum MagicBlockReason {
-    /// The rule aggregates; set-at-a-time aggregation does not commute
-    /// with goal-directed filtering.
-    Aggregation,
-    /// The rule negates the named IDB predicate; magic filtering would
-    /// change the negation's extension.
-    NegatedIdb(String),
-    /// The rule contains meta-programming constructs (functor variables,
-    /// sequence variables, body-rest variables).
-    Pattern,
-}
-
-impl fmt::Display for MagicBlockReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MagicBlockReason::Aggregation => f.write_str("aggregation"),
-            MagicBlockReason::NegatedIdb(p) => write!(f, "negated IDB premise `{p}`"),
-            MagicBlockReason::Pattern => f.write_str("meta-programming constructs"),
-        }
-    }
-}
-
-/// A rule the magic-set rewrite cannot handle, with the reason.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct MagicBlocker {
-    /// Index of the rule in the analyzed program.
-    pub rule: usize,
-    /// Source position of the rule.
-    pub span: Span,
-    /// Why the rewrite does not apply.
-    pub reason: MagicBlockReason,
-}
-
-/// The magic-set applicability report: which rules a goal-directed
-/// (magic-set) evaluation mode could specialize, and which block it.
-///
-/// Feeds the roadmap's goal-directed evaluation item: a program whose
-/// `blockers` list is empty can be evaluated bottom-up *or* rewritten
-/// for a specific query; any blocker pins the affected rule to its
-/// source position.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct MagicReport {
-    /// Total number of rules examined (facts included).
-    pub total_rules: usize,
-    /// Indices of rules the rewrite supports (facts are trivially
-    /// supported).
-    pub applicable: Vec<usize>,
-    /// Rules the rewrite cannot specialize.
-    pub blockers: Vec<MagicBlocker>,
-}
-
-impl MagicReport {
-    /// Whether every rule admits the magic-set rewrite.
-    pub fn fully_applicable(&self) -> bool {
-        self.blockers.is_empty()
-    }
-}
-
-/// The result of [`crate::analyze`]: every diagnostic from the four pass
-/// families, plus the structured magic-set report.
+/// The result of [`crate::analyze`]: every diagnostic from the three pass
+/// families.
 #[derive(Clone, Debug, Default)]
 pub struct Analysis {
     /// All findings, in pass order, each carrying its effective level.
     pub diagnostics: Vec<Diagnostic>,
-    /// The magic-set applicability report (pass 4, structured form).
-    pub magic: MagicReport,
 }
 
 impl Analysis {
@@ -138,18 +76,7 @@ impl fmt::Display for Analysis {
         for d in &self.diagnostics {
             writeln!(f, "{d}")?;
         }
-        write!(
-            f,
-            "magic-set: {}/{} rules applicable",
-            self.applicable_count(),
-            self.magic.total_rules
-        )
-    }
-}
-
-impl Analysis {
-    fn applicable_count(&self) -> usize {
-        self.magic.applicable.len()
+        Ok(())
     }
 }
 
@@ -188,9 +115,8 @@ mod tests {
             diagnostics: vec![
                 diag(DiagKind::DeadRule, LintLevel::Warn),
                 diag(DiagKind::UnsignedAuthority, LintLevel::Deny),
-                diag(DiagKind::MagicInapplicable, LintLevel::Allow),
+                diag(DiagKind::TypoSuspect, LintLevel::Allow),
             ],
-            magic: MagicReport::default(),
         };
         assert!(a.has_denials());
         assert_eq!(a.denials().count(), 1);

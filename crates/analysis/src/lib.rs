@@ -3,7 +3,7 @@
 //! A static analyzer over parsed LBTrust programs (SeNDlog programs
 //! after `sendlog_to_lbtrust` translation, which preserves line numbers,
 //! so diagnostics cite positions in the *original* SeNDlog source).
-//! Four pass families:
+//! Three pass families:
 //!
 //! 1. **Dependency lints** — the cross-principal predicate dependency
 //!    graph (edges flow through `says`/`gsays` payloads) drives
@@ -13,9 +13,7 @@
 //!    heads must not accept unauthenticated channels or `says` imports
 //!    from unconstrained senders;
 //! 3. **Communication amplification** — broadcast heads joined with
-//!    recursive premises, the shape behind revocation message storms;
-//! 4. **Magic-set applicability** — which rules a goal-directed
-//!    evaluation mode could specialize, as a structured report.
+//!    recursive premises, the shape behind revocation message storms.
 //!
 //! Each finding carries a [`LintLevel`] resolved from the
 //! [`AnalyzerConfig`]; `lbtrust::System` refuses to load a program with
@@ -43,20 +41,19 @@ pub mod graph;
 pub mod passes;
 
 pub use config::{AnalyzerConfig, DiagKind, LintLevel};
-pub use diag::{Analysis, Diagnostic, MagicBlockReason, MagicBlocker, MagicReport};
+pub use diag::{Analysis, Diagnostic};
 pub use graph::ProgramGraph;
 
 use lbtrust_datalog::ast::Program;
 
-/// Analyzes `program` under `config`, running all four pass families.
+/// Analyzes `program` under `config`, running all three pass families.
 pub fn analyze(program: &Program, config: &AnalyzerConfig) -> Analysis {
     let graph = ProgramGraph::build(program, config);
     let mut diagnostics = Vec::new();
     passes::deps::run(program, &graph, config, &mut diagnostics);
     passes::authority::run(program, &graph, config, &mut diagnostics);
     passes::amplify::run(program, &graph, config, &mut diagnostics);
-    let magic = passes::magic::run(program, &graph, config, &mut diagnostics);
-    Analysis { diagnostics, magic }
+    Analysis { diagnostics }
 }
 
 #[cfg(test)]
@@ -99,7 +96,7 @@ mod tests {
         // Line 1: dead rule (self-recursion, no base case); line 2:
         // unsigned authority (unconstrained sender on a grant path);
         // lines 3-4: amplification (uncorrelated broadcast over a
-        // recursive premise); line 5: magic blocker (aggregation).
+        // recursive premise).
         let program = parse_program(concat!(
             "ghost(X) <- ghost(X).\n",
             "access(P,file1,read) <- says(W,me,[| good(P). |]).\n",
@@ -130,10 +127,5 @@ mod tests {
             kind_at(DiagKind::CommAmplification),
             lbtrust_datalog::Span::new(4, 1)
         );
-        assert_eq!(
-            kind_at(DiagKind::MagicInapplicable),
-            lbtrust_datalog::Span::new(5, 1)
-        );
-        assert!(!analysis.magic.fully_applicable());
     }
 }

@@ -277,7 +277,6 @@ mod tests {
         analyze(&program, &AnalyzerConfig::default())
             .diagnostics
             .iter()
-            .filter(|d| d.kind != DiagKind::MagicInapplicable)
             .map(|d| (d.kind, d.span))
             .collect()
     }

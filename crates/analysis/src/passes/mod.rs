@@ -7,10 +7,8 @@
 //!    unreachable predicates, arity mismatches, typo suspects;
 //! 2. [`authority`] — authority-flow: unauthenticated or unguarded
 //!    premises on grant derivation paths;
-//! 3. [`amplify`] — communication-amplification shapes;
-//! 4. [`magic`] — magic-set applicability report.
+//! 3. [`amplify`] — communication-amplification shapes.
 
 pub mod amplify;
 pub mod authority;
 pub mod deps;
-pub mod magic;

@@ -30,8 +30,8 @@ pub const PULL_REWRITE: &str =
 ///
 /// Ground requests only: open (variable-carrying) requests bind the
 /// pattern's positions to the *requester's code variables*, which cannot
-/// join against local tuples; goal-directed open queries use
-/// `lbtrust_datalog::magic` locally instead (§7's magic-sets bridge).
+/// join against local tuples; an open question is asked locally instead,
+/// through [`crate::Workspace::query_goal`].
 pub fn respond_rule(pred: &str, arity: usize) -> String {
     let vars: Vec<String> = (0..arity).map(|i| format!("V{i}")).collect();
     let args = vars.join(",");

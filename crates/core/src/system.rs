@@ -1071,7 +1071,7 @@ impl System {
     /// reaches [`LintLevel::Deny`] under the system's lint
     /// configuration — before the workspace sees it. On success the
     /// [`Analysis`] is returned so callers can surface warn-level
-    /// findings and the magic-set applicability report.
+    /// findings.
     ///
     /// This is the vetted front door for program installation;
     /// [`System::workspace_mut`] + [`Workspace::load`] remains the

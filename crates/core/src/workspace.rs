@@ -15,7 +15,7 @@
 //! the last one — see [`Workspace::evaluate`].
 
 use crate::principal::Principal;
-use lbtrust_datalog::ast::{BodyItem, Constraint, Rule};
+use lbtrust_datalog::ast::{Atom, BodyItem, Constraint, Rule};
 use lbtrust_datalog::dred::{self, Removed};
 use lbtrust_datalog::eval::{CompiledRules, Engine, EvalError, EvalStats};
 use lbtrust_datalog::intern::names;
@@ -758,6 +758,17 @@ impl Workspace {
     /// Whether the fact written as `src` (e.g. `"access(alice,f,read)"`)
     /// holds.
     pub fn holds_src(&self, src: &str) -> Result<bool, WsError> {
+        let (pred, atom) = self.parse_goal(src)?;
+        let tuple: Option<Tuple> = atom.all_args().map(|t| t.as_val().cloned()).collect();
+        match tuple {
+            Some(t) => Ok(self.db.contains(pred, &t)),
+            None => Ok(self.matching(pred, &atom).next().is_some()),
+        }
+    }
+
+    /// The atom written as `src`, with `me` resolved, and its predicate.
+    /// A pattern predicate is refused.
+    fn parse_goal(&self, src: &str) -> Result<(Symbol, Atom), WsError> {
         let atom = lbtrust_datalog::parse_atom(src)?;
         let atom = atom.substitute_sym(names().me, self.me);
         let pred = atom.pred.name().ok_or(WsError::Parse(ParseError {
@@ -765,14 +776,16 @@ impl Workspace {
             line: 0,
             col: 0,
         }))?;
-        let tuple: Option<Tuple> = atom.all_args().map(|t| t.as_val().cloned()).collect();
-        match tuple {
-            Some(t) => Ok(self.db.contains(pred, &t)),
-            None => Ok(self.db.relation(pred).is_some_and(|rel| {
-                rel.iter()
-                    .any(|t| lbtrust_datalog::Bindings::new().matches(&atom, t))
-            })),
-        }
+        Ok((pred, atom))
+    }
+
+    /// The tuples of `pred` that match `atom`, in insertion order.
+    fn matching<'a>(&'a self, pred: Symbol, atom: &'a Atom) -> impl Iterator<Item = &'a Tuple> {
+        self.db
+            .relation(pred)
+            .into_iter()
+            .flat_map(|rel| rel.iter())
+            .filter(|t| lbtrust_datalog::Bindings::new().matches(atom, t))
     }
 
     /// Serializes the workspace's rules, constraints and base facts as
@@ -819,30 +832,21 @@ impl Workspace {
         out
     }
 
-    /// Goal-directed query via the magic-sets rewrite (§7's bridge from
-    /// access-control-style top-down evaluation to bottom-up): answers
-    /// `goal_src` (e.g. `"access(alice, O, read)"`) against the current
-    /// rules and base facts *without* materializing unrelated
-    /// conclusions. Aggregate rules are not supported on the goal's
-    /// dependency path.
+    /// The tuples of the goal's relation that match `goal_src` (e.g.
+    /// `"access(alice, O, read)"`), in insertion order, after evaluating
+    /// whatever is owed ([`Workspace::evaluate`]).
     ///
-    /// Magic sets stay while the tabled top-down resolver went (ROADMAP
-    /// D 6) because they have callers — the REPL's `?-`, the
-    /// provenance-audit example, the confidentiality tests — and are a
-    /// rewrite onto the one bottom-up engine, not a second evaluator.
-    pub fn query_goal(&self, goal_src: &str) -> Result<Vec<Tuple>, WsError> {
-        let atom = lbtrust_datalog::parse_atom(goal_src)?;
-        let atom = atom.substitute_sym(names().me, self.me);
-        let rules: Vec<Rule> = self
-            .program()
-            .rules()
-            .iter()
-            .filter(|r| !r.is_pattern())
-            .cloned()
-            .collect();
-        let (answers, _) =
-            lbtrust_datalog::magic::query_magic(&rules, &self.db, &atom, &self.builtins)?;
-        Ok(answers)
+    /// The answer is the fixpoint's: the goal is matched against the
+    /// materialized database, so every rule the workspace evaluates —
+    /// aggregation, negation of derived predicates, meta-programming —
+    /// is supported on the goal's dependency path. If the owed
+    /// evaluation fails (say, a constraint is violated) that error is
+    /// returned and the workspace is rolled back. A goal with a pattern
+    /// predicate is a [`WsError::Parse`], as in [`Workspace::holds_src`].
+    pub fn query_goal(&mut self, goal_src: &str) -> Result<Vec<Tuple>, WsError> {
+        let (pred, atom) = self.parse_goal(goal_src)?;
+        self.evaluate()?;
+        Ok(self.matching(pred, &atom).cloned().collect())
     }
 
     /// Explains how a fact was derived (provenance, §7 of the paper):
@@ -1970,23 +1974,52 @@ mod tests {
         assert!(text.contains("(none)"), "{text}");
     }
 
+    const REACH: &str = "reach(X,Y) <- edge(X,Y).\n\
+                         reach(X,Z) <- reach(X,Y), edge(Y,Z).";
+
     #[test]
-    fn query_goal_answers_without_materializing() {
+    fn query_goal_answers_through_aggregation() {
         let mut ws = Workspace::new("w");
-        ws.load(
-            "policy",
-            "access(P,O,M) <- owns(P,O), mode(M).\n\
-             access(P,O,M) <- delegated(Q,P), access(Q,O,M).",
-        )
-        .unwrap();
-        ws.assert_src("owns(alice,f1). owns(bob,f2). mode(read). delegated(alice,carol).")
+        ws.load("reach", REACH).unwrap();
+        ws.load("count", "n(N) <- agg<<N = count(Y)>> reach(a,Y).")
             .unwrap();
-        // No evaluate() call: the goal query works off base facts.
-        let answers = ws.query_goal("access(carol, O, read)").unwrap();
-        assert_eq!(answers.len(), 1);
-        assert_eq!(answers[0][1], Value::sym("f1"));
-        // The access relation itself was not materialized.
-        assert_eq!(ws.db().count(sym("access")), 0);
+        ws.assert_src("edge(a,b). edge(b,c).").unwrap();
+        // No evaluate() call: the query evaluates what is owed.
+        assert_eq!(ws.query_goal("n(N)").unwrap(), vec![vec![Value::Int(2)]]);
+    }
+
+    #[test]
+    fn query_goal_answers_through_idb_negation() {
+        let mut ws = Workspace::new("w");
+        ws.load("reach", REACH).unwrap();
+        ws.load("cut", "cut(X) <- node(X), X != a, !reach(a,X).")
+            .unwrap();
+        ws.assert_src("node(a). node(b). node(c). node(d). edge(a,b). edge(b,c).")
+            .unwrap();
+        assert_eq!(ws.query_goal("cut(X)").unwrap(), vec![vals(&["d"])]);
+        assert!(ws.query_goal("cut(b)").unwrap().is_empty());
+    }
+
+    #[test]
+    fn query_goal_fails_closed_on_an_owed_violation() {
+        let mut ws = Workspace::new("w");
+        ws.load("policy", "access(P,O,M) <- grant(P,O,M).").unwrap();
+        ws.load("schema", "access(P,O,M) -> principal(P).").unwrap();
+        ws.assert_src("principal(alice). grant(alice,f,read).")
+            .unwrap();
+        ws.evaluate().unwrap();
+        ws.assert_src("grant(mallory,f,read).").unwrap();
+        let err = ws.query_goal("access(P, f, read)").unwrap_err();
+        assert!(matches!(err, WsError::Constraint(_)), "{err}");
+        // Rolled back, not half-evaluated: neither the assertion nor
+        // what it derived remains.
+        assert!(!ws.holds_src("grant(mallory,f,read)").unwrap());
+        assert!(!ws.holds_src("access(mallory,f,read)").unwrap());
+        assert!(ws.holds_src("access(alice,f,read)").unwrap());
+        assert_eq!(
+            ws.query_goal("access(P, f, read)").unwrap(),
+            vec![vals(&["alice", "f", "read"])]
+        );
     }
 
     #[test]

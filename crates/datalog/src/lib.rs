@@ -13,9 +13,6 @@
 //! * **evaluation** — stratified semi-naive bottom-up fixpoint with
 //!   incremental recomputation, plus a naive baseline ([`eval`],
 //!   [`strata`], [`db`], [`shared`]);
-//! * **goal-directed evaluation** — a magic-sets rewrite onto the
-//!   bottom-up engine ([`magic`]) for the paper's "top-down to
-//!   bottom-up" discussion (§5.1, §7);
 //! * **meta-matching** — quote-pattern matching and template
 //!   instantiation ([`unify`]), the mechanism behind LogicBlox
 //!   meta-programming as used by LBTrust;
@@ -41,7 +38,6 @@ pub mod eval;
 pub mod hex;
 pub mod intern;
 pub mod lexer;
-pub mod magic;
 pub mod parser;
 pub mod provenance;
 pub mod safety;

@@ -2,7 +2,7 @@
 //! customer's credit okay if at least three credit bureaus do" — plus the
 //! weighted variant where bureaus have reliability factors.
 //!
-//! Run with: `cargo run -p lbtrust-examples --bin credit_check`
+//! Run with: `cargo run -p lbtrust-tests --example credit_check`
 
 use lbtrust::System;
 use lbtrust_d1lp::D1lpPolicy;

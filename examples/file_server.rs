@@ -11,7 +11,7 @@
 //!              (4) data ◀──────────┘        (3) decide  accessmgr(s)
 //! ```
 //!
-//! Run with: `cargo run -p lbtrust-examples --bin file_server`
+//! Run with: `cargo run -p lbtrust-tests --example file_server`
 
 use lbtrust::{System, Workspace};
 use lbtrust_d1lp::D1lpPolicy;

@@ -1,13 +1,12 @@
-//! Provenance and goal-directed auditing (§7 of the paper): "provenance
+//! Provenance and what-if auditing (§7 of the paper): "provenance
 //! is useful for analyzing derivations of security policies, runtime
 //! verification, and dynamic type checking."
 //!
 //! A security officer audits *why* an access was granted — tracing the
 //! derivation through a delegation chain down to the imported `says`
-//! facts — and asks goal-directed what-if questions without
-//! materializing the full policy closure.
+//! facts — and asks what-if questions of the materialized policy.
 //!
-//! Run with: `cargo run -p lbtrust-examples --bin provenance_audit`
+//! Run with: `cargo run -p lbtrust-tests --example provenance_audit`
 
 use lbtrust::obs::JsonlSink;
 use lbtrust::System;
@@ -83,16 +82,19 @@ fn main() {
         }
     }
 
-    // Goal-directed what-if: what can dana enter? Answered without
-    // materializing conclusions about anyone else (§7's magic-sets
-    // bridge).
-    let answers = hq_ws.query_goal("enter(dana, B)").unwrap();
+    // What-if: what can dana enter? Answered from hq's fixpoint.
+    let answers = sys
+        .workspace_mut(hq)
+        .unwrap()
+        .query_goal("enter(dana, B)")
+        .unwrap();
     println!("goal query enter(dana, B):");
     for t in answers {
         println!("  B = {}", t[1]);
     }
 
     // Table dump — the stand-in for the paper's §9 visualizer.
+    let hq_ws = sys.workspace(hq).unwrap();
     println!("\n{}", hq_ws.dump(&["badge", "scheduled", "enter"]));
 
     // The officer's decision log: authorize() walks the proof for

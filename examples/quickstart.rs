@@ -5,7 +5,7 @@
 //! tells alice who may access her files; alice's policy grants access on
 //! bob's word — the paper's rule `b2`, in LBTrust form `bex1'`.
 //!
-//! Run with: `cargo run -p lbtrust-examples --bin quickstart`
+//! Run with: `cargo run -p lbtrust-tests --example quickstart`
 
 use lbtrust::{AuthScheme, System};
 

@@ -6,7 +6,7 @@
 //! RSA, prints the two rules that differ, and shows a tampered message
 //! being rejected under the signing schemes.
 //!
-//! Run with: `cargo run -p lbtrust-examples --bin reconfigurable_auth`
+//! Run with: `cargo run -p lbtrust-tests --example reconfigurable_auth`
 
 use lbtrust::{AuthScheme, System};
 

@@ -1,20 +1,23 @@
 //! An interactive LBTrust workspace — explore the dialect from a shell.
 //!
 //! ```text
-//! cargo run -p lbtrust-examples --bin repl
+//! cargo run -p lbtrust-tests --example repl
 //! lbtrust> edge(a,b). edge(b,c).
+//!   ok (0 new tuple(s))
 //! lbtrust> reach(X,Y) <- edge(X,Y).
+//!   ok (2 new tuple(s))
 //! lbtrust> reach(X,Z) <- reach(X,Y), edge(Y,Z).
+//!   ok (3 new tuple(s))
 //! lbtrust> ?- reach(a, X).
-//! reach(a,b)
-//! reach(a,c)
+//!   (a, b)
+//!   (a, c)
 //! lbtrust> :explain reach(a,c)
 //! reach(a,c) [via reach(X,Z) <- reach(X,Y), edge(Y,Z).]
 //!   ...
 //! ```
 //!
 //! Commands: plain rules/facts/constraints are installed and evaluated;
-//! `?- atom.` runs a goal-directed query (magic sets); `:explain fact`
+//! `?- atom.` lists the matching tuples of the fixpoint; `:explain fact`
 //! prints a derivation; `:dump pred` prints a table; `:rules` lists the
 //! active rules; `:quit` exits.
 

@@ -2,7 +2,7 @@
 //! authenticated reachability and an authenticated path-vector protocol
 //! on a small topology, with every protocol message signed and verified.
 //!
-//! Run with: `cargo run -p lbtrust-examples --bin sendlog_routing`
+//! Run with: `cargo run -p lbtrust-tests --example sendlog_routing`
 
 use lbtrust::AuthScheme;
 use lbtrust_sendlog::{SendlogNetwork, PATH_VECTOR, REACHABILITY};

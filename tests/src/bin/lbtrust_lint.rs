@@ -2,20 +2,18 @@
 //! programs.
 //!
 //! Runs the `lbtrust-analysis` passes (dependency lints, authority
-//! flow, communication amplification, magic-set applicability) over
-//! each program given on the command line and prints every finding
-//! with its severity and source position. Files whose first
-//! non-whitespace token is an `At <Var>:` header are treated as
-//! SeNDlog and translated (line-preservingly) before analysis, so
-//! positions refer to the SeNDlog source.
+//! flow, communication amplification) over each program given on the
+//! command line and prints every finding with its severity and source
+//! position. Files whose first non-whitespace token is an `At <Var>:`
+//! header are treated as SeNDlog and translated (line-preservingly)
+//! before analysis, so positions refer to the SeNDlog source.
 //!
 //! Usage: `lbtrust-lint [--deny] [--builtin] [file.sdl ...]`
 //!
 //! * `--builtin` — also lint the three in-tree protocols
 //!   (REACHABILITY, PATH_VECTOR, REV_GOSSIP) exactly as the runtime
 //!   loads them (gossip on its private `gsays` channel);
-//! * `--deny` — strict mode: every lint at `Deny` (except the
-//!   applicability report, which stays informational).
+//! * `--deny` — strict mode: every lint at `Deny`.
 //!
 //! Exit status: 0 when no program has a deny-level finding, 1 when any
 //! does, 2 on usage/read/parse errors. This is the workspace CI gate:
@@ -92,22 +90,13 @@ fn report(name: &str, analysis: &Analysis) -> bool {
         .iter()
         .filter(|d| d.level >= LintLevel::Warn)
         .collect();
-    let magic = &analysis.magic;
     println!(
-        "{name}: {} finding{}, magic-set {}/{} rules specializable",
+        "{name}: {} finding{}",
         visible.len(),
         if visible.len() == 1 { "" } else { "s" },
-        magic.applicable.len(),
-        magic.total_rules,
     );
     for d in &visible {
         println!("  {d}");
-    }
-    for b in &magic.blockers {
-        println!(
-            "  note[magic]: rule at line {} blocked: {}",
-            b.span, b.reason
-        );
     }
     analysis.has_denials()
 }

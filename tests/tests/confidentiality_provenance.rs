@@ -129,8 +129,8 @@ fn provenance_explains_imported_trust_decision() {
 
 #[test]
 fn goal_query_over_delegation_chain() {
-    // Binder-style top-down question answered goal-directedly (§7's
-    // magic bridge) at a workspace with a recursive policy.
+    // Binder-style top-down question answered from the workspace's
+    // fixpoint under a recursive policy.
     let mut sys = System::new().with_rsa_bits(512);
     let root = sys.add_principal("root", "n1").unwrap();
     let ws = sys.workspace_mut(root).unwrap();

@@ -1,11 +1,9 @@
 //! Property-based equivalence tests across evaluation strategies and
-//! substrates: semi-naive ≡ naive, magic ≡ bottom-up, incremental ≡
-//! from-scratch, plus crypto and wire-format roundtrip laws.
+//! substrates: semi-naive ≡ naive, incremental ≡ from-scratch, plus
+//! crypto and wire-format roundtrip laws.
 
 use lbtrust_crypto::{BigUint, KeyPair};
-use lbtrust_datalog::ast::{Atom, Term};
 use lbtrust_datalog::eval::run_naive;
-use lbtrust_datalog::magic::query_magic;
 use lbtrust_datalog::{parse_program, parse_rule, Builtins, Database, Engine, Symbol, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -56,33 +54,6 @@ proptest! {
         let mut b = edge_db(&edges);
         run_naive(&program.rules, &mut b, &builtins).unwrap();
         prop_assert_eq!(relation_set(&a, "reach"), relation_set(&b, "reach"));
-    }
-
-    #[test]
-    fn magic_equals_bottom_up_on_goal(edges in arb_edges(), src in 0u8..6) {
-        let program = parse_program(TC).unwrap();
-        let builtins = Builtins::new();
-        let base = edge_db(&edges);
-        // Bottom-up, filtered to the goal.
-        let mut full = base.clone();
-        Engine::new(&program.rules, &builtins).run(&mut full).unwrap();
-        let origin = Value::sym(&format!("c{src}"));
-        let mut expected: Vec<String> = full
-            .relation(Symbol::intern("reach"))
-            .map(|r| {
-                r.iter()
-                    .filter(|t| t[0] == origin)
-                    .map(|t| t[1].to_string())
-                    .collect()
-            })
-            .unwrap_or_default();
-        expected.sort();
-        // Magic.
-        let query = Atom::new("reach", vec![Term::Val(origin.clone()), Term::var("Y")]);
-        let (answers, _) = query_magic(&program.rules, &base, &query, &builtins).unwrap();
-        let mut got: Vec<String> = answers.iter().map(|t| t[1].to_string()).collect();
-        got.sort();
-        prop_assert_eq!(&expected, &got, "magic mismatch from {}", origin);
     }
 
     #[test]
