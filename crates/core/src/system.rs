@@ -626,7 +626,10 @@ impl System {
     }
 
     /// Overrides the RSA modulus size (tests use 512 for speed; the
-    /// Figure 2 harness keeps the paper's 1024).
+    /// Figure 2 harness keeps the paper's 1024). A principal's size is
+    /// fixed when it registers, though its key is generated later (see
+    /// [`System::add_principal`]), so this must be called before the
+    /// principals it should apply to are registered.
     pub fn with_rsa_bits(mut self, bits: usize) -> Self {
         self.rsa_bits = bits;
         self
@@ -873,10 +876,17 @@ impl System {
 
     // ---- setup -------------------------------------------------------------
 
-    /// Registers a principal, generating its RSA keypair, placing it on
+    /// Registers a principal, enrolling its RSA keypair, placing it on
     /// `node`, installing the `says` declarations and the default
     /// authentication scheme (RSA, §5.1), and introducing it (name and
-    /// public key handle) to every existing principal. A name no packet
+    /// public key handle) to every existing principal. Enrolling fixes
+    /// the key's modulus size and seed but generates nothing
+    /// ([`KeyDirectory::enroll_rsa`](crate::KeyDirectory::enroll_rsa)):
+    /// the first signature or verification involving the principal pays
+    /// its generation (~10 ms at 1024 bits), and a principal that never
+    /// signs and is never verified, such as a receiver that only
+    /// verifies others or one speaking plaintext or HMAC, generates no
+    /// key at all. A name no packet
     /// could carry — a symbol travels as its bare text — is refused with
     /// [`SysError::InvalidName`] here, not dropped by every receiver later.
     ///
@@ -908,7 +918,7 @@ impl System {
             .seed
             .wrapping_add(me.index() as u64)
             .wrapping_mul(0x9E37_79B9);
-        self.keys.write().generate_rsa(me, self.rsa_bits, key_seed);
+        self.keys.write().enroll_rsa(me, self.rsa_bits, key_seed);
 
         let mut ws = Workspace::new(name);
         register_crypto_builtins_cached(

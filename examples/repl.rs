@@ -3,11 +3,11 @@
 //! ```text
 //! cargo run -p lbtrust-tests --example repl
 //! lbtrust> edge(a,b). edge(b,c).
-//!   ok (0 new tuple(s))
+//!   ok (2 new tuple(s))
 //! lbtrust> reach(X,Y) <- edge(X,Y).
 //!   ok (2 new tuple(s))
 //! lbtrust> reach(X,Z) <- reach(X,Y), edge(Y,Z).
-//!   ok (3 new tuple(s))
+//!   ok (1 new tuple(s))
 //! lbtrust> ?- reach(a, X).
 //!   (a, b)
 //!   (a, c)
@@ -16,16 +16,27 @@
 //!   ...
 //! ```
 //!
-//! Commands: plain rules/facts/constraints are installed and evaluated;
+//! Commands: plain rules/facts/constraints are installed and evaluated,
+//! and the line's count is the net of the tuples it added outside the
+//! meta-model (the rules' own `rule`/`head`/`body`/… and `active` facts);
 //! `?- atom.` lists the matching tuples of the fixpoint; `:explain fact`
 //! prints a derivation; `:dump pred` prints a table; `:rules` lists the
 //! active rules; `:quit` exits.
 
+use lbtrust::metamodel::MetaPreds;
 use lbtrust::Workspace;
 use std::io::{BufRead, Write};
 
 fn main() {
     let mut ws = Workspace::new("repl");
+    let meta = MetaPreds::new();
+    let mut hidden = meta.all().to_vec();
+    hidden.push(meta.active);
+    // Live tuples outside the meta-model's relations.
+    let user_tuples = |ws: &Workspace| -> usize {
+        let rels = ws.db().iter().filter(|(pred, _)| !hidden.contains(pred));
+        rels.map(|(_, rel)| rel.len()).sum()
+    };
     let stdin = std::io::stdin();
     let mut stdout = std::io::stdout();
     println!("LBTrust workspace (principal `repl`). :quit to exit.");
@@ -82,6 +93,7 @@ fn main() {
             }
             continue;
         }
+        let before = user_tuples(&ws);
         // Facts go through assert_src, everything else through load.
         let result = if looks_like_facts(line) {
             ws.assert_src(line)
@@ -93,7 +105,12 @@ fn main() {
             continue;
         }
         match ws.evaluate() {
-            Ok(stats) => println!("  ok ({} new tuple(s))", stats.derived),
+            // A line can also retract (through negation): count the net
+            // gain, never below zero.
+            Ok(_) => {
+                let added = user_tuples(&ws).saturating_sub(before);
+                println!("  ok ({added} new tuple(s))");
+            }
             Err(e) => println!("  rejected: {e}"),
         }
     }
