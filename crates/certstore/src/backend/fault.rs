@@ -8,10 +8,9 @@
 //! The wrapper reproduces all four *deterministically* — faults come
 //! either from an explicit injection queue ([`FaultHandle::inject`],
 //! [`FaultHandle::fail_persistently`]) or from a per-operation seeded
-//! roll against [`FaultConfig`] parts-per-million rates — so the
-//! serial≡sharded equivalence proptests hold with faults enabled: a
-//! store's mutation sequence is shard-invariant, and each store owns
-//! its own RNG stream.
+//! roll against [`FaultConfig`] parts-per-million rates — so a seeded
+//! run repeats with faults enabled: each store owns its own RNG stream,
+//! whatever the other stores do.
 //!
 //! Durability model. Appends buffer inside the wrapper (the simulated
 //! page cache) and reach the inner backend only at an *honest* `sync`.

@@ -59,7 +59,6 @@ pub mod delegation;
 pub mod gossip;
 mod node;
 pub mod obs;
-mod pool;
 pub mod principal;
 pub mod pull;
 pub mod says;

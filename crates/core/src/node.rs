@@ -4,8 +4,7 @@
 //! workspace (its *context*), one set of credentials, placed on a node
 //! by the `loc` table. [`PrincipalState`] is that unit — everything the
 //! runtime keeps for one principal, and the operations that touch only
-//! that — so the [`crate::System`] is a sequencer over a vector of them
-//! and a pool task is "this principal, plus what to do".
+//! that — so the [`crate::System`] is a sequencer over a vector of them.
 
 use crate::auth::KeyVerifier;
 use crate::authz_read::{AuthzPublishState, PrincipalSnapshot};
@@ -38,21 +37,16 @@ use std::time::{Duration, Instant};
 /// share (key directory, verification cache, metrics registry) they
 /// share by `Arc`.
 ///
-/// **Who may touch it when.** Between batches only the sequencer — the
-/// thread that owns the `System`. During a batch the value is moved (one
-/// `Box` pointer) into a [`PoolTask`] and exactly one pool worker, or
-/// the sequencer itself at one shard, runs [`PrincipalState::run`] on
-/// it; the task hands it back when done. It is never shared, so nothing
-/// in it is locked.
+/// **Who may touch it when.** Only the sequencer — the `System` that
+/// owns it, on its caller's thread. It is never shared, so nothing in
+/// it is locked.
 ///
-/// **Why merge order is registration order.** Whatever a batch did to a
-/// principal is inside the value when it returns, counters included, so
-/// there is nothing to fold but health transitions, rollback counts and
-/// the first hard error. Those, the network sends of every serial phase
-/// and [`crate::System::stats`] all walk the vector in registration
-/// order — the one order that does not depend on which worker finished
-/// first — which is what makes every shard count reach the same state,
-/// the same traffic and the same error.
+/// **Why merge order is registration order.** Whatever a phase did to a
+/// principal is inside the value, counters included, so there is
+/// nothing to fold but health transitions, rollback counts and the
+/// first hard error. Those, the network sends of every phase and
+/// [`crate::System::stats`] all walk the vector in registration order,
+/// which is what makes a run's state, traffic and error repeat.
 pub(crate) struct PrincipalState {
     pub(crate) me: Principal,
     pub(crate) ws: Workspace,
@@ -413,15 +407,37 @@ impl PrincipalState {
     /// transition + DRed retraction of the dead certificates' facts),
     /// then gossip advertisements, then the export batch (assert + one
     /// evaluation, with per-message retry after a constraint rollback
-    /// so only the offending messages are rejected). The tallies move
-    /// as the work is done, so they stay faithful to the mutations
-    /// actually applied even when a hard error cuts the work short.
-    fn deliver(&mut self, delivery: Delivery) -> Option<WsError> {
-        for (revocation, absorb) in delivery.routed.revocations {
+    /// so only the offending messages are rejected). `eager` makes each
+    /// applied revocation pay its own sync; `timing` fills
+    /// [`PrincipalState::spent`]. The tallies move as the work is done,
+    /// so they stay faithful to the mutations actually applied even
+    /// when a hard error cuts the work short.
+    pub(crate) fn deliver(
+        &mut self,
+        routed: Routed,
+        verifier: &KeyVerifier,
+        eager: bool,
+        timing: bool,
+        export: Symbol,
+    ) -> Option<WsError> {
+        self.timing = timing;
+        let error = self.apply_routed(routed, verifier, eager, export);
+        self.timing = false;
+        error
+    }
+
+    fn apply_routed(
+        &mut self,
+        routed: Routed,
+        verifier: &KeyVerifier,
+        eager: bool,
+        export: Symbol,
+    ) -> Option<WsError> {
+        for (revocation, absorb) in routed.revocations {
             // Bad signatures (and, under Eager, a failed commit) count
             // as rejections, exactly like tampered exports.
-            let mut applied = self.apply_revocation(&revocation, &delivery.verifier, absorb);
-            if delivery.eager && applied.is_ok() {
+            let mut applied = self.apply_revocation(&revocation, verifier, absorb);
+            if eager && applied.is_ok() {
                 applied = self.timed(DeliveryPart::Verify, |n| n.store.sync());
             }
             match applied {
@@ -429,7 +445,7 @@ impl PrincipalState {
                 Err(_) => self.tally.rejected += 1,
             }
         }
-        for (from, issuer, fingerprint) in delivery.routed.summaries {
+        for (from, issuer, fingerprint) in routed.summaries {
             let key = (from, issuer);
             self.tally.accepted += 1;
             let prev = self.adverts.get(&key);
@@ -449,7 +465,7 @@ impl PrincipalState {
             });
             self.adverts.insert(key, fingerprint);
         }
-        let (tuples, export) = (delivery.routed.tuples, delivery.export);
+        let tuples = routed.tuples;
         if tuples.is_empty() {
             return None;
         }
@@ -478,7 +494,7 @@ impl PrincipalState {
 
     /// One store's group-commit work: sync, then — with auto-compaction
     /// armed — compact if the dead-byte threshold is reached.
-    fn group_commit(&mut self, auto_compact: Option<u64>) -> Result<(), CertStoreError> {
+    pub(crate) fn group_commit(&mut self, auto_compact: Option<u64>) -> Result<(), CertStoreError> {
         self.store.sync()?;
         if auto_compact.is_some_and(|dead| self.store.dead_bytes() >= dead) {
             match self.store.compact() {
@@ -494,59 +510,6 @@ impl PrincipalState {
         }
         Ok(())
     }
-
-    /// Executes one batch operation on this principal.
-    fn run(&mut self, op: Op) -> OpResult {
-        match op {
-            Op::Fixpoint => OpResult::Eval(self.ws.evaluate().err()),
-            Op::Deliver(delivery) => {
-                self.timing = delivery.timing;
-                let error = self.deliver(delivery);
-                self.timing = false;
-                OpResult::Eval(error)
-            }
-            Op::GroupCommit { auto_compact } => {
-                OpResult::Store(self.group_commit(auto_compact).map(|()| false))
-            }
-            Op::Maintain => OpResult::Store(self.store.compact().map(|report| report.performed)),
-        }
-    }
-}
-
-// ---- batch tasks ---------------------------------------------------------
-
-/// What a batch does to each principal it picks.
-pub(crate) enum Op {
-    /// Evaluate the workspace to its local fixpoint.
-    Fixpoint,
-    /// Apply this step's routed packets.
-    Deliver(Delivery),
-    /// The group-commit sweep: sync, plus opportunistic compaction.
-    GroupCommit { auto_compact: Option<u64> },
-    /// Explicit `compact()`.
-    Maintain,
-}
-
-/// What came of an [`Op`].
-pub(crate) enum OpResult {
-    /// A fixpoint or delivery: the evaluation error that cut it short.
-    Eval(Option<WsError>),
-    /// Store maintenance: whether a compaction actually installed
-    /// (always `false` for group commits).
-    Store(Result<bool, CertStoreError>),
-}
-
-/// One step's delivery for one destination: the routed packets, a
-/// clone of the (cheap, `Arc`-backed) verifier and the per-batch flags
-/// — so the task is `'static` and self-contained.
-pub(crate) struct Delivery {
-    pub(crate) routed: Routed,
-    pub(crate) verifier: KeyVerifier,
-    /// Whether each applied revocation pays its own sync.
-    pub(crate) eager: bool,
-    /// Whether to fill [`PrincipalState::spent`].
-    pub(crate) timing: bool,
-    pub(crate) export: Symbol,
 }
 
 /// The packets routed to one destination this step, in delivery order.
@@ -567,30 +530,6 @@ impl Routed {
     pub(crate) fn is_empty(&self) -> bool {
         self.revocations.is_empty() && self.summaries.is_empty() && self.tuples.is_empty()
     }
-}
-
-/// One unit of batch work: a principal moved out of the `System` (one
-/// pointer) for the duration of a batch, and what to do with it.
-/// Ownership is what lets the pool threads outlive any one phase
-/// without unsafe lifetime erasure.
-pub(crate) struct PoolTask {
-    pub(crate) principal: Box<PrincipalState>,
-    pub(crate) op: Op,
-}
-
-/// The principal handed back for the registration-order merge, with
-/// what the operation reported.
-pub(crate) struct PoolDone {
-    pub(crate) principal: Box<PrincipalState>,
-    pub(crate) result: OpResult,
-}
-
-/// Executes one task — the single `fn` every pool thread runs on each
-/// task it claims, and the one the sequencer maps over an inline batch.
-pub(crate) fn run_pool_task(task: PoolTask) -> PoolDone {
-    let PoolTask { mut principal, op } = task;
-    let result = principal.run(op);
-    PoolDone { principal, result }
 }
 
 // ---- export cursor -------------------------------------------------------

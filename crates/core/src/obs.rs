@@ -6,9 +6,8 @@
 //! [`Registry`] (shared with the log backends; the network, the stores
 //! and the fault plane count in their own structs, which
 //! [`crate::System::obs_registry`] copies in when read), wall-clock
-//! histograms for each phase of `run_to_quiescence` — including one
-//! histogram *per fixpoint shard*, so worker imbalance on skewed
-//! topologies is visible — and the decision [`Journal`]. Phase timing
+//! histograms for each phase of `run_to_quiescence`, and the decision
+//! [`Journal`]. Phase timing
 //! is on by default and can be disabled
 //! ([`crate::System::with_phase_timing`]) for overhead-sensitive runs;
 //! the journal is disabled unless a sink is attached.
@@ -25,7 +24,7 @@ pub use lbtrust_obs::*;
 pub enum QuiescePhase {
     /// Phase 0: gossip summary refresh (`quiesce.gossip_prepare_ns`).
     GossipPrepare,
-    /// Phase 1: parallel local fixpoints (`quiesce.fixpoint_ns`).
+    /// Phase 1: local fixpoints (`quiesce.fixpoint_ns`).
     Fixpoint,
     /// Phase 1b: placement updates (`quiesce.placement_ns`).
     Placement,
@@ -46,10 +45,9 @@ pub enum QuiescePhase {
 }
 
 /// What the delivery phase spends its time on, each with a histogram
-/// `quiesce.delivery.<part>_ns` sampled once per step. On one shard the
-/// parts run one after another inside the phase, so they sum to no more
-/// than `quiesce.delivery_ns`; on a pool `Verify`, `Assert` and `Evaluate`
-/// add up the workers' time and can exceed the phase's wall clock.
+/// `quiesce.delivery.<part>_ns` sampled once per step. The parts run one
+/// after another inside the phase, so they sum to no more than
+/// `quiesce.delivery_ns`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DeliveryPart {
     /// Draining the network: frame decode, admission, routing.
@@ -63,8 +61,8 @@ pub enum DeliveryPart {
     /// `Workspace::evaluate` over the asserted batch (which is where
     /// `says` signatures are checked, declaratively).
     Evaluate,
-    /// Moving every destination's state back in, in registration order,
-    /// folding the counters and answering gossip pulls.
+    /// Folding the destinations' errors and counters in registration
+    /// order and answering gossip pulls.
     Merge,
 }
 
@@ -104,21 +102,11 @@ pub(crate) struct SystemObs {
     group_commit: Histogram,
     fault_recovery: Histogram,
     step: Histogram,
-    /// `quiesce.fixpoint.shard<i>_ns`, grown on first use per shard.
-    shard_fixpoints: Vec<Histogram>,
     pub(crate) authz_granted: Counter,
     pub(crate) authz_denied: Counter,
-    /// Total tasks dispatched through the worker pool. Volatile:
-    /// inline batches are not pool dispatches, so the count differs by
-    /// shard configuration.
-    pub(crate) pool_tasks: Counter,
-    /// max/mean per-worker fixpoint busy time, in thousandths (a gauge
-    /// holds a `u64`; `1000` = perfectly balanced). Volatile.
-    imbalance: Gauge,
     /// Storage operations that failed with transient I/O and entered
-    /// the retry path (immediate, deferred, or probe). Volatile: the
-    /// fault schedule is seeded, but which phase absorbs a fault can
-    /// differ by shard configuration.
+    /// the retry path (immediate, deferred, or probe). Volatile (kept
+    /// out of the deterministic snapshot), like `fault.injected.*`.
     store_retries: Counter,
     /// Stores moved into quarantine after exhausted retries. Volatile,
     /// like `store.retries`.
@@ -129,8 +117,6 @@ impl SystemObs {
     pub(crate) fn new(registry: Registry) -> SystemObs {
         let authz_granted = registry.counter("authz.granted");
         let authz_denied = registry.counter("authz.denied");
-        let pool_tasks = registry.volatile_counter("pool.tasks");
-        let imbalance = registry.volatile_gauge("quiesce.imbalance_ratio");
         let store_retries = registry.volatile_counter("store.retries");
         let store_quarantined = registry.volatile_counter("store.quarantined");
         SystemObs {
@@ -144,11 +130,8 @@ impl SystemObs {
             group_commit: registry.timing("quiesce.group_commit_ns"),
             fault_recovery: registry.timing("quiesce.fault_recovery_ns"),
             step: registry.timing("quiesce.step_ns"),
-            shard_fixpoints: Vec::new(),
             authz_granted,
             authz_denied,
-            pool_tasks,
-            imbalance,
             store_retries,
             store_quarantined,
             registry,
@@ -210,36 +193,5 @@ impl SystemObs {
     /// Counts one store moving into quarantine.
     pub(crate) fn count_quarantine(&self) {
         self.store_quarantined.inc();
-    }
-
-    /// Records one shard's local-fixpoint duration for this step.
-    pub(crate) fn record_shard_fixpoint(&mut self, shard: usize, elapsed: Duration) {
-        if !self.timing {
-            return;
-        }
-        while self.shard_fixpoints.len() <= shard {
-            let i = self.shard_fixpoints.len();
-            self.shard_fixpoints.push(
-                self.registry
-                    .timing(&format!("quiesce.fixpoint.shard{i}_ns")),
-            );
-        }
-        self.shard_fixpoints[shard].record_duration(elapsed);
-    }
-
-    /// Publishes `quiesce.imbalance_ratio`: max over mean of the
-    /// per-worker cumulative fixpoint busy time, in thousandths (so
-    /// `1000` means perfectly balanced workers and `3000` means the
-    /// slowest worker carried 3x the average). Left untouched when
-    /// phase timing is off or nothing has run.
-    pub(crate) fn publish_imbalance(&self) {
-        let sums: Vec<u64> = self.shard_fixpoints.iter().map(Histogram::sum).collect();
-        let total: u64 = sums.iter().sum();
-        let Some(&max) = sums.iter().max().filter(|_| total > 0) else {
-            return;
-        };
-        let mean = total as f64 / sums.len() as f64;
-        let ratio = max as f64 / mean.max(1e-9);
-        self.imbalance.set((ratio * 1000.0).round() as u64);
     }
 }

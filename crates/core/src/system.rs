@@ -11,12 +11,8 @@
 use crate::auth::{register_crypto_builtins_cached, AuthScheme, KeyVerifier};
 use crate::authz_read::{decide, AuthzReader, AuthzShared};
 use crate::gossip::{fingerprint_hex, parse_gossip_send, GossipSend, GOSSIP_SAYS};
-use crate::node::{
-    is_storage_io, run_pool_task, Delivery, Op, OpResult, PoolDone, PoolTask, PrincipalState,
-    Routed,
-};
+use crate::node::{is_storage_io, PrincipalState, Routed};
 use crate::obs::{DeliveryPart, QuiescePhase, SystemObs};
-use crate::pool::{BatchReport, WorkerPool};
 use crate::principal::{
     rsa_priv_handle, rsa_pub_handle, shared_keys, shared_secret_handle, Principal, SharedKeys,
 };
@@ -329,17 +325,14 @@ pub struct AuthzDecision {
 /// principals. Each principal is one self-contained value (workspace,
 /// certificate store, placement, health, counters); the system owns
 /// what they share — the key directory, the simulated network, the
-/// verification cache, the worker pool, the metrics registry and the
-/// configuration — and runs the phases of the distributed fixpoint over
-/// them in registration order.
+/// verification cache, the metrics registry and the configuration —
+/// and runs the phases of the distributed fixpoint over them in
+/// registration order, on its caller's thread.
 pub struct System {
     keys: SharedKeys,
     /// Every registered principal, in registration order — the order
-    /// every serial phase, every merge and [`System::stats`] walk.
-    /// Boxed because a batch moves each picked principal into a task
-    /// and back: a pointer, not two kilobytes of struct, per move.
-    #[allow(clippy::vec_box)]
-    nodes: Vec<Box<PrincipalState>>,
+    /// every phase, every merge and [`System::stats`] walk.
+    nodes: Vec<PrincipalState>,
     /// Name → position in `nodes`; every public method taking a
     /// [`Principal`] resolves it here, once.
     index: HashMap<Principal, usize>,
@@ -366,13 +359,8 @@ pub struct System {
     rotate_bytes: Option<u64>,
     /// Auto-compaction threshold: during a batched group commit, any
     /// store holding at least this many dead (compactable) bytes is
-    /// compacted on its shard worker. `None` disables the trigger.
+    /// compacted. `None` disables the trigger.
     auto_compact_dead_bytes: Option<u64>,
-    /// The persistent worker pool [`System::run_to_quiescence`]
-    /// dispatches per-principal tasks to, created by
-    /// [`System::with_shards`] above one shard and joined when the
-    /// system drops. `None` (the default) runs the same tasks inline.
-    pool: Option<WorkerPool<PoolTask, PoolDone>>,
     /// The anti-entropy revocation gossip program, when enabled (see
     /// [`System::enable_gossip`]): the propagation logic as translated
     /// LBTrust source, loaded into every workspace under the `gossip`
@@ -422,7 +410,6 @@ impl System {
             sync_policy: SyncPolicy::default(),
             rotate_bytes: None,
             auto_compact_dead_bytes: None,
-            pool: None,
             gossip: None,
             obs: SystemObs::new(registry),
             retry_policy: RetryPolicy::default(),
@@ -435,9 +422,9 @@ impl System {
     /// Arms deterministic storage-fault injection: every principal
     /// registered *after* this call gets a store wrapped in a seeded
     /// [`lbtrust_certstore::FaultingBackend`], its schedule derived
-    /// from `spec` and the principal's name (registration-order and
-    /// shard-count invariant). Use [`System::fault_handle`] to inject
-    /// explicit faults or heal a store from tests.
+    /// from `spec` and the principal's name (registration-order
+    /// invariant). Use [`System::fault_handle`] to inject explicit
+    /// faults or heal a store from tests.
     pub fn with_storage_faults(mut self, spec: FaultConfig) -> System {
         self.fault_spec = Some(spec);
         self
@@ -494,10 +481,9 @@ impl System {
         self.obs.registry()
     }
 
-    /// Turns the `quiesce.*` phase spans (and per-shard fixpoint
-    /// timing) on or off. On by default; the off path costs one branch
-    /// per phase, which the bench suite's overhead microbench pins
-    /// under its noise floor.
+    /// Turns the `quiesce.*` phase spans on or off. On by default; the
+    /// off path costs one branch per phase, which the bench suite's
+    /// overhead microbench pins under its noise floor.
     pub fn with_phase_timing(mut self, on: bool) -> Self {
         self.obs.set_timing(on);
         self
@@ -521,10 +507,10 @@ impl System {
     /// one name and kind it has: `net.*` and the nine `store.*` event
     /// counts (summed over stores, once there is a store) as counters
     /// raised to the struct totals, `system.*` and the store footprint as
-    /// gauges, `fault.injected.*` as volatile counters once some store has
-    /// a fault handle, and the imbalance gauge. Components count only in
-    /// their own structs; this is the one place those counts reach the
-    /// registry, and [`System::obs_registry`] its one caller.
+    /// gauges, and `fault.injected.*` as volatile counters once some store
+    /// has a fault handle. Components count only in their own structs;
+    /// this is the one place those counts reach the registry, and
+    /// [`System::obs_registry`] its one caller.
     fn publish_obs(&self) {
         type Field<T> = fn(&T) -> u64;
         let r = self.obs.registry();
@@ -599,7 +585,6 @@ impl System {
                 raise(r.volatile_counter(name), faults.iter().map(field).sum());
             }
         }
-        self.obs.publish_imbalance();
     }
 
     /// Creates a system whose certificate stores are durable: each
@@ -651,48 +636,20 @@ impl System {
     }
 
     /// Arms the auto-compaction trigger: every batched group commit
-    /// additionally compacts, on its shard worker, any store whose
-    /// dead-record bytes reached `dead_bytes`. Dead bytes are what a
-    /// compaction reclaims — records superseded by revocation, expiry,
-    /// or newer clock ticks.
+    /// additionally compacts any store whose dead-record bytes reached
+    /// `dead_bytes`. Dead bytes are what a compaction reclaims — records
+    /// superseded by revocation, expiry, or newer clock ticks.
     pub fn with_auto_compaction(mut self, dead_bytes: u64) -> Self {
         self.auto_compact_dead_bytes = Some(dead_bytes);
         self
     }
 
-    /// Sets how many pool workers [`System::run_to_quiescence`] uses.
-    /// `shards > 1` creates (or resizes, by recreating) the persistent
-    /// worker pool: long-lived threads that claim the local-fixpoint,
-    /// delivery-import and store-maintenance phases' per-principal
-    /// tasks from one shared batch. `1` (the default) drops the pool
-    /// and runs the same tasks inline on the caller's thread. Any
-    /// worker count reaches the same quiescent state: results merge
-    /// sequentially in registration order, so which worker ran a task
-    /// is unobservable.
-    ///
-    /// What the pool is worth today, for ROADMAP item D (5): with state
-    /// shared instead of copied a per-principal task is several times
-    /// cheaper, so there is less for workers to overlap. A pool sweep
-    /// on 2 cores, 32 principals, pooled over inline, two runs (its
-    /// record is in `CHANGES.md`; ROADMAP D (5) holds the open verdict):
-    /// `fanout_revocation` 0.88x – 1.06x at 2 workers and 1.10x – 1.27x
-    /// at 4 and 8 (it was 1.45x – 1.58x while every repair copied its
-    /// database twice),
-    /// `fanout_chain` 1.02x – 1.22x at 2 and 1.38x – 1.49x at 4 and 8, the
-    /// skewed hub-and-spokes shape 0.87x – 0.98x. Every benchmark workload
-    /// runs at one shard.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        let shards = shards.max(1);
-        if shards != self.pool.as_ref().map_or(1, WorkerPool::workers) {
-            self.pool = (shards > 1).then(|| WorkerPool::new(shards, Arc::new(run_pool_task)));
-        }
+    /// Does nothing: every phase runs on the caller's thread, in
+    /// registration order, whatever `shards` says. Kept only so that
+    /// existing callers still build; ROADMAP item A (7) deletes it.
+    #[deprecated(note = "inert: the quiescence engine runs on its caller's thread")]
+    pub fn with_shards(self, _shards: usize) -> Self {
         self
-    }
-
-    /// The pool's thread-liveness witness, for shutdown tests.
-    #[cfg(test)]
-    pub(crate) fn pool_liveness(&self) -> Option<std::sync::Arc<()>> {
-        self.pool.as_ref().map(WorkerPool::liveness)
     }
 
     /// Enables the anti-entropy revocation gossip layer. `program` is
@@ -736,41 +693,41 @@ impl System {
     }
 
     /// Compacts every principal's store — checkpoint + prune of
-    /// superseded segments — in parallel across the configured shard
-    /// workers. Returns how many stores actually installed a compaction
-    /// (memory-backed stores never do). Dead records (revoked/expired
+    /// superseded segments — in registration order. Returns how many
+    /// stores actually installed a compaction (memory-backed stores
+    /// never do). Dead records (revoked/expired
     /// certificates, superseded ticks) stop occupying disk, reopen cost
     /// drops to checkpoint + suffix, and audit citations survive via
     /// the folded audit segment. Quarantined stores are skipped
     /// outright — compaction is a write (checkpoint append / segment
     /// rewrite) and the store is read-only until its fault heals.
     pub fn compact(&mut self) -> Result<usize, SysError> {
-        self.run_store_op(|n| (!n.quarantined()).then_some(Op::Maintain))
+        self.run_store_op(|n| {
+            (!n.quarantined()).then(|| n.store.compact().map(|report| report.performed))
+        })
     }
 
-    /// Runs the store operation `pick` names on every principal it
-    /// names one for, as one batch, and folds the results into the
-    /// health state in registration order: transient I/O degrades the
-    /// store (retried by the next group commit / maintenance pass)
-    /// instead of failing the whole sweep. Returns how many maintenance
-    /// passes installed.
+    /// Runs `op` on every principal in registration order and folds
+    /// each result it returns (`Some`; `None` skips the principal) into
+    /// the health state: transient I/O degrades the store (retried by
+    /// the next group commit / maintenance pass) instead of failing the
+    /// whole sweep, and the first other error is returned once every
+    /// principal has had its turn. Returns how many results were
+    /// `Ok(true)` — maintenance passes that installed.
     fn run_store_op(
         &mut self,
-        mut pick: impl FnMut(&PrincipalState) -> Option<Op>,
+        mut op: impl FnMut(&mut PrincipalState) -> Option<Result<bool, CertStoreError>>,
     ) -> Result<usize, SysError> {
-        let report = self.run_batch(|_, node| pick(node));
         let mut performed = 0usize;
         let mut first_error: Option<SysError> = None;
-        for (i, result) in report.results {
-            let OpResult::Store(result) = result else {
-                unreachable!("store batches return store results");
-            };
-            match result {
-                Ok(did) => {
+        for i in 0..self.nodes.len() {
+            match op(&mut self.nodes[i]) {
+                None => {}
+                Some(Ok(did)) => {
                     performed += usize::from(did);
                     self.note_store_ok(i);
                 }
-                Err(e) => {
+                Some(Err(e)) => {
                     if let Err(e) = self.note_store_failure(i, e) {
                         first_error.get_or_insert(e);
                     }
@@ -778,61 +735,6 @@ impl System {
             }
         }
         first_error.map_or(Ok(performed), Err)
-    }
-
-    /// Runs one batch to completion: every principal `pick` names an
-    /// operation for moves into a task (one pointer), the tasks run —
-    /// on the pool when one exists and the batch has more than one
-    /// task, otherwise the very same [`run_pool_task`] inline on this
-    /// thread, the caller counting as worker 0 and timed only while
-    /// phase timing is on — and every principal is back in its place
-    /// when this returns. Results come back as `(position, result)` in
-    /// registration order, so every phase has one task-building and one
-    /// merge path whatever the shard count.
-    fn run_batch(
-        &mut self,
-        mut pick: impl FnMut(usize, &PrincipalState) -> Option<Op>,
-    ) -> BatchReport<(usize, OpResult)> {
-        // `None` marks the place of a principal that is out on a task.
-        let mut places: Vec<Option<Box<PrincipalState>>> = Vec::with_capacity(self.nodes.len());
-        let mut tasks: Vec<PoolTask> = Vec::new();
-        for (i, principal) in std::mem::take(&mut self.nodes).into_iter().enumerate() {
-            match pick(i, &principal) {
-                Some(op) => {
-                    tasks.push(PoolTask { principal, op });
-                    places.push(None);
-                }
-                None => places.push(Some(principal)),
-            }
-        }
-        let report = match self.pool.as_ref().filter(|_| tasks.len() > 1) {
-            Some(pool) => {
-                self.obs.pool_tasks.add(tasks.len() as u64);
-                pool.run_batch(tasks)
-            }
-            None => {
-                let started = self.obs.phase_timer();
-                let results = tasks.into_iter().map(run_pool_task).collect();
-                let busy = started.map(|s| s.elapsed()).into_iter().collect();
-                BatchReport { results, busy }
-            }
-        };
-        // Tasks come back in submission order, which is place order.
-        let mut done = report.results.into_iter();
-        let mut results = Vec::with_capacity(done.len());
-        self.nodes.reserve(places.len());
-        for (i, place) in places.into_iter().enumerate() {
-            self.nodes.push(place.unwrap_or_else(|| {
-                // Cannot fire: one result per task, or `run_batch` re-panics.
-                let done = done.next().expect("every task hands its principal back");
-                results.push((i, done.result));
-                done.principal
-            }));
-        }
-        BatchReport {
-            results,
-            busy: report.busy,
-        }
     }
 
     /// Shared key directory (for inspection).
@@ -981,7 +883,7 @@ impl System {
         // Certificates the log shows as revoked/expired need nothing: a
         // freshly registered workspace holds no facts for them.
         let active = store.active();
-        let mut principal = Box::new(PrincipalState::new(ws, store, NodeId::new(node), faults));
+        let mut principal = PrincipalState::new(ws, store, NodeId::new(node), faults);
         self.stats.certs_replayed += principal.file_cert_facts(active);
 
         // A constraint violation rolls back to a fully introduced
@@ -1621,22 +1523,17 @@ impl System {
     /// the system holds no snapshot and no cached decision (see
     /// [`System::authz_reader`]).
     ///
-    /// The local-fixpoint, delivery-import and group-commit phases each
-    /// run as one batch of per-principal tasks — on the pool workers
-    /// with [`System::with_shards`] above 1, inline otherwise;
-    /// placement updates, network traffic and statistics are merged
-    /// sequentially in registration order, so every shard count reaches
-    /// the identical quiescent state.
+    /// Every phase runs on the caller's thread and visits the
+    /// principals in registration order, so placement updates, network
+    /// traffic and statistics repeat from run to run.
     ///
     /// Messages whose import violates the receiver's verification
     /// constraint are rejected (the receiving workspace rolls back) and
     /// counted in [`SystemStats::messages_rejected`]. Any other
-    /// evaluation error aborts the run, but never mid-batch: every
-    /// principal's task in the failing phase still runs and merges (so
-    /// packets already drained from the network are applied, not
-    /// lost), and the first such error in registration order is
-    /// returned — the same state and the same error at every shard
-    /// count.
+    /// evaluation error aborts the run, but never mid-phase: every
+    /// principal still takes its turn in the failing phase (so packets
+    /// already drained from the network are applied, not lost), and the
+    /// first such error in registration order is returned.
     pub fn run_to_quiescence(&mut self, max_steps: usize) -> Result<SystemStats, SysError> {
         for _ in 0..max_steps {
             self.stats.steps += 1;
@@ -1669,7 +1566,7 @@ impl System {
         // disagree. Sequential in registration order (cheap:
         // fingerprints are maintained per store).
         let divergent = self.phase(QuiescePhase::GossipPrepare, System::prepare_gossip);
-        // 1. Local fixpoints, one task per principal. A constraint
+        // 1. Local fixpoints, one per principal. A constraint
         // violation rolls the offending workspace back to its last good
         // state (the paper's fail-with-error semantics) and the system
         // carries on.
@@ -1695,7 +1592,7 @@ impl System {
                 0
             }
         });
-        // 3. Deliver and import, one task per destination (answering
+        // 3. Deliver and import, one batch per destination (answering
         // gossip pulls with `revgossip` frames).
         let delivered = self.phase(QuiescePhase::Delivery, |s| s.deliver_and_import(export))?;
         // 4. Group commit: under `Batched`, every store that appended
@@ -1740,8 +1637,7 @@ impl System {
             fps.map(|(signer, fp)| (signer, fingerprint_hex(&fp)))
                 .collect()
         };
-        let summaries: Vec<Vec<(Symbol, String)>> =
-            self.nodes.iter().map(|n| summarize(n)).collect();
+        let summaries: Vec<Vec<(Symbol, String)>> = self.nodes.iter().map(summarize).collect();
         // The divergence oracle compares *writable* stores only: a
         // quarantined store cannot absorb gossip (its appends fail), so
         // letting it hold the oracle open would generate repair traffic
@@ -1772,10 +1668,10 @@ impl System {
     /// Gossip phase 2b: ship every `revsummary`/`revpull` message the
     /// program derived, sequentially in registration order (and in a
     /// name-sorted order within each workspace), so the traffic —
-    /// and therefore the seeded network's loss pattern — is identical
-    /// for every shard count. Returns the number of messages handed to
-    /// the network (dropped or not: an attempt is a round's work, and
-    /// quiescence must wait for the retry).
+    /// and therefore the seeded network's loss pattern — repeats from
+    /// run to run. Returns the number of messages handed to the network
+    /// (dropped or not: an attempt is a round's work, and quiescence
+    /// must wait for the retry).
     fn gossip_sends(&mut self) -> usize {
         let gsays = Symbol::intern(GOSSIP_SAYS);
         let mut total = 0usize;
@@ -1824,27 +1720,19 @@ impl System {
         total
     }
 
-    /// Phase 1: every workspace to its local fixpoint, one task per
-    /// principal. Constraint violations are rollbacks (counted); the
-    /// first other evaluation error in registration order aborts the
-    /// run once every principal is back in place.
+    /// Phase 1: every workspace to its local fixpoint, in registration
+    /// order. Constraint violations are rollbacks (counted); the first
+    /// other evaluation error in registration order aborts the run once
+    /// every principal has evaluated.
     fn local_fixpoints(&mut self) -> Result<(), SysError> {
-        let report = self.run_batch(|_, _| Some(Op::Fixpoint));
-        // Per-worker busy time feeds the shard histograms (and through
-        // them the imbalance gauge): the load each worker actually
-        // carried.
-        for (w, busy) in report.busy.into_iter().enumerate() {
-            self.obs.record_shard_fixpoint(w, busy);
-        }
         let mut first_error: Option<WsError> = None;
-        for (_, result) in report.results {
-            match result {
-                OpResult::Eval(None) => {}
-                OpResult::Eval(Some(WsError::Constraint(_))) => self.stats.local_rollbacks += 1,
-                OpResult::Eval(Some(e)) => {
+        for node in &mut self.nodes {
+            match node.ws.evaluate() {
+                Ok(_) => {}
+                Err(WsError::Constraint(_)) => self.stats.local_rollbacks += 1,
+                Err(e) => {
                     first_error.get_or_insert(e);
                 }
-                OpResult::Store(_) => unreachable!("fixpoint batches return fixpoint results"),
             }
         }
         first_error.map_or(Ok(()), |e| Err(e.into()))
@@ -1867,10 +1755,8 @@ impl System {
 
     /// Phase 2: collect fresh export tuples and send them, sequentially
     /// and in registration order so the network delivers in the same
-    /// order every run. This phase stays serial on purpose — the scan
-    /// is a dedup over what each workspace's export partition gained
-    /// since the last step, far cheaper than the evaluation phases the
-    /// shards split, and cheaper than a round of worker spawns.
+    /// order every run. The scan is a dedup over what each workspace's
+    /// export partition gained since the last step.
     fn drain_exports(&mut self, export: Symbol) -> usize {
         let mut shipped = 0usize;
         for i in 0..self.nodes.len() {
@@ -1889,16 +1775,16 @@ impl System {
 
     /// Phase 3: drain the network sequentially (envelope order is part
     /// of the deterministic semantics), routing each packet to its
-    /// destination principal; then let each destination verify, import,
-    /// evaluate and retract as one task. Deliveries are batched per
-    /// destination (one evaluation per workspace per step).
+    /// destination principal; then let each destination, in
+    /// registration order, verify, import, evaluate and retract its
+    /// batch (one evaluation per workspace per step).
     fn deliver_and_import(&mut self, export: Symbol) -> Result<usize, SysError> {
         let decoding = self.obs.phase_timer();
         let mut delivered = 0usize;
         let mut routed: Vec<Routed> = self.nodes.iter().map(|_| Routed::default()).collect();
         // Gossip pulls `(responder, requester, issuer)`, in delivery
-        // order — answered sequentially after the destination tasks
-        // ran, from each responder's then-current store.
+        // order — answered after every destination applied its batch,
+        // from each responder's then-current store.
         let mut pulls: Vec<(usize, Symbol, Symbol)> = Vec::new();
         let gossip_on = self.gossip.is_some();
         while let Some(envelope) = self.net.deliver_next() {
@@ -1951,32 +1837,21 @@ impl System {
             self.obs
                 .record_delivery_part(DeliveryPart::Decode, started.elapsed());
         }
-        // Each destination moves out as one task and is back in
-        // registration order, its tallies already moved by the work it
-        // did — even when a hard error follows, so the statistics
-        // always reflect the mutations actually applied.
-        let report = self.run_batch(|i, _| {
-            let routed = std::mem::take(&mut routed[i]);
-            (!routed.is_empty()).then(|| {
-                Op::Deliver(Delivery {
-                    routed,
-                    verifier: verifier.clone(),
-                    eager,
-                    timing,
-                    export,
-                })
-            })
-        });
-        let merging = self.obs.phase_timer();
+        // Every destination applies its batch, in registration order,
+        // even after an earlier one hit a hard error: its tallies move
+        // with the work it did, so the statistics always reflect the
+        // mutations actually applied.
         let mut first_error: Option<WsError> = None;
-        for (_, result) in report.results {
-            let OpResult::Eval(error) = result else {
-                unreachable!("delivery batches return delivery results");
-            };
+        for (node, routed) in self.nodes.iter_mut().zip(routed) {
+            if routed.is_empty() {
+                continue;
+            }
+            let error = node.deliver(routed, &verifier, eager, timing, export);
             if first_error.is_none() {
                 first_error = error;
             }
         }
+        let merging = self.obs.phase_timer();
         if first_error.is_none() {
             self.serve_pulls(&pulls);
         }
@@ -2000,8 +1875,9 @@ impl System {
     /// (duplicates within the step collapse): for each distinct
     /// `(responder, requester, issuer)`, the responder relays every
     /// signed revocation object by `issuer` it holds as `revgossip`
-    /// frames. Served after the destination tasks ran, so a responder
-    /// that learned new objects this very step already relays them.
+    /// frames. Served after every destination applied its batch, so a
+    /// responder that learned new objects this very step already relays
+    /// them.
     fn serve_pulls(&mut self, pulls: &[(usize, Symbol, Symbol)]) {
         let mut seen: HashSet<(usize, Symbol, Symbol)> = HashSet::new();
         for &(responder, requester, issuer) in pulls {
@@ -2030,11 +1906,10 @@ impl System {
     /// [`SyncPolicy::Batched`], and the explicit commit point for
     /// callers outside it. Clean stores are skipped, so this is a no-op
     /// under [`SyncPolicy::Eager`] where nothing is ever left dirty.
-    /// Shards sync their stores in parallel so independent fsyncs
-    /// overlap. With auto-compaction armed, the same sweep compacts any
-    /// store whose dead-record bytes reached the threshold, still on its
-    /// shard worker — maintenance piggybacks on the commit point instead
-    /// of adding a stop-the-world phase.
+    /// Stores sync one after another, in registration order. With
+    /// auto-compaction armed, the same sweep compacts any store whose
+    /// dead-record bytes reached the threshold — maintenance piggybacks
+    /// on the commit point instead of adding a phase of its own.
     pub fn flush(&mut self) -> Result<(), SysError> {
         let auto_compact = self.auto_compact_dead_bytes;
         let step = self.stats.steps;
@@ -2048,7 +1923,7 @@ impl System {
             StoreHealth::Healthy => true,
         };
         self.run_store_op(|n| {
-            (n.store.is_dirty() && due(n)).then_some(Op::GroupCommit { auto_compact })
+            (n.store.is_dirty() && due(n)).then(|| n.group_commit(auto_compact).map(|()| false))
         })
         .map(|_| ())
     }
@@ -2942,66 +2817,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_engine_reaches_same_state_as_serial() {
-        // The same three-principal says/access workload on the serial
-        // engine and on more shards than principals: identical derived
-        // facts and identical message statistics.
-        fn build(shards: usize) -> System {
-            let mut sys = System::new().with_rsa_bits(512).with_shards(shards);
-            let alice = sys.add_principal("alice", "n1").unwrap();
-            let _bob = sys.add_principal("bob", "n2").unwrap();
-            let _carol = sys.add_principal("carol", "n3").unwrap();
-            for target in ["bob", "carol"] {
-                sys.workspace_mut(alice)
-                    .unwrap()
-                    .load(
-                        "policy",
-                        &format!("says(me,{target},[| good(X). |]) <- vouched(X)."),
-                    )
-                    .unwrap();
-            }
-            sys.workspace_mut(alice)
-                .unwrap()
-                .assert_src("vouched(dave). vouched(erin).")
-                .unwrap();
-            for receiver in ["bob", "carol"] {
-                let p = Symbol::intern(receiver);
-                sys.workspace_mut(p)
-                    .unwrap()
-                    .load(
-                        "policy",
-                        "access(P,file1,read) <- says(alice,me,[| good(P) |]).",
-                    )
-                    .unwrap();
-            }
-            sys.run_to_quiescence(16).unwrap();
-            sys
-        }
-        let serial = build(1);
-        let parallel = build(8);
-        for receiver in ["bob", "carol"] {
-            let p = Symbol::intern(receiver);
-            for person in ["dave", "erin"] {
-                assert!(parallel
-                    .workspace(p)
-                    .unwrap()
-                    .holds_src(&format!("access({person},file1,read)"))
-                    .unwrap());
-            }
-            assert_eq!(
-                serial.workspace(p).unwrap().tuples(sym("access")).len(),
-                parallel.workspace(p).unwrap().tuples(sym("access")).len(),
-            );
-        }
-        assert_eq!(serial.stats().messages_sent, parallel.stats().messages_sent);
-        assert_eq!(
-            serial.stats().messages_accepted,
-            parallel.stats().messages_accepted
-        );
-        assert_eq!(serial.stats().steps, parallel.stats().steps);
-    }
-
-    #[test]
     fn batched_policy_defers_syncs_until_group_commit() {
         let dir = std::env::temp_dir().join(format!(
             "lbtrust-batched-unit-{}-{:?}",
@@ -3040,8 +2855,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_revocation_broadcast_retracts_everywhere() {
-        let mut sys = System::new().with_rsa_bits(512).with_shards(4);
+    fn a_revocation_broadcast_retracts_everywhere() {
+        let mut sys = System::new().with_rsa_bits(512);
         let alice = sys.add_principal("alice", "n1").unwrap();
         let receivers: Vec<Principal> = (0..5)
             .map(|i| {
@@ -3079,7 +2894,7 @@ mod tests {
                     .unwrap()
                     .holds_src("access(carol,f,read)")
                     .unwrap(),
-                "parallel delivery shards must retract the revoked facts"
+                "every receiver must retract the revoked facts"
             );
         }
         assert_eq!(sys.stats().revocations, 1 + receivers.len());
@@ -3181,11 +2996,11 @@ mod tests {
     /// after imports, a rejected tampered export, a revocation, an
     /// expiry and a rollback it reads, field for field, what the commit
     /// before principals kept their own tallies produced for this
-    /// script — at one shard and at three.
+    /// script.
     #[test]
-    fn stats_sum_the_principals_tallies_at_every_shard_count() {
-        fn mixed_run(shards: usize) -> SystemStats {
-            let mut sys = System::new().with_rsa_bits(512).with_shards(shards);
+    fn stats_sum_the_principals_tallies() {
+        fn mixed_run() -> SystemStats {
+            let mut sys = System::new().with_rsa_bits(512);
             let alice = sys.add_principal("alice", "n1").unwrap();
             let bob = sys.add_principal("bob", "n2").unwrap();
             let carol = sys.add_principal("carol", "n3").unwrap();
@@ -3227,16 +3042,13 @@ mod tests {
             ws.assert_src("banned(erin).").unwrap();
             sys.run_to_quiescence(16).unwrap()
         }
-        for shards in [1, 3] {
-            assert_eq!(
-                format!("{:?}", mixed_run(shards)),
-                "SystemStats { messages_sent: 4, messages_accepted: 3, messages_rejected: 1, \
-                 local_rollbacks: 1, steps: 6, certs_imported: 6, revocations: 4, \
-                 retractions: 8, dred_repairs: 4, retraction_rebuilds: 0, certs_replayed: 0, \
-                 gossip_rounds: 0, gossip_summaries: 0, gossip_pulls: 0, gossip_served: 0 }",
-                "at {shards} shards"
-            );
-        }
+        assert_eq!(
+            format!("{:?}", mixed_run()),
+            "SystemStats { messages_sent: 4, messages_accepted: 3, messages_rejected: 1, \
+             local_rollbacks: 1, steps: 6, certs_imported: 6, revocations: 4, \
+             retractions: 8, dred_repairs: 4, retraction_rebuilds: 0, certs_replayed: 0, \
+             gossip_rounds: 0, gossip_summaries: 0, gossip_pulls: 0, gossip_served: 0 }"
+        );
     }
 
     /// Every public method that takes a `Principal` resolves it once at
@@ -3392,37 +3204,131 @@ mod tests {
         }
     }
 
+    /// A hard (non-constraint) evaluation error never cuts a phase
+    /// short: every principal after the failing one still takes its
+    /// turn, so packets already drained from the network are applied,
+    /// and the first error in registration order is returned — whether
+    /// it strikes in the local fixpoints or in delivery. A hub says
+    /// `n(foo)` to two receivers; `r0` turns it into arithmetic (a type
+    /// error on a symbol), `late` holds one pending local fact, and with
+    /// `early_error` the same bad arithmetic sits in the hub itself.
     #[test]
-    fn dropping_a_sharded_system_joins_its_pool_threads() {
-        let mut sys = System::new().with_rsa_bits(512).with_shards(4);
-        let alice = sys.add_principal("alice", "n1").unwrap();
-        let _bob = sys.add_principal("bob", "n2").unwrap();
-        sys.workspace_mut(alice)
-            .unwrap()
-            .load("policy", "says(me,bob,[| good(X). |]) <- vouched(X).")
-            .unwrap();
-        sys.workspace_mut(alice)
-            .unwrap()
-            .assert_src("vouched(carol).")
-            .unwrap();
-        sys.run_to_quiescence(16).unwrap();
-        let alive = sys.pool_liveness().expect("sharded system owns a pool");
-        // 4 worker clones + the pool's own + this one.
-        assert_eq!(std::sync::Arc::strong_count(&alive), 6);
-        drop(sys);
-        // Drop joined every worker, so every thread-held clone is gone:
-        // no leaked pool threads.
-        assert_eq!(std::sync::Arc::strong_count(&alive), 1);
+    fn a_hard_evaluation_error_is_returned_after_every_principal_took_its_turn() {
+        for early_error in [true, false] {
+            let mut sys = System::new().with_rsa_bits(512);
+            let hub = sys.add_principal("hub", "n0").unwrap();
+            let r0 = sys.add_principal("r0", "m0").unwrap();
+            let r1 = sys.add_principal("r1", "m1").unwrap();
+            let late = sys.add_principal("late", "m2").unwrap();
+            let ws = sys.workspace_mut(hub).unwrap();
+            for name in ["r0", "r1"] {
+                let says = format!("says(me,{name},[| n(X). |]) <- num(X).");
+                ws.load("policy", &says).unwrap();
+            }
+            if early_error {
+                ws.load("policy", "bad(Y) <- num(X), Y = X + 1.").unwrap();
+            }
+            ws.assert_src("num(foo).").unwrap();
+            let bad = "bad(Y) <- says(hub,me,[| n(X) |]), Y = X + 1.";
+            sys.workspace_mut(r0).unwrap().load("policy", bad).unwrap();
+            let heard = "heard(X) <- says(hub,me,[| n(X) |]).";
+            sys.workspace_mut(r1)
+                .unwrap()
+                .load("policy", heard)
+                .unwrap();
+            let ws = sys.workspace_mut(late).unwrap();
+            ws.load("policy", "q(X) <- p(X).").unwrap();
+            ws.assert_src("p(x).").unwrap();
+
+            let err = sys.run_to_quiescence(8).unwrap_err();
+            assert!(matches!(err, SysError::Workspace(_)), "{err}");
+            assert!(err.to_string().contains("type error"), "{err}");
+            assert!(
+                sys.workspace(late).unwrap().holds_src("q(x)").unwrap(),
+                "early_error={early_error}: a principal after the failing one must still evaluate"
+            );
+            if !early_error {
+                assert!(
+                    sys.workspace(r1).unwrap().holds_src("heard(foo)").unwrap(),
+                    "a destination after the failing one must still import its packets"
+                );
+            }
+        }
     }
 
+    /// Every phase runs on the caller's thread, whatever `with_shards`
+    /// asks for: a builtin that records the thread evaluating it sees
+    /// only this one, through local fixpoints, deliveries, revocations,
+    /// batched group commits with auto-compaction, an explicit flush
+    /// and an explicit compaction of log-backed stores.
     #[test]
-    fn resizing_shards_replaces_and_joins_the_old_pool() {
-        let sys = System::new().with_rsa_bits(512).with_shards(3);
-        let old = sys.pool_liveness().expect("pool exists at shards=3");
-        // 3 worker clones + the pool's own + this one.
-        assert_eq!(std::sync::Arc::strong_count(&old), 5);
-        let sys = sys.with_shards(1); // back to the inline serial engine
-        assert_eq!(std::sync::Arc::strong_count(&old), 1, "old workers joined");
-        assert!(sys.pool_liveness().is_none(), "shards=1 keeps no pool");
+    fn every_phase_runs_on_the_callers_thread() {
+        use std::sync::Mutex;
+        use std::thread::ThreadId;
+        let dir = std::env::temp_dir().join(format!(
+            "lbtrust-one-thread-unit-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        #[allow(deprecated)]
+        let mut sys = System::open_persistent(&dir)
+            .unwrap()
+            .with_rsa_bits(512)
+            .with_sync_policy(SyncPolicy::Batched)
+            .with_auto_compaction(1)
+            .with_shards(4);
+        let seen: Arc<Mutex<Vec<ThreadId>>> = Arc::default();
+        let calls = |seen: &Mutex<Vec<ThreadId>>| seen.lock().unwrap().len();
+        let alice = sys.add_principal("alice", "n1").unwrap();
+        let receivers: Vec<Principal> = (0..3)
+            .map(|i| {
+                sys.add_principal(&format!("r{i}"), &format!("m{i}"))
+                    .unwrap()
+            })
+            .collect();
+        for p in std::iter::once(alice).chain(receivers.iter().copied()) {
+            let seen = Arc::clone(&seen);
+            let ws = sys.workspace_mut(p).unwrap();
+            ws.builtins_mut().register("here", 1, move |args| {
+                seen.lock().unwrap().push(std::thread::current().id());
+                Ok(vec![vec![args[0].clone().expect("bound")]])
+            });
+            ws.load(
+                "policy",
+                "access(P,f,read) <- says(alice,me,[| good(P) |]), here(P).\n\
+                 local(X) <- seed(X), here(X).",
+            )
+            .unwrap();
+            ws.assert_src("seed(x).").unwrap();
+        }
+        let certs = sys
+            .issue_certificates(alice, "good(carol). good(dave).", &[], None)
+            .unwrap();
+        for &r in &receivers {
+            sys.import_certificates(r, certs.clone()).unwrap();
+        }
+        let before = calls(&seen);
+        sys.run_to_quiescence(16).unwrap();
+        sys.revoke_certificate(alice, certs[0].digest()).unwrap();
+        sys.run_to_quiescence(16).unwrap();
+        assert!(calls(&seen) > before, "quiescence evaluated the builtin");
+        assert!(
+            receivers
+                .iter()
+                .any(|&r| sys.cert_store(r).unwrap().stats().compactions > 0),
+            "a group commit auto-compacted"
+        );
+        sys.advance_time(1).unwrap();
+        sys.flush().unwrap();
+        sys.compact().unwrap();
+        let before = calls(&seen);
+        let ws = sys.workspace_mut(receivers[0]).unwrap();
+        ws.assert_src("seed(y).").unwrap();
+        sys.run_to_quiescence(16).unwrap();
+        assert!(calls(&seen) > before, "quiescence evaluated the builtin");
+        let me = std::thread::current().id();
+        assert!(seen.lock().unwrap().iter().all(|&id| id == me));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1271,15 +1271,6 @@ pub(crate) fn explain_goal(
     Ok(proof.map(|proof| ProofText::new(proof, rules.clone())))
 }
 
-// The quiescence engine moves whole workspaces onto the pool's worker
-// threads. This assertion turns an accidentally non-`Send` field added
-// later (an `Rc`, a raw pointer) into a compile error here, instead of
-// one inside the task plumbing.
-const _: fn() = || {
-    fn assert_send<T: Send>() {}
-    assert_send::<Workspace>();
-};
-
 /// Converts a term to a ground value, accepting concrete quotes (code
 /// without pattern constructs) alongside ordinary values.
 fn term_to_ground_value(term: &lbtrust_datalog::Term) -> Option<Value> {

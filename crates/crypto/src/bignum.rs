@@ -415,16 +415,6 @@ impl BigUint {
         self.mul(other).rem(modulus)
     }
 
-    /// `(self + other) mod modulus`, assuming both inputs are `< modulus`.
-    pub fn addmod(&self, other: &Self, modulus: &Self) -> Self {
-        let s = self.add(other);
-        if s.cmp_big(modulus) == Ordering::Less {
-            s
-        } else {
-            s.sub(modulus)
-        }
-    }
-
     /// `(self - other) mod modulus`, assuming both inputs are `< modulus`.
     pub fn submod(&self, other: &Self, modulus: &Self) -> Self {
         if self.cmp_big(other) != Ordering::Less {

@@ -1086,8 +1086,8 @@ mod tests {
 
     #[test]
     fn nesting_is_bounded_on_a_default_thread_stack() {
-        // A pool worker and a spawned thread get 2 MiB; the main thread
-        // of a test binary may get more, so the check runs on neither.
+        // A spawned thread gets 2 MiB; the main thread of a test
+        // binary may get more, so the check runs on a spawned thread.
         let checked = std::thread::spawn(|| {
             for src in nested_sources(MAX_NESTING) {
                 parse_rule(&src).unwrap_or_else(|e| panic!("{e}: {}", &src[..40]));

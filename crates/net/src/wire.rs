@@ -1395,7 +1395,7 @@ mod codec_model {
     }
 
     /// Quotes nested past the parser's limit are refused, not descended
-    /// into — on the 2 MiB stack a pool worker decodes on.
+    /// into — on the 2 MiB stack a spawned thread gets.
     #[test]
     fn deep_packets_are_refused_on_a_default_thread_stack() {
         use lbtrust_datalog::parser::MAX_NESTING;

@@ -14,8 +14,8 @@
 //!   Handles are `Clone + Send + Sync`; recording is one atomic op.
 //!   Snapshots come in two flavours: [`metrics::Registry::snapshot`]
 //!   (everything) and [`metrics::Registry::deterministic_snapshot`],
-//!   which excludes wall-clock timing histograms so serial ≡ sharded
-//!   equivalence tests can compare registries byte-for-byte.
+//!   which excludes wall-clock timing histograms so two runs of one
+//!   workload can compare registries byte-for-byte.
 //! * [`journal`] — a structured event journal with pluggable sinks:
 //!   [`journal::NullSink`] (disabled, the default), a fixed-capacity
 //!   [`journal::RingSink`] for tests and in-process inspection, and a

@@ -215,8 +215,8 @@ pub enum MetricValue {
 
 /// The registry-internal handle union. The `bool` on counters and
 /// gauges marks *volatile* metrics — values that legitimately differ
-/// between runs of the same deterministic workload (pool dispatch counts,
-/// imbalance ratios) and are therefore excluded from
+/// between runs of the same deterministic workload (reader cache hits,
+/// injected-fault counts) and are therefore excluded from
 /// [`Registry::deterministic_snapshot`], exactly like wall-clock
 /// timing histograms.
 #[derive(Clone, Debug)]
@@ -280,7 +280,7 @@ impl Registry {
     }
 
     /// A counter handle for `name` marked *volatile*: its value depends
-    /// on scheduling (e.g. how many tasks idle pool workers stole), so
+    /// on scheduling (e.g. how often reader threads hit a cache), so
     /// it is excluded from [`Registry::deterministic_snapshot`]. The
     /// flag is fixed at first registration — a later plain
     /// [`Registry::counter`] ask for the same name shares the atomic
@@ -356,10 +356,10 @@ impl Registry {
     }
 
     /// Snapshot excluding wall-clock timing histograms and volatile
-    /// counters/gauges — the flavour the serial ≡ sharded equivalence
-    /// tests compare, since counts, gauges and size histograms are
+    /// counters/gauges — the flavour two runs of one workload can
+    /// compare, since counts, gauges and size histograms are
     /// deterministic while nanosecond timings and scheduling-dependent
-    /// values (pool dispatch counts, imbalance ratios) never are.
+    /// values (reader cache hits, injected-fault counts) never are.
     pub fn deterministic_snapshot(&self) -> Snapshot {
         self.snapshot_filtered(|m| match m {
             Metric::Histogram(h) => !h.is_timing(),
@@ -529,24 +529,24 @@ mod tests {
     #[test]
     fn deterministic_snapshot_excludes_volatile_metrics() {
         let reg = Registry::new();
-        reg.volatile_counter("pool.tasks").add(3);
-        reg.volatile_gauge("quiesce.imbalance_ratio").set(1200);
+        reg.volatile_counter("cache.hits").add(3);
+        reg.volatile_gauge("cache.ratio").set(1200);
         reg.counter("net.sent").add(1);
 
         let full = reg.snapshot();
-        assert_eq!(full.counter("pool.tasks"), Some(3));
-        assert_eq!(full.gauge("quiesce.imbalance_ratio"), Some(1200));
+        assert_eq!(full.counter("cache.hits"), Some(3));
+        assert_eq!(full.gauge("cache.ratio"), Some(1200));
 
         let det = reg.deterministic_snapshot();
-        assert_eq!(det.counter("pool.tasks"), None);
-        assert_eq!(det.gauge("quiesce.imbalance_ratio"), None);
+        assert_eq!(det.counter("cache.hits"), None);
+        assert_eq!(det.gauge("cache.ratio"), None);
         assert_eq!(det.counter("net.sent"), Some(1));
 
         // The volatile flag sticks: a later plain ask shares the atomic
         // and the metric stays excluded.
-        reg.counter("pool.tasks").inc();
-        assert_eq!(reg.snapshot().counter("pool.tasks"), Some(4));
-        assert_eq!(reg.deterministic_snapshot().counter("pool.tasks"), None);
+        reg.counter("cache.hits").inc();
+        assert_eq!(reg.snapshot().counter("cache.hits"), Some(4));
+        assert_eq!(reg.deterministic_snapshot().counter("cache.hits"), None);
     }
 
     #[test]

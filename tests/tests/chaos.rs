@@ -1,5 +1,5 @@
 //! Chaos harness for the deterministic fault plane: seeded storage
-//! faults × network partitions/delay/reorder × shard counts.
+//! faults × network partitions/delay/reorder.
 //!
 //! Three layers of coverage:
 //!
@@ -9,10 +9,9 @@
 //!   stores, refuses its writes with a structured
 //!   [`lbtrust::DegradedError`], and re-admits it after the fault
 //!   heals — anti-entropy gossip repairing what it missed.
-//! * The **chaos proptest**: for arbitrary seeds, fault rates,
-//!   partition timings and shard counts, nothing panics, every store
-//!   converges once faults heal, and the sharded engine reaches
-//!   exactly the serial engine's state.
+//! * The **chaos proptest**: for arbitrary seeds, fault rates and
+//!   partition timings, nothing panics, every store converges once
+//!   faults heal, and the network ledger reconciles.
 //! * The **CI seed matrix** (`CHAOS_SEEDS`): a fixed set of seeds run
 //!   as plain tests so the chaos-smoke CI step is reproducible.
 
@@ -21,7 +20,6 @@ use lbtrust::{Principal, RetryPolicy, StoreHealth, SyncPolicy, SysError, System}
 use lbtrust_net::{NetworkConfig, NodeId};
 use lbtrust_sendlog::rev_gossip_program;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 
 const ACCESS_POLICY: &str = "access(P,f,read) <- says(alice,me,[| good(P) |]).";
 
@@ -37,7 +35,6 @@ fn chaos_system(
     receivers: usize,
     seed: u64,
     faults: FaultConfig,
-    shards: usize,
 ) -> (System, Principal, Vec<Principal>, Vec<CertDigest>) {
     let config = NetworkConfig {
         delay_prob: 0.3,
@@ -47,7 +44,6 @@ fn chaos_system(
     };
     let mut sys = System::with_network(config, seed)
         .with_rsa_bits(512)
-        .with_shards(shards)
         .with_sync_policy(SyncPolicy::Batched)
         .with_storage_faults(faults)
         // Schedule-driven faults are one-shot probabilistic rolls, so
@@ -78,36 +74,6 @@ fn chaos_system(
     (sys, alice, recs, digests)
 }
 
-/// Full workspace + store state of one principal (the
-/// `tests/tests/gossip.rs` pattern), for serial ≡ sharded equivalence.
-fn principal_snapshot(sys: &System, p: Principal) -> BTreeMap<String, Vec<String>> {
-    let mut out: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    for (pred, relation) in sys.workspace(p).unwrap().db().iter() {
-        let mut tuples: Vec<String> = relation
-            .iter()
-            .map(|t| {
-                t.iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join(",")
-            })
-            .collect();
-        tuples.sort();
-        out.insert(pred.to_string(), tuples);
-    }
-    let store = sys.cert_store(p).unwrap();
-    let mut active: Vec<String> = store.active().iter().map(|d| d.to_hex()).collect();
-    active.sort();
-    out.insert("__active".into(), active);
-    let fps: Vec<String> = store
-        .revocation_fingerprints()
-        .iter()
-        .map(|(s, fp)| format!("{s}:{}", lbtrust_net::to_hex(fp)))
-        .collect();
-    out.insert("__revfp".into(), fps);
-    out
-}
-
 /// One full chaos run: distribute, partition a minority with a heal
 /// deadline, revoke under storage faults, run to quiescence, and
 /// return the system for inspection. Panics (test failure) if the
@@ -117,10 +83,9 @@ fn chaos_run(
     fault_ppm: u32,
     receivers: usize,
     partition_steps: u64,
-    shards: usize,
 ) -> (System, Vec<Principal>, Vec<CertDigest>) {
     let faults = FaultConfig::uniform(seed, fault_ppm);
-    let (mut sys, alice, recs, digests) = chaos_system(receivers, seed, faults, shards);
+    let (mut sys, alice, recs, digests) = chaos_system(receivers, seed, faults);
     // Cut the last receiver off from the hub in both directions; the
     // link heals itself `partition_steps` into the revocation run.
     let minority = NodeId::new(&node_name(receivers - 1));
@@ -170,7 +135,7 @@ fn assert_converged(sys: &System, principals: &[Principal], digests: &[CertDiges
 fn quarantined_store_degrades_gracefully_and_heals() {
     // Faults armed but quiet: all-zero rates, so only explicit
     // injections fire and the run is otherwise deterministic.
-    let (mut sys, alice, recs, digests) = chaos_system(3, 42, FaultConfig::uniform(42, 0), 1);
+    let (mut sys, alice, recs, digests) = chaos_system(3, 42, FaultConfig::uniform(42, 0));
     let victim = recs[1];
 
     // Reads work before, during, and after quarantine.
@@ -267,7 +232,7 @@ fn quarantined_store_degrades_gracefully_and_heals() {
 /// next commits recover it without user-visible errors.
 #[test]
 fn transient_commit_fault_recovers_via_deferred_retry() {
-    let (mut sys, _alice, recs, _digests) = chaos_system(2, 7, FaultConfig::uniform(7, 0), 1);
+    let (mut sys, _alice, recs, _digests) = chaos_system(2, 7, FaultConfig::uniform(7, 0));
     // Dirty every store without syncing (Batched policy: clock ticks
     // append immediately, the commit waits for the next group-commit
     // sweep) …
@@ -293,26 +258,15 @@ fn transient_commit_fault_recovers_via_deferred_retry() {
 
 /// The CI seed matrix: `CHAOS_SEEDS` (comma-separated, default
 /// `11,23,57`) each run one fixed chaos scenario — storage faults at
-/// 2000 ppm, a 4-step partition, serial vs 3 shards.
+/// 2000 ppm and a 4-step partition.
 #[test]
 fn chaos_seed_matrix() {
     let seeds = std::env::var("CHAOS_SEEDS").unwrap_or_else(|_| "11,23,57".into());
     for seed in seeds.split(',').filter(|s| !s.trim().is_empty()) {
         let seed: u64 = seed.trim().parse().expect("CHAOS_SEEDS must be u64s");
-        let (serial, principals, digests) = chaos_run(seed, 2000, 4, 4, 1);
-        assert_converged(&serial, &principals, &digests);
-        let (sharded, _, _) = chaos_run(seed, 2000, 4, 4, 3);
-        for &p in &principals {
-            assert_eq!(
-                principal_snapshot(&serial, p),
-                principal_snapshot(&sharded, p),
-                "serial and sharded runs must agree (seed {seed})"
-            );
-        }
-        assert_eq!(serial.net_stats(), sharded.net_stats(), "seed {seed}");
-        for sys in [&serial, &sharded] {
-            assert_injected_faults_shown(sys, &principals);
-        }
+        let (sys, principals, digests) = chaos_run(seed, 2000, 4, 4);
+        assert_converged(&sys, &principals, &digests);
+        assert_injected_faults_shown(&sys, &principals);
     }
 }
 
@@ -346,44 +300,33 @@ fn assert_injected_faults_shown(sys: &System, principals: &[Principal]) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8 })]
 
-    /// For arbitrary seed × fault rate × partition/heal timing × shard
-    /// count: no panics, full convergence once faults heal, and the
-    /// sharded engine reaches exactly the serial engine's state
-    /// (snapshots and network ledger included).
+    /// For arbitrary seed × fault rate × partition/heal timing: no
+    /// panics, full convergence once faults heal, and the network
+    /// ledger reconciles after the full drain.
     #[test]
-    fn chaos_serial_and_sharded_converge_identically(
+    fn chaos_converges_once_faults_heal(
         seed in 0u64..1_000,
         fault_ppm in 0u32..5_000,
         receivers in 2usize..5,
         partition_steps in 1u64..6,
-        shards in 2usize..5,
     ) {
-        let (serial, principals, digests) =
-            chaos_run(seed, fault_ppm, receivers, partition_steps, 1);
+        let (sys, principals, digests) =
+            chaos_run(seed, fault_ppm, receivers, partition_steps);
         for p in &principals {
-            prop_assert_eq!(serial.store_health(*p), StoreHealth::Healthy);
+            prop_assert_eq!(sys.store_health(*p), StoreHealth::Healthy);
         }
         for p in &principals[1..] {
             for d in &digests {
                 prop_assert_eq!(
-                    serial.cert_store(*p).unwrap().status(d),
+                    sys.cert_store(*p).unwrap().status(d),
                     Some(CertStatus::Revoked),
                     "store {} must converge on {}", p, d.short()
                 );
             }
         }
-        let (sharded, _, _) = chaos_run(seed, fault_ppm, receivers, partition_steps, shards);
-        for &p in &principals {
-            prop_assert_eq!(principal_snapshot(&serial, p), principal_snapshot(&sharded, p));
-        }
-        let (a, b) = (serial.stats(), sharded.stats());
-        prop_assert_eq!(a.messages_sent, b.messages_sent);
-        prop_assert_eq!(a.revocations, b.revocations);
-        prop_assert_eq!(a.retractions, b.retractions);
-        prop_assert_eq!(a.gossip_rounds, b.gossip_rounds);
-        prop_assert_eq!(serial.net_stats(), sharded.net_stats());
+        let a = sys.stats();
         // The extended conservation invariant holds after full drain.
-        let net = serial.net_stats();
+        let net = sys.net_stats();
         prop_assert_eq!(
             net.delivered,
             net.sent - net.dropped - net.blackholed + net.duplicated

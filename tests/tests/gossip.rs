@@ -15,7 +15,6 @@ use lbtrust::{Principal, System};
 use lbtrust_net::NetworkConfig;
 use lbtrust_sendlog::rev_gossip_program;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 
 const ACCESS_POLICY: &str = "access(P,f,read) <- says(alice,me,[| good(P) |]).";
 
@@ -26,11 +25,8 @@ fn fanout_system(
     config: NetworkConfig,
     seed: u64,
     gossip: bool,
-    shards: usize,
 ) -> (System, Principal, Vec<Principal>, CertDigest) {
-    let mut sys = System::with_network(config, seed)
-        .with_rsa_bits(512)
-        .with_shards(shards);
+    let mut sys = System::with_network(config, seed).with_rsa_bits(512);
     if gossip {
         sys.enable_gossip(&rev_gossip_program().unwrap()).unwrap();
     }
@@ -79,7 +75,7 @@ fn gossip_repairs_what_the_lossy_broadcast_lost() {
     // exact, not flaky, because the simulator is seeded).
     let seed = (0..64)
         .find(|&seed| {
-            let (mut sys, alice, recs, digest) = fanout_system(8, config, seed, false, 1);
+            let (mut sys, alice, recs, digest) = fanout_system(8, config, seed, false);
             sys.revoke_certificate(alice, digest).unwrap();
             sys.run_to_quiescence(64).unwrap();
             still_active(&sys, &recs, &digest) >= 1
@@ -88,7 +84,7 @@ fn gossip_repairs_what_the_lossy_broadcast_lost() {
 
     // The bug: the baseline leaves the dropped receiver divergent —
     // forever, since nothing ever retransmits.
-    let (mut baseline, alice, recs, digest) = fanout_system(8, config, seed, false, 1);
+    let (mut baseline, alice, recs, digest) = fanout_system(8, config, seed, false);
     baseline.revoke_certificate(alice, digest).unwrap();
     baseline.run_to_quiescence(64).unwrap();
     let divergent = still_active(&baseline, &recs, &digest);
@@ -103,7 +99,7 @@ fn gossip_repairs_what_the_lossy_broadcast_lost() {
     assert_eq!(still_active(&baseline, &recs, &digest), divergent);
 
     // The fix: same deployment, same seed, gossip on.
-    let (mut sys, alice, recs, digest) = fanout_system(8, config, seed, true, 1);
+    let (mut sys, alice, recs, digest) = fanout_system(8, config, seed, true);
     sys.revoke_certificate(alice, digest).unwrap();
     let stats = sys.run_to_quiescence(200).unwrap();
     assert_eq!(
@@ -217,7 +213,7 @@ fn duplicated_revoke_packets_apply_once() {
         duplicate_prob: 1.0,
         ..NetworkConfig::default()
     };
-    let (mut sys, alice, recs, digest) = fanout_system(4, config, 7, false, 1);
+    let (mut sys, alice, recs, digest) = fanout_system(4, config, 7, false);
     let retractions_before = sys.stats().retractions;
     sys.revoke_certificate(alice, digest).unwrap();
     sys.run_to_quiescence(64).unwrap();
@@ -261,7 +257,7 @@ fn messages_sent_reconciles_with_network_stats() {
         ..NetworkConfig::default()
     };
     for gossip in [false, true] {
-        let (mut sys, alice, _recs, digest) = fanout_system(6, config, 11, gossip, 1);
+        let (mut sys, alice, _recs, digest) = fanout_system(6, config, 11, gossip);
         sys.revoke_certificate(alice, digest).unwrap();
         sys.run_to_quiescence(400).unwrap();
         let stats = sys.stats();
@@ -286,7 +282,7 @@ fn messages_sent_reconciles_with_network_stats() {
 #[test]
 fn partitioned_minority_converges_after_heal() {
     use lbtrust_net::NodeId;
-    let (mut sys, alice, recs, digest) = fanout_system(5, NetworkConfig::default(), 9, true, 1);
+    let (mut sys, alice, recs, digest) = fanout_system(5, NetworkConfig::default(), 9, true);
     // Cut r4's node off from everyone, both directions, healing 6
     // steps into the next quiescence run.
     let minority = NodeId::new("m4");
@@ -327,117 +323,63 @@ fn partitioned_minority_converges_after_heal() {
     assert_eq!(stats.messages_sent, net.sent - net.dropped - net.blackholed);
 }
 
-/// Full workspace + store state of one principal, for serial ≡ sharded
-/// equivalence (the `tests/tests/parallel.rs` pattern).
-fn principal_snapshot(sys: &System, p: Principal) -> BTreeMap<String, Vec<String>> {
-    let mut out: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    for (pred, relation) in sys.workspace(p).unwrap().db().iter() {
-        let mut tuples: Vec<String> = relation
-            .iter()
-            .map(|t| {
-                t.iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join(",")
-            })
-            .collect();
-        tuples.sort();
-        out.insert(pred.to_string(), tuples);
-    }
-    let store = sys.cert_store(p).unwrap();
-    let mut active: Vec<String> = store.active().iter().map(|d| d.to_hex()).collect();
-    active.sort();
-    out.insert("__active".into(), active);
-    let fps: Vec<String> = store
-        .revocation_fingerprints()
-        .iter()
-        .map(|(s, fp)| format!("{s}:{}", lbtrust_net::to_hex(fp)))
-        .collect();
-    out.insert("__revfp".into(), fps);
-    out
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12 })]
 
-    /// For arbitrary seed, loss ≤ 0.5, duplication, and shard count:
-    /// gossip converges every store to the full revoked set within a
-    /// bounded number of rounds, and the sharded engine reaches exactly
-    /// the serial engine's state.
+    /// For arbitrary seed, loss ≤ 0.5 and duplication: gossip converges
+    /// every store to the full revoked set within a bounded number of
+    /// rounds, and every store agrees on the revocation summaries.
     #[test]
-    fn gossip_converges_and_shards_agree(
+    fn gossip_converges_within_bounded_rounds(
         seed in 0u64..1_000,
         drop_pct in 0u32..51,
         duplicate_pct in 0u32..51,
         receivers in 2usize..5,
         revoke_count in 1usize..3,
-        shards in 2usize..5,
     ) {
         let config = NetworkConfig {
             drop_prob: f64::from(drop_pct) / 100.0,
             duplicate_prob: f64::from(duplicate_pct) / 100.0,
             ..NetworkConfig::default()
         };
-        let build = |shards: usize| -> (System, Vec<Principal>, Vec<CertDigest>) {
-            let mut sys = System::with_network(config, seed)
-                .with_rsa_bits(512)
-                .with_shards(shards);
-            sys.enable_gossip(&rev_gossip_program().unwrap()).unwrap();
-            let alice = sys.add_principal("alice", "n0").unwrap();
-            let recs: Vec<Principal> = (0..receivers)
-                .map(|i| sys.add_principal(&format!("r{i}"), &format!("m{i}")).unwrap())
-                .collect();
-            let facts: String = (0..revoke_count + 1).map(|i| format!("good(p{i}). ")).collect();
-            let certs = sys.issue_certificates(alice, &facts, &[], None).unwrap();
-            for &r in &recs {
-                sys.workspace_mut(r).unwrap().load("policy", ACCESS_POLICY).unwrap();
-                sys.import_certificates(r, certs.clone()).unwrap();
-            }
-            sys.run_to_quiescence(400).unwrap();
-            let digests: Vec<CertDigest> = certs[..revoke_count].iter().map(|c| c.digest()).collect();
-            for d in &digests {
-                sys.revoke_certificate(alice, *d).unwrap();
-            }
-            // The bounded-rounds claim: 400 steps is the hard budget
-            // for every sampled loss rate (run_to_quiescence errors if
-            // exceeded).
-            sys.run_to_quiescence(400).unwrap();
-            let everyone = std::iter::once(alice).chain(recs.iter().copied()).collect();
-            (sys, everyone, digests)
-        };
-        let (serial, principals, digests) = build(1);
+        let mut sys = System::with_network(config, seed).with_rsa_bits(512);
+        sys.enable_gossip(&rev_gossip_program().unwrap()).unwrap();
+        let alice = sys.add_principal("alice", "n0").unwrap();
+        let recs: Vec<Principal> = (0..receivers)
+            .map(|i| sys.add_principal(&format!("r{i}"), &format!("m{i}")).unwrap())
+            .collect();
+        let facts: String = (0..revoke_count + 1).map(|i| format!("good(p{i}). ")).collect();
+        let certs = sys.issue_certificates(alice, &facts, &[], None).unwrap();
+        for &r in &recs {
+            sys.workspace_mut(r).unwrap().load("policy", ACCESS_POLICY).unwrap();
+            sys.import_certificates(r, certs.clone()).unwrap();
+        }
+        sys.run_to_quiescence(400).unwrap();
+        let digests: Vec<CertDigest> = certs[..revoke_count].iter().map(|c| c.digest()).collect();
+        for d in &digests {
+            sys.revoke_certificate(alice, *d).unwrap();
+        }
+        // The bounded-rounds claim: 400 steps is the hard budget
+        // for every sampled loss rate (run_to_quiescence errors if
+        // exceeded).
+        sys.run_to_quiescence(400).unwrap();
         // Convergence: every revoked digest is dead at every store.
-        for p in &principals[1..] {
+        for p in &recs {
             for d in &digests {
                 prop_assert_eq!(
-                    serial.cert_store(*p).unwrap().status(d),
+                    sys.cert_store(*p).unwrap().status(d),
                     Some(CertStatus::Revoked),
                     "store {} must hold {} revoked", p, d.short()
                 );
             }
         }
         // And every store agrees on the revocation summaries.
-        let reference = serial.cert_store(principals[0]).unwrap().revocation_fingerprints();
-        for p in &principals[1..] {
+        let reference = sys.cert_store(alice).unwrap().revocation_fingerprints();
+        for p in &recs {
             prop_assert_eq!(
-                serial.cert_store(*p).unwrap().revocation_fingerprints(),
+                sys.cert_store(*p).unwrap().revocation_fingerprints(),
                 reference.clone()
             );
         }
-        // Serial ≡ sharded: identical workspaces, stores and counters.
-        let (sharded, _, _) = build(shards);
-        for &p in &principals {
-            prop_assert_eq!(principal_snapshot(&serial, p), principal_snapshot(&sharded, p));
-        }
-        let (a, b) = (serial.stats(), sharded.stats());
-        prop_assert_eq!(a.messages_sent, b.messages_sent);
-        prop_assert_eq!(a.messages_accepted, b.messages_accepted);
-        prop_assert_eq!(a.revocations, b.revocations);
-        prop_assert_eq!(a.retractions, b.retractions);
-        prop_assert_eq!(a.gossip_rounds, b.gossip_rounds);
-        prop_assert_eq!(a.gossip_summaries, b.gossip_summaries);
-        prop_assert_eq!(a.gossip_pulls, b.gossip_pulls);
-        prop_assert_eq!(a.gossip_served, b.gossip_served);
-        prop_assert_eq!(serial.net_stats(), sharded.net_stats());
     }
 }

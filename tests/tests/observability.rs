@@ -1,9 +1,9 @@
 //! The unified observability layer, end to end: the registry must show
 //! exactly the `SystemStats`/`NetworkStats`/`StoreStats`/`FaultCounts`
-//! ledgers it is written from when read, deterministic snapshots must be identical across serial
-//! and sharded engines (wall-clock timing excluded), phase spans must
-//! actually record, and journaled authorization decisions must cite
-//! exactly the certificate digests the audit trail knows.
+//! ledgers it is written from when read, deterministic snapshots must
+//! not depend on whether phase timing is on (and must exclude it), phase
+//! spans must actually record, and journaled authorization decisions
+//! must cite exactly the certificate digests the audit trail knows.
 
 use lbtrust::obs::{Journal, RingSink};
 use lbtrust::{Principal, SyncPolicy, System};
@@ -19,11 +19,11 @@ fn tmp_dir(tag: &str) -> PathBuf {
 
 /// A hub fanning `says` chains to `receivers` receivers, each folding
 /// them into a transitive closure — enough cross-principal traffic to
-/// exercise every quiescence phase.
-fn fanout_system(shards: usize, receivers: usize) -> System {
+/// exercise every quiescence phase, with phase timing on or off.
+fn fanout_system(timing: bool, receivers: usize) -> System {
     let mut sys = System::new()
         .with_rsa_bits(512)
-        .with_shards(shards)
+        .with_phase_timing(timing)
         .with_sync_policy(SyncPolicy::Batched);
     let hub = sys.add_principal("hub", "n0").unwrap();
     for i in 0..receivers {
@@ -60,7 +60,7 @@ fn fanout_system(shards: usize, receivers: usize) -> System {
 /// between the registry counters a read writes from them.
 #[test]
 fn registry_reconciles_with_stats_ledgers() {
-    let sys = fanout_system(1, 4);
+    let sys = fanout_system(true, 4);
     let stats = sys.stats();
     let net = sys.net_stats();
     assert_eq!(stats.messages_sent, net.sent - net.dropped - net.blackholed);
@@ -245,30 +245,29 @@ fn registry_names_and_kinds_are_pinned() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Instrumentation must not perturb the engine: a serial and a sharded
+/// Instrumentation must not perturb the engine: a timed and an untimed
 /// run of the same workload produce identical deterministic snapshots,
 /// and the wall-clock histograms (which legitimately differ) are
 /// excluded from exactly that comparison.
 #[test]
-fn deterministic_snapshot_is_shard_invariant_and_excludes_timing() {
-    let serial = fanout_system(1, 6);
-    let sharded = fanout_system(4, 6);
-    let a = serial.obs_registry().deterministic_snapshot();
-    let b = sharded.obs_registry().deterministic_snapshot();
-    assert_eq!(a, b, "serial and sharded deterministic snapshots diverge");
+fn deterministic_snapshot_is_timing_invariant_and_excludes_timing() {
+    let timed = fanout_system(true, 6);
+    let untimed = fanout_system(false, 6);
+    let a = timed.obs_registry().deterministic_snapshot();
+    let b = untimed.obs_registry().deterministic_snapshot();
+    assert_eq!(a, b, "timed and untimed deterministic snapshots diverge");
 
     // The full snapshot does carry timing; the deterministic one must not.
-    let full = serial.obs_registry().snapshot();
+    let full = timed.obs_registry().snapshot();
     assert!(full.histogram("quiesce.step_ns").is_some());
     assert!(a.histogram("quiesce.step_ns").is_none());
-    assert!(a.histogram("quiesce.fixpoint.shard0_ns").is_none());
 }
 
-/// Phase spans record when timing is on (the default) — per phase and
-/// per shard — and stay silent when switched off.
+/// Phase spans record when timing is on (the default) and stay silent
+/// when switched off.
 #[test]
-fn phase_timing_records_per_phase_and_per_shard() {
-    let sys = fanout_system(2, 6);
+fn phase_timing_records_per_phase() {
+    let sys = fanout_system(true, 6);
     let timings = sys.obs_registry().timings();
     let count_of = |name: &str| {
         timings
@@ -283,13 +282,11 @@ fn phase_timing_records_per_phase_and_per_shard() {
         "quiesce.export_drain_ns",
         "quiesce.delivery_ns",
         "quiesce.group_commit_ns",
-        "quiesce.fixpoint.shard0_ns",
-        "quiesce.fixpoint.shard1_ns",
     ] {
         assert!(count_of(name) > 0, "no samples recorded for {name}");
     }
 
-    let mut quiet = fanout_system(2, 4).with_phase_timing(false);
+    let mut quiet = fanout_system(true, 4).with_phase_timing(false);
     let before = quiet.obs_registry().timings();
     quiet
         .workspace_mut(Principal::from("hub"))
@@ -304,15 +301,15 @@ fn phase_timing_records_per_phase_and_per_shard() {
 }
 
 /// The delivery phase says where its time went: five parts, one sample
-/// each per step, that on one shard add up to no more than the phase —
-/// and that are wall-clock like the phase, so the deterministic snapshot
-/// (and with it serial = sharded) never sees them.
+/// each per step, that add up to no more than the phase — and that are
+/// wall-clock like the phase, so the deterministic snapshot never sees
+/// them.
 #[test]
 fn delivery_time_is_attributed_to_its_parts() {
     const PARTS: [&str; 5] = ["decode", "verify", "assert", "evaluate", "merge"];
     let part_name = |part: &str| format!("quiesce.delivery.{part}_ns");
-    let run = |shards: usize| {
-        let mut sys = fanout_system(shards, 3);
+    let run = || {
+        let mut sys = fanout_system(true, 3);
         // A certificate imported everywhere and then revoked gives the
         // `verify` and `assert` parts (store transition, DRed repair)
         // something to do; the `says` chains above fed the other three.
@@ -329,8 +326,8 @@ fn delivery_time_is_attributed_to_its_parts() {
         sys.run_to_quiescence(16).unwrap();
         sys
     };
-    let serial = run(1);
-    let full = serial.obs_registry().snapshot();
+    let timed = run();
+    let full = timed.obs_registry().snapshot();
     let phase = full.histogram("quiesce.delivery_ns").unwrap();
     let mut parts_sum = 0;
     for part in PARTS {
@@ -347,14 +344,12 @@ fn delivery_time_is_attributed_to_its_parts() {
         phase.sum
     );
 
-    let sharded = run(2);
-    let det = serial.obs_registry().deterministic_snapshot();
-    assert_eq!(det, sharded.obs_registry().deterministic_snapshot());
+    let det = timed.obs_registry().deterministic_snapshot();
     for part in PARTS {
         assert!(det.histogram(&part_name(part)).is_none());
     }
 
-    let mut quiet = run(1).with_phase_timing(false);
+    let mut quiet = run().with_phase_timing(false);
     let before = quiet.obs_registry().snapshot();
     let hub = quiet.workspace_mut(Principal::from("hub")).unwrap();
     hub.assert_src("vedge(d,e).").unwrap();
@@ -364,37 +359,6 @@ fn delivery_time_is_attributed_to_its_parts() {
         let name = part_name(part);
         assert_eq!(before.histogram(&name), after.histogram(&name), "{name}");
     }
-}
-
-/// The worker pool's own telemetry: a sharded run counts dispatched
-/// tasks, publishes the per-worker fixpoint imbalance ratio, and keeps
-/// both out of the deterministic snapshot — they are scheduling
-/// artifacts, not engine outputs.
-#[test]
-fn pool_metrics_record_tasks_steals_and_imbalance() {
-    let sharded = fanout_system(4, 6);
-    let snap = sharded.obs_registry().snapshot();
-    assert!(
-        snap.counter("pool.tasks").unwrap() > 0,
-        "a sharded run must dispatch work through the pool"
-    );
-    let ratio = snap.gauge("quiesce.imbalance_ratio").unwrap();
-    assert!(
-        ratio >= 1000,
-        "max/mean busy time is at least 1.0 (got {ratio} per-mille)"
-    );
-
-    // The serial engine dispatches nothing through the pool.
-    let serial = fanout_system(1, 6);
-    let snap = serial.obs_registry().snapshot();
-    assert_eq!(snap.counter("pool.tasks").unwrap(), 0);
-
-    // Volatile by design: present in the full snapshot (above), but
-    // excluded from the deterministic one — which is exactly what lets
-    // deterministic snapshots stay shard-invariant.
-    let det = sharded.obs_registry().deterministic_snapshot();
-    assert!(det.counter("pool.tasks").is_none());
-    assert!(det.gauge("quiesce.imbalance_ratio").is_none());
 }
 
 /// The fault plane's ledger: under partitions + loss + delay the

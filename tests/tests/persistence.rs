@@ -491,7 +491,7 @@ fn compaction_reclaims_dead_history_and_bounds_replay() {
 
 /// Auto-compaction piggybacks on the batched group commit: once a
 /// store's dead bytes cross the threshold, the next commit point
-/// compacts it on its shard worker — no explicit maintenance calls.
+/// compacts it — no explicit maintenance calls.
 #[test]
 fn auto_compaction_triggers_during_batched_group_commit() {
     let dir = fresh_dir("autocompact");
@@ -500,8 +500,7 @@ fn auto_compaction_triggers_during_batched_group_commit() {
         .with_rsa_bits(512)
         .with_sync_policy(SyncPolicy::Batched)
         .with_rotation_budget(2048)
-        .with_auto_compaction(4096)
-        .with_shards(2);
+        .with_auto_compaction(4096);
     let alice = sys.add_principal("alice", "n1").unwrap();
     let bob = sys.add_principal("bob", "n2").unwrap();
     let facts: String = (0..24).map(|i| format!("good(q{i}). ")).collect();
