@@ -12,11 +12,13 @@
 //! checks that batch signature and nothing else:
 //! [`BinderSystem::issue_certificate`] and
 //! [`BinderSystem::import_certificate`] hand the members to the system,
-//! so each fact's own signatures are checked by the importer's
+//! so each fact's own signature is checked by the importer's
 //! certificate store through the shared verification cache, and the
-//! store is what files `says(issuer, me, fact)` into the workspace. A
-//! Binder certificate therefore expires with its TTL and is retracted by
-//! its issuer's revocation like any other credential.
+//! runtime files each member as `certified(issuer, me, fact, digest)`,
+//! from which the workspace derives `says(issuer, me, fact)` under any
+//! `says` scheme the context runs. A Binder certificate therefore
+//! expires with its TTL and is retracted by its issuer's revocation like
+//! any other credential.
 //!
 //! [`BinderSystem::issue_certificate`]: crate::BinderSystem::issue_certificate
 //! [`BinderSystem::import_certificate`]: crate::BinderSystem::import_certificate
@@ -42,8 +44,8 @@ pub struct Certificate {
 impl Certificate {
     /// The byte string behind the batch signature: the issuer's name,
     /// then every member's content address in order, one per line. An
-    /// address covers its member's issuer, fact, links, TTL and both
-    /// signatures, so editing any of them changes these bytes.
+    /// address covers its member's issuer, fact, links, TTL and
+    /// signature, so editing any of them changes these bytes.
     pub(crate) fn signing_bytes(issuer: Principal, certs: &[LinkedCert]) -> Vec<u8> {
         let mut out = format!("binder-certificate:{issuer}\n").into_bytes();
         for cert in certs {
@@ -209,6 +211,23 @@ mod tests {
         assert!(sys
             .issue_certificate(bob, "p(X) <- q(X).", &[], None)
             .is_err());
+    }
+
+    /// A context running HMAC-SHA1 imports a Binder certificate and
+    /// grants on it: the members' RSA signatures are the store's to
+    /// check, not the context's `exp3`.
+    #[test]
+    fn an_hmac_context_imports_a_certificate() {
+        let (mut sys, alice, bob) = alice_and_bob();
+        sys.establish_shared_secret(alice, bob).unwrap();
+        sys.set_auth_scheme(alice, lbtrust::AuthScheme::HmacSha1)
+            .unwrap();
+        let cert = sys
+            .issue_certificate(bob, "good(carol).", &[], None)
+            .unwrap();
+        sys.import_certificate(alice, &cert).unwrap();
+        sys.run(16).unwrap();
+        assert!(sys.holds(alice, "access(carol,o,read)").unwrap());
     }
 
     #[test]

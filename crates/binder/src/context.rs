@@ -137,8 +137,10 @@ impl BinderSystem {
     /// is checked against the issuer's public key (a mismatch is
     /// [`CertStoreError::BadSignature`] of the batch bytes' address),
     /// then the members go through [`System::import_certificates`] —
-    /// signatures, links, freshness and the `says(issuer, me, fact)`
-    /// facts are the store's. Returns the store outcomes, one per fact.
+    /// their signatures, links and freshness are the store's, and each
+    /// is filed as the `certified` fact `says(issuer, me, fact)` derives
+    /// from, whatever scheme `to` runs. Returns the store outcomes, one
+    /// per fact.
     pub fn import_certificate(
         &mut self,
         to: Principal,

@@ -871,7 +871,6 @@ mod tests {
             links: vec![],
             ttl: None,
             signature: vec![1, 2, 3],
-            rule_sig: vec![4, 5],
         }
     }
 

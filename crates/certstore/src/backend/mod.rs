@@ -36,10 +36,11 @@ use std::fmt;
 use std::sync::Arc;
 
 /// Frame tag for a certificate-import record: the certificate's 32-byte
-/// content address, then its wire bytes. Tag 1 held the wire bytes
-/// alone; a log holding it is refused as
+/// content address, then its wire bytes (one signature). Tag 1 held the
+/// wire bytes alone, and tag 6 wire bytes that carried a second
+/// signature over the rule; a log holding either is refused as
 /// [`StorageError::UnsupportedRecord`].
-pub const REC_CERT: u8 = 6;
+pub const REC_CERT: u8 = 7;
 /// Frame tag for a revocation record.
 pub const REC_REVOKE: u8 = 2;
 /// Frame tag for a clock-advance record.
@@ -52,9 +53,10 @@ pub const REC_AUDIT: u8 = 5;
 
 /// Nested frame tag (inside a checkpoint payload) for one active
 /// certificate: its content address, its lifecycle metadata, its wire
-/// bytes. Tag `0xA2` held no address; a checkpoint holding it does not
+/// bytes (one signature). Tag `0xA2` held no address, and `0xA4` wire
+/// bytes with a second signature; a checkpoint holding either does not
 /// decode.
-const CKPT_CERT: u8 = 0xA4;
+const CKPT_CERT: u8 = 0xA5;
 /// Nested frame tag for one remembered revocation.
 const CKPT_REVOKED: u8 = 0xA3;
 
@@ -101,7 +103,7 @@ pub struct CheckpointState {
 /// computed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LogRecord {
-    /// A certificate whose both signatures verified at append time.
+    /// A certificate whose signature verified at append time.
     Cert {
         /// Its content address, as the import computed it.
         digest: CertDigest,
@@ -569,7 +571,6 @@ mod tests {
             links: vec![CertDigest::of(b"support")],
             ttl,
             signature: vec![1, 2, 3],
-            rule_sig: vec![4, 5],
         }
     }
 

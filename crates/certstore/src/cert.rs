@@ -4,24 +4,19 @@
 use crate::digest::CertDigest;
 use lbtrust_datalog::ast::Rule;
 use lbtrust_datalog::Symbol;
-use lbtrust_net::rule_bytes;
 use std::sync::Arc;
 
 /// A linked credential: `issuer` certifies `rule`, citing the
 /// certificates in `links` as support (SAFE-style credential linking),
 /// valid for `ttl` logical ticks from import.
 ///
-/// Two signatures travel with it:
-///
-/// * [`LinkedCert::signature`] covers the full canonical form
-///   ([`LinkedCert::signing_bytes`]) — issuer, rule, links and TTL —
-///   and is what the certificate store verifies. Tampering with any
-///   link or the TTL breaks it.
-/// * [`LinkedCert::rule_sig`] covers only the rule's canonical bytes
-///   (`lbtrust-net::rule_bytes`). It is the signature asserted into the
-///   workspace's `export` relation, so certified rules flow through the
-///   standard declarative `exp2`/`exp3` authenticated-import pipeline
-///   unchanged.
+/// One signature travels with it: [`LinkedCert::signature`] covers the
+/// full canonical form ([`LinkedCert::signing_bytes`]) — issuer, rule,
+/// links and TTL — and the certificate store is what checks it.
+/// Tampering with any field breaks it. A receiving workspace never sees
+/// a signature: the runtime files an accepted certificate as
+/// `certified(issuer, me, rule, digest)`, which every `says` scheme
+/// accepts on the store's word.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LinkedCert {
     /// The certifying principal.
@@ -35,8 +30,6 @@ pub struct LinkedCert {
     pub ttl: Option<u64>,
     /// Issuer signature over [`LinkedCert::signing_bytes`].
     pub signature: Vec<u8>,
-    /// Issuer signature over `rule_bytes(rule)` (export-pipeline form).
-    pub rule_sig: Vec<u8>,
 }
 
 impl LinkedCert {
@@ -47,7 +40,7 @@ impl LinkedCert {
         signing_bytes(self.issuer, &self.rule, &self.links, self.ttl)
     }
 
-    /// The canonical wire bytes: the signed form plus both signatures
+    /// The canonical wire bytes: the signed form plus the signature
     /// (hex). This is the string the content address is computed over,
     /// so certificates differing only in signature bytes do not
     /// collide.
@@ -56,32 +49,12 @@ impl LinkedCert {
         out.extend_from_slice(b"sig:");
         out.extend_from_slice(lbtrust_net::to_hex(&self.signature).as_bytes());
         out.push(b'\n');
-        out.extend_from_slice(b"rulesig:");
-        out.extend_from_slice(lbtrust_net::to_hex(&self.rule_sig).as_bytes());
-        out.push(b'\n');
         out
     }
 
     /// The content address: SHA-256 over [`LinkedCert::wire_bytes`].
     pub fn digest(&self) -> CertDigest {
         CertDigest::of(&self.wire_bytes())
-    }
-
-    /// The canonical bytes of the certified rule (what `rule_sig`
-    /// covers and what the declarative `exp3` constraint re-verifies).
-    pub fn rule_bytes(&self) -> Vec<u8> {
-        rule_bytes(&self.rule)
-    }
-
-    /// The two `(message, signature)` pairs the issuer signed, in the
-    /// order the store checks them: the certificate signature over
-    /// [`LinkedCert::signing_bytes`], then the export-pipeline one over
-    /// [`LinkedCert::rule_bytes`].
-    pub(crate) fn signed(&self) -> [(Vec<u8>, &[u8]); 2] {
-        [
-            (self.signing_bytes(), &self.signature),
-            (self.rule_bytes(), &self.rule_sig),
-        ]
     }
 
     /// Parses the canonical wire form produced by
@@ -113,7 +86,6 @@ impl LinkedCert {
             t => Some(t.parse().ok()?),
         };
         let signature = lbtrust_net::from_hex(lines.next()?.strip_prefix("sig:")?)?;
-        let rule_sig = lbtrust_net::from_hex(lines.next()?.strip_prefix("rulesig:")?)?;
         if lines.next().is_some() {
             return None; // trailing garbage
         }
@@ -123,7 +95,6 @@ impl LinkedCert {
             links,
             ttl,
             signature,
-            rule_sig,
         })
     }
 }
@@ -164,7 +135,6 @@ mod tests {
             links,
             ttl,
             signature: vec![1, 2],
-            rule_sig: vec![3, 4],
         }
     }
 
@@ -192,7 +162,6 @@ mod tests {
         let a = cert("p(x).", vec![], Some(3));
         let mut b = a.clone();
         b.signature = vec![7, 7, 7];
-        b.rule_sig = vec![8, 8, 8];
         assert_eq!(a.signing_bytes(), b.signing_bytes());
         assert_ne!(a.wire_bytes(), b.wire_bytes());
     }

@@ -70,7 +70,7 @@ pub use cert::LinkedCert;
 pub use digest::CertDigest;
 pub use revocation::Revocation;
 pub use store::{
-    CertStatus, CertStore, CertStoreError, GroundHeads, ImportOutcome, Introducers,
-    MaintenanceReport, ReplayReport, RetractReason, RetractionEvent, RevokeOutcome, StoreStats,
+    CertStatus, CertStore, CertStoreError, GroundHeads, ImportOutcome, MaintenanceReport,
+    ReplayReport, RetractReason, RetractionEvent, RevokeOutcome, StoreStats,
 };
 pub use verify::{shared_verify_cache, SharedVerifyCache, SignatureVerifier, VerifyCache};

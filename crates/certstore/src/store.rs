@@ -31,10 +31,6 @@ use std::sync::Arc;
 /// head tuple → digests of the live bodyless certificates asserting it.
 pub type GroundHeads = HashMap<Symbol, SharedMap<Tuple, Vec<CertDigest>>>;
 
-/// The live-introducer index ([`CertStore::introducers`]): canonical rule
-/// text → digests of the live certificates carrying that rule.
-pub type Introducers = SharedMap<String, Vec<CertDigest>>;
-
 /// Lifecycle state of a stored certificate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CertStatus {
@@ -82,8 +78,6 @@ pub struct RetractionEvent {
     pub issuer: Symbol,
     /// The certified rule whose imported facts must be retracted.
     pub rule: Arc<Rule>,
-    /// The export-pipeline signature those facts carried.
-    pub rule_sig: Vec<u8>,
     /// Why the certificate died.
     pub reason: RetractReason,
 }
@@ -355,10 +349,6 @@ pub struct CertStore {
     /// filing or unfiling a certificate while a snapshot holds the index
     /// copies one shard, not the map.
     ground_heads: GroundHeads,
-    /// Maintained live-introducer index: canonical rule text → digests of
-    /// the *live* certificates carrying that rule — what a `says` premise
-    /// of a proof is cited by. Kept and shared like `ground_heads`.
-    introducers: Introducers,
     /// Monotone active-set version: bumped on every mutation of the
     /// live certificate set (import, revocation death, expiry, link
     /// break, checkpoint restore) and *not* on inert bookkeeping
@@ -417,9 +407,7 @@ fn cert_record_bytes(cert: &LinkedCert) -> u64 {
         + links
         + ttl
         + "sig:\n".len()
-        + 2 * cert.signature.len()
-        + "rulesig:\n".len()
-        + 2 * cert.rule_sig.len();
+        + 2 * cert.signature.len();
     (lbtrust_net::FRAME_OVERHEAD + 1 + payload) as u64
 }
 
@@ -507,7 +495,6 @@ impl CertStore {
             expiry: BinaryHeap::new(),
             active_len: 0,
             ground_heads: GroundHeads::new(),
-            introducers: Introducers::new(),
             version: 0,
             replay_report: ReplayReport::default(),
             dirty: false,
@@ -763,54 +750,33 @@ impl CertStore {
         &self.ground_heads
     }
 
-    /// The maintained live-introducer index: canonical rule text →
-    /// digests of the *live* certificates carrying that rule, in filing
-    /// order. Maintained and shared like [`CertStore::ground_heads`]; the
-    /// audit trail's [`AuditLog::introducers`] answers the same question
-    /// over every certificate ever imported.
-    pub fn introducers(&self) -> &Introducers {
-        &self.introducers
-    }
-
-    /// Files a live certificate in the two citation indexes under its
-    /// content address: every ground head of a bodyless rule, and the
-    /// rule's text.
+    /// Files a live certificate in the ground-head index under its
+    /// content address: every ground head of a bodyless rule.
     fn index_citations(&mut self, digest: CertDigest, rule: &Rule) {
         for (pred, tuple) in asserted_ground_heads(rule) {
             let by_tuple = self.ground_heads.entry(pred).or_default();
             by_tuple.upsert(tuple, || vec![digest], |digests| digests.push(digest));
         }
-        self.introducers
-            .upsert(rule.to_string(), || vec![digest], |ds| ds.push(digest));
     }
 
     /// Reverses [`CertStore::index_citations`] when a certificate leaves
-    /// the active set, pruning emptied slots so the indexes track the
+    /// the active set, pruning emptied slots so the index tracks the
     /// live set's size, not history.
     fn unindex_citations(&mut self, digest: CertDigest, rule: &Rule) {
-        fn unfile<K: std::hash::Hash + Eq + Clone>(
-            map: &mut SharedMap<K, Vec<CertDigest>>,
-            key: &K,
-            digest: CertDigest,
-        ) {
-            let Some(digests) = map.get_mut(key) else {
-                return;
-            };
-            digests.retain(|d| *d != digest);
-            if digests.is_empty() {
-                map.remove(key);
-            }
-        }
         for (pred, tuple) in asserted_ground_heads(rule) {
             let Some(by_tuple) = self.ground_heads.get_mut(&pred) else {
                 continue;
             };
-            unfile(by_tuple, &tuple, digest);
+            if let Some(digests) = by_tuple.get_mut(&tuple) {
+                digests.retain(|d| *d != digest);
+                if digests.is_empty() {
+                    by_tuple.remove(&tuple);
+                }
+            }
             if by_tuple.is_empty() {
                 self.ground_heads.remove(&pred);
             }
         }
-        unfile(&mut self.introducers, &rule.to_string(), digest);
     }
 
     /// The store's anti-entropy revocation summary: for every signer
@@ -870,7 +836,7 @@ impl CertStore {
     }
 
     /// Imports one certificate: resolves its links against the store,
-    /// verifies both signatures through the shared cache, appends the
+    /// verifies its signature through the shared cache, appends the
     /// record to the backend, and files it under its content address.
     /// Re-importing an already-stored live certificate is answered from
     /// the store and cache without a fresh signature check or a new log
@@ -896,7 +862,7 @@ impl CertStore {
             return match entry.status {
                 CertStatus::Active => {
                     // The content address proves these are byte-for-byte
-                    // the certificate whose signatures were verified at
+                    // the certificate whose signature was verified at
                     // first import — no re-verification needed.
                     self.stats.reimports += 1;
                     Ok(ImportOutcome {
@@ -909,7 +875,12 @@ impl CertStore {
             };
         }
         self.check_links(digest, &cert.links)?;
-        let (ok, hit) = self.check_cert_signatures(&cert, verifier);
+        let (ok, hit) = self.cache.lock().unwrap_or_else(|e| e.into_inner()).check(
+            verifier,
+            cert.issuer,
+            &cert.signing_bytes(),
+            &cert.signature,
+        );
         if !ok {
             return Err(CertStoreError::BadSignature(digest));
         }
@@ -1042,7 +1013,6 @@ impl CertStore {
             digest,
             issuer: entry.cert.issuer,
             rule: entry.cert.rule.clone(),
-            rule_sig: entry.cert.rule_sig.clone(),
             reason,
         };
         self.live_bytes = self
@@ -1306,7 +1276,7 @@ impl CertStore {
             self.stats.replayed += 1;
             match record {
                 LogRecord::Cert { digest, cert } => {
-                    self.prime_recorded(cert.issuer, &cert.signed());
+                    self.prime_recorded(cert.issuer, &cert.signing_bytes(), &cert.signature);
                     // A faithful log cannot trip these guards (the
                     // original insert validated them), but a log from a
                     // newer/older version might; skipping keeps replay
@@ -1329,7 +1299,7 @@ impl CertStore {
                     signature,
                 } => {
                     let signed = lbtrust_net::revoke_signing_bytes(issuer, target.as_bytes());
-                    self.prime_recorded(issuer, &[(signed, &signature)]);
+                    self.prime_recorded(issuer, &signed, &signature);
                     // Foreign objects (signer ≠ the held certificate's
                     // issuer) replay too: `absorb_revocation` logged
                     // them, and `apply_revoke` already remembers them
@@ -1353,15 +1323,13 @@ impl CertStore {
         };
     }
 
-    /// Installs recorded verification outcomes in the shared cache: a
-    /// record's presence in the log or in a checkpoint says each
-    /// `(message, signature)` pair verified under `signer` before it
-    /// was written, so replay never re-runs a signature check.
-    fn prime_recorded(&self, signer: Symbol, verified: &[(Vec<u8>, &[u8])]) {
+    /// Installs a recorded verification outcome in the shared cache: a
+    /// record's presence in the log or in a checkpoint says `signature`
+    /// over `message` verified under `signer` before it was written, so
+    /// replay never re-runs a signature check.
+    fn prime_recorded(&self, signer: Symbol, message: &[u8], signature: &[u8]) {
         let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-        for (message, signature) in verified {
-            cache.prime(signer, message, signature);
-        }
+        cache.prime(signer, message, signature);
     }
 
     /// Resets the store to a checkpoint's materialized state: live
@@ -1381,7 +1349,6 @@ impl CertStore {
         self.expiry.clear();
         self.active_len = 0;
         self.ground_heads.clear();
-        self.introducers.clear();
         // One bump for the whole swap: the restored live set replaces
         // whatever was held, so any decision keyed on an older version
         // is stale (the counter stays monotone — it never resets).
@@ -1395,7 +1362,7 @@ impl CertStore {
             expires_at,
         } in state.active
         {
-            self.prime_recorded(cert.issuer, &cert.signed());
+            self.prime_recorded(cert.issuer, &cert.signing_bytes(), &cert.signature);
             self.file(digest, cert, imported_at, expires_at);
             self.stats.replayed_from_checkpoint += 1;
         }
@@ -1407,7 +1374,7 @@ impl CertStore {
                 // can be re-served to anti-entropy peers after a reopen
                 // — prime the cache like replaying its raw record would.
                 let signed = lbtrust_net::revoke_signing_bytes(issuer, target.as_bytes());
-                self.prime_recorded(issuer, &[(signed, &signature)]);
+                self.prime_recorded(issuer, &signed, &signature);
                 self.index_servable(issuer, target);
                 revoke_record_bytes(issuer, signature.len())
             };
@@ -1417,18 +1384,6 @@ impl CertStore {
                 .insert(issuer, signature);
             self.stats.replayed_from_checkpoint += 1;
         }
-    }
-
-    fn check_cert_signatures(
-        &mut self,
-        cert: &LinkedCert,
-        verifier: &dyn SignatureVerifier,
-    ) -> (bool, bool) {
-        let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-        let [(sig_ok, hit1), (rule_ok, hit2)] = cert
-            .signed()
-            .map(|(message, signature)| cache.check(verifier, cert.issuer, &message, signature));
-        (sig_ok && rule_ok, hit1 && hit2)
     }
 }
 
@@ -1462,14 +1417,12 @@ mod tests {
         let issuer = Symbol::intern(issuer);
         let rule = std::sync::Arc::new(parse_rule(rule_src).unwrap());
         let to_sign = signing_bytes(issuer, &rule, &links, ttl);
-        let rule_sig = sign(issuer, &lbtrust_net::rule_bytes(&rule));
         LinkedCert {
             issuer,
             rule,
             links,
             ttl,
             signature: sign(issuer, &to_sign),
-            rule_sig,
         }
     }
 
@@ -1816,8 +1769,8 @@ mod tests {
         let b = store_b.insert(c, &toy_verifier()).unwrap();
         assert!(b.cache_hit, "verification reused across principals");
         let stats = cache.lock().unwrap().stats();
-        assert_eq!(stats.misses, 2, "two signatures checked once each");
-        assert!(stats.hits >= 2);
+        assert_eq!(stats.misses, 1, "one signature checked once");
+        assert!(stats.hits >= 1);
     }
 
     #[test]
@@ -2011,38 +1964,77 @@ mod tests {
         wipe(&path);
     }
 
-    #[test]
-    fn an_address_less_certificate_refuses_the_open_and_changes_no_byte() {
-        use crate::backend::encode_record;
+    /// Opens a log holding a tick record and then `old`, a record in a
+    /// retired layout: the open must fail with a structured
+    /// `UnsupportedRecord` at `old`'s offset and leave every byte as it was.
+    fn assert_refused_without_a_write(old: Vec<u8>, what: &str) {
+        let tick = crate::backend::encode_record(&LogRecord::Tick(1));
+        let path = tmp_store_path(what);
+        wipe(&path);
+        let bytes = [tick.as_slice(), &old].concat();
+        std::fs::write(&path, &bytes).unwrap();
+        match CertStore::open(&path, shared_verify_cache()) {
+            Err(CertStoreError::Storage(StorageError::UnsupportedRecord { offset, .. })) => {
+                assert_eq!(offset, tick.len() as u64, "{what}")
+            }
+            Err(e) => panic!("{what}: refused for another reason: {e}"),
+            Ok(_) => panic!("opened a log in the {what} layout"),
+        }
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            bytes,
+            "{what}: a byte changed"
+        );
+        wipe(&path);
+    }
+
+    /// A retired layout's checkpoint record: a header frame, then one
+    /// nested certificate frame of tag `tag` around `body`.
+    fn old_checkpoint(tag: u8, body: &[u8]) -> Vec<u8> {
         use lbtrust_net::wire::{frame_record, META_CHECKPOINT};
-        let c = cert("alice", "good(carol).", vec![], None);
-        let tick = encode_record(&LogRecord::Tick(1));
-        // Tag 1 held a certificate's wire bytes alone, and a checkpoint's
-        // tag 0xA2 its metadata and wire bytes.
-        let old_record = frame_record(1, &c.wire_bytes());
-        let mut old_checkpoint = frame_record(
+        let mut payload = frame_record(
             META_CHECKPOINT,
             b"lbtrust-checkpoint:v1\nclock:0\nactive:1\nrevoked:0\n",
         );
+        payload.extend_from_slice(&frame_record(tag, body));
+        frame_record(crate::backend::REC_CHECKPOINT, &payload)
+    }
+
+    #[test]
+    fn an_address_less_certificate_refuses_the_open_and_changes_no_byte() {
+        use lbtrust_net::wire::frame_record;
+        let c = cert("alice", "good(carol).", vec![], None);
+        // Tag 1 held a certificate's wire bytes alone, and a checkpoint's
+        // tag 0xA2 its metadata and wire bytes.
+        let old_record = frame_record(1, &c.wire_bytes());
         let body = [b"at:0\nexp:none\n".as_slice(), &c.wire_bytes()].concat();
-        old_checkpoint.extend_from_slice(&frame_record(0xA2, &body));
-        let old_checkpoint = frame_record(crate::backend::REC_CHECKPOINT, &old_checkpoint);
-        for old in [old_record, old_checkpoint] {
-            let path = tmp_store_path("oldlayout");
-            wipe(&path);
-            let bytes = [tick.as_slice(), &old].concat();
-            std::fs::write(&path, &bytes).unwrap();
-            match CertStore::open(&path, shared_verify_cache()) {
-                Err(CertStoreError::Storage(StorageError::UnsupportedRecord {
-                    offset, ..
-                })) => {
-                    assert_eq!(offset, tick.len() as u64)
-                }
-                Err(e) => panic!("refused for another reason: {e}"),
-                Ok(_) => panic!("opened a log in the address-less layout"),
-            }
-            assert_eq!(std::fs::read(&path).unwrap(), bytes, "a byte changed");
-            wipe(&path);
+        for old in [old_record, old_checkpoint(0xA2, &body)] {
+            assert_refused_without_a_write(old, "oldlayout");
+        }
+    }
+
+    /// The layout before a certificate carried one signature: tag 6 (a
+    /// checkpoint's 0xA4) held the address and wire bytes that ended in
+    /// a second signature, over the rule alone. A frame under either tag
+    /// is refused whatever it holds, so today's payload under the old
+    /// tag stands in for the old payload.
+    #[test]
+    fn a_two_signature_certificate_refuses_the_open_and_changes_no_byte() {
+        use lbtrust_net::wire::frame_record;
+        let c = cert("alice", "good(carol).", vec![], None);
+        let address = c.digest();
+        let old_record = frame_record(
+            6,
+            &[address.as_bytes().as_slice(), &c.wire_bytes()].concat(),
+        );
+        let body = [
+            address.as_bytes().as_slice(),
+            b"at:0\nexp:none\n",
+            &c.wire_bytes(),
+        ]
+        .concat();
+        for old in [old_record, old_checkpoint(0xA4, &body)] {
+            assert_refused_without_a_write(old, "twosig");
         }
     }
 

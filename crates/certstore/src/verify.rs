@@ -24,8 +24,8 @@
 //!
 //! The set is unbounded: one entry per distinct signature ever verified
 //! or primed in the process, each holding its message and signature
-//! plus a 12-byte header in one allocation. A certificate's two entries
-//! hold its signed form, its rule and both raw signatures.
+//! plus a 12-byte header in one allocation. A certificate has one
+//! entry: its signed form and its raw signature.
 
 use lbtrust_datalog::Symbol;
 use std::collections::HashSet;

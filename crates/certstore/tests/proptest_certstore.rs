@@ -34,14 +34,12 @@ fn make_cert(
     let issuer = Symbol::intern(issuer);
     let rule = Arc::new(parse_rule(&format!("{pred}({arg}).")).unwrap());
     let to_sign = signing_bytes(issuer, &rule, &links, ttl);
-    let rule_sig = sign(issuer, &lbtrust_net::rule_bytes(&rule));
     LinkedCert {
         issuer,
         rule,
         links,
         ttl,
         signature: sign(issuer, &to_sign),
-        rule_sig,
     }
 }
 

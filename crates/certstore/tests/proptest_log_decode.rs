@@ -59,7 +59,6 @@ fn cert(n: u64) -> (CertDigest, LinkedCert) {
             .collect(),
         ttl: (!n.is_multiple_of(4)).then_some(n % 97),
         signature: bytes(n % 97, n),
-        rule_sig: bytes(n % 13, n.wrapping_add(1)),
     };
     (cert.digest(), cert)
 }

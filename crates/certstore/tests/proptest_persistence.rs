@@ -30,14 +30,12 @@ fn make_cert(issuer: &str, body: &str, links: Vec<CertDigest>, ttl: Option<u64>)
     let issuer = Symbol::intern(issuer);
     let rule = Arc::new(parse_rule(body).unwrap());
     let to_sign = signing_bytes(issuer, &rule, &links, ttl);
-    let rule_sig = sign(issuer, &lbtrust_net::rule_bytes(&rule));
     LinkedCert {
         issuer,
         rule,
         links,
         ttl,
         signature: sign(issuer, &to_sign),
-        rule_sig,
     }
 }
 

@@ -5,12 +5,19 @@
 //! predicates. This module provides those builtins (`rsasign`,
 //! `rsaverify`, `hmacsign`, `hmacverify`, plus confidentiality and
 //! integrity primitives from §4.1.3) and, per [`AuthScheme`], the
-//! export/import rules `exp1`/`exp3` whose replacement is the paper's
-//! headline reconfigurability result: switching from RSA to HMAC or
-//! plaintext changes exactly these two rules while every policy that uses
-//! `says` is untouched.
+//! export rule `exp1` and the verification constraint `exp3` whose
+//! replacement is the paper's headline reconfigurability result:
+//! switching from RSA to HMAC or plaintext changes exactly these two
+//! while every policy that uses `says` is untouched.
+//!
+//! A certificate never meets `exp3`'s verifier. Its one signature is
+//! the certificate store's to check, and an accepted certificate is
+//! filed as `certified(Issuer, me, R, D)`, which every scheme's `exp3`
+//! accepts as it stands (see [`crate::says::SAYS_DECLS`]). So a
+//! principal holds its certificates whichever scheme it runs or
+//! switches to.
 
-use crate::principal::{KeyDirectory, Principal, SharedKeys};
+use crate::principal::{rsa_sign, KeyDirectory, Principal, SharedKeys};
 use lbtrust_certstore::{shared_verify_cache, SharedVerifyCache, SignatureVerifier};
 use lbtrust_crypto::hmac::{hmac_sha1, verify_mac};
 use lbtrust_crypto::sha1::Sha1;
@@ -73,17 +80,26 @@ impl AuthScheme {
     }
 
     /// The verification constraint (`exp3` / `exp3'`): every `says` fact
-    /// addressed to me must be backed by a verifiable export.
+    /// addressed to me must be backed by a verifiable export or by a
+    /// certificate the store accepted.
+    ///
+    /// Divergence note: the paper's `exp3` has only the first
+    /// alternative. The second, `certified(U,me,R,D)`, is the same in
+    /// every scheme: the store checked the certificate's signature, and
+    /// the runtime alone asserts `certified` (see
+    /// [`crate::says::SAYS_DECLS`]).
     pub fn verify_constraint(&self) -> &'static str {
         match self {
-            AuthScheme::Plaintext => "says(U,me,R), U != me -> export[me](U,R,S).",
+            AuthScheme::Plaintext => {
+                "says(U,me,R), U != me -> export[me](U,R,S) ; certified(U,me,R,D)."
+            }
             AuthScheme::HmacSha1 => {
                 "says(U,me,R), U != me -> export[me](U,R,S), \
-                 sharedsecret(me,U,K), hmacverify(R,S,K)."
+                 sharedsecret(me,U,K), hmacverify(R,S,K) ; certified(U,me,R,D)."
             }
             AuthScheme::Rsa => {
                 "says(U,me,R), U != me -> export[me](U,R,S), \
-                 rsapubkey(U,K), rsaverify(R,S,K)."
+                 rsapubkey(U,K), rsaverify(R,S,K) ; certified(U,me,R,D)."
             }
         }
     }
@@ -190,13 +206,10 @@ pub fn register_crypto_builtins_cached(
         let Some(pair) = guard.rsa(who) else {
             return Ok(vec![]);
         };
-        let sig = pair
-            .private
-            .sign(&rule_bytes(rule))
-            .map_err(|e| BuiltinError::TypeError {
-                name,
-                expected: format!("signable rule ({e})"),
-            })?;
+        let sig = rsa_sign(pair, &rule_bytes(rule)).map_err(|e| BuiltinError::TypeError {
+            name,
+            expected: format!("signable rule ({e})"),
+        })?;
         Ok(vec![vec![
             r.clone(),
             Value::bytes(&sig),

@@ -8,7 +8,7 @@
 //! contends with the fixpoint writer. This module splits the read path
 //! off: the system publishes an [`AuthzSnapshot`] — an immutable,
 //! `Arc`-shared view of every principal's materialized database and the
-//! store's ground-head and live-introducer indexes — and any number of
+//! store's ground-head index — and any number of
 //! [`AuthzReader`] handles evaluate `authorize()` against it from
 //! other threads while imports and revocations keep streaming through
 //! the writer.
@@ -60,7 +60,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use lbtrust_certstore::{CertDigest, GroundHeads, Introducers};
+use lbtrust_certstore::{CertDigest, GroundHeads};
 use lbtrust_datalog::ast::Rule;
 use lbtrust_datalog::intern::names;
 use lbtrust_datalog::provenance::{Proof, ProofText};
@@ -104,9 +104,6 @@ pub(crate) struct PrincipalSnapshot {
     /// Shares every shard with the store but the ones a certificate filed
     /// or unfiled since has touched.
     pub(crate) ground_heads: GroundHeads,
-    /// The store's live-introducer index: canonical rule text → digests
-    /// of the live certificates carrying that rule. Shared the same way.
-    pub(crate) introducers: Introducers,
     /// The decisions cached for this snapshot: proved on it, or handed
     /// on from the snapshot it replaced across a retraction-only window
     /// (`PrincipalState::publish`).
@@ -128,7 +125,7 @@ impl PrincipalSnapshot {
             &self.base,
             goal,
         )?;
-        Ok(decide(proof, &self.ground_heads, &self.introducers))
+        Ok(decide(proof, &self.ground_heads))
     }
 
     /// This snapshot's cached decisions, locked.
@@ -165,54 +162,43 @@ impl PrincipalSnapshot {
 /// Turns a proof (or its absence) into a decision: grant/deny, the
 /// supporting digests, and the proof itself, rendered only when read.
 /// The one `decide` behind the serial [`crate::System::authorize`] (the
-/// store's indexes) and the snapshot readers (the same indexes as
+/// store's index) and the snapshot readers (the same index as
 /// published), so both cite identically.
-pub(crate) fn decide(
-    proof: Option<ProofText>,
-    ground_heads: &GroundHeads,
-    introducers: &Introducers,
-) -> CachedDecision {
+pub(crate) fn decide(proof: Option<ProofText>, ground_heads: &GroundHeads) -> CachedDecision {
     CachedDecision {
         granted: proof.is_some(),
         supporting: proof
             .as_ref()
-            .map(|p| collect_supporting(p.tree(), ground_heads, introducers))
+            .map(|p| collect_supporting(p.tree(), ground_heads))
             .unwrap_or_default(),
         proof,
     }
 }
 
 /// Walks a proof tree collecting the digests of every live certificate
-/// the derivation rests on: ground-head index hits for cert-materialized
-/// facts, live-introducer citations for `says` premises. The store
-/// maintains both indexes incrementally, so citation is hash probes —
-/// no rescan of the active set. The result is sorted on raw digest bytes
-/// (identical order to the old hex-string sort — lowercase hex is
-/// monotone in the bytes — without a `String` per comparison) and
-/// deduplicated.
-fn collect_supporting(
-    proof: &Proof,
-    ground_heads: &GroundHeads,
-    introducers: &Introducers,
-) -> Vec<CertDigest> {
-    let says = names().says;
+/// the derivation rests on: the digest a `certified` leaf carries, and
+/// ground-head index hits for the facts of activated certified rules.
+/// No store is scanned and no rule is rendered. The result is sorted on
+/// raw digest bytes (identical order to the old hex-string sort —
+/// lowercase hex is monotone in the bytes — without a `String` per
+/// comparison) and deduplicated.
+fn collect_supporting(proof: &Proof, ground_heads: &GroundHeads) -> Vec<CertDigest> {
+    let certified = names().certified;
     let mut supporting: Vec<CertDigest> = Vec::new();
     let mut frontier = vec![proof];
     while let Some(node) = frontier.pop() {
         let (pred, tuple) = node.conclusion();
-        // A `says` premise carries its certified rule as the trailing
-        // quotation; the live-introducer index cites the live
-        // certificate(s) carrying that rule.
-        if pred == says {
-            if let Some(Value::Quote(rule)) = tuple.last() {
-                let cited = introducers.get(rule.to_string().as_str());
-                supporting.extend(cited.into_iter().flatten());
-            }
+        // A certificate's `says` fact is derived from the base fact
+        // `certified(issuer, me, R, D)`, which carries its content
+        // address: the proof cites it at the leaf.
+        if pred == certified && matches!(node, Proof::Fact { .. }) {
+            supporting.extend(tuple.get(3).and_then(certified_digest));
         }
-        // A certified bodyless rule materializes its head as a base
-        // fact, so a proof can rest on a credential without a `says`
-        // premise appearing — the ground-head index maps the fact back
-        // to its content address. Borrow-keyed probe: no tuple clone.
+        // An activated certified bodyless rule derives its head through
+        // a generated rule, so a proof can rest on a credential without
+        // a `certified` leaf appearing — the ground-head index maps the
+        // fact back to its content address. Borrow-keyed probe: no tuple
+        // clone.
         if let Some(digests) = ground_heads.get(&pred).and_then(|m| m.get(tuple)) {
             supporting.extend(digests.iter().copied());
         }
@@ -223,6 +209,14 @@ fn collect_supporting(
     supporting.sort_unstable();
     supporting.dedup();
     supporting
+}
+
+/// The content address a `certified` fact carries in its last argument.
+fn certified_digest(value: &Value) -> Option<CertDigest> {
+    let Value::Bytes(bytes) = value else {
+        return None;
+    };
+    Some(CertDigest(<[u8; 32]>::try_from(&bytes[..]).ok()?))
 }
 
 /// The atomically-published view of every principal at the last

@@ -14,9 +14,9 @@ use crate::principal::Principal;
 use crate::system::{DegradedError, StoreHealth};
 use crate::workspace::{RetractOutcome, Workspace, WsError};
 use lbtrust_certstore::{
-    CertDigest, CertStore, CertStoreError, FaultHandle, LinkedCert, RetractionEvent, Revocation,
-    StorageError,
+    CertDigest, CertStore, CertStoreError, FaultHandle, RetractionEvent, Revocation, StorageError,
 };
+use lbtrust_datalog::ast::Rule;
 use lbtrust_datalog::intern::names;
 use lbtrust_datalog::{Symbol, Tuple, Value};
 use lbtrust_net::NodeId;
@@ -26,9 +26,9 @@ use std::time::{Duration, Instant};
 
 /// Everything the runtime holds for one principal.
 ///
-/// **What it owns.** The workspace, the certificate store, the index
-/// from each imported certificate to the workspace facts it introduced
-/// (so expiry and revocation retract exactly those), how far the
+/// **What it owns.** The workspace, the certificate store, the set of
+/// certificates whose `certified` fact the workspace holds (so expiry
+/// and revocation retract exactly those), how far the
 /// `export` relation has been shipped, the node the principal is placed
 /// on, the store's fault-handling state and fault schedule, the
 /// snapshot-publication bookkeeping, the gossip facts currently asserted
@@ -51,9 +51,9 @@ pub(crate) struct PrincipalState {
     pub(crate) me: Principal,
     pub(crate) ws: Workspace,
     pub(crate) store: CertStore,
-    /// Which workspace base facts each imported certificate introduced,
-    /// by content address.
-    facts: HashMap<CertDigest, Vec<(Symbol, Tuple)>>,
+    /// The certificates whose `certified` fact is in the workspace, by
+    /// content address.
+    filed: HashSet<CertDigest>,
     cursor: ExportCursor,
     /// Placement: the physical node hosting this principal (the `loc`
     /// relation).
@@ -131,7 +131,7 @@ impl PrincipalState {
             me: ws.me(),
             ws,
             store,
-            facts: HashMap::new(),
+            filed: HashSet::new(),
             cursor: ExportCursor::default(),
             node,
             health: HealthState::default(),
@@ -178,20 +178,19 @@ impl PrincipalState {
         done
     }
 
-    /// Asserts the workspace facts of every listed stored certificate
-    /// whose facts are not in the workspace yet, returning how many
-    /// that was. Shared by live import and log-replay reconciliation so
-    /// both assert byte-identical facts: `export[me](issuer, R, S)` —
-    /// re-verified by the declarative `exp2`/`exp3` pipeline — plus
-    /// `says(issuer, me, R)` directly for workspaces without the auth
-    /// prelude.
+    /// Asserts the workspace fact of every listed stored certificate
+    /// whose fact is not in the workspace yet, returning the digests
+    /// filed. Shared by live import and log-replay reconciliation so
+    /// both assert byte-identical facts: `certified(issuer, me, R, D)`,
+    /// from which `says-decls` derives `says(issuer, me, R)` and which
+    /// every scheme's `exp3` accepts (the store checked the signature).
     pub(crate) fn file_cert_facts(
         &mut self,
         digests: impl IntoIterator<Item = CertDigest>,
-    ) -> usize {
-        let mut filed = 0;
+    ) -> Vec<CertDigest> {
+        let mut filed = Vec::new();
         for digest in digests {
-            if self.facts.contains_key(&digest) {
+            if self.filed.contains(&digest) {
                 continue;
             }
             // A digest the store does not hold has nothing to file
@@ -199,12 +198,20 @@ impl PrincipalState {
             let Some(entry) = self.store.get(&digest) else {
                 continue;
             };
-            let facts = cert_workspace_facts(self.me, &entry.cert);
-            self.ws.assert_facts(&facts);
-            self.facts.insert(digest, facts);
-            filed += 1;
+            let tuple = certified_tuple(entry.cert.issuer, self.me, &entry.cert.rule, digest);
+            self.ws.assert_fact(names().certified, tuple);
+            self.filed.insert(digest);
+            filed.push(digest);
         }
         filed
+    }
+
+    /// Forgets that `digests` were filed: the evaluation that was to
+    /// accept their facts failed, and the workspace rolled them back.
+    pub(crate) fn unfile_cert_facts(&mut self, digests: &[CertDigest]) {
+        for digest in digests {
+            self.filed.remove(digest);
+        }
     }
 
     /// Applies a signed revocation here: the store transition, then the
@@ -250,10 +257,16 @@ impl PrincipalState {
         // Every dying certificate poisons the cached decisions citing
         // it, whether or not its facts were still asserted here.
         self.authz.poisoned.extend(events.iter().map(|e| e.digest));
+        let certified = names().certified;
         let batch: Vec<(Symbol, Tuple)> = events
             .iter()
-            .filter_map(|event| self.facts.remove(&event.digest))
-            .flatten()
+            .filter(|event| self.filed.remove(&event.digest))
+            .map(|e| {
+                (
+                    certified,
+                    certified_tuple(e.issuer, self.me, &e.rule, e.digest),
+                )
+            })
             .collect();
         if batch.is_empty() {
             return;
@@ -314,8 +327,8 @@ impl PrincipalState {
         st.published_store_version = store_version;
         // Everything below is shared, not copied: the database and the
         // base facts with the workspace (a pointer per relation or full
-        // chunk), the registry with its owner, and the store's two
-        // citation indexes with the store (a pointer per shard).
+        // chunk), the registry with its owner, and the store's ground-head
+        // index with the store (a pointer per shard).
         let snap = Arc::new(PrincipalSnapshot {
             me: self.me,
             rules: ws.program().rules().clone(),
@@ -323,7 +336,6 @@ impl PrincipalState {
             builtins: ws.builtins().clone(),
             base: ws.base_facts().clone(),
             ground_heads: store.ground_heads().clone(),
-            introducers: store.introducers().clone(),
             cache: Mutex::new(cache),
             store_version,
         });
@@ -570,20 +582,19 @@ fn tuple_fingerprint(tuple: &[Value]) -> TupleFingerprint {
     (a.finish(), b.finish())
 }
 
-/// The workspace base facts one imported certificate introduces at
-/// principal `to` (see [`PrincipalState::file_cert_facts`]).
-fn cert_workspace_facts(to: Principal, cert: &LinkedCert) -> Vec<(Symbol, Tuple)> {
-    let export_tuple = vec![
+/// The `certified(issuer, to, R, D)` tuple a certificate files at
+/// principal `to`, where `D` is the raw content address (see
+/// [`PrincipalState::file_cert_facts`]).
+fn certified_tuple(
+    issuer: Principal,
+    to: Principal,
+    rule: &Arc<Rule>,
+    digest: CertDigest,
+) -> Tuple {
+    vec![
+        Value::Sym(issuer),
         Value::Sym(to),
-        Value::Sym(cert.issuer),
-        Value::Quote(cert.rule.clone()),
-        Value::bytes(&cert.rule_sig),
-    ];
-    let says_tuple = vec![
-        Value::Sym(cert.issuer),
-        Value::Sym(to),
-        Value::Quote(cert.rule.clone()),
-    ];
-    let known = names();
-    vec![(known.export, export_tuple), (known.says, says_tuple)]
+        Value::Quote(rule.clone()),
+        Value::bytes(digest.as_bytes()),
+    ]
 }

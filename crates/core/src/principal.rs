@@ -7,7 +7,7 @@
 //! (symbols like `rsa:priv:alice`) against it, and refuse to use private
 //! material that does not belong to the local principal.
 
-use lbtrust_crypto::KeyPair;
+use lbtrust_crypto::{KeyPair, RsaError};
 use lbtrust_datalog::{Symbol, Value};
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
@@ -80,6 +80,17 @@ impl Enrolment {
 thread_local! {
     /// RSA key pairs generated on this thread, so a test can count them.
     pub(crate) static KEYS_GENERATED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// RSA signatures made on this thread through [`rsa_sign`].
+    pub(crate) static SIGNATURES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Signs `message` with `pair`'s private key. Every RSA signature the
+/// runtime makes (a certificate, a revocation, `rsasign`) goes through
+/// here, so a test can count them.
+pub(crate) fn rsa_sign(pair: &KeyPair, message: &[u8]) -> Result<Vec<u8>, RsaError> {
+    #[cfg(test)]
+    SIGNATURES.with(|n| n.set(n.get() + 1));
+    pair.private.sign(message)
 }
 
 impl KeyDirectory {

@@ -14,7 +14,8 @@ use crate::gossip::{fingerprint_hex, parse_gossip_send, GossipSend, GOSSIP_SAYS}
 use crate::node::{is_storage_io, PrincipalState, Routed};
 use crate::obs::{DeliveryPart, QuiescePhase, SystemObs};
 use crate::principal::{
-    rsa_priv_handle, rsa_pub_handle, shared_keys, shared_secret_handle, Principal, SharedKeys,
+    rsa_priv_handle, rsa_pub_handle, rsa_sign, shared_keys, shared_secret_handle, Principal,
+    SharedKeys,
 };
 use crate::says::SAYS_DECLS;
 use crate::workspace::{Workspace, WsError};
@@ -884,7 +885,7 @@ impl System {
         // freshly registered workspace holds no facts for them.
         let active = store.active();
         let mut principal = PrincipalState::new(ws, store, NodeId::new(node), faults);
-        self.stats.certs_replayed += principal.file_cert_facts(active);
+        self.stats.certs_replayed += principal.file_cert_facts(active).len();
 
         // A constraint violation rolls back to a fully introduced
         // workspace, not an empty one; the first evaluation is the next
@@ -1042,7 +1043,8 @@ impl System {
     }
 
     /// Issues one linked certificate per ground fact in `facts_src`,
-    /// all citing `links` and carrying `ttl`.
+    /// all citing `links` and carrying `ttl`: one RSA signature each,
+    /// over [`cert::signing_bytes`].
     pub fn issue_certificates(
         &mut self,
         issuer: Principal,
@@ -1066,21 +1068,13 @@ impl System {
             }
             let rule = Arc::new(rule);
             let to_sign = cert::signing_bytes(issuer, &rule, links, ttl);
-            let signature = pair
-                .private
-                .sign(&to_sign)
-                .map_err(|e| SysError::Issue(e.to_string()))?;
-            let rule_sig = pair
-                .private
-                .sign(&lbtrust_net::rule_bytes(&rule))
-                .map_err(|e| SysError::Issue(e.to_string()))?;
+            let signature = rsa_sign(pair, &to_sign).map_err(|e| SysError::Issue(e.to_string()))?;
             out.push(LinkedCert {
                 issuer,
                 rule,
                 links: links.to_vec(),
                 ttl,
                 signature,
-                rule_sig,
             });
         }
         Ok(out)
@@ -1236,12 +1230,19 @@ impl System {
     }
 
     /// Imports certificates into `to`'s store (links resolved within
-    /// the batch and against already-stored credentials, signatures
-    /// checked through the shared cache) and asserts the certified
-    /// rules into `to`'s workspace as authenticated imports:
-    /// `export[me](issuer, R, S)` — so the declarative `exp2`/`exp3`
-    /// pipeline re-verifies and derives `says` — plus `says(issuer, me,
-    /// R)` directly for workspaces without the auth prelude.
+    /// the batch and against already-stored credentials, each
+    /// certificate's one signature checked through the shared cache) and
+    /// files each certified rule in `to`'s workspace as
+    /// `certified(issuer, me, R, D)`, `D` its content address. The
+    /// `says-decls` rule derives `says(issuer, me, R)` from it, and every
+    /// scheme's `exp3` accepts it without a signature of its own, so an
+    /// HMAC or plaintext receiver imports like an RSA one.
+    ///
+    /// If the evaluation that follows fails (the policy refuses a
+    /// certified rule), the workspace rolls the whole batch's facts back
+    /// and the error is returned. The certificates stay in the store,
+    /// verified, and nothing records them as filed: importing any of them
+    /// again files it anew.
     pub fn import_certificates(
         &mut self,
         to: Principal,
@@ -1267,8 +1268,12 @@ impl System {
         // here with newly_added=false and must still finish the
         // workspace half of the import).
         let node = &mut self.nodes[to];
-        self.stats.certs_imported += node.file_cert_facts(outcomes.iter().map(|o| o.digest));
-        node.ws.evaluate()?;
+        let filed = node.file_cert_facts(outcomes.iter().map(|o| o.digest));
+        if let Err(e) = node.ws.evaluate() {
+            node.unfile_cert_facts(&filed);
+            return Err(e.into());
+        }
+        self.stats.certs_imported += filed.len();
         Ok(outcomes)
     }
 
@@ -1290,9 +1295,7 @@ impl System {
             let pair = guard
                 .rsa(issuer)
                 .ok_or(SysError::UnknownPrincipal(issuer))?;
-            pair.private
-                .sign(&signing)
-                .map_err(|e| SysError::Issue(e.to_string()))?
+            rsa_sign(pair, &signing).map_err(|e| SysError::Issue(e.to_string()))?
         };
         let revocation = Revocation {
             issuer,
@@ -1397,11 +1400,11 @@ impl System {
     }
 
     /// Decides whether `goal` holds in `who`'s workspace and cites the
-    /// credentials the decision rests on: the proof tree is walked for
-    /// `says` premises, and each certified rule is traced back through
-    /// the store's live-introducer index to the digest(s) of the live
-    /// certificate(s) carrying it ([`System::audit_introducers`] answers
-    /// the same question over every certificate the store ever imported).
+    /// credentials the decision rests on: the digest on each
+    /// `certified(issuer, me, R, D)` leaf of the proof, and, for a fact a
+    /// certified rule activated, the live certificates asserting it
+    /// ([`System::audit_introducers`] answers which certificates ever
+    /// carried a rule, over every certificate the store imported).
     /// The proof search fails closed: a goal whose search tries more than
     /// 65,536 rule instances in one pass — one per derived tuple of the
     /// proof, or, once it has met a cycle, every instance of every tuple
@@ -1414,7 +1417,7 @@ impl System {
         let node = self.node(who)?;
         let store = &node.store;
         let proof = node.ws.explain_proof(goal)?;
-        let decided = decide(proof, store.ground_heads(), store.introducers());
+        let decided = decide(proof, store.ground_heads());
         if decided.granted {
             self.obs.authz_granted.inc();
         } else {
@@ -2114,8 +2117,6 @@ mod tests {
         relations: Vec<(Symbol, usize, usize)>,
         /// Shards of the ground-head index `before` does not hold.
         ground_heads: usize,
-        /// Shards of the live-introducer index `before` does not hold.
-        introducers: usize,
     }
 
     fn copied(before: &PrincipalSnapshot, after: &PrincipalSnapshot) -> Copied {
@@ -2136,7 +2137,6 @@ mod tests {
         Copied {
             relations,
             ground_heads: ground_heads.sum(),
-            introducers: after.introducers.unshared_shards(&before.introducers),
         }
     }
 
@@ -2176,12 +2176,12 @@ mod tests {
             assert_eq!(tuples, 2, "at {certs}");
             // The big relations are the writer's own, by pointer.
             let live = sys.workspace(bob).unwrap().db();
-            for pred in ["access", "says", "export"] {
+            for pred in ["access", "says", "certified"] {
                 let rel = after.db.relation(sym(pred)).expect("populated");
                 assert!(std::ptr::eq(rel, before.db.relation(sym(pred)).unwrap()));
                 assert!(std::ptr::eq(rel, live.relation(sym(pred)).unwrap()));
             }
-            assert_eq!((copied.ground_heads, copied.introducers), (0, 0));
+            assert_eq!(copied.ground_heads, 0);
             assert!(Arc::ptr_eq(&before.builtins, &after.builtins));
         }
     }
@@ -2192,9 +2192,9 @@ mod tests {
     /// snapshot shares with the previous one every tuple of each relation
     /// it touched but at most a chunk, all but a handful of position-map
     /// shards — as many at 4 096 certificates as at 256 — and all but at
-    /// most one shard of each citation index. (Before tombstones, a
-    /// revocation copied the removed relation's tail and both indexes
-    /// whole.)
+    /// most one shard of the ground-head index. (Before tombstones, a
+    /// revocation copied the removed relation's tail and the citation
+    /// indexes whole.)
     #[test]
     fn a_revocation_and_its_replacement_copy_a_shard_per_map_they_touch() {
         use lbtrust_datalog::shared::CHUNK;
@@ -2227,7 +2227,6 @@ mod tests {
                     );
                 }
                 assert!(copied.ground_heads <= 1, "{step} at {certs}: {copied:?}");
-                assert!(copied.introducers <= 1, "{step} at {certs}: {copied:?}");
                 let per_relation: Vec<(Symbol, usize)> = copied
                     .relations
                     .iter()
@@ -2974,7 +2973,7 @@ mod tests {
             let t = node.tally;
             (
                 node.store.status(&digest),
-                ["export", "says", "access"].map(|pred| node.ws.tuples(sym(pred)).len()),
+                ["certified", "says", "access"].map(|pred| node.ws.tuples(sym(pred)).len()),
                 (node.authz.retraction_bumps, node.authz.poisoned.clone()),
                 [
                     t.revocations,
@@ -2989,7 +2988,57 @@ mod tests {
         assert_eq!(status, Some(lbtrust_certstore::CertStatus::Revoked));
         assert_eq!(facts, [0, 0, 0]);
         assert_eq!(authz, (1, vec![digest]));
-        assert_eq!(tally, [1, 2, 1, 0]);
+        assert_eq!(tally, [1, 1, 1, 0]);
+    }
+
+    /// A certificate is signed once and checked once: issuing eight
+    /// makes eight RSA signatures, and a first import of them eight
+    /// verification-cache misses.
+    #[test]
+    fn a_certificate_is_signed_once_and_checked_once() {
+        let signatures = || crate::principal::SIGNATURES.with(std::cell::Cell::get);
+        let mut sys = System::new().with_rsa_bits(512);
+        let alice = sys.add_principal("alice", "n1").unwrap();
+        let bob = sys.add_principal("bob", "n2").unwrap();
+        let facts: String = (0..8).map(|i| format!("good(s{i}). ")).collect();
+        let before = signatures();
+        let certs = sys.issue_certificates(alice, &facts, &[], None).unwrap();
+        assert_eq!(
+            signatures() - before,
+            certs.len(),
+            "signatures per certificate"
+        );
+        let misses = sys.verify_cache_stats().misses;
+        sys.import_certificates(bob, certs.clone()).unwrap();
+        assert_eq!(sys.verify_cache_stats().misses - misses, certs.len() as u64);
+    }
+
+    /// Only the runtime asserts `certified`. A rule mallory gets bob to
+    /// activate that concludes it — a forged certificate from alice —
+    /// is refused at its installation like a constraint violation: the
+    /// message is rejected and no `says` fact from alice appears.
+    #[test]
+    fn an_activated_rule_cannot_conclude_certified() {
+        let mut sys = System::new().with_rsa_bits(512);
+        sys.add_principal("alice", "n1").unwrap();
+        let bob = sys.add_principal("bob", "n2").unwrap();
+        let mallory = sys.add_principal("mallory", "n3").unwrap();
+        let policy = "ok(X) <- says(alice,me,[| good(X) |]).";
+        let ws = sys.workspace_mut(bob).unwrap();
+        ws.load("says1", crate::says::AUTO_ACTIVATE).unwrap();
+        ws.load("policy", policy).unwrap();
+        let ws = sys.workspace_mut(mallory).unwrap();
+        ws.load(
+            "policy",
+            "says(me,bob,[| certified(alice,bob,[| good(eve). |],#00). |]) <- go().",
+        )
+        .unwrap();
+        ws.assert_src("go().").unwrap();
+        sys.run_to_quiescence(16).unwrap();
+        assert_eq!(sys.stats().messages_rejected, 1);
+        let ws = sys.workspace(bob).unwrap();
+        assert!(ws.tuples(sym("certified")).is_empty());
+        assert!(!sys.authorize(bob, "ok(eve)").unwrap().granted);
     }
 
     /// `stats()` is the sequencer's counters plus every principal's:
@@ -3046,7 +3095,7 @@ mod tests {
             format!("{:?}", mixed_run()),
             "SystemStats { messages_sent: 4, messages_accepted: 3, messages_rejected: 1, \
              local_rollbacks: 1, steps: 6, certs_imported: 6, revocations: 4, \
-             retractions: 8, dred_repairs: 4, retraction_rebuilds: 0, certs_replayed: 0, \
+             retractions: 4, dred_repairs: 4, retraction_rebuilds: 0, certs_replayed: 0, \
              gossip_rounds: 0, gossip_summaries: 0, gossip_pulls: 0, gossip_served: 0 }"
         );
     }

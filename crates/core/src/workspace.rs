@@ -26,7 +26,7 @@ use lbtrust_datalog::{
     parse_program, Builtins, Database, ParseError, PositionIndex, SharedVec, Span, Symbol, Tuple,
     Value,
 };
-use lbtrust_metamodel::constraintcheck::{check_fail, CheckError, ConstraintSet, Scope};
+use lbtrust_metamodel::constraintcheck::{check_fail, CheckError, ConstraintSet, Scope, Violation};
 use lbtrust_metamodel::reflect::reflect_into;
 use lbtrust_metamodel::{generated_rules, MetaPreds};
 use std::cell::OnceCell;
@@ -1187,6 +1187,7 @@ impl Workspace {
             self.program = OnceLock::new();
             for rule in new_rules {
                 check_rule(&rule, &self.builtins)?;
+                refuse_certified_head(&rule)?;
                 self.installed.insert(rule.content_id());
                 if !fresh {
                     reflect_installed(&rule, &self.meta, &mut self.db);
@@ -1220,6 +1221,26 @@ impl Workspace {
         self.stats.rule_evals += total.rule_evals;
         Ok(total)
     }
+}
+
+/// The meta-constraint `active([| certified(T*) <- A*. |]) -> false.`,
+/// checked where it can fire: at the installation of a generated rule.
+/// Only the runtime asserts `certified` (a certificate the store
+/// accepted, see [`crate::says::SAYS_DECLS`]), and every scheme's `exp3`
+/// takes it at its word, so no rule that reached `active` — a peer's
+/// activated `says` rule among them — may derive it. A rule the
+/// principal loads itself is its own word and is not checked.
+fn refuse_certified_head(rule: &Rule) -> Result<(), WsError> {
+    let certified = names().certified;
+    if !rule.heads.iter().any(|h| h.pred.name() == Some(certified)) {
+        return Ok(());
+    }
+    Err(WsError::Constraint(CheckError::Violation(Box::new(
+        Violation {
+            constraint: "active([| certified(T*) <- A*. |]) -> false.".into(),
+            witness: format!("R = [| {rule} |]"),
+        },
+    ))))
 }
 
 /// What a rebuild replaced, kept until the rebuilt state is accepted so a

@@ -73,6 +73,9 @@ pub struct Names {
     pub says: Symbol,
     /// `export[U2](U1,R,S)`.
     pub export: Symbol,
+    /// `certified(U1,U2,R,D)`: `U1` certified `R` to `U2` in the
+    /// certificate whose content address is `D`.
+    pub certified: Symbol,
     /// `loc(P,N)`, a principal's placement.
     pub loc: Symbol,
     /// `fail()`, whose derivation fails an evaluation.
@@ -86,6 +89,7 @@ pub fn names() -> &'static Names {
         me: Symbol::intern("me"),
         says: Symbol::intern("says"),
         export: Symbol::intern("export"),
+        certified: Symbol::intern("certified"),
         loc: Symbol::intern("loc"),
         fail: Symbol::intern("fail"),
     })

@@ -6,7 +6,7 @@
 //! the open chunk at the end, fewer than [`CHUNK`] elements, is a
 //! vector's own. [`SharedMap`] is its twin for the maps kept beside such
 //! a vector — a relation's dedup map and lazy indexes, a certificate
-//! store's ground-head and live-introducer indexes: a hash map cut into
+//! store's ground-head index: a hash map cut into
 //! shards, each behind an `Arc`, so that a clone copies one pointer per
 //! shard and a write the one shard it touches.
 //!

@@ -213,16 +213,16 @@ pub enum MetricValue {
     Histogram(HistogramSnapshot),
 }
 
-/// The registry-internal handle union. The `bool` on counters and
-/// gauges marks *volatile* metrics — values that legitimately differ
-/// between runs of the same deterministic workload (reader cache hits,
-/// injected-fault counts) and are therefore excluded from
-/// [`Registry::deterministic_snapshot`], exactly like wall-clock
-/// timing histograms.
+/// The registry-internal handle union. The `bool` on counters marks
+/// *volatile* metrics — values that legitimately differ between runs of
+/// the same deterministic workload (reader cache hits, injected-fault
+/// counts) and are therefore excluded from
+/// [`Registry::deterministic_snapshot`], exactly like wall-clock timing
+/// histograms.
 #[derive(Clone, Debug)]
 enum Metric {
     Counter(Counter, bool),
-    Gauge(Gauge, bool),
+    Gauge(Gauge),
     Histogram(Histogram),
 }
 
@@ -300,23 +300,9 @@ impl Registry {
     pub fn gauge(&self, name: &str) -> Gauge {
         self.get_or_insert(
             name,
-            || Metric::Gauge(Gauge::detached(), false),
+            || Metric::Gauge(Gauge::detached()),
             |m| match m {
-                Metric::Gauge(g, _) => Some(g.clone()),
-                _ => None,
-            },
-        )
-    }
-
-    /// A gauge handle for `name` marked *volatile* (see
-    /// [`Registry::volatile_counter`]): excluded from
-    /// [`Registry::deterministic_snapshot`].
-    pub fn volatile_gauge(&self, name: &str) -> Gauge {
-        self.get_or_insert(
-            name,
-            || Metric::Gauge(Gauge::detached(), true),
-            |m| match m {
-                Metric::Gauge(g, _) => Some(g.clone()),
+                Metric::Gauge(g) => Some(g.clone()),
                 _ => None,
             },
         )
@@ -356,14 +342,15 @@ impl Registry {
     }
 
     /// Snapshot excluding wall-clock timing histograms and volatile
-    /// counters/gauges — the flavour two runs of one workload can
+    /// counters — the flavour two runs of one workload can
     /// compare, since counts, gauges and size histograms are
     /// deterministic while nanosecond timings and scheduling-dependent
     /// values (reader cache hits, injected-fault counts) never are.
     pub fn deterministic_snapshot(&self) -> Snapshot {
         self.snapshot_filtered(|m| match m {
             Metric::Histogram(h) => !h.is_timing(),
-            Metric::Counter(_, volatile) | Metric::Gauge(_, volatile) => !volatile,
+            Metric::Counter(_, volatile) => !volatile,
+            Metric::Gauge(_) => true,
         })
     }
 
@@ -376,7 +363,7 @@ impl Registry {
                 .map(|(name, m)| {
                     let value = match m {
                         Metric::Counter(c, _) => MetricValue::Counter(c.get()),
-                        Metric::Gauge(g, _) => MetricValue::Gauge(g.get()),
+                        Metric::Gauge(g) => MetricValue::Gauge(g.get()),
                         Metric::Histogram(h) => MetricValue::Histogram(h.snapshot()),
                     };
                     (name.clone(), value)
@@ -530,16 +517,13 @@ mod tests {
     fn deterministic_snapshot_excludes_volatile_metrics() {
         let reg = Registry::new();
         reg.volatile_counter("cache.hits").add(3);
-        reg.volatile_gauge("cache.ratio").set(1200);
         reg.counter("net.sent").add(1);
 
         let full = reg.snapshot();
         assert_eq!(full.counter("cache.hits"), Some(3));
-        assert_eq!(full.gauge("cache.ratio"), Some(1200));
 
         let det = reg.deterministic_snapshot();
         assert_eq!(det.counter("cache.hits"), None);
-        assert_eq!(det.gauge("cache.ratio"), None);
         assert_eq!(det.counter("net.sent"), Some(1));
 
         // The volatile flag sticks: a later plain ask shares the atomic

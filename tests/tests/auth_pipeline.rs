@@ -271,3 +271,41 @@ fn third_party_cannot_read_hmac_traffic_content() {
         .unwrap();
     assert!(denied.is_empty());
 }
+
+/// A certificate is accepted whatever `says` scheme its receiver runs:
+/// alice certifies `good(carol)` to bob, and bob's grant holds under
+/// RSA, HMAC-SHA1 and plaintext alike, citing the certificate. The
+/// store checked its one signature; the workspace files it as
+/// `certified`, which every scheme's `exp3` accepts. Switching bob's
+/// scheme afterwards keeps the grant.
+#[test]
+fn a_certificate_is_accepted_under_every_scheme() {
+    for scheme in AuthScheme::ALL {
+        let mut sys = System::new().with_rsa_bits(512);
+        let alice = sys.add_principal("alice", "n1").unwrap();
+        let bob = sys.add_principal("bob", "n2").unwrap();
+        sys.establish_shared_secret(alice, bob).unwrap();
+        sys.set_auth_scheme(bob, scheme).unwrap();
+        sys.workspace_mut(bob)
+            .unwrap()
+            .load("policy", "ok(X) <- says(alice,me,[| good(X) |]).")
+            .unwrap();
+        let cert = sys
+            .issue_certificate(alice, "good(carol).", &[], None)
+            .unwrap();
+        let digest = cert.digest();
+        let outcomes = sys.import_certificates(bob, vec![cert]).unwrap();
+        assert!(outcomes[0].newly_added, "scheme {scheme}");
+        sys.run_to_quiescence(16).unwrap();
+        let decision = sys.authorize(bob, "ok(carol)").unwrap();
+        assert!(decision.granted, "scheme {scheme}");
+        assert_eq!(decision.supporting, [digest], "scheme {scheme}");
+
+        for next in AuthScheme::ALL {
+            sys.set_auth_scheme(bob, next).unwrap();
+            sys.run_to_quiescence(16).unwrap();
+            let decision = sys.authorize(bob, "ok(carol)").unwrap();
+            assert!(decision.granted, "imported under {scheme}, now {next}");
+        }
+    }
+}

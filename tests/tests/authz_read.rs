@@ -202,10 +202,10 @@ fn a_recursive_policy_does_not_keep_a_revoked_grant_in_the_cache() {
 }
 
 /// A certificate's `says` fact under mutual speaks-for rules, in a
-/// workspace without the authentication prelude, so the import asserts
-/// the fact itself: each `says` is concluded from the other, and the
-/// first rule instance for alice's leads back to it. The proof rests on
-/// the asserted fact, so both paths grant, cite the certificate, and
+/// workspace without the authentication prelude: each `says` is
+/// concluded from the other, and the first rule instance for alice's
+/// leads back to it. The proof rests on the asserted `certified` fact
+/// the import filed, so both paths grant, cite the certificate, and
 /// deny once it is revoked.
 #[test]
 fn a_certified_says_under_mutual_speaks_for_is_granted_and_cited() {
@@ -240,10 +240,11 @@ fn a_certified_says_under_mutual_speaks_for_is_granted_and_cited() {
         (&serial.supporting, &serial.proof)
     );
     let proof = serial.proof.expect("granted").to_string();
-    assert!(
-        proof.ends_with("  says(alice,r0,[| good(s0). |]) [fact]\n"),
-        "{proof}"
+    let leaf = format!(
+        "    certified(alice,r0,[| good(s0). |],#{}) [fact]\n",
+        digest.to_hex()
     );
+    assert!(proof.ends_with(&leaf), "{proof}");
 
     sys.revoke_certificate(alice, digest).unwrap();
     sys.run_to_quiescence(64).unwrap();

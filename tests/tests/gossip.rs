@@ -228,9 +228,9 @@ fn duplicated_revoke_packets_apply_once() {
         1 + recs.len(),
         "one application per store, duplicates are no-ops"
     );
-    // Each receiver retracted its two certificate-backed facts exactly
-    // once (the export tuple and the says tuple).
-    assert_eq!(stats.retractions - retractions_before, 2 * recs.len());
+    // Each receiver retracted its one certificate-backed fact (the
+    // `certified` tuple) exactly once.
+    assert_eq!(stats.retractions - retractions_before, recs.len());
     for &r in &recs {
         // The audit trail records one revocation per store, not two.
         let store = sys.cert_store(r).unwrap();
